@@ -9,11 +9,14 @@ graph.  Supported objectives:
   image of the constraint set), and
 * ``sum_v phi(base(v) - (div H)(v))`` for a convex scalar ``phi``.
 
-The workhorse is an accelerated projected-gradient iteration with a monotone
-restart; nonsmooth ``phi`` with a proximal map are handled by Moreau-envelope
-smoothing with a continuation schedule whose smoothing error is budgeted
-against the requested tolerance.  A projected-subgradient fallback covers
-``phi`` that expose neither a curvature bound nor a prox.
+Both objectives depend on ``H`` only through ``z = div H``, and every
+solve runs one accelerated projected-gradient iteration with a monotone
+restart that carries ``z`` next to each iterate.  Nonsmooth ``phi`` are
+handled by Moreau-envelope smoothing with a continuation schedule whose
+smoothing error is budgeted against the requested tolerance; a ``phi``
+without a proximal map gets one by bisection on its subgradient.  The
+divergence is applied through the graph's index arrays, in O(n + m) time
+and memory.
 
 All functions are pure: no global state, no internal threads.
 """
@@ -97,7 +100,7 @@ class BoxSpec:
         return BoxSpec(-r, r)
 
     def project(self, h: np.ndarray) -> np.ndarray:
-        return np.clip(h, self.lower, self.upper)
+        return np.minimum(np.maximum(h, self.lower), self.upper)
 
     def contains(self, h, slack: float = 0.0) -> bool:
         h = np.asarray(h, dtype=float)
@@ -292,7 +295,17 @@ def convexity_violation(phi: ConvexScalar, lo: float, hi: float,
     return max(0.0, worst) / scale
 
 
-def _as_flow(g, h, name: str) -> np.ndarray:
+def ensure_vertex_field(g: "OrientedGraph", u, name: str = "field") -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (g.vertex_count,):
+        raise ValidationError(
+            "%s must be a length-%d vertex field, got shape %s" % (name, g.vertex_count, u.shape))
+    if not np.isfinite(u).all():
+        raise ValidationError("%s must be finite" % name)
+    return u
+
+
+def ensure_edge_field(g: "OrientedGraph", h, name: str = "flow") -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (g.edge_count,):
         raise ValidationError(
@@ -302,91 +315,117 @@ def _as_flow(g, h, name: str) -> np.ndarray:
     return h
 
 
-def _check_set(g, spec) -> None:
+def _start(g, spec, warm_start) -> np.ndarray:
+    """Checked starting flow of a solve over ``spec``: zero or the warm start."""
     if spec.size != g.edge_count:
         raise ValidationError(
             "constraint set size %d does not match edge count %d" % (spec.size, g.edge_count))
+    if warm_start is None:
+        return np.zeros(g.edge_count)
+    return ensure_edge_field(g, warm_start, "warm_start")
 
 
-def _accelerated_descent(x0, *, gradient, objective, step, project,
-                         measure, stop_tol, max_iter, check_every=8,
-                         patience=125, adaptive=False):
+def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
+                         stop_tol, max_iter, check_every=8, patience=125,
+                         adaptive=False):
     """FISTA-style iteration with restart on objective increase.
 
-    ``measure(x)`` is the stopping statistic, evaluated every ``check_every``
-    iterations on the feasible iterate.  The best-measure iterate is kept;
-    the loop stops once it meets ``stop_tol`` or after ``patience``
-    consecutive checks without a 10 percent improvement (the attainable
-    floor in floating point can sit above ``stop_tol`` for badly scaled
-    data, and that outcome is reported rather than looped on).
+    The objective is a function of ``z = div h`` alone: ``value(z)`` is its
+    value and ``slope(z)`` its gradient in vertex space, so the gradient in
+    ``h`` is the adjoint of the divergence applied to ``slope(z)``.  The
+    loop carries ``z`` next to each iterate; the momentum point's ``z`` is
+    the same linear combination of two fresh ones.  An iteration therefore
+    applies the divergence once and its adjoint once.
 
-    With ``adaptive=True`` the iteration takes backtracking steps: ``step``
-    is then the certified safe step (inverse of a global curvature bound,
-    often far too pessimistic near the optimum), trial steps start three
-    orders of magnitude larger and are halved until the quadratic descent
-    bound holds.  The stopping ``measure`` should still be evaluated at the
-    safe step so its optimality certificate stands.
+    ``lips`` is the certified curvature bound and ``1 / lips`` the safe
+    step.  Every ``check_every`` iterations the gradient-mapping norm ``gm``
+    at the safe step is computed at the feasible iterate, and
+    ``measure(gm, objective)`` is the stopping statistic.  The
+    best-measure iterate is kept.  The loop stops once the best measure
+    meets ``stop_tol``, or after ``patience`` consecutive checks none of
+    which is 10 percent below the best measure seen so far.  Each check is
+    compared with the running best, not with the value ``patience`` checks
+    earlier, so steady progress slower than 10 percent per check counts as
+    a stall however long it lasts.  (The attainable floor in floating point
+    can sit above ``stop_tol`` for badly scaled data, and that outcome is
+    reported rather than looped on.)
+
+    With ``adaptive=True`` the iteration takes backtracking steps: trial
+    steps start three orders of magnitude above the safe step and are
+    halved until the quadratic descent bound holds.  The stopping measure
+    stays at the safe step so its optimality certificate stands.
 
     Returns (x, iterations, final_measure, final_objective, converged).
     """
+    step = 1.0 / lips
+    cur = step * 1024.0 if adaptive else step
+
+    def advance(base, zbase, fbase):
+        # one projected gradient step from base; in adaptive mode, halve the
+        # trial step until f(xn) <= f(base) + <g, d> + |d|^2 / (2 step)
+        nonlocal cur
+        grad = g._div_adjoint(slope(zbase))
+        while True:
+            xn = project(base - cur * grad)
+            zn = g._div(xn)
+            fn = value(zn)
+            if not adaptive or cur <= step * 1.0000001:
+                return xn, zn, fn
+            d = xn - base
+            bound = fbase + float(grad @ d) + float(d @ d) / (2.0 * cur)
+            if fn <= bound + 1e-12 * (1.0 + abs(fbase)):
+                return xn, zn, fn
+            cur = max(step, 0.5 * cur)
+
+    def check(x, z, fx):
+        grad = g._div_adjoint(slope(z))
+        gm = float(np.linalg.norm(x - project(x - step * grad))) * lips
+        return measure(gm, fx)
+
     x = project(np.asarray(x0, dtype=float))
-    y = x
+    z = g._div(x)
+    y, zy = x, z
     t = 1.0
-    fx = objective(x)
+    fx = value(z)
     it = 0
     best_x, best_meas = x, math.inf
     checks_since_gain = 0
     converged = False
-    cur = [step * 1024.0 if adaptive else step]
-
-    def advance(base, fbase):
-        # one projected gradient step from base; in adaptive mode, halve the
-        # trial step until f(xn) <= f(base) + <g, d> + |d|^2 / (2 step)
-        grad = gradient(base)
-        while True:
-            xn = project(base - cur[0] * grad)
-            fn = objective(xn)
-            if not adaptive or cur[0] <= step * 1.0000001:
-                return xn, fn
-            d = xn - base
-            bound = fbase + float(grad @ d) + float(d @ d) / (2.0 * cur[0])
-            if fn <= bound + 1e-12 * (1.0 + abs(fbase)):
-                return xn, fn
-            cur[0] = max(step, 0.5 * cur[0])
 
     while it < max_iter:
         it += 1
         if adaptive and it % 32 == 0:
-            cur[0] = min(cur[0] * 2.0, step * 1e9)
-        fy = objective(y) if adaptive else fx
-        xn, fn = advance(y, fy)
+            cur = min(cur * 2.0, step * 1e9)
+        fy = value(zy) if adaptive else fx
+        xn, zn, fn = advance(y, zy, fy)
         if fn > fx:
             # momentum overshoot: restart from the last good iterate; the
             # plain step is accepted even if roundoff nudges fn above fx,
             # otherwise the iteration would freeze at the float floor
             t = 1.0
-            xn, fn = advance(x, fx)
+            xn, zn, fn = advance(x, z, fx)
         tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = xn + ((t - 1.0) / tn) * (xn - x)
-        x, fx, t = xn, fn, tn
+        c = (t - 1.0) / tn
+        y = xn + c * (xn - x)
+        zy = zn + c * (zn - z)
+        x, z, fx, t = xn, zn, fn, tn
         if it % check_every == 0 or it == max_iter:
-            meas = measure(x)
+            meas = check(x, z, fx)
             if meas <= 0.9 * best_meas:
                 checks_since_gain = 0
             else:
                 checks_since_gain += 1
             if meas < best_meas:
-                best_x, best_meas = x, meas
+                best_x, best_meas, best_f = x, meas, fx
             if best_meas <= stop_tol:
                 converged = True
                 break
             if checks_since_gain >= patience:
                 break
     if not math.isfinite(best_meas):
-        best_meas = measure(x)
-        best_x = x
+        best_x, best_meas, best_f = x, check(x, z, fx), fx
         converged = best_meas <= stop_tol
-    return best_x, it, best_meas, objective(best_x), converged
+    return best_x, it, best_meas, best_f, converged
 
 
 def _default_tol():
@@ -413,38 +452,20 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
     raised.
     """
     tol = tol if tol is not None else _default_tol()
-    target = np.asarray(target, dtype=float)
-    if target.shape != (g.vertex_count,):
-        raise ValidationError("target must be a length-%d vertex field" % g.vertex_count)
-    if not np.isfinite(target).all():
-        raise ValidationError("target must be finite")
-    _check_set(g, spec)
+    target = ensure_vertex_field(g, target, "target")
+    x0 = _start(g, spec, warm_start)
 
-    d_mat = g.incidence_matrix
-    lips = 2.0 * max(g.max_degree, 1)
-    step = 1.0 / lips
-
-    def gradient(h):
-        return d_mat.T @ (d_mat @ h - target)
-
-    def objective(h):
-        r = d_mat @ h - target
+    def value(z):
+        r = z - target
         return 0.5 * float(r @ r)
-
-    def measure(h):
-        return float(np.linalg.norm(h - spec.project(h - step * gradient(h)))) * lips
-
-    if warm_start is not None:
-        x0 = spec.project(_as_flow(g, warm_start, "warm_start"))
-    else:
-        x0 = np.zeros(g.edge_count)
 
     # stop slightly inside the contract so downstream 10*solve_tol
     # invariants (warm-start independence) hold with margin
     x, it, meas, obj, conv = _accelerated_descent(
-        x0, gradient=gradient, objective=objective, step=step,
-        project=spec.project, measure=measure,
-        stop_tol=0.25 * tol.solve_tol, max_iter=max_iter)
+        g, x0, value=value, slope=lambda z: z - target,
+        lips=2.0 * max(g.max_degree, 1), project=spec.project,
+        measure=lambda gm, _: gm, stop_tol=0.25 * tol.solve_tol,
+        max_iter=max_iter)
     return x, SolveReport(it, obj, meas, conv, method="apgd-projection")
 
 
@@ -463,47 +484,25 @@ def min_norm_divergence(g: "OrientedGraph", spec,
 
 
 def _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter):
-    d_mat = g.incidence_matrix
     lo, hi = _reachable_interval(g, base, spec)
     curv = max(float(phi.curvature(lo, hi)), 1e-300)
-    lips = 2.0 * max(g.max_degree, 1) * curv
-    step = 1.0 / lips
     diam = max(spec.diameter(), 1e-300)
-
-    def u_of(h):
-        return base - d_mat @ h
-
-    def objective(h):
-        return float(np.sum(phi.evaluate(u_of(h))))
-
-    def gradient(h):
-        return -(d_mat.T @ phi.subgradient(u_of(h)))
-
-    def measure(h):
-        pg = float(np.linalg.norm(h - spec.project(h - step * gradient(h)))) * lips
-        return pg * diam
 
     def stop_tol_of(obj):
         return tol_obj * (1.0 + abs(obj))
 
-    # the stopping threshold depends on the running objective; wrap measure
-    # to compare against the current value
-    state = {"obj": objective(x0)}
-
-    def rel_measure(h):
-        obj = objective(h)
-        state["obj"] = obj
-        return measure(h) / stop_tol_of(obj)
-
+    # the stopping threshold depends on the running objective, so the
+    # measure is the gap bound relative to it
     x, it, meas, obj, conv = _accelerated_descent(
-        x0, gradient=gradient, objective=objective, step=step,
-        project=spec.project, measure=rel_measure,
+        g, x0, value=lambda z: float(np.sum(phi.evaluate(base - z))),
+        slope=lambda z: -phi.subgradient(base - z),
+        lips=2.0 * max(g.max_degree, 1) * curv, project=spec.project,
+        measure=lambda gm, obj: gm * diam / stop_tol_of(obj),
         stop_tol=1.0, max_iter=max_iter, adaptive=True)
-    bound = meas * stop_tol_of(obj)
-    return x, SolveReport(it, obj, bound, conv, method="apgd-smooth")
+    return x, SolveReport(it, obj, meas * stop_tol_of(obj), conv, method="apgd-smooth")
 
 
-def _smoothing_descent(g, base, spec, phi, tol_obj, x0, max_iter):
+def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter):
     """Moreau-smoothing continuation for nonsmooth phi with a prox.
 
     The smoothed objective sum phi_delta(u) underestimates the true one by
@@ -511,20 +510,15 @@ def _smoothing_descent(g, base, spec, phi, tol_obj, x0, max_iter):
     is chosen so this error plus the final-stage gradient-mapping gap bound
     is within tol_obj*(1+|objective|).
     """
-    d_mat = g.incidence_matrix
     lo, hi = _reachable_interval(g, base, spec)
     gbound = max(abs(float(phi.subgradient(np.array([lo]))[0])),
                  abs(float(phi.subgradient(np.array([hi]))[0])), 1e-12)
     n = base.size
     diam = max(spec.diameter(), 1e-300)
     lips0 = 2.0 * max(g.max_degree, 1)
-    prox = phi.prox
-
-    def u_of(h):
-        return base - d_mat @ h
 
     def true_objective(h):
-        return float(np.sum(phi.evaluate(u_of(h))))
+        return float(np.sum(phi.evaluate(base - g._div(h))))
 
     x = np.asarray(x0, dtype=float)
     obj = true_objective(x)
@@ -541,22 +535,15 @@ def _smoothing_descent(g, base, spec, phi, tol_obj, x0, max_iter):
         delta_need = 0.5 * eps / (n * gbound * gbound)
         delta = max(delta, min(delta_need, 1e-15))
         final = delta <= delta_need * 1.0000001
-        lips = lips0 / delta
-        step = 1.0 / lips
 
-        def gradient(h, _d=delta):
-            u = u_of(h)
-            return -(d_mat.T @ ((u - prox(u, _d)) / _d))
+        def slope(z, _d=delta):
+            u = base - z
+            return -((u - prox(u, _d)) / _d)
 
-        def objective(h, _d=delta):
-            u = u_of(h)
+        def value(z, _d=delta):
+            u = base - z
             p = prox(u, _d)
             return float(np.sum(phi.evaluate(p)) + np.sum((u - p) ** 2) / (2.0 * _d))
-
-        def measure(h, _step=step, _lips=lips, _d=delta):
-            pg = float(np.linalg.norm(
-                h - spec.project(h - _step * gradient(h, _d)))) * _lips
-            return pg * diam
 
         smooth_err = n * delta * gbound * gbound / 2.0
         stage_tol = 0.25 * eps if final else max(0.5 * smooth_err, 0.25 * eps)
@@ -565,57 +552,23 @@ def _smoothing_descent(g, base, spec, phi, tol_obj, x0, max_iter):
             conv = False
             break
         x, it, meas, _, stage_conv = _accelerated_descent(
-            x, gradient=gradient, objective=objective, step=step,
-            project=spec.project, measure=measure,
+            g, x, value=value, slope=slope, lips=lips0 / delta,
+            project=spec.project, measure=lambda gm, _: gm * diam,
             stop_tol=stage_tol, max_iter=budget, adaptive=True)
         total_it += it
         obj = true_objective(x)
         if obj < best_obj:
             best_x, best_obj = x, obj
         eps = tol_obj * (1.0 + abs(best_obj))
-        if final:
-            conv = conv and stage_conv
-            break
         conv = conv and stage_conv
+        if final:
+            break
         delta = max(0.1 * delta, 0.5 * eps / (n * gbound * gbound))
 
     gap_bound = meas + n * delta * gbound * gbound / 2.0
     converged = conv and gap_bound <= eps
     return best_x, SolveReport(total_it, best_obj, gap_bound, converged,
                                method="apgd-smoothing")
-
-
-def _subgradient_descent(g, base, spec, phi, tol_obj, x0, max_iter):
-    """Projected subgradient with diminishing steps, best iterate kept."""
-    d_mat = g.incidence_matrix
-    lo, hi = _reachable_interval(g, base, spec)
-    n = base.size
-    c = max((hi - lo) / math.sqrt(max(n, 1)), 1e-8)
-    gbound = max(abs(float(phi.subgradient(np.array([lo]))[0])),
-                 abs(float(phi.subgradient(np.array([hi]))[0])), 1e-12)
-    diam = max(spec.diameter(), 1e-300)
-
-    def u_of(h):
-        return base - d_mat @ h
-
-    def objective(h):
-        return float(np.sum(phi.evaluate(u_of(h))))
-
-    x = spec.project(np.asarray(x0, dtype=float))
-    best_x = x
-    best_obj = objective(x)
-    cap = min(max_iter, 200_000)
-    for k in range(1, cap + 1):
-        sub = -(d_mat.T @ phi.subgradient(u_of(x)))
-        x = spec.project(x - (c / math.sqrt(k)) * sub)
-        obj = objective(x)
-        if obj < best_obj:
-            best_x, best_obj = x, obj
-    # standard rate bound, honest but loose
-    gap_est = gbound * math.sqrt(2.0 * max(g.max_degree, 1)) * (diam + c) / math.sqrt(cap)
-    converged = gap_est <= tol_obj * (1.0 + abs(best_obj))
-    return best_x, SolveReport(cap, best_obj, gap_est, converged,
-                               method="projected-subgradient")
 
 
 def _reachable_interval(g, base, spec):
@@ -632,12 +585,11 @@ def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
     """Minimize ``sum_v phi(u(v))`` over ``u in {base - div H : H in spec}``.
 
     Method is chosen from the metadata on ``phi``: a curvature bound selects
-    accelerated projected gradient on the true objective; otherwise a prox
-    selects Moreau-smoothing continuation; otherwise projected subgradient
-    with ``c/sqrt(k)`` steps is used.  The convergence contract is an
-    objective gap below ``tol.solve_tol * (1 + |objective|)`` (default
-    objective tolerance 1e-6); for the subgradient fallback the reported
-    bound is the usual rate estimate and convergence may honestly be False.
+    accelerated projected gradient on the true objective; otherwise
+    Moreau-smoothing continuation runs on the prox of ``phi``, built by
+    :func:`bisection_prox` from the subgradient when ``phi`` has none.  The
+    convergence contract is an objective gap below
+    ``tol.solve_tol * (1 + |objective|)`` (default objective tolerance 1e-6).
 
     Returns
     -------
@@ -647,24 +599,12 @@ def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
         tol_obj = tol.solve_tol
     else:
         tol_obj = DEFAULT_OBJECTIVE_TOL
-    base = np.asarray(base, dtype=float)
-    if base.shape != (g.vertex_count,):
-        raise ValidationError("base must be a length-%d vertex field" % g.vertex_count)
-    if not np.isfinite(base).all():
-        raise ValidationError("base must be finite")
-    _check_set(g, spec)
-
-    if warm_start is not None:
-        x0 = spec.project(_as_flow(g, warm_start, "warm_start"))
-    else:
-        x0 = spec.project(np.zeros(g.edge_count))
+    base = ensure_vertex_field(g, base, "base")
+    x0 = spec.project(_start(g, spec, warm_start))
 
     if phi.curvature is not None:
         h, report = _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter)
-    elif phi.prox is not None:
-        h, report = _smoothing_descent(g, base, spec, phi, tol_obj, x0, max_iter)
     else:
-        h, report = _subgradient_descent(g, base, spec, phi, tol_obj, x0, max_iter)
-
-    u = base - g.incidence_matrix @ h
-    return u, report
+        prox = phi.prox if phi.prox is not None else bisection_prox(phi.subgradient)
+        h, report = _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter)
+    return base - g._div(h), report

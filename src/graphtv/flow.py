@@ -86,7 +86,7 @@ def _minimal_section_witness(g, u, tol, *, scale=None, warm_start=None,
                                  warm_start=warm_start, max_iter=max_iter)
     if not rep.converged:
         raise ConvergenceError("minimum-norm solve did not converge", rep)
-    d = -(g.incidence_matrix @ h)
+    d = -g._div(h)
     for _ in range(g.edge_count + 1):
         refined = _split_flats(g, pat, d, tol)
         if refined == pat:
@@ -96,7 +96,7 @@ def _minimal_section_witness(g, u, tol, *, scale=None, warm_start=None,
                                      warm_start=h, max_iter=max_iter)
         if not rep.converged:
             raise ConvergenceError("minimum-norm solve did not converge", rep)
-        d = -(g.incidence_matrix @ h)
+        d = -g._div(h)
     else:
         warnings.warn("flat-edge refinement did not reach a fixed point",
                       RuntimeWarning)

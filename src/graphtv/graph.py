@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import BoxSpec, GroupBallSpec, SolveReport, project_onto_div_box
+from .engine import (BoxSpec, GroupBallSpec, SolveReport, ensure_edge_field,
+                     ensure_vertex_field, project_onto_div_box)
 from .errors import ConvergenceError, ValidationError
 
 
@@ -56,7 +57,10 @@ DEFAULT_TOL = Tolerances()
 
 
 class OrientedGraph:
-    """A finite connected oriented graph with cached incidence structure.
+    """A finite connected oriented graph stored as tail and head index arrays.
+
+    Memory is O(n + m): the divergence and its adjoint are computed from
+    the index arrays.
 
     Parameters
     ----------
@@ -78,27 +82,38 @@ class OrientedGraph:
         n = int(vertex_count)
         if n < 1:
             raise ValidationError("vertex_count must be at least 1")
-        tails = []
-        heads = []
-        undirected = set()
-        for e in edges:
-            a, b = int(e[0]), int(e[1])
-            if not (0 <= a < n and 0 <= b < n):
+        pairs = np.asarray(edges, dtype=np.intp)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError("edges must be a sequence of (tail, head) pairs")
+        tails, heads = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+        out_of_range = (lo < 0) | (hi >= n)
+        loop = tails == heads
+        # an edge repeats when its unordered pair occurred at a lower index;
+        # a stable sort puts it right after such an edge
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(len(pairs), dtype=bool)
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = out_of_range | loop | repeated
+        if bad.any():
+            # report the first bad edge, checking range, loop, repeat in order
+            k = int(np.argmax(bad))
+            a, b = int(tails[k]), int(heads[k])
+            if out_of_range[k]:
                 raise ValidationError("edge (%d, %d) out of vertex range" % (a, b))
-            if a == b:
+            if loop[k]:
                 raise ValidationError("self-loop at vertex %d" % a)
-            key = (min(a, b), max(a, b))
-            if key in undirected:
-                raise ValidationError(
-                    "duplicate or antiparallel edge between %d and %d" % (a, b))
-            undirected.add(key)
-            tails.append(a)
-            heads.append(b)
+            raise ValidationError(
+                "duplicate or antiparallel edge between %d and %d" % (a, b))
         self.vertex_count = n
-        self.edge_count = len(tails)
-        self.tails = np.asarray(tails, dtype=np.intp)
-        self.heads = np.asarray(heads, dtype=np.intp)
-        self.edges = tuple(zip(tails, heads))
+        self.edge_count = len(pairs)
+        self.tails = tails.copy()
+        self.heads = heads.copy()
+        self.edges = tuple(zip(self.tails.tolist(), self.heads.tolist()))
+        self._edge_ids = {e: k for k, e in enumerate(self.edges)}
 
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -106,18 +121,9 @@ class OrientedGraph:
                 raise ValidationError("names must have one entry per vertex")
         self.names = names
 
-        inc = np.zeros((n, self.edge_count), dtype=float)
-        for k in range(self.edge_count):
-            inc[heads[k], k] += 1.0
-            inc[tails[k], k] -= 1.0
-        inc.setflags(write=False)
-        self.incidence_matrix = inc
-
-        deg = np.zeros(n, dtype=np.intp)
-        np.add.at(deg, self.tails, 1)
-        np.add.at(deg, self.heads, 1)
-        self.degree = deg
-        self.max_degree = int(deg.max()) if self.edge_count else 0
+        self.degree = (np.bincount(self.tails, minlength=n)
+                       + np.bincount(self.heads, minlength=n))
+        self.max_degree = int(self.degree.max()) if self.edge_count else 0
 
         self._check_connected()
 
@@ -178,10 +184,19 @@ class OrientedGraph:
 
     def edge_index(self, tail: int, head: int) -> int:
         """Index of the edge with the given (tail, head) pair."""
-        for k, (a, b) in enumerate(self.edges):
-            if a == tail and b == head:
-                return k
-        raise ValidationError("no edge (%d, %d)" % (tail, head))
+        k = self._edge_ids.get((tail, head))
+        if k is None:
+            raise ValidationError("no edge (%d, %d)" % (tail, head))
+        return k
+
+    def _div(self, h: np.ndarray) -> np.ndarray:
+        """Divergence of a trusted float edge array (no validation)."""
+        n = self.vertex_count
+        return np.bincount(self.heads, h, n) - np.bincount(self.tails, h, n)
+
+    def _div_adjoint(self, u: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`_div`: u(head) - u(tail) per edge, unvalidated."""
+        return u[self.heads] - u[self.tails]
 
     def coupled_groups(self) -> tuple:
         """Partition of the edge set for the coupled (isotropic) constraint.
@@ -194,7 +209,7 @@ class OrientedGraph:
             raise ValidationError("coupled groups require a Cartesian grid graph")
         mm, nn = self.cartesian
         idx = self._grid_index
-        pair_of = {e: k for k, e in enumerate(self.edges)}
+        pair_of = self._edge_ids
         groups = []
         for i in range(1, mm + 1):
             for j in range(1, nn + 1):
@@ -283,33 +298,12 @@ class MembershipResult:
     report: SolveReport
 
 
-def ensure_vertex_field(g: OrientedGraph, u, name: str = "field") -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.vertex_count,):
-        raise ValidationError(
-            "%s must be a length-%d vertex field, got shape %s" % (name, g.vertex_count, u.shape))
-    if not np.isfinite(u).all():
-        raise ValidationError("%s must be finite" % name)
-    return u
-
-
-def ensure_edge_field(g: OrientedGraph, h, name: str = "flow") -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != (g.edge_count,):
-        raise ValidationError(
-            "%s must be a length-%d edge field, got shape %s" % (name, g.edge_count, h.shape))
-    if not np.isfinite(h).all():
-        raise ValidationError("%s must be finite" % name)
-    return h
-
-
 def divergence(g: OrientedGraph, h) -> np.ndarray:
     """Divergence of an edge flow: inflow minus outflow at each vertex.
 
     Sums to zero over the vertex set for any flow.
     """
-    h = ensure_edge_field(g, h)
-    return g.incidence_matrix @ h
+    return g._div(ensure_edge_field(g, h))
 
 
 def edge_differences(g: OrientedGraph, u) -> np.ndarray:
@@ -374,7 +368,7 @@ def subdifferential_membership(g: OrientedGraph, u, candidate,
     h, report = project_onto_div_box(g, candidate, box, tol)
     if not report.converged:
         raise ConvergenceError("membership projection did not converge", report)
-    residual = float(np.linalg.norm(g.incidence_matrix @ h - candidate))
+    residual = float(np.linalg.norm(g._div(h) - candidate))
     threshold = max(tol.solve_tol,
                     100.0 * tol.solve_tol * (1.0 + float(np.linalg.norm(candidate))))
     member = residual <= threshold

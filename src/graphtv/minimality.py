@@ -399,7 +399,7 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
         h, rep = project_onto_div_box(g, a, spec, _tight(tol))
         if not rep.converged:
             raise ConvergenceError("anchor projection did not converge", rep)
-        x_star = g.incidence_matrix @ h
+        x_star = g._div(h)
         worst_phi = ""
         worst_rel = 0.0
         spread = 0.0

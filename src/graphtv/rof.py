@@ -100,6 +100,24 @@ class PiecewiseAffinePath:
         return worst
 
 
+def _regularize(g, f, alpha, constraint, tol, warm_start, max_iter, name):
+    # shared body of rof_solve and isotropic_rof_solve; constraint(alpha)
+    # builds the dual constraint set
+    tol = tol if tol is not None else DEFAULT_TOL
+    f = ensure_vertex_field(g, f, "f")
+    alpha = float(alpha)
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ValidationError("alpha must be finite and nonnegative")
+    if alpha == 0.0:
+        return RofSolution(0.0, f.copy(), np.zeros(g.edge_count),
+                           SolveReport(0, 0.0, 0.0, True, method="identity"))
+    h, report = project_onto_div_box(g, f, constraint(alpha), tol,
+                                     warm_start=warm_start, max_iter=max_iter)
+    if not report.converged:
+        raise ConvergenceError("%s projection did not converge" % name, report)
+    return RofSolution(alpha, f - g._div(h), -h, report)
+
+
 def rof_solve(g: OrientedGraph, f, alpha: float,
               tol: Optional[Tolerances] = None, *,
               warm_start=None, max_iter: int = 1_000_000) -> RofSolution:
@@ -110,21 +128,8 @@ def rof_solve(g: OrientedGraph, f, alpha: float,
     parameter sweeps much cheaper.  Raises :class:`ConvergenceError` when
     the projection does not reach tolerance within ``max_iter``.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
-    f = ensure_vertex_field(g, f, "f")
-    alpha = float(alpha)
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and nonnegative")
-    if alpha == 0.0:
-        return RofSolution(0.0, f.copy(), np.zeros(g.edge_count),
-                           SolveReport(0, 0.0, 0.0, True, method="identity"))
-    box = BoxSpec.uniform(g.edge_count, alpha)
-    h, report = project_onto_div_box(g, f, box, tol, warm_start=warm_start,
-                                     max_iter=max_iter)
-    if not report.converged:
-        raise ConvergenceError("regularization projection did not converge", report)
-    u = f - g.incidence_matrix @ h
-    return RofSolution(alpha, u, -h, report)
+    return _regularize(g, f, alpha, lambda a: BoxSpec.uniform(g.edge_count, a),
+                       tol, warm_start, max_iter, "regularization")
 
 
 def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
@@ -136,21 +141,8 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
     edges in a Euclidean ball of radius alpha (border edges are constrained
     alone), so the constraint set is not a polytope.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
-    f = ensure_vertex_field(g, f, "f")
-    alpha = float(alpha)
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and nonnegative")
-    if alpha == 0.0:
-        return RofSolution(0.0, f.copy(), np.zeros(g.edge_count),
-                           SolveReport(0, 0.0, 0.0, True, method="identity"))
-    ball = g.coupled_ball(alpha)
-    h, report = project_onto_div_box(g, f, ball, tol, warm_start=warm_start,
-                                     max_iter=max_iter)
-    if not report.converged:
-        raise ConvergenceError("coupled projection did not converge", report)
-    u = f - g.incidence_matrix @ h
-    return RofSolution(alpha, u, -h, report)
+    return _regularize(g, f, alpha, g.coupled_ball, tol, warm_start, max_iter,
+                       "coupled")
 
 
 class _PathSolver:
@@ -226,7 +218,7 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
                                    max_iter=max_iter)
     if not rep0.converged:
         raise ConvergenceError("minimum-norm solve did not converge", rep0)
-    speed = float(np.linalg.norm(g.incidence_matrix @ h0))
+    speed = float(np.linalg.norm(g._div(h0)))
     if speed <= 0:
         raise PathError("nonconstant datum with zero minimal subgradient")
     a_up = float(np.linalg.norm(f - mean_field)) / speed

@@ -11,6 +11,8 @@ from graphtv.instances import (nonequivalence_instance, random_connected_graph,
                                random_vertex_field, two_vertex_graph)
 from graphtv.minimality import PhiCatalog, power_phi, random_piecewise_linear
 
+from dense_operator import dense_divergence
+
 SEED = 20240818
 SOLVE_TOL = 1e-9
 # frozen by hand from the 3x3 instance: div of the optimal dual at alpha = 1
@@ -111,13 +113,26 @@ def test_separable_absolute_value_two_vertex():
     assert abs(val - 10.0) < 1e-5
 
 
+def test_separable_without_prox_or_curvature():
+    # a user phi with only a subgradient runs smoothing on a bisection prox
+    g, f = nonequivalence_instance()
+    spec = BoxSpec.uniform(g.edge_count, 0.5)
+    bare = ConvexScalar("abs", np.abs, np.sign)
+    u_bare, rep_bare = min_separable_convex_over_polytope(g, f, spec, bare)
+    u_ref, rep_ref = min_separable_convex_over_polytope(g, f, spec, power_phi(1.0))
+    assert rep_bare.converged and rep_ref.converged
+    assert rep_bare.method == rep_ref.method == "apgd-smoothing"
+    assert abs(rep_bare.objective - rep_ref.objective) <= 1e-6 * (1 + rep_ref.objective)
+    assert abs(bare.total(u_bare) - rep_bare.objective) <= 1e-5 * (1 + rep_bare.objective)
+
+
 def test_separable_matches_cvxpy():
     cp = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(SEED + 3)
     g = random_connected_graph(rng, max_vertices=8)
     f = random_vertex_field(rng, g.vertex_count)
     alpha = 0.25
-    d = g.incidence_matrix
+    d = dense_divergence(g)
     for phi, expr in (
         (power_phi(1.0), lambda u: cp.sum(cp.abs(u))),
         (power_phi(2.0), lambda u: cp.sum_squares(u)),

@@ -7,6 +7,8 @@ from graphtv import (OrientedGraph, Tolerances, ValidationError, divergence,
 from graphtv.instances import (nonequivalence_instance, random_connected_graph,
                                random_vertex_field, two_vertex_graph)
 
+from dense_operator import dense_divergence
+
 TOL = 1e-12
 SEED = 20240817
 
@@ -21,16 +23,32 @@ def brute_divergence(g, h):
 
 
 def test_construction_rejects_bad_edges():
-    with pytest.raises(ValidationError):
-        OrientedGraph(3, [(0, 0), (1, 2)])  # self loop
-    with pytest.raises(ValidationError):
-        OrientedGraph(3, [(0, 1), (0, 1), (1, 2)])  # duplicate
-    with pytest.raises(ValidationError):
-        OrientedGraph(3, [(0, 1), (1, 0), (1, 2)])  # antiparallel
-    with pytest.raises(ValidationError):
-        OrientedGraph(4, [(0, 1), (2, 3)])  # disconnected
-    with pytest.raises(ValidationError):
-        OrientedGraph(3, [(0, 3), (1, 2)])  # vertex out of range
+    with pytest.raises(ValidationError, match="self-loop at vertex 0"):
+        OrientedGraph(3, [(0, 0), (1, 2)])
+    with pytest.raises(ValidationError,
+                       match="duplicate or antiparallel edge between 0 and 1"):
+        OrientedGraph(3, [(0, 1), (0, 1), (1, 2)])
+    with pytest.raises(ValidationError,
+                       match="duplicate or antiparallel edge between 1 and 0"):
+        OrientedGraph(3, [(0, 1), (1, 0), (1, 2)])
+    with pytest.raises(ValidationError, match="graph must be connected"):
+        OrientedGraph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValidationError, match=r"edge \(0, 3\) out of vertex range"):
+        OrientedGraph(3, [(0, 3), (1, 2)])
+    with pytest.raises(ValidationError, match=r"\(tail, head\) pairs"):
+        OrientedGraph(3, [(0, 1, 2), (1, 2, 0)])
+    # the first bad edge in input order is the one reported
+    with pytest.raises(ValidationError, match="self-loop at vertex 2"):
+        OrientedGraph(3, [(0, 1), (2, 2), (1, 0), (0, 5)])
+
+
+def test_edge_index_lookup():
+    g, _ = nonequivalence_instance()
+    for k, (tail, head) in enumerate(g.edges):
+        assert g.edge_index(tail, head) == k
+    tail, head = g.edges[0]
+    with pytest.raises(ValidationError, match="no edge"):
+        g.edge_index(head, tail)
 
 
 def test_divergence_matches_brute_force():
@@ -39,8 +57,21 @@ def test_divergence_matches_brute_force():
         g = random_connected_graph(rng)
         h = rng.normal(size=g.edge_count)
         assert np.abs(divergence(g, h) - brute_divergence(g, h)).max() < TOL
-        # incidence matrix encodes the same operator
-        assert np.abs(g.incidence_matrix @ h - brute_divergence(g, h)).max() < TOL
+
+
+def test_index_kernel_adjoint_matches_brute_force():
+    # the unvalidated index kernel that every solver iteration applies
+    rng = np.random.default_rng(SEED + 6)
+    for _ in range(25):
+        g = random_connected_graph(rng)
+        h = rng.normal(size=g.edge_count)
+        u = rng.normal(size=g.vertex_count)
+        assert np.abs(g._div(h) - brute_divergence(g, h)).max() < TOL
+        brute_adjoint = np.array([u[head] - u[tail] for tail, head in g.edges])
+        assert np.array_equal(g._div_adjoint(u), brute_adjoint)
+        assert np.array_equal(g._div_adjoint(u), -edge_differences(g, u))
+        assert np.array_equal(dense_divergence(g).T @ u, g._div_adjoint(u))
+        assert abs(float(g._div(h) @ u) - float(h @ g._div_adjoint(u))) < 1e-9
 
 
 def test_divergence_sums_to_zero():
@@ -82,7 +113,7 @@ def test_incidence_operator_norm_bound():
     rng = np.random.default_rng(SEED + 4)
     for _ in range(10):
         g = random_connected_graph(rng)
-        d = g.incidence_matrix
+        d = dense_divergence(g)
         top = np.linalg.norm(d @ d.T, ord=2)
         assert top <= 2.0 * g.max_degree + 1e-9
 

@@ -4,7 +4,7 @@ import pytest
 from graphtv import (PathError, PiecewiseAffinePath, ValidationError,
                      isotropic_rof_solve, rof_path, rof_solve,
                      subdifferential_membership, total_variation)
-from graphtv.instances import (nonequivalence_instance,
+from graphtv.instances import (cartesian_graph, nonequivalence_instance,
                                nonequivalence_variant_datum,
                                random_connected_graph, random_vertex_field,
                                regularization_dual_reference,
@@ -33,6 +33,17 @@ def test_solution_consistency():
     from graphtv import divergence
     assert np.abs(sol.u - (f + divergence(g, sol.dual_flow))).max() < 1e-12
     assert np.abs(sol.dual_flow).max() <= 1.0 + 1e-12
+
+
+def test_128x128_grid_solves():
+    # 16k vertices and 32k edges; the graph keeps O(n + m) memory
+    rng = np.random.default_rng(SEED + 7)
+    g = cartesian_graph(128, 128)
+    f = random_vertex_field(rng, g.vertex_count)
+    sol = rof_solve(g, f, 0.1)
+    assert sol.report.converged
+    assert abs(sol.u.mean() - f.mean()) < 1e-9
+    assert np.abs(sol.dual_flow).max() <= 0.1 + 1e-12
 
 
 def test_alpha_zero_returns_datum():
