@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from io import StringIO
 from typing import Optional
 
@@ -24,10 +25,11 @@ import numpy as np
 from .bench import counterexample_harness, equivalence_report
 from .errors import ConvergenceError, ParseError, PathError, ValidationError
 from .flow import flow_solve
-from .graph import Tolerances
+from .graph import DEFAULT_TOL, Tolerances
 from .instances import nonequivalence_instance
 from .io import dumps_deterministic, format_float, read_problem, write_trajectory
-from .minimality import demonstrate_isotropic_failure, verify_universal_minimality
+from .minimality import (DEFAULT_CHECK_TOL, demonstrate_isotropic_failure,
+                         verify_universal_minimality)
 from .rof import rof_path, rof_solve
 
 EXIT_VERIFY_FAILED = 1
@@ -35,9 +37,12 @@ EXIT_PARSE = 3
 EXIT_SOLVER = 4
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(flat_tol=args.flat_tol, solve_tol=args.solve_tol,
-                      event_tol=args.event_tol)
+def _tolerances(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
+    """The tolerance flags given on the command line, over ``base``."""
+    given = {name: getattr(args, name)
+             for name in ("flat_tol", "solve_tol", "event_tol")
+             if getattr(args, name) is not None}
+    return replace(base, **given)
 
 
 def _emit(args, text: str) -> None:
@@ -120,11 +125,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _tolerances(args)
     lines = []
     ok = True
     if args.mode == "counterexample":
-        report = counterexample_harness(tol)
+        report = counterexample_harness(_tolerances(args))
         for c in report.checks:
             lines.append("%s %s measured=%s expected=%s tol=%s" % (
                 "PASS" if c.passed else "FAIL", c.name,
@@ -133,7 +137,8 @@ def _cmd_verify(args) -> int:
         ok = report.passed
     elif args.mode == "phimin":
         g, f = _load(args)
-        reports = verify_universal_minimality(g, f, args.alpha)
+        reports = verify_universal_minimality(
+            g, f, args.alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
         for r in reports:
             lines.append("%s %s gap=%s relative=%s" % (
                 "PASS" if r.ok else "FAIL", r.phi,
@@ -147,7 +152,8 @@ def _cmd_verify(args) -> int:
         span = float(f.max() - f.min()) or 1.0
         batch = [f] + [f + rng.normal(0.0, 0.25 * span, f.size)
                        for _ in range(max(0, args.trials - 1))]
-        report = demonstrate_isotropic_failure(g, batch, args.alpha)
+        report = demonstrate_isotropic_failure(
+            g, batch, args.alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
         if report.witness_found:
             w = report.witness
             lines.append("PASS witness datum=%d phi=%s margin=%s" % (
@@ -166,12 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Total variation regularization and gradient flow on "
                     "oriented graphs.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--flat-tol", type=float, default=1e-7,
-                        help="relative threshold for treating an edge as flat")
-    common.add_argument("--solve-tol", type=float, default=1e-9,
-                        help="optimality tolerance for inner solves")
-    common.add_argument("--event-tol", type=float, default=1e-6,
-                        help="breakpoint localization tolerance")
+    # tolerance flags default to None: each mode fills in its own defaults
+    common.add_argument("--flat-tol", type=float, default=None,
+                        help="relative threshold for treating an edge as flat "
+                             "(default 1e-7)")
+    common.add_argument("--solve-tol", type=float, default=None,
+                        help="optimality tolerance for inner solves (default "
+                             "1e-9; 1e-6 in verify --mode phimin|isotropic)")
+    common.add_argument("--event-tol", type=float, default=None,
+                        help="width below which a breakpoint bracket is no "
+                             "longer split (default 1e-6)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

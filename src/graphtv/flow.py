@@ -7,6 +7,10 @@ moves along the fixed direction d = -m(u); a segment ends when a non-flat
 edge difference crosses zero.  The flow reaches the mean field in finite
 time and stays there.
 
+When every cluster of flat edges is calibrable, d is the negated cluster
+mean of the pinned flux, found in closed form with a spanning-forest
+witness; only the other segments run an iterative minimum-norm solve.
+
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
 u(t) = f + div F(t) holds along the whole trajectory.
@@ -23,8 +27,9 @@ import numpy as np
 
 from .engine import min_norm_divergence
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, SignPattern, Tolerances,
-                    ensure_vertex_field, pattern_box, sign_pattern)
+from .graph import (DEFAULT_TOL, FlatClusters, OrientedGraph, PatternKernel,
+                    SignPattern, Tolerances, ensure_vertex_field, pattern_box,
+                    sign_pattern)
 from .rof import PiecewiseAffinePath, rof_solve
 
 
@@ -75,13 +80,22 @@ def _minimal_section_witness(g, u, tol, *, scale=None, warm_start=None,
                              max_iter=1_000_000):
     """Minimum-norm subdifferential element at u plus its witness flow.
 
-    The witness is remapped to the refined pattern of the outgoing state:
-    flat edges that split under the direction d are pinned, and the
-    minimum-norm solve is repeated until the pattern is consistent (the
-    optimality conditions make one refinement pass sufficient in practice).
-    Returns (d, H, pattern) with d = -div H the descent direction -m(u).
+    First tries the calibrated section: when every cluster of flat edges
+    is calibrable, the minimum-norm element is the cluster mean of the
+    pinned flux, exactly, and the spanning-forest flow of
+    :class:`PatternKernel` is its witness; no solve is run.  Otherwise the
+    iterative minimum-norm solve runs and its witness is remapped to the
+    refined pattern of the outgoing state: flat edges that split under the
+    direction d are pinned, and the solve is repeated until the pattern is
+    consistent (the optimality conditions make one refinement pass
+    sufficient in practice).  Returns (d, H, pattern) with d = -div H the
+    descent direction -m(u).
     """
     pat = sign_pattern(g, u, tol, scale=scale)
+    kernel = PatternKernel(g, pat)
+    h = kernel.calibrated_flow()
+    if h is not None:
+        return kernel.slope, h, pat
     h, rep = min_norm_divergence(g, pattern_box(pat), tol,
                                  warm_start=warm_start, max_iter=max_iter)
     if not rep.converged:
@@ -128,29 +142,6 @@ def minimal_section(g: OrientedGraph, u, tol: Optional[Tolerances] = None, *,
     u = ensure_vertex_field(g, u, "u")
     d, _, _ = _minimal_section_witness(g, u, tol, scale=scale)
     return -d
-
-
-def _snap_components(g, u, flat_mask) -> np.ndarray:
-    """Make the listed edges exactly flat by averaging within components."""
-    parent = list(range(g.vertex_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for k in np.flatnonzero(flat_mask):
-        ra, rb = find(int(g.tails[k])), find(int(g.heads[k]))
-        if ra != rb:
-            parent[ra] = rb
-    out = u.copy()
-    roots = np.array([find(v) for v in range(g.vertex_count)])
-    for r in np.unique(roots):
-        mask = roots == r
-        if mask.sum() > 1:
-            out[mask] = out[mask].mean()
-    return out
 
 
 def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
@@ -217,7 +208,8 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
         crossing_edges = np.zeros(m, dtype=bool)
         idx = np.flatnonzero(closing)
         crossing_edges[idx[cross <= tau * (1.0 + 1e-12)]] = True
-        u_next = _snap_components(g, u_next, pat.flat | crossing_edges)
+        # snap them exactly flat by averaging over the clusters they join
+        u_next = FlatClusters(g, pat.flat | crossing_edges).mean(u_next)
 
         t += tau
         bps.append(t)

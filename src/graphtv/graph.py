@@ -38,8 +38,9 @@ class Tolerances:
         field under examination (or an explicitly supplied scale).
     solve_tol : inner solver tolerance (gradient-mapping norm for
         projections, relative objective gap for generic convex solves).
-    event_tol : localization tolerance for breakpoint detection in
-        piecewise-affine paths.
+    event_tol : width below which ``rof_path`` stops splitting a bracket
+        around a breakpoint it could not place in closed form, and takes
+        the bracket's midpoint.
     """
 
     flat_tol: float = 1e-7
@@ -247,7 +248,7 @@ class SignPattern:
 
     def __init__(self, labels):
         arr = np.asarray(labels, dtype=np.int8)
-        if arr.ndim != 1 or not np.isin(arr, (-1, 0, 1)).all():
+        if arr.ndim != 1 or (arr.size and (arr.min() < -1 or arr.max() > 1)):
             raise ValidationError("labels must be a 1-D array over {-1, 0, 1}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -348,6 +349,124 @@ def pattern_box(pattern: SignPattern) -> BoxSpec:
     lower = np.where(lab != 0.0, -lab, -1.0)
     upper = np.where(lab != 0.0, -lab, 1.0)
     return BoxSpec(lower, upper)
+
+
+class FlatClusters:
+    """Connected components of the graph restricted to a set of flat edges.
+
+    ``labels[v]`` numbers the cluster of vertex v (0 .. count-1) and
+    ``sizes`` counts the vertices per cluster.  A breadth-first spanning
+    forest of the flat edges is kept for :meth:`forest_flow`.  Time and
+    memory are O(n + m).
+    """
+
+    __slots__ = ("labels", "count", "sizes", "_order", "_parent", "_children",
+                 "_forest_edges", "_into_child", "_edge_count")
+
+    def __init__(self, g: OrientedGraph, flat: np.ndarray):
+        n = g.vertex_count
+        idx = np.flatnonzero(flat)
+        a, b = g.tails[idx], g.heads[idx]
+        ends = np.concatenate((a, b))
+        by_end = np.argsort(ends, kind="stable")
+        nbr = np.concatenate((b, a))[by_end].tolist()
+        eid = np.concatenate((idx, idx))[by_end].tolist()
+        ptr = [0] + np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        labels = [-1] * n
+        parent = [-1] * n
+        parent_edge = [-1] * n
+        order = []
+        count = 0
+        for root in range(n):
+            if labels[root] >= 0:
+                continue
+            labels[root] = count
+            i = len(order)
+            order.append(root)
+            while i < len(order):
+                v = order[i]
+                i += 1
+                for k in range(ptr[v], ptr[v + 1]):
+                    w = nbr[k]
+                    if labels[w] < 0:
+                        labels[w] = count
+                        parent[w] = v
+                        parent_edge[w] = eid[k]
+                        order.append(w)
+            count += 1
+        self.labels = np.asarray(labels, dtype=np.intp)
+        self.count = count
+        self.sizes = np.bincount(self.labels, minlength=count)
+        self._order = order
+        self._parent = parent
+        pe = np.asarray(parent_edge, dtype=np.intp)
+        self._children = np.flatnonzero(pe >= 0)
+        self._forest_edges = pe[self._children]
+        # +1 where the forest edge above a vertex points into it
+        self._into_child = np.where(g.heads[self._forest_edges] == self._children,
+                                    1.0, -1.0)
+        self._edge_count = g.edge_count
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        """Per-vertex mean of x over the vertex's cluster."""
+        lab = self.labels
+        return (np.bincount(lab, x, self.count) / self.sizes)[lab]
+
+    def forest_flow(self, r: np.ndarray) -> np.ndarray:
+        """The flow on the spanning forest whose divergence is r.
+
+        r must sum to zero over every cluster; the flow is unique on the
+        forest and zero on every other edge.  Found by peeling leaves: the
+        forest edge above v carries the sum of r over v's subtree.
+        """
+        sub = r.tolist()
+        parent = self._parent
+        for v in reversed(self._order):
+            p = parent[v]
+            if p >= 0:
+                sub[p] += sub[v]
+        h = np.zeros(self._edge_count)
+        h[self._forest_edges] = self._into_child * np.asarray(sub)[self._children]
+        return h
+
+
+class PatternKernel:
+    """Closed forms attached to one sign pattern.
+
+    Let ``b = div(-labels)`` be the pinned flux of the non-flat edges and
+    ``s = -(cluster mean of b)`` over the clusters of flat edges.  Wherever
+    the pattern holds along the regularization path, the solution at alpha
+    is ``cluster_mean(f) + alpha * s``.  The same ``s`` is the gradient
+    flow's direction, the minimum-norm subdifferential element negated,
+    whenever every cluster is calibrable: when some flow in [-1, 1] on the
+    flat edges evens the pinned flux out to its cluster mean.
+    """
+
+    __slots__ = ("pattern", "clusters", "pinned", "slope")
+
+    def __init__(self, g: OrientedGraph, pattern: SignPattern):
+        self.pattern = pattern
+        self.clusters = FlatClusters(g, pattern.flat)
+        self.pinned = g._div(-pattern.labels.astype(float))
+        self.slope = -self.clusters.mean(self.pinned)
+
+    def line(self, f: np.ndarray) -> tuple:
+        """(intercept, slope) of the regularization path under this pattern."""
+        return self.clusters.mean(f), self.slope
+
+    def calibrated_flow(self) -> Optional[np.ndarray]:
+        """A flow in the pattern box with divergence ``-slope``, or None.
+
+        Tries the spanning-forest flow that carries ``cluster_mean(b) - b``
+        on the flat edges.  It is the only candidate on clusters without
+        cycles; on clusters with cycles another flow may fit where it does
+        not, so None means no certificate, not that none exists.  Rounding
+        overshoot of up to 1e-12 past the box is clipped.
+        """
+        h = self.clusters.forest_flow(-self.slope - self.pinned)
+        if h.size and float(np.abs(h).max()) > 1.0 + 1e-12:
+            return None
+        return np.clip(h, -1.0, 1.0) - self.pattern.labels
 
 
 def subdifferential_membership(g: OrientedGraph, u, candidate,

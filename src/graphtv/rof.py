@@ -17,8 +17,8 @@ import numpy as np
 
 from .engine import BoxSpec, SolveReport, min_norm_divergence, project_onto_div_box
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, Tolerances, ensure_vertex_field,
-                    pattern_box, sign_pattern)
+from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
+                    ensure_vertex_field, pattern_box, sign_pattern)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,11 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
 
 
 class _PathSolver:
-    """Caches solutions along an alpha sweep, warm-starting from neighbors."""
+    """Caches solutions along an alpha sweep, warm-starting from neighbors.
+
+    Breakpoints placed in closed form are cached without a dual flow and
+    never serve as warm starts.
+    """
 
     def __init__(self, g, f, tol, max_iter):
         self.g = g
@@ -155,16 +159,17 @@ class _PathSolver:
         self.max_iter = max_iter
         self.scale = float(f.max() - f.min())
         self.cache = {}
+        self.lines = {}
 
     def solution(self, alpha: float) -> np.ndarray:
         key = float(alpha)
         hit = self.cache.get(key)
         if hit is not None:
             return hit[0]
+        solved = [a for a, (_, h) in self.cache.items() if h is not None]
         warm = None
-        if self.cache:
-            nearest = min(self.cache, key=lambda a: abs(a - key))
-            warm = self.cache[nearest][1]
+        if solved:
+            warm = self.cache[min(solved, key=lambda a: abs(a - key))][1]
         sol = rof_solve(self.g, self.f, key, self.tol, warm_start=warm,
                         max_iter=self.max_iter)
         self.cache[key] = (sol.u, -sol.dual_flow)
@@ -173,21 +178,59 @@ class _PathSolver:
     def pattern(self, alpha: float):
         return sign_pattern(self.g, self.solution(alpha), self.tol, scale=self.scale)
 
+    def line(self, pat):
+        """(intercept, slope) of the path wherever ``pat`` holds."""
+        hit = self.lines.get(pat)
+        if hit is None:
+            hit = self.lines[pat] = PatternKernel(self.g, pat).line(self.f)
+        return hit
 
-def _bisect_events(solver, lo, hi, pat_lo, pat_hi, event_tol, out):
-    """Localize every pattern change in (lo, hi); endpoint patterns differ."""
+
+def _bisect_events(solver, lo, hi, pat_lo, pat_hi, event_tol, u_err, out):
+    """Localize every pattern change in (lo, hi); endpoint patterns differ.
+
+    The closed-form lines of the two end patterns are intersected first
+    (least squares over the vertices).  An intersection x strictly inside
+    the bracket is the breakpoint, with the closed-form value and no
+    solve, when the lines agree there within ``u_err`` and every edge
+    either end pattern pins keeps its sign at x (so each line obeys its
+    own pattern up to x).  Otherwise the bracket is split by one solve at
+    the intersection, or at the midpoint when the intersection lies
+    outside, down to ``event_tol``.
+    """
     if hi - lo <= event_tol:
         out.append(0.5 * (lo + hi))
         return
-    mid = 0.5 * (lo + hi)
+    c_lo, s_lo = solver.line(pat_lo)
+    c_hi, s_hi = solver.line(pat_hi)
+    ds = s_lo - s_hi
+    den = float(ds @ ds)
+    x = -float((c_lo - c_hi) @ ds) / den if den > 0.0 else math.nan
+    if lo < x < hi:
+        u_lo = c_lo + x * s_lo
+        u_hi = c_hi + x * s_hi
+        u_x = 0.5 * (u_lo + u_hi)
+        # the lines also meet when the bracket hides further events (a
+        # fusion the lower line overshoots); then some edge that one of the
+        # end patterns pins has the wrong sign at x
+        diff = u_x[solver.g.tails] - u_x[solver.g.heads]
+        if (float(np.abs(u_lo - u_hi).max()) <= u_err
+                and float((pat_lo.labels * diff).min()) >= -u_err
+                and float((pat_hi.labels * diff).min()) >= -u_err):
+            solver.cache[x] = (u_x, None)
+            out.append(x)
+            return
+        mid = x
+    else:
+        mid = 0.5 * (lo + hi)
     pat_mid = solver.pattern(mid)
     if pat_mid == pat_lo:
-        _bisect_events(solver, mid, hi, pat_mid, pat_hi, event_tol, out)
+        _bisect_events(solver, mid, hi, pat_mid, pat_hi, event_tol, u_err, out)
     elif pat_mid == pat_hi:
-        _bisect_events(solver, lo, mid, pat_lo, pat_mid, event_tol, out)
+        _bisect_events(solver, lo, mid, pat_lo, pat_mid, event_tol, u_err, out)
     else:
-        _bisect_events(solver, lo, mid, pat_lo, pat_mid, event_tol, out)
-        _bisect_events(solver, mid, hi, pat_mid, pat_hi, event_tol, out)
+        _bisect_events(solver, lo, mid, pat_lo, pat_mid, event_tol, u_err, out)
+        _bisect_events(solver, mid, hi, pat_mid, pat_hi, event_tol, u_err, out)
 
 
 def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
@@ -197,7 +240,12 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
     The path is piecewise affine; segments are bracketed by comparing
     solution sign patterns on a hybrid geometric plus uniform alpha grid
     (equal patterns at two parameters imply the path is affine between
-    them), and each candidate breakpoint is bisected to ``event_tol``.
+    them).  Where a pattern holds, the path is the closed-form line
+    ``cluster_mean(f) + alpha * s`` of :class:`PatternKernel`, so each
+    bracket's breakpoint is first sought where the lines of its two end
+    patterns meet; it is accepted with the closed-form value, exact to
+    rounding, when they agree there.  Brackets where they do not are split
+    by solves and searched again, down to width ``event_tol``.
     Candidates that do not change the slope are merged away; every final
     segment is validated by a midpoint solve against the affine
     interpolant.  The terminal value is the mean field.
@@ -236,22 +284,29 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
     grid.update(a_up * 0.5 ** k for k in range(1, 21))
     grid = sorted(grid)
 
+    u_err = 100.0 * tol.solve_tol * (1.0 + float(np.abs(f).max()))
     events: list[float] = []
     prev = grid[0]
     prev_pat = solver.pattern(prev)
     for a in grid[1:]:
         pat = solver.pattern(a)
         if pat != prev_pat:
-            _bisect_events(solver, prev, a, prev_pat, pat, tol.event_tol, events)
+            _bisect_events(solver, prev, a, prev_pat, pat, tol.event_tol, u_err,
+                           events)
         prev, prev_pat = a, pat
 
-    # cluster events located twice (grid point sitting on a breakpoint)
+    # cluster events located twice (grid point sitting on a breakpoint).
+    # Closed-form events are exact, so two of them are distinct however
+    # close; a bisected event next to a closed-form one gives way to it.
+    exact = {a for a, (_, h) in solver.cache.items() if h is None}
     events.sort()
     merged: list[float] = []
     for e in events:
-        if merged and e - merged[-1] <= 10.0 * tol.event_tol:
-            merged[-1] = 0.5 * (merged[-1] + e)
-        else:
+        if (merged and e - merged[-1] <= 10.0 * tol.event_tol
+                and not (e in exact and merged[-1] in exact)):
+            if merged[-1] not in exact:
+                merged[-1] = e if e in exact else 0.5 * (merged[-1] + e)
+        elif not merged or e > merged[-1]:
             merged.append(e)
     if not merged:
         raise PathError("no stationarity breakpoint found", interval=(0.0, a_up))
@@ -261,7 +316,6 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
 
     # drop candidates that do not change the slope (degenerate patterns at
     # isolated parameters, e.g. extra flat edges exactly at alpha = 0)
-    u_err = 100.0 * tol.solve_tol * (1.0 + float(np.abs(f).max()))
     changed = True
     while changed and len(bps) > 2:
         changed = False

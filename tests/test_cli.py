@@ -104,6 +104,33 @@ def test_cli_verify_isotropic(problem_file, capsys):
     assert "witness" in out
 
 
+def test_cli_verify_tolerance_flags(problem_file, capsys, monkeypatch):
+    # --solve-tol reaches both minimality verifiers; unset flags keep the
+    # verifiers' own defaults
+    import graphtv.cli as cli
+    from graphtv.minimality import DEFAULT_CHECK_TOL
+    seen = []
+
+    def capture(real):
+        def wrapper(*args, tol=None, **kwargs):
+            seen.append(tol)
+            return real(*args, tol=tol, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "verify_universal_minimality",
+                        capture(cli.verify_universal_minimality))
+    monkeypatch.setattr(cli, "demonstrate_isotropic_failure",
+                        capture(cli.demonstrate_isotropic_failure))
+    for mode in ("phimin", "isotropic"):
+        assert main(["verify", "--mode", mode, problem_file, "--trials", "2",
+                     "--solve-tol", "1e-7"]) == 0
+        assert main(["verify", "--mode", mode, problem_file, "--trials", "2",
+                     "--flat-tol", "1e-8"]) == 0
+    capsys.readouterr()
+    assert [t.solve_tol for t in seen] == [1e-7, DEFAULT_CHECK_TOL.solve_tol] * 2
+    assert [t.flat_tol for t in seen] == [DEFAULT_CHECK_TOL.flat_tol, 1e-8] * 2
+
+
 def test_cli_exit_codes(tmp_path, problem_file, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["rof", missing, "--alpha", "1"]) == 3

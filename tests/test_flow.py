@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from graphtv import (ValidationError, flow_backward_euler, flow_solve,
-                     minimal_section, subdifferential_membership)
+from graphtv import (ValidationError, divergence, flow_backward_euler,
+                     flow_solve, minimal_section, subdifferential_membership)
 from graphtv.instances import (SWITCHING_EDGE, flow_dual_switching_reference,
                                flow_reference, nonequivalence_instance,
                                nonequivalence_variant_datum, path_graph,
@@ -50,6 +50,49 @@ def test_flow_closed_form():
         got = traj.antiderivative_at(t)[SWITCHING_EDGE]
         assert abs(got - flow_dual_switching_reference(t)) < VALUE_TOL
     assert np.abs(traj.breakpoints - 0.4).min() < 1e-4
+
+
+def test_flow_extinction_time_exact():
+    g, f = nonequivalence_instance()
+    assert abs(flow_solve(g, f).t_max - 1255 / 18) < 1e-12
+
+
+def test_calibrated_section_matches_min_norm():
+    # where the spanning-forest flow fits in the box, the cluster mean of
+    # the pinned flux is the minimum-norm element the iterative solve finds
+    from graphtv import pattern_box, sign_pattern
+    from graphtv.engine import min_norm_divergence
+    from graphtv.graph import PatternKernel
+    rng = np.random.default_rng(SEED + 8)
+    with_clusters = 0
+    for _ in range(40):
+        g = random_connected_graph(rng)
+        # data in {0, 1, 2} leave ties, so clusters of flat edges form
+        u = np.round(random_vertex_field(rng, g.vertex_count))
+        pat = sign_pattern(g, u)
+        kernel = PatternKernel(g, pat)
+        h = kernel.calibrated_flow()
+        if h is None:
+            continue
+        with_clusters += bool((kernel.clusters.sizes > 2).any())
+        assert pattern_box(pat).contains(h)
+        assert np.abs(-divergence(g, h) - kernel.slope).max() < 1e-12
+        hmin, rep = min_norm_divergence(g, pattern_box(pat))
+        assert rep.converged
+        assert np.abs(-divergence(g, hmin) - kernel.slope).max() < 1e-7
+    assert with_clusters >= 8
+
+
+def test_flow_path_200_matches_taut_string():
+    # a path has no cycles, so every segment is certified in closed form
+    from graphtv import taut_string_1d
+    rng = np.random.default_rng(SEED + 9)
+    g = path_graph(200)
+    f = random_vertex_field(rng, 200)
+    traj = flow_solve(g, f)
+    scale = float(f.max() - f.min())
+    for t in (0.1, 0.5, 2.0):
+        assert np.abs(traj.value_at(t) - taut_string_1d(f, t)).max() < 1e-9 * scale
 
 
 def test_flow_terminates_at_mean():

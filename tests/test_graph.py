@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from graphtv import (OrientedGraph, Tolerances, ValidationError, divergence,
-                     edge_differences, pattern_box, sign_pattern,
+from graphtv import (OrientedGraph, SignPattern, Tolerances, ValidationError,
+                     divergence, edge_differences, pattern_box, sign_pattern,
                      subdifferential_membership, total_variation)
 from graphtv.instances import (nonequivalence_instance, random_connected_graph,
                                random_vertex_field, two_vertex_graph)
@@ -128,6 +128,43 @@ def test_sign_pattern_thresholding():
     pat = sign_pattern(g, np.array([0.0, 1e-9]), scale=1.0)
     assert pat.labels.tolist() == [0]
     assert pat.all_flat
+
+
+def test_sign_pattern_label_range():
+    assert SignPattern([-1, 0, 1]).labels.tolist() == [-1, 0, 1]
+    assert len(SignPattern([])) == 0
+    for bad in ([0, 2], [-2, 1], [[0, 1]]):
+        with pytest.raises(ValidationError):
+            SignPattern(bad)
+
+
+def test_flat_clusters_match_union_find():
+    from graphtv.graph import FlatClusters
+    rng = np.random.default_rng(SEED + 5)
+    for _ in range(25):
+        g = random_connected_graph(rng)
+        flat = rng.random(g.edge_count) < 0.5
+        u = random_vertex_field(rng, g.vertex_count)
+        # reference: union-find over the flat edges, then a mean per root
+        root = list(range(g.vertex_count))
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for k in np.flatnonzero(flat):
+            root[find(int(g.tails[k]))] = find(int(g.heads[k]))
+        roots = np.array([find(v) for v in range(g.vertex_count)])
+        expected = np.array([u[roots == r].mean() for r in roots])
+        clusters = FlatClusters(g, flat)
+        assert clusters.count == np.unique(roots).size
+        same = roots[:, None] == roots[None, :]
+        assert np.array_equal(same, clusters.labels[:, None] == clusters.labels[None, :])
+        assert np.abs(clusters.mean(u) - expected).max() < 1e-12
+        # the forest flow realizes any divergence that sums to zero per cluster
+        r = u - expected
+        assert np.abs(divergence(g, clusters.forest_flow(r)) - r).max() < 1e-12
 
 
 def test_pattern_box_pins_nonflat_edges():

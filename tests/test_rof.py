@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from graphtv import (PathError, PiecewiseAffinePath, ValidationError,
-                     isotropic_rof_solve, rof_path, rof_solve,
+                     isotropic_rof_solve, rof_path, rof_solve, sign_pattern,
                      subdifferential_membership, total_variation)
+from graphtv.graph import PatternKernel
 from graphtv.instances import (cartesian_graph, nonequivalence_instance,
-                               nonequivalence_variant_datum,
+                               nonequivalence_variant_datum, path_graph,
                                random_connected_graph, random_vertex_field,
                                regularization_dual_reference,
                                regularization_reference, two_vertex_graph,
@@ -96,6 +97,67 @@ def test_path_breakpoints_figure_instance():
         assert np.abs(bps - target).min() < BREAK_TOL
     # terminal state is the mean field
     assert np.abs(path.terminal_value - f.mean()).max() < 1e-6
+
+
+def test_path_breakpoints_exact_figure_instance():
+    # the breakpoints are rational and come out of the closed-form
+    # intersections exact to rounding
+    g, f = nonequivalence_instance()
+    exact = [0.0, 0.4, 2.0, 20.0, 82 / 3, 100 / 3, 49.0, 1255 / 18]
+    bps = rof_path(g, f).breakpoints
+    assert bps.size == len(exact)
+    assert np.abs(bps - exact).max() < 1e-12
+
+
+def test_path_segments_match_closed_form():
+    # on each segment the path is cluster_mean(f) + alpha * s for the sign
+    # pattern there, and both agree with a pointwise solve at the midpoint
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(6):
+        g = random_connected_graph(rng)
+        f = random_vertex_field(rng, g.vertex_count)
+        scale = float(f.max() - f.min())
+        path = rof_path(g, f)
+        b = path.breakpoints
+        for lo, hi in zip(b[:-1], b[1:]):
+            mid = 0.5 * (lo + hi)
+            direct = rof_solve(g, f, mid).u
+            pat = sign_pattern(g, direct, scale=scale)
+            intercept, slope = PatternKernel(g, pat).line(f)
+            assert np.abs(intercept + mid * slope - direct).max() < 1e-6 * scale
+            assert np.abs(path.value_at(mid) - direct).max() < 1e-6 * scale
+
+
+def test_path_lines_meeting_past_a_hidden_event():
+    # between the patterns at two bracket ends lie two fusions and a split,
+    # yet the ends' lines meet exactly where the lower line has overshot a
+    # fusion; that intersection must not be taken as the breakpoint
+    g = cartesian_graph(4, 4)
+    f = np.array([1.438, 0.612, 0.927, 0.544, 0.335, 0.705, 0.74, 0.917,
+                  0.373, 0.741, 1.794, 0.345, 0.071, 0.055, 1.209, 0.705])
+    path = rof_path(g, f)
+    for alpha in (0.12, 0.125, 0.13, 0.14):
+        assert np.abs(path.value_at(alpha) - rof_solve(g, f, alpha).u).max() < 1e-6
+
+
+def test_path_keeps_close_exact_events():
+    # the end pairs of a 4-vertex path fuse at alpha = 1e-3 and 1e-3 + 5e-6,
+    # closer than 10 * event_tol; both events are exact and both stay
+    g = path_graph(4)
+    f = np.array([0.0, 1e-3, 1e-2, 1.1e-2 + 5e-6])
+    bps = rof_path(g, f).breakpoints
+    assert np.abs(bps[1:3] - [1e-3, 1e-3 + 5e-6]).max() < 1e-12
+
+
+def test_path_random_10x10_grid_completes():
+    rng = np.random.default_rng(SEED + 12)
+    g = cartesian_graph(10, 10)
+    f = random_vertex_field(rng, g.vertex_count)
+    path = rof_path(g, f)
+    assert path.segment_count > 10
+    assert np.abs(path.terminal_value - f.mean()).max() < 1e-6
+    alpha = 0.37 * float(path.breakpoints[-1])
+    assert np.abs(path.value_at(alpha) - rof_solve(g, f, alpha).u).max() < 1e-6
 
 
 def test_path_matches_pointwise_solves():
