@@ -7,9 +7,12 @@ moves along the fixed direction d = -m(u); a segment ends when a non-flat
 edge difference crosses zero.  The flow reaches the mean field in finite
 time and stays there.
 
-When every cluster of flat edges is calibrable, d is the negated cluster
-mean of the pinned flux, found in closed form with a spanning-forest
-witness; only the other segments run an iterative minimum-norm solve.
+The direction is exact to rounding, and no iterative solve runs.  On each
+calibrable cluster of flat edges, d is the negated cluster mean of the
+pinned flux, with a spanning-forest witness.  A cluster whose forest flow
+leaves the box goes to an integer max-flow, which either finds a witness
+or names the cut along which the cluster splits (see
+:meth:`PatternKernel.minimal_section`).
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
@@ -25,11 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import min_norm_divergence
-from .errors import ConvergenceError, PathError, ValidationError
+from .errors import PathError, ValidationError
 from .graph import (DEFAULT_TOL, FlatClusters, OrientedGraph, PatternKernel,
-                    SignPattern, Tolerances, ensure_vertex_field, pattern_box,
-                    sign_pattern)
+                    Tolerances, ensure_vertex_field, sign_pattern)
 from .rof import PiecewiseAffinePath, rof_solve
 
 
@@ -76,83 +77,30 @@ class FlowTrajectory:
         return self.antiderivative[k] - (t - b[k]) * self.flows[k]
 
 
-def _minimal_section_witness(g, u, tol, *, scale=None, warm_start=None,
-                             max_iter=1_000_000):
-    """Minimum-norm subdifferential element at u plus its witness flow.
-
-    First tries the calibrated section: when every cluster of flat edges
-    is calibrable, the minimum-norm element is the cluster mean of the
-    pinned flux, exactly, and the spanning-forest flow of
-    :class:`PatternKernel` is its witness; no solve is run.  Otherwise the
-    iterative minimum-norm solve runs and its witness is remapped to the
-    refined pattern of the outgoing state: flat edges that split under the
-    direction d are pinned, and the solve is repeated until the pattern is
-    consistent (the optimality conditions make one refinement pass
-    sufficient in practice).  Returns (d, H, pattern) with d = -div H the
-    descent direction -m(u).
-    """
-    pat = sign_pattern(g, u, tol, scale=scale)
-    kernel = PatternKernel(g, pat)
-    h = kernel.calibrated_flow()
-    if h is not None:
-        return kernel.slope, h, pat
-    h, rep = min_norm_divergence(g, pattern_box(pat), tol,
-                                 warm_start=warm_start, max_iter=max_iter)
-    if not rep.converged:
-        raise ConvergenceError("minimum-norm solve did not converge", rep)
-    d = -g._div(h)
-    for _ in range(g.edge_count + 1):
-        refined = _split_flats(g, pat, d, tol)
-        if refined == pat:
-            break
-        pat = refined
-        h, rep = min_norm_divergence(g, pattern_box(pat), tol,
-                                     warm_start=h, max_iter=max_iter)
-        if not rep.converged:
-            raise ConvergenceError("minimum-norm solve did not converge", rep)
-        d = -g._div(h)
-    else:
-        warnings.warn("flat-edge refinement did not reach a fixed point",
-                      RuntimeWarning)
-    return d, h, pat
-
-
-def _split_flats(g, pat: SignPattern, d, tol) -> SignPattern:
-    """Pattern of the state immediately after moving along d.
-
-    A flat edge whose endpoints separate under d becomes non-flat with the
-    sign of d(tail) - d(head); the threshold scales with the range of d
-    (the vanishing-step limit of probing u + eps * d).
-    """
-    dd = d[g.tails] - d[g.heads]
-    thr = tol.flat_tol * float(d.max() - d.min()) if d.size else 0.0
-    labels = pat.labels.copy()
-    split = pat.flat & (np.abs(dd) > thr)
-    labels[split] = np.sign(dd[split]).astype(np.int8)
-    return SignPattern(labels)
-
-
 def minimal_section(g: OrientedGraph, u, tol: Optional[Tolerances] = None, *,
                     scale: float | None = None) -> np.ndarray:
     """Minimum-Euclidean-norm element of the total-variation subdifferential at u.
 
-    This is the negated right derivative of the gradient flow through u.
+    This is the negated right derivative of the gradient flow through u,
+    exact to rounding (see :meth:`PatternKernel.minimal_section`).
     """
     tol = tol if tol is not None else DEFAULT_TOL
     u = ensure_vertex_field(g, u, "u")
-    d, _, _ = _minimal_section_witness(g, u, tol, scale=scale)
+    d, _, _ = PatternKernel(g, sign_pattern(g, u, tol, scale=scale)).minimal_section()
     return -d
 
 
 def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
-               max_segments: Optional[int] = None,
-               max_iter: int = 1_000_000) -> FlowTrajectory:
+               max_segments: Optional[int] = None) -> FlowTrajectory:
     """Integrate the gradient flow of the total variation from datum f.
 
     Exact event-driven integration: per segment, the direction is the
     negated minimum-norm subdifferential element, the segment length is the
     first zero crossing of a non-flat edge difference, and crossing edges
-    are snapped exactly flat.  Terminates at the mean field.
+    are snapped exactly flat.  Terminates at the mean field.  Each
+    direction comes from a closed form or an integer max-flow and is
+    certified, so there is no iteration cap to set; ``max_segments``
+    bounds the number of segments (default ``16 m + 64``).
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
@@ -173,16 +121,13 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
     flows = []
     f_acc = np.zeros(m)
     antider = [f_acc.copy()]
-    warm = None
     prev_norm = math.inf
 
     for _ in range(cap):
         pat = sign_pattern(g, u, tol, scale=scale)
         if pat.all_flat:
             break
-        d, h, pat = _minimal_section_witness(g, u, tol, scale=scale,
-                                             warm_start=warm, max_iter=max_iter)
-        warm = h
+        d, h, pat = PatternKernel(g, pat).minimal_section()
         dnorm = float(np.linalg.norm(d))
         if dnorm <= 0.0:
             raise PathError("nonconstant state with zero descent direction",

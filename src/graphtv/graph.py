@@ -430,6 +430,78 @@ class FlatClusters:
         return h
 
 
+def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
+    """Maximum flow by Dinic's algorithm on integer capacities.
+
+    ``arcs`` lists ``(tail, head, capacity, back_capacity)``; an undirected
+    edge of capacity c is one arc with both capacities c.  Returns
+    ``(value, flows, cut)``: the flow value, the net flow on each arc
+    (tail to head, at most ``capacity`` and at least ``-back_capacity``),
+    and a boolean list marking the vertices reachable from the source in
+    the residual network, the source side of the minimum cut closest to
+    the source.  Exact for Python integers.  The blocking-flow search is
+    iterative, since level graphs can be deeper than the recursion limit.
+    """
+    adj = [[] for _ in range(node_count)]
+    head = []
+    res = []
+    for a, b, cap, back in arcs:
+        adj[a].append(len(head))
+        head.append(b)
+        res.append(cap)
+        adj[b].append(len(head))
+        head.append(a)
+        res.append(back)
+    value = 0
+    while True:
+        level = [-1] * node_count
+        level[source] = 0
+        queue = [source]
+        for v in queue:
+            lw = level[v] + 1
+            for k in adj[v]:
+                w = head[k]
+                if res[k] > 0 and level[w] < 0:
+                    level[w] = lw
+                    queue.append(w)
+        if level[sink] < 0:
+            break
+        nxt = [0] * node_count
+        stack = []
+        v = source
+        while True:
+            if v == sink:
+                push = min([res[k] for k in stack])
+                first = -1
+                for i, k in enumerate(stack):
+                    res[k] -= push
+                    res[k ^ 1] += push
+                    if first < 0 and res[k] == 0:
+                        first = i
+                value += push
+                # retreat to the tail of the first saturated arc
+                v = head[stack[first] ^ 1]
+                del stack[first:]
+                continue
+            out = adj[v]
+            lw = level[v] + 1
+            for i in range(nxt[v], len(out)):
+                k = out[i]
+                if res[k] > 0 and level[head[k]] == lw:
+                    nxt[v] = i
+                    stack.append(k)
+                    v = head[k]
+                    break
+            else:
+                if v == source:
+                    break
+                level[v] = -1
+                v = head[stack.pop() ^ 1]
+                nxt[v] += 1
+    flows = [arc[2] - res[2 * k] for k, arc in enumerate(arcs)]
+    return value, flows, [lv >= 0 for lv in level]
+
+
 class PatternKernel:
     """Closed forms attached to one sign pattern.
 
@@ -437,14 +509,15 @@ class PatternKernel:
     ``s = -(cluster mean of b)`` over the clusters of flat edges.  Wherever
     the pattern holds along the regularization path, the solution at alpha
     is ``cluster_mean(f) + alpha * s``.  The same ``s`` is the gradient
-    flow's direction, the minimum-norm subdifferential element negated,
-    whenever every cluster is calibrable: when some flow in [-1, 1] on the
-    flat edges evens the pinned flux out to its cluster mean.
+    flow's direction on every calibrable cluster, one where some flow in
+    [-1, 1] on the flat edges evens the pinned flux out to its cluster
+    mean; :meth:`minimal_section` splits the other clusters exactly.
     """
 
-    __slots__ = ("pattern", "clusters", "pinned", "slope")
+    __slots__ = ("graph", "pattern", "clusters", "pinned", "slope")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern):
+        self.graph = g
         self.pattern = pattern
         self.clusters = FlatClusters(g, pattern.flat)
         self.pinned = g._div(-pattern.labels.astype(float))
@@ -454,19 +527,160 @@ class PatternKernel:
         """(intercept, slope) of the regularization path under this pattern."""
         return self.clusters.mean(f), self.slope
 
-    def calibrated_flow(self) -> Optional[np.ndarray]:
-        """A flow in the pattern box with divergence ``-slope``, or None.
+    def minimal_section(self) -> tuple:
+        """Exact minimum-norm subdifferential element, negated, with its witness.
 
-        Tries the spanning-forest flow that carries ``cluster_mean(b) - b``
-        on the flat edges.  It is the only candidate on clusters without
-        cycles; on clusters with cycles another flow may fit where it does
-        not, so None means no certificate, not that none exists.  Rounding
-        overshoot of up to 1e-12 past the box is clipped.
+        Returns ``(d, H, refined)``: the flow direction ``d``, a flow ``H``
+        in the pattern box with ``div H = -d``, and the pattern of the state
+        just after moving along ``d`` (flat edges that ``d`` splits become
+        non-flat).  On a cluster P of flat edges the minimum-norm element is
+        the lexicographically optimal base of a cut polytope, found by the
+        decomposition algorithm (Fujishige 1980; Hochbaum 2001):
+
+        - P keeps the spanning-forest flow carrying ``cluster_mean(b) - b``
+          wherever that flow fits in [-1, 1]; then ``d = s`` on P.
+        - Otherwise one integer max-flow decides whether some flow of
+          capacity |P| per flat edge has divergence ``sum_P b - |P| b``
+          (the pinned flux ``b`` is an integer).  If so, ``d = -sum_P b/|P|``
+          and ``H = flow/|P|`` on P, exact to one rounding.  If not, the
+          vertices X reachable from the source are where ``d`` lies below
+          the mean: the flat edges leaving X are pinned at 1 in the
+          direction out of X, ``b`` takes their flux, and X and P - X are
+          solved again as clusters of their own.  All pending clusters
+          share one network per round.
+
+        The result is certified before it is returned: ``|H| <= 1``,
+        ``||div H + d||_inf <= 1e-12 (1 + ||d||_inf)``, and on every flat
+        edge ``d`` splits, ``H`` sits at the bound the optimality
+        conditions ask for.  A failed certificate raises
+        :class:`ConvergenceError`.
         """
-        h = self.clusters.forest_flow(-self.slope - self.pinned)
-        if h.size and float(np.abs(h).max()) > 1.0 + 1e-12:
-            return None
-        return np.clip(h, -1.0, 1.0) - self.pattern.labels
+        g = self.graph
+        cl = self.clusters
+        flat = self.pattern.flat
+        labels = self.pattern.labels.copy()
+        h = -labels.astype(float)
+        d = self.slope.copy()
+        # scaled by the cluster size, the forest flow is an integer flow
+        size = cl.sizes[cl.labels].astype(float)
+        total = np.bincount(cl.labels, self.pinned, cl.count)[cl.labels]
+        forest = cl.forest_flow(total - size * self.pinned)
+        edge_size = size[g.tails]
+        over = np.abs(forest) > edge_size
+        failed = np.zeros(cl.count, dtype=bool)
+        failed[cl.labels[g.tails[over]]] = True
+        keep = flat & ~failed[cl.labels[g.tails]]
+        h[keep] = forest[keep] / edge_size[keep]
+        if failed.any():
+            self._decompose(failed, np.clip(forest, -edge_size, edge_size),
+                            labels, h, d)
+        residual = float(np.abs(g._div(h) + d).max())
+        dmax = float(np.abs(d).max())
+        dd = d[g.tails] - d[g.heads]
+        split = flat & (dd != 0.0)
+        if (h.size and float(np.abs(h).max()) > 1.0
+                or residual > 1e-12 * (1.0 + dmax)
+                or not np.array_equal(h[split], -np.sign(dd[split]))):
+            raise ConvergenceError(
+                "minimal section failed its certificate (residual %.3g, "
+                "%d vertices, %d edges)" % (residual, g.vertex_count, g.edge_count))
+        return d, h, SignPattern(labels)
+
+    def _decompose(self, failed, start, labels, h, d):
+        # max-flow rounds of minimal_section on the clusters marked failed;
+        # fills labels, h and d on them in place.  Each cluster's network
+        # starts from an integer flow within its capacities (the clipped
+        # forest flow, then the parent cluster's flow rescaled): the max-flow
+        # routes only the rest, and every cut keeps its capacity up to a
+        # constant, so the verdict and the cut closest to the source are
+        # those of a cold start
+        g = self.graph
+        cl = self.clusters
+        eids = np.flatnonzero(self.pattern.flat & failed[cl.labels[g.tails]])
+        et = g.tails[eids].tolist()
+        eh = g.heads[eids].tolist()
+        warm = start[eids].astype(np.int64).tolist()
+        eids = eids.tolist()
+        free = [True] * len(eids)
+        verts = np.flatnonzero(failed[cl.labels])
+        verts = verts[np.argsort(cl.labels[verts], kind="stable")]
+        adj = {v: [] for v in verts.tolist()}
+        for j, (a, c) in enumerate(zip(et, eh)):
+            adj[a].append(j)
+            adj[c].append(j)
+        b = self.pinned.astype(np.int64).tolist()
+
+        def components(part):
+            # clusters of the edges still free within part
+            seen = set()
+            out = []
+            for s in part:
+                if s in seen:
+                    continue
+                seen.add(s)
+                comp = [s]
+                for v in comp:
+                    for j in adj[v]:
+                        w = eh[j] if et[j] == v else et[j]
+                        if free[j] and w not in seen:
+                            seen.add(w)
+                            comp.append(w)
+                out.append(comp)
+            return out
+
+        pending = np.split(verts, np.flatnonzero(np.diff(cl.labels[verts])) + 1)
+        pending = [p.tolist() for p in pending]
+        while pending:
+            node = {v: k for k, v in enumerate(v for p in pending for v in p)}
+            inflow = [0] * len(node)
+            source, sink = len(node), len(node) + 1
+            arcs = []
+            spans = []
+            for part in pending:
+                size = len(part)
+                total = sum(b[v] for v in part)
+                edges = [j for v in part for j in adj[v] if free[j] and et[j] == v]
+                for j in edges:
+                    inflow[node[eh[j]]] += warm[j]
+                    inflow[node[et[j]]] -= warm[j]
+                first = len(arcs)
+                arcs.extend((node[et[j]], node[eh[j]], size - warm[j], size + warm[j])
+                            for j in edges)
+                sinks = []
+                for v in part:
+                    r = total - size * b[v] - inflow[node[v]]
+                    if r > 0:
+                        sinks.append(len(arcs))
+                        arcs.append((node[v], sink, r, 0))
+                    elif r < 0:
+                        arcs.append((source, node[v], -r, 0))
+                spans.append((part, size, total, edges, first, sinks))
+            _, flows, reach = max_flow(len(node) + 2, arcs, source, sink)
+            pending = []
+            for part, size, total, edges, first, sinks in spans:
+                for k, j in enumerate(edges, first):
+                    warm[j] += flows[k]
+                if all(flows[k] == arcs[k][2] for k in sinks):
+                    for j in edges:
+                        h[eids[j]] = warm[j] / size
+                    d[part] = -total / size
+                    continue
+                for j in edges:
+                    out_of_x = reach[node[et[j]]]
+                    if out_of_x != reach[node[eh[j]]]:
+                        # the cut saturates the edge in the direction out of X
+                        val = 1 if out_of_x else -1
+                        free[j] = False
+                        h[eids[j]] = val
+                        labels[eids[j]] = -val
+                        b[eh[j]] += val
+                        b[et[j]] -= val
+                for comp in components(part):
+                    for v in comp:
+                        for j in adj[v]:
+                            if free[j] and et[j] == v:
+                                warm[j] = warm[j] * len(comp) // size
+                    pending.append(comp)
 
 
 def subdifferential_membership(g: OrientedGraph, u, candidate,

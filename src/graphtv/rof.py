@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import BoxSpec, SolveReport, min_norm_divergence, project_onto_div_box
+from .engine import BoxSpec, SolveReport, project_onto_div_box
 from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
-                    ensure_vertex_field, pattern_box, sign_pattern)
+                    ensure_vertex_field, sign_pattern)
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,8 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
 
     # initial scale for the stationarity threshold: the minimum-norm
     # subdifferential element at the datum is the flow's initial speed
-    h0, rep0 = min_norm_divergence(g, pattern_box(solver.pattern(0.0)), tol,
-                                   max_iter=max_iter)
-    if not rep0.converged:
-        raise ConvergenceError("minimum-norm solve did not converge", rep0)
-    speed = float(np.linalg.norm(g._div(h0)))
+    d0, _, _ = PatternKernel(g, solver.pattern(0.0)).minimal_section()
+    speed = float(np.linalg.norm(d0))
     if speed <= 0:
         raise PathError("nonconstant datum with zero minimal subgradient")
     a_up = float(np.linalg.norm(f - mean_field)) / speed
@@ -313,6 +310,9 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
 
     bps = [0.0] + merged
     values = [solver.solution(b) for b in bps]
+    # the datum and closed-form values are exact; solved ones are off by up
+    # to u_err, which a short segment turns into a large slope error
+    solved = [b != 0.0 and b not in exact for b in bps]
 
     # drop candidates that do not change the slope (degenerate patterns at
     # isolated parameters, e.g. extra flat edges exactly at alpha = 0)
@@ -323,11 +323,14 @@ def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
                   for k in range(len(bps) - 1)]
         smax = max(float(np.abs(s).max()) for s in slopes)
         for k in range(1, len(bps) - 1):
-            dl = bps[k] - bps[k - 1]
-            dr = bps[k + 1] - bps[k]
-            kink_tol = 1e-6 * (1.0 + smax) + 10.0 * u_err * (1.0 / dl + 1.0 / dr)
+            err = 0.0
+            if solved[k - 1] or solved[k]:
+                err += 1.0 / (bps[k] - bps[k - 1])
+            if solved[k] or solved[k + 1]:
+                err += 1.0 / (bps[k + 1] - bps[k])
+            kink_tol = 1e-6 * (1.0 + smax) + 10.0 * u_err * err
             if float(np.abs(slopes[k] - slopes[k - 1]).max()) <= kink_tol:
-                del bps[k], values[k]
+                del bps[k], values[k], solved[k]
                 changed = True
                 break
 

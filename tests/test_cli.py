@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,3 +150,15 @@ def test_cli_exit_codes(tmp_path, problem_file, capsys):
 def test_deterministic_json_key_order():
     doc = {"b": 1.5, "a": [True, None, 3]}
     assert dumps_deterministic(doc) == '{"b": 1.5, "a": [true, null, 3]}'
+
+
+def test_import_loads_no_scipy():
+    # scipy.sparse alone doubles the resident memory of a CLI process
+    import graphtv
+    src = os.path.dirname(os.path.dirname(graphtv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, graphtv, graphtv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

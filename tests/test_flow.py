@@ -58,8 +58,8 @@ def test_flow_extinction_time_exact():
 
 
 def test_calibrated_section_matches_min_norm():
-    # where the spanning-forest flow fits in the box, the cluster mean of
-    # the pinned flux is the minimum-norm element the iterative solve finds
+    # where no cluster splits, the cluster mean of the pinned flux is the
+    # minimum-norm element the iterative solve finds
     from graphtv import pattern_box, sign_pattern
     from graphtv.engine import min_norm_divergence
     from graphtv.graph import PatternKernel
@@ -71,16 +71,89 @@ def test_calibrated_section_matches_min_norm():
         u = np.round(random_vertex_field(rng, g.vertex_count))
         pat = sign_pattern(g, u)
         kernel = PatternKernel(g, pat)
-        h = kernel.calibrated_flow()
-        if h is None:
+        d, h, refined = kernel.minimal_section()
+        if refined != pat:
             continue
         with_clusters += bool((kernel.clusters.sizes > 2).any())
+        assert np.array_equal(d, kernel.slope)
         assert pattern_box(pat).contains(h)
         assert np.abs(-divergence(g, h) - kernel.slope).max() < 1e-12
         hmin, rep = min_norm_divergence(g, pattern_box(pat))
         assert rep.converged
         assert np.abs(-divergence(g, hmin) - kernel.slope).max() < 1e-7
     assert with_clusters >= 8
+
+
+def test_exact_section_matches_min_norm_on_grids():
+    # along flows on random grids, segments whose forest flow leaves the
+    # box: the max-flow either certifies the cluster mean (a certificate
+    # miss) or splits the cluster; both must match the iterative solve
+    from graphtv import cartesian_graph, pattern_box, sign_pattern
+    from graphtv.engine import min_norm_divergence
+    from graphtv.graph import PatternKernel
+    rng = np.random.default_rng(SEED + 10)
+    kinds = {"miss": 0, "split": 0}
+    for side in (6, 8, 10):
+        g = cartesian_graph(side, side)
+        f = random_vertex_field(rng, g.vertex_count)
+        scale = float(f.max() - f.min())
+        states = flow_solve(g, f).path.left_values
+        for u in states[::3]:
+            pat = sign_pattern(g, u, scale=scale)
+            kernel = PatternKernel(g, pat)
+            forest = kernel.clusters.forest_flow(-kernel.slope - kernel.pinned)
+            if np.abs(forest).max() <= 1.0 + 1e-12:
+                continue
+            d, h, refined = kernel.minimal_section()
+            kinds["miss" if refined == pat else "split"] += 1
+            assert np.abs(h).max() <= 1.0
+            assert pattern_box(pat).contains(h)
+            assert np.abs(divergence(g, h) + d).max() <= 1e-12 * (1 + np.abs(d).max())
+            hmin, rep = min_norm_divergence(g, pattern_box(pat))
+            assert rep.converged
+            assert np.abs(-divergence(g, hmin) - d).max() < 1e-7
+    assert kinds["miss"] >= 1 and kinds["split"] >= 1
+
+
+def test_flow_solve_runs_no_iterative_solve(monkeypatch):
+    import graphtv.engine
+    import graphtv.flow
+    from graphtv import cartesian_graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterative minimum-norm solve")
+
+    monkeypatch.setattr(graphtv.engine, "min_norm_divergence", refuse)
+    monkeypatch.setattr(graphtv.flow, "min_norm_divergence", refuse, raising=False)
+    rng = np.random.default_rng(SEED + 11)
+    for g in (cartesian_graph(10, 10), random_connected_graph(rng), path_graph(200)):
+        f = random_vertex_field(rng, g.vertex_count)
+        traj = flow_solve(g, f)
+        assert np.abs(traj.path.terminal_value - f.mean()).max() < 1e-8
+
+
+def test_minimal_section_certificate_rejects_a_wrong_flow(monkeypatch):
+    # a max-flow that reports every cluster feasible with saturated edges
+    # gives a witness whose divergence is wrong; the kernel must raise
+    import graphtv.graph
+    from graphtv import ConvergenceError, cartesian_graph, sign_pattern
+    from graphtv.graph import PatternKernel
+
+    def saturate(node_count, arcs, source, sink):
+        return 0, [arc[2] for arc in arcs], [False] * node_count
+
+    rng = np.random.default_rng(SEED + 12)
+    g = cartesian_graph(10, 10)
+    f = random_vertex_field(rng, g.vertex_count)
+    scale = float(f.max() - f.min())
+    for u in flow_solve(g, f).path.left_values:
+        kernel = PatternKernel(g, sign_pattern(g, u, scale=scale))
+        forest = kernel.clusters.forest_flow(-kernel.slope - kernel.pinned)
+        if np.abs(forest).max() > 1.0 + 1e-12:
+            break
+    monkeypatch.setattr(graphtv.graph, "max_flow", saturate)
+    with pytest.raises(ConvergenceError, match="certificate"):
+        kernel.minimal_section()
 
 
 def test_flow_path_200_matches_taut_string():

@@ -167,6 +167,31 @@ def test_flat_clusters_match_union_find():
         assert np.abs(divergence(g, clusters.forest_flow(r)) - r).max() < 1e-12
 
 
+def test_max_flow_known_min_cut():
+    from graphtv.graph import max_flow
+    # the textbook network of Cormen et al., section 26.2: value 23, and the
+    # cut closest to the source is {s, v1, v2, v4}
+    arcs = [(0, 1, 16, 0), (0, 2, 13, 0), (2, 1, 4, 0), (1, 3, 12, 0),
+            (3, 2, 9, 0), (2, 4, 14, 0), (4, 3, 7, 0), (3, 5, 20, 0),
+            (4, 5, 4, 0)]
+    value, flows, cut = max_flow(6, arcs, 0, 5)
+    assert value == 23
+    assert cut == [True, True, True, False, True, False]
+    net = [0] * 6
+    for (a, b, cap, back), x in zip(arcs, flows):
+        assert -back <= x <= cap
+        net[a] -= x
+        net[b] += x
+    assert net == [-23, 0, 0, 0, 0, 23]
+    # an undirected edge carries flow against its listed orientation
+    value, flows, cut = max_flow(4, [(0, 2, 5, 0), (1, 2, 3, 3), (1, 3, 5, 0)], 0, 3)
+    assert (value, flows, cut) == (3, [3, -3, 3], [True, False, True, False])
+    # level graphs deeper than the recursion limit
+    n = 5000
+    value, _, cut = max_flow(n, [(k, k + 1, 1, 0) for k in range(n - 1)], 0, n - 1)
+    assert value == 1 and cut == [True] + [False] * (n - 1)
+
+
 def test_pattern_box_pins_nonflat_edges():
     g, f = nonequivalence_instance()
     pat = sign_pattern(g, f)

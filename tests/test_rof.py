@@ -149,6 +149,17 @@ def test_path_keeps_close_exact_events():
     assert np.abs(bps[1:3] - [1e-3, 1e-3 + 5e-6]).max() < 1e-12
 
 
+def test_path_keeps_an_exact_event_next_to_a_close_one():
+    # the pairs fuse at alpha = 1 and 1.00001; both events are closed form,
+    # so the slope change between them is exact and must not be merged away
+    from graphtv import taut_string_1d
+    g = path_graph(4)
+    f = np.array([0.0, 1.0, 10.0, 11.00001])
+    path = rof_path(g, f)
+    for alpha in np.linspace(0.99, 1.01, 41):
+        assert np.abs(path.value_at(alpha) - taut_string_1d(f, alpha)).max() < 1e-9
+
+
 def test_path_random_10x10_grid_completes():
     rng = np.random.default_rng(SEED + 12)
     g = cartesian_graph(10, 10)
