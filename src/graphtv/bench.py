@@ -98,7 +98,7 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
         d = trajectory.directions[k]
         gaps.append(abs(float(-(d @ u_flow)) - jval))
     suff = all(gap <= stol for gap in gaps)
-    first = bool(b.size > 1 and alpha <= b[1] + tol.event_tol)
+    first = bool(b.size > 1 and alpha <= b[1])
     return EquivalenceReport(alpha, linf, l2, ms.member, ms.residual,
                              suff, tuple(gaps), first, u_reg, u_flow)
 
@@ -242,7 +242,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
             float(traj.antiderivative_at(t)[SWITCHING_EDGE]),
             flow_dual_switching_reference(t))
 
-    path = rof_path(g, f, tol)
+    path = rof_path(g, f)
     for target in (0.4, 2.0):
         nearest = float(path.breakpoints[np.argmin(np.abs(path.breakpoints - target))])
         add("path breakpoint near %.1f" % target, nearest, target, break_tol)

@@ -40,7 +40,7 @@ EXIT_SOLVER = 4
 def _tolerances(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
     """The tolerance flags given on the command line, over ``base``."""
     given = {name: getattr(args, name)
-             for name in ("flat_tol", "solve_tol", "event_tol")
+             for name in ("flat_tol", "solve_tol")
              if getattr(args, name) is not None}
     return replace(base, **given)
 
@@ -63,7 +63,7 @@ def _cmd_rof(args) -> int:
     tol = _tolerances(args)
     g, f = _load(args)
     if args.path:
-        path = rof_path(g, f, tol)
+        path = rof_path(g, f)
         buf = StringIO()
         write_trajectory(buf, path)
         _emit(args, buf.getvalue())
@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--solve-tol", type=float, default=None,
                         help="optimality tolerance for inner solves (default "
                              "1e-9; 1e-6 in verify --mode phimin|isotropic)")
-    common.add_argument("--event-tol", type=float, default=None,
-                        help="width below which a breakpoint bracket is no "
-                             "longer split (default 1e-6)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

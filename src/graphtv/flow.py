@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import PathError, ValidationError
 from .graph import (DEFAULT_TOL, FlatClusters, OrientedGraph, PatternKernel,
-                    Tolerances, ensure_vertex_field, sign_pattern)
+                    Tolerances, ensure_vertex_field, next_fusion, sign_pattern)
 from .rof import PiecewiseAffinePath, rof_solve
 
 
@@ -68,13 +68,10 @@ class FlowTrajectory:
         return self.path.slope_at(t)
 
     def antiderivative_at(self, t: float) -> np.ndarray:
-        if t < 0 or not math.isfinite(t):
-            raise ValidationError("time must be finite and nonnegative")
-        b = self.path.breakpoints
-        if t >= b[-1] or self.flows.shape[0] == 0:
+        k = self.path._segment(t)
+        if k < 0:
             return self.antiderivative[-1].copy()
-        k = int(np.searchsorted(b, t, side="right")) - 1
-        return self.antiderivative[k] - (t - b[k]) * self.flows[k]
+        return self.antiderivative[k] - (t - self.path.breakpoints[k]) * self.flows[k]
 
 
 def minimal_section(g: OrientedGraph, u, tol: Optional[Tolerances] = None, *,
@@ -130,31 +127,20 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
         d, h, pat = PatternKernel(g, pat).minimal_section()
         dnorm = float(np.linalg.norm(d))
         if dnorm <= 0.0:
-            raise PathError("nonconstant state with zero descent direction",
-                            interval=(t, t))
+            raise PathError("zero descent direction at t = %r (%d vertices, %d edges)"
+                            % (t, n, m), interval=(t, t))
         if dnorm > prev_norm * (1.0 + 1e-9):
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)
         prev_norm = dnorm
 
-        diffs = u[g.tails] - u[g.heads]
-        ddiffs = d[g.tails] - d[g.heads]
-        closing = pat.nonflat & (diffs * ddiffs < 0.0)
-        if not closing.any():
-            raise PathError("no closing edge on a non-stationary segment",
-                            interval=(t, t))
-        cross = -diffs[closing] / ddiffs[closing]
-        tau = float(cross.min())
-        if tau <= 0.0:
-            raise PathError("nonpositive segment length", interval=(t, t))
-
-        u_next = u + tau * d
-        # edges that reach zero now, plus edges kept flat by the pattern
-        crossing_edges = np.zeros(m, dtype=bool)
-        idx = np.flatnonzero(closing)
-        crossing_edges[idx[cross <= tau * (1.0 + 1e-12)]] = True
-        # snap them exactly flat by averaging over the clusters they join
-        u_next = FlatClusters(g, pat.flat | crossing_edges).mean(u_next)
+        tau, crossing = next_fusion(g, pat, u, d)
+        if not 0.0 < tau < math.inf:
+            raise PathError("no edge closes after t = %r (%d vertices, %d edges)"
+                            % (t, n, m), interval=(t, t))
+        # snap the closing edges exactly flat by averaging over the clusters
+        # they join with the edges the pattern keeps flat
+        u_next = FlatClusters(g, pat.flat | crossing).mean(u + tau * d)
 
         t += tau
         bps.append(t)
@@ -165,12 +151,12 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
         antider.append(f_acc.copy())
         u = u_next
     else:
-        raise PathError("segment cap exceeded before stationarity",
-                        interval=(0.0, t))
+        raise PathError("segment cap %d exceeded at t = %r (%d vertices, %d edges)"
+                        % (cap, t, n, m), interval=(0.0, t))
 
     if float(np.abs(u - mean_field).max()) > 1e-6 * (1.0 + abs(fbar)):
-        raise PathError("flow did not terminate at the mean field",
-                        interval=(bps[-2] if len(bps) > 1 else 0.0, t))
+        raise PathError("flow ended off the mean field at t = %r (%d vertices, %d edges)"
+                        % (t, n, m), interval=(bps[-2] if len(bps) > 1 else 0.0, t))
 
     left_values = np.asarray(states[:-1], dtype=float).reshape(len(bps) - 1, n)
     slopes = np.asarray(dirs, dtype=float).reshape(len(bps) - 1, n)

@@ -19,6 +19,7 @@ of ``u(tail) - u(head)`` on non-flat edges and free in [-1, 1] on flat ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,17 +39,15 @@ class Tolerances:
         field under examination (or an explicitly supplied scale).
     solve_tol : inner solver tolerance (gradient-mapping norm for
         projections, relative objective gap for generic convex solves).
-    event_tol : width below which ``rof_path`` stops splitting a bracket
-        around a breakpoint it could not place in closed form, and takes
-        the bracket's midpoint.
+
+    ``rof_path`` reads neither: it is exact.
     """
 
     flat_tol: float = 1e-7
     solve_tol: float = 1e-9
-    event_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("flat_tol", "solve_tol", "event_tol"):
+        for name in ("flat_tol", "solve_tol"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0 and np.isfinite(v)):
                 raise ValidationError("%s must be a positive finite number" % name)
@@ -261,9 +260,6 @@ class SignPattern:
         if not isinstance(other, SignPattern):
             return NotImplemented
         return np.array_equal(self.labels, other.labels)
-
-    def __hash__(self):
-        return hash(self.labels.tobytes())
 
     @property
     def flat(self) -> np.ndarray:
@@ -502,6 +498,67 @@ def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
     return value, flows, [lv >= 0 for lv in level]
 
 
+def route_demands(parts, tails, heads, flow) -> tuple:
+    """Route the integer demands of disjoint parts of a graph in one max-flow.
+
+    ``parts`` lists ``(vertices, edges, capacity, demand)``: edge j runs
+    ``tails[j]`` to ``heads[j]`` with ``capacity`` either way; ``demand``
+    is the divergence asked at each vertex.  ``flow``, a starting flow, is
+    updated in place.  Returns, per part, whether its demand is met, and
+    the vertices reached from the source: a failed part's vertices not
+    reached form its most violated set.
+    """
+    node = {v: k for k, v in enumerate(v for p in parts for v in p[0])}
+    inflow = [0] * len(node)
+    source, sink = len(node), len(node) + 1
+    arcs = []
+    spans = []
+    for vertices, edges, cap, demand in parts:
+        for j in edges:
+            inflow[node[heads[j]]] += flow[j]
+            inflow[node[tails[j]]] -= flow[j]
+        first = len(arcs)
+        arcs.extend((node[tails[j]], node[heads[j]], cap - flow[j], cap + flow[j])
+                    for j in edges)
+        sinks = []
+        for v, r in zip(vertices, demand):
+            r -= inflow[node[v]]
+            if r > 0:
+                sinks.append(len(arcs))
+                arcs.append((node[v], sink, r, 0))
+            elif r < 0:
+                arcs.append((source, node[v], -r, 0))
+        spans.append((edges, first, sinks))
+    _, flows, reach = max_flow(len(node) + 2, arcs, source, sink)
+    met = []
+    for edges, first, sinks in spans:
+        for k, j in enumerate(edges, first):
+            flow[j] += flows[k]
+        met.append(all(flows[k] == arcs[k][2] for k in sinks))
+    return met, {v for v, k in node.items() if reach[k]}
+
+
+def next_fusion(g: OrientedGraph, pattern: SignPattern, u: np.ndarray,
+                d: np.ndarray) -> tuple:
+    """First step x along ``u + x * d`` at which a non-flat edge closes.
+
+    An edge closes when ``d`` moves its ends together against its label
+    (an edge just split moves apart, even where u is still equal across
+    it).  Returns x (``inf`` if no edge closes) and the mask of the edges
+    that close by x up to a relative 1e-12, which meet there exactly.
+    """
+    diffs = u[g.tails] - u[g.heads]
+    ddiffs = d[g.tails] - d[g.heads]
+    idx = np.flatnonzero(pattern.labels * ddiffs < 0.0)
+    closing = np.zeros(g.edge_count, dtype=bool)
+    if idx.size == 0:
+        return math.inf, closing
+    cross = -diffs[idx] / ddiffs[idx]
+    x = float(cross.min())
+    closing[idx[cross <= x + 1e-12 * abs(x)]] = True
+    return x, closing
+
+
 class PatternKernel:
     """Closed forms attached to one sign pattern.
 
@@ -526,6 +583,20 @@ class PatternKernel:
     def line(self, f: np.ndarray) -> tuple:
         """(intercept, slope) of the regularization path under this pattern."""
         return self.clusters.mean(f), self.slope
+
+    def calibration(self) -> tuple:
+        """The integer forest flow with divergence ``sum_P b - |P| b`` on each
+        cluster P, |P| at each edge, and the clusters where it exceeds |P|;
+        the others are calibrable."""
+        g = self.graph
+        cl = self.clusters
+        size = cl.sizes[cl.labels].astype(float)
+        total = np.bincount(cl.labels, self.pinned, cl.count)[cl.labels]
+        forest = cl.forest_flow(total - size * self.pinned)
+        edge_size = size[g.tails]
+        failed = np.zeros(cl.count, dtype=bool)
+        failed[cl.labels[g.tails[np.abs(forest) > edge_size]]] = True
+        return forest, edge_size, failed
 
     def minimal_section(self) -> tuple:
         """Exact minimum-norm subdifferential element, negated, with its witness.
@@ -561,14 +632,7 @@ class PatternKernel:
         labels = self.pattern.labels.copy()
         h = -labels.astype(float)
         d = self.slope.copy()
-        # scaled by the cluster size, the forest flow is an integer flow
-        size = cl.sizes[cl.labels].astype(float)
-        total = np.bincount(cl.labels, self.pinned, cl.count)[cl.labels]
-        forest = cl.forest_flow(total - size * self.pinned)
-        edge_size = size[g.tails]
-        over = np.abs(forest) > edge_size
-        failed = np.zeros(cl.count, dtype=bool)
-        failed[cl.labels[g.tails[over]]] = True
+        forest, edge_size, failed = self.calibration()
         keep = flat & ~failed[cl.labels[g.tails]]
         h[keep] = forest[keep] / edge_size[keep]
         if failed.any():
@@ -631,43 +695,23 @@ class PatternKernel:
         pending = np.split(verts, np.flatnonzero(np.diff(cl.labels[verts])) + 1)
         pending = [p.tolist() for p in pending]
         while pending:
-            node = {v: k for k, v in enumerate(v for p in pending for v in p)}
-            inflow = [0] * len(node)
-            source, sink = len(node), len(node) + 1
-            arcs = []
-            spans = []
+            parts = []
             for part in pending:
                 size = len(part)
                 total = sum(b[v] for v in part)
                 edges = [j for v in part for j in adj[v] if free[j] and et[j] == v]
-                for j in edges:
-                    inflow[node[eh[j]]] += warm[j]
-                    inflow[node[et[j]]] -= warm[j]
-                first = len(arcs)
-                arcs.extend((node[et[j]], node[eh[j]], size - warm[j], size + warm[j])
-                            for j in edges)
-                sinks = []
-                for v in part:
-                    r = total - size * b[v] - inflow[node[v]]
-                    if r > 0:
-                        sinks.append(len(arcs))
-                        arcs.append((node[v], sink, r, 0))
-                    elif r < 0:
-                        arcs.append((source, node[v], -r, 0))
-                spans.append((part, size, total, edges, first, sinks))
-            _, flows, reach = max_flow(len(node) + 2, arcs, source, sink)
+                parts.append((part, edges, size, [total - size * b[v] for v in part]))
+            met, reached = route_demands(parts, et, eh, warm)
             pending = []
-            for part, size, total, edges, first, sinks in spans:
-                for k, j in enumerate(edges, first):
-                    warm[j] += flows[k]
-                if all(flows[k] == arcs[k][2] for k in sinks):
+            for (part, edges, size, _), ok in zip(parts, met):
+                if ok:
                     for j in edges:
                         h[eids[j]] = warm[j] / size
-                    d[part] = -total / size
+                    d[part] = -sum(b[v] for v in part) / size
                     continue
                 for j in edges:
-                    out_of_x = reach[node[et[j]]]
-                    if out_of_x != reach[node[eh[j]]]:
+                    out_of_x = et[j] in reached
+                    if out_of_x != (eh[j] in reached):
                         # the cut saturates the edge in the direction out of X
                         val = 1 if out_of_x else -1
                         free[j] = False

@@ -235,9 +235,7 @@ class PhiReport:
 
 def _tight(tol: Tolerances) -> Tolerances:
     # projections inside these checks always run at least this tight
-    return Tolerances(flat_tol=tol.flat_tol,
-                      solve_tol=min(tol.solve_tol, 1e-9),
-                      event_tol=tol.event_tol)
+    return Tolerances(flat_tol=tol.flat_tol, solve_tol=min(tol.solve_tol, 1e-9))
 
 
 def verify_universal_minimality(g: OrientedGraph, f, alpha: float,

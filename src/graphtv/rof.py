@@ -5,20 +5,27 @@ total variation, via the dual formulation: u = f - P(f) where P projects
 onto the divergence image of the alpha-box.  Also traces the full solution
 path in alpha, which is piecewise affine with finitely many breakpoints,
 and a coupled-constraint (isotropic) variant on Cartesian grid graphs.
+
+The path is traced exactly with no iterative solve: under a sign pattern
+it is a line, which ends where two clusters meet (a fusion) or where a
+parametric max-flow finds that a cluster breaks up (a split; Hoefling
+2010).  Both ends of every segment are certified.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .engine import BoxSpec, SolveReport, project_onto_div_box
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
-                    ensure_vertex_field, sign_pattern)
+from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
+                    Tolerances, ensure_vertex_field, next_fusion, route_demands,
+                    sign_pattern)
 
 
 @dataclass(frozen=True)
@@ -70,34 +77,24 @@ class PiecewiseAffinePath:
     def segment_count(self) -> int:
         return self.breakpoints.size - 1
 
-    def value_at(self, x: float) -> np.ndarray:
+    def _segment(self, x: float) -> int:
+        # index of the segment holding x, or -1 beyond the last breakpoint
         if x < 0 or not math.isfinite(x):
             raise ValidationError("parameter must be finite and nonnegative")
-        b = self.breakpoints
-        if x >= b[-1]:
+        if x >= self.breakpoints[-1]:
+            return -1
+        return int(np.searchsorted(self.breakpoints, x, side="right")) - 1
+
+    def value_at(self, x: float) -> np.ndarray:
+        k = self._segment(x)
+        if k < 0:
             return self.terminal_value.copy()
-        k = int(np.searchsorted(b, x, side="right")) - 1
-        return self.left_values[k] + (x - b[k]) * self.slopes[k]
+        return self.left_values[k] + (x - self.breakpoints[k]) * self.slopes[k]
 
     def slope_at(self, x: float) -> np.ndarray:
         """Right slope at x (zero beyond the last breakpoint)."""
-        if x < 0 or not math.isfinite(x):
-            raise ValidationError("parameter must be finite and nonnegative")
-        b = self.breakpoints
-        if x >= b[-1]:
-            return np.zeros_like(self.terminal_value)
-        k = int(np.searchsorted(b, x, side="right")) - 1
-        return self.slopes[k].copy()
-
-    def continuity_defect(self) -> float:
-        """Largest mismatch between a segment's right end and the next value."""
-        worst = 0.0
-        b = self.breakpoints
-        for k in range(self.segment_count):
-            right = self.left_values[k] + (b[k + 1] - b[k]) * self.slopes[k]
-            nxt = self.left_values[k + 1] if k + 1 < self.segment_count else self.terminal_value
-            worst = max(worst, float(np.max(np.abs(right - nxt))))
-        return worst
+        k = self._segment(x)
+        return np.zeros_like(self.terminal_value) if k < 0 else self.slopes[k].copy()
 
 
 def _regularize(g, f, alpha, constraint, tol, warm_start, max_iter, name):
@@ -145,214 +142,190 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
                        "coupled")
 
 
-class _PathSolver:
-    """Caches solutions along an alpha sweep, warm-starting from neighbors.
+class _Segment:
+    """One sign pattern of the path: its line ``u = c + alpha * s`` and flow tests.
 
-    Breakpoints placed in closed form are cached without a dual flow and
-    never serve as warm starts.
+    With ``t = 1 / alpha``, ``w = f - c`` and ``beta = b - mean_C(b)`` (b
+    the pinned flux), the line solves the problem at alpha iff the pinned
+    edges keep their signs and, on each cluster C, some flow in [-1, 1] on
+    C's flat edges has divergence ``t * w - beta``; such t form an
+    interval.  At ``t = p / q``, scaled by ``q |C| unit``, the test has
+    integer data and goes to :func:`route_demands`.
     """
 
-    def __init__(self, g, f, tol, max_iter):
-        self.g = g
-        self.f = f
-        self.tol = tol
-        self.max_iter = max_iter
-        self.scale = float(f.max() - f.min())
-        self.cache = {}
-        self.lines = {}
+    def __init__(self, g: OrientedGraph, labels: np.ndarray, f: np.ndarray,
+                 datum: tuple):
+        self.graph = g
+        k = PatternKernel(g, SignPattern(labels))
+        inside = (labels != 0) & (k.clusters.labels[g.tails] == k.clusters.labels[g.heads])
+        if inside.any():
+            # fusions joined the ends of a pinned edge: u is equal across it
+            k = PatternKernel(g, SignPattern(np.where(inside, 0, labels)))
+        self.kernel, self.datum, self._data = k, datum, {}
+        self.c, self.s = k.line(f)
+        self.w, self.beta = f - self.c, k.pinned + k.slope
 
-    def solution(self, alpha: float) -> np.ndarray:
-        key = float(alpha)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit[0]
-        solved = [a for a, (_, h) in self.cache.items() if h is not None]
-        warm = None
-        if solved:
-            warm = self.cache[min(solved, key=lambda a: abs(a - key))][1]
-        sol = rof_solve(self.g, self.f, key, self.tol, warm_start=warm,
-                        max_iter=self.max_iter)
-        self.cache[key] = (sol.u, -sol.dual_flow)
-        return sol.u
+    def _cluster(self, k: int) -> tuple:
+        # cluster k's vertices, flat edges, size, and the integers n*unit*w, n*beta
+        if k not in self._data:
+            g, lab = self.graph, self.kernel.clusters.labels
+            verts = np.flatnonzero(lab == k).tolist()
+            edges = np.flatnonzero(self.kernel.pattern.flat & (lab[g.tails] == k)).tolist()
+            big_f = [self.datum[0][v] for v in verts]
+            b = self.kernel.pinned[verts].astype(np.int64).tolist()
+            n, sf, sb = len(verts), sum(big_f), sum(b)
+            self._data[k] = (verts, edges, n, [n * x - sf for x in big_f],
+                             [n * x - sb for x in b])
+        return self._data[k]
 
-    def pattern(self, alpha: float):
-        return sign_pattern(self.g, self.solution(alpha), self.tol, scale=self.scale)
+    def _route(self, tests: list) -> tuple:
+        # one max-flow over the clusters k at t of the (k, t) pairs
+        g = self.graph
+        parts = []
+        for k, t in tests:
+            verts, edges, n, w, beta = self._cluster(k)
+            qu = t.denominator * self.datum[1]
+            parts.append((verts, edges, qu * n,
+                          [t.numerator * x - qu * y for x, y in zip(w, beta)]))
+        flow = [0] * g.edge_count
+        met, reached = route_demands(parts, g.tails.tolist(), g.heads.tolist(), flow)
+        return parts, flow, met, reached
 
-    def line(self, pat):
-        """(intercept, slope) of the path wherever ``pat`` holds."""
-        hit = self.lines.get(pat)
-        if hit is None:
-            hit = self.lines[pat] = PatternKernel(self.g, pat).line(self.f)
-        return hit
+    def splits(self, alpha: float) -> list:
+        """``(alpha', pins)`` for each cluster that splits at some alpha' >= alpha.
+
+        A cluster passing the forest test at t = 0 is calibrable and never
+        splits.  For the others, a Newton (Dinkelbach) search from t = 0
+        runs the max-flow test; while it fails, t moves to where the sink
+        side S of the min cut becomes tight, ``(cap(S) + beta(S)) / w(S)``.
+        The last S splits off; ``pins`` sets the flow into S to +1 on the
+        edges crossing it.  A split due by alpha is reported at alpha.
+        """
+        t_now = 1 / Fraction(alpha) if alpha > 0 else None
+        tests = [(k, Fraction(0), None)
+                 for k in np.flatnonzero(self.kernel.calibration()[2]).tolist()]
+        out = []
+        while tests:
+            parts, _, met, reached = self._route([(k, t) for k, t, _ in tests])
+            failed = []
+            # t rises strictly at every failed test, up to the current t
+            for (k, t, pins), part, ok in zip(tests, parts, met):
+                if ok:
+                    if pins is not None:
+                        out.append((float(1 / t), pins))
+                    continue
+                t_new, pins = self._cut(k, set(part[0]) - reached)
+                if t_new is None or t_now is not None and t_new >= t_now:
+                    out.append((alpha, pins))
+                else:
+                    failed.append((k, t_new, pins))
+            tests = failed
+        return out
+
+    def _cut(self, k: int, cut: set) -> tuple:
+        # the t where cut is tight (None if w(cut) >= 0), and the pins
+        verts, edges, n, w, beta = self._cluster(k)
+        pins = {}
+        for j in edges:
+            into = int(self.graph.heads[j]) in cut
+            if into != (int(self.graph.tails[j]) in cut):
+                pins[j] = -1 if into else 1
+        w_cut = sum(x for v, x in zip(verts, w) if v in cut)
+        beta_cut = sum(y for v, y in zip(verts, beta) if v in cut)
+        if w_cut >= 0:
+            return None, pins
+        return Fraction((len(pins) * n + beta_cut) * self.datum[1], w_cut), pins
+
+    def certify(self, alpha: float, where: str) -> None:
+        """Check that the line solves the problem at alpha, or raise PathError.
+
+        Pinned edges keep their signs, and each cluster has a witness flow:
+        the forest flow if it fits in [-1, 1], else the max-flow at the
+        exact t.  At alpha = 0, w vanishes on the ties of f; t = 0 is used.
+        """
+        g = self.graph
+        u = self.c + alpha * self.s
+        scale = float(np.abs(self.c).max() + alpha * np.abs(self.s).max())
+        lab = self.kernel.pattern.labels
+        if float((lab * (u[g.tails] - u[g.heads])).min()) < -1e-11 * scale:
+            self._fail("a pinned edge changes sign", alpha, where)
+        t = 1 / Fraction(alpha) if alpha > 0 else Fraction(0)
+        r = float(t) * self.w - self.beta
+        cl = self.kernel.clusters
+        h = cl.forest_flow(r)
+        misfit = np.unique(cl.labels[g.tails[np.abs(h) > 1.0]]).tolist()
+        if misfit:
+            parts, flow, _, _ = self._route([(k, t) for k in misfit])
+            for _, edges, cap, _ in parts:
+                h[edges] = [flow[j] / cap for j in edges]
+        residual = float(np.abs(g._div(h) - r).max())
+        if (float(np.abs(h).max(initial=0.0)) > 1.0
+                or residual > 1e-10 * (1.0 + float(np.abs(r).max()))):
+            self._fail("a cluster has no witness flow (residual %.3g)" % residual,
+                       alpha, where)
+
+    def _fail(self, cause: str, alpha: float, where: str):
+        g = self.graph
+        raise PathError("%s: %s at alpha = %r (%d vertices, %d edges)"
+                        % (where, cause, alpha, g.vertex_count, g.edge_count),
+                        interval=(alpha, alpha))
 
 
-def _bisect_events(solver, lo, hi, pat_lo, pat_hi, event_tol, u_err, out):
-    """Localize every pattern change in (lo, hi); endpoint patterns differ.
-
-    The closed-form lines of the two end patterns are intersected first
-    (least squares over the vertices).  An intersection x strictly inside
-    the bracket is the breakpoint, with the closed-form value and no
-    solve, when the lines agree there within ``u_err`` and every edge
-    either end pattern pins keeps its sign at x (so each line obeys its
-    own pattern up to x).  Otherwise the bracket is split by one solve at
-    the intersection, or at the midpoint when the intersection lies
-    outside, down to ``event_tol``.
-    """
-    if hi - lo <= event_tol:
-        out.append(0.5 * (lo + hi))
-        return
-    c_lo, s_lo = solver.line(pat_lo)
-    c_hi, s_hi = solver.line(pat_hi)
-    ds = s_lo - s_hi
-    den = float(ds @ ds)
-    x = -float((c_lo - c_hi) @ ds) / den if den > 0.0 else math.nan
-    if lo < x < hi:
-        u_lo = c_lo + x * s_lo
-        u_hi = c_hi + x * s_hi
-        u_x = 0.5 * (u_lo + u_hi)
-        # the lines also meet when the bracket hides further events (a
-        # fusion the lower line overshoots); then some edge that one of the
-        # end patterns pins has the wrong sign at x
-        diff = u_x[solver.g.tails] - u_x[solver.g.heads]
-        if (float(np.abs(u_lo - u_hi).max()) <= u_err
-                and float((pat_lo.labels * diff).min()) >= -u_err
-                and float((pat_hi.labels * diff).min()) >= -u_err):
-            solver.cache[x] = (u_x, None)
-            out.append(x)
-            return
-        mid = x
-    else:
-        mid = 0.5 * (lo + hi)
-    pat_mid = solver.pattern(mid)
-    if pat_mid == pat_lo:
-        _bisect_events(solver, mid, hi, pat_mid, pat_hi, event_tol, u_err, out)
-    elif pat_mid == pat_hi:
-        _bisect_events(solver, lo, mid, pat_lo, pat_mid, event_tol, u_err, out)
-    else:
-        _bisect_events(solver, lo, mid, pat_lo, pat_mid, event_tol, u_err, out)
-        _bisect_events(solver, mid, hi, pat_mid, pat_hi, event_tol, u_err, out)
-
-
-def rof_path(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
-             max_iter: int = 1_000_000) -> PiecewiseAffinePath:
+def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     """Trace the full regularization path of ``f`` as a function of alpha.
 
-    The path is piecewise affine; segments are bracketed by comparing
-    solution sign patterns on a hybrid geometric plus uniform alpha grid
-    (equal patterns at two parameters imply the path is affine between
-    them).  Where a pattern holds, the path is the closed-form line
-    ``cluster_mean(f) + alpha * s`` of :class:`PatternKernel`, so each
-    bracket's breakpoint is first sought where the lines of its two end
-    patterns meet; it is accepted with the closed-form value, exact to
-    rounding, when they agree there.  Brackets where they do not are split
-    by solves and searched again, down to width ``event_tol``.
-    Candidates that do not change the slope are merged away; every final
-    segment is validated by a midpoint solve against the affine
-    interpolant.  The terminal value is the mean field.
+    Under a sign pattern the path is the line ``cluster_mean(f) + alpha *
+    s`` of :class:`PatternKernel`, up to the first fusion (the lines across
+    a non-flat edge meet, as in the flow) or split (:meth:`_Segment.splits`).
+    The path starts from the clusters of exactly equal values in f.  No
+    iterative solve runs.  Both ends of every segment are certified, which
+    covers the segment, or :class:`PathError` is raised.  The terminal value
+    is the mean field.  The path reads no tolerance.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
-    n = g.vertex_count
-    fbar = float(f.mean())
-    mean_field = np.full(n, fbar)
+    n, m = g.vertex_count, g.edge_count
     if float(f.max() - f.min()) == 0.0:
         return PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
 
-    solver = _PathSolver(g, f, tol, max_iter)
-
-    # initial scale for the stationarity threshold: the minimum-norm
-    # subdifferential element at the datum is the flow's initial speed
-    d0, _, _ = PatternKernel(g, solver.pattern(0.0)).minimal_section()
-    speed = float(np.linalg.norm(d0))
-    if speed <= 0:
-        raise PathError("nonconstant datum with zero minimal subgradient")
-    a_up = float(np.linalg.norm(f - mean_field)) / speed
-    a_up = max(a_up, 16.0 * tol.event_tol)
-    for _ in range(80):
-        if solver.pattern(a_up).all_flat:
+    # f * unit is an integer vector, unit a power of two
+    ratios = [x.as_integer_ratio() for x in f.tolist()]
+    unit = max(den for _, den in ratios)
+    datum = ([num * (unit // den) for num, den in ratios], unit)
+    labels = sign_pattern(g, f, scale=0.0).labels
+    alpha = 0.0
+    bps, left_values, slopes = [], [], []
+    for _ in range(16 * m + 64):
+        seg = _Segment(g, labels, f, datum)
+        where = "segment %d" % len(bps)
+        if seg.kernel.pattern.all_flat:
+            seg.certify(alpha, "terminal " + where)
             break
-        a_up *= 2.0
+        _, fused = next_fusion(g, seg.kernel.pattern, seg.c + alpha * seg.s, seg.s)
+        # where the lines across the fusing edges meet, from the lines alone
+        tails, heads = g.tails[fused], g.heads[fused]
+        fuse_at = float(((seg.c[tails] - seg.c[heads])
+                         / (seg.s[heads] - seg.s[tails])).min(initial=math.inf))
+        splits = seg.splits(alpha)
+        nxt = min([fuse_at] + [a for a, _ in splits])
+        if nxt == math.inf:
+            seg._fail("no event ahead", alpha, where)
+        if nxt > alpha:
+            seg.certify(alpha, where)
+            seg.certify(nxt, where)
+            bps.append(alpha)
+            left_values.append(seg.c + alpha * seg.s)
+            slopes.append(seg.s)
+        # events within a relative 1e-12 of the step meet in exact arithmetic
+        limit = alpha + (nxt - alpha) * (1.0 + 1e-12)
+        labels = seg.kernel.pattern.labels.copy()
+        if fuse_at <= limit:
+            labels[fused] = 0
+        for a, pins in splits:
+            if a <= limit:
+                labels[list(pins)] = list(pins.values())
+        alpha = nxt
     else:
-        raise PathError("failed to bracket the stationary parameter",
-                        interval=(0.0, a_up))
-
-    grid = {0.0, a_up}
-    grid.update(float(x) for x in np.linspace(0.0, a_up, 17))
-    grid.update(a_up * 0.5 ** k for k in range(1, 21))
-    grid = sorted(grid)
-
-    u_err = 100.0 * tol.solve_tol * (1.0 + float(np.abs(f).max()))
-    events: list[float] = []
-    prev = grid[0]
-    prev_pat = solver.pattern(prev)
-    for a in grid[1:]:
-        pat = solver.pattern(a)
-        if pat != prev_pat:
-            _bisect_events(solver, prev, a, prev_pat, pat, tol.event_tol, u_err,
-                           events)
-        prev, prev_pat = a, pat
-
-    # cluster events located twice (grid point sitting on a breakpoint).
-    # Closed-form events are exact, so two of them are distinct however
-    # close; a bisected event next to a closed-form one gives way to it.
-    exact = {a for a, (_, h) in solver.cache.items() if h is None}
-    events.sort()
-    merged: list[float] = []
-    for e in events:
-        if (merged and e - merged[-1] <= 10.0 * tol.event_tol
-                and not (e in exact and merged[-1] in exact)):
-            if merged[-1] not in exact:
-                merged[-1] = e if e in exact else 0.5 * (merged[-1] + e)
-        elif not merged or e > merged[-1]:
-            merged.append(e)
-    if not merged:
-        raise PathError("no stationarity breakpoint found", interval=(0.0, a_up))
-
-    bps = [0.0] + merged
-    values = [solver.solution(b) for b in bps]
-    # the datum and closed-form values are exact; solved ones are off by up
-    # to u_err, which a short segment turns into a large slope error
-    solved = [b != 0.0 and b not in exact for b in bps]
-
-    # drop candidates that do not change the slope (degenerate patterns at
-    # isolated parameters, e.g. extra flat edges exactly at alpha = 0)
-    changed = True
-    while changed and len(bps) > 2:
-        changed = False
-        slopes = [(values[k + 1] - values[k]) / (bps[k + 1] - bps[k])
-                  for k in range(len(bps) - 1)]
-        smax = max(float(np.abs(s).max()) for s in slopes)
-        for k in range(1, len(bps) - 1):
-            err = 0.0
-            if solved[k - 1] or solved[k]:
-                err += 1.0 / (bps[k] - bps[k - 1])
-            if solved[k] or solved[k + 1]:
-                err += 1.0 / (bps[k + 1] - bps[k])
-            kink_tol = 1e-6 * (1.0 + smax) + 10.0 * u_err * err
-            if float(np.abs(slopes[k] - slopes[k - 1]).max()) <= kink_tol:
-                del bps[k], values[k], solved[k]
-                changed = True
-                break
-
-    seg_values = np.asarray(values[:-1], dtype=float).reshape(len(bps) - 1, n)
-    diffs = np.diff(np.asarray(bps))
-    slopes = (np.asarray(values[1:]) - np.asarray(values[:-1])) / diffs[:, None]
-
-    # terminal check: the located stationarity parameter may sit within the
-    # localization band of the true one, so allow slope * band drift
-    smax = float(np.abs(slopes).max()) if slopes.size else 0.0
-    band = 10.0 * tol.event_tol + 2.0 * tol.flat_tol * solver.scale
-    term_tol = max(u_err, 1e-6) + smax * band
-    if float(np.abs(values[-1] - mean_field).max()) > term_tol:
-        raise PathError("path did not terminate at the mean field",
-                        interval=(bps[-2], bps[-1]))
-    affine_tol = 10.0 * tol.solve_tol * (1.0 + float(np.abs(f).max()))
-    for k in range(len(bps) - 1):
-        mid = 0.5 * (bps[k] + bps[k + 1])
-        u_mid = solver.solution(mid)
-        interp = values[k] + (mid - bps[k]) * slopes[k]
-        if float(np.abs(u_mid - interp).max()) > max(affine_tol, 10.0 * u_err):
-            raise PathError("segment failed the affine midpoint check",
-                            interval=(bps[k], bps[k + 1]))
-
-    return PiecewiseAffinePath(np.asarray(bps), seg_values, slopes, mean_field)
+        seg._fail("event cap %d exceeded" % (16 * m + 64), alpha, where)
+    bps.append(alpha)
+    return PiecewiseAffinePath(np.asarray(bps), np.asarray(left_values),
+                               np.asarray(slopes), np.full(n, float(f.mean())))

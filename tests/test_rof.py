@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphtv import (PathError, PiecewiseAffinePath, ValidationError,
+from graphtv import (PathError, PiecewiseAffinePath, Tolerances, ValidationError,
                      isotropic_rof_solve, rof_path, rof_solve, sign_pattern,
                      subdifferential_membership, total_variation)
 from graphtv.graph import PatternKernel
@@ -141,8 +141,8 @@ def test_path_lines_meeting_past_a_hidden_event():
 
 
 def test_path_keeps_close_exact_events():
-    # the end pairs of a 4-vertex path fuse at alpha = 1e-3 and 1e-3 + 5e-6,
-    # closer than 10 * event_tol; both events are exact and both stay
+    # the end pairs of a 4-vertex path fuse at alpha = 1e-3 and 1e-3 + 5e-6;
+    # both events are exact and both stay
     g = path_graph(4)
     f = np.array([0.0, 1e-3, 1e-2, 1.1e-2 + 5e-6])
     bps = rof_path(g, f).breakpoints
@@ -169,6 +169,105 @@ def test_path_random_10x10_grid_completes():
     assert np.abs(path.terminal_value - f.mean()).max() < 1e-6
     alpha = 0.37 * float(path.breakpoints[-1])
     assert np.abs(path.value_at(alpha) - rof_solve(g, f, alpha).u).max() < 1e-6
+
+
+def _split_count(g, path):
+    # edges flat on one segment and not on the next: on a cluster the
+    # path's values and slopes are equal exactly
+    flat = [(lv[g.tails] == lv[g.heads]) & (sl[g.tails] == sl[g.heads])
+            for lv, sl in zip(path.left_values, path.slopes)]
+    return sum(int((a & ~b).sum()) for a, b in zip(flat[:-1], flat[1:]))
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_path_graph_matches_taut_string(n):
+    from graphtv import taut_string_1d
+    rng = np.random.default_rng(SEED + n)
+    g = path_graph(n)
+    f = random_vertex_field(rng, n)
+    scale = float(f.max() - f.min())
+    path = rof_path(g, f)
+    for alpha in np.linspace(0.0, 1.1 * path.breakpoints[-1], 6)[1:]:
+        err = np.abs(path.value_at(alpha) - taut_string_1d(f, alpha)).max()
+        assert err <= 1e-10 * scale
+
+
+def test_path_tied_data_matches_tight_solves():
+    # integer data ties many values, so clusters form at alpha = 0, events
+    # coincide and clusters split; the path must still match rof_solve
+    rng = np.random.default_rng(SEED + 13)
+    tight = Tolerances(solve_tol=1e-11)
+    splits = 0
+    for k in range(40):
+        g = cartesian_graph(6, 6) if k % 2 else random_connected_graph(rng)
+        f = rng.integers(0, 4, g.vertex_count).astype(float)
+        if f.max() == f.min():
+            continue
+        scale = float(f.max() - f.min())
+        path = rof_path(g, f)
+        splits += _split_count(g, path)
+        b = path.breakpoints
+        for alpha in rng.uniform(0.0, 1.1 * b[-1], 2):
+            direct = rof_solve(g, f, float(alpha), tight).u
+            assert np.abs(path.value_at(float(alpha)) - direct).max() < 1e-8 * scale
+    assert splits >= 1
+
+
+def test_path_runs_no_iterative_solve(monkeypatch):
+    import graphtv.engine
+    import graphtv.rof
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterative solve")
+
+    for module in (graphtv.rof, graphtv.engine):
+        monkeypatch.setattr(module, "project_onto_div_box", refuse)
+    monkeypatch.setattr(graphtv.rof, "rof_solve", refuse)
+    rng = np.random.default_rng(SEED + 14)
+    g3, f3 = nonequivalence_instance()
+    gr = random_connected_graph(rng)
+    for g, f in ((g3, f3), (gr, random_vertex_field(rng, gr.vertex_count)),
+                 (path_graph(200), random_vertex_field(rng, 200))):
+        path = rof_path(g, f)
+        assert np.abs(path.terminal_value - f.mean()).max() < 1e-9
+
+
+def test_path_certificate_rejects_a_wrong_flow(monkeypatch):
+    # a max-flow that reports every cluster feasible with saturated edges
+    # hides the splits and gives witnesses whose divergence is wrong
+    import graphtv.graph
+
+    def saturate(node_count, arcs, source, sink):
+        return 0, [arc[2] for arc in arcs], [False] * node_count
+
+    rng = np.random.default_rng(SEED + 15)
+    g = cartesian_graph(6, 6)
+    f = random_vertex_field(rng, g.vertex_count)
+    monkeypatch.setattr(graphtv.graph, "max_flow", saturate)
+    with pytest.raises(PathError, match="witness"):
+        rof_path(g, f)
+
+
+def test_path_certificate_rejects_a_missed_fusion(monkeypatch):
+    # a fusion rule that reports the last closing edge, not the first, runs
+    # segments past a crossing; the pinned edge that crosses changes sign
+    import graphtv.rof
+    from graphtv.graph import next_fusion
+
+    def last_closing(g, pattern, u, d):
+        x, closing = next_fusion(g, pattern, u, d)
+        idx = np.flatnonzero(pattern.labels * (d[g.tails] - d[g.heads]) < 0)
+        if idx.size:
+            cross = (u[g.heads] - u[g.tails])[idx] / (d[g.tails] - d[g.heads])[idx]
+            closing[:] = False
+            closing[idx[np.argmax(cross)]] = True
+        return x, closing
+
+    rng = np.random.default_rng(SEED + 16)
+    f = random_vertex_field(rng, 20)
+    monkeypatch.setattr(graphtv.rof, "next_fusion", last_closing)
+    with pytest.raises(PathError, match="changes sign"):
+        rof_path(path_graph(20), f)
 
 
 def test_path_matches_pointwise_solves():
