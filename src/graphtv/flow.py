@@ -7,12 +7,16 @@ moves along the fixed direction d = -m(u); a segment ends when a non-flat
 edge difference crosses zero.  The flow reaches the mean field in finite
 time and stays there.
 
-The direction is exact to rounding, and no iterative solve runs.  On each
-calibrable cluster of flat edges, d is the negated cluster mean of the
-pinned flux, with a spanning-forest witness.  A cluster whose forest flow
-leaves the box goes to an integer max-flow, which either finds a witness
-or names the cut along which the cluster splits (see
-:meth:`PatternKernel.minimal_section`).
+The direction is exact to rounding, and no iterative solve runs.  The
+sign pattern of f is thresholded once; the flow then carries its labels:
+a fusion turns the closing edges flat and a split pins the edges of a min
+cut.  On each calibrable cluster of flat edges, d is the negated cluster
+mean of the pinned flux, with a spanning-forest witness or, where that
+flow leaves the box, the flow of an integer max-flow.  A cluster that is
+not calibrable splits along the max-flow's min cut, and the parts are
+tested again at the same instant (see :func:`settle`).  These are the
+cluster tests of the regularization path with the datum's pull removed:
+both run on :class:`PatternKernel`.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
@@ -28,9 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PathError, ValidationError
-from .graph import (DEFAULT_TOL, FlatClusters, OrientedGraph, PatternKernel,
-                    Tolerances, ensure_vertex_field, next_fusion, sign_pattern)
+from .errors import ConvergenceError, PathError, ValidationError
+from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
+                    Tolerances, ensure_vertex_field, event_cap, failure_site,
+                    next_fusion, sign_pattern)
 from .rof import PiecewiseAffinePath, rof_solve
 
 
@@ -74,30 +79,67 @@ class FlowTrajectory:
         return self.antiderivative[k] - (t - self.path.breakpoints[k]) * self.flows[k]
 
 
+def settle(kernel: PatternKernel, t: float = 0.0) -> tuple:
+    """The flow's direction at a state with the kernel's pattern, certified.
+
+    ``kernel`` has zero pull.  Returns ``(kernel, d, H)``: the clusters
+    that are not calibrable split along their min cuts
+    (:meth:`PatternKernel.splits`), and the split repeats until every
+    cluster is calibrable; ``kernel`` is then the last pattern's, ``d`` its
+    slope (the negated minimum-norm subdifferential element) and ``H`` its
+    witness at t = 0 with the pinned edges at their bounds.  This is the
+    decomposition algorithm for the minimum-norm base (Fujishige 1980;
+    Hochbaum 2001).  The certificate: ``|H| <= 1``, ``||div H + d||_inf <=
+    1e-12 (1 + ||d||_inf)``, and on every flat edge a split cut, ``H`` sits
+    at the bound the optimality conditions ask for.  A failed certificate
+    raises :class:`ConvergenceError`; ``t`` names the state in its message.
+    """
+    g = kernel.graph
+    flat = kernel.pattern.flat
+    splits = kernel.splits(0.0)
+    while splits:
+        labels = kernel.pattern.labels.copy()
+        for _, pins in splits:
+            labels[list(pins)] = list(pins.values())
+        kernel = PatternKernel(g, SignPattern(labels), parent=kernel)
+        splits = kernel.splits(0.0)
+    d = kernel.slope
+    h = kernel.witness() - kernel.pattern.labels
+    residual = float(np.abs(g._div(h) + d).max())
+    dd = d[g.tails] - d[g.heads]
+    cut = flat & (dd != 0.0)
+    if (h.size and float(np.abs(h).max()) > 1.0
+            or residual > 1e-12 * (1.0 + float(np.abs(d).max()))
+            or not np.array_equal(h[cut], -np.sign(dd[cut]))):
+        raise ConvergenceError("minimal section failed its certificate (residual "
+                               "%.3g) %s" % (residual, failure_site(g, "t", t)))
+    return kernel, d, h
+
+
 def minimal_section(g: OrientedGraph, u, tol: Optional[Tolerances] = None, *,
                     scale: float | None = None) -> np.ndarray:
     """Minimum-Euclidean-norm element of the total-variation subdifferential at u.
 
     This is the negated right derivative of the gradient flow through u,
-    exact to rounding (see :meth:`PatternKernel.minimal_section`).
+    exact to rounding (see :func:`settle`).
     """
     tol = tol if tol is not None else DEFAULT_TOL
     u = ensure_vertex_field(g, u, "u")
-    d, _, _ = PatternKernel(g, sign_pattern(g, u, tol, scale=scale)).minimal_section()
-    return -d
+    return -settle(PatternKernel(g, sign_pattern(g, u, tol, scale=scale)))[1]
 
 
-def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
-               max_segments: Optional[int] = None) -> FlowTrajectory:
+def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTrajectory:
     """Integrate the gradient flow of the total variation from datum f.
 
-    Exact event-driven integration: per segment, the direction is the
-    negated minimum-norm subdifferential element, the segment length is the
-    first zero crossing of a non-flat edge difference, and crossing edges
-    are snapped exactly flat.  Terminates at the mean field.  Each
-    direction comes from a closed form or an integer max-flow and is
-    certified, so there is no iteration cap to set; ``max_segments``
-    bounds the number of segments (default ``16 m + 64``).
+    Exact event-driven integration.  The sign pattern of f is derived once,
+    with ``tol.flat_tol`` relative to the range of f marking the ties, and
+    then carried: per segment, :func:`settle` splits the clusters that are
+    not calibrable and gives the direction (the negated minimum-norm
+    subdifferential element) and its witness; the segment ends at the
+    first zero crossing of a non-flat edge difference; the crossing edges
+    turn flat, and the state is snapped exactly flat over the clusters of
+    the next pattern.  Terminates at the mean field, or raises
+    :class:`PathError` after ``16 m + 64`` segments.
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
@@ -109,7 +151,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
         path = PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
         return FlowTrajectory(path, np.empty((0, m)), np.zeros((1, m)))
 
-    cap = max_segments if max_segments is not None else 16 * m + 64
+    kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale))
     u = f.copy()
     t = 0.0
     bps = [0.0]
@@ -120,27 +162,34 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
     antider = [f_acc.copy()]
     prev_norm = math.inf
 
-    for _ in range(cap):
-        pat = sign_pattern(g, u, tol, scale=scale)
-        if pat.all_flat:
+    for _ in range(event_cap(g)):
+        if kernel.pattern.all_flat:
             break
-        d, h, pat = PatternKernel(g, pat).minimal_section()
+        kernel, d, h = settle(kernel, t)
         dnorm = float(np.linalg.norm(d))
         if dnorm <= 0.0:
-            raise PathError("zero descent direction at t = %r (%d vertices, %d edges)"
-                            % (t, n, m), interval=(t, t))
+            raise PathError("zero descent direction " + failure_site(g, "t", t),
+                            interval=(t, t))
         if dnorm > prev_norm * (1.0 + 1e-9):
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)
         prev_norm = dnorm
 
-        tau, crossing = next_fusion(g, pat, u, d)
+        tau, crossing = next_fusion(g, kernel.pattern, u, d)
         if not 0.0 < tau < math.inf:
-            raise PathError("no edge closes after t = %r (%d vertices, %d edges)"
-                            % (t, n, m), interval=(t, t))
-        # snap the closing edges exactly flat by averaging over the clusters
-        # they join with the edges the pattern keeps flat
-        u_next = FlatClusters(g, pat.flat | crossing).mean(u + tau * d)
+            raise PathError("no edge closes " + failure_site(g, "t", t),
+                            interval=(t, t))
+        labels = kernel.pattern.labels.copy()
+        late = crossing
+        while late.any():
+            # the next pattern's clusters join the closing edges' ends; snap
+            # the state exactly flat over them.  A pinned edge that rounding
+            # in the snap leaves at or past its meeting point closes too
+            labels[late] = 0
+            kernel = PatternKernel(g, SignPattern(labels))
+            u_next = kernel.clusters.mean(u + tau * d)
+            labels = kernel.pattern.labels.copy()
+            late = (labels != 0) & (labels * (u_next[g.tails] - u_next[g.heads]) <= 0.0)
 
         t += tau
         bps.append(t)
@@ -151,12 +200,13 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None, *,
         antider.append(f_acc.copy())
         u = u_next
     else:
-        raise PathError("segment cap %d exceeded at t = %r (%d vertices, %d edges)"
-                        % (cap, t, n, m), interval=(0.0, t))
+        raise PathError("event cap %d exceeded %s" % (event_cap(g),
+                                                      failure_site(g, "t", t)),
+                        interval=(0.0, t))
 
     if float(np.abs(u - mean_field).max()) > 1e-6 * (1.0 + abs(fbar)):
-        raise PathError("flow ended off the mean field at t = %r (%d vertices, %d edges)"
-                        % (t, n, m), interval=(bps[-2] if len(bps) > 1 else 0.0, t))
+        raise PathError("flow ended off the mean field " + failure_site(g, "t", t),
+                        interval=(bps[-2] if len(bps) > 1 else 0.0, t))
 
     left_values = np.asarray(states[:-1], dtype=float).reshape(len(bps) - 1, n)
     slopes = np.asarray(dirs, dtype=float).reshape(len(bps) - 1, n)

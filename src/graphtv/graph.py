@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ class Tolerances:
     solve_tol : inner solver tolerance (gradient-mapping norm for
         projections, relative objective gap for generic convex solves).
 
+    ``flow_solve`` reads ``flat_tol`` only for the ties of its datum;
     ``rof_path`` reads neither: it is exact.
     """
 
@@ -559,172 +561,220 @@ def next_fusion(g: OrientedGraph, pattern: SignPattern, u: np.ndarray,
     return x, closing
 
 
+def event_cap(g: OrientedGraph) -> int:
+    """Cap on the events of one flow or path, ``16 m + 64``."""
+    return 16 * g.edge_count + 64
+
+
+def failure_site(g: OrientedGraph, name: str, x: float) -> str:
+    """The ``at x = ... (n vertices, m edges)`` tail of a flow or path failure."""
+    return "at %s = %r (%d vertices, %d edges)" % (name, x, g.vertex_count,
+                                                   g.edge_count)
+
+
 class PatternKernel:
-    """Closed forms attached to one sign pattern.
+    """Closed forms and exact cluster tests attached to one sign pattern.
 
     Let ``b = div(-labels)`` be the pinned flux of the non-flat edges and
-    ``s = -(cluster mean of b)`` over the clusters of flat edges.  Wherever
-    the pattern holds along the regularization path, the solution at alpha
-    is ``cluster_mean(f) + alpha * s``.  The same ``s`` is the gradient
-    flow's direction on every calibrable cluster, one where some flow in
-    [-1, 1] on the flat edges evens the pinned flux out to its cluster
-    mean; :meth:`minimal_section` splits the other clusters exactly.
+    ``s = -(cluster mean of b)`` over the clusters of flat edges; a pinned
+    edge whose ends the flat edges join is set flat, since u is equal
+    across it.  With ``c = cluster_mean(f)``, ``w = f - c`` (the pull of
+    the datum f) and ``beta = b + s``, the regularization path at alpha is
+    ``c + alpha * s`` iff the pinned edges keep their signs and, with
+    ``t = 1 / alpha``, each cluster carries a flow in [-1, 1] on its flat
+    edges with divergence ``t * w - beta``; such t form an interval.
+
+    Without a datum the pull is zero and only t = 0 matters: a cluster is
+    calibrable when the test passes there, and ``s`` is the gradient flow's
+    direction on every calibrable cluster.  The min cut of a cluster that
+    is not names the cut along which it splits, as in the decomposition
+    algorithm for the minimum-norm base (Fujishige 1980; Hochbaum 2001).
+
+    At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
+    a cluster's test has integer data and goes to :func:`route_demands`.
+    ``parent``, a kernel of zero pull whose splits gave this pattern, lends
+    the flows of its tests at t = 0.
     """
 
-    __slots__ = ("graph", "pattern", "clusters", "pinned", "slope")
+    __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
+                 "intercept", "pull", "beta", "_parent", "_forest", "_start",
+                 "_data", "_flows")
 
-    def __init__(self, g: OrientedGraph, pattern: SignPattern):
-        self.graph = g
-        self.pattern = pattern
-        self.clusters = FlatClusters(g, pattern.flat)
+    def __init__(self, g: OrientedGraph, pattern: SignPattern,
+                 f: Optional[np.ndarray] = None,
+                 parent: Optional["PatternKernel"] = None):
+        clusters = FlatClusters(g, pattern.flat)
+        lab = pattern.labels
+        inside = (lab != 0) & (clusters.labels[g.tails] == clusters.labels[g.heads])
+        if inside.any():
+            # the flat edges keep the same clusters and spanning forest
+            pattern = SignPattern(np.where(inside, 0, lab))
+        self.graph, self.pattern, self.clusters = g, pattern, clusters
         self.pinned = g._div(-pattern.labels.astype(float))
-        self.slope = -self.clusters.mean(self.pinned)
-
-    def line(self, f: np.ndarray) -> tuple:
-        """(intercept, slope) of the regularization path under this pattern."""
-        return self.clusters.mean(f), self.slope
+        self.slope = -clusters.mean(self.pinned)
+        self.beta = self.pinned + self.slope
+        # the datum's line and pull; both zero without a datum
+        self.f, self.intercept, self.pull = f, 0.0, 0.0
+        if f is not None:
+            self.intercept = clusters.mean(f)
+            self.pull = f - self.intercept
+        self._parent = parent
+        self._forest = self._start = None
+        self._data, self._flows = {}, {}
 
     def calibration(self) -> tuple:
         """The integer forest flow with divergence ``sum_P b - |P| b`` on each
         cluster P, |P| at each edge, and the clusters where it exceeds |P|;
         the others are calibrable."""
+        if self._forest is None:
+            g = self.graph
+            cl = self.clusters
+            size = cl.sizes[cl.labels].astype(float)
+            total = np.bincount(cl.labels, self.pinned, cl.count)[cl.labels]
+            forest = cl.forest_flow(total - size * self.pinned)
+            edge_size = size[g.tails]
+            failed = np.zeros(cl.count, dtype=bool)
+            failed[cl.labels[g.tails[np.abs(forest) > edge_size]]] = True
+            self._forest = forest, edge_size, failed
+        return self._forest
+
+    def _pending(self) -> list:
+        # the clusters whose forest flow leaves the box.  With a parent (a
+        # kernel of zero pull whose splits gave this pattern), a cluster the
+        # parent tested at t = 0 and did not split passed, and its flow is
+        # the witness; the parts of a split cluster are smaller than it
+        pending = np.flatnonzero(self.calibration()[2]).tolist()
+        if self._parent is not None:
+            lab, sizes = self.clusters.labels, self.clusters.sizes
+            passed = set()
+            for (_, t), (edges, values, cap) in self._parent._flows.items():
+                k = int(lab[self.graph.tails[edges[0]]])
+                if sizes[k] == cap:
+                    self._flows[k, t] = edges, values, cap
+                    passed.add(k)
+            pending = [k for k in pending if k not in passed]
+        return pending
+
+    def _cluster(self, k: int) -> tuple:
+        # cluster k's vertices, flat edges, size, unit, and the integers
+        # n*unit*w and n*beta
+        if k not in self._data:
+            g, lab = self.graph, self.clusters.labels
+            verts = np.flatnonzero(lab == k).tolist()
+            edges = np.flatnonzero(self.pattern.flat & (lab[g.tails] == k)).tolist()
+            b = self.pinned[verts].astype(np.int64).tolist()
+            n, sb = len(verts), sum(b)
+            unit, w = 1, [0] * n
+            if self.f is not None:
+                ratios = [x.as_integer_ratio() for x in self.f[verts].tolist()]
+                unit = max(den for _, den in ratios)
+                big_f = [num * (unit // den) for num, den in ratios]
+                w = [n * x - sum(big_f) for x in big_f]
+            self._data[k] = verts, edges, n, unit, w, [n * x - sb for x in b]
+        return self._data[k]
+
+    def _route(self, tests: list) -> tuple:
+        # one max-flow over the clusters k at t of the (k, t) pairs, each
+        # started from an integer flow scaled to its capacities; a start
+        # within the capacities shifts every cut's capacity by a constant,
+        # so the verdicts and the cuts closest to the source are those of a
+        # cold start.  Each cluster's flow is kept for witness()
         g = self.graph
-        cl = self.clusters
-        size = cl.sizes[cl.labels].astype(float)
-        total = np.bincount(cl.labels, self.pinned, cl.count)[cl.labels]
-        forest = cl.forest_flow(total - size * self.pinned)
-        edge_size = size[g.tails]
-        failed = np.zeros(cl.count, dtype=bool)
-        failed[cl.labels[g.tails[np.abs(forest) > edge_size]]] = True
-        return forest, edge_size, failed
+        if self._start is None:
+            # the clipped forest flow; a parent's flows scaled down by the
+            # size ratio, as in the decomposition algorithm
+            forest, edge_size, _ = self.calibration()
+            size = edge_size.astype(np.int64)
+            start = np.clip(forest, -edge_size, edge_size).astype(np.int64)
+            for edges, values, cap in (self._parent._flows.values()
+                                       if self._parent is not None else ()):
+                start[edges] = np.asarray(values) * size[edges] // cap
+            self._start = start.tolist()
+        flow = [0] * g.edge_count
+        parts = []
+        for k, t in tests:
+            verts, edges, n, unit, w, beta = self._cluster(k)
+            qu = t.denominator * unit
+            for j in edges:
+                flow[j] = self._start[j] * qu
+            parts.append((verts, edges, qu * n,
+                          [t.numerator * x - qu * y for x, y in zip(w, beta)]))
+        met, reached = route_demands(parts, g.tails.tolist(), g.heads.tolist(), flow)
+        for (k, t), (_, edges, cap, _) in zip(tests, parts):
+            self._flows[k, t] = edges, [flow[j] for j in edges], cap
+        return parts, met, reached
 
-    def minimal_section(self) -> tuple:
-        """Exact minimum-norm subdifferential element, negated, with its witness.
+    def splits(self, alpha: float) -> list:
+        """``(alpha', pins)`` for each cluster that splits at some alpha' >= alpha.
 
-        Returns ``(d, H, refined)``: the flow direction ``d``, a flow ``H``
-        in the pattern box with ``div H = -d``, and the pattern of the state
-        just after moving along ``d`` (flat edges that ``d`` splits become
-        non-flat).  On a cluster P of flat edges the minimum-norm element is
-        the lexicographically optimal base of a cut polytope, found by the
-        decomposition algorithm (Fujishige 1980; Hochbaum 2001):
+        A cluster passing the forest test at t = 0 is calibrable and never
+        splits.  For the others, a Newton (Dinkelbach) search from t = 0
+        runs the max-flow test; while it fails, t moves to where the sink
+        side S of the min cut becomes tight, ``(cap(S) + beta(S)) / w(S)``.
+        The last S splits off; ``pins`` sets the flow into S to +1 on the
+        edges crossing it.  A split due by alpha is reported at alpha.
+        Where w(S) >= 0, as always under zero pull, S splits off at once.
+        """
+        t_now = 1 / Fraction(alpha) if alpha > 0 else None
+        tests = [(k, Fraction(0), None) for k in self._pending()]
+        out = []
+        while tests:
+            parts, met, reached = self._route([(k, t) for k, t, _ in tests])
+            failed = []
+            # t rises strictly at every failed test, up to the current t
+            for (k, t, pins), part, ok in zip(tests, parts, met):
+                if ok:
+                    if pins is not None:
+                        out.append((float(1 / t), pins))
+                    continue
+                t_new, pins = self._cut(k, set(part[0]) - reached)
+                if t_new is None or t_now is not None and t_new >= t_now:
+                    out.append((alpha, pins))
+                else:
+                    failed.append((k, t_new, pins))
+            tests = failed
+        return out
 
-        - P keeps the spanning-forest flow carrying ``cluster_mean(b) - b``
-          wherever that flow fits in [-1, 1]; then ``d = s`` on P.
-        - Otherwise one integer max-flow decides whether some flow of
-          capacity |P| per flat edge has divergence ``sum_P b - |P| b``
-          (the pinned flux ``b`` is an integer).  If so, ``d = -sum_P b/|P|``
-          and ``H = flow/|P|`` on P, exact to one rounding.  If not, the
-          vertices X reachable from the source are where ``d`` lies below
-          the mean: the flat edges leaving X are pinned at 1 in the
-          direction out of X, ``b`` takes their flux, and X and P - X are
-          solved again as clusters of their own.  All pending clusters
-          share one network per round.
+    def _cut(self, k: int, cut: set) -> tuple:
+        # the t where cut is tight (None if w(cut) >= 0), and the pins
+        verts, edges, n, unit, w, beta = self._cluster(k)
+        g = self.graph
+        pins = {}
+        for j in edges:
+            into = int(g.heads[j]) in cut
+            if into != (int(g.tails[j]) in cut):
+                pins[j] = -1 if into else 1
+        w_cut = sum(x for v, x in zip(verts, w) if v in cut)
+        beta_cut = sum(y for v, y in zip(verts, beta) if v in cut)
+        if w_cut >= 0:
+            return None, pins
+        return Fraction((len(pins) * n + beta_cut) * unit, w_cut), pins
 
-        The result is certified before it is returned: ``|H| <= 1``,
-        ``||div H + d||_inf <= 1e-12 (1 + ||d||_inf)``, and on every flat
-        edge ``d`` splits, ``H`` sits at the bound the optimality
-        conditions ask for.  A failed certificate raises
-        :class:`ConvergenceError`.
+    def witness(self, t: Fraction = Fraction(0)) -> np.ndarray:
+        """A flow on the flat edges with divergence ``t * w - beta``, zero on
+        the pinned edges.
+
+        Each cluster takes its forest flow if it fits in [-1, 1], else the
+        flow of the max-flow test at the exact t, which the split search
+        may have run already.  A cluster with no flow in [-1, 1] gets one
+        that misses the divergence; the caller's certificate finds it.
         """
         g = self.graph
         cl = self.clusters
-        flat = self.pattern.flat
-        labels = self.pattern.labels.copy()
-        h = -labels.astype(float)
-        d = self.slope.copy()
-        forest, edge_size, failed = self.calibration()
-        keep = flat & ~failed[cl.labels[g.tails]]
-        h[keep] = forest[keep] / edge_size[keep]
-        if failed.any():
-            self._decompose(failed, np.clip(forest, -edge_size, edge_size),
-                            labels, h, d)
-        residual = float(np.abs(g._div(h) + d).max())
-        dmax = float(np.abs(d).max())
-        dd = d[g.tails] - d[g.heads]
-        split = flat & (dd != 0.0)
-        if (h.size and float(np.abs(h).max()) > 1.0
-                or residual > 1e-12 * (1.0 + dmax)
-                or not np.array_equal(h[split], -np.sign(dd[split]))):
-            raise ConvergenceError(
-                "minimal section failed its certificate (residual %.3g, "
-                "%d vertices, %d edges)" % (residual, g.vertex_count, g.edge_count))
-        return d, h, SignPattern(labels)
-
-    def _decompose(self, failed, start, labels, h, d):
-        # max-flow rounds of minimal_section on the clusters marked failed;
-        # fills labels, h and d on them in place.  Each cluster's network
-        # starts from an integer flow within its capacities (the clipped
-        # forest flow, then the parent cluster's flow rescaled): the max-flow
-        # routes only the rest, and every cut keeps its capacity up to a
-        # constant, so the verdict and the cut closest to the source are
-        # those of a cold start
-        g = self.graph
-        cl = self.clusters
-        eids = np.flatnonzero(self.pattern.flat & failed[cl.labels[g.tails]])
-        et = g.tails[eids].tolist()
-        eh = g.heads[eids].tolist()
-        warm = start[eids].astype(np.int64).tolist()
-        eids = eids.tolist()
-        free = [True] * len(eids)
-        verts = np.flatnonzero(failed[cl.labels])
-        verts = verts[np.argsort(cl.labels[verts], kind="stable")]
-        adj = {v: [] for v in verts.tolist()}
-        for j, (a, c) in enumerate(zip(et, eh)):
-            adj[a].append(j)
-            adj[c].append(j)
-        b = self.pinned.astype(np.int64).tolist()
-
-        def components(part):
-            # clusters of the edges still free within part
-            seen = set()
-            out = []
-            for s in part:
-                if s in seen:
-                    continue
-                seen.add(s)
-                comp = [s]
-                for v in comp:
-                    for j in adj[v]:
-                        w = eh[j] if et[j] == v else et[j]
-                        if free[j] and w not in seen:
-                            seen.add(w)
-                            comp.append(w)
-                out.append(comp)
-            return out
-
-        pending = np.split(verts, np.flatnonzero(np.diff(cl.labels[verts])) + 1)
-        pending = [p.tolist() for p in pending]
-        while pending:
-            parts = []
-            for part in pending:
-                size = len(part)
-                total = sum(b[v] for v in part)
-                edges = [j for v in part for j in adj[v] if free[j] and et[j] == v]
-                parts.append((part, edges, size, [total - size * b[v] for v in part]))
-            met, reached = route_demands(parts, et, eh, warm)
-            pending = []
-            for (part, edges, size, _), ok in zip(parts, met):
-                if ok:
-                    for j in edges:
-                        h[eids[j]] = warm[j] / size
-                    d[part] = -sum(b[v] for v in part) / size
-                    continue
-                for j in edges:
-                    out_of_x = et[j] in reached
-                    if out_of_x != (eh[j] in reached):
-                        # the cut saturates the edge in the direction out of X
-                        val = 1 if out_of_x else -1
-                        free[j] = False
-                        h[eids[j]] = val
-                        labels[eids[j]] = -val
-                        b[eh[j]] += val
-                        b[et[j]] -= val
-                for comp in components(part):
-                    for v in comp:
-                        for j in adj[v]:
-                            if free[j] and et[j] == v:
-                                warm[j] = warm[j] * len(comp) // size
-                    pending.append(comp)
+        if t:
+            h = cl.forest_flow(float(t) * self.pull - self.beta)
+            misfit = np.unique(cl.labels[g.tails[np.abs(h) > 1.0]]).tolist()
+        else:
+            forest, edge_size, failed = self.calibration()
+            h = forest / edge_size
+            misfit = np.flatnonzero(failed).tolist()
+        todo = [(k, t) for k in misfit if (k, t) not in self._flows]
+        if todo:
+            self._route(todo)
+        for k in misfit:
+            edges, values, cap = self._flows[k, t]
+            h[edges] = [x / cap for x in values]
+        return h
 
 
 def subdifferential_membership(g: OrientedGraph, u, candidate,

@@ -62,6 +62,7 @@ def test_calibrated_section_matches_min_norm():
     # minimum-norm element the iterative solve finds
     from graphtv import pattern_box, sign_pattern
     from graphtv.engine import min_norm_divergence
+    from graphtv.flow import settle
     from graphtv.graph import PatternKernel
     rng = np.random.default_rng(SEED + 8)
     with_clusters = 0
@@ -70,9 +71,8 @@ def test_calibrated_section_matches_min_norm():
         # data in {0, 1, 2} leave ties, so clusters of flat edges form
         u = np.round(random_vertex_field(rng, g.vertex_count))
         pat = sign_pattern(g, u)
-        kernel = PatternKernel(g, pat)
-        d, h, refined = kernel.minimal_section()
-        if refined != pat:
+        kernel, d, h = settle(PatternKernel(g, pat))
+        if kernel.pattern != pat:
             continue
         with_clusters += bool((kernel.clusters.sizes > 2).any())
         assert np.array_equal(d, kernel.slope)
@@ -90,6 +90,7 @@ def test_exact_section_matches_min_norm_on_grids():
     # miss) or splits the cluster; both must match the iterative solve
     from graphtv import cartesian_graph, pattern_box, sign_pattern
     from graphtv.engine import min_norm_divergence
+    from graphtv.flow import settle
     from graphtv.graph import PatternKernel
     rng = np.random.default_rng(SEED + 10)
     kinds = {"miss": 0, "split": 0}
@@ -104,8 +105,8 @@ def test_exact_section_matches_min_norm_on_grids():
             forest = kernel.clusters.forest_flow(-kernel.slope - kernel.pinned)
             if np.abs(forest).max() <= 1.0 + 1e-12:
                 continue
-            d, h, refined = kernel.minimal_section()
-            kinds["miss" if refined == pat else "split"] += 1
+            refined, d, h = settle(kernel)
+            kinds["miss" if refined.pattern == pat else "split"] += 1
             assert np.abs(h).max() <= 1.0
             assert pattern_box(pat).contains(h)
             assert np.abs(divergence(g, h) + d).max() <= 1e-12 * (1 + np.abs(d).max())
@@ -153,7 +154,105 @@ def test_minimal_section_certificate_rejects_a_wrong_flow(monkeypatch):
             break
     monkeypatch.setattr(graphtv.graph, "max_flow", saturate)
     with pytest.raises(ConvergenceError, match="certificate"):
-        kernel.minimal_section()
+        minimal_section(g, u, scale=scale)
+
+
+def test_flow_derives_the_pattern_once(monkeypatch):
+    # the flow carries its labels: fusions and splits change them, and the
+    # datum's pattern is the only one thresholded
+    import graphtv.flow
+    from graphtv import cartesian_graph, sign_pattern
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sign_pattern(*args, **kwargs)
+
+    monkeypatch.setattr(graphtv.flow, "sign_pattern", counted)
+    rng = np.random.default_rng(SEED + 13)
+    for g in (cartesian_graph(10, 10), random_connected_graph(rng), path_graph(200)):
+        calls.clear()
+        traj = flow_solve(g, random_vertex_field(rng, g.vertex_count))
+        assert traj.path.segment_count > 1
+        assert len(calls) == 1
+
+
+def test_path_and_flow_share_the_first_slope():
+    # on the ties of f the datum exerts no pull, so the path's first slope
+    # is the flow's direction at f, split for split
+    from graphtv import cartesian_graph, rof_path, sign_pattern
+    from graphtv.graph import PatternKernel
+    rng = np.random.default_rng(SEED + 14)
+    splits = 0
+    for k in range(40):
+        g = cartesian_graph(6, 6) if k % 2 else random_connected_graph(rng)
+        f = rng.integers(0, 4, g.vertex_count).astype(float)
+        if f.max() == f.min():
+            continue
+        slope = rof_path(g, f).slopes[0]
+        assert slope.tobytes() == (-minimal_section(g, f, scale=0.0)).tobytes()
+        unsplit = PatternKernel(g, sign_pattern(g, f, scale=0.0)).slope
+        splits += not np.array_equal(slope, unsplit)
+    assert splits >= 1
+
+
+@pytest.mark.parametrize("fault", ["circulation", "nudge"])
+def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
+    # a circulation around the 4-cycle of a tied 2x2 block keeps the
+    # witness's divergence and pushes it out of [-1, 1]; a nudge of one edge
+    # misses the divergence by 1e-7, far above rounding.  The flow's and
+    # the path's certificates must both raise
+    from graphtv import ConvergenceError, PathError, cartesian_graph, rof_path
+    from graphtv.graph import PatternKernel
+    g = cartesian_graph(3, 3)
+    f = np.array([0.0, 0.0, 5.0, 0.0, 0.0, 7.0, 3.0, 9.0, 1.0])
+    bad = np.zeros(g.edge_count)
+    if fault == "circulation":
+        for (a, b), x in (((1, 0), -2.5), ((4, 1), -2.5), ((4, 3), 2.5), ((3, 0), 2.5)):
+            bad[g.edge_index(a, b)] = x
+        assert np.abs(divergence(g, bad)).max() == 0.0
+    else:
+        bad[0] = 1e-7
+    witness = PatternKernel.witness
+    monkeypatch.setattr(PatternKernel, "witness",
+                        lambda self, *t: witness(self, *t) + bad)
+    with pytest.raises(ConvergenceError, match="certificate"):
+        minimal_section(g, f)
+    with pytest.raises(PathError, match="witness"):
+        rof_path(g, f)
+
+
+def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
+    # pins set against the min cut leave parts whose witnesses still fit;
+    # only the bounds on the cut edges show the fault
+    from graphtv import ConvergenceError, cartesian_graph
+    from graphtv.graph import PatternKernel
+    cut = PatternKernel._cut
+
+    def flipped(self, k, side):
+        t, pins = cut(self, k, side)
+        return t, {j: -x for j, x in pins.items()}
+
+    monkeypatch.setattr(PatternKernel, "_cut", flipped)
+    rng = np.random.default_rng(SEED + 15)
+    g = cartesian_graph(6, 6)
+    f = rng.integers(0, 4, g.vertex_count).astype(float)
+    with pytest.raises(ConvergenceError, match="certificate"):
+        minimal_section(g, f, scale=0.0)
+
+
+def test_flow_closes_edges_that_rounding_carries_past_their_meeting():
+    # at an offset of 1000 the snap's rounding leaves a pinned edge a few
+    # ulps past the point where its ends meet; it must close with the event,
+    # or no edge closes in the next segment.  The flow commutes with adding
+    # a constant
+    from graphtv import cartesian_graph
+    g = cartesian_graph(10, 10)
+    f = random_vertex_field(np.random.default_rng(203), g.vertex_count)
+    base = flow_solve(g, f)
+    shifted = flow_solve(g, f + 1000.0)
+    for t in np.linspace(0.0, base.t_max, 9):
+        assert np.abs(shifted.value_at(t) - 1000.0 - base.value_at(t)).max() < 1e-9
 
 
 def test_flow_path_200_matches_taut_string():

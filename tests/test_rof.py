@@ -123,8 +123,8 @@ def test_path_segments_match_closed_form():
             mid = 0.5 * (lo + hi)
             direct = rof_solve(g, f, mid).u
             pat = sign_pattern(g, direct, scale=scale)
-            intercept, slope = PatternKernel(g, pat).line(f)
-            assert np.abs(intercept + mid * slope - direct).max() < 1e-6 * scale
+            k = PatternKernel(g, pat, f)
+            assert np.abs(k.intercept + mid * k.slope - direct).max() < 1e-6 * scale
             assert np.abs(path.value_at(mid) - direct).max() < 1e-6 * scale
 
 
