@@ -16,7 +16,8 @@ flow leaves the box, the flow of an integer max-flow.  A cluster that is
 not calibrable splits along the max-flow's min cut, and the parts are
 tested again at the same instant (see :func:`settle`).  These are the
 cluster tests of the regularization path with the datum's pull removed:
-both run on :class:`PatternKernel`.
+both run on :class:`PatternKernel`, whose memo keeps a cluster's tests
+from event to event until the cluster changes.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
@@ -101,7 +102,7 @@ def settle(kernel: PatternKernel, t: float = 0.0) -> tuple:
         labels = kernel.pattern.labels.copy()
         for _, pins in splits:
             labels[list(pins)] = list(pins.values())
-        kernel = PatternKernel(g, SignPattern(labels), parent=kernel)
+        kernel = PatternKernel(g, SignPattern(labels), memo=kernel.memo)
         splits = kernel.splits(0.0)
     d = kernel.slope
     h = kernel.witness() - kernel.pattern.labels
@@ -151,7 +152,8 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         path = PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
         return FlowTrajectory(path, np.empty((0, m)), np.zeros((1, m)))
 
-    kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale))
+    memo = {}
+    kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale), memo=memo)
     u = f.copy()
     t = 0.0
     bps = [0.0]
@@ -186,7 +188,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
             # the state exactly flat over them.  A pinned edge that rounding
             # in the snap leaves at or past its meeting point closes too
             labels[late] = 0
-            kernel = PatternKernel(g, SignPattern(labels))
+            kernel = PatternKernel(g, SignPattern(labels), memo=memo)
             u_next = kernel.clusters.mean(u + tau * d)
             labels = kernel.pattern.labels.copy()
             late = (labels != 0) & (labels * (u_next[g.tails] - u_next[g.heads]) <= 0.0)

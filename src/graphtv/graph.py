@@ -572,6 +572,9 @@ def failure_site(g: OrientedGraph, name: str, x: float) -> str:
                                                    g.edge_count)
 
 
+_INTP = np.dtype(np.intp).itemsize
+
+
 class PatternKernel:
     """Closed forms and exact cluster tests attached to one sign pattern.
 
@@ -592,17 +595,21 @@ class PatternKernel:
 
     At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
     a cluster's test has integer data and goes to :func:`route_demands`.
-    ``parent``, a kernel of zero pull whose splits gave this pattern, lends
-    the flows of its tests at t = 0.
+    For a fixed datum the test depends only on the cluster's vertices, their
+    pinned flux b and t, since every edge inside a cluster is flat.
+    ``memo``, a dict that the kernels of one flow or path share, keeps each
+    test under that key: its verdict, the step its min cut gives, and its
+    flow.  A cluster that no event changed finds its tests there.  Once the
+    memo's clusters hold more than n vertices, a new kernel drops the tests
+    of the clusters it does not have, so they hold at most 2n.
     """
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
-                 "intercept", "pull", "beta", "_parent", "_forest", "_start",
-                 "_data", "_flows")
+                 "intercept", "pull", "beta", "memo", "_forest", "_start",
+                 "_groups", "_keys", "_data")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
-                 f: Optional[np.ndarray] = None,
-                 parent: Optional["PatternKernel"] = None):
+                 f: Optional[np.ndarray] = None, memo: Optional[dict] = None):
         clusters = FlatClusters(g, pattern.flat)
         lab = pattern.labels
         inside = (lab != 0) & (clusters.labels[g.tails] == clusters.labels[g.heads])
@@ -618,9 +625,14 @@ class PatternKernel:
         if f is not None:
             self.intercept = clusters.mean(f)
             self.pull = f - self.intercept
-        self._parent = parent
-        self._forest = self._start = None
-        self._data, self._flows = {}, {}
+        self.memo = {} if memo is None else memo
+        self._forest = self._start = self._groups = None
+        self._keys, self._data = {}, {}
+        # live clusters are disjoint, so a memo whose clusters hold more
+        # than n vertices holds dead ones: keep only this kernel's
+        if sum(len(verts) for verts, _ in self.memo) > _INTP * g.vertex_count:
+            for key in [key for key in self.memo if not self._holds(key)]:
+                del self.memo[key]
 
     def calibration(self) -> tuple:
         """The integer forest flow with divergence ``sum_P b - |P| b`` on each
@@ -638,31 +650,54 @@ class PatternKernel:
             self._forest = forest, edge_size, failed
         return self._forest
 
-    def _pending(self) -> list:
-        # the clusters whose forest flow leaves the box.  With a parent (a
-        # kernel of zero pull whose splits gave this pattern), a cluster the
-        # parent tested at t = 0 and did not split passed, and its flow is
-        # the witness; the parts of a split cluster are smaller than it
-        pending = np.flatnonzero(self.calibration()[2]).tolist()
-        if self._parent is not None:
-            lab, sizes = self.clusters.labels, self.clusters.sizes
-            passed = set()
-            for (_, t), (edges, values, cap) in self._parent._flows.items():
-                k = int(lab[self.graph.tails[edges[0]]])
-                if sizes[k] == cap:
-                    self._flows[k, t] = edges, values, cap
-                    passed.add(k)
-            pending = [k for k in pending if k not in passed]
-        return pending
+    def _grouping(self) -> tuple:
+        # every cluster's vertices and flat edges, each in increasing order,
+        # from one stable sort of the labels, with the bounds of each
+        # cluster's run and the integer pinned flux in the vertices' order
+        if self._groups is None:
+            g, cl = self.graph, self.clusters
+            lab = cl.labels
+            order = np.argsort(lab, kind="stable")
+            edges = np.flatnonzero(self.pattern.flat)
+            edge_lab = lab[g.tails[edges]]
+            edges = edges[np.argsort(edge_lab, kind="stable")]
+            starts = np.concatenate(([0], np.cumsum(cl.sizes)))
+            edge_starts = np.concatenate(
+                ([0], np.cumsum(np.bincount(edge_lab, minlength=cl.count))))
+            self._groups = (order, starts, edges, edge_starts,
+                            self.pinned[order].astype(np.int64))
+        return self._groups
+
+    def _key(self, k: int) -> tuple:
+        # cluster k's key in the memo: its vertices and their pinned flux
+        if k not in self._keys:
+            order, starts, _, _, pinned = self._grouping()
+            run = slice(starts[k], starts[k + 1])
+            self._keys[k] = order[run].tobytes(), pinned[run].tobytes()
+        return self._keys[k]
+
+    def _holds(self, key: tuple) -> bool:
+        # whether the cluster of a memo key is one of this kernel's
+        verts = np.frombuffer(key[0], dtype=np.intp)
+        lab = self.clusters.labels[verts]
+        if self.clusters.sizes[lab[0]] != verts.size or (lab != lab[0]).any():
+            return False
+        return self.pinned[verts].astype(np.int64).tobytes() == key[1]
+
+    def _tests(self, key: tuple) -> dict:
+        # the tests run on the cluster of key in this call, by t as a
+        # (numerator, denominator) pair, each as (t, verdict, step, flow):
+        # step is the _cut of a failed test, flow its flow over the
+        # capacity, on the cluster's flat edges in increasing order
+        return self.memo.get(key, {})
 
     def _cluster(self, k: int) -> tuple:
         # cluster k's vertices, flat edges, size, unit, and the integers
         # n*unit*w and n*beta
         if k not in self._data:
-            g, lab = self.graph, self.clusters.labels
-            verts = np.flatnonzero(lab == k).tolist()
-            edges = np.flatnonzero(self.pattern.flat & (lab[g.tails] == k)).tolist()
-            b = self.pinned[verts].astype(np.int64).tolist()
+            order, starts, edges, edge_starts, pinned = self._grouping()
+            verts = order[starts[k]:starts[k + 1]].tolist()
+            b = pinned[starts[k]:starts[k + 1]].tolist()
             n, sb = len(verts), sum(b)
             unit, w = 1, [0] * n
             if self.f is not None:
@@ -670,29 +705,33 @@ class PatternKernel:
                 unit = max(den for _, den in ratios)
                 big_f = [num * (unit // den) for num, den in ratios]
                 w = [n * x - sum(big_f) for x in big_f]
-            self._data[k] = verts, edges, n, unit, w, [n * x - sb for x in b]
+            self._data[k] = (verts, edges[edge_starts[k]:edge_starts[k + 1]].tolist(),
+                             n, unit, w, [n * x - sb for x in b])
         return self._data[k]
 
-    def _route(self, tests: list) -> tuple:
-        # one max-flow over the clusters k at t of the (k, t) pairs, each
-        # started from an integer flow scaled to its capacities; a start
-        # within the capacities shifts every cut's capacity by a constant,
-        # so the verdicts and the cuts closest to the source are those of a
-        # cold start.  Each cluster's flow is kept for witness()
+    def _route(self, tests: list) -> list:
+        # the tests of the clusters k at t of the (k, t) pairs (see
+        # _tests).  The memo's are reused; the others run in one max-flow,
+        # each cluster started from an integer flow scaled to its
+        # capacities.  The clusters are disjoint, and a start within the
+        # capacities shifts every cut's capacity by a constant, so each
+        # verdict and cut closest to the source is that of a cold max-flow
+        # on the cluster alone
+        keys = [self._key(k) for k, _ in tests]
+        found = [self._tests(key).get((t.numerator, t.denominator))
+                 for key, (_, t) in zip(keys, tests)]
+        todo = [i for i, entry in enumerate(found) if entry is None]
+        if not todo:
+            return found
         g = self.graph
         if self._start is None:
-            # the clipped forest flow; a parent's flows scaled down by the
-            # size ratio, as in the decomposition algorithm
             forest, edge_size, _ = self.calibration()
-            size = edge_size.astype(np.int64)
-            start = np.clip(forest, -edge_size, edge_size).astype(np.int64)
-            for edges, values, cap in (self._parent._flows.values()
-                                       if self._parent is not None else ()):
-                start[edges] = np.asarray(values) * size[edges] // cap
-            self._start = start.tolist()
+            start = np.clip(forest, -edge_size, edge_size)
+            self._start = start.astype(np.int64).tolist()
         flow = [0] * g.edge_count
         parts = []
-        for k, t in tests:
+        for i in todo:
+            k, t = tests[i]
             verts, edges, n, unit, w, beta = self._cluster(k)
             qu = t.denominator * unit
             for j in edges:
@@ -700,9 +739,12 @@ class PatternKernel:
             parts.append((verts, edges, qu * n,
                           [t.numerator * x - qu * y for x, y in zip(w, beta)]))
         met, reached = route_demands(parts, g.tails.tolist(), g.heads.tolist(), flow)
-        for (k, t), (_, edges, cap, _) in zip(tests, parts):
-            self._flows[k, t] = edges, [flow[j] for j in edges], cap
-        return parts, met, reached
+        for i, (verts, edges, cap, _), ok in zip(todo, parts, met):
+            k, t = tests[i]
+            step = None if ok else self._cut(k, set(verts) - reached)
+            found[i] = t, ok, step, np.array([flow[j] / cap for j in edges])
+            self.memo.setdefault(keys[i], {})[t.numerator, t.denominator] = found[i]
+        return found
 
     def splits(self, alpha: float) -> list:
         """``(alpha', pins)`` for each cluster that splits at some alpha' >= alpha.
@@ -716,18 +758,19 @@ class PatternKernel:
         Where w(S) >= 0, as always under zero pull, S splits off at once.
         """
         t_now = 1 / Fraction(alpha) if alpha > 0 else None
-        tests = [(k, Fraction(0), None) for k in self._pending()]
+        tests = [(k, Fraction(0), None)
+                 for k in np.flatnonzero(self.calibration()[2]).tolist()]
         out = []
         while tests:
-            parts, met, reached = self._route([(k, t) for k, t, _ in tests])
+            found = self._route([(k, t) for k, t, _ in tests])
             failed = []
             # t rises strictly at every failed test, up to the current t
-            for (k, t, pins), part, ok in zip(tests, parts, met):
+            for (k, t, pins), (_, ok, step, _) in zip(tests, found):
                 if ok:
                     if pins is not None:
                         out.append((float(1 / t), pins))
                     continue
-                t_new, pins = self._cut(k, set(part[0]) - reached)
+                t_new, pins = step
                 if t_new is None or t_now is not None and t_new >= t_now:
                     out.append((alpha, pins))
                 else:
@@ -750,14 +793,38 @@ class PatternKernel:
             return None, pins
         return Fraction((len(pins) * n + beta_cut) * unit, w_cut), pins
 
+    def _between(self, k: int, t: Fraction) -> Optional[np.ndarray]:
+        # cluster k's flow at t from two feasible flows at t_lo < t < t_hi:
+        # its tests in the memo, and at t = 0 a forest flow in the box.  The
+        # divergence is affine in t and the box convex, so their convex
+        # combination is a flow at t; weights x and fl(1 - x) keep it in
+        # [-1, 1] under rounding
+        tests = self._tests(self._key(k)).values()
+        ends = [(s, flow) for s, ok, _, flow in tests if ok]
+        forest, edge_size, failed = self.calibration()
+        if not failed[k]:
+            _, _, edges, edge_starts, _ = self._grouping()
+            part = edges[edge_starts[k]:edge_starts[k + 1]]
+            ends.append((Fraction(0), forest[part] / edge_size[part]))
+        if not ends:
+            return None
+        (lo, h_lo), (hi, h_hi) = (min(ends, key=lambda e: e[0]),
+                                  max(ends, key=lambda e: e[0]))
+        if not lo < t < hi:
+            return None
+        x = float((hi - t) / (hi - lo))
+        return x * h_lo + (1.0 - x) * h_hi
+
     def witness(self, t: Fraction = Fraction(0)) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
         the pinned edges.
 
-        Each cluster takes its forest flow if it fits in [-1, 1], else the
-        flow of the max-flow test at the exact t, which the split search
-        may have run already.  A cluster with no flow in [-1, 1] gets one
-        that misses the divergence; the caller's certificate finds it.
+        Each cluster takes its forest flow if it fits in [-1, 1]; else the
+        flow of its max-flow test at the exact t, which the split search or
+        an earlier event may have run already; else, when feasible flows of
+        its tests lie on both sides of t, their convex combination; else
+        a new max-flow test at t.  A cluster with no flow in [-1, 1] gets
+        one that misses the divergence; the caller's certificate finds it.
         """
         g = self.graph
         cl = self.clusters
@@ -768,12 +835,20 @@ class PatternKernel:
             forest, edge_size, failed = self.calibration()
             h = forest / edge_size
             misfit = np.flatnonzero(failed).tolist()
-        todo = [(k, t) for k in misfit if (k, t) not in self._flows]
-        if todo:
-            self._route(todo)
+        if not misfit:
+            return h
+        _, _, edges, edge_starts, _ = self._grouping()
+        todo = []
         for k in misfit:
-            edges, values, cap = self._flows[k, t]
-            h[edges] = [x / cap for x in values]
+            entry = self._tests(self._key(k)).get((t.numerator, t.denominator))
+            flow = entry[3] if entry is not None else self._between(k, t)
+            if flow is None:
+                todo.append(k)
+            else:
+                h[edges[edge_starts[k]:edge_starts[k + 1]]] = flow
+        if todo:
+            for k, entry in zip(todo, self._route([(k, t) for k in todo])):
+                h[edges[edge_starts[k]:edge_starts[k + 1]]] = entry[3]
         return h
 
 

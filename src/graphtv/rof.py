@@ -190,8 +190,9 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     labels = sign_pattern(g, f, scale=0.0).labels
     alpha = 0.0
     bps, left_values, slopes = [], [], []
+    memo = {}
     for _ in range(event_cap(g)):
-        k = PatternKernel(g, SignPattern(labels), f)
+        k = PatternKernel(g, SignPattern(labels), f, memo)
         c, s = k.intercept, k.slope
         where = "segment %d" % len(bps)
         if k.pattern.all_flat:

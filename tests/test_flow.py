@@ -255,6 +255,120 @@ def test_flow_closes_edges_that_rounding_carries_past_their_meeting():
         assert np.abs(shifted.value_at(t) - 1000.0 - base.value_at(t)).max() < 1e-9
 
 
+def _count_tests(monkeypatch):
+    # the cluster tests that reach the max-flow, as (vertices, capacity, demand)
+    import graphtv.graph
+    seen = []
+    route = graphtv.graph.route_demands
+
+    def recorded(parts, tails, heads, flow):
+        seen.extend((tuple(p[0]), p[2], tuple(p[3])) for p in parts)
+        return route(parts, tails, heads, flow)
+
+    monkeypatch.setattr(graphtv.graph, "route_demands", recorded)
+    return seen
+
+
+def test_memo_changes_no_flow(monkeypatch):
+    # the memo hands back exact verdicts and cuts, so the flow without it
+    # has the same breakpoints, states and slopes, bit for bit.  Random and
+    # tied draws; the ties split clusters at once
+    from graphtv import cartesian_graph
+    from graphtv.graph import PatternKernel
+    seen = _count_tests(monkeypatch)
+    rng = np.random.default_rng(SEED + 16)
+    cases = []
+    for g in (cartesian_graph(10, 10), random_connected_graph(rng), path_graph(200)):
+        cases.append((g, random_vertex_field(rng, g.vertex_count)))
+        cases.append((g, rng.integers(0, 4, g.vertex_count).astype(float)))
+    paths = [flow_solve(g, f).path for g, f in cases]
+    with_memo = len(seen)
+    monkeypatch.setattr(PatternKernel, "_tests", lambda self, key: {})
+    for (g, f), path in zip(cases, paths):
+        bare = flow_solve(g, f).path
+        for name in ("breakpoints", "left_values", "slopes", "terminal_value"):
+            assert getattr(bare, name).tobytes() == getattr(path, name).tobytes()
+    assert 0 < with_memo < len(seen) - with_memo
+
+
+def test_flow_and_path_rerun_no_cluster_test_the_memo_holds(monkeypatch):
+    # a cluster that no event changed finds its tests in the memo, so a
+    # test reaches the max-flow again only if a kernel dropped its cluster
+    # from the memo in between: the cluster dissolved and formed again
+    from graphtv import cartesian_graph, rof_path
+    from graphtv.graph import PatternKernel
+    seen = _count_tests(monkeypatch)
+    dropped = []
+    init = PatternKernel.__init__
+
+    def recorded(self, g, pattern, f=None, memo=None):
+        before = list(memo or ())
+        init(self, g, pattern, f, memo)
+        dropped.extend((len(seen), tuple(np.frombuffer(verts, np.intp).tolist()))
+                       for verts, b in before if (verts, b) not in self.memo)
+
+    monkeypatch.setattr(PatternKernel, "__init__", recorded)
+    g = cartesian_graph(10, 10)
+    f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
+    for solve in (flow_solve, rof_path):
+        seen.clear()
+        dropped.clear()
+        solve(g, f)
+        first = {}
+        for i, test in enumerate(seen):
+            if test in first:
+                assert any(first[test] < at <= i and verts == test[0]
+                           for at, verts in dropped)
+            first[test] = i
+        assert seen
+
+
+def test_certificates_check_memo_hits(monkeypatch):
+    # a memoized flow read back doubled misses its divergence; the flow's
+    # and the path's certificates must both raise
+    from graphtv import ConvergenceError, PathError, cartesian_graph, rof_path
+    from graphtv.graph import PatternKernel
+    tests = PatternKernel._tests
+
+    def doubled(self, key):
+        return {t: (s, ok, step, 2.0 * flow)
+                for t, (s, ok, step, flow) in tests(self, key).items()}
+
+    monkeypatch.setattr(PatternKernel, "_tests", doubled)
+    g = cartesian_graph(10, 10)
+    f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
+    with pytest.raises(ConvergenceError, match="certificate"):
+        flow_solve(g, f)
+    with pytest.raises(PathError, match="witness"):
+        rof_path(g, f)
+
+
+def test_memo_lives_for_one_call(monkeypatch):
+    # each call starts with an empty memo: run twice, it runs every
+    # max-flow twice
+    import graphtv.graph
+    from graphtv import cartesian_graph, rof_path
+    calls = []
+    max_flow = graphtv.graph.max_flow
+
+    def counted(*args):
+        calls.append(1)
+        return max_flow(*args)
+
+    monkeypatch.setattr(graphtv.graph, "max_flow", counted)
+    g = cartesian_graph(8, 8)
+    f = random_vertex_field(np.random.default_rng(SEED + 18), g.vertex_count)
+    scale = float(f.max() - f.min())
+    u = flow_solve(g, f).path.left_values[-4]  # large clusters need max-flows
+    for solve in (lambda: minimal_section(g, u, scale=scale),
+                  lambda: flow_solve(g, f), lambda: rof_path(g, f)):
+        calls.clear()
+        solve()
+        once = len(calls)
+        solve()
+        assert 0 < once and len(calls) == 2 * once
+
+
 def test_flow_path_200_matches_taut_string():
     # a path has no cycles, so every segment is certified in closed form
     from graphtv import taut_string_1d

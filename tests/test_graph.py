@@ -192,6 +192,41 @@ def test_max_flow_known_min_cut():
     assert value == 1 and cut == [True] + [False] * (n - 1)
 
 
+def test_route_demands_batches_disjoint_parts():
+    # the memo of cluster tests rests on this: in one max-flow over
+    # disjoint parts, each part gets the verdict and the reached set it
+    # gets alone, from any start within its capacities
+    from graphtv.graph import route_demands
+    from graphtv.instances import cartesian_graph
+    g = cartesian_graph(8, 8)
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    # eight 2x4 blocks of the row-major grid
+    block = [(v // 16) * 2 + (v % 8) // 4 for v in range(64)]
+    rng = np.random.default_rng(SEED + 5)
+    verdicts = []
+    for _ in range(12):
+        parts = []
+        for b in range(8):
+            vertices = [v for v in range(64) if block[v] == b]
+            edges = [j for j in range(g.edge_count)
+                     if block[tails[j]] == b and block[heads[j]] == b]
+            demand = rng.integers(-3, 4, len(vertices))
+            demand[-1] -= demand.sum()
+            parts.append((vertices, edges, int(rng.integers(1, 4)), demand.tolist()))
+        start = [0] * g.edge_count
+        for _, edges, cap, _ in parts:
+            for j in edges:
+                start[j] = int(rng.integers(-cap, cap + 1))
+        met, reached = route_demands(parts, tails, heads, list(start))
+        for part, ok in zip(parts, met):
+            for flow in (list(start), [0] * g.edge_count):
+                alone, alone_reached = route_demands([part], tails, heads, flow)
+                assert alone == [ok]
+                assert alone_reached == reached & set(part[0])
+            verdicts.append(ok)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
 def test_pattern_box_pins_nonflat_edges():
     g, f = nonequivalence_instance()
     pat = sign_pattern(g, f)

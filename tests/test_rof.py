@@ -232,6 +232,34 @@ def test_path_runs_no_iterative_solve(monkeypatch):
         assert np.abs(path.terminal_value - f.mean()).max() < 1e-9
 
 
+def test_memo_changes_no_path(monkeypatch):
+    # the memo hands back exact verdicts, cuts and split parameters, so the
+    # path without it has the same breakpoints, values and slopes, bit for
+    # bit.  Random and tied draws; the ties split clusters at once
+    import graphtv.graph
+    calls = []
+    route = graphtv.graph.route_demands
+
+    def counted(parts, *args):
+        calls.append(len(parts))
+        return route(parts, *args)
+
+    monkeypatch.setattr(graphtv.graph, "route_demands", counted)
+    rng = np.random.default_rng(SEED + 16)
+    cases = []
+    for g in (cartesian_graph(10, 10), random_connected_graph(rng), path_graph(200)):
+        cases.append((g, random_vertex_field(rng, g.vertex_count)))
+        cases.append((g, rng.integers(0, 4, g.vertex_count).astype(float)))
+    paths = [rof_path(g, f) for g, f in cases]
+    with_memo = sum(calls)
+    monkeypatch.setattr(PatternKernel, "_tests", lambda self, key: {})
+    for (g, f), path in zip(cases, paths):
+        bare = rof_path(g, f)
+        for name in ("breakpoints", "left_values", "slopes", "terminal_value"):
+            assert getattr(bare, name).tobytes() == getattr(path, name).tobytes()
+    assert 0 < with_memo < sum(calls) - with_memo
+
+
 def test_path_certificate_rejects_a_wrong_flow(monkeypatch):
     # a max-flow that reports every cluster feasible with saturated edges
     # hides the splits and gives witnesses whose divergence is wrong
