@@ -45,6 +45,13 @@ def _tolerances(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
     return replace(base, **given)
 
 
+def _reject_unread(args, mode: str, *flags: str) -> None:
+    """A usage error for each tolerance flag given to a mode that never reads it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValidationError("%s has no effect on %s" % (flag, mode))
+
+
 def _emit(args, text: str) -> None:
     if args.output is not None:
         with open(args.output, "w") as fh:
@@ -60,7 +67,10 @@ def _load(args):
 
 
 def _cmd_rof(args) -> int:
-    tol = _tolerances(args)
+    if args.path:
+        _reject_unread(args, "rof --path", "--flat-tol", "--solve-tol")
+    else:
+        _reject_unread(args, "rof --alpha", "--flat-tol")
     g, f = _load(args)
     if args.path:
         path = rof_path(g, f)
@@ -68,7 +78,7 @@ def _cmd_rof(args) -> int:
         write_trajectory(buf, path)
         _emit(args, buf.getvalue())
         return 0
-    sol = rof_solve(g, f, args.alpha, tol)
+    sol = rof_solve(g, f, args.alpha, _tolerances(args))
     doc = {
         "alpha": float(args.alpha),
         "values": [float(x) for x in sol.u],
@@ -80,6 +90,7 @@ def _cmd_rof(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    _reject_unread(args, "flow", "--solve-tol")
     tol = _tolerances(args)
     g, f = _load(args)
     traj = flow_solve(g, f, tol)
@@ -172,13 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Total variation regularization and gradient flow on "
                     "oriented graphs.")
     common = argparse.ArgumentParser(add_help=False)
-    # tolerance flags default to None: each mode fills in its own defaults
+    # tolerance flags default to None: each mode fills in its own defaults,
+    # and a mode that never reads one rejects it (exit 2)
     common.add_argument("--flat-tol", type=float, default=None,
                         help="relative threshold for treating an edge as flat "
-                             "(default 1e-7)")
+                             "(default 1e-7; rof takes none)")
     common.add_argument("--solve-tol", type=float, default=None,
                         help="optimality tolerance for inner solves (default "
-                             "1e-9; 1e-6 in verify --mode phimin|isotropic)")
+                             "1e-9; 1e-6 in verify --mode phimin|isotropic; "
+                             "rof --path and flow take none)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

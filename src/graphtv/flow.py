@@ -16,8 +16,9 @@ flow leaves the box, the flow of an integer max-flow.  A cluster that is
 not calibrable splits along the max-flow's min cut, and the parts are
 tested again at the same instant (see :func:`settle`).  These are the
 cluster tests of the regularization path with the datum's pull removed:
-both run on :class:`PatternKernel`, whose memo keeps a cluster's tests
-from event to event until the cluster changes.
+both run on :class:`PatternKernel`.  Each event's kernel is the
+successor of the last: only the clusters the event fused or split are
+built again, and the memo keeps a cluster's tests until it changes.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
@@ -34,9 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
-                    Tolerances, ensure_vertex_field, event_cap, failure_site,
-                    next_fusion, sign_pattern)
+from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
+                    ensure_vertex_field, event_cap, failure_site, next_fusion,
+                    sign_pattern)
 from .rof import PiecewiseAffinePath, rof_solve
 
 
@@ -100,9 +101,9 @@ def settle(kernel: PatternKernel, t: float = 0.0) -> tuple:
     splits = kernel.splits(0.0)
     while splits:
         labels = kernel.pattern.labels.copy()
-        for _, pins in splits:
+        for _, _, pins in splits:
             labels[list(pins)] = list(pins.values())
-        kernel = PatternKernel(g, SignPattern(labels), memo=kernel.memo)
+        kernel = kernel.successor(labels)
         splits = kernel.splits(0.0)
     d = kernel.slope
     h = kernel.witness() - kernel.pattern.labels
@@ -152,8 +153,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         path = PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
         return FlowTrajectory(path, np.empty((0, m)), np.zeros((1, m)))
 
-    memo = {}
-    kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale), memo=memo)
+    kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale))
     u = f.copy()
     t = 0.0
     bps = [0.0]
@@ -188,7 +188,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
             # the state exactly flat over them.  A pinned edge that rounding
             # in the snap leaves at or past its meeting point closes too
             labels[late] = 0
-            kernel = PatternKernel(g, SignPattern(labels), memo=memo)
+            kernel = kernel.successor(labels)
             u_next = kernel.clusters.mean(u + tau * d)
             labels = kernel.pattern.labels.copy()
             late = (labels != 0) & (labels * (u_next[g.tails] - u_next[g.heads]) <= 0.0)

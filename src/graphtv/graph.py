@@ -349,61 +349,143 @@ def pattern_box(pattern: SignPattern) -> BoxSpec:
     return BoxSpec(lower, upper)
 
 
+def _adjacency(g: OrientedGraph) -> list:
+    # every vertex's edges as (neighbour, edge, +1.0 where the edge points
+    # into the neighbour), edges out of the vertex first, each part in
+    # increasing edge order
+    adj = [[] for _ in range(g.vertex_count)]
+    for e, (a, b) in enumerate(g.edges):
+        adj[a].append((b, e, 1.0))
+    for e, (a, b) in enumerate(g.edges):
+        adj[b].append((a, e, -1.0))
+    return adj
+
+
+class Cluster:
+    """One cluster of flat edges and its breadth-first spanning tree.
+
+    ``order`` lists the vertices as the search from the smallest one
+    reaches them; for i >= 1, ``up[i]`` is the position in ``order`` of
+    vertex ``order[i]``'s parent, ``tree[i - 1]`` the edge between them and
+    ``sign[i - 1]`` +1.0 where that edge points into ``order[i]``.
+    ``verts`` lists the vertices in increasing order.  ``edges`` (see
+    :meth:`FlatClusters.edges`), and :class:`PatternKernel`'s ``key`` and
+    ``data``, are caches filled on first use.  They hold as long as the
+    cluster lives, since neither its edges nor the pinned flux at its
+    vertices can change without changing it.
+    """
+
+    __slots__ = ("order", "up", "tree", "sign", "verts", "edges", "key", "data")
+
+    def __init__(self, order, up, tree, sign):
+        self.order, self.up, self.tree, self.sign = order, up, tree, sign
+        self.verts = sorted(order)
+        self.edges = self.key = self.data = None
+
+    def peel(self, r: list) -> list:
+        """The flows on the tree edges whose divergence is r, a list in the
+        order of ``order`` that sums to zero: the edge above a vertex
+        carries the sum of r over the vertex's subtree.  r is summed in
+        place."""
+        up = self.up
+        for i in range(len(r) - 1, 0, -1):
+            r[up[i]] += r[i]
+        return [s * x for s, x in zip(self.sign, r[1:])]
+
+
+def _grow(adj: list, flat: bytes, verts) -> list:
+    # the clusters of the flat edges over verts, a union of clusters, from
+    # a breadth-first search of each from its smallest vertex
+    seen = set()
+    out = []
+    for root in verts:
+        if root in seen:
+            continue
+        seen.add(root)
+        order, up, tree, sign = [root], [-1], [], []
+        for i, v in enumerate(order):
+            for w, e, into in adj[v]:
+                if flat[e] and w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    up.append(i)
+                    tree.append(e)
+                    sign.append(into)
+        out.append(Cluster(order, up, tree, sign))
+    return out
+
+
 class FlatClusters:
     """Connected components of the graph restricted to a set of flat edges.
 
-    ``labels[v]`` numbers the cluster of vertex v (0 .. count-1) and
-    ``sizes`` counts the vertices per cluster.  A breadth-first spanning
-    forest of the flat edges is kept for :meth:`forest_flow`.  Time and
-    memory are O(n + m).
+    ``labels[v]`` numbers the cluster of vertex v (0 .. count-1, in the
+    order of the clusters' smallest vertices), ``sizes`` counts the
+    vertices per cluster and :meth:`cluster` gives cluster k's
+    :class:`Cluster`, with its breadth-first spanning tree.  A build from
+    scratch takes O(n + m) time and memory.  :meth:`successor` gives the
+    clusters of another set of flat edges from these: it searches again
+    only the clusters with an end of a changed edge, and shares the others.
+    Each cluster's search starts from its smallest vertex and takes the
+    edges in the same order either way, so both give the same trees.
     """
 
-    __slots__ = ("labels", "count", "sizes", "_order", "_parent", "_children",
-                 "_forest_edges", "_into_child", "_edge_count")
+    __slots__ = ("graph", "labels", "count", "sizes", "roots", "_adj", "_root",
+                 "_of")
 
     def __init__(self, g: OrientedGraph, flat: np.ndarray):
         n = g.vertex_count
-        idx = np.flatnonzero(flat)
-        a, b = g.tails[idx], g.heads[idx]
-        ends = np.concatenate((a, b))
-        by_end = np.argsort(ends, kind="stable")
-        nbr = np.concatenate((b, a))[by_end].tolist()
-        eid = np.concatenate((idx, idx))[by_end].tolist()
-        ptr = [0] + np.cumsum(np.bincount(ends, minlength=n)).tolist()
-        labels = [-1] * n
-        parent = [-1] * n
-        parent_edge = [-1] * n
-        order = []
-        count = 0
-        for root in range(n):
-            if labels[root] >= 0:
-                continue
-            labels[root] = count
-            i = len(order)
-            order.append(root)
-            while i < len(order):
-                v = order[i]
-                i += 1
-                for k in range(ptr[v], ptr[v + 1]):
-                    w = nbr[k]
-                    if labels[w] < 0:
-                        labels[w] = count
-                        parent[w] = v
-                        parent_edge[w] = eid[k]
-                        order.append(w)
-            count += 1
-        self.labels = np.asarray(labels, dtype=np.intp)
-        self.count = count
-        self.sizes = np.bincount(self.labels, minlength=count)
-        self._order = order
-        self._parent = parent
-        pe = np.asarray(parent_edge, dtype=np.intp)
-        self._children = np.flatnonzero(pe >= 0)
-        self._forest_edges = pe[self._children]
-        # +1 where the forest edge above a vertex points into it
-        self._into_child = np.where(g.heads[self._forest_edges] == self._children,
-                                    1.0, -1.0)
-        self._edge_count = g.edge_count
+        self._adj = _adjacency(g)
+        born = _grow(self._adj, flat.tobytes(), range(n))
+        self._setup(g, np.empty(n, dtype=np.intp), [None] * n, born)
+
+    def _setup(self, g, root, of, born):
+        # root[v] is the smallest vertex of v's cluster, of[r] the Cluster
+        # whose smallest vertex is r
+        for c in born:
+            of[c.order[0]] = c
+        root[[v for c in born for v in c.order]] = [
+            c.order[0] for c in born for _ in c.order]
+        is_root = root == np.arange(g.vertex_count)
+        first = is_root.cumsum() - 1
+        self.graph, self._root, self._of = g, root, of
+        self.labels = first[root]
+        self.count = int(first[-1]) + 1
+        self.roots = is_root.nonzero()[0]
+        self.sizes = np.bincount(self.labels, minlength=self.count)
+
+    def successor(self, flat: np.ndarray, changed: np.ndarray) -> tuple:
+        """``(clusters, dead, born)``: the clusters of the flat edges
+        ``flat``, which differ from this one's only on the edges
+        ``changed``; this one's clusters with an end of a changed edge,
+        which are gone; and the clusters searched in their place.  A
+        cluster with no end of a changed edge is still a cluster, with the
+        same spanning tree."""
+        g = self.graph
+        ends = [v for e in changed.tolist() for v in g.edges[e]]
+        dead = [self._of[r] for r in set(self._root[ends].tolist())]
+        of = self._of.copy()
+        for c in dead:
+            of[c.order[0]] = None
+        born = _grow(self._adj, flat.tobytes(),
+                     sorted(v for c in dead for v in c.order))
+        out = FlatClusters.__new__(FlatClusters)
+        out._adj = self._adj
+        out._setup(g, self._root.copy(), of, born)
+        return out, dead, born
+
+    def cluster(self, k: int) -> Cluster:
+        """Cluster k."""
+        return self._of[self.roots[k]]
+
+    def edges(self, k: int) -> list:
+        """The edges with both ends in cluster k, in increasing order."""
+        c = self.cluster(k)
+        if c.edges is None:
+            inside = set(c.order)
+            # each edge once, from its tail
+            c.edges = sorted(e for v in c.order for w, e, into in self._adj[v]
+                             if into > 0.0 and w in inside)
+        return c.edges
 
     def mean(self, x: np.ndarray) -> np.ndarray:
         """Per-vertex mean of x over the vertex's cluster."""
@@ -414,17 +496,12 @@ class FlatClusters:
         """The flow on the spanning forest whose divergence is r.
 
         r must sum to zero over every cluster; the flow is unique on the
-        forest and zero on every other edge.  Found by peeling leaves: the
-        forest edge above v carries the sum of r over v's subtree.
+        forest and zero on every other edge (see :meth:`Cluster.peel`).
         """
-        sub = r.tolist()
-        parent = self._parent
-        for v in reversed(self._order):
-            p = parent[v]
-            if p >= 0:
-                sub[p] += sub[v]
-        h = np.zeros(self._edge_count)
-        h[self._forest_edges] = self._into_child * np.asarray(sub)[self._children]
+        h = np.zeros(self.graph.edge_count)
+        r = r.tolist()
+        for c in filter(None, self._of):
+            h[c.tree] = c.peel([r[v] for v in c.order])
         return h
 
 
@@ -600,81 +677,147 @@ class PatternKernel:
     ``memo``, a dict that the kernels of one flow or path share, keeps each
     test under that key: its verdict, the step its min cut gives, and its
     flow.  A cluster that no event changed finds its tests there.  Once the
-    memo's clusters hold more than n vertices, a new kernel drops the tests
+    memo's clusters hold more than n vertices, a successor drops the tests
     of the clusters it does not have, so they hold at most 2n.
+
+    A flow or path builds its first kernel from scratch and each later one
+    with :meth:`successor`, which rebuilds only the clusters an event fused
+    or split.  Each cluster's spanning-tree flows are computed once, when
+    it forms: the integer calibration flow and, with a datum, the flow of
+    the pull, from which the witness at any t follows.
     """
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
-                 "intercept", "pull", "beta", "memo", "_forest", "_start",
-                 "_groups", "_keys", "_data")
+                 "intercept", "pull", "beta", "memo", "_given", "_values",
+                 "_forest", "_pull_flow", "_failed", "_calibration", "_start")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
-                 f: Optional[np.ndarray] = None, memo: Optional[dict] = None):
-        clusters = FlatClusters(g, pattern.flat)
-        lab = pattern.labels
-        inside = (lab != 0) & (clusters.labels[g.tails] == clusters.labels[g.heads])
-        if inside.any():
-            # the flat edges keep the same clusters and spanning forest
-            pattern = SignPattern(np.where(inside, 0, lab))
-        self.graph, self.pattern, self.clusters = g, pattern, clusters
-        self.pinned = g._div(-pattern.labels.astype(float))
-        self.slope = -clusters.mean(self.pinned)
-        self.beta = self.pinned + self.slope
-        # the datum's line and pull; both zero without a datum
-        self.f, self.intercept, self.pull = f, 0.0, 0.0
+                 f: Optional[np.ndarray] = None):
+        n, m = g.vertex_count, g.edge_count
+        self.graph, self.f, self.memo = g, f, {}
+        self._values = None if f is None else f.tolist()
+        self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
+        self.intercept, self.pull, self._pull_flow = 0.0, 0.0, None
         if f is not None:
-            self.intercept = clusters.mean(f)
-            self.pull = f - self.intercept
-        self.memo = {} if memo is None else memo
-        self._forest = self._start = self._groups = None
-        self._keys, self._data = {}, {}
+            self.intercept, self.pull, self._pull_flow = np.empty(n), np.empty(n), np.zeros(m)
+        self._forest, self._failed = np.zeros(m), bytearray(n)
+        clusters = FlatClusters(g, pattern.flat)
+        self._build(pattern, clusters, [], list(filter(None, clusters._of)))
+
+    def successor(self, labels) -> "PatternKernel":
+        """The kernel of the edge labels ``labels``, built from this one.
+
+        It equals ``PatternKernel(g, SignPattern(labels), f)`` and shares
+        this kernel's memo.  Only the clusters with an end of an edge whose
+        label changed are searched again; the others keep their spanning
+        trees, tree flows, memo keys and values.
+        """
+        given = SignPattern(labels)
+        changed = (given.labels != self._given).nonzero()[0]
+        clusters, dead, born = self.clusters.successor(given.flat, changed)
+        out = PatternKernel.__new__(PatternKernel)
+        out.graph, out.f, out.memo, out._values = self.graph, self.f, self.memo, self._values
+        out.pinned, out.slope, out.beta = self.pinned.copy(), self.slope.copy(), self.beta.copy()
+        out.intercept, out.pull, out._pull_flow = 0.0, 0.0, None
+        if self.f is not None:
+            out.intercept, out.pull = self.intercept.copy(), self.pull.copy()
+            out._pull_flow = self._pull_flow.copy()
+        out._forest, out._failed = self._forest.copy(), bytearray(self._failed)
+        out._build(given, clusters, dead, born)
         # live clusters are disjoint, so a memo whose clusters hold more
         # than n vertices holds dead ones: keep only this kernel's
-        if sum(len(verts) for verts, _ in self.memo) > _INTP * g.vertex_count:
-            for key in [key for key in self.memo if not self._holds(key)]:
-                del self.memo[key]
+        if sum(len(verts) for verts, _ in out.memo) > _INTP * out.graph.vertex_count:
+            for key in [key for key in out.memo if not out._holds(key)]:
+                del out.memo[key]
+        return out
+
+    def _build(self, given, clusters, dead, born):
+        # the kernel of the labels given, whose clusters replace the dead
+        # ones by the born ones.  The values at the vertices and tree edges
+        # of the born clusters are set here; the others stand, since no
+        # other cluster's edges or pinned flux changed.  _failed holds a
+        # byte per smallest vertex
+        self._given, self.clusters = given.labels, clusters
+        failed = self._failed
+        for c in dead:
+            failed[c.order[0]] = False
+        gone = [e for c in dead for e in c.tree]
+        if gone:
+            self._forest[gone] = 0.0
+            if self._pull_flow is not None:
+                self._pull_flow[gone] = 0.0
+        adj, lab, f = clusters._adj, memoryview(given.labels), self._values
+        verts, pinned, slope, beta, intercept, pull = [], [], [], [], [], []
+        inside, tree, flows, pulled = [], [], [], []
+        for c in born:
+            order = c.order
+            size = len(order)
+            members = set(order) if c.tree else ()
+            b = []
+            for v in order:
+                x = 0.0
+                for w, e, into in adj[v]:
+                    if lab[e]:
+                        # a pinned edge inside the cluster is set flat,
+                        # since u is equal across it; the search left it
+                        # out of the tree
+                        if w not in members:
+                            x += lab[e] * into
+                        elif into > 0.0:
+                            inside.append(e)
+                b.append(x)
+            total = sum(b)
+            s = -(total / size)
+            verts += order
+            pinned += b
+            slope += [s] * size
+            beta += [x + s for x in b]
+            if f is not None:
+                # summed in vertex order, as np.bincount does
+                mean = 0.0
+                for v in c.verts:
+                    mean += f[v]
+                mean /= size
+                drift = [f[v] - mean for v in order]
+                intercept += [mean] * size
+                pull += drift
+            if c.tree:
+                flow = c.peel([total - size * x for x in b])
+                failed[order[0]] = max(map(abs, flow)) > size
+                tree += c.tree
+                flows += flow
+                if f is not None:
+                    pulled += c.peel(drift)
+        self.pinned[verts], self.slope[verts], self.beta[verts] = pinned, slope, beta
+        self._forest[tree] = flows
+        if f is not None:
+            self.intercept[verts], self.pull[verts] = intercept, pull
+            self._pull_flow[tree] = pulled
+        self.pattern = given
+        if inside:
+            labels = given.labels.copy()
+            labels[inside] = 0
+            self.pattern = SignPattern(labels)
+        self._calibration = self._start = None
 
     def calibration(self) -> tuple:
         """The integer forest flow with divergence ``sum_P b - |P| b`` on each
         cluster P, |P| at each edge, and the clusters where it exceeds |P|;
         the others are calibrable."""
-        if self._forest is None:
-            g = self.graph
+        if self._calibration is None:
             cl = self.clusters
-            size = cl.sizes[cl.labels].astype(float)
-            total = np.bincount(cl.labels, self.pinned, cl.count)[cl.labels]
-            forest = cl.forest_flow(total - size * self.pinned)
-            edge_size = size[g.tails]
-            failed = np.zeros(cl.count, dtype=bool)
-            failed[cl.labels[g.tails[np.abs(forest) > edge_size]]] = True
-            self._forest = forest, edge_size, failed
-        return self._forest
-
-    def _grouping(self) -> tuple:
-        # every cluster's vertices and flat edges, each in increasing order,
-        # from one stable sort of the labels, with the bounds of each
-        # cluster's run and the integer pinned flux in the vertices' order
-        if self._groups is None:
-            g, cl = self.graph, self.clusters
-            lab = cl.labels
-            order = np.argsort(lab, kind="stable")
-            edges = np.flatnonzero(self.pattern.flat)
-            edge_lab = lab[g.tails[edges]]
-            edges = edges[np.argsort(edge_lab, kind="stable")]
-            starts = np.concatenate(([0], np.cumsum(cl.sizes)))
-            edge_starts = np.concatenate(
-                ([0], np.cumsum(np.bincount(edge_lab, minlength=cl.count))))
-            self._groups = (order, starts, edges, edge_starts,
-                            self.pinned[order].astype(np.int64))
-        return self._groups
+            edge_size = cl.sizes[cl.labels[self.graph.tails]].astype(float)
+            failed = np.frombuffer(self._failed, dtype=bool)[cl.roots]
+            self._calibration = self._forest, edge_size, failed
+        return self._calibration
 
     def _key(self, k: int) -> tuple:
         # cluster k's key in the memo: its vertices and their pinned flux
-        if k not in self._keys:
-            order, starts, _, _, pinned = self._grouping()
-            run = slice(starts[k], starts[k + 1])
-            self._keys[k] = order[run].tobytes(), pinned[run].tobytes()
-        return self._keys[k]
+        c = self.clusters.cluster(k)
+        if c.key is None:
+            c.key = (np.asarray(c.verts, dtype=np.intp).tobytes(),
+                     self.pinned[c.verts].astype(np.int64).tobytes())
+        return c.key
 
     def _holds(self, key: tuple) -> bool:
         # whether the cluster of a memo key is one of this kernel's
@@ -694,10 +837,10 @@ class PatternKernel:
     def _cluster(self, k: int) -> tuple:
         # cluster k's vertices, flat edges, size, unit, and the integers
         # n*unit*w and n*beta
-        if k not in self._data:
-            order, starts, edges, edge_starts, pinned = self._grouping()
-            verts = order[starts[k]:starts[k + 1]].tolist()
-            b = pinned[starts[k]:starts[k + 1]].tolist()
+        c = self.clusters.cluster(k)
+        if c.data is None:
+            verts = c.verts
+            b = self.pinned[verts].astype(np.int64).tolist()
             n, sb = len(verts), sum(b)
             unit, w = 1, [0] * n
             if self.f is not None:
@@ -705,9 +848,8 @@ class PatternKernel:
                 unit = max(den for _, den in ratios)
                 big_f = [num * (unit // den) for num, den in ratios]
                 w = [n * x - sum(big_f) for x in big_f]
-            self._data[k] = (verts, edges[edge_starts[k]:edge_starts[k + 1]].tolist(),
-                             n, unit, w, [n * x - sb for x in b])
-        return self._data[k]
+            c.data = (verts, self.clusters.edges(k), n, unit, w, [n * x - sb for x in b])
+        return c.data
 
     def _route(self, tests: list) -> list:
         # the tests of the clusters k at t of the (k, t) pairs (see
@@ -747,15 +889,16 @@ class PatternKernel:
         return found
 
     def splits(self, alpha: float) -> list:
-        """``(alpha', pins)`` for each cluster that splits at some alpha' >= alpha.
+        """``(alpha', t', pins)`` for each cluster that splits at some alpha' >= alpha.
 
         A cluster passing the forest test at t = 0 is calibrable and never
         splits.  For the others, a Newton (Dinkelbach) search from t = 0
         runs the max-flow test; while it fails, t moves to where the sink
         side S of the min cut becomes tight, ``(cap(S) + beta(S)) / w(S)``.
-        The last S splits off; ``pins`` sets the flow into S to +1 on the
-        edges crossing it.  A split due by alpha is reported at alpha.
-        Where w(S) >= 0, as always under zero pull, S splits off at once.
+        The last S splits off at the exact ``t' = 1 / alpha'``; ``pins``
+        sets the flow into S to +1 on the edges crossing it.  A split due
+        by alpha is reported at alpha, with t' None.  Where w(S) >= 0, as
+        always under zero pull, S splits off at once.
         """
         t_now = 1 / Fraction(alpha) if alpha > 0 else None
         tests = [(k, Fraction(0), None)
@@ -768,11 +911,11 @@ class PatternKernel:
             for (k, t, pins), (_, ok, step, _) in zip(tests, found):
                 if ok:
                     if pins is not None:
-                        out.append((float(1 / t), pins))
+                        out.append((float(1 / t), t, pins))
                     continue
                 t_new, pins = step
                 if t_new is None or t_now is not None and t_new >= t_now:
-                    out.append((alpha, pins))
+                    out.append((alpha, None, pins))
                 else:
                     failed.append((k, t_new, pins))
             tests = failed
@@ -803,8 +946,7 @@ class PatternKernel:
         ends = [(s, flow) for s, ok, _, flow in tests if ok]
         forest, edge_size, failed = self.calibration()
         if not failed[k]:
-            _, _, edges, edge_starts, _ = self._grouping()
-            part = edges[edge_starts[k]:edge_starts[k + 1]]
+            part = self.clusters.edges(k)
             ends.append((Fraction(0), forest[part] / edge_size[part]))
         if not ends:
             return None
@@ -817,9 +959,10 @@ class PatternKernel:
 
     def witness(self, t: Fraction = Fraction(0)) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
-        the pinned edges.
+        the pinned edges; t > 0 needs a datum.
 
-        Each cluster takes its forest flow if it fits in [-1, 1]; else the
+        Each cluster takes its forest flow, ``t`` times that of the pull
+        plus the calibration flow over |C|, if it fits in [-1, 1]; else the
         flow of its max-flow test at the exact t, which the split search or
         an earlier event may have run already; else, when feasible flows of
         its tests lie on both sides of t, their convex combination; else
@@ -827,17 +970,15 @@ class PatternKernel:
         one that misses the divergence; the caller's certificate finds it.
         """
         g = self.graph
-        cl = self.clusters
+        forest, edge_size, failed = self.calibration()
+        h = forest / edge_size
         if t:
-            h = cl.forest_flow(float(t) * self.pull - self.beta)
-            misfit = np.unique(cl.labels[g.tails[np.abs(h) > 1.0]]).tolist()
+            h += float(t) * self._pull_flow
+            misfit = np.unique(self.clusters.labels[g.tails[np.abs(h) > 1.0]]).tolist()
         else:
-            forest, edge_size, failed = self.calibration()
-            h = forest / edge_size
             misfit = np.flatnonzero(failed).tolist()
         if not misfit:
             return h
-        _, _, edges, edge_starts, _ = self._grouping()
         todo = []
         for k in misfit:
             entry = self._tests(self._key(k)).get((t.numerator, t.denominator))
@@ -845,10 +986,10 @@ class PatternKernel:
             if flow is None:
                 todo.append(k)
             else:
-                h[edges[edge_starts[k]:edge_starts[k + 1]]] = flow
+                h[self.clusters.edges(k)] = flow
         if todo:
             for k, entry in zip(todo, self._route([(k, t) for k in todo])):
-                h[edges[edge_starts[k]:edge_starts[k + 1]]] = entry[3]
+                h[self.clusters.edges(k)] = entry[3]
         return h
 
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .engine import BoxSpec, SolveReport, project_onto_div_box
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
-                    Tolerances, ensure_vertex_field, event_cap, failure_site,
-                    next_fusion, sign_pattern)
+from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
+                    ensure_vertex_field, event_cap, failure_site, next_fusion,
+                    sign_pattern)
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,14 @@ def _fail(g: OrientedGraph, cause: str, alpha: float, where: str):
                     interval=(alpha, alpha))
 
 
-def _certify(kernel: PatternKernel, alpha: float, where: str) -> None:
+def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction],
+             where: str) -> None:
     """Check that the kernel's line solves the problem at alpha, or raise PathError.
 
-    Pinned edges keep their signs, and the kernel's witness at ``t = 1 /
-    alpha`` has divergence ``t * w - beta`` on every cluster.  At alpha =
-    0, w vanishes on the ties of f; t = 0 is used.
+    Pinned edges keep their signs, and the kernel's witness at ``t``, the
+    exact ``1 / alpha`` of a split or else ``1 / Fraction(alpha)``, has
+    divergence ``t * w - beta`` on every cluster.  At alpha = 0, w
+    vanishes on the ties of f; t = 0 is used.
     """
     g = kernel.graph
     c, s = kernel.intercept, kernel.slope
@@ -161,7 +163,8 @@ def _certify(kernel: PatternKernel, alpha: float, where: str) -> None:
     lab = kernel.pattern.labels
     if float((lab * (u[g.tails] - u[g.heads])).min()) < -1e-11 * scale:
         _fail(g, "a pinned edge changes sign", alpha, where)
-    t = 1 / Fraction(alpha) if alpha > 0 else Fraction(0)
+    if t is None:
+        t = 1 / Fraction(alpha) if alpha > 0 else Fraction(0)
     h = kernel.witness(t)
     r = float(t) * kernel.pull - kernel.beta
     residual = float(np.abs(g._div(h) - r).max())
@@ -179,24 +182,23 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     a non-flat edge meet, as in the flow) or split (:meth:`PatternKernel.splits`).
     The path starts from the clusters of exactly equal values in f.  No
     iterative solve runs.  Both ends of every segment are certified, which
-    covers the segment, or :class:`PathError` is raised.  The terminal value
-    is the mean field.  The path reads no tolerance.
+    covers the segment, or :class:`PathError` is raised; an end at a split
+    is certified at the split's exact parameter.  The terminal value is the
+    mean field.  The path reads no tolerance.
     """
     f = ensure_vertex_field(g, f, "f")
     n = g.vertex_count
     if float(f.max() - f.min()) == 0.0:
         return PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
 
-    labels = sign_pattern(g, f, scale=0.0).labels
-    alpha = 0.0
+    k = PatternKernel(g, sign_pattern(g, f, scale=0.0), f)
+    alpha, t = 0.0, Fraction(0)
     bps, left_values, slopes = [], [], []
-    memo = {}
     for _ in range(event_cap(g)):
-        k = PatternKernel(g, SignPattern(labels), f, memo)
         c, s = k.intercept, k.slope
         where = "segment %d" % len(bps)
         if k.pattern.all_flat:
-            _certify(k, alpha, "terminal " + where)
+            _certify(k, alpha, t, "terminal " + where)
             break
         _, fused = next_fusion(g, k.pattern, c + alpha * s, s)
         # where the lines across the fusing edges meet, from the lines alone
@@ -204,23 +206,27 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
         fuse_at = float(((c[tails] - c[heads])
                          / (s[heads] - s[tails])).min(initial=math.inf))
         splits = k.splits(alpha)
-        nxt = min([fuse_at] + [a for a, _ in splits])
+        # the first event, a split's with its exact t
+        nxt, t_nxt = min([(a, t_a) for a, t_a, _ in splits] + [(fuse_at, None)],
+                         key=lambda event: event[0])
         if nxt == math.inf:
             _fail(g, "no event ahead", alpha, where)
         if nxt > alpha:
-            _certify(k, alpha, where)
-            _certify(k, nxt, where)
+            _certify(k, alpha, t, where)
+            _certify(k, nxt, t_nxt, where)
             bps.append(alpha)
             left_values.append(c + alpha * s)
             slopes.append(s)
+            t = t_nxt
         # events within a relative 1e-12 of the step meet in exact arithmetic
         limit = alpha + (nxt - alpha) * (1.0 + 1e-12)
         labels = k.pattern.labels.copy()
         if fuse_at <= limit:
             labels[fused] = 0
-        for a, pins in splits:
+        for a, _, pins in splits:
             if a <= limit:
                 labels[list(pins)] = list(pins.values())
+        k = k.successor(labels)
         alpha = nxt
     else:
         _fail(g, "event cap %d exceeded" % event_cap(g), alpha, where)

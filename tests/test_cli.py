@@ -162,3 +162,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
+    # rof --path reads no tolerance, rof --alpha no flat threshold, and the
+    # flow runs no inner solve: each such flag is a usage error naming the
+    # flag and the mode
+    cases = [(["rof", problem_file, "--path"], "--flat-tol", "rof --path"),
+             (["rof", problem_file, "--path"], "--solve-tol", "rof --path"),
+             (["rof", problem_file, "--alpha", "1"], "--flat-tol", "rof --alpha"),
+             (["flow", problem_file, "--t-end", "1"], "--solve-tol", "flow"),
+             (["flow", problem_file, "--trajectory"], "--solve-tol", "flow")]
+    for argv, flag, mode in cases:
+        assert main(argv + [flag, "1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "%s has no effect on %s" % (flag, mode) in captured.err
+    # the flags each mode reads are still taken
+    assert main(["rof", problem_file, "--alpha", "1", "--solve-tol", "1e-10"]) == 0
+    assert main(["flow", problem_file, "--t-end", "1", "--flat-tol", "1e-6"]) == 0
+    assert main(["compare", problem_file, "--grid", "1", "--flat-tol", "1e-6",
+                 "--solve-tol", "1e-10"]) == 0
+    capsys.readouterr()

@@ -299,15 +299,17 @@ def test_flow_and_path_rerun_no_cluster_test_the_memo_holds(monkeypatch):
     from graphtv.graph import PatternKernel
     seen = _count_tests(monkeypatch)
     dropped = []
-    init = PatternKernel.__init__
+    successor = PatternKernel.successor
 
-    def recorded(self, g, pattern, f=None, memo=None):
-        before = list(memo or ())
-        init(self, g, pattern, f, memo)
+    def recorded(self, labels):
+        # a kernel built from scratch starts a call with an empty memo
+        before = list(self.memo)
+        out = successor(self, labels)
         dropped.extend((len(seen), tuple(np.frombuffer(verts, np.intp).tolist()))
-                       for verts, b in before if (verts, b) not in self.memo)
+                       for verts, b in before if (verts, b) not in out.memo)
+        return out
 
-    monkeypatch.setattr(PatternKernel, "__init__", recorded)
+    monkeypatch.setattr(PatternKernel, "successor", recorded)
     g = cartesian_graph(10, 10)
     f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
     for solve in (flow_solve, rof_path):
@@ -513,3 +515,24 @@ def test_invalid_inputs():
         flow_backward_euler(g, f, -1.0, 0.1)
     with pytest.raises(ValidationError):
         flow_backward_euler(g, f, 1.0, 0.0)
+
+
+def test_successors_relabel_a_small_share_of_the_vertices(monkeypatch):
+    # each event searches again only the clusters it fuses or splits; a
+    # kernel built from scratch would label all n vertices per segment
+    from graphtv import rof_path
+    from graphtv.graph import FlatClusters
+    relabelled = []
+    successor = FlatClusters.successor
+
+    def counted(self, flat, changed):
+        out = successor(self, flat, changed)
+        relabelled.append(sum(len(c.order) for c in out[2]))
+        return out
+
+    monkeypatch.setattr(FlatClusters, "successor", counted)
+    g = path_graph(1000)
+    f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+    segments = flow_solve(g, f).path.segment_count + rof_path(g, f).segment_count
+    assert segments > 1000
+    assert sum(relabelled) < 0.05 * segments * g.vertex_count

@@ -292,3 +292,86 @@ def test_tolerances_validation():
         Tolerances(flat_tol=0.0)
     with pytest.raises(ValidationError):
         Tolerances(solve_tol=-1e-9)
+
+
+def _kernel_bytes(kernel, t):
+    # what a successor must reproduce, as bytes.  The memo is emptied
+    # first: a memo flow comes from a max-flow with another start
+    kernel.memo.clear()
+    forest, _, failed = kernel.calibration()
+    parts = [kernel.clusters.labels, kernel.clusters.sizes, kernel.pattern.labels,
+             kernel.pinned, kernel.slope, kernel.beta, np.asarray(kernel.intercept),
+             np.asarray(kernel.pull), failed, forest, kernel.witness()]
+    if kernel.f is not None:
+        parts.append(kernel.witness(t))
+    return [x.tobytes() for x in parts]
+
+
+def _check_values(kernel, labels):
+    # the kernel's values against numpy's arithmetic, in which a kernel was
+    # built before successors: a pinned edge inside a cluster turns flat,
+    # and cluster sums run in vertex order, as np.bincount sums
+    g, cl = kernel.graph, kernel.clusters
+    inside = (labels != 0) & (cl.labels[g.tails] == cl.labels[g.heads])
+    pattern = np.where(inside, 0, labels).astype(np.int8)
+    pinned = divergence(g, -pattern.astype(float))
+    slope = -cl.mean(pinned)
+    expected = [pattern, pinned, slope, pinned + slope]
+    actual = [kernel.pattern.labels, kernel.pinned, kernel.slope, kernel.beta]
+    if kernel.f is not None:
+        expected += [cl.mean(kernel.f), kernel.f - cl.mean(kernel.f)]
+        actual += [kernel.intercept, kernel.pull]
+    assert [x.tobytes() for x in actual] == [x.tobytes() for x in expected]
+
+
+def _successor_chains(seed):
+    # random fusions, splits along random cuts and relabelled edges on
+    # grids, random graphs and paths, with and without a datum; each
+    # successor must equal the kernel built from scratch, byte for byte
+    from fractions import Fraction
+    from graphtv.graph import PatternKernel
+    from graphtv.instances import cartesian_graph, path_graph
+    rng = np.random.default_rng(seed)
+    graphs = [cartesian_graph(6, 6), cartesian_graph(4, 7), path_graph(40)]
+    graphs += [random_connected_graph(rng) for _ in range(3)]
+    for g in graphs:
+        n, m = g.vertex_count, g.edge_count
+        f = random_vertex_field(rng, n)
+        ties = sign_pattern(g, rng.integers(0, 3, n).astype(float))
+        for datum in (None, f):
+            kernel = PatternKernel(g, ties, datum)
+            for _ in range(30):
+                labels = kernel.pattern.labels.copy()
+                move = rng.integers(3)
+                if move == 0:
+                    labels[rng.choice(m, rng.integers(1, 4))] = 0
+                elif move == 1:
+                    cl = kernel.clusters.labels
+                    k = cl[rng.integers(n)]
+                    side = rng.random(n) < 0.5
+                    cut = (cl[g.tails] == k) & (side[g.tails] != side[g.heads])
+                    labels[cut] = np.where(side[g.heads[cut]], -1, 1)
+                else:
+                    pick = rng.choice(m, rng.integers(1, 4))
+                    labels[pick] = rng.integers(-1, 2, pick.size)
+                kernel = kernel.successor(labels)
+                fresh = PatternKernel(g, SignPattern(labels), datum)
+                _check_values(kernel, labels)
+                t = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+                assert _kernel_bytes(kernel, t) == _kernel_bytes(fresh, t)
+
+
+def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
+    import graphtv.graph
+    _successor_chains(SEED + 9)
+    # a successor that leaves one part of a split cluster with its old
+    # label must fail the comparison
+    grow = graphtv.graph._grow
+
+    def skip_a_part(adj, flat, verts):
+        out = grow(adj, flat, verts)
+        return out if isinstance(verts, range) or len(out) < 2 else out[:-1]
+
+    monkeypatch.setattr(graphtv.graph, "_grow", skip_a_part)
+    with pytest.raises(AssertionError):
+        _successor_chains(SEED + 9)
