@@ -18,7 +18,8 @@ without a proximal map gets one by bisection on its subgradient.  The
 divergence is applied through the graph's index arrays, in O(n + m) time
 and memory.
 
-All functions are pure: no global state, no internal threads.
+All functions are pure: no global state, no internal threads.  Their
+reductions avoid BLAS, so results do not depend on its thread count.
 """
 
 from __future__ import annotations
@@ -52,9 +53,13 @@ class SolveReport:
     objective : final objective value.
     optimality : final optimality measure.  For projections this is the
         gradient-mapping norm; for separable solves it is a certified bound
-        on the objective gap.
+        on the objective gap; for a certified ``rof_solve`` the residual
+        ``max |f + div(dual_flow) - u|`` of its optimality conditions.
     converged : whether the stopping criterion was met within the cap.
-    method : short tag naming the algorithm that produced the result.
+    method : short tag naming the algorithm that produced the result:
+        ``apgd-projection``, ``apgd-smooth``, ``apgd-smoothing``, or for
+        ``rof_solve`` also ``kkt-forest`` and ``kkt-maxflow`` (certified
+        closed forms, see :func:`graphtv.rof.rof_solve`) and ``identity``.
     """
 
     iterations: int
@@ -379,7 +384,11 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
 
     def check(x, z, fx):
         grad = g._div_adjoint(slope(z))
-        gm = float(np.linalg.norm(x - project(x - step * grad))) * lips
+        # np.sum adds pairwise in a fixed order; a BLAS dot product (and so
+        # np.linalg.norm) splits long vectors over threads, and the result
+        # would follow the thread count
+        d = x - project(x - step * grad)
+        gm = math.sqrt(float(np.sum(d * d))) * lips
         return measure(gm, fx)
 
     x = project(np.asarray(x0, dtype=float))
@@ -457,7 +466,7 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
 
     def value(z):
         r = z - target
-        return 0.5 * float(r @ r)
+        return 0.5 * float(np.sum(r * r))  # not r @ r: see check above
 
     # stop slightly inside the contract so downstream 10*solve_tol
     # invariants (warm-start independence) hold with margin

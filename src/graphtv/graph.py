@@ -42,7 +42,9 @@ class Tolerances:
         projections, relative objective gap for generic convex solves).
 
     ``flow_solve`` reads ``flat_tol`` only for the ties of its datum;
-    ``rof_path`` reads neither: it is exact.
+    ``rof_path`` reads neither: it is exact.  ``rof_solve`` reads no
+    ``flat_tol``, and ``solve_tol`` bounds only its uncertified fallback:
+    its certified answers are exact closed forms, whatever ``solve_tol``.
     """
 
     flat_tol: float = 1e-7
@@ -957,26 +959,38 @@ class PatternKernel:
         x = float((hi - t) / (hi - lo))
         return x * h_lo + (1.0 - x) * h_hi
 
-    def witness(self, t: Fraction = Fraction(0)) -> np.ndarray:
+    def witness(self, t: Fraction = Fraction(0),
+                start: Optional[np.ndarray] = None) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
         the pinned edges; t > 0 needs a datum.
 
         Each cluster takes its forest flow, ``t`` times that of the pull
-        plus the calibration flow over |C|, if it fits in [-1, 1]; else the
-        flow of its max-flow test at the exact t, which the split search or
-        an earlier event may have run already; else, when feasible flows of
-        its tests lie on both sides of t, their convex combination; else
-        a new max-flow test at t.  A cluster with no flow in [-1, 1] gets
-        one that misses the divergence; the caller's certificate finds it.
+        plus the calibration flow over |C|, if it fits in [-1, 1] (an
+        overshoot of at most 1e-12, which rounding alone gives, is clipped);
+        else ``start`` repaired (see :meth:`_repair`), if given and it fits;
+        else the flow of its max-flow test at the exact t, which the split
+        search or an earlier event may have run already; else, when
+        feasible flows of its tests lie on both sides of t, their convex
+        combination; else a new max-flow test at t.  A cluster with no flow
+        in [-1, 1] gets one that misses the divergence; the caller's
+        certificate finds it.
         """
         g = self.graph
         forest, edge_size, failed = self.calibration()
         h = forest / edge_size
         if t:
             h += float(t) * self._pull_flow
-            misfit = np.unique(self.clusters.labels[g.tails[np.abs(h) > 1.0]]).tolist()
+            size = np.abs(h)
+            over = size > 1.0
+            rounded = over & (size <= 1.0 + 1e-12)
+            h[rounded] = np.sign(h[rounded])
+            cl = self.clusters
+            misfit = np.flatnonzero(np.bincount(cl.labels[g.tails[over & ~rounded]],
+                                                minlength=cl.count)).tolist()
         else:
             misfit = np.flatnonzero(failed).tolist()
+        if misfit and start is not None:
+            misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
         if not misfit:
             return h
         todo = []
@@ -991,6 +1005,38 @@ class PatternKernel:
             for k, entry in zip(todo, self._route([(k, t) for k in todo])):
                 h[self.clusters.edges(k)] = entry[3]
         return h
+
+    def _repair(self, h: np.ndarray, start: np.ndarray, r: np.ndarray,
+                ks: list) -> list:
+        # sets h on each cluster k of ks to start, a flow in [-1, 1], plus
+        # the flow on a spanning tree of the cluster that carries start's
+        # divergence error r - div(start), where it fits in [-1, 1]; the
+        # tree is the cluster's own where all its edges have the slack
+        # |start| < 1 - 1e-5, else a breadth-first tree of the edges that
+        # have it.  Returns the clusters it could not set
+        cl, flat = self.clusters, self.pattern.flat
+        flow = np.where(flat, start, 0.0)
+        err = (r - self.graph._div(flow)).tolist()
+        slack = flat & (np.abs(flow) < 1.0 - 1e-5)
+        loose = None
+        left = []
+        for k in ks:
+            c = cl.cluster(k)
+            if not slack[c.tree].all():
+                if loose is None:
+                    loose = slack.tobytes()
+                c = _grow(cl._adj, loose, c.order[:1])[0]
+                if len(c.order) < cl.sizes[k]:
+                    left.append(k)
+                    continue
+            # the clusters are disjoint, so each adds to its own edges
+            flow[c.tree] += c.peel([err[v] for v in c.order])
+            part = cl.edges(k)
+            if float(np.abs(flow[part]).max()) > 1.0:
+                left.append(k)
+            else:
+                h[part] = flow[part]
+        return left
 
 
 def subdifferential_membership(g: OrientedGraph, u, candidate,

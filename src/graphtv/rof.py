@@ -9,7 +9,10 @@ and a coupled-constraint (isotropic) variant on Cartesian grid graphs.
 The path is traced exactly with no iterative solve: under a sign pattern
 it is a line, which ends where two clusters meet (a fusion) or where a
 parametric max-flow finds that a cluster breaks up (a split; Hoefling
-2010).  Both ends of every segment are certified.
+2010).  Both ends of every segment are certified.  A solve at one alpha
+uses the projection only to identify the sign pattern, and returns the
+pattern's line at alpha once the same certificate holds there (Hochbaum
+2001; Chambolle & Darbon 2009).
 """
 
 from __future__ import annotations
@@ -97,22 +100,47 @@ class PiecewiseAffinePath:
         return np.zeros_like(self.terminal_value) if k < 0 else self.slopes[k].copy()
 
 
-def _regularize(g, f, alpha, constraint, tol, warm_start, max_iter, name):
-    # shared body of rof_solve and isotropic_rof_solve; constraint(alpha)
-    # builds the dual constraint set
-    tol = tol if tol is not None else DEFAULT_TOL
+def _checked(g, f, alpha):
+    # the checked datum and alpha of a solve
     f = ensure_vertex_field(g, f, "f")
     alpha = float(alpha)
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ValidationError("alpha must be finite and nonnegative")
-    if alpha == 0.0:
-        return RofSolution(0.0, f.copy(), np.zeros(g.edge_count),
-                           SolveReport(0, 0.0, 0.0, True, method="identity"))
-    h, report = project_onto_div_box(g, f, constraint(alpha), tol,
-                                     warm_start=warm_start, max_iter=max_iter)
-    if not report.converged:
-        raise ConvergenceError("%s projection did not converge" % name, report)
-    return RofSolution(alpha, f - g._div(h), -h, report)
+    return f, alpha
+
+
+def _unconverged(g, name, alpha, report):
+    return ConvergenceError("%s projection did not converge %s"
+                            % (name, failure_site(g, "alpha", alpha)), report)
+
+
+def _identity(g, f):
+    return RofSolution(0.0, f.copy(), np.zeros(g.edge_count),
+                       SolveReport(0, 0.0, 0.0, True, method="identity"))
+
+
+# The accuracy, relative to the data range, at which rof_solve's projection
+# stops to identify the sign pattern; the certificate, not this tolerance,
+# decides whether the pattern is right
+IDENTIFY_TOL = 5e-7
+# The share of the data range below which an edge difference of the
+# identifying iterate counts as flat
+IDENTIFY_FLAT = Tolerances(flat_tol=1e-7)
+
+
+def _closed_form(g, f, alpha, h, scale, iterations) -> Optional[RofSolution]:
+    # the closed form of the sign pattern of the iterate h, with its dual
+    # flow, if the certificate holds; its witness starts from h / alpha
+    k = PatternKernel(g, sign_pattern(g, f - g._div(h), IDENTIFY_FLAT, scale=scale), f)
+    witness, _ = _certify(k, alpha, start=h / alpha)
+    if witness is None:
+        return None
+    u = k.intercept + alpha * k.slope
+    dual = -alpha * (witness - k.pattern.labels)
+    optimality = float(np.abs(f + g._div(dual) - u).max())
+    return RofSolution(alpha, u, dual, SolveReport(
+        iterations, 0.5 * float(np.sum(u * u)), optimality, True,
+        method="kkt-maxflow" if k.memo else "kkt-forest"))
 
 
 def rof_solve(g: OrientedGraph, f, alpha: float,
@@ -120,13 +148,50 @@ def rof_solve(g: OrientedGraph, f, alpha: float,
               warm_start=None, max_iter: int = 1_000_000) -> RofSolution:
     """Solve the graph total-variation regularization problem at one alpha.
 
+    Identify, then certify.  The dual projection runs to the loose
+    tolerance ``IDENTIFY_TOL`` of the data range, only to identify the sign
+    pattern of ``u``; the answer is that pattern's closed form
+    ``cluster_mean(f) + alpha * s`` (:class:`PatternKernel`), returned when
+    its optimality conditions hold: pinned edges keep their signs, and a
+    flow in [-alpha, alpha] on the flat edges closes the divergence.  On
+    each cluster that flow is the spanning-tree flow where it fits; else
+    the iterate's own, its divergence error routed on a spanning tree of
+    the edges with slack; else a max-flow's (:meth:`PatternKernel.witness`).
+    ``report.method`` is then ``kkt-forest``, or
+    ``kkt-maxflow`` when a cluster needed a max-flow, and
+    ``report.optimality`` the residual ``max |f + div(dual_flow) - u|``.
+
+    When the certificate fails, the projection continues from its iterate
+    to ``tol.solve_tol`` and the pattern is certified once more.  Only if
+    that fails too is the iterate itself returned (method
+    ``apgd-projection``), so ``solve_tol`` bounds only this uncertified
+    fallback; ``--solve-tol`` has that effect on ``graphtv rof --alpha``.
+    The flat threshold of ``tol`` is not read.
+
     ``warm_start`` accepts a prior solution's negated dual flow (the raw
     projection variable); passing the previous ``-solution.dual_flow`` makes
-    parameter sweeps much cheaper.  Raises :class:`ConvergenceError` when
-    the projection does not reach tolerance within ``max_iter``.
+    parameter sweeps much cheaper.  Raises :class:`ConvergenceError`, naming
+    n, m and alpha, when the fallback does not reach ``solve_tol`` within
+    ``max_iter`` iterations in all.
     """
-    return _regularize(g, f, alpha, lambda a: BoxSpec.uniform(g.edge_count, a),
-                       tol, warm_start, max_iter, "regularization")
+    tol = tol if tol is not None else DEFAULT_TOL
+    f, alpha = _checked(g, f, alpha)
+    if alpha == 0.0:
+        return _identity(g, f)
+    box = BoxSpec.uniform(g.edge_count, alpha)
+    scale = float(f.max() - f.min()) or 1.0
+    h, iterations = warm_start, 0
+    for stop in (IDENTIFY_TOL * scale, tol.solve_tol):
+        h, report = project_onto_div_box(g, f, box, Tolerances(solve_tol=stop),
+                                         warm_start=h, max_iter=max_iter - iterations)
+        iterations += report.iterations
+        sol = _closed_form(g, f, alpha, h, scale, iterations)
+        if sol is not None:
+            return sol
+    if not report.converged:
+        raise _unconverged(g, "regularization", alpha, report)
+    return RofSolution(alpha, f - g._div(h), -h, SolveReport(
+        iterations, report.objective, report.optimality, True, report.method))
 
 
 def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
@@ -136,10 +201,18 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
 
     The dual constraint couples each interior vertex's two incoming grid
     edges in a Euclidean ball of radius alpha (border edges are constrained
-    alone), so the constraint set is not a polytope.
+    alone), so the constraint set is not a polytope and the solve stays
+    iterative, to ``tol.solve_tol``.
     """
-    return _regularize(g, f, alpha, g.coupled_ball, tol, warm_start, max_iter,
-                       "coupled")
+    tol = tol if tol is not None else DEFAULT_TOL
+    f, alpha = _checked(g, f, alpha)
+    if alpha == 0.0:
+        return _identity(g, f)
+    h, report = project_onto_div_box(g, f, g.coupled_ball(alpha), tol,
+                                     warm_start=warm_start, max_iter=max_iter)
+    if not report.converged:
+        raise _unconverged(g, "coupled", alpha, report)
+    return RofSolution(alpha, f - g._div(h), -h, report)
 
 
 def _fail(g: OrientedGraph, cause: str, alpha: float, where: str):
@@ -147,31 +220,34 @@ def _fail(g: OrientedGraph, cause: str, alpha: float, where: str):
                     interval=(alpha, alpha))
 
 
-def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction],
-             where: str) -> None:
-    """Check that the kernel's line solves the problem at alpha, or raise PathError.
+def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction] = None,
+             start: Optional[np.ndarray] = None) -> tuple:
+    """``(witness, None)`` if the kernel's line solves the problem at alpha,
+    else ``(None, cause)``.
 
     Pinned edges keep their signs, and the kernel's witness at ``t``, the
-    exact ``1 / alpha`` of a split or else ``1 / Fraction(alpha)``, has
-    divergence ``t * w - beta`` on every cluster.  At alpha = 0, w
-    vanishes on the ties of f; t = 0 is used.
+    exact ``1 / alpha`` of a split or else ``1 / Fraction(alpha)``, lies in
+    [-1, 1] and has divergence ``t * w - beta`` on every cluster, up to
+    1e-10 of ``1 + max |t * w - beta|``.  ``start`` is passed on to
+    :meth:`PatternKernel.witness`.  At alpha = 0, w vanishes on the ties of
+    f; t = 0 is used.
     """
     g = kernel.graph
     c, s = kernel.intercept, kernel.slope
     u = c + alpha * s
     scale = float(np.abs(c).max() + alpha * np.abs(s).max())
     lab = kernel.pattern.labels
-    if float((lab * (u[g.tails] - u[g.heads])).min()) < -1e-11 * scale:
-        _fail(g, "a pinned edge changes sign", alpha, where)
+    if float((lab * (u[g.tails] - u[g.heads])).min(initial=0.0)) < -1e-11 * scale:
+        return None, "a pinned edge changes sign"
     if t is None:
         t = 1 / Fraction(alpha) if alpha > 0 else Fraction(0)
-    h = kernel.witness(t)
+    h = kernel.witness(t, start)
     r = float(t) * kernel.pull - kernel.beta
     residual = float(np.abs(g._div(h) - r).max())
     if (float(np.abs(h).max(initial=0.0)) > 1.0
             or residual > 1e-10 * (1.0 + float(np.abs(r).max()))):
-        _fail(g, "a cluster has no witness flow (residual %.3g)" % residual,
-              alpha, where)
+        return None, "a cluster has no witness flow (residual %.3g)" % residual
+    return h, None
 
 
 def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
@@ -191,6 +267,11 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     if float(f.max() - f.min()) == 0.0:
         return PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
 
+    def certify(alpha, t, where):
+        cause = _certify(k, alpha, t)[1]
+        if cause is not None:
+            _fail(g, cause, alpha, where)
+
     k = PatternKernel(g, sign_pattern(g, f, scale=0.0), f)
     alpha, t = 0.0, Fraction(0)
     bps, left_values, slopes = [], [], []
@@ -198,7 +279,7 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
         c, s = k.intercept, k.slope
         where = "segment %d" % len(bps)
         if k.pattern.all_flat:
-            _certify(k, alpha, t, "terminal " + where)
+            certify(alpha, t, "terminal " + where)
             break
         _, fused = next_fusion(g, k.pattern, c + alpha * s, s)
         # where the lines across the fusing edges meet, from the lines alone
@@ -212,8 +293,8 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
         if nxt == math.inf:
             _fail(g, "no event ahead", alpha, where)
         if nxt > alpha:
-            _certify(k, alpha, t, where)
-            _certify(k, nxt, t_nxt, where)
+            certify(alpha, t, where)
+            certify(nxt, t_nxt, where)
             bps.append(alpha)
             left_values.append(c + alpha * s)
             slopes.append(s)

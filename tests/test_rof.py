@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from graphtv import (PathError, PiecewiseAffinePath, Tolerances, ValidationError,
-                     isotropic_rof_solve, rof_path, rof_solve, sign_pattern,
-                     subdifferential_membership, total_variation)
+from graphtv import (ConvergenceError, PathError, PiecewiseAffinePath, Tolerances,
+                     ValidationError, isotropic_rof_solve, rof_path, rof_solve,
+                     sign_pattern, subdifferential_membership, total_variation)
 from graphtv.graph import PatternKernel
 from graphtv.instances import (cartesian_graph, nonequivalence_instance,
                                nonequivalence_variant_datum, path_graph,
@@ -376,3 +378,194 @@ def test_invalid_alpha_rejected():
         rof_solve(g, f, -1.0)
     with pytest.raises(ValidationError):
         rof_solve(g, f, float("nan"))
+
+
+# -- identify, then certify ------------------------------------------------
+
+def _draw(g, k):
+    # draw k of a seed of its own; the stalling cases below are draws that
+    # raised ConvergenceError when rof_solve returned the projection's
+    # iterate (the 16x16 one at alpha 0.5)
+    return random_vertex_field(np.random.default_rng(SEED + 100 + k), g.vertex_count)
+
+
+def _gap_error(g, f, sol):
+    # sqrt(2 * duality gap) over the data range; it bounds ||u - u*||_2
+    from graphtv import divergence, edge_differences
+    p = sol.dual_flow
+    assert np.abs(p).max() <= sol.alpha
+    d = edge_differences(g, sol.u)
+    r = sol.u - f - divergence(g, p)
+    gap = float(np.sum(sol.alpha * np.abs(d) - p * d)) + 0.5 * float(r @ r)
+    return math.sqrt(2.0 * max(gap, 0.0)) / float(f.max() - f.min())
+
+
+def test_closed_form_panels_exact():
+    g, f = nonequivalence_instance()
+    for alpha in (0.2, 1.0, 3.0):
+        sol = rof_solve(g, f, alpha)
+        assert sol.report.method == "kkt-forest"
+        assert np.abs(sol.u - regularization_reference(alpha)).max() < 1e-12
+        assert np.abs(sol.dual_flow
+                      - regularization_dual_reference(alpha)).max() < 1e-12
+        assert sol.report.optimality < 1e-12
+
+
+def test_stalling_box_solves_are_certified():
+    from graphtv import taut_string_1d
+    g = cartesian_graph(16, 16)
+    f = _draw(g, 3)
+    path = rof_path(g, f)
+    for alpha in (0.5, 2.0):
+        sol = rof_solve(g, f, alpha)
+        assert sol.report.method.startswith("kkt-")
+        assert np.abs(sol.u - path.value_at(alpha)).max() <= 1e-12 * np.ptp(f)
+    for side, alpha, k in ((24, 0.5, 1), (24, 2.0, 0), (32, 0.5, 0), (32, 2.0, 2)):
+        g = cartesian_graph(side, side)
+        f = _draw(g, k)
+        sol = rof_solve(g, f, alpha)
+        # the iterate's flow, repaired on spanning trees of its slack
+        # edges, certifies these without a max-flow
+        assert sol.report.method == "kkt-forest"
+        assert sol.report.optimality <= 1e-12 * np.ptp(f)
+        assert _gap_error(g, f, sol) <= 1e-12
+    g = path_graph(1000)
+    f = _draw(g, 0)
+    sol = rof_solve(g, f, 2.0)
+    assert sol.report.method.startswith("kkt-")
+    assert np.abs(sol.u - taut_string_1d(f, 2.0)).max() <= 1e-12 * np.ptp(f)
+
+
+@pytest.mark.parametrize("fault", ["circulation", "divergence"])
+def test_faulty_witness_is_never_certified(monkeypatch, fault):
+    # a witness pushed out of the box by a circulation around a grid square,
+    # or off its divergence by 1e-7 on one edge, must fail the certificate;
+    # rof_solve then returns the converged iterate, not a kkt result
+    g = cartesian_graph(6, 6)
+    f = _draw(g, 7)
+    idx = g._grid_index
+    a, b, c, d = idx[(3, 3)], idx[(4, 3)], idx[(4, 4)], idx[(3, 4)]
+    bump = np.zeros(g.edge_count)
+    if fault == "circulation":
+        for tail, head, x in ((c, b, 2.0), (b, a, 2.0), (c, d, -2.0), (d, a, -2.0)):
+            bump[g.edge_index(tail, head)] = x
+    else:
+        bump[g.edge_index(b, a)] = 1e-7
+    witness = PatternKernel.witness
+    monkeypatch.setattr(PatternKernel, "witness",
+                        lambda self, *args: witness(self, *args) + bump)
+    for alpha in (0.1, 0.5):
+        sol = rof_solve(g, f, alpha)
+        assert sol.report.method == "apgd-projection"
+        assert sol.report.converged
+
+
+def test_slack_trees_spare_the_max_flow():
+    # in these draws a cluster's own spanning tree holds an edge the
+    # iterate saturates; the divergence error goes round it on a tree of
+    # edges with slack, and no max-flow runs
+    for side, k, alpha in ((16, 1, 0.1), (16, 1, 0.5), (24, 5, 0.5)):
+        g = cartesian_graph(side, side)
+        assert rof_solve(g, _draw(g, k), alpha).report.method == "kkt-forest"
+
+
+def test_max_flow_certificate(monkeypatch):
+    # with the repair of the iterate's flow switched off, the clusters whose
+    # forest flow leaves the box go to the max-flow; the closed form is the
+    # same, bit for bit
+    g = cartesian_graph(16, 16)
+    f = _draw(g, 3)
+    forest = rof_solve(g, f, 2.0)
+    assert forest.report.method == "kkt-forest"
+    monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+    routed = rof_solve(g, f, 2.0)
+    assert routed.report.method == "kkt-maxflow"
+    assert routed.u.tobytes() == forest.u.tobytes()
+    assert np.abs(routed.dual_flow).max() <= 2.0
+    assert _gap_error(g, f, routed) <= 1e-12
+
+
+def test_unconverged_fallback_names_the_instance(monkeypatch):
+    import graphtv.rof
+    monkeypatch.setattr(graphtv.rof, "_closed_form", lambda *args: None)
+    g = cartesian_graph(8, 8)
+    with pytest.raises(ConvergenceError,
+                       match=r"alpha = 2\.0 \(64 vertices, 112 edges\)"):
+        rof_solve(g, _draw(g, 1), 2.0, max_iter=20)
+
+
+def test_jump_set_stable_under_tighter_solve_tol():
+    from graphtv import jump_set
+    rng = np.random.default_rng(SEED + 17)
+    cases = [(cartesian_graph(12, 12), 0.3), (path_graph(300), 1.0)]
+    cases += [(random_connected_graph(rng), 0.4) for _ in range(4)]
+    for g, alpha in cases:
+        f = random_vertex_field(rng, g.vertex_count)
+        scale = float(np.ptp(f))
+        loose = rof_solve(g, f, alpha, Tolerances(solve_tol=1e-9))
+        tight = rof_solve(g, f, alpha, Tolerances(solve_tol=1e-11))
+        assert jump_set(g, loose.u, scale=scale) == jump_set(g, tight.u, scale=scale)
+
+
+def test_box_solve_ignores_blas_threads():
+    # the seed of test_128x128_grid_solves, solved under one and under two
+    # BLAS threads in fresh processes: the same output, bit for bit
+    import os
+    import subprocess
+    import sys
+
+    import graphtv
+    src = os.path.dirname(os.path.dirname(graphtv.__file__))
+    code = ("import hashlib, numpy as np, graphtv as gt\n"
+            "from graphtv.instances import cartesian_graph, random_vertex_field\n"
+            "rng = np.random.default_rng(%d)\n"
+            "g = cartesian_graph(128, 128)\n"
+            "f = random_vertex_field(rng, g.vertex_count)\n"
+            "s = gt.rof_solve(g, f, 0.1)\n"
+            "print(s.report.method, s.report.iterations,\n"
+            "      hashlib.sha1(s.u.tobytes() + s.dual_flow.tobytes()).hexdigest())\n"
+            % (SEED + 7))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0].startswith("kkt-")
+    assert outs[0] == outs[1]
+
+
+def test_witness_clips_rounding_only(monkeypatch):
+    # on a path the forest flow is the only flow, so a certificate needs no
+    # max-flow once an overshoot of rounding is clipped; an overshoot of
+    # 1e-9 is not rounding and still goes to the max-flow
+    import graphtv.graph
+    from fractions import Fraction
+    calls = []
+    route = graphtv.graph.route_demands
+
+    def counted(parts, *args):
+        calls.append(len(parts))
+        return route(parts, *args)
+
+    monkeypatch.setattr(graphtv.graph, "route_demands", counted)
+    rng = np.random.default_rng(SEED + 18)
+    g = path_graph(200)
+    for _ in range(3):
+        f = random_vertex_field(rng, 200)
+        path = rof_path(g, f)
+    assert calls == []
+    b = path.breakpoints
+    alpha = 0.5 * float(b[b.size // 2] + b[b.size // 2 + 1])
+    t = 1 / Fraction(alpha)
+    for over, routed in ((1e-13, False), (1e-9, True)):
+        k = PatternKernel(g, sign_pattern(g, path.value_at(alpha), scale=0.0), f)
+        h = k.witness(t)
+        j = int(np.argmax(np.where(k.pattern.flat, np.abs(h), -1.0)))
+        forest, edge_size, _ = k.calibration()
+        side = math.copysign(1.0, h[j])
+        k._pull_flow[j] = (side * (1.0 + over) - forest[j] / edge_size[j]) / float(t)
+        del calls[:]
+        h = k.witness(t)
+        assert bool(calls) == routed
+        assert np.abs(h).max() <= 1.0
+        assert routed or h[j] == side
