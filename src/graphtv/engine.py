@@ -11,12 +11,15 @@ graph.  Supported objectives:
 
 Both objectives depend on ``H`` only through ``z = div H``, and every
 solve runs one accelerated projected-gradient iteration with a monotone
-restart that carries ``z`` next to each iterate.  Nonsmooth ``phi`` are
-handled by Moreau-envelope smoothing with a continuation schedule whose
-smoothing error is budgeted against the requested tolerance; a ``phi``
-without a proximal map gets one by bisection on its subgradient.  The
-divergence is applied through the graph's index arrays, in O(n + m) time
-and memory.
+restart that carries ``z`` next to each iterate.  A ``phi`` without a
+curvature bound is handled by Moreau-envelope smoothing with a
+continuation schedule; a ``phi`` without a proximal map gets one by
+bisection on its subgradient.  Such a solve is certified by the
+linearization duality gap of the smoothed objective over the constraint
+set (:meth:`BoxSpec.gap`, :meth:`GroupBallSpec.gap`) plus the pointwise
+smoothing error ``(delta / 2) * sum_v phi'(u_v)^2``, which together bound
+its excess over the true minimum.  The divergence is applied through the
+graph's index arrays, in O(n + m) time and memory.
 
 All functions are pure: no global state, no internal threads.  Their
 reductions avoid BLAS, so results do not depend on its thread count.
@@ -52,8 +55,12 @@ class SolveReport:
     iterations : total inner iterations spent.
     objective : final objective value.
     optimality : final optimality measure.  For projections this is the
-        gradient-mapping norm; for separable solves it is a certified bound
-        on the objective gap; for a certified ``rof_solve`` the residual
+        gradient-mapping norm.  For separable solves it is a certified bound
+        on ``objective - minimum``: with ``apgd-smoothing`` the smoothed
+        objective's linearization duality gap plus the pointwise smoothing
+        error (see :func:`_smoothing_descent`), with ``apgd-smooth`` the
+        gradient-mapping norm times the constraint set's diameter.  For a
+        certified ``rof_solve`` it is the residual
         ``max |f + div(dual_flow) - u|`` of its optimality conditions.
     converged : whether the stopping criterion was met within the cap.
     method : short tag naming the algorithm that produced the result:
@@ -110,6 +117,18 @@ class BoxSpec:
     def contains(self, h, slack: float = 0.0) -> bool:
         h = np.asarray(h, dtype=float)
         return bool(np.all(h >= self.lower - slack) and np.all(h <= self.upper + slack))
+
+    def gap(self, h: np.ndarray, grad: np.ndarray) -> float:
+        """``<grad, h> - min over the box of <grad, .>``, summed per edge.
+
+        Each term ``grad_e h_e - min(lo_e grad_e, up_e grad_e)`` is
+        nonnegative for a feasible ``h``.  With ``grad`` the gradient of a
+        convex objective at ``h``, the sum bounds the objective's excess
+        over its minimum on the box (the linearization duality gap).
+        """
+        lo = self.lower * grad
+        up = self.upper * grad
+        return float((grad * h - np.minimum(lo, up)).sum())
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
@@ -169,16 +188,28 @@ class GroupBallSpec:
         if self._singles.size:
             out[self._singles] = np.clip(out[self._singles], -r, r)
         if self._pairs.size:
-            a = out[self._pairs[:, 0]]
-            b = out[self._pairs[:, 1]]
-            norms = np.hypot(a, b)
-            scale = np.ones_like(norms)
-            over = norms > r
-            if np.any(over):
-                scale[over] = r / norms[over]
-                out[self._pairs[:, 0]] = a * scale
-                out[self._pairs[:, 1]] = b * scale
+            first, second = self._pairs[:, 0], self._pairs[:, 1]
+            a = out[first]
+            b = out[second]
+            # exactly 1.0 inside the ball, r / norm outside
+            scale = r / np.maximum(np.hypot(a, b), r) if r > 0 else 0.0
+            out[first] = a * scale
+            out[second] = b * scale
         return out
+
+    def gap(self, h: np.ndarray, grad: np.ndarray) -> float:
+        """``<grad, h> - min over the balls of <grad, .>``, summed per group.
+
+        Each term ``<grad_g, h_g> + r ||grad_g||`` is nonnegative for a
+        feasible ``h``; see :meth:`BoxSpec.gap`.
+        """
+        r = self.radius
+        dot = grad * h
+        single = self._singles
+        first, second = self._pairs[:, 0], self._pairs[:, 1]
+        return float((dot[single] + r * np.abs(grad[single])).sum()
+                     + (dot[first] + dot[second]
+                        + r * np.hypot(grad[first], grad[second])).sum())
 
     def contains(self, h, slack: float = 0.0) -> bool:
         h = np.asarray(h, dtype=float)
@@ -343,10 +374,11 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     applies the divergence once and its adjoint once.
 
     ``lips`` is the certified curvature bound and ``1 / lips`` the safe
-    step.  Every ``check_every`` iterations the gradient-mapping norm ``gm``
-    at the safe step is computed at the feasible iterate, and
-    ``measure(gm, objective)`` is the stopping statistic.  The
-    best-measure iterate is kept.  The loop stops once the best measure
+    step.  Every ``check_every`` iterations the gradient ``grad`` in ``h``
+    is computed at the feasible iterate ``x``, and
+    ``measure(x, grad, objective)`` is the stopping statistic: the
+    gradient-mapping norm (see :func:`_mapping_norm`) or a duality gap.
+    The best-measure iterate is kept.  The loop stops once the best measure
     meets ``stop_tol``, or after ``patience`` consecutive checks none of
     which is 10 percent below the best measure seen so far.  Each check is
     compared with the running best, not with the value ``patience`` checks
@@ -377,19 +409,13 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
             if not adaptive or cur <= step * 1.0000001:
                 return xn, zn, fn
             d = xn - base
-            bound = fbase + float(grad @ d) + float(d @ d) / (2.0 * cur)
+            bound = fbase + float((grad * d).sum()) + float((d * d).sum()) / (2.0 * cur)
             if fn <= bound + 1e-12 * (1.0 + abs(fbase)):
                 return xn, zn, fn
             cur = max(step, 0.5 * cur)
 
     def check(x, z, fx):
-        grad = g._div_adjoint(slope(z))
-        # np.sum adds pairwise in a fixed order; a BLAS dot product (and so
-        # np.linalg.norm) splits long vectors over threads, and the result
-        # would follow the thread count
-        d = x - project(x - step * grad)
-        gm = math.sqrt(float(np.sum(d * d))) * lips
-        return measure(gm, fx)
+        return measure(x, g._div_adjoint(slope(z)), fx)
 
     x = project(np.asarray(x0, dtype=float))
     z = g._div(x)
@@ -437,6 +463,20 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     return best_x, it, best_meas, best_f, converged
 
 
+def _mapping_norm(project, lips):
+    """``norm(x, grad)``: the gradient-mapping norm at the step ``1 / lips``."""
+    step = 1.0 / lips
+
+    def norm(x, grad):
+        # .sum() adds pairwise in a fixed order; a BLAS dot product (and so
+        # np.linalg.norm) splits long vectors over threads, and the result
+        # would follow the thread count
+        d = x - project(x - step * grad)
+        return math.sqrt(float((d * d).sum())) * lips
+
+    return norm
+
+
 def _default_tol():
     from .graph import DEFAULT_TOL
     return DEFAULT_TOL
@@ -466,15 +506,17 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
 
     def value(z):
         r = z - target
-        return 0.5 * float(np.sum(r * r))  # not r @ r: see check above
+        return 0.5 * float((r * r).sum())  # not r @ r: see _mapping_norm
 
     # stop slightly inside the contract so downstream 10*solve_tol
     # invariants (warm-start independence) hold with margin
+    lips = 2.0 * max(g.max_degree, 1)
+    gm = _mapping_norm(spec.project, lips)
     x, it, meas, obj, conv = _accelerated_descent(
         g, x0, value=value, slope=lambda z: z - target,
-        lips=2.0 * max(g.max_degree, 1), project=spec.project,
-        measure=lambda gm, _: gm, stop_tol=0.25 * tol.solve_tol,
-        max_iter=max_iter)
+        lips=lips, project=spec.project,
+        measure=lambda x, grad, _: gm(x, grad),
+        stop_tol=0.25 * tol.solve_tol, max_iter=max_iter)
     return x, SolveReport(it, obj, meas, conv, method="apgd-projection")
 
 
@@ -502,11 +544,13 @@ def _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter):
 
     # the stopping threshold depends on the running objective, so the
     # measure is the gap bound relative to it
+    lips = 2.0 * max(g.max_degree, 1) * curv
+    gm = _mapping_norm(spec.project, lips)
     x, it, meas, obj, conv = _accelerated_descent(
-        g, x0, value=lambda z: float(np.sum(phi.evaluate(base - z))),
+        g, x0, value=lambda z: float(phi.evaluate(base - z).sum()),
         slope=lambda z: -phi.subgradient(base - z),
-        lips=2.0 * max(g.max_degree, 1) * curv, project=spec.project,
-        measure=lambda gm, obj: gm * diam / stop_tol_of(obj),
+        lips=lips, project=spec.project,
+        measure=lambda x, grad, obj: gm(x, grad) * diam / stop_tol_of(obj),
         stop_tol=1.0, max_iter=max_iter, adaptive=True)
     return x, SolveReport(it, obj, meas * stop_tol_of(obj), conv, method="apgd-smooth")
 
@@ -514,36 +558,46 @@ def _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter):
 def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter):
     """Moreau-smoothing continuation for nonsmooth phi with a prox.
 
-    The smoothed objective sum phi_delta(u) underestimates the true one by
-    at most n*delta*G^2/2, G a local Lipschitz bound of phi.  The final delta
-    is chosen so this error plus the final-stage gradient-mapping gap bound
-    is within tol_obj*(1+|objective|).
+    Stage ``delta`` minimizes the smoothed objective ``sum_v e(u_v)``, with
+    ``u = base - div h`` and ``e`` the Moreau envelope of phi of parameter
+    delta, and stops on its linearization duality gap (``spec.gap``),
+    which bounds the smoothed objective's excess over its minimum.  As
+    ``e <= phi``, and ``phi(u_v) - e(u_v) <= delta g_v^2 / 2`` for any
+    subgradient ``g_v`` of phi at ``u_v``, the true objective exceeds its
+    minimum by at most
+
+        gap + (delta / 2) * sum_v phi.subgradient(u_v)^2,
+
+    the certified bound reported as ``optimality``.  delta starts at the
+    width of the reachable interval over phi's steeper end slope there and
+    shrinks tenfold per stage, down to the value whose smoothing term, at
+    the current iterate, is a quarter of ``eps = tol_obj * (1 +
+    |objective|)``.  That final stage runs until its gap is half of eps.
+    If the smoothing term has grown so that the bound misses eps, delta
+    shrinks again and another stage runs.
     """
     lo, hi = _reachable_interval(g, base, spec)
     gbound = max(abs(float(phi.subgradient(np.array([lo]))[0])),
                  abs(float(phi.subgradient(np.array([hi]))[0])), 1e-12)
-    n = base.size
-    diam = max(spec.diameter(), 1e-300)
     lips0 = 2.0 * max(g.max_degree, 1)
 
-    def true_objective(h):
-        return float(np.sum(phi.evaluate(base - g._div(h))))
+    def at(h):
+        # the true objective at h and phi's summed squared subgradients
+        u = base - g._div(h)
+        return float(phi.evaluate(u).sum()), float((phi.subgradient(u) ** 2).sum())
 
     x = np.asarray(x0, dtype=float)
-    obj = true_objective(x)
+    obj, sq = at(x)
     best_x, best_obj = x, obj
     eps = tol_obj * (1.0 + abs(obj))
     delta = max((hi - lo) / gbound if hi > lo else 1.0, 1e-15)
 
     total_it = 0
-    conv = True
-    meas = math.inf
+    bound = math.inf
+    # the delta at which the smoothing term is eps / 4
+    need = 0.5 * eps / max(sq, 1e-300)
     for _ in range(60):
-        # the target delta tracks the best objective seen, so the budget
-        # n*delta*G^2/2 <= eps/4 stays valid as eps shrinks
-        delta_need = 0.5 * eps / (n * gbound * gbound)
-        delta = max(delta, min(delta_need, 1e-15))
-        final = delta <= delta_need * 1.0000001
+        final = delta <= need * 1.0000001
 
         def slope(z, _d=delta):
             u = base - z
@@ -552,31 +606,29 @@ def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter):
         def value(z, _d=delta):
             u = base - z
             p = prox(u, _d)
-            return float(np.sum(phi.evaluate(p)) + np.sum((u - p) ** 2) / (2.0 * _d))
+            return float(phi.evaluate(p).sum() + ((u - p) ** 2).sum() / (2.0 * _d))
 
-        smooth_err = n * delta * gbound * gbound / 2.0
-        stage_tol = 0.25 * eps if final else max(0.5 * smooth_err, 0.25 * eps)
+        stage_tol = 0.5 * eps if final else max(0.25 * delta * sq, 0.25 * eps)
         budget = max_iter - total_it
         if budget <= 0:
-            conv = False
             break
         x, it, meas, _, stage_conv = _accelerated_descent(
             g, x, value=value, slope=slope, lips=lips0 / delta,
-            project=spec.project, measure=lambda gm, _: gm * diam,
+            project=spec.project, measure=lambda x, grad, _: spec.gap(x, grad),
             stop_tol=stage_tol, max_iter=budget, adaptive=True)
         total_it += it
-        obj = true_objective(x)
+        obj, sq = at(x)
         if obj < best_obj:
             best_x, best_obj = x, obj
         eps = tol_obj * (1.0 + abs(best_obj))
-        conv = conv and stage_conv
-        if final:
+        bound = meas + 0.5 * delta * sq
+        # E(best_x) <= E(x), so the bound at x holds for best_x too
+        if final and (bound <= eps or not stage_conv):
             break
-        delta = max(0.1 * delta, 0.5 * eps / (n * gbound * gbound))
+        need = 0.5 * eps / max(sq, 1e-300)
+        delta = min(0.5 * delta, need) if final else max(0.1 * delta, need)
 
-    gap_bound = meas + n * delta * gbound * gbound / 2.0
-    converged = conv and gap_bound <= eps
-    return best_x, SolveReport(total_it, best_obj, gap_bound, converged,
+    return best_x, SolveReport(total_it, best_obj, bound, bound <= eps,
                                method="apgd-smoothing")
 
 
@@ -597,8 +649,9 @@ def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
     accelerated projected gradient on the true objective; otherwise
     Moreau-smoothing continuation runs on the prox of ``phi``, built by
     :func:`bisection_prox` from the subgradient when ``phi`` has none.  The
-    convergence contract is an objective gap below
-    ``tol.solve_tol * (1 + |objective|)`` (default objective tolerance 1e-6).
+    convergence contract is a certified objective gap (``report.optimality``,
+    see :class:`SolveReport`) below ``tol.solve_tol * (1 + |objective|)``
+    (default objective tolerance 1e-6).
 
     Returns
     -------

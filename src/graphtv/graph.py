@@ -20,6 +20,7 @@ of ``u(tail) - u(head)`` on non-flat edges and free in [-1, 1] on flat ones.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -415,6 +416,39 @@ def _grow(adj: list, flat: bytes, verts) -> list:
                     sign.append(into)
         out.append(Cluster(order, up, tree, sign))
     return out
+
+
+def _span(adj: list, flat: bytes, loose: bytes, root: int) -> Cluster:
+    # a spanning tree of root's cluster of the flat edges that takes a flat
+    # edge outside loose only where no loose edge reaches a vertex: a
+    # breadth-first search over the loose edges which, each time it runs
+    # dry, goes on from the first vertex it met across another flat edge
+    seen = {root}
+    order, up, tree, sign = [root], [-1], [], []
+    stiff = deque()
+
+    def attach(i, w, e, into):
+        seen.add(w)
+        order.append(w)
+        up.append(i)
+        tree.append(e)
+        sign.append(into)
+
+    i = 0
+    while True:
+        while i < len(order):
+            for w, e, into in adj[order[i]]:
+                if flat[e] and w not in seen:
+                    if loose[e]:
+                        attach(i, w, e, into)
+                    else:
+                        stiff.append((i, w, e, into))
+            i += 1
+        while stiff and stiff[0][1] in seen:
+            stiff.popleft()
+        if not stiff:
+            return Cluster(order, up, tree, sign)
+        attach(*stiff.popleft())
 
 
 class FlatClusters:
@@ -1012,8 +1046,9 @@ class PatternKernel:
         # the flow on a spanning tree of the cluster that carries start's
         # divergence error r - div(start), where it fits in [-1, 1]; the
         # tree is the cluster's own where all its edges have the slack
-        # |start| < 1 - 1e-5, else a breadth-first tree of the edges that
-        # have it.  Returns the clusters it could not set
+        # |start| < 1 - 1e-5, else one that takes an edge without it only
+        # where no edge with it reaches a vertex (see _span).  Returns the
+        # clusters it could not set
         cl, flat = self.clusters, self.pattern.flat
         flow = np.where(flat, start, 0.0)
         err = (r - self.graph._div(flow)).tolist()
@@ -1024,11 +1059,8 @@ class PatternKernel:
             c = cl.cluster(k)
             if not slack[c.tree].all():
                 if loose is None:
-                    loose = slack.tobytes()
-                c = _grow(cl._adj, loose, c.order[:1])[0]
-                if len(c.order) < cl.sizes[k]:
-                    left.append(k)
-                    continue
+                    loose, flat_bytes = slack.tobytes(), flat.tobytes()
+                c = _span(cl._adj, flat_bytes, loose, c.order[0])
             # the clusters are disjoint, so each adds to its own edges
             flow[c.tree] += c.peel([err[v] for v in c.order])
             part = cl.edges(k)

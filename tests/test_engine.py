@@ -189,3 +189,149 @@ def test_catalog_is_convex():
 def test_convex_scalar_validation():
     with pytest.raises(ValidationError):
         ConvexScalar("bad", None, None)
+
+
+def test_box_gap_matches_brute_force():
+    # <grad, h> minus the least <grad, .> over the box's 2^m corners
+    import itertools
+    rng = np.random.default_rng(SEED + 6)
+    for m in (1, 2, 4):
+        lo = rng.uniform(-1.0, 0.5, size=m)
+        spec = BoxSpec(lo, lo + rng.uniform(0.0, 1.5, size=m))
+        corners = np.array(list(itertools.product(*zip(spec.lower, spec.upper))))
+        for _ in range(20):
+            h = spec.random_point(rng)
+            grad = rng.normal(size=m)
+            brute = float(grad @ h) - float((corners @ grad).min())
+            gap = spec.gap(h, grad)
+            assert abs(gap - brute) <= 1e-12
+            assert gap >= 0.0
+        # a corner that minimizes <grad, .> has gap zero
+        grad = rng.normal(size=m)
+        assert spec.gap(np.where(grad > 0, spec.lower, spec.upper), grad) == 0.0
+
+
+def test_group_ball_gap_matches_brute_force():
+    # <grad, h> minus the least <grad, .> over a pair's circle, sampled
+    # finely, and a single's two ends
+    rng = np.random.default_rng(SEED + 7)
+    r = 0.7
+    spec = GroupBallSpec(((0, 2), (1,)), r, 3)
+    theta = np.linspace(0.0, 2.0 * np.pi, 200001)
+    for _ in range(20):
+        h = spec.random_point(rng)
+        grad = rng.normal(size=3)
+        on_circle = r * (grad[0] * np.cos(theta) + grad[2] * np.sin(theta))
+        brute = float(grad @ h) - float(on_circle.min()) + r * abs(grad[1])
+        gap = spec.gap(h, grad)
+        assert abs(gap - brute) <= 1e-9
+        assert gap >= -1e-15
+    # an interior point has a positive gap unless the gradient vanishes
+    assert spec.gap(np.zeros(3), np.array([1.0, 0.0, 0.0])) == r
+    assert spec.gap(np.array([0.1, -0.2, 0.3]), np.zeros(3)) == 0.0
+
+
+def test_group_ball_projection_keeps_interior_bits():
+    # a pair inside its ball is returned as it is; one outside is scaled by
+    # r / norm, and a radius of zero maps every pair to the origin
+    rng = np.random.default_rng(SEED + 8)
+    spec = GroupBallSpec(((0, 1), (2, 3)), 1.0, 4)
+    h = np.array([0.3, -0.4, 3.0, 4.0]) + 1e-3 * rng.uniform(size=4)
+    p = spec.project(h)
+    assert p[:2].tobytes() == h[:2].tobytes()
+    norm = np.hypot(h[2], h[3])
+    assert p[2:].tobytes() == (h[2:] * (1.0 / norm)).tobytes()
+    origin = GroupBallSpec(((0, 1),), 0.0, 2).project(np.array([3.0, 4.0]))
+    assert origin.tolist() == [0.0, 0.0]
+
+
+def test_smoothing_certificate_bounds_exact_minimum():
+    # by universal minimality the certified rof_solve u minimizes every
+    # sum of phi over the box slab, so phi.total(u) is the exact minimum:
+    # the oracle's objective lies above it by at most its reported bound.
+    # Where the smoothing term carries the bound, the gap alone would miss
+    # the excess of some piecewise-linear phi
+    from graphtv import rof_solve
+    from graphtv.instances import cartesian_graph
+    rng = np.random.default_rng(SEED + 9)
+    graphs = [random_connected_graph(rng), random_connected_graph(rng),
+              cartesian_graph(7, 6)]
+    for g in graphs:
+        f = random_vertex_field(rng, g.vertex_count)
+        for alpha in (0.1, 0.5, 2.0):
+            sol = rof_solve(g, f, alpha)
+            assert sol.report.method.startswith("kkt-")
+            box = BoxSpec.uniform(g.edge_count, alpha)
+            lo, hi = float(f.min()), float(f.max())
+            for phi in (power_phi(1.0), power_phi(1.5),
+                        random_piecewise_linear(rng, lo, hi),
+                        random_piecewise_linear(rng, lo, hi)):
+                for tol in (1e-6, 1e-2):
+                    _, rep = min_separable_convex_over_polytope(
+                        g, f, box, phi, Tolerances(solve_tol=tol))
+                    assert rep.method == "apgd-smoothing" and rep.converged
+                    assert rep.optimality <= tol * (1.0 + abs(rep.objective))
+                    excess = rep.objective - phi.total(sol.u)
+                    rounding = 1e-12 * (1.0 + abs(rep.objective))
+                    assert -rounding <= excess <= rep.optimality + rounding
+
+
+def test_smoothing_certificate_on_coupled_balls():
+    # no closed form on the coupled set: a tenfold tighter solve stands in
+    # for the minimum, which it overshoots by at most its own bound
+    from graphtv.instances import cartesian_graph
+    g = cartesian_graph(8, 8)
+    f = random_vertex_field(np.random.default_rng(SEED + 10), g.vertex_count)
+    spec = g.coupled_ball(0.5)
+    for phi in (power_phi(1.0), power_phi(1.5)):
+        _, rep = min_separable_convex_over_polytope(g, f, spec, phi)
+        _, tight = min_separable_convex_over_polytope(
+            g, f, spec, phi, Tolerances(solve_tol=1e-7))
+        assert rep.converged and tight.converged
+        assert tight.optimality <= 1e-7 * (1.0 + abs(tight.objective))
+        assert rep.objective - tight.objective <= rep.optimality
+        assert tight.objective - rep.objective <= tight.optimality
+
+
+def test_power15_smoothing_iteration_counts():
+    # |x|^1.5 has a prox but no curvature bound; with stages stopped on the
+    # duality gap and delta sized from the subgradients at the iterate, a
+    # 16x16 grid at alpha 0.5 takes at most 1016 iterations on the box
+    # and 1400 on the coupled balls (1448 and 3064 with gradient-mapping
+    # stops and delta sized from n times the worst slope)
+    from graphtv.instances import cartesian_graph
+    g = cartesian_graph(16, 16)
+    f = random_vertex_field(np.random.default_rng(1), g.vertex_count)
+    for spec, cap in ((BoxSpec.uniform(g.edge_count, 0.5), 1016),
+                      (g.coupled_ball(0.5), 1400)):
+        _, rep = min_separable_convex_over_polytope(g, f, spec, power_phi(1.5))
+        assert rep.converged
+        assert rep.iterations <= cap
+
+
+def test_separable_solve_ignores_blas_threads():
+    # a separable solve on 10224 edges (long enough for a BLAS dot product
+    # to split over threads) under one and under two BLAS threads in fresh
+    # processes: the same output, bit for bit
+    import os
+    import subprocess
+    import sys
+
+    import graphtv
+    src = os.path.dirname(os.path.dirname(graphtv.__file__))
+    code = ("import hashlib, numpy as np, graphtv as gt\n"
+            "from graphtv.instances import cartesian_graph, random_vertex_field\n"
+            "from graphtv.minimality import power_phi\n"
+            "g = cartesian_graph(72, 72)\n"
+            "f = random_vertex_field(np.random.default_rng(%d), g.vertex_count)\n"
+            "box = gt.BoxSpec.uniform(g.edge_count, 0.5)\n"
+            "u, rep = gt.min_separable_convex_over_polytope(g, f, box, power_phi(1.5))\n"
+            "print(rep.iterations, rep.objective.hex(), rep.optimality.hex(),\n"
+            "      hashlib.sha1(u.tobytes()).hexdigest())\n"
+            % (SEED + 8))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] and outs[0] == outs[1]

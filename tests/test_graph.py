@@ -375,3 +375,40 @@ def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
     monkeypatch.setattr(graphtv.graph, "_grow", skip_a_part)
     with pytest.raises(AssertionError):
         _successor_chains(SEED + 9)
+
+
+def test_span_prefers_loose_edges():
+    from graphtv.graph import _adjacency, _grow, _span
+    from graphtv.instances import cartesian_graph
+    # a path 0-1-2-3 whose middle edge lacks slack: the tree takes it, and
+    # only it, to reach vertices 2 and 3
+    g = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
+    adj = _adjacency(g)
+    flat = np.ones(3, dtype=bool).tobytes()
+    c = _span(adj, flat, np.array([True, False, True]).tobytes(), 0)
+    assert c.order == [0, 1, 2, 3] and c.tree == [0, 1, 2] and c.up == [-1, 0, 1, 2]
+    # where the loose edges span the cluster, the tree is the breadth-first
+    # one over them; a flat edge outside loose is taken once per loose
+    # component beyond the first, and never an edge that is not flat
+    g = cartesian_graph(6, 6)
+    adj = _adjacency(g)
+    rng = np.random.default_rng(SEED + 9)
+    flat = rng.uniform(size=g.edge_count) < 0.8
+    loose = flat & (rng.uniform(size=g.edge_count) < 0.7)
+    for root in (0, 17, 35):
+        whole = _grow(adj, flat.tobytes(), [root])[0]
+        same = _span(adj, flat.tobytes(), flat.tobytes(), root)
+        assert (same.order, same.up, same.tree) == (whole.order, whole.up, whole.tree)
+        c = _span(adj, flat.tobytes(), loose.tobytes(), root)
+        assert sorted(c.order) == sorted(whole.order)
+        assert flat[c.tree].all()
+        pieces = _grow(adj, loose.tobytes(), sorted(whole.order))
+        assert int((~loose[c.tree]).sum()) == len(pieces) - 1
+        # each vertex comes after its parent, so a peel carries any r
+        assert all(c.up[i] < i for i in range(1, len(c.order)))
+        r = rng.normal(size=len(c.order))
+        r -= r.mean()
+        h = np.zeros(g.edge_count)
+        h[c.tree] = c.peel(list(r))
+        d = divergence(g, h)
+        assert np.abs(d[c.order] - r).max() < 1e-12

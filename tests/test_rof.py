@@ -485,6 +485,22 @@ def test_max_flow_certificate(monkeypatch):
     assert _gap_error(g, f, routed) <= 1e-12
 
 
+def test_repair_crosses_a_saturated_edge(monkeypatch):
+    # in this draw a vertex of a large cluster has only flat edges that
+    # the iterate nearly saturates; the repair tree takes one of them
+    # there, the correction it carries fits in the box, and no max-flow
+    # runs.  The closed form is the max-flow route's, bit for bit
+    g = cartesian_graph(24, 24)
+    f = _draw(g, 3)
+    forest = rof_solve(g, f, 0.5)
+    assert forest.report.method == "kkt-forest"
+    assert _gap_error(g, f, forest) <= 1e-12
+    monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+    routed = rof_solve(g, f, 0.5)
+    assert routed.report.method == "kkt-maxflow"
+    assert routed.u.tobytes() == forest.u.tobytes()
+
+
 def test_unconverged_fallback_names_the_instance(monkeypatch):
     import graphtv.rof
     monkeypatch.setattr(graphtv.rof, "_closed_form", lambda *args: None)
