@@ -52,7 +52,8 @@ class SolveReport:
 
     Attributes
     ----------
-    iterations : total inner iterations spent.
+    iterations : total inner iterations spent; 0 when the start (zero or
+        the warm start) already met the stopping test.
     objective : final objective value.
     optimality : final optimality measure.  For projections this is the
         gradient-mapping norm.  For separable solves it is a certified bound
@@ -378,6 +379,10 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     is computed at the feasible iterate ``x``, and
     ``measure(x, grad, objective)`` is the stopping statistic: the
     gradient-mapping norm (see :func:`_mapping_norm`) or a duality gap.
+    The measure is also taken once at the projected start ``x0``: a start
+    that already meets ``stop_tol`` is returned with 0 iterations.  A start
+    that misses it leaves no trace in the loop below, which neither keeps
+    it as the best iterate nor counts it against patience.
     The best-measure iterate is kept.  The loop stops once the best measure
     meets ``stop_tol``, or after ``patience`` consecutive checks none of
     which is 10 percent below the best measure seen so far.  Each check is
@@ -419,9 +424,12 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
 
     x = project(np.asarray(x0, dtype=float))
     z = g._div(x)
+    fx = value(z)
+    meas = check(x, z, fx)
+    if meas <= stop_tol:
+        return x, 0, meas, fx, True
     y, zy = x, z
     t = 1.0
-    fx = value(z)
     it = 0
     best_x, best_meas = x, math.inf
     checks_since_gain = 0
@@ -651,7 +659,10 @@ def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
     :func:`bisection_prox` from the subgradient when ``phi`` has none.  The
     convergence contract is a certified objective gap (``report.optimality``,
     see :class:`SolveReport`) below ``tol.solve_tol * (1 + |objective|)``
-    (default objective tolerance 1e-6).
+    (default objective tolerance 1e-6).  ``warm_start`` is a flow to start
+    from, projected onto ``spec``; the descent is monotone, so the objective
+    returned does not exceed the start's beyond rounding, and a start that
+    already meets the bound costs no iteration.
 
     Returns
     -------

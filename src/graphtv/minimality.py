@@ -243,11 +243,15 @@ def verify_universal_minimality(g: OrientedGraph, f, alpha: float,
                                 tol: Optional[Tolerances] = None) -> list:
     """Compare the regularized solution against per-phi oracles.
 
-    For each catalog member, independently minimizes sum phi over the
-    feasible slab f - alpha * (divergence image of the unit box) and
-    reports the objective gap of the regularized solution.  ``ok`` means
-    the gap is within ``tol.solve_tol * (1 + |minimum|)`` (default 1e-6)
-    and the oracle converged.
+    For each catalog member, minimizes sum phi over the feasible slab
+    f - alpha * (divergence image of the unit box) and reports the
+    objective gap of the regularized solution.  Each oracle starts at the
+    point under test, the solution's negated dual flow; the certificate
+    decides: the oracle stops only once its certified bound on
+    ``objective - minimum`` is met, and its objective never exceeds the
+    start's, so the gap is nonnegative up to rounding.  ``ok`` means the
+    gap is within ``tol.solve_tol * (1 + |minimum|)`` (default 1e-6) and
+    the oracle converged.
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
     f = ensure_vertex_field(g, f, "f")
@@ -256,13 +260,14 @@ def verify_universal_minimality(g: OrientedGraph, f, alpha: float,
         raise ValidationError("alpha must be finite and positive")
     if catalog is None:
         catalog = PhiCatalog.standard(float(f.min()), float(f.max()))
-    u = rof_solve(g, f, alpha, _tight(tol)).u
+    sol = rof_solve(g, f, alpha, _tight(tol))
     box = BoxSpec.uniform(g.edge_count, alpha)
     out = []
     for phi in catalog:
-        val, rep = min_separable_convex_over_polytope(g, f, box, phi, tol)
+        _, rep = min_separable_convex_over_polytope(g, f, box, phi, tol,
+                                                    warm_start=-sol.dual_flow)
         oracle = rep.objective
-        mine = phi.total(u)
+        mine = phi.total(sol.u)
         gap = mine - oracle
         rel = gap / (1.0 + abs(oracle))
         ok = rep.converged and abs(rel) <= tol.solve_tol
@@ -306,8 +311,10 @@ def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
     """Search a data batch for a phi-minimality failure of the coupled solver.
 
     For each datum, solves the coupled (isotropic) regularization and
-    compares, for every catalog phi except x^2, against an independent
-    minimization of sum phi over the same coupled feasible set.  A margin
+    compares, for every catalog phi except x^2, against a minimization of
+    sum phi over the same coupled feasible set.  Each oracle starts at the
+    point under test, the solution's negated dual flow; the certificate
+    decides, as in :func:`verify_universal_minimality`.  A margin
     above ``10 * tol.solve_tol * (1 + |minimum|)`` is a witness that the
     coupled constraint set is not invariantly phi-minimal.  With
     ``coupled=False`` the same protocol runs on the box constraint as a
@@ -326,18 +333,19 @@ def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
             float(f.min()), float(f.max()))
         if coupled:
             spec = g.coupled_ball(alpha)
-            u = isotropic_rof_solve(g, f, alpha, _tight(tol)).u
+            sol = isotropic_rof_solve(g, f, alpha, _tight(tol))
         else:
             spec = BoxSpec.uniform(g.edge_count, alpha)
-            u = rof_solve(g, f, alpha, _tight(tol)).u
+            sol = rof_solve(g, f, alpha, _tight(tol))
         for phi in cat:
             if phi.name == "power2":
                 continue
-            _, rep = min_separable_convex_over_polytope(g, f, spec, phi, tol)
+            _, rep = min_separable_convex_over_polytope(g, f, spec, phi, tol,
+                                                        warm_start=-sol.dual_flow)
             if not rep.converged:
                 raise ConvergenceError(
                     "phi oracle did not converge for datum %d" % idx, rep)
-            margin = phi.total(u) - rep.objective
+            margin = phi.total(sol.u) - rep.objective
             rel = margin / (1.0 + abs(rep.objective))
             margins.append(WitnessRecord(idx, phi.describe(), margin, rel))
             checked += 1
@@ -372,8 +380,10 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     Draws random anchors a, takes the Euclidean projection x* of a onto the
     divergence image, and checks that x* also minimizes
     sum_v phi(x(v) - a(v)) over the image for every catalog phi (objective
-    gap within ``tol.solve_tol * (1 + |minimum|)``).  On the box image every
-    trial passes; on the coupled image failures are expected.
+    gap within ``tol.solve_tol * (1 + |minimum|)``).  Each phi solve starts
+    at the point under test, the projection's flow; the certificate
+    decides, as in :func:`verify_universal_minimality`.  On the box image
+    every trial passes; on the coupled image failures are expected.
 
     ``minimizer_spread`` additionally records how far the per-phi
     minimizers wander from x* in the max norm (informative for strictly
@@ -405,7 +415,7 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
             # sum phi(x - a) over x = div H equals sum phi~(a - div H)
             # with phi~ the reflection of phi
             x_phi, rep_phi = min_separable_convex_over_polytope(
-                g, a, spec, phi.reflect(), tol)
+                g, a, spec, phi.reflect(), tol, warm_start=h)
             if not rep_phi.converged:
                 raise ConvergenceError("anchored phi solve did not converge", rep_phi)
             gap = float(np.sum(phi.evaluate(x_star - a))) - rep_phi.objective

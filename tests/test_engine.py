@@ -86,6 +86,24 @@ def test_warm_start_changes_nothing():
     assert gap < 10 * SOLVE_TOL * (1.0 + np.abs(f).max())
 
 
+def test_start_meeting_the_stop_costs_no_iteration():
+    # a projection restarted at its own converged flow passes the stopping
+    # test at the start and returns that flow untouched; a cold start does
+    # not, and keeps iterating as before
+    from graphtv.instances import cartesian_graph
+    g16 = cartesian_graph(16, 16)
+    cases = [(*nonequivalence_instance(), 0.7),
+             (g16, random_vertex_field(np.random.default_rng(SEED + 11), 256), 0.5)]
+    for g, f, alpha in cases:
+        spec = BoxSpec.uniform(g.edge_count, alpha)
+        h, cold = project_onto_div_box(g, f, spec)
+        assert cold.converged and cold.iterations > 0
+        h_again, warm = project_onto_div_box(g, f, spec, warm_start=h)
+        assert warm.converged and warm.iterations == 0
+        assert h_again.tobytes() == h.tobytes()
+        assert warm.optimality == cold.optimality
+
+
 def test_separable_quadratic_equals_projection():
     rng = np.random.default_rng(SEED + 2)
     g = random_connected_graph(rng)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from graphtv import (demonstrate_isotropic_failure,
-                     empirical_invariant_phi_min_check, power_phi,
+from graphtv import (BoxSpec, demonstrate_isotropic_failure, divergence,
+                     empirical_invariant_phi_min_check, isotropic_rof_solve,
+                     min_separable_convex_over_polytope, power_phi, rof_solve,
                      verify_universal_minimality)
+from graphtv import minimality
 from graphtv.minimality import PhiCatalog, piecewise_linear_phi
-from graphtv.instances import (nonequivalence_instance, random_connected_graph,
-                               random_vertex_field)
+from graphtv.instances import (cartesian_graph, nonequivalence_instance,
+                               random_connected_graph, random_vertex_field)
 
 SEED = 20240821
 REL_TOL = 1e-5
@@ -84,3 +86,130 @@ def test_piecewise_linear_phi_shape():
 def test_power_phi_rejects_bad_exponent():
     with pytest.raises(Exception):
         power_phi(0.5)
+
+
+def _rounding(objective):
+    return 1e-12 * (1.0 + abs(objective))
+
+
+def _soundness_cases():
+    # the 3x3 instance at alpha 1 and two random graphs at alpha 0.15
+    rng = np.random.default_rng(SEED + 4)
+    g, f = nonequivalence_instance()
+    cases = [(g, f, 1.0)]
+    for _ in range(2):
+        g = random_connected_graph(rng)
+        cases.append((g, random_vertex_field(rng, g.vertex_count), 0.15))
+    return cases
+
+
+def test_oracle_started_at_the_solution_stays_there():
+    # by universal minimality phi.total(u) is the exact minimum over the
+    # box slab: an oracle started at the certified flow cannot go below it
+    # and, by its certificate, ends within its bound above it
+    for g, f, alpha in _soundness_cases():
+        sol = rof_solve(g, f, alpha)
+        assert sol.report.method.startswith("kkt-")
+        box = BoxSpec.uniform(g.edge_count, alpha)
+        for phi in PhiCatalog.standard(float(f.min()), float(f.max())):
+            _, rep = min_separable_convex_over_polytope(
+                g, f, box, phi, warm_start=-sol.dual_flow)
+            assert rep.converged, phi.name
+            excess = phi.total(sol.u) - rep.objective
+            r = _rounding(rep.objective)
+            assert -r <= excess <= rep.optimality + r, (phi.name, excess)
+
+
+def test_oracle_from_a_wrong_start_agrees_with_cold():
+    # feasible starts away from the minimizer: the flow of the solution at
+    # another alpha (clipped into the box) and a random point of the set.
+    # Both oracles are certified, so their objectives differ by at most the
+    # sum of the two bounds.  Likewise on the coupled balls of a grid, where
+    # the isotropic solution in general minimizes only the x^2 objective
+    rng = np.random.default_rng(SEED + 5)
+    runs = []
+    for g, f, alpha in _soundness_cases():
+        box = BoxSpec.uniform(g.edge_count, alpha)
+        starts = [-rof_solve(g, f, alpha / 2.0).dual_flow,
+                  -rof_solve(g, f, 3.0 * alpha).dual_flow,
+                  box.random_point(rng)]
+        runs.append((g, f, box, starts))
+    g = cartesian_graph(6, 6)
+    f = random_vertex_field(rng, g.vertex_count)
+    balls = g.coupled_ball(0.5)
+    runs.append((g, f, balls, [-isotropic_rof_solve(g, f, 0.5).dual_flow,
+                               -isotropic_rof_solve(g, f, 2.0).dual_flow,
+                               balls.random_point(rng)]))
+    for g, f, spec, starts in runs:
+        for phi in PhiCatalog.standard(float(f.min()), float(f.max())):
+            _, cold = min_separable_convex_over_polytope(g, f, spec, phi)
+            assert cold.converged, phi.name
+            for start in starts:
+                _, warm = min_separable_convex_over_polytope(
+                    g, f, spec, phi, warm_start=start)
+                assert warm.converged, phi.name
+                slack = cold.optimality + warm.optimality + _rounding(cold.objective)
+                assert abs(warm.objective - cold.objective) <= slack, phi.name
+
+
+def test_gaps_and_margins_are_nonnegative(monkeypatch):
+    # every oracle starts at the point under test and cannot end above it,
+    # so each reported gap or margin is >= 0 up to the rounding between u
+    # and f + div(dual_flow).  The anchor check reports only its worst gap,
+    # so its gaps are read off the oracle calls: phi~(a - div h) at the
+    # start h, the projection's flow, is phi(x* - a)
+    anchor_gaps = []
+
+    def recording(g, base, spec, phi, tol=None, *, warm_start=None):
+        x, rep = min_separable_convex_over_polytope(
+            g, base, spec, phi, tol, warm_start=warm_start)
+        at_start = phi.total(base - divergence(g, warm_start))
+        anchor_gaps.append((at_start - rep.objective, rep.objective))
+        return x, rep
+
+    for g, f, alpha in _soundness_cases():
+        for r in verify_universal_minimality(g, f, alpha):
+            assert r.gap >= -_rounding(r.independent_minimum), (r.phi, r.gap)
+    g, f = nonequivalence_instance()
+    rng = np.random.default_rng(SEED + 6)
+    span = float(f.max() - f.min())
+    batch = [f] + [f + rng.normal(0, 0.25 * span, f.size) for _ in range(2)]
+    for coupled in (True, False):
+        rep = demonstrate_isotropic_failure(g, batch, 1.0, coupled=coupled,
+                                            early_stop=False)
+        assert rep.checked == len(batch) * 6
+        for m in rep.margins:
+            assert m.relative_margin >= -1e-12, (m.phi, m.margin)
+    monkeypatch.setattr(minimality, "min_separable_convex_over_polytope", recording)
+    g = cartesian_graph(4, 4)
+    empirical_invariant_phi_min_check(g, 0.5, trial_count=2,
+                                      rng=np.random.default_rng(SEED + 7))
+    g = random_connected_graph(rng, max_vertices=8)
+    empirical_invariant_phi_min_check(g, 0.5, trial_count=2, rng=rng)
+    assert len(anchor_gaps) == 2 * 2 * 7
+    for gap, objective in anchor_gaps:
+        assert gap >= -_rounding(objective), gap
+
+
+def test_oracle_iterations_stay_small_on_a_grid(monkeypatch):
+    # started at the point under test, the 7 oracles of a 16x16 grid at
+    # alpha 0.5 spend a few hundred iterations at most (about 2000 from
+    # zero), and one anchored trial's 7 at most 200 (about 1100 from zero)
+    spent = []
+
+    def counting(*args, **kwargs):
+        x, rep = min_separable_convex_over_polytope(*args, **kwargs)
+        spent.append(rep.iterations)
+        return x, rep
+
+    monkeypatch.setattr(minimality, "min_separable_convex_over_polytope", counting)
+    g = cartesian_graph(16, 16)
+    f = random_vertex_field(np.random.default_rng(SEED + 8), g.vertex_count)
+    reports = verify_universal_minimality(g, f, 0.5)
+    assert all(r.ok for r in reports)
+    assert len(spent) == 7 and sum(spent) <= 400
+    spent.clear()
+    trials = empirical_invariant_phi_min_check(g, 0.5, trial_count=1,
+                                               rng=np.random.default_rng(SEED + 9))
+    assert trials[0].passed
+    assert len(spent) == 7 and sum(spent) <= 200
