@@ -78,7 +78,7 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     if trajectory is None:
         trajectory = flow_solve(g, f, tol)
     if regularized is None:
-        regularized = rof_solve(g, f, alpha, tol)
+        regularized = rof_solve(g, f, alpha)
     u_reg = regularized.u
     u_flow = trajectory.value_at(alpha)
     diff = u_reg - u_flow
@@ -212,7 +212,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
     paths, the jump-set reversal on the switching edge, the modified datum
     whose path and flow agree while opening a jump absent from the datum,
     and the norm ordering between datum, flow state, regularized state,
-    and mean.
+    and mean.  ``tol`` sets only the flat threshold of flows and jump sets.
     """
     tol = tol if tol is not None else DEFAULT_TOL
     g, f = nonequivalence_instance()
@@ -227,7 +227,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
     samples = (0.2, 1.0, 3.0)
     reg = {}
     for a in samples:
-        sol = rof_solve(g, f, a, tol)
+        sol = rof_solve(g, f, a)
         reg[a] = sol
         add("regularized values agree at %.1f" % a,
             float(np.abs(sol.u - regularization_reference(a)).max()))
@@ -251,7 +251,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
         0.4, break_tol)
 
     j_early = jump_set(g, reg[1.0].u, tol)
-    j_late = jump_set(g, rof_solve(g, f, 3.0, tol).u, tol)
+    j_late = jump_set(g, rof_solve(g, f, 3.0).u, tol)
     add("switching edge flat at 1.0", float(SWITCHING_EDGE in j_early), 0.0, 0.5)
     add("switching edge open at 3.0", float(SWITCHING_EDGE in j_late), 1.0, 0.5)
     add("early jump set nested in late", float(j_early < j_late), 1.0, 0.5)
@@ -262,7 +262,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
     fv = nonequivalence_variant_datum()
     vexp = {a: variant_reference(a) for a in (0.2, 1.0, 2.0, 3.0)}
     vtraj = flow_solve(g, fv, tol)
-    worst_reg = max(float(np.abs(rof_solve(g, fv, a, tol).u - vexp[a]).max())
+    worst_reg = max(float(np.abs(rof_solve(g, fv, a).u - vexp[a]).max())
                     for a in vexp)
     worst_flow = max(float(np.abs(vtraj.value_at(a) - vexp[a]).max()) for a in vexp)
     add("variant regularization matches closed form", worst_reg)

@@ -70,7 +70,7 @@ def _cmd_rof(args) -> int:
     if args.path:
         _reject_unread(args, "rof --path", "--flat-tol", "--solve-tol")
     else:
-        _reject_unread(args, "rof --alpha", "--flat-tol")
+        _reject_unread(args, "rof --alpha", "--flat-tol", "--solve-tol")
     g, f = _load(args)
     if args.path:
         path = rof_path(g, f)
@@ -78,7 +78,7 @@ def _cmd_rof(args) -> int:
         write_trajectory(buf, path)
         _emit(args, buf.getvalue())
         return 0
-    sol = rof_solve(g, f, args.alpha, _tolerances(args))
+    sol = rof_solve(g, f, args.alpha)
     doc = {
         "alpha": float(args.alpha),
         "values": [float(x) for x in sol.u],
@@ -139,6 +139,7 @@ def _cmd_verify(args) -> int:
     lines = []
     ok = True
     if args.mode == "counterexample":
+        _reject_unread(args, "verify --mode counterexample", "--solve-tol")
         report = counterexample_harness(_tolerances(args))
         for c in report.checks:
             lines.append("%s %s measured=%s expected=%s tol=%s" % (
@@ -191,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--solve-tol", type=float, default=None,
                         help="optimality tolerance for inner solves (default "
                              "1e-9; 1e-6 in verify --mode phimin|isotropic; "
-                             "rof --path and flow take none)")
+                             "rof, flow and verify --mode counterexample "
+                             "take none)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

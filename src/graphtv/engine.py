@@ -60,14 +60,14 @@ class SolveReport:
         on ``objective - minimum``: with ``apgd-smoothing`` the smoothed
         objective's linearization duality gap plus the pointwise smoothing
         error (see :func:`_smoothing_descent`), with ``apgd-smooth`` the
-        gradient-mapping norm times the constraint set's diameter.  For a
-        certified ``rof_solve`` it is the residual
-        ``max |f + div(dual_flow) - u|`` of its optimality conditions.
+        gradient-mapping norm times the constraint set's diameter.  For
+        ``rof_solve`` and membership it is the residual of the optimality
+        conditions, ``max |f + div(dual_flow) - u|`` or ``max |div H - c|``.
     converged : whether the stopping criterion was met within the cap.
     method : short tag naming the algorithm that produced the result:
-        ``apgd-projection``, ``apgd-smooth``, ``apgd-smoothing``, or for
-        ``rof_solve`` also ``kkt-forest`` and ``kkt-maxflow`` (certified
-        closed forms, see :func:`graphtv.rof.rof_solve`) and ``identity``.
+        ``apgd-projection``, ``apgd-smooth``, ``apgd-smoothing``; only
+        ``kkt-forest``, ``kkt-maxflow`` (certified, see
+        :func:`graphtv.rof.rof_solve`) or ``identity`` from ``rof_solve``.
     """
 
     iterations: int

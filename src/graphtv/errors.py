@@ -10,7 +10,8 @@ class ValidationError(GraphTVError, ValueError):
 
 
 class ConvergenceError(GraphTVError, RuntimeError):
-    """An inner solver stopped at its iteration cap before reaching tolerance.
+    """An inner solver stopped at its iteration cap before reaching tolerance,
+    or ``rof_solve`` found no sign pattern whose closed form it could certify.
 
     Carries the offending :class:`~graphtv.engine.SolveReport` in ``report``
     when one is available, so callers can distinguish a clean negative answer

@@ -217,15 +217,13 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
                           np.asarray(antider))
 
 
-def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float,
-                        tol: Optional[Tolerances] = None) -> np.ndarray:
+def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.ndarray:
     """Implicit-Euler approximation of the flow state at t_end.
 
-    Iterates the regularization resolvent with parameter ``step``; the last
-    step is shortened to land exactly on t_end.  First-order accurate in
-    ``step``.
+    Iterates the certified resolvent :func:`rof_solve` with parameter
+    ``step``; the last step is shortened to land exactly on t_end.
+    First-order accurate in ``step``.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
     t_end = float(t_end)
     step = float(step)
@@ -241,7 +239,7 @@ def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float,
         h = min(step, t_end - t)
         if h <= 0:
             break
-        sol = rof_solve(g, u, h, tol, warm_start=warm)
+        sol = rof_solve(g, u, h, warm_start=warm)
         u = sol.u
         warm = -sol.dual_flow
         t += h

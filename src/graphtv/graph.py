@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import (BoxSpec, GroupBallSpec, SolveReport, ensure_edge_field,
-                     ensure_vertex_field, project_onto_div_box)
-from .errors import ConvergenceError, ValidationError
+                     ensure_vertex_field)
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,8 @@ class Tolerances:
     solve_tol : inner solver tolerance (gradient-mapping norm for
         projections, relative objective gap for generic convex solves).
 
-    ``flow_solve`` reads ``flat_tol`` only for the ties of its datum;
-    ``rof_path`` reads neither: it is exact.  ``rof_solve`` reads no
-    ``flat_tol``, and ``solve_tol`` bounds only its uncertified fallback:
-    its certified answers are exact closed forms, whatever ``solve_tol``.
+    ``flow_solve`` and :func:`subdifferential_membership` read only
+    ``flat_tol``; ``rof_solve`` and ``rof_path`` take no tolerance.
     """
 
     flat_tol: float = 1e-7
@@ -289,8 +287,9 @@ class MembershipResult:
     ``member`` is the verdict; ``witness`` is a feasible flow whose
     divergence matches the candidate when the verdict is positive (any
     feasible witness; only its divergence is determined).  ``residual`` is
-    the achieved distance ``||div H - candidate||_2`` and ``threshold`` the
-    cutoff it was compared against.
+    ``||div H - candidate||_2``, an upper bound on the distance to the
+    subdifferential, and ``threshold`` the cutoff that
+    ``max |div H - candidate|`` (``report.optimality``) was compared against.
     """
 
     member: bool
@@ -1040,6 +1039,15 @@ class PatternKernel:
                 h[self.clusters.edges(k)] = entry[3]
         return h
 
+    def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
+        """None if the flow h lies in [-1, 1] and has divergence r up to
+        1e-10 of ``1 + max |r|``, else the cause: the one witness check."""
+        residual = float(np.abs(self.graph._div(h) - r).max())
+        if (float(np.abs(h).max(initial=0.0)) > 1.0
+                or residual > 1e-10 * (1.0 + float(np.abs(r).max()))):
+            return "a cluster has no witness flow (residual %.3g)" % residual
+        return None
+
     def _repair(self, h: np.ndarray, start: np.ndarray, r: np.ndarray,
                 ks: list) -> list:
         # sets h on each cluster k of ks to start, a flow in [-1, 1], plus
@@ -1075,22 +1083,22 @@ def subdifferential_membership(g: OrientedGraph, u, candidate,
                                tol: Tolerances | None = None) -> MembershipResult:
     """Decide whether ``candidate`` lies in the total-variation subdifferential at ``u``.
 
-    Projects the candidate onto the divergence image of the pattern box of
-    ``u`` and compares the residual against a solver-resolution threshold
-    ``max(solve_tol, 100 * solve_tol * (1 + ||candidate||_2))`` (the exact
-    contract is residual zero).  Raises :class:`ConvergenceError` when the
-    inner projection does not converge, so an unresolved solve is never
-    reported as a clean negative verdict.
+    Exact, with no iterative solve: the kernel of u's sign pattern (at
+    ``tol.flat_tol``) with datum ``candidate`` gives at t = 1 a flow H,
+    pinned on the non-flat edges and in [-1, 1] on the flat ones, whose
+    divergence is the candidate less each cluster's mean mismatch where
+    the cluster admits one.  The candidate is a member iff H passes
+    :meth:`PatternKernel.fault`.  The report has 0 iterations and method
+    ``kkt-forest``, or ``kkt-maxflow`` when a cluster needed a max-flow.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
     u = ensure_vertex_field(g, u, "u")
     candidate = ensure_vertex_field(g, candidate, "candidate")
-    box = pattern_box(sign_pattern(g, u, tol))
-    h, report = project_onto_div_box(g, candidate, box, tol)
-    if not report.converged:
-        raise ConvergenceError("membership projection did not converge", report)
-    residual = float(np.linalg.norm(g._div(h) - candidate))
-    threshold = max(tol.solve_tol,
-                    100.0 * tol.solve_tol * (1.0 + float(np.linalg.norm(candidate))))
-    member = residual <= threshold
-    return MembershipResult(member, h if member else None, residual, threshold, report)
+    kernel = PatternKernel(g, sign_pattern(g, u, tol), candidate)
+    h = kernel.witness(Fraction(1)) - kernel.pattern.labels
+    mismatch = g._div(h) - candidate
+    residual = float(np.linalg.norm(mismatch))
+    member = kernel.fault(h, candidate) is None
+    report = SolveReport(0, 0.5 * residual * residual, float(np.abs(mismatch).max()),
+                         True, method="kkt-maxflow" if kernel.memo else "kkt-forest")
+    return MembershipResult(member, h if member else None, residual,
+                            1e-10 * (1.0 + float(np.abs(candidate).max())), report)

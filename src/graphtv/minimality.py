@@ -260,7 +260,7 @@ def verify_universal_minimality(g: OrientedGraph, f, alpha: float,
         raise ValidationError("alpha must be finite and positive")
     if catalog is None:
         catalog = PhiCatalog.standard(float(f.min()), float(f.max()))
-    sol = rof_solve(g, f, alpha, _tight(tol))
+    sol = rof_solve(g, f, alpha)
     box = BoxSpec.uniform(g.edge_count, alpha)
     out = []
     for phi in catalog:
@@ -336,7 +336,7 @@ def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
             sol = isotropic_rof_solve(g, f, alpha, _tight(tol))
         else:
             spec = BoxSpec.uniform(g.edge_count, alpha)
-            sol = rof_solve(g, f, alpha, _tight(tol))
+            sol = rof_solve(g, f, alpha)
         for phi in cat:
             if phi.name == "power2":
                 continue

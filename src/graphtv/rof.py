@@ -109,42 +109,36 @@ def _checked(g, f, alpha):
     return f, alpha
 
 
-def _unconverged(g, name, alpha, report):
-    return ConvergenceError("%s projection did not converge %s"
-                            % (name, failure_site(g, "alpha", alpha)), report)
-
-
 def _identity(g, f):
     return RofSolution(0.0, f.copy(), np.zeros(g.edge_count),
                        SolveReport(0, 0.0, 0.0, True, method="identity"))
 
 
 # The accuracy, relative to the data range, at which rof_solve's projection
-# stops to identify the sign pattern; the certificate, not this tolerance,
-# decides whether the pattern is right
+# stops to identify the sign pattern, and 1e-3 of it for a second try; the
+# certificate, not this tolerance, decides whether the pattern is right
 IDENTIFY_TOL = 5e-7
 # The share of the data range below which an edge difference of the
 # identifying iterate counts as flat
 IDENTIFY_FLAT = Tolerances(flat_tol=1e-7)
 
 
-def _closed_form(g, f, alpha, h, scale, iterations) -> Optional[RofSolution]:
-    # the closed form of the sign pattern of the iterate h, with its dual
-    # flow, if the certificate holds; its witness starts from h / alpha
+def _closed_form(g, f, alpha, h, scale, iterations) -> tuple:
+    # (the certified closed form of the sign pattern of the iterate h, None)
+    # or (None, the certificate's cause); the witness starts from h / alpha
     k = PatternKernel(g, sign_pattern(g, f - g._div(h), IDENTIFY_FLAT, scale=scale), f)
-    witness, _ = _certify(k, alpha, start=h / alpha)
+    witness, cause = _certify(k, alpha, start=h / alpha)
     if witness is None:
-        return None
+        return None, cause
     u = k.intercept + alpha * k.slope
     dual = -alpha * (witness - k.pattern.labels)
     optimality = float(np.abs(f + g._div(dual) - u).max())
     return RofSolution(alpha, u, dual, SolveReport(
         iterations, 0.5 * float(np.sum(u * u)), optimality, True,
-        method="kkt-maxflow" if k.memo else "kkt-forest"))
+        method="kkt-maxflow" if k.memo else "kkt-forest")), None
 
 
-def rof_solve(g: OrientedGraph, f, alpha: float,
-              tol: Optional[Tolerances] = None, *,
+def rof_solve(g: OrientedGraph, f, alpha: float, *,
               warm_start=None, max_iter: int = 1_000_000) -> RofSolution:
     """Solve the graph total-variation regularization problem at one alpha.
 
@@ -162,36 +156,30 @@ def rof_solve(g: OrientedGraph, f, alpha: float,
     ``report.optimality`` the residual ``max |f + div(dual_flow) - u|``.
 
     When the certificate fails, the projection continues from its iterate
-    to ``tol.solve_tol`` and the pattern is certified once more.  Only if
-    that fails too is the iterate itself returned (method
-    ``apgd-projection``), so ``solve_tol`` bounds only this uncertified
-    fallback; ``--solve-tol`` has that effect on ``graphtv rof --alpha``.
-    The flat threshold of ``tol`` is not read.
+    to 1e-3 of that tolerance and certifies once more.  If neither pattern
+    certifies, :class:`ConvergenceError` names the cause, n, m and alpha;
+    every answer is certified, so the solve takes no tolerance.
 
     ``warm_start`` accepts a prior solution's negated dual flow (the raw
     projection variable); passing the previous ``-solution.dual_flow`` makes
-    parameter sweeps much cheaper.  Raises :class:`ConvergenceError`, naming
-    n, m and alpha, when the fallback does not reach ``solve_tol`` within
-    ``max_iter`` iterations in all.
+    parameter sweeps much cheaper.  ``max_iter`` caps the projection's
+    iterations over both stages.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
     f, alpha = _checked(g, f, alpha)
     if alpha == 0.0:
         return _identity(g, f)
     box = BoxSpec.uniform(g.edge_count, alpha)
     scale = float(f.max() - f.min()) or 1.0
     h, iterations = warm_start, 0
-    for stop in (IDENTIFY_TOL * scale, tol.solve_tol):
+    for stop in (IDENTIFY_TOL * scale, 1e-3 * IDENTIFY_TOL * scale):
         h, report = project_onto_div_box(g, f, box, Tolerances(solve_tol=stop),
                                          warm_start=h, max_iter=max_iter - iterations)
         iterations += report.iterations
-        sol = _closed_form(g, f, alpha, h, scale, iterations)
+        sol, cause = _closed_form(g, f, alpha, h, scale, iterations)
         if sol is not None:
             return sol
-    if not report.converged:
-        raise _unconverged(g, "regularization", alpha, report)
-    return RofSolution(alpha, f - g._div(h), -h, SolveReport(
-        iterations, report.objective, report.optimality, True, report.method))
+    raise ConvergenceError("no certified sign pattern: %s %s"
+                           % (cause, failure_site(g, "alpha", alpha)), report)
 
 
 def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
@@ -211,7 +199,8 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
     h, report = project_onto_div_box(g, f, g.coupled_ball(alpha), tol,
                                      warm_start=warm_start, max_iter=max_iter)
     if not report.converged:
-        raise _unconverged(g, "coupled", alpha, report)
+        raise ConvergenceError("coupled projection did not converge %s"
+                               % failure_site(g, "alpha", alpha), report)
     return RofSolution(alpha, f - g._div(h), -h, report)
 
 
@@ -226,11 +215,10 @@ def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction] = None,
     else ``(None, cause)``.
 
     Pinned edges keep their signs, and the kernel's witness at ``t``, the
-    exact ``1 / alpha`` of a split or else ``1 / Fraction(alpha)``, lies in
-    [-1, 1] and has divergence ``t * w - beta`` on every cluster, up to
-    1e-10 of ``1 + max |t * w - beta|``.  ``start`` is passed on to
-    :meth:`PatternKernel.witness`.  At alpha = 0, w vanishes on the ties of
-    f; t = 0 is used.
+    exact ``1 / alpha`` of a split or else ``1 / Fraction(alpha)``, passes
+    :meth:`PatternKernel.fault` against ``t * w - beta``.  ``start`` is
+    passed on to :meth:`PatternKernel.witness`.  At alpha = 0, w vanishes
+    on the ties of f; t = 0 is used.
     """
     g = kernel.graph
     c, s = kernel.intercept, kernel.slope
@@ -242,12 +230,8 @@ def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction] = None,
     if t is None:
         t = 1 / Fraction(alpha) if alpha > 0 else Fraction(0)
     h = kernel.witness(t, start)
-    r = float(t) * kernel.pull - kernel.beta
-    residual = float(np.abs(g._div(h) - r).max())
-    if (float(np.abs(h).max(initial=0.0)) > 1.0
-            or residual > 1e-10 * (1.0 + float(np.abs(r).max()))):
-        return None, "a cluster has no witness flow (residual %.3g)" % residual
-    return h, None
+    cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
+    return (None, cause) if cause else (h, None)
 
 
 def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:

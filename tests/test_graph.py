@@ -277,6 +277,92 @@ def test_membership_scales_with_alpha():
     assert res.member
 
 
+def test_membership_runs_no_iterative_solve(monkeypatch):
+    # membership is the kernel's exact cluster test: no projection runs
+    # and no solve tolerance is read
+    import graphtv.engine
+    import graphtv.graph
+    from graphtv import rof_solve
+    from graphtv.instances import cartesian_graph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterative solve")
+
+    assert not hasattr(graphtv.graph, "project_onto_div_box")
+    g, f = nonequivalence_instance()
+    sol = rof_solve(g, f, 1.0)
+    monkeypatch.setattr(graphtv.engine, "project_onto_div_box", refuse)
+    assert subdifferential_membership(g, sol.u, f - sol.u).member
+    assert not subdifferential_membership(g, sol.u, 2.0 * (f - sol.u)).member
+    grid = cartesian_graph(6, 6)
+    rng = np.random.default_rng(SEED + 6)
+    cand = divergence(grid, rng.uniform(-1.0, 1.0, grid.edge_count))
+    loose = Tolerances(solve_tol=1e300)
+    res = subdifferential_membership(grid, np.zeros(36), cand, loose)
+    assert res.member and res.report.iterations == 0
+    cand[0] += 1e-6
+    assert not subdifferential_membership(grid, np.zeros(36), cand, loose).member
+
+
+def _membership_draw(rng, k):
+    # a graph, a field u (tied values in half the draws) and a candidate:
+    # the divergence of a point of u's pattern box with some flat edges at
+    # a corner (a member), scaled out by 1.5, or perturbed by 1e-3
+    from graphtv.instances import cartesian_graph
+    g = (cartesian_graph(3 + k % 4, 3 + (k // 4) % 4) if k % 2
+         else random_connected_graph(rng, max_vertices=10))
+    n = g.vertex_count
+    u = (rng.integers(0, 3, n).astype(float) if (k // 3) % 2
+         else random_vertex_field(rng, n))
+    box = pattern_box(sign_pattern(g, u))
+    h = box.random_point(rng)
+    corner = rng.uniform(size=h.size) < 0.3
+    h[corner] = np.where(rng.uniform(size=int(corner.sum())) < 0.5,
+                         box.lower[corner], box.upper[corner])
+    cand = divergence(g, h)
+    if k % 3 == 1:
+        cand = 1.5 * cand
+    elif k % 3 == 2:
+        cand = cand + 1e-3 * rng.normal(size=n)
+    return g, u, cand, box
+
+
+def test_membership_agrees_with_projection():
+    # the verdict of a projection onto the pattern box's divergence image
+    # at solve_tol 1e-9, and its distance, which the kernel's residual
+    # bounds from above
+    from graphtv.engine import project_onto_div_box
+    rng = np.random.default_rng(SEED + 40)
+    verdicts = set()
+    for k in range(240):
+        g, u, cand, box = _membership_draw(rng, k)
+        res = subdifferential_membership(g, u, cand)
+        h, rep = project_onto_div_box(g, cand, box, Tolerances(solve_tol=1e-9))
+        assert rep.converged
+        distance = float(np.linalg.norm(divergence(g, h) - cand))
+        assert res.member == (distance <= 1e-7 * (1.0 + np.linalg.norm(cand)))
+        assert res.residual >= distance - 1e-9
+        if res.member:
+            assert res.residual <= 1e-10 * np.sqrt(g.vertex_count) * (1.0 + np.abs(cand).max())
+            assert np.abs(res.witness).max() <= 1.0
+        verdicts.add((res.member, res.report.method))
+    assert verdicts == {(True, "kkt-forest"), (True, "kkt-maxflow"),
+                        (False, "kkt-forest"), (False, "kkt-maxflow")}
+
+
+def test_membership_max_flow_member():
+    # u constant on a 6x6 grid: one cluster, whose forest flow of the
+    # divergence of a random flow in [-1, 1] leaves the box
+    from graphtv.instances import cartesian_graph
+    g = cartesian_graph(6, 6)
+    rng = np.random.default_rng(SEED + 7)
+    cand = divergence(g, rng.uniform(-1.0, 1.0, g.edge_count))
+    res = subdifferential_membership(g, np.full(36, 2.0), cand)
+    assert res.member and res.report.method == "kkt-maxflow"
+    assert np.abs(res.witness).max() <= 1.0
+    assert np.abs(divergence(g, res.witness) - cand).max() <= res.threshold
+
+
 def test_coupled_groups_cover_grid_edges():
     g, _ = nonequivalence_instance()
     groups = g.coupled_groups()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphtv import (ConvergenceError, PathError, PiecewiseAffinePath, Tolerances,
+from graphtv import (ConvergenceError, PathError, PiecewiseAffinePath,
                      ValidationError, isotropic_rof_solve, rof_path, rof_solve,
                      sign_pattern, subdifferential_membership, total_variation)
 from graphtv.graph import PatternKernel
@@ -198,7 +198,6 @@ def test_path_tied_data_matches_tight_solves():
     # integer data ties many values, so clusters form at alpha = 0, events
     # coincide and clusters split; the path must still match rof_solve
     rng = np.random.default_rng(SEED + 13)
-    tight = Tolerances(solve_tol=1e-11)
     splits = 0
     for k in range(40):
         g = cartesian_graph(6, 6) if k % 2 else random_connected_graph(rng)
@@ -210,7 +209,7 @@ def test_path_tied_data_matches_tight_solves():
         splits += _split_count(g, path)
         b = path.breakpoints
         for alpha in rng.uniform(0.0, 1.1 * b[-1], 2):
-            direct = rof_solve(g, f, float(alpha), tight).u
+            direct = rof_solve(g, f, float(alpha)).u
             assert np.abs(path.value_at(float(alpha)) - direct).max() < 1e-8 * scale
     assert splits >= 1
 
@@ -380,6 +379,19 @@ def test_invalid_alpha_rejected():
         rof_solve(g, f, float("nan"))
 
 
+def test_rof_solve_takes_no_tolerance():
+    # every answer is certified, so neither rof_solve nor the implicit
+    # Euler flow built on it has a tolerance to take
+    from graphtv import Tolerances, flow_backward_euler
+    g, f = nonequivalence_instance()
+    for call in (lambda: rof_solve(g, f, 1.0, Tolerances()),
+                 lambda: rof_solve(g, f, 1.0, tol=Tolerances()),
+                 lambda: flow_backward_euler(g, f, 1.0, 0.5, Tolerances()),
+                 lambda: flow_backward_euler(g, f, 1.0, 0.5, tol=Tolerances())):
+        with pytest.raises(TypeError):
+            call()
+
+
 # -- identify, then certify ------------------------------------------------
 
 def _draw(g, k):
@@ -440,7 +452,7 @@ def test_stalling_box_solves_are_certified():
 def test_faulty_witness_is_never_certified(monkeypatch, fault):
     # a witness pushed out of the box by a circulation around a grid square,
     # or off its divergence by 1e-7 on one edge, must fail the certificate;
-    # rof_solve then returns the converged iterate, not a kkt result
+    # rof_solve then raises, naming the cause and the instance
     g = cartesian_graph(6, 6)
     f = _draw(g, 7)
     idx = g._grid_index
@@ -455,9 +467,9 @@ def test_faulty_witness_is_never_certified(monkeypatch, fault):
     monkeypatch.setattr(PatternKernel, "witness",
                         lambda self, *args: witness(self, *args) + bump)
     for alpha in (0.1, 0.5):
-        sol = rof_solve(g, f, alpha)
-        assert sol.report.method == "apgd-projection"
-        assert sol.report.converged
+        with pytest.raises(ConvergenceError,
+                           match=r"no witness flow .* \(36 vertices, 60 edges\)"):
+            rof_solve(g, f, alpha)
 
 
 def test_slack_trees_spare_the_max_flow():
@@ -503,14 +515,17 @@ def test_repair_crosses_a_saturated_edge(monkeypatch):
 
 def test_unconverged_fallback_names_the_instance(monkeypatch):
     import graphtv.rof
-    monkeypatch.setattr(graphtv.rof, "_closed_form", lambda *args: None)
+    monkeypatch.setattr(graphtv.rof, "_closed_form", lambda *args: (None, "no witness"))
     g = cartesian_graph(8, 8)
     with pytest.raises(ConvergenceError,
                        match=r"alpha = 2\.0 \(64 vertices, 112 edges\)"):
         rof_solve(g, _draw(g, 1), 2.0, max_iter=20)
 
 
-def test_jump_set_stable_under_tighter_solve_tol():
+def test_jump_set_stable_under_tighter_solve_tol(monkeypatch):
+    # the identifying projection's stop is the one tolerance rof_solve has
+    # left; a 100x tighter stop gives the same jump sets
+    import graphtv.rof
     from graphtv import jump_set
     rng = np.random.default_rng(SEED + 17)
     cases = [(cartesian_graph(12, 12), 0.3), (path_graph(300), 1.0)]
@@ -518,8 +533,10 @@ def test_jump_set_stable_under_tighter_solve_tol():
     for g, alpha in cases:
         f = random_vertex_field(rng, g.vertex_count)
         scale = float(np.ptp(f))
-        loose = rof_solve(g, f, alpha, Tolerances(solve_tol=1e-9))
-        tight = rof_solve(g, f, alpha, Tolerances(solve_tol=1e-11))
+        loose = rof_solve(g, f, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(graphtv.rof, "IDENTIFY_TOL", 1e-2 * graphtv.rof.IDENTIFY_TOL)
+            tight = rof_solve(g, f, alpha)
         assert jump_set(g, loose.u, scale=scale) == jump_set(g, tight.u, scale=scale)
 
 
