@@ -42,7 +42,8 @@ class EquivalenceReport:
     solutions coincide iff minus the averaged flow derivative over [0, alpha]
     lies in the subdifferential at the flow state.  ``segment_support_gaps``
     hold |<-d_k, u(alpha)> - J(u(alpha))| per flow segment intersecting
-    [0, alpha]; all of them vanishing is the simpler sufficient condition.
+    [0, alpha]; all of them vanishing, to ``1e-12 * (1 + J(u(alpha)))``, is
+    the simpler sufficient condition.
     """
 
     alpha: float
@@ -69,6 +70,8 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
 
     Passing a precomputed ``trajectory`` (and optionally the regularized
     solution) avoids re-integrating the flow for every alpha on a grid.
+    ``tol.flat_tol`` marks the ties of f for the flow and of the flow state
+    for the membership test; ``tol.solve_tol`` is not read.
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
@@ -89,7 +92,7 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     ms = subdifferential_membership(g, u_flow, averaged, tol)
 
     jval = total_variation(g, u_flow)
-    stol = 1e4 * tol.solve_tol * (1.0 + abs(jval))
+    stol = 1e-12 * (1.0 + abs(jval))
     gaps = []
     b = trajectory.breakpoints
     for k in range(trajectory.path.segment_count):
@@ -126,7 +129,7 @@ def _taut_dnc(xs, lo, hi, s, i, j):
     _taut_dnc(xs, lo, hi, s, k, j)
 
 
-def taut_string_1d(f, alpha: float, tol: Optional[Tolerances] = None) -> np.ndarray:
+def taut_string_1d(f, alpha: float) -> np.ndarray:
     """Derivative of the taut string through the alpha-tube around cumsum(f).
 
     The tube is [F - alpha, F + alpha] around the running sums F (with
@@ -136,7 +139,6 @@ def taut_string_1d(f, alpha: float, tol: Optional[Tolerances] = None) -> np.ndar
     wall, a concave bend the lower wall); its increments solve the 1-D
     version of the regularization problem on a path graph.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.size < 1:
         raise ValidationError("f must be a nonempty 1-D array")

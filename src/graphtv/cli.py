@@ -110,6 +110,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _reject_unread(args, "compare", "--solve-tol")
     tol = _tolerances(args)
     g, f = _load(args)
     try:
@@ -192,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--solve-tol", type=float, default=None,
                         help="optimality tolerance for inner solves (default "
                              "1e-9; 1e-6 in verify --mode phimin|isotropic; "
-                             "rof, flow and verify --mode counterexample "
-                             "take none)")
+                             "rof, flow, compare and verify --mode "
+                             "counterexample take none)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

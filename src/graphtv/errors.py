@@ -11,7 +11,8 @@ class ValidationError(GraphTVError, ValueError):
 
 class ConvergenceError(GraphTVError, RuntimeError):
     """An inner solver stopped at its iteration cap before reaching tolerance,
-    or ``rof_solve`` found no sign pattern whose closed form it could certify.
+    or an exact answer (``rof_solve``'s decomposition, the flow's minimal
+    section) failed its certificate, which well-posed inputs do not.
 
     Carries the offending :class:`~graphtv.engine.SolveReport` in ``report``
     when one is available, so callers can distinguish a clean negative answer

@@ -84,27 +84,18 @@ class FlowTrajectory:
 def settle(kernel: PatternKernel, t: float = 0.0) -> tuple:
     """The flow's direction at a state with the kernel's pattern, certified.
 
-    ``kernel`` has zero pull.  Returns ``(kernel, d, H)``: the clusters
-    that are not calibrable split along their min cuts
-    (:meth:`PatternKernel.splits`), and the split repeats until every
-    cluster is calibrable; ``kernel`` is then the last pattern's, ``d`` its
-    slope (the negated minimum-norm subdifferential element) and ``H`` its
-    witness at t = 0 with the pinned edges at their bounds.  This is the
-    decomposition algorithm for the minimum-norm base (Fujishige 1980;
-    Hochbaum 2001).  The certificate: ``|H| <= 1``, ``||div H + d||_inf <=
-    1e-12 (1 + ||d||_inf)``, and on every flat edge a split cut, ``H`` sits
-    at the bound the optimality conditions ask for.  A failed certificate
-    raises :class:`ConvergenceError`; ``t`` names the state in its message.
+    ``kernel`` has zero pull.  Returns ``(kernel, d, H)``: the kernel
+    :meth:`PatternKernel.settle` gives at t = 0, its slope ``d`` (the
+    negated minimum-norm subdifferential element) and its witness ``H``
+    with the pinned edges at their bounds.  The certificate: ``|H| <= 1``,
+    ``||div H + d||_inf <= 1e-12 (1 + ||d||_inf)``, and on every flat edge
+    a split cut, ``H`` sits at the bound the optimality conditions ask
+    for.  A failed certificate raises :class:`ConvergenceError`; ``t``
+    names the state in its message.
     """
     g = kernel.graph
     flat = kernel.pattern.flat
-    splits = kernel.splits(0.0)
-    while splits:
-        labels = kernel.pattern.labels.copy()
-        for _, _, pins in splits:
-            labels[list(pins)] = list(pins.values())
-        kernel = kernel.successor(labels)
-        splits = kernel.splits(0.0)
+    kernel = kernel.settle()
     d = kernel.slope
     h = kernel.witness() - kernel.pattern.labels
     residual = float(np.abs(g._div(h) + d).max())
@@ -233,14 +224,11 @@ def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.nd
         raise ValidationError("step must be finite and positive")
     count = int(math.ceil(t_end / step - 1e-12)) if t_end > 0 else 0
     u = f.copy()
-    warm = None
     t = 0.0
     for k in range(count):
         h = min(step, t_end - t)
         if h <= 0:
             break
-        sol = rof_solve(g, u, h, warm_start=warm)
-        u = sol.u
-        warm = -sol.dual_flow
+        u = rof_solve(g, u, h).u
         t += h
     return u

@@ -42,8 +42,8 @@ class Tolerances:
     solve_tol : inner solver tolerance (gradient-mapping norm for
         projections, relative objective gap for generic convex solves).
 
-    ``flow_solve`` and :func:`subdifferential_membership` read only
-    ``flat_tol``; ``rof_solve`` and ``rof_path`` take no tolerance.
+    ``flow_solve``, ``equivalence_report`` and :func:`subdifferential_membership`
+    read only ``flat_tol``; ``rof_solve`` and ``rof_path`` take no tolerance.
     """
 
     flat_tol: float = 1e-7
@@ -882,7 +882,8 @@ class PatternKernel:
                 ratios = [x.as_integer_ratio() for x in self.f[verts].tolist()]
                 unit = max(den for _, den in ratios)
                 big_f = [num * (unit // den) for num, den in ratios]
-                w = [n * x - sum(big_f) for x in big_f]
+                total = sum(big_f)
+                w = [n * x - total for x in big_f]
             c.data = (verts, self.clusters.edges(k), n, unit, w, [n * x - sb for x in b])
         return c.data
 
@@ -992,6 +993,40 @@ class PatternKernel:
         x = float((hi - t) / (hi - lo))
         return x * h_lo + (1.0 - x) * h_hi
 
+    def _forest_at(self, t: Fraction) -> tuple:
+        # the forest flow at t (see witness), an overshoot of at most 1e-12
+        # clipped, and the clusters where it leaves [-1, 1]
+        forest, edge_size, failed = self.calibration()
+        h = forest / edge_size
+        if not t:
+            return h, np.flatnonzero(failed).tolist()
+        h += float(t) * self._pull_flow
+        size = np.abs(h)
+        over = size > 1.0
+        rounded = over & (size <= 1.0 + 1e-12)
+        h[rounded] = np.sign(h[rounded])
+        cl = self.clusters
+        return h, np.flatnonzero(np.bincount(cl.labels[self.graph.tails[over & ~rounded]],
+                                             minlength=cl.count)).tolist()
+
+    def settle(self, t: Fraction = Fraction(0)) -> "PatternKernel":
+        """The kernel, from this one by splits, whose every cluster has a flow
+        at t (t > 0 needs a datum): each cluster whose forest flow leaves
+        [-1, 1] runs its max-flow test at t, each that fails splits along
+        its min cut, pinned as in :meth:`splits`, and the successor is
+        tested again.  The decomposition algorithm: at most n - 1 splits,
+        exact, with no tolerance (Chambolle & Darbon 2009)."""
+        kernel = self
+        while True:
+            found = kernel._route([(k, t) for k in kernel._forest_at(t)[1]])
+            pins = [step[1] for _, ok, step, _ in found if not ok]
+            if not pins:
+                return kernel
+            labels = kernel.pattern.labels.copy()
+            for p in pins:
+                labels[list(p)] = list(p.values())
+            kernel = kernel.successor(labels)
+
     def witness(self, t: Fraction = Fraction(0),
                 start: Optional[np.ndarray] = None) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
@@ -1002,26 +1037,13 @@ class PatternKernel:
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
         else ``start`` repaired (see :meth:`_repair`), if given and it fits;
         else the flow of its max-flow test at the exact t, which the split
-        search or an earlier event may have run already; else, when
-        feasible flows of its tests lie on both sides of t, their convex
-        combination; else a new max-flow test at t.  A cluster with no flow
-        in [-1, 1] gets one that misses the divergence; the caller's
+        search, :meth:`settle` or an earlier event may have run already;
+        else, when feasible flows of its tests lie on both sides of t, their
+        convex combination; else a new max-flow test at t.  A cluster with
+        no flow in [-1, 1] gets one that misses the divergence; the caller's
         certificate finds it.
         """
-        g = self.graph
-        forest, edge_size, failed = self.calibration()
-        h = forest / edge_size
-        if t:
-            h += float(t) * self._pull_flow
-            size = np.abs(h)
-            over = size > 1.0
-            rounded = over & (size <= 1.0 + 1e-12)
-            h[rounded] = np.sign(h[rounded])
-            cl = self.clusters
-            misfit = np.flatnonzero(np.bincount(cl.labels[g.tails[over & ~rounded]],
-                                                minlength=cl.count)).tolist()
-        else:
-            misfit = np.flatnonzero(failed).tolist()
+        h, misfit = self._forest_at(t)
         if misfit and start is not None:
             misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
         if not misfit:

@@ -11,7 +11,8 @@ it is a line, which ends where two clusters meet (a fusion) or where a
 parametric max-flow finds that a cluster breaks up (a split; Hoefling
 2010).  Both ends of every segment are certified.  A solve at one alpha
 uses the projection only to identify the sign pattern, and returns the
-pattern's line at alpha once the same certificate holds there (Hochbaum
+pattern's line at alpha once the same certificate holds there; where it
+does not, the decomposition algorithm gives the pattern exactly (Hochbaum
 2001; Chambolle & Darbon 2009).
 """
 
@@ -26,9 +27,9 @@ import numpy as np
 
 from .engine import BoxSpec, SolveReport, project_onto_div_box
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
-                    ensure_vertex_field, event_cap, failure_site, next_fusion,
-                    sign_pattern)
+from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
+                    Tolerances, ensure_vertex_field, event_cap, failure_site,
+                    next_fusion, sign_pattern)
 
 
 @dataclass(frozen=True)
@@ -115,71 +116,54 @@ def _identity(g, f):
 
 
 # The accuracy, relative to the data range, at which rof_solve's projection
-# stops to identify the sign pattern, and 1e-3 of it for a second try; the
-# certificate, not this tolerance, decides whether the pattern is right
+# stops to identify the sign pattern; the certificate, not this tolerance,
+# decides whether the pattern is right
 IDENTIFY_TOL = 5e-7
 # The share of the data range below which an edge difference of the
 # identifying iterate counts as flat
 IDENTIFY_FLAT = Tolerances(flat_tol=1e-7)
 
 
-def _closed_form(g, f, alpha, h, scale, iterations) -> tuple:
-    # (the certified closed form of the sign pattern of the iterate h, None)
-    # or (None, the certificate's cause); the witness starts from h / alpha
-    k = PatternKernel(g, sign_pattern(g, f - g._div(h), IDENTIFY_FLAT, scale=scale), f)
-    witness, cause = _certify(k, alpha, start=h / alpha)
-    if witness is None:
-        return None, cause
-    u = k.intercept + alpha * k.slope
-    dual = -alpha * (witness - k.pattern.labels)
-    optimality = float(np.abs(f + g._div(dual) - u).max())
-    return RofSolution(alpha, u, dual, SolveReport(
-        iterations, 0.5 * float(np.sum(u * u)), optimality, True,
-        method="kkt-maxflow" if k.memo else "kkt-forest")), None
-
-
-def rof_solve(g: OrientedGraph, f, alpha: float, *,
-              warm_start=None, max_iter: int = 1_000_000) -> RofSolution:
+def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     """Solve the graph total-variation regularization problem at one alpha.
 
-    Identify, then certify.  The dual projection runs to the loose
+    Identify, then certify.  The dual projection runs once, to the loose
     tolerance ``IDENTIFY_TOL`` of the data range, only to identify the sign
     pattern of ``u``; the answer is that pattern's closed form
     ``cluster_mean(f) + alpha * s`` (:class:`PatternKernel`), returned when
     its optimality conditions hold: pinned edges keep their signs, and a
-    flow in [-alpha, alpha] on the flat edges closes the divergence.  On
-    each cluster that flow is the spanning-tree flow where it fits; else
-    the iterate's own, its divergence error routed on a spanning tree of
-    the edges with slack; else a max-flow's (:meth:`PatternKernel.witness`).
-    ``report.method`` is then ``kkt-forest``, or
-    ``kkt-maxflow`` when a cluster needed a max-flow, and
-    ``report.optimality`` the residual ``max |f + div(dual_flow) - u|``.
+    flow in [-alpha, alpha] on the flat edges closes the divergence
+    (:meth:`PatternKernel.witness`, started from the iterate's flow).
 
-    When the certificate fails, the projection continues from its iterate
-    to 1e-3 of that tolerance and certifies once more.  If neither pattern
-    certifies, :class:`ConvergenceError` names the cause, n, m and alpha;
-    every answer is certified, so the solve takes no tolerance.
-
-    ``warm_start`` accepts a prior solution's negated dual flow (the raw
-    projection variable); passing the previous ``-solution.dual_flow`` makes
-    parameter sweeps much cheaper.  ``max_iter`` caps the projection's
-    iterations over both stages.
+    Where that certificate fails, the answer is exact instead: from the
+    all-flat pattern, :meth:`PatternKernel.settle` at ``t = 1 / alpha``
+    splits clusters along their min cuts until every one has a flow, and
+    the same certificate checks the result.  If it fails,
+    :class:`ConvergenceError` names the cause, n, m and alpha; every
+    answer is certified, so the solve takes no tolerance.  The method is
+    ``kkt-maxflow`` if a cluster needed a max-flow, else ``kkt-forest``,
+    and ``report.optimality`` is ``max |f + div(dual_flow) - u|``.
     """
     f, alpha = _checked(g, f, alpha)
     if alpha == 0.0:
         return _identity(g, f)
-    box = BoxSpec.uniform(g.edge_count, alpha)
     scale = float(f.max() - f.min()) or 1.0
-    h, iterations = warm_start, 0
-    for stop in (IDENTIFY_TOL * scale, 1e-3 * IDENTIFY_TOL * scale):
-        h, report = project_onto_div_box(g, f, box, Tolerances(solve_tol=stop),
-                                         warm_start=h, max_iter=max_iter - iterations)
-        iterations += report.iterations
-        sol, cause = _closed_form(g, f, alpha, h, scale, iterations)
-        if sol is not None:
-            return sol
-    raise ConvergenceError("no certified sign pattern: %s %s"
-                           % (cause, failure_site(g, "alpha", alpha)), report)
+    h, report = project_onto_div_box(g, f, BoxSpec.uniform(g.edge_count, alpha),
+                                     Tolerances(solve_tol=IDENTIFY_TOL * scale))
+    k = PatternKernel(g, sign_pattern(g, f - g._div(h), IDENTIFY_FLAT, scale=scale), f)
+    witness, cause = _certify(k, alpha, start=h / alpha)
+    if witness is None:
+        k = PatternKernel(g, SignPattern(np.zeros(g.edge_count)), f).settle(1 / Fraction(alpha))
+        witness, cause = _certify(k, alpha)
+        if witness is None:
+            raise ConvergenceError("no certified sign pattern: %s %s"
+                                   % (cause, failure_site(g, "alpha", alpha)), report)
+    u = k.intercept + alpha * k.slope
+    dual = -alpha * (witness - k.pattern.labels)
+    optimality = float(np.abs(f + g._div(dual) - u).max())
+    return RofSolution(alpha, u, dual, SolveReport(
+        report.iterations, 0.5 * float(np.sum(u * u)), optimality, True,
+        method="kkt-maxflow" if k.memo else "kkt-forest"))
 
 
 def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,

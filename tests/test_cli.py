@@ -165,9 +165,9 @@ def test_import_loads_no_scipy():
 
 
 def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
-    # rof reads no tolerance, and neither the flow nor the counterexample
-    # harness reads a solve tolerance: each such flag is a usage error
-    # naming the flag and the mode
+    # rof reads no tolerance, and neither the flow, the comparison nor the
+    # counterexample harness reads a solve tolerance: each such flag is a
+    # usage error naming the flag and the mode
     cases = [(["rof", problem_file, "--path"], "--flat-tol", "rof --path"),
              (["rof", problem_file, "--path"], "--solve-tol", "rof --path"),
              (["rof", problem_file, "--alpha", "1"], "--flat-tol", "rof --alpha"),
@@ -175,7 +175,8 @@ def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
              (["flow", problem_file, "--t-end", "1"], "--solve-tol", "flow"),
              (["flow", problem_file, "--trajectory"], "--solve-tol", "flow"),
              (["verify", "--mode", "counterexample", problem_file], "--solve-tol",
-              "verify --mode counterexample")]
+              "verify --mode counterexample"),
+             (["compare", problem_file, "--grid", "1"], "--solve-tol", "compare")]
     for argv, flag, mode in cases:
         assert main(argv + [flag, "1e-6"]) == 2
         captured = capsys.readouterr()
@@ -184,6 +185,5 @@ def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
     # the flags each mode reads are still taken
     assert main(["flow", problem_file, "--t-end", "1", "--flat-tol", "1e-6"]) == 0
     assert main(["verify", "--mode", "counterexample", "--flat-tol", "1e-8"]) == 0
-    assert main(["compare", problem_file, "--grid", "1", "--flat-tol", "1e-6",
-                 "--solve-tol", "1e-10"]) == 0
+    assert main(["compare", problem_file, "--grid", "1", "--flat-tol", "1e-6"]) == 0
     capsys.readouterr()

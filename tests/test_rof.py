@@ -381,13 +381,19 @@ def test_invalid_alpha_rejected():
 
 def test_rof_solve_takes_no_tolerance():
     # every answer is certified, so neither rof_solve nor the implicit
-    # Euler flow built on it has a tolerance to take
-    from graphtv import Tolerances, flow_backward_euler
+    # Euler flow built on it has a tolerance to take; rof_solve runs one
+    # projection from zero, so it has no warm start or iteration cap
+    # either, and the taut string is exact
+    from graphtv import Tolerances, flow_backward_euler, taut_string_1d
     g, f = nonequivalence_instance()
     for call in (lambda: rof_solve(g, f, 1.0, Tolerances()),
                  lambda: rof_solve(g, f, 1.0, tol=Tolerances()),
+                 lambda: rof_solve(g, f, 1.0, warm_start=np.zeros(g.edge_count)),
+                 lambda: rof_solve(g, f, 1.0, max_iter=20),
                  lambda: flow_backward_euler(g, f, 1.0, 0.5, Tolerances()),
-                 lambda: flow_backward_euler(g, f, 1.0, 0.5, tol=Tolerances())):
+                 lambda: flow_backward_euler(g, f, 1.0, 0.5, tol=Tolerances()),
+                 lambda: taut_string_1d(np.array([0.0, 1.0]), 1.0, Tolerances()),
+                 lambda: taut_string_1d(np.array([0.0, 1.0]), 1.0, tol=Tolerances())):
         with pytest.raises(TypeError):
             call()
 
@@ -514,12 +520,64 @@ def test_repair_crosses_a_saturated_edge(monkeypatch):
 
 
 def test_unconverged_fallback_names_the_instance(monkeypatch):
-    import graphtv.rof
-    monkeypatch.setattr(graphtv.rof, "_closed_form", lambda *args: (None, "no witness"))
+    # with every witness check failing, neither the identified pattern nor
+    # the exact one is certified, and the error names the instance
+    monkeypatch.setattr(PatternKernel, "fault", lambda self, h, r: "no witness")
     g = cartesian_graph(8, 8)
     with pytest.raises(ConvergenceError,
                        match=r"alpha = 2\.0 \(64 vertices, 112 edges\)"):
-        rof_solve(g, _draw(g, 1), 2.0, max_iter=20)
+        rof_solve(g, _draw(g, 1), 2.0)
+
+
+def _spy_settle(monkeypatch):
+    # record every kernel PatternKernel.settle returns, in the list returned
+    settle = PatternKernel.settle
+    settled = []
+    monkeypatch.setattr(PatternKernel, "settle",
+                        lambda self, t: settled.append(settle(self, t)) or settled[-1])
+    return settled
+
+
+def test_exact_route_gives_the_identified_bytes(monkeypatch):
+    # the decomposition from the all-flat pattern finds the pattern the
+    # projection identifies, and the same closed form, bit for bit
+    rng = np.random.default_rng(SEED + 23)
+    cases = []
+    for g, k, alpha in ((cartesian_graph(8, 8), 0, 0.5), (cartesian_graph(12, 12), 1, 2.0),
+                        (cartesian_graph(16, 16), 3, 0.5), (cartesian_graph(16, 16), 3, 2.0),
+                        (path_graph(1000), 0, 2.0)):
+        cases.append((g, _draw(g, k), alpha))
+    for _ in range(6):
+        g = random_connected_graph(rng)
+        cases.append((g, random_vertex_field(rng, g.vertex_count), float(rng.uniform(0.05, 3))))
+    identified = [rof_solve(g, f, alpha) for g, f, alpha in cases]
+    # fail the identified pattern's certificate, so that rof_solve takes
+    # the exact route
+    import graphtv.rof
+    certify = graphtv.rof._certify
+    monkeypatch.setattr(graphtv.rof, "_certify", lambda k, alpha, t=None, start=None:
+                        (None, "forced") if start is not None else certify(k, alpha, t))
+    settled = _spy_settle(monkeypatch)
+    for (g, f, alpha), ref in zip(cases, identified):
+        sol = rof_solve(g, f, alpha)
+        assert sol.u.tobytes() == ref.u.tobytes()
+        assert np.abs(sol.dual_flow).max() <= alpha
+        assert sol.report.optimality <= 1e-12 * np.ptp(f)
+    assert len(settled) == len(cases)
+
+
+def test_mean_field_answer_is_certified(monkeypatch):
+    # the projection identifies a wrong pattern here and the certificate
+    # fails; the exact route returns the mean field, certified
+    g = path_graph(1000)
+    f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+    settled = _spy_settle(monkeypatch)
+    sol = rof_solve(g, f, 20.0)
+    assert len(settled) == 1 and settled[0].pattern.all_flat
+    assert sol.report.method == "kkt-forest"
+    assert np.abs(sol.u - f.mean()).max() <= 1e-12 * np.ptp(f)
+    assert sol.report.optimality <= 1e-12 * np.ptp(f)
+    assert _gap_error(g, f, sol) <= 1e-12
 
 
 def test_jump_set_stable_under_tighter_solve_tol(monkeypatch):
