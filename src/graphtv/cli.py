@@ -149,6 +149,7 @@ def _cmd_verify(args) -> int:
                 format_float(c.tolerance)))
         ok = report.passed
     elif args.mode == "phimin":
+        _reject_unread(args, "verify --mode phimin", "--flat-tol")
         g, f = _load(args)
         reports = verify_universal_minimality(
             g, f, args.alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
@@ -158,6 +159,7 @@ def _cmd_verify(args) -> int:
                 format_float(r.gap), format_float(r.relative_gap)))
         ok = all(r.ok for r in reports)
     else:
+        _reject_unread(args, "verify --mode isotropic", "--flat-tol")
         g, f = _load(args)
         if g.cartesian is None:
             raise ParseError("isotropic mode needs a problem with grid structure")
@@ -189,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     # and a mode that never reads one rejects it (exit 2)
     common.add_argument("--flat-tol", type=float, default=None,
                         help="relative threshold for treating an edge as flat "
-                             "(default 1e-7; rof takes none)")
+                             "(default 1e-7; rof and verify --mode "
+                             "phimin|isotropic take none)")
     common.add_argument("--solve-tol", type=float, default=None,
                         help="optimality tolerance for inner solves (default "
                              "1e-9; 1e-6 in verify --mode phimin|isotropic; "

@@ -18,7 +18,7 @@ tested again at the same instant (see :func:`settle`).  These are the
 cluster tests of the regularization path with the datum's pull removed:
 both run on :class:`PatternKernel`.  Each event's kernel is the
 successor of the last: only the clusters the event fused or split are
-built again, and the memo keeps a cluster's tests until it changes.
+built again, and every other cluster keeps the tests it has run.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so

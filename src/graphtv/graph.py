@@ -67,8 +67,9 @@ class OrientedGraph:
 
     Parameters
     ----------
-    vertex_count : number of vertices, at least 1.
-    edges : sequence of (tail, head) vertex index pairs.  Self-loops,
+    vertex_count : number of vertices, an integer of at least 1.
+    edges : sequence of (tail, head) vertex index pairs, integers (Python
+        or numpy, not bools).  Self-loops,
         duplicate edges, and antiparallel pairs are rejected; the underlying
         undirected graph must be connected.
     names : optional vertex names (display only).
@@ -82,14 +83,24 @@ class OrientedGraph:
                  names: Optional[Sequence[str]] = None,
                  cartesian: Optional[tuple] = None,
                  grid_coords: Optional[Sequence[tuple]] = None):
+        if isinstance(vertex_count, (bool, np.bool_)) or not isinstance(
+                vertex_count, (int, np.integer)):
+            raise ValidationError("vertex_count must be an integer")
         n = int(vertex_count)
         if n < 1:
             raise ValidationError("vertex_count must be at least 1")
-        pairs = np.asarray(edges, dtype=np.intp)
+        pairs = np.asarray(edges)
         if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
+            pairs = np.empty((0, 2), dtype=np.intp)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValidationError("edges must be a sequence of (tail, head) pairs")
+        # an integer array can still hold bools: numpy turns a list that
+        # mixes them with integers into one
+        bools = not isinstance(edges, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for pair in edges for x in pair)
+        if pairs.dtype.kind not in "iu" or bools:
+            raise ValidationError("edge endpoints must be integers")
+        pairs = pairs.astype(np.intp, copy=False)
         tails, heads = pairs[:, 0], pairs[:, 1]
         lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
         out_of_range = (lo < 0) | (hi >= n)
@@ -371,18 +382,21 @@ class Cluster:
     vertex ``order[i]``'s parent, ``tree[i - 1]`` the edge between them and
     ``sign[i - 1]`` +1.0 where that edge points into ``order[i]``.
     ``verts`` lists the vertices in increasing order.  ``edges`` (see
-    :meth:`FlatClusters.edges`), and :class:`PatternKernel`'s ``key`` and
-    ``data``, are caches filled on first use.  They hold as long as the
-    cluster lives, since neither its edges nor the pinned flux at its
-    vertices can change without changing it.
+    :meth:`FlatClusters.edges`) and :class:`PatternKernel`'s ``data`` are
+    caches filled on first use, and so is ``tests``, a dict of the kernel's
+    max-flow tests of the cluster by t, as a ``(numerator, denominator)``
+    pair, each as ``(t, verdict, step, flow)`` (see
+    :meth:`PatternKernel._route`).  They hold as long as the cluster lives,
+    since neither its edges nor the pinned flux at its vertices can change
+    without changing it, and a kernel's datum is fixed.
     """
 
-    __slots__ = ("order", "up", "tree", "sign", "verts", "edges", "key", "data")
+    __slots__ = ("order", "up", "tree", "sign", "verts", "edges", "data", "tests")
 
     def __init__(self, order, up, tree, sign):
         self.order, self.up, self.tree, self.sign = order, up, tree, sign
         self.verts = sorted(order)
-        self.edges = self.key = self.data = None
+        self.edges = self.data = self.tests = None
 
     def peel(self, r: list) -> list:
         """The flows on the tree edges whose divergence is r, a list in the
@@ -684,9 +698,6 @@ def failure_site(g: OrientedGraph, name: str, x: float) -> str:
                                                    g.edge_count)
 
 
-_INTP = np.dtype(np.intp).itemsize
-
-
 class PatternKernel:
     """Closed forms and exact cluster tests attached to one sign pattern.
 
@@ -708,28 +719,27 @@ class PatternKernel:
     At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
     a cluster's test has integer data and goes to :func:`route_demands`.
     For a fixed datum the test depends only on the cluster's vertices, their
-    pinned flux b and t, since every edge inside a cluster is flat.
-    ``memo``, a dict that the kernels of one flow or path share, keeps each
-    test under that key: its verdict, the step its min cut gives, and its
-    flow.  A cluster that no event changed finds its tests there.  Once the
-    memo's clusters hold more than n vertices, a successor drops the tests
-    of the clusters it does not have, so they hold at most 2n.
+    pinned flux b and t, since every edge inside a cluster is flat.  Each
+    test is kept on its :class:`Cluster`, in ``tests``: its verdict, the
+    step its min cut gives, and its flow.  ``maxflows`` counts the
+    max-flows that this kernel and the kernels it succeeds have run.
 
     A flow or path builds its first kernel from scratch and each later one
     with :meth:`successor`, which rebuilds only the clusters an event fused
-    or split.  Each cluster's spanning-tree flows are computed once, when
-    it forms: the integer calibration flow and, with a datum, the flow of
-    the pull, from which the witness at any t follows.
+    or split; a cluster that no event changed keeps its tests.  Each
+    cluster's spanning-tree flows are computed once, when it forms: the
+    integer calibration flow and, with a datum, the flow of the pull, from
+    which the witness at any t follows.
     """
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
-                 "intercept", "pull", "beta", "memo", "_given", "_values",
+                 "intercept", "pull", "beta", "maxflows", "_given", "_values",
                  "_forest", "_pull_flow", "_failed", "_calibration", "_start")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
-        self.graph, self.f, self.memo = g, f, {}
+        self.graph, self.f, self.maxflows = g, f, 0
         self._values = None if f is None else f.tolist()
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
         self.intercept, self.pull, self._pull_flow = 0.0, 0.0, None
@@ -742,16 +752,17 @@ class PatternKernel:
     def successor(self, labels) -> "PatternKernel":
         """The kernel of the edge labels ``labels``, built from this one.
 
-        It equals ``PatternKernel(g, SignPattern(labels), f)`` and shares
-        this kernel's memo.  Only the clusters with an end of an edge whose
-        label changed are searched again; the others keep their spanning
-        trees, tree flows, memo keys and values.
+        It equals ``PatternKernel(g, SignPattern(labels), f)``, but for
+        ``maxflows``, which it carries on.  Only the clusters with an end
+        of an edge whose label changed are searched again; the others keep
+        their spanning trees, tree flows, values and tests.
         """
         given = SignPattern(labels)
         changed = (given.labels != self._given).nonzero()[0]
         clusters, dead, born = self.clusters.successor(given.flat, changed)
         out = PatternKernel.__new__(PatternKernel)
-        out.graph, out.f, out.memo, out._values = self.graph, self.f, self.memo, self._values
+        out.graph, out.f, out._values = self.graph, self.f, self._values
+        out.maxflows = self.maxflows
         out.pinned, out.slope, out.beta = self.pinned.copy(), self.slope.copy(), self.beta.copy()
         out.intercept, out.pull, out._pull_flow = 0.0, 0.0, None
         if self.f is not None:
@@ -759,11 +770,6 @@ class PatternKernel:
             out._pull_flow = self._pull_flow.copy()
         out._forest, out._failed = self._forest.copy(), bytearray(self._failed)
         out._build(given, clusters, dead, born)
-        # live clusters are disjoint, so a memo whose clusters hold more
-        # than n vertices holds dead ones: keep only this kernel's
-        if sum(len(verts) for verts, _ in out.memo) > _INTP * out.graph.vertex_count:
-            for key in [key for key in out.memo if not out._holds(key)]:
-                del out.memo[key]
         return out
 
     def _build(self, given, clusters, dead, born):
@@ -846,29 +852,6 @@ class PatternKernel:
             self._calibration = self._forest, edge_size, failed
         return self._calibration
 
-    def _key(self, k: int) -> tuple:
-        # cluster k's key in the memo: its vertices and their pinned flux
-        c = self.clusters.cluster(k)
-        if c.key is None:
-            c.key = (np.asarray(c.verts, dtype=np.intp).tobytes(),
-                     self.pinned[c.verts].astype(np.int64).tobytes())
-        return c.key
-
-    def _holds(self, key: tuple) -> bool:
-        # whether the cluster of a memo key is one of this kernel's
-        verts = np.frombuffer(key[0], dtype=np.intp)
-        lab = self.clusters.labels[verts]
-        if self.clusters.sizes[lab[0]] != verts.size or (lab != lab[0]).any():
-            return False
-        return self.pinned[verts].astype(np.int64).tobytes() == key[1]
-
-    def _tests(self, key: tuple) -> dict:
-        # the tests run on the cluster of key in this call, by t as a
-        # (numerator, denominator) pair, each as (t, verdict, step, flow):
-        # step is the _cut of a failed test, flow its flow over the
-        # capacity, on the cluster's flat edges in increasing order
-        return self.memo.get(key, {})
-
     def _cluster(self, k: int) -> tuple:
         # cluster k's vertices, flat edges, size, unit, and the integers
         # n*unit*w and n*beta
@@ -888,19 +871,22 @@ class PatternKernel:
         return c.data
 
     def _route(self, tests: list) -> list:
-        # the tests of the clusters k at t of the (k, t) pairs (see
-        # _tests).  The memo's are reused; the others run in one max-flow,
-        # each cluster started from an integer flow scaled to its
-        # capacities.  The clusters are disjoint, and a start within the
-        # capacities shifts every cut's capacity by a constant, so each
+        # the tests of the clusters k at t of the (k, t) pairs, as in
+        # Cluster.tests: step is the _cut of a failed test, flow its flow
+        # over the capacity, on the cluster's flat edges in increasing
+        # order.  A cluster's stored tests are reused; the others run in
+        # one max-flow, each cluster started from an integer flow scaled to
+        # its capacities.  The clusters are disjoint, and a start within
+        # the capacities shifts every cut's capacity by a constant, so each
         # verdict and cut closest to the source is that of a cold max-flow
         # on the cluster alone
-        keys = [self._key(k) for k, _ in tests]
-        found = [self._tests(key).get((t.numerator, t.denominator))
-                 for key, (_, t) in zip(keys, tests)]
+        clusters = [self.clusters.cluster(k) for k, _ in tests]
+        found = [(c.tests or {}).get((t.numerator, t.denominator))
+                 for c, (_, t) in zip(clusters, tests)]
         todo = [i for i, entry in enumerate(found) if entry is None]
         if not todo:
             return found
+        self.maxflows += 1
         g = self.graph
         if self._start is None:
             forest, edge_size, _ = self.calibration()
@@ -921,7 +907,10 @@ class PatternKernel:
             k, t = tests[i]
             step = None if ok else self._cut(k, set(verts) - reached)
             found[i] = t, ok, step, np.array([flow[j] / cap for j in edges])
-            self.memo.setdefault(keys[i], {})[t.numerator, t.denominator] = found[i]
+            c = clusters[i]
+            if c.tests is None:
+                c.tests = {}
+            c.tests[t.numerator, t.denominator] = found[i]
         return found
 
     def splits(self, alpha: float) -> list:
@@ -972,27 +961,6 @@ class PatternKernel:
             return None, pins
         return Fraction((len(pins) * n + beta_cut) * unit, w_cut), pins
 
-    def _between(self, k: int, t: Fraction) -> Optional[np.ndarray]:
-        # cluster k's flow at t from two feasible flows at t_lo < t < t_hi:
-        # its tests in the memo, and at t = 0 a forest flow in the box.  The
-        # divergence is affine in t and the box convex, so their convex
-        # combination is a flow at t; weights x and fl(1 - x) keep it in
-        # [-1, 1] under rounding
-        tests = self._tests(self._key(k)).values()
-        ends = [(s, flow) for s, ok, _, flow in tests if ok]
-        forest, edge_size, failed = self.calibration()
-        if not failed[k]:
-            part = self.clusters.edges(k)
-            ends.append((Fraction(0), forest[part] / edge_size[part]))
-        if not ends:
-            return None
-        (lo, h_lo), (hi, h_hi) = (min(ends, key=lambda e: e[0]),
-                                  max(ends, key=lambda e: e[0]))
-        if not lo < t < hi:
-            return None
-        x = float((hi - t) / (hi - lo))
-        return x * h_lo + (1.0 - x) * h_hi
-
     def _forest_at(self, t: Fraction) -> tuple:
         # the forest flow at t (see witness), an overshoot of at most 1e-12
         # clipped, and the clusters where it leaves [-1, 1]
@@ -1036,29 +1004,17 @@ class PatternKernel:
         plus the calibration flow over |C|, if it fits in [-1, 1] (an
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
         else ``start`` repaired (see :meth:`_repair`), if given and it fits;
-        else the flow of its max-flow test at the exact t, which the split
-        search, :meth:`settle` or an earlier event may have run already;
-        else, when feasible flows of its tests lie on both sides of t, their
-        convex combination; else a new max-flow test at t.  A cluster with
-        no flow in [-1, 1] gets one that misses the divergence; the caller's
-        certificate finds it.
+        else the flow of its max-flow test at the exact t, kept on the
+        cluster if the split search, :meth:`settle` or an earlier event ran
+        it, else run now, in one max-flow with the other such clusters.  A
+        cluster with no flow in [-1, 1] gets one that misses the divergence;
+        the caller's certificate finds it.
         """
         h, misfit = self._forest_at(t)
         if misfit and start is not None:
             misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
-        if not misfit:
-            return h
-        todo = []
-        for k in misfit:
-            entry = self._tests(self._key(k)).get((t.numerator, t.denominator))
-            flow = entry[3] if entry is not None else self._between(k, t)
-            if flow is None:
-                todo.append(k)
-            else:
-                h[self.clusters.edges(k)] = flow
-        if todo:
-            for k, entry in zip(todo, self._route([(k, t) for k in todo])):
-                h[self.clusters.edges(k)] = entry[3]
+        for k, entry in zip(misfit, self._route([(k, t) for k in misfit])):
+            h[self.clusters.edges(k)] = entry[3]
         return h
 
     def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
@@ -1121,6 +1077,6 @@ def subdifferential_membership(g: OrientedGraph, u, candidate,
     residual = float(np.linalg.norm(mismatch))
     member = kernel.fault(h, candidate) is None
     report = SolveReport(0, 0.5 * residual * residual, float(np.abs(mismatch).max()),
-                         True, method="kkt-maxflow" if kernel.memo else "kkt-forest")
+                         True, method="kkt-maxflow" if kernel.maxflows else "kkt-forest")
     return MembershipResult(member, h if member else None, residual,
                             1e-10 * (1.0 + float(np.abs(candidate).max())), report)

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .engine import (BoxSpec, ConvexScalar, SolveReport,
-                     min_separable_convex_over_polytope, project_onto_div_box)
+                     min_separable_convex_over_polytope)
 from .errors import ConvergenceError, ValidationError
 from .graph import DEFAULT_TOL, OrientedGraph, Tolerances, ensure_vertex_field
 from .rof import isotropic_rof_solve, rof_solve
@@ -380,10 +380,13 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     Draws random anchors a, takes the Euclidean projection x* of a onto the
     divergence image, and checks that x* also minimizes
     sum_v phi(x(v) - a(v)) over the image for every catalog phi (objective
-    gap within ``tol.solve_tol * (1 + |minimum|)``).  Each phi solve starts
-    at the point under test, the projection's flow; the certificate
-    decides, as in :func:`verify_universal_minimality`.  On the box image
-    every trial passes; on the coupled image failures are expected.
+    gap within ``tol.solve_tol * (1 + |minimum|)``).  x* is ``a - u`` for
+    the regularized solution u of the datum a at alpha: on the box image
+    the certified :func:`rof_solve`, on the coupled image
+    :func:`isotropic_rof_solve`.  Each phi solve starts at the point under
+    test, the solution's negated dual flow; the certificate decides, as in
+    :func:`verify_universal_minimality`.  On the box image every trial
+    passes; on the coupled image failures are expected.
 
     ``minimizer_spread`` additionally records how far the per-phi
     minimizers wander from x* in the max norm (informative for strictly
@@ -404,9 +407,11 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     out = []
     for trial in range(int(trial_count)):
         a = rng.normal(0.0, scale / 2.0, size=g.vertex_count)
-        h, rep = project_onto_div_box(g, a, spec, _tight(tol))
-        if not rep.converged:
-            raise ConvergenceError("anchor projection did not converge", rep)
+        if coupled:
+            sol = isotropic_rof_solve(g, a, alpha, _tight(tol))
+        else:
+            sol = rof_solve(g, a, alpha)
+        h = -sol.dual_flow
         x_star = g._div(h)
         worst_phi = ""
         worst_rel = 0.0

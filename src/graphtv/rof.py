@@ -163,12 +163,11 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     optimality = float(np.abs(f + g._div(dual) - u).max())
     return RofSolution(alpha, u, dual, SolveReport(
         report.iterations, 0.5 * float(np.sum(u * u)), optimality, True,
-        method="kkt-maxflow" if k.memo else "kkt-forest"))
+        method="kkt-maxflow" if k.maxflows else "kkt-forest"))
 
 
 def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
-                        tol: Optional[Tolerances] = None, *,
-                        warm_start=None, max_iter: int = 1_000_000) -> RofSolution:
+                        tol: Optional[Tolerances] = None) -> RofSolution:
     """Coupled-constraint variant on a Cartesian grid graph.
 
     The dual constraint couples each interior vertex's two incoming grid
@@ -180,8 +179,7 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
     f, alpha = _checked(g, f, alpha)
     if alpha == 0.0:
         return _identity(g, f)
-    h, report = project_onto_div_box(g, f, g.coupled_ball(alpha), tol,
-                                     warm_start=warm_start, max_iter=max_iter)
+    h, report = project_onto_div_box(g, f, g.coupled_ball(alpha), tol)
     if not report.converged:
         raise ConvergenceError("coupled projection did not converge %s"
                                % failure_site(g, "alpha", alpha), report)

@@ -108,8 +108,8 @@ def test_cli_verify_isotropic(problem_file, capsys):
 
 
 def test_cli_verify_tolerance_flags(problem_file, capsys, monkeypatch):
-    # --solve-tol reaches both minimality verifiers; unset flags keep the
-    # verifiers' own defaults
+    # --solve-tol reaches both minimality verifiers; an unset flag keeps the
+    # verifiers' own default
     import graphtv.cli as cli
     from graphtv.minimality import DEFAULT_CHECK_TOL
     seen = []
@@ -127,11 +127,9 @@ def test_cli_verify_tolerance_flags(problem_file, capsys, monkeypatch):
     for mode in ("phimin", "isotropic"):
         assert main(["verify", "--mode", mode, problem_file, "--trials", "2",
                      "--solve-tol", "1e-7"]) == 0
-        assert main(["verify", "--mode", mode, problem_file, "--trials", "2",
-                     "--flat-tol", "1e-8"]) == 0
+        assert main(["verify", "--mode", mode, problem_file, "--trials", "2"]) == 0
     capsys.readouterr()
     assert [t.solve_tol for t in seen] == [1e-7, DEFAULT_CHECK_TOL.solve_tol] * 2
-    assert [t.flat_tol for t in seen] == [DEFAULT_CHECK_TOL.flat_tol, 1e-8] * 2
 
 
 def test_cli_exit_codes(tmp_path, problem_file, capsys):
@@ -165,9 +163,10 @@ def test_import_loads_no_scipy():
 
 
 def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
-    # rof reads no tolerance, and neither the flow, the comparison nor the
-    # counterexample harness reads a solve tolerance: each such flag is a
-    # usage error naming the flag and the mode
+    # rof reads no tolerance, neither the flow, the comparison nor the
+    # counterexample harness reads a solve tolerance, and neither minimality
+    # verifier reads a flat tolerance: each such flag is a usage error
+    # naming the flag and the mode
     cases = [(["rof", problem_file, "--path"], "--flat-tol", "rof --path"),
              (["rof", problem_file, "--path"], "--solve-tol", "rof --path"),
              (["rof", problem_file, "--alpha", "1"], "--flat-tol", "rof --alpha"),
@@ -176,7 +175,11 @@ def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
              (["flow", problem_file, "--trajectory"], "--solve-tol", "flow"),
              (["verify", "--mode", "counterexample", problem_file], "--solve-tol",
               "verify --mode counterexample"),
-             (["compare", problem_file, "--grid", "1"], "--solve-tol", "compare")]
+             (["compare", problem_file, "--grid", "1"], "--solve-tol", "compare"),
+             (["verify", "--mode", "phimin", problem_file], "--flat-tol",
+              "verify --mode phimin"),
+             (["verify", "--mode", "isotropic", problem_file], "--flat-tol",
+              "verify --mode isotropic")]
     for argv, flag, mode in cases:
         assert main(argv + [flag, "1e-6"]) == 2
         captured = capsys.readouterr()

@@ -269,12 +269,31 @@ def _count_tests(monkeypatch):
     return seen
 
 
-def test_memo_changes_no_flow(monkeypatch):
-    # the memo hands back exact verdicts and cuts, so the flow without it
-    # has the same breakpoints, states and slopes, bit for bit.  Random and
-    # tied draws; the ties split clusters at once
+class _Forgetful(dict):
+    # a Cluster.tests that stores nothing
+    def __setitem__(self, key, value):
+        pass
+
+
+def _storing(monkeypatch, tests):
+    # every Cluster made from here on keeps its tests in a dict of the
+    # class tests
+    from graphtv.graph import Cluster
+    init = Cluster.__init__
+
+    def replaced(self, *args):
+        init(self, *args)
+        self.tests = tests()
+
+    monkeypatch.setattr(Cluster, "__init__", replaced)
+
+
+def test_cluster_tests_change_no_flow(monkeypatch):
+    # a cluster's stored tests hand back exact verdicts and cuts, so the
+    # flow with clusters that store none has the same breakpoints, states
+    # and slopes, bit for bit.  Random and tied draws; the ties split
+    # clusters at once
     from graphtv import cartesian_graph
-    from graphtv.graph import PatternKernel
     seen = _count_tests(monkeypatch)
     rng = np.random.default_rng(SEED + 16)
     cases = []
@@ -282,61 +301,59 @@ def test_memo_changes_no_flow(monkeypatch):
         cases.append((g, random_vertex_field(rng, g.vertex_count)))
         cases.append((g, rng.integers(0, 4, g.vertex_count).astype(float)))
     paths = [flow_solve(g, f).path for g, f in cases]
-    with_memo = len(seen)
-    monkeypatch.setattr(PatternKernel, "_tests", lambda self, key: {})
+    stored = len(seen)
+    _storing(monkeypatch, _Forgetful)
     for (g, f), path in zip(cases, paths):
         bare = flow_solve(g, f).path
         for name in ("breakpoints", "left_values", "slopes", "terminal_value"):
             assert getattr(bare, name).tobytes() == getattr(path, name).tobytes()
-    assert 0 < with_memo < len(seen) - with_memo
+    assert 0 < stored < len(seen) - stored
 
 
-def test_flow_and_path_rerun_no_cluster_test_the_memo_holds(monkeypatch):
-    # a cluster that no event changed finds its tests in the memo, so a
-    # test reaches the max-flow again only if a kernel dropped its cluster
-    # from the memo in between: the cluster dissolved and formed again
+def test_flow_and_path_rerun_a_cluster_test_only_on_a_rebuilt_cluster(monkeypatch):
+    # a cluster that no event changed keeps its tests, so a test reaches
+    # the max-flow again only if its cluster was built again in between:
+    # the cluster dissolved and formed again
+    import graphtv.graph
     from graphtv import cartesian_graph, rof_path
-    from graphtv.graph import PatternKernel
     seen = _count_tests(monkeypatch)
-    dropped = []
-    successor = PatternKernel.successor
+    built = []
+    grow = graphtv.graph._grow
 
-    def recorded(self, labels):
-        # a kernel built from scratch starts a call with an empty memo
-        before = list(self.memo)
-        out = successor(self, labels)
-        dropped.extend((len(seen), tuple(np.frombuffer(verts, np.intp).tolist()))
-                       for verts, b in before if (verts, b) not in out.memo)
+    def recorded(adj, flat, verts):
+        out = grow(adj, flat, verts)
+        built.extend((len(seen), tuple(c.verts)) for c in out)
         return out
 
-    monkeypatch.setattr(PatternKernel, "successor", recorded)
+    monkeypatch.setattr(graphtv.graph, "_grow", recorded)
     g = cartesian_graph(10, 10)
     f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
     for solve in (flow_solve, rof_path):
         seen.clear()
-        dropped.clear()
+        built.clear()
         solve(g, f)
         first = {}
         for i, test in enumerate(seen):
             if test in first:
                 assert any(first[test] < at <= i and verts == test[0]
-                           for at, verts in dropped)
+                           for at, verts in built)
             first[test] = i
         assert seen
 
 
-def test_certificates_check_memo_hits(monkeypatch):
-    # a memoized flow read back doubled misses its divergence; the flow's
+def test_certificates_check_cached_tests(monkeypatch):
+    # a stored flow read back doubled misses its divergence; the flow's
     # and the path's certificates must both raise
     from graphtv import ConvergenceError, PathError, cartesian_graph, rof_path
-    from graphtv.graph import PatternKernel
-    tests = PatternKernel._tests
 
-    def doubled(self, key):
-        return {t: (s, ok, step, 2.0 * flow)
-                for t, (s, ok, step, flow) in tests(self, key).items()}
+    class Doubled(dict):
+        def get(self, key, default=None):
+            if key not in self:
+                return default
+            s, ok, step, flow = self[key]
+            return s, ok, step, 2.0 * flow
 
-    monkeypatch.setattr(PatternKernel, "_tests", doubled)
+    _storing(monkeypatch, Doubled)
     g = cartesian_graph(10, 10)
     f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
     with pytest.raises(ConvergenceError, match="certificate"):
@@ -346,8 +363,8 @@ def test_certificates_check_memo_hits(monkeypatch):
 
 
 def test_memo_lives_for_one_call(monkeypatch):
-    # each call starts with an empty memo: run twice, it runs every
-    # max-flow twice
+    # each call builds its clusters afresh, with no tests stored: run
+    # twice, it runs every max-flow twice
     import graphtv.graph
     from graphtv import cartesian_graph, rof_path
     calls = []

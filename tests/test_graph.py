@@ -40,6 +40,20 @@ def test_construction_rejects_bad_edges():
     # the first bad edge in input order is the one reported
     with pytest.raises(ValidationError, match="self-loop at vertex 2"):
         OrientedGraph(3, [(0, 1), (2, 2), (1, 0), (0, 5)])
+    # endpoints and vertex counts must be integers, not values numpy
+    # would cast to one
+    for edges in ([(0, 1.7), (1, 2)], [(0, 1.0), (1, 2)], [("0", "1"), ("1", "2")],
+                  [(0, True), (1, 2)], [(True, False)], np.array([[0.0, 1.0], [1.0, 2.0]])):
+        with pytest.raises(ValidationError, match="endpoints must be integers"):
+            OrientedGraph(3, edges)
+    for count in (2.5, 3.0, "3", True):
+        with pytest.raises(ValidationError, match="vertex_count must be an integer"):
+            OrientedGraph(count, [(0, 1), (1, 2)])
+    # numpy integers stay valid, and so does one vertex with no edges
+    g = OrientedGraph(np.int64(3), np.array([[0, 1], [1, 2]], dtype=np.int32))
+    assert g.edges == ((0, 1), (1, 2))
+    assert OrientedGraph(3, [(np.int64(0), np.int64(1)), (1, 2)]).edges == g.edges
+    assert OrientedGraph(1, []).edge_count == 0
 
 
 def test_edge_index_lookup():
@@ -193,7 +207,7 @@ def test_max_flow_known_min_cut():
 
 
 def test_route_demands_batches_disjoint_parts():
-    # the memo of cluster tests rests on this: in one max-flow over
+    # batched cluster tests rest on this: in one max-flow over
     # disjoint parts, each part gets the verdict and the reached set it
     # gets alone, from any start within its capacities
     from graphtv.graph import route_demands
@@ -381,9 +395,10 @@ def test_tolerances_validation():
 
 
 def _kernel_bytes(kernel, t):
-    # what a successor must reproduce, as bytes.  The memo is emptied
-    # first: a memo flow comes from a max-flow with another start
-    kernel.memo.clear()
+    # what a successor must reproduce, as bytes.  The clusters' tests are
+    # dropped first: a stored flow comes from a max-flow with another start
+    for k in range(kernel.clusters.count):
+        kernel.clusters.cluster(k).tests = None
     forest, _, failed = kernel.calibration()
     parts = [kernel.clusters.labels, kernel.clusters.sizes, kernel.pattern.labels,
              kernel.pinned, kernel.slope, kernel.beta, np.asarray(kernel.intercept),

@@ -233,11 +233,13 @@ def test_path_runs_no_iterative_solve(monkeypatch):
         assert np.abs(path.terminal_value - f.mean()).max() < 1e-9
 
 
-def test_memo_changes_no_path(monkeypatch):
-    # the memo hands back exact verdicts, cuts and split parameters, so the
-    # path without it has the same breakpoints, values and slopes, bit for
-    # bit.  Random and tied draws; the ties split clusters at once
+def test_cluster_tests_change_no_path(monkeypatch):
+    # a cluster's stored tests hand back exact verdicts, cuts and split
+    # parameters, so the path with clusters that store none has the same
+    # breakpoints, values and slopes, bit for bit.  Random and tied draws;
+    # the ties split clusters at once
     import graphtv.graph
+    from test_flow import _Forgetful, _storing
     calls = []
     route = graphtv.graph.route_demands
 
@@ -252,13 +254,13 @@ def test_memo_changes_no_path(monkeypatch):
         cases.append((g, random_vertex_field(rng, g.vertex_count)))
         cases.append((g, rng.integers(0, 4, g.vertex_count).astype(float)))
     paths = [rof_path(g, f) for g, f in cases]
-    with_memo = sum(calls)
-    monkeypatch.setattr(PatternKernel, "_tests", lambda self, key: {})
+    stored = sum(calls)
+    _storing(monkeypatch, _Forgetful)
     for (g, f), path in zip(cases, paths):
         bare = rof_path(g, f)
         for name in ("breakpoints", "left_values", "slopes", "terminal_value"):
             assert getattr(bare, name).tobytes() == getattr(path, name).tobytes()
-    assert 0 < with_memo < sum(calls) - with_memo
+    assert 0 < stored < sum(calls) - stored
 
 
 def test_path_certificate_rejects_a_wrong_flow(monkeypatch):
@@ -379,17 +381,68 @@ def test_invalid_alpha_rejected():
         rof_solve(g, f, float("nan"))
 
 
+def test_method_says_whether_a_max_flow_ran(monkeypatch):
+    # report.method is kkt-maxflow exactly when graph.max_flow ran: for
+    # rof_solve on the identify route, with and without the repair of the
+    # iterate's flow, and on the exact route, and for the membership test
+    import graphtv.graph
+    import graphtv.rof
+    calls = []
+    max_flow = graphtv.graph.max_flow
+
+    def counted(*args):
+        calls.append(1)
+        return max_flow(*args)
+
+    certify = graphtv.rof._certify
+
+    def refuse_identified(kernel, alpha, t=None, start=None):
+        # the identified pattern fails, so the exact route runs
+        if start is not None:
+            return None, "refused"
+        return certify(kernel, alpha, t)
+
+    monkeypatch.setattr(graphtv.graph, "max_flow", counted)
+    rng = np.random.default_rng(SEED + 19)
+    graphs = [cartesian_graph(6, 6), cartesian_graph(9, 9), path_graph(60)]
+    graphs += [random_connected_graph(rng, 20) for _ in range(4)]
+    seen = set()
+    for route in ("identify", "unrepaired", "exact"):
+        if route == "unrepaired":
+            monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+        if route == "exact":
+            monkeypatch.setattr(graphtv.rof, "_certify", refuse_identified)
+        for g in graphs:
+            f = random_vertex_field(rng, g.vertex_count)
+            for alpha in (0.1, 0.5, 2.0):
+                calls.clear()
+                sol = rof_solve(g, f, alpha)
+                assert (sol.report.method == "kkt-maxflow") == bool(calls)
+                calls.clear()
+                res = subdifferential_membership(g, sol.u, (f - sol.u) / alpha)
+                assert res.member
+                assert (res.report.method == "kkt-maxflow") == bool(calls)
+                seen.update([("exact" if route == "exact" else "identify",
+                              sol.report.method), ("member", res.report.method)])
+    assert seen == {(case, method) for case in ("identify", "exact", "member")
+                    for method in ("kkt-forest", "kkt-maxflow")}
+
+
 def test_rof_solve_takes_no_tolerance():
     # every answer is certified, so neither rof_solve nor the implicit
     # Euler flow built on it has a tolerance to take; rof_solve runs one
     # projection from zero, so it has no warm start or iteration cap
-    # either, and the taut string is exact
+    # either, and the taut string is exact.  The isotropic solve takes a
+    # tolerance, but no warm start or iteration cap
     from graphtv import Tolerances, flow_backward_euler, taut_string_1d
     g, f = nonequivalence_instance()
+    grid = cartesian_graph(3, 3)
     for call in (lambda: rof_solve(g, f, 1.0, Tolerances()),
                  lambda: rof_solve(g, f, 1.0, tol=Tolerances()),
                  lambda: rof_solve(g, f, 1.0, warm_start=np.zeros(g.edge_count)),
                  lambda: rof_solve(g, f, 1.0, max_iter=20),
+                 lambda: isotropic_rof_solve(grid, f, 1.0, warm_start=np.zeros(grid.edge_count)),
+                 lambda: isotropic_rof_solve(grid, f, 1.0, max_iter=20),
                  lambda: flow_backward_euler(g, f, 1.0, 0.5, Tolerances()),
                  lambda: flow_backward_euler(g, f, 1.0, 0.5, tol=Tolerances()),
                  lambda: taut_string_1d(np.array([0.0, 1.0]), 1.0, Tolerances()),
