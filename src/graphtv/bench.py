@@ -95,10 +95,9 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     stol = 1e-12 * (1.0 + abs(jval))
     gaps = []
     b = trajectory.breakpoints
-    for k in range(trajectory.path.segment_count):
+    for k, (_, d) in enumerate(trajectory.path._rows()):
         if b[k] >= alpha:
             break
-        d = trajectory.directions[k]
         gaps.append(abs(float(-(d @ u_flow)) - jval))
     suff = all(gap <= stol for gap in gaps)
     first = bool(b.size > 1 and alpha <= b[1])

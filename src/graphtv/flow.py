@@ -22,39 +22,60 @@ built again, and every other cluster keeps the tests it has run.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
-u(t) = f + div F(t) holds along the whole trajectory.
+u(t) = f + div F(t) holds along the whole trajectory.  The trajectory keeps
+per segment only what its event changed, with a dense checkpoint every
+``SPACING`` segments (see :class:`FlowTrajectory`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
-                    ensure_vertex_field, event_cap, failure_site, next_fusion,
-                    sign_pattern)
-from .rof import PiecewiseAffinePath, rof_solve
+                    cluster_mean, ensure_vertex_field, event_cap, failure_site,
+                    next_fusion, sign_pattern)
+from .rof import PiecewiseAffinePath, _Log, _stack, rof_solve
 
 
-@dataclass(frozen=True)
+def _line(state: tuple, b: float) -> tuple:
+    # a flow segment's left value and slope: its state and direction
+    return state[0], state[2]
+
+
+def _step(state: tuple, tau: float) -> tuple:
+    # flow_solve's update from one segment to the next: the state snapped
+    # over the clusters at the segment's end, and the antiderivative
+    u, big_f, d, h, root = state
+    return cluster_mean(root, u + tau * d), big_f - tau * h
+
+
 class FlowTrajectory:
     """Complete gradient-flow trajectory of one datum.
 
-    ``path`` holds the breakpoints, per-segment states and directions;
-    ``flows`` the per-segment witness H_k (one row per segment, max-norm at
-    most 1); ``antiderivative`` the accumulated F at every breakpoint
-    (first row zero).  Beyond the final breakpoint the state is the mean
-    field and F stays at its final value.
+    ``path`` holds the breakpoints, per-segment states and directions.  Per
+    segment it stores flow_solve's step tau, and of the direction d, the
+    witness H (max-norm at most 1) and each vertex's cluster at the
+    segment's end only the entries that changed, with a dense checkpoint of
+    these and of the state u and the antiderivative F every ``SPACING``
+    segments (see :class:`PiecewiseAffinePath`).  A replay steps from the
+    checkpoint by flow_solve's own operations, ``u <- cluster_mean(u + tau
+    d)`` and ``F <- F - tau H``, so every value keeps flow_solve's bits.
+    ``directions``, ``flows`` (one row per segment) and ``antiderivative``
+    (F at every breakpoint, first row zero) build dense arrays on demand.
+    Beyond the final breakpoint the state is the mean field and F stays at
+    its final value, ``final``.
     """
 
-    path: PiecewiseAffinePath
-    flows: np.ndarray
-    antiderivative: np.ndarray
+    __slots__ = ("path", "_final")
+
+    def __init__(self, path: PiecewiseAffinePath, final: np.ndarray):
+        self.path, self._final = path, final
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -68,6 +89,16 @@ class FlowTrajectory:
     def directions(self) -> np.ndarray:
         return self.path.slopes
 
+    @property
+    def flows(self) -> np.ndarray:
+        return _stack((state[3] for state in self.path._log.states()),
+                      self.path.segment_count, self._final.size)
+
+    @property
+    def antiderivative(self) -> np.ndarray:
+        rows = chain((state[1] for state in self.path._log.states()), [self._final])
+        return _stack(rows, self.path.segment_count + 1, self._final.size)
+
     def value_at(self, t: float) -> np.ndarray:
         return self.path.value_at(t)
 
@@ -77,8 +108,9 @@ class FlowTrajectory:
     def antiderivative_at(self, t: float) -> np.ndarray:
         k = self.path._segment(t)
         if k < 0:
-            return self.antiderivative[-1].copy()
-        return self.antiderivative[k] - (t - self.path.breakpoints[k]) * self.flows[k]
+            return self._final.copy()
+        _, big_f, _, h, _ = next(self.path._log.states(k))
+        return big_f - (t - self.path.breakpoints[k]) * h
 
 
 def settle(kernel: PatternKernel, t: float = 0.0) -> tuple:
@@ -133,26 +165,25 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
     turn flat, and the state is snapped exactly flat over the clusters of
     the next pattern.  Terminates at the mean field, or raises
     :class:`PathError` after ``16 m + 64`` segments.
+
+    Each segment is logged as its step and the entries of d, H and the
+    clusters that changed, with a dense checkpoint every ``SPACING``
+    segments: memory grows with the changes, not with segments x (n + m).
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
-    n, m = g.vertex_count, g.edge_count
     fbar = float(f.mean())
-    mean_field = np.full(n, fbar)
+    mean_field = np.full(g.vertex_count, fbar)
     scale = float(f.max() - f.min())
+    log = _Log(_line, _step, chained=2)
+    f_acc = np.zeros(g.edge_count)
     if scale == 0.0:
-        path = PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
-        return FlowTrajectory(path, np.empty((0, m)), np.zeros((1, m)))
+        return FlowTrajectory(PiecewiseAffinePath._compact([0.0], f.copy(), log), f_acc)
 
     kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale))
     u = f.copy()
     t = 0.0
     bps = [0.0]
-    states = [u.copy()]
-    dirs = []
-    flows = []
-    f_acc = np.zeros(m)
-    antider = [f_acc.copy()]
     prev_norm = math.inf
 
     for _ in range(event_cap(g)):
@@ -186,11 +217,8 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
 
         t += tau
         bps.append(t)
-        states.append(u_next.copy())
-        dirs.append(d)
-        flows.append(h)
+        log.append((u, f_acc, d, h, kernel.clusters.root), tau)
         f_acc = f_acc - tau * h
-        antider.append(f_acc.copy())
         u = u_next
     else:
         raise PathError("event cap %d exceeded %s" % (event_cap(g),
@@ -201,11 +229,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         raise PathError("flow ended off the mean field " + failure_site(g, "t", t),
                         interval=(bps[-2] if len(bps) > 1 else 0.0, t))
 
-    left_values = np.asarray(states[:-1], dtype=float).reshape(len(bps) - 1, n)
-    slopes = np.asarray(dirs, dtype=float).reshape(len(bps) - 1, n)
-    path = PiecewiseAffinePath(np.asarray(bps), left_values, slopes, mean_field)
-    return FlowTrajectory(path, np.asarray(flows, dtype=float).reshape(len(bps) - 1, m),
-                          np.asarray(antider))
+    return FlowTrajectory(PiecewiseAffinePath._compact(bps, mean_field, log), f_acc)
 
 
 def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.ndarray:

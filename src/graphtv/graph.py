@@ -52,11 +52,19 @@ class Tolerances:
     def __post_init__(self):
         for name in ("flat_tol", "solve_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and np.isfinite(v)):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and v > 0 and np.isfinite(v)):
                 raise ValidationError("%s must be a positive finite number" % name)
 
 
 DEFAULT_TOL = Tolerances()
+
+
+def _integer(x, what: str) -> int:
+    # x as an int: a Python or numpy integer, not a bool or a float
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise ValidationError("%s must be an integer" % what)
+    return int(x)
 
 
 class OrientedGraph:
@@ -83,10 +91,7 @@ class OrientedGraph:
                  names: Optional[Sequence[str]] = None,
                  cartesian: Optional[tuple] = None,
                  grid_coords: Optional[Sequence[tuple]] = None):
-        if isinstance(vertex_count, (bool, np.bool_)) or not isinstance(
-                vertex_count, (int, np.integer)):
-            raise ValidationError("vertex_count must be an integer")
-        n = int(vertex_count)
+        n = _integer(vertex_count, "vertex_count")
         if n < 1:
             raise ValidationError("vertex_count must be at least 1")
         pairs = np.asarray(edges)
@@ -166,14 +171,16 @@ class OrientedGraph:
             raise ValidationError("graph must be connected")
 
     def _init_cartesian(self, cartesian, grid_coords):
-        mm, nn = int(cartesian[0]), int(cartesian[1])
+        mm = _integer(cartesian[0], "cartesian shape")
+        nn = _integer(cartesian[1], "cartesian shape")
         if mm < 1 or nn < 1 or mm * nn != self.vertex_count:
             raise ValidationError(
                 "cartesian shape (%d, %d) inconsistent with %d vertices"
                 % (mm, nn, self.vertex_count))
         if grid_coords is None:
             raise ValidationError("cartesian graphs require grid_coords")
-        coords = tuple((int(i), int(j)) for i, j in grid_coords)
+        coords = tuple((_integer(i, "grid coordinate"), _integer(j, "grid coordinate"))
+                       for i, j in grid_coords)
         if len(coords) != self.vertex_count:
             raise ValidationError("grid_coords must list every vertex")
         index = {}
@@ -468,7 +475,8 @@ class FlatClusters:
     """Connected components of the graph restricted to a set of flat edges.
 
     ``labels[v]`` numbers the cluster of vertex v (0 .. count-1, in the
-    order of the clusters' smallest vertices), ``sizes`` counts the
+    order of the clusters' smallest vertices), ``root[v]`` is the smallest
+    vertex of v's cluster, ``sizes`` counts the
     vertices per cluster and :meth:`cluster` gives cluster k's
     :class:`Cluster`, with its breadth-first spanning tree.  A build from
     scratch takes O(n + m) time and memory.  :meth:`successor` gives the
@@ -478,7 +486,7 @@ class FlatClusters:
     edges in the same order either way, so both give the same trees.
     """
 
-    __slots__ = ("graph", "labels", "count", "sizes", "roots", "_adj", "_root",
+    __slots__ = ("graph", "labels", "count", "sizes", "roots", "root", "_adj",
                  "_of")
 
     def __init__(self, g: OrientedGraph, flat: np.ndarray):
@@ -488,15 +496,14 @@ class FlatClusters:
         self._setup(g, np.empty(n, dtype=np.intp), [None] * n, born)
 
     def _setup(self, g, root, of, born):
-        # root[v] is the smallest vertex of v's cluster, of[r] the Cluster
-        # whose smallest vertex is r
+        # of[r] is the Cluster whose smallest vertex is r
         for c in born:
             of[c.order[0]] = c
         root[[v for c in born for v in c.order]] = [
             c.order[0] for c in born for _ in c.order]
         is_root = root == np.arange(g.vertex_count)
         first = is_root.cumsum() - 1
-        self.graph, self._root, self._of = g, root, of
+        self.graph, self.root, self._of = g, root, of
         self.labels = first[root]
         self.count = int(first[-1]) + 1
         self.roots = is_root.nonzero()[0]
@@ -511,7 +518,7 @@ class FlatClusters:
         same spanning tree."""
         g = self.graph
         ends = [v for e in changed.tolist() for v in g.edges[e]]
-        dead = [self._of[r] for r in set(self._root[ends].tolist())]
+        dead = [self._of[r] for r in set(self.root[ends].tolist())]
         of = self._of.copy()
         for c in dead:
             of[c.order[0]] = None
@@ -519,7 +526,7 @@ class FlatClusters:
                      sorted(v for c in dead for v in c.order))
         out = FlatClusters.__new__(FlatClusters)
         out._adj = self._adj
-        out._setup(g, self._root.copy(), of, born)
+        out._setup(g, self.root.copy(), of, born)
         return out, dead, born
 
     def cluster(self, k: int) -> Cluster:
@@ -538,8 +545,7 @@ class FlatClusters:
 
     def mean(self, x: np.ndarray) -> np.ndarray:
         """Per-vertex mean of x over the vertex's cluster."""
-        lab = self.labels
-        return (np.bincount(lab, x, self.count) / self.sizes)[lab]
+        return cluster_mean(self.root, x)
 
     def forest_flow(self, r: np.ndarray) -> np.ndarray:
         """The flow on the spanning forest whose divergence is r.
@@ -552,6 +558,13 @@ class FlatClusters:
         for c in filter(None, self._of):
             h[c.tree] = c.peel([r[v] for v in c.order])
         return h
+
+
+def cluster_mean(root: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-vertex mean of x over the vertices that share the vertex's
+    ``root`` (see :class:`FlatClusters`), summed in vertex order."""
+    n = root.size
+    return (np.bincount(root, x, n) / np.maximum(np.bincount(root, minlength=n), 1))[root]
 
 
 def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
@@ -733,14 +746,14 @@ class PatternKernel:
     """
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
-                 "intercept", "pull", "beta", "maxflows", "_given", "_values",
+                 "intercept", "pull", "beta", "maxflows", "_given", "_values", "_exact",
                  "_forest", "_pull_flow", "_failed", "_calibration", "_start")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
         self.graph, self.f, self.maxflows = g, f, 0
-        self._values = None if f is None else f.tolist()
+        self._values, self._exact = None if f is None else f.tolist(), None
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
         self.intercept, self.pull, self._pull_flow = 0.0, 0.0, None
         if f is not None:
@@ -762,6 +775,7 @@ class PatternKernel:
         clusters, dead, born = self.clusters.successor(given.flat, changed)
         out = PatternKernel.__new__(PatternKernel)
         out.graph, out.f, out._values = self.graph, self.f, self._values
+        out._exact = self._exact
         out.maxflows = self.maxflows
         out.pinned, out.slope, out.beta = self.pinned.copy(), self.slope.copy(), self.beta.copy()
         out.intercept, out.pull, out._pull_flow = 0.0, 0.0, None
@@ -960,6 +974,28 @@ class PatternKernel:
         if w_cut >= 0:
             return None, pins
         return Fraction((len(pins) * n + beta_cut) * unit, w_cut), pins
+
+    def meet(self, e: int) -> Optional[Fraction]:
+        """The exact t at which the lines of the clusters at the ends of edge
+        e meet (the kernel needs a datum), from each cluster's exact sums
+        of f and of the pinned flux b; None if the lines are parallel."""
+        if self._exact is None:
+            # f as integers over one power-of-two unit, made once per chain
+            ratios = [x.as_integer_ratio() for x in self._values]
+            unit = max(den for _, den in ratios)
+            self._exact = unit, [num * (unit // den) for num, den in ratios]
+        unit, exact = self._exact
+        cl = self.clusters
+        sums = []
+        for v in self.graph.edges[e]:
+            verts = cl.cluster(cl.labels[v]).verts
+            sums.append((len(verts), int(self.pinned[verts].sum()),
+                         sum([exact[u] for u in verts])))
+        (na, ba, fa), (nb, bb, fb) = sums
+        # c = f_sum / (unit size) and s = -b_sum / size on each side; the
+        # lines meet at t = (s_head - s_tail) / (c_tail - c_head)
+        gap = fa * nb - fb * na
+        return Fraction((ba * nb - bb * na) * unit, gap) if gap else None
 
     def _forest_at(self, t: Fraction) -> tuple:
         # the forest flow at t (see witness), an overshoot of at most 1e-12

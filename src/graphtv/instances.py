@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .graph import OrientedGraph
+from .graph import OrientedGraph, _integer
 
 # vertex order of the nonequivalence instance
 NONEQUIV_VERTEX_NAMES = ("v12", "v22", "v32", "v23", "v21",
@@ -126,7 +126,7 @@ def cartesian_graph(m: int, n: int) -> OrientedGraph:
     Edges run from higher to lower coordinate: (i+1, j) -> (i, j) and
     (i, j+1) -> (i, j).
     """
-    m, n = int(m), int(n)
+    m, n = _integer(m, "grid side"), _integer(n, "grid side")
     if m < 1 or n < 1 or m * n < 2:
         raise ValidationError("grid must have at least 2 vertices")
     coords = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -145,7 +145,7 @@ def cartesian_graph(m: int, n: int) -> OrientedGraph:
 
 def path_graph(n: int) -> OrientedGraph:
     """Path on n vertices with edges oriented (i+1) -> i."""
-    n = int(n)
+    n = _integer(n, "path length")
     if n < 2:
         raise ValidationError("path needs at least 2 vertices")
     edges = [(k + 1, k) for k in range(n - 1)]

@@ -163,13 +163,14 @@ def write_trajectory(fh: TextIO, path: PiecewiseAffinePath,
 
     Emits the breakpoint parameters, then one row per sample (defaulting
     to the breakpoints themselves; the last breakpoint row is the terminal
-    state by continuity).
+    state by continuity).  Ascending samples are read in one replay pass
+    over the segments.
     """
     fh.write("breakpoints " + " ".join(format_float(float(b))
                                        for b in path.breakpoints) + "\n")
     if samples is None:
         samples = path.breakpoints
-    for s in samples:
-        row = path.value_at(float(s))
-        fh.write("row " + format_float(float(s)) + " "
+    samples = [float(s) for s in samples]
+    for s, row in zip(samples, path._values(samples)):
+        fh.write("row " + format_float(s) + " "
                  + " ".join(format_float(float(x)) for x in row) + "\n")

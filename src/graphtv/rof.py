@@ -47,39 +47,181 @@ class RofSolution:
     report: SolveReport
 
 
+# Segments from one dense checkpoint of a compact trajectory to the next: a
+# replay from the nearest checkpoint takes fewer steps than this
+SPACING = 64
+
+
+def _stack(rows, count: int, width: int) -> np.ndarray:
+    # the rows as one count x width array
+    out = np.empty((count, width))
+    for k, row in enumerate(rows):
+        out[k] = row
+    return out
+
+
+class _Log:
+    """The states of a trajectory's segments, stored compactly.
+
+    A state is a tuple of arrays of 8-byte items.  Its first ``chained``
+    arrays follow from the state before by ``step(state, tau)``, with tau
+    the builder's step from that segment; of the others, a segment stores
+    only the entries whose bits changed.  The segments form blocks of
+    ``SPACING``: a block keeps its first state whole, a checkpoint, and the
+    changes of its other segments packed, per changing array, as one index
+    and one value array with each segment's offsets.  ``line(state, b)``
+    gives a segment's left value and slope from its state and breakpoint b.
+    """
+
+    __slots__ = ("line", "step", "chained", "count", "taus", "marks", "blocks",
+                 "_open", "_bits")
+
+    def __init__(self, line, step=None, chained: int = 0):
+        self.line, self.step, self.chained = line, step, chained
+        self.count, self.taus, self.marks, self.blocks = 0, [], [], []
+        self._open, self._bits = [], None
+
+    def append(self, state: tuple, tau: float = 0.0) -> None:
+        """Add the next segment's state, and its step to the segment after."""
+        # the changing arrays' bits in a row, compared with the last ones
+        bits = np.concatenate([a.view(np.int64) for a in state[self.chained:]])
+        if self.count % SPACING == 0:
+            self._pack()
+            self.marks.append(tuple(a.copy() for a in state))
+        else:
+            idx = (bits != self._bits).nonzero()[0]
+            self._open.append((idx, bits[idx]))
+        self._bits = bits
+        self.taus.append(tau)
+        self.count += 1
+
+    def close(self) -> None:
+        """Pack the last block; the log takes no more segments."""
+        self._pack()
+        self.taus = np.array(self.taus, dtype=float)
+        self._bits = None
+
+    def _pack(self):
+        # the open block's changes as (indices, values, offsets) per array
+        if not self.marks:
+            return
+        arrays = self.marks[-1][self.chained:]
+        bounds = np.cumsum([0] + [a.size for a in arrays])
+        idx = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in self._open])
+        bits = np.concatenate([np.empty(0, np.int64)] + [v for _, v in self._open])
+        segment = np.repeat(np.arange(len(self._open)), [i.size for i, _ in self._open])
+        which = np.searchsorted(bounds, idx, side="right") - 1
+        ends = np.arange(len(self._open) + 1)
+        packed = []
+        for j, a in enumerate(arrays):
+            mine = which == j
+            packed.append((idx[mine] - bounds[j], bits[mine].view(a.dtype),
+                           np.searchsorted(segment[mine], ends)))
+        self.blocks.append(packed)
+        self._open = []
+
+    def states(self, k: int = 0):
+        """The states of the segments k, k + 1, ..., in order, replayed from
+        the checkpoint at or before k.  A state's arrays are shared with
+        the checkpoint and the next states: read them, do not write."""
+        state = None
+        for i in range(k - k % SPACING, self.count):
+            block, r = divmod(i, SPACING)
+            if r == 0:
+                state = list(self.marks[block])
+            else:
+                if self.chained:
+                    state[:self.chained] = self.step(state, self.taus[i - 1])
+                for j, (idx, values, offsets) in enumerate(self.blocks[block], self.chained):
+                    lo, hi = offsets[r - 1], offsets[r]
+                    if hi > lo:
+                        state[j] = state[j].copy()
+                        state[j][idx[lo:hi]] = values[lo:hi]
+            if i >= k:
+                yield tuple(state)
+
+
+def _given(state: tuple, b: float) -> tuple:
+    # a dense path's row: its left value and slope as given
+    return state
+
+
+def _anchored(state: tuple, b: float) -> tuple:
+    # rof_path's row: the line c + alpha * s of the segment's pattern at b
+    c, s = state
+    return c + b * s, s
+
+
 class PiecewiseAffinePath:
     """A continuous piecewise-affine map from [0, inf) to vertex fields.
 
     Defined by increasing breakpoints b_0 = 0 < ... < b_K, the value and
     slope on each segment [b_k, b_{k+1}], and a terminal value attained for
     all parameters at or beyond b_K.
+
+    The segments are stored compactly: per segment, only the entries that
+    its event changed, with a dense checkpoint every ``SPACING`` segments.
+    :meth:`value_at` and :meth:`slope_at` replay fewer than ``SPACING``
+    segments from the nearest checkpoint, by the float operations of the
+    builder, so they return the builder's bits; each replayed segment costs
+    O(n) (O(n + m) for a flow).  ``left_values`` and ``slopes`` build K x n
+    arrays on demand.  The dense constructor stores the rows it is given
+    in the same form.
     """
 
-    __slots__ = ("breakpoints", "left_values", "slopes", "terminal_value")
+    __slots__ = ("breakpoints", "terminal_value", "_log")
 
     def __init__(self, breakpoints, left_values, slopes, terminal_value):
-        b = np.asarray(breakpoints, dtype=float)
         lv = np.asarray(left_values, dtype=float)
         sl = np.asarray(slopes, dtype=float)
+        log = _Log(_given)
+        self._init(breakpoints, terminal_value, log)
+        if lv.shape != (self.segment_count, self.terminal_value.size) or sl.shape != lv.shape:
+            raise ValidationError("left_values and slopes must be (segments, vertices)")
+        for row in zip(np.ascontiguousarray(lv), np.ascontiguousarray(sl)):
+            log.append(row)
+        log.close()
+
+    @classmethod
+    def _compact(cls, breakpoints, terminal_value, log: _Log) -> "PiecewiseAffinePath":
+        # the path of a builder's log, one state per segment
+        path = cls.__new__(cls)
+        path._init(breakpoints, terminal_value, log)
+        log.close()
+        return path
+
+    def _init(self, breakpoints, terminal_value, log):
+        b = np.asarray(breakpoints, dtype=float)
         tv = np.asarray(terminal_value, dtype=float)
         if b.ndim != 1 or b.size < 1 or b[0] != 0.0:
             raise ValidationError("breakpoints must start at 0")
         if np.any(np.diff(b) <= 0):
             raise ValidationError("breakpoints must be strictly increasing")
-        k = b.size - 1
-        n = tv.size
-        if lv.shape != (k, n) or sl.shape != (k, n):
-            raise ValidationError("left_values and slopes must be (segments, vertices)")
-        for arr in (b, lv, sl, tv):
+        for arr in (b, tv):
             arr.setflags(write=False)
-        self.breakpoints = b
-        self.left_values = lv
-        self.slopes = sl
-        self.terminal_value = tv
+        self.breakpoints, self.terminal_value, self._log = b, tv, log
 
     @property
     def segment_count(self) -> int:
         return self.breakpoints.size - 1
+
+    @property
+    def left_values(self) -> np.ndarray:
+        """The value at each segment's left end, a K x n array built on demand."""
+        return _stack((left for left, _ in self._rows()), self.segment_count,
+                      self.terminal_value.size)
+
+    @property
+    def slopes(self) -> np.ndarray:
+        """Each segment's slope, a K x n array built on demand."""
+        return _stack((slope for _, slope in self._rows()), self.segment_count,
+                      self.terminal_value.size)
+
+    def _rows(self, k: int = 0):
+        # (left value, slope) of the segments k, k + 1, ..., in one replay
+        b, line = self.breakpoints, self._log.line
+        for i, state in enumerate(self._log.states(k), k):
+            yield line(state, b[i])
 
     def _segment(self, x: float) -> int:
         # index of the segment holding x, or -1 beyond the last breakpoint
@@ -89,16 +231,28 @@ class PiecewiseAffinePath:
             return -1
         return int(np.searchsorted(self.breakpoints, x, side="right")) - 1
 
+    def _values(self, xs):
+        # value_at at each x of xs, replaying forward while xs ascend
+        rows = None
+        for x in xs:
+            k = self._segment(x)
+            if k < 0:
+                yield self.terminal_value.copy()
+                continue
+            if rows is None or at > k:
+                rows, at = self._rows(k), k - 1
+            while at < k:
+                left, slope = next(rows)
+                at += 1
+            yield left + (x - self.breakpoints[k]) * slope
+
     def value_at(self, x: float) -> np.ndarray:
-        k = self._segment(x)
-        if k < 0:
-            return self.terminal_value.copy()
-        return self.left_values[k] + (x - self.breakpoints[k]) * self.slopes[k]
+        return next(self._values([x]))
 
     def slope_at(self, x: float) -> np.ndarray:
         """Right slope at x (zero beyond the last breakpoint)."""
         k = self._segment(x)
-        return np.zeros_like(self.terminal_value) if k < 0 else self.slopes[k].copy()
+        return np.zeros_like(self.terminal_value) if k < 0 else next(self._rows(k))[1].copy()
 
 
 def _checked(g, f, alpha):
@@ -197,10 +351,11 @@ def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction] = None,
     else ``(None, cause)``.
 
     Pinned edges keep their signs, and the kernel's witness at ``t``, the
-    exact ``1 / alpha`` of a split or else ``1 / Fraction(alpha)``, passes
-    :meth:`PatternKernel.fault` against ``t * w - beta``.  ``start`` is
-    passed on to :meth:`PatternKernel.witness`.  At alpha = 0, w vanishes
-    on the ties of f; t = 0 is used.
+    exact ``1 / alpha`` of a split or a fusion or else
+    ``1 / Fraction(alpha)``, passes :meth:`PatternKernel.fault` against
+    ``t * w - beta``.  ``start`` is passed on to
+    :meth:`PatternKernel.witness`.  At alpha = 0, w vanishes on the ties of
+    f; t = 0 is used.
     """
     g = kernel.graph
     c, s = kernel.intercept, kernel.slope
@@ -224,14 +379,19 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     a non-flat edge meet, as in the flow) or split (:meth:`PatternKernel.splits`).
     The path starts from the clusters of exactly equal values in f.  No
     iterative solve runs.  Both ends of every segment are certified, which
-    covers the segment, or :class:`PathError` is raised; an end at a split
-    is certified at the split's exact parameter.  The terminal value is the
-    mean field.  The path reads no tolerance.
+    covers the segment, or :class:`PathError` is raised; an end at an event
+    is certified at the event's exact parameter: a split's from its min
+    cut, a fusion's where the lines of the first fusing edge's clusters
+    meet (:meth:`PatternKernel.meet`).  The terminal value is the mean
+    field.  The path reads no tolerance.  Each segment is logged as the
+    entries of the intercept and slope that its events changed, with a
+    dense checkpoint every ``SPACING`` segments (see
+    :class:`PiecewiseAffinePath`).
     """
     f = ensure_vertex_field(g, f, "f")
-    n = g.vertex_count
+    log = _Log(_anchored)
     if float(f.max() - f.min()) == 0.0:
-        return PiecewiseAffinePath([0.0], np.empty((0, n)), np.empty((0, n)), f.copy())
+        return PiecewiseAffinePath._compact([0.0], f.copy(), log)
 
     def certify(alpha, t, where):
         cause = _certify(k, alpha, t)[1]
@@ -240,7 +400,7 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
 
     k = PatternKernel(g, sign_pattern(g, f, scale=0.0), f)
     alpha, t = 0.0, Fraction(0)
-    bps, left_values, slopes = [], [], []
+    bps = []
     for _ in range(event_cap(g)):
         c, s = k.intercept, k.slope
         where = "segment %d" % len(bps)
@@ -249,9 +409,10 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
             break
         _, fused = next_fusion(g, k.pattern, c + alpha * s, s)
         # where the lines across the fusing edges meet, from the lines alone
+        fused = fused.nonzero()[0]
         tails, heads = g.tails[fused], g.heads[fused]
-        fuse_at = float(((c[tails] - c[heads])
-                         / (s[heads] - s[tails])).min(initial=math.inf))
+        meet = (c[tails] - c[heads]) / (s[heads] - s[tails])
+        fuse_at = float(meet.min(initial=math.inf))
         splits = k.splits(alpha)
         # the first event, a split's with its exact t
         nxt, t_nxt = min([(a, t_a) for a, t_a, _ in splits] + [(fuse_at, None)],
@@ -259,11 +420,13 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
         if nxt == math.inf:
             _fail(g, "no event ahead", alpha, where)
         if nxt > alpha:
+            if t_nxt is None:
+                # a fusion, at the exact t where the first fusing edge closes
+                t_nxt = k.meet(int(fused[np.argmin(meet)]))
             certify(alpha, t, where)
             certify(nxt, t_nxt, where)
             bps.append(alpha)
-            left_values.append(c + alpha * s)
-            slopes.append(s)
+            log.append((c, s))
             t = t_nxt
         # events within a relative 1e-12 of the step meet in exact arithmetic
         limit = alpha + (nxt - alpha) * (1.0 + 1e-12)
@@ -278,5 +441,4 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     else:
         _fail(g, "event cap %d exceeded" % event_cap(g), alpha, where)
     bps.append(alpha)
-    return PiecewiseAffinePath(np.asarray(bps), np.asarray(left_values),
-                               np.asarray(slopes), np.full(n, float(f.mean())))
+    return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), log)

@@ -553,3 +553,88 @@ def test_successors_relabel_a_small_share_of_the_vertices(monkeypatch):
     segments = flow_solve(g, f).path.segment_count + rof_path(g, f).segment_count
     assert segments > 1000
     assert sum(relabelled) < 0.05 * segments * g.vertex_count
+
+
+def test_trajectories_hold_no_dense_rows():
+    # a trajectory stores each event's changes and a checkpoint every
+    # SPACING segments, so a path graph's flow and path, about n segments
+    # each, peak near the kernel's own O(n + m); dense rows of states,
+    # slopes, flows and antiderivative, held twice while they were
+    # gathered, needed about 2 K (2n + 2m) 8 bytes, thousands of times more
+    import tracemalloc
+    from graphtv import rof_path
+    g = path_graph(1500)
+    f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+    budget = 256 * (g.vertex_count + g.edge_count) * 8
+    for solve in (flow_solve, rof_path):
+        tracemalloc.start()
+        try:
+            result = solve(g, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        path = getattr(result, "path", result)
+        assert path.segment_count > 1000
+        assert peak < budget, (solve.__name__, peak, budget)
+
+
+def test_replay_gives_the_builders_bits(monkeypatch):
+    # value_at, slope_at and antiderivative_at replay a segment from the
+    # nearest checkpoint; at every breakpoint and midpoint, on segments
+    # either side of each checkpoint, they give the bits of the states the
+    # builder computed, recorded here as it logs them, and so does u(t) =
+    # f + div F(t).  The dense properties are those rows
+    from io import StringIO
+    from graphtv import cartesian_graph, rof_path, write_trajectory
+    from graphtv.rof import SPACING, _Log
+    logged = []
+    append = _Log.append
+
+    def recording(self, state, tau=0.0):
+        logged.append(tuple(np.array(a) for a in state))
+        append(self, state, tau)
+
+    monkeypatch.setattr(_Log, "append", recording)
+    rng = np.random.default_rng(SEED + 17)
+    graphs = [cartesian_graph(6, 6), cartesian_graph(9, 7), path_graph(200)]
+    graphs += [random_connected_graph(rng, 30) for _ in range(3)]
+    longest = 0
+    for g in graphs:
+        f = random_vertex_field(rng, g.vertex_count)
+        for build in (flow_solve, rof_path):
+            logged.clear()
+            result = build(g, f)
+            path = getattr(result, "path", result)
+            b = path.breakpoints
+            longest = max(longest, path.segment_count)
+            assert len(logged) == path.segment_count
+            if build is flow_solve:
+                left, slope = [s[0] for s in logged], [s[2] for s in logged]
+                anti, flows = [s[1] for s in logged], [s[3] for s in logged]
+                assert result.flows.tobytes() == np.array(flows).tobytes()
+                assert result.antiderivative[:-1].tobytes() == np.array(anti).tobytes()
+            else:
+                left = [c + alpha * s for (c, s), alpha in zip(logged, b)]
+                slope = [s for _, s in logged]
+            assert path.left_values.tobytes() == np.array(left).tobytes()
+            assert path.slopes.tobytes() == np.array(slope).tobytes()
+            xs = sorted(list(b) + [0.5 * (x + y) for x, y in zip(b, b[1:])])
+            for x in xs:
+                k = min(int(np.searchsorted(b, x, side="right")) - 1, len(left))
+                if k == len(left):
+                    continue
+                assert path.value_at(x).tobytes() == (left[k] + (x - b[k]) * slope[k]).tobytes()
+                assert path.slope_at(x).tobytes() == slope[k].tobytes()
+                if build is flow_solve:
+                    big_f = anti[k] - (x - b[k]) * flows[k]
+                    assert result.antiderivative_at(x).tobytes() == big_f.tobytes()
+                    assert (f + divergence(g, result.antiderivative_at(x))).tobytes() == (
+                        f + divergence(g, big_f)).tobytes()
+            # one replay pass for ascending samples, a restart for each
+            # sample behind the last: the same rows either way
+            up, down = StringIO(), StringIO()
+            write_trajectory(up, path, xs)
+            write_trajectory(down, path, xs[::-1])
+            rows = up.getvalue().splitlines()
+            assert rows[0] + "\n" + "\n".join(rows[:0:-1]) + "\n" == down.getvalue()
+    assert longest > 2 * SPACING

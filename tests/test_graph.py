@@ -4,8 +4,9 @@ import pytest
 from graphtv import (OrientedGraph, SignPattern, Tolerances, ValidationError,
                      divergence, edge_differences, pattern_box, sign_pattern,
                      subdifferential_membership, total_variation)
-from graphtv.instances import (nonequivalence_instance, random_connected_graph,
-                               random_vertex_field, two_vertex_graph)
+from graphtv.instances import (cartesian_graph, nonequivalence_instance, path_graph,
+                               random_connected_graph, random_vertex_field,
+                               two_vertex_graph)
 
 from dense_operator import dense_divergence
 
@@ -49,11 +50,27 @@ def test_construction_rejects_bad_edges():
     for count in (2.5, 3.0, "3", True):
         with pytest.raises(ValidationError, match="vertex_count must be an integer"):
             OrientedGraph(count, [(0, 1), (1, 2)])
+    # so must sizes and grid coordinates, where int() would truncate them
+    grid = cartesian_graph(3, 3)
+    for build, cause in ((lambda: cartesian_graph(3.7, 2.2), "grid side"),
+                         (lambda: cartesian_graph(3, True), "grid side"),
+                         (lambda: path_graph(4.9), "path length"),
+                         (lambda: OrientedGraph(9, grid.edges, cartesian=(3.7, 3.2), grid_coords=[
+                             (i + 0.9, j + 0.5) for i, j in grid.grid_coords]), "cartesian shape"),
+                         (lambda: OrientedGraph(9, grid.edges, cartesian=(3, 3), grid_coords=[
+                             (i + 0.9, j + 0.5) for i, j in grid.grid_coords]), "grid coordinate")):
+        with pytest.raises(ValidationError, match=cause + " must be an integer"):
+            build()
     # numpy integers stay valid, and so does one vertex with no edges
     g = OrientedGraph(np.int64(3), np.array([[0, 1], [1, 2]], dtype=np.int32))
     assert g.edges == ((0, 1), (1, 2))
     assert OrientedGraph(3, [(np.int64(0), np.int64(1)), (1, 2)]).edges == g.edges
     assert OrientedGraph(1, []).edge_count == 0
+    assert cartesian_graph(np.int64(3), np.int32(3)).edges == grid.edges
+    assert path_graph(np.int64(5)).vertex_count == 5
+    coords = [(np.int64(i), np.int64(j)) for i, j in grid.grid_coords]
+    assert OrientedGraph(9, grid.edges, cartesian=(np.int64(3), 3),
+                         grid_coords=coords).grid_coords == grid.grid_coords
 
 
 def test_edge_index_lookup():
@@ -392,6 +409,10 @@ def test_tolerances_validation():
         Tolerances(flat_tol=0.0)
     with pytest.raises(ValidationError):
         Tolerances(solve_tol=-1e-9)
+    # a bool is not a number of the threshold's kind, though it compares as 1
+    for bad in (dict(flat_tol=True), dict(solve_tol=True)):
+        with pytest.raises(ValidationError):
+            Tolerances(**bad)
 
 
 def _kernel_bytes(kernel, t):

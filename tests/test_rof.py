@@ -233,6 +233,44 @@ def test_path_runs_no_iterative_solve(monkeypatch):
         assert np.abs(path.terminal_value - f.mean()).max() < 1e-9
 
 
+def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
+    # both certificates at a fusion run at the exact t where the lines of
+    # the fusing edge's clusters meet, from their exact sums of f and of
+    # the pinned flux, as at a split.  Every cluster has a flow there, so
+    # no certificate's cluster test fails; at 1 / Fraction of the rounded
+    # breakpoint a fused cluster can miss by a hair
+    import graphtv.rof
+    certify, route = graphtv.rof._certify, PatternKernel._route
+    params, verdicts, inside = [], [], []
+
+    def certified(kernel, alpha, t=None, start=None):
+        params.append((alpha, t))
+        inside.append(True)
+        try:
+            return certify(kernel, alpha, t, start)
+        finally:
+            inside.pop()
+
+    def routed(self, tests):
+        found = route(self, tests)
+        if inside:
+            verdicts.extend(ok for _, ok, _, _ in found)
+        return found
+
+    monkeypatch.setattr(graphtv.rof, "_certify", certified)
+    monkeypatch.setattr(PatternKernel, "_route", routed)
+    rng = np.random.default_rng(SEED + 19)
+    graphs = [cartesian_graph(8, 8), cartesian_graph(6, 9)]
+    graphs += [random_connected_graph(rng, 20) for _ in range(4)]
+    for g in graphs:
+        rof_path(g, random_vertex_field(rng, g.vertex_count))
+    assert len(verdicts) > 400
+    assert all(verdicts)
+    for alpha, t in params:
+        assert t is not None
+        assert abs(float(t) * alpha - 1.0) <= 1e-12 if alpha else t == 0
+
+
 def test_cluster_tests_change_no_path(monkeypatch):
     # a cluster's stored tests hand back exact verdicts, cuts and split
     # parameters, so the path with clusters that store none has the same
