@@ -46,9 +46,10 @@ def _tolerances(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
 
 
 def _reject_unread(args, mode: str, *flags: str) -> None:
-    """A usage error for each tolerance flag given to a mode that never reads it."""
+    """A usage error for each flag, or the problem file, given to a mode
+    that never reads it."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
             raise ValidationError("%s has no effect on %s" % (flag, mode))
 
 
@@ -139,8 +140,11 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     lines = []
     ok = True
+    mode = "verify --mode " + args.mode
+    alpha = 1.0 if args.alpha is None else args.alpha
+    # each mode names the tolerance flag it never reads first
     if args.mode == "counterexample":
-        _reject_unread(args, "verify --mode counterexample", "--solve-tol")
+        _reject_unread(args, mode, "--solve-tol", "problem", "--alpha", "--trials", "--seed")
         report = counterexample_harness(_tolerances(args))
         for c in report.checks:
             lines.append("%s %s measured=%s expected=%s tol=%s" % (
@@ -149,26 +153,29 @@ def _cmd_verify(args) -> int:
                 format_float(c.tolerance)))
         ok = report.passed
     elif args.mode == "phimin":
-        _reject_unread(args, "verify --mode phimin", "--flat-tol")
+        _reject_unread(args, mode, "--flat-tol", "--trials", "--seed")
         g, f = _load(args)
         reports = verify_universal_minimality(
-            g, f, args.alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
+            g, f, alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
         for r in reports:
             lines.append("%s %s gap=%s relative=%s" % (
                 "PASS" if r.ok else "FAIL", r.phi,
                 format_float(r.gap), format_float(r.relative_gap)))
         ok = all(r.ok for r in reports)
     else:
-        _reject_unread(args, "verify --mode isotropic", "--flat-tol")
+        _reject_unread(args, mode, "--flat-tol")
+        trials = 12 if args.trials is None else args.trials
+        if trials < 1:
+            raise ValidationError("--trials must be at least 1")
         g, f = _load(args)
         if g.cartesian is None:
             raise ParseError("isotropic mode needs a problem with grid structure")
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(7 if args.seed is None else args.seed)
         span = float(f.max() - f.min()) or 1.0
         batch = [f] + [f + rng.normal(0.0, 0.25 * span, f.size)
-                       for _ in range(max(0, args.trials - 1))]
+                       for _ in range(trials - 1)]
         report = demonstrate_isotropic_failure(
-            g, batch, args.alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
+            g, batch, alpha, tol=_tolerances(args, DEFAULT_CHECK_TOL))
         if report.witness_found:
             w = report.witness
             lines.append("PASS witness datum=%d phi=%s margin=%s" % (
@@ -232,13 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--mode", required=True,
                        choices=("phimin", "isotropic", "counterexample"))
     p_ver.add_argument("problem", nargs="?", default=None,
-                       help="problem file (defaults to the built-in instance)")
-    p_ver.add_argument("--alpha", type=float, default=1.0,
-                       help="regularization strength for the checks")
-    p_ver.add_argument("--trials", type=int, default=12,
-                       help="number of random data in isotropic mode")
-    p_ver.add_argument("--seed", type=int, default=7,
-                       help="seed for the isotropic data batch")
+                       help="problem file (defaults to the built-in instance; "
+                            "phimin and isotropic modes)")
+    # like the tolerance flags, these default to None: each mode fills in
+    # the defaults of those it reads and rejects the others (exit 2)
+    p_ver.add_argument("--alpha", type=float, default=None,
+                       help="regularization strength for the checks (default "
+                            "1; phimin and isotropic modes)")
+    p_ver.add_argument("--trials", type=int, default=None,
+                       help="number of random data, at least 1 (default 12; "
+                            "isotropic mode)")
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="seed for the data batch (default 7; isotropic "
+                            "mode)")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

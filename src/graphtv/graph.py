@@ -268,7 +268,8 @@ class SignPattern:
 
     def __init__(self, labels):
         arr = np.asarray(labels, dtype=np.int8)
-        if arr.ndim != 1 or (arr.size and (arr.min() < -1 or arr.max() > 1)):
+        # the bytes of -1, 0 and 1 deleted leave none
+        if arr.ndim != 1 or arr.tobytes().translate(None, b"\xff\x00\x01"):
             raise ValidationError("labels must be a 1-D array over {-1, 0, 1}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -369,41 +370,44 @@ def pattern_box(pattern: SignPattern) -> BoxSpec:
     return BoxSpec(lower, upper)
 
 
-def _adjacency(g: OrientedGraph) -> list:
-    # every vertex's edges as (neighbour, edge, +1.0 where the edge points
-    # into the neighbour), edges out of the vertex first, each part in
-    # increasing edge order
-    adj = [[] for _ in range(g.vertex_count)]
-    for e, (a, b) in enumerate(g.edges):
-        adj[a].append((b, e, 1.0))
-    for e, (a, b) in enumerate(g.edges):
-        adj[b].append((a, e, -1.0))
-    return adj
+def _adjacency(g: OrientedGraph) -> tuple:
+    # every vertex's edges, those out of the vertex first, each part in
+    # increasing edge order: vertex v's are edge[ptr[v]:ptr[v + 1]].  As
+    # (ptr, edge, tails, heads), memoryviews, which Python indexes fast
+    ends = np.concatenate([g.tails, g.heads])
+    ptr = np.zeros(g.vertex_count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=g.vertex_count), out=ptr[1:])
+    edge = np.argsort(ends, kind="stable") % max(g.edge_count, 1)
+    return tuple(map(memoryview, (ptr, edge, g.tails, g.heads)))
 
 
 class Cluster:
-    """One cluster of flat edges and its breadth-first spanning tree.
+    """One cluster with a flat edge, and its breadth-first spanning tree.
 
     ``order`` lists the vertices as the search from the smallest one
     reaches them; for i >= 1, ``up[i]`` is the position in ``order`` of
     vertex ``order[i]``'s parent, ``tree[i - 1]`` the edge between them and
     ``sign[i - 1]`` +1.0 where that edge points into ``order[i]``.
     ``verts`` lists the vertices in increasing order.  ``edges`` (see
-    :meth:`FlatClusters.edges`) and :class:`PatternKernel`'s ``data`` are
-    caches filled on first use, and so is ``tests``, a dict of the kernel's
-    max-flow tests of the cluster by t, as a ``(numerator, denominator)``
-    pair, each as ``(t, verdict, step, flow)`` (see
+    :meth:`FlatClusters.edges`), and :class:`PatternKernel`'s ``data`` and
+    ``sums``, are caches filled on first use, and so is ``tests``, a dict
+    of the kernel's max-flow tests of the cluster by t, as a ``(numerator,
+    denominator)`` pair, each as ``(t, verdict, step, flow)`` (see
     :meth:`PatternKernel._route`).  They hold as long as the cluster lives,
     since neither its edges nor the pinned flux at its vertices can change
-    without changing it, and a kernel's datum is fixed.
+    without changing it, and a kernel's datum is fixed.  A vertex with no
+    flat edge has no Cluster.
     """
 
-    __slots__ = ("order", "up", "tree", "sign", "verts", "edges", "data", "tests")
+    __slots__ = ("order", "up", "tree", "sign", "edges", "data", "sums", "tests")
 
     def __init__(self, order, up, tree, sign):
         self.order, self.up, self.tree, self.sign = order, up, tree, sign
-        self.verts = sorted(order)
-        self.edges = self.data = self.tests = None
+        self.edges = self.data = self.sums = self.tests = None
+
+    @property
+    def verts(self) -> list:
+        return sorted(self.order)
 
     def peel(self, r: list) -> list:
         """The flows on the tree edges whose divergence is r, a list in the
@@ -416,33 +420,44 @@ class Cluster:
         return [s * x for s, x in zip(self.sign, r[1:])]
 
 
-def _grow(adj: list, flat: bytes, verts) -> list:
-    # the clusters of the flat edges over verts, a union of clusters, from
-    # a breadth-first search of each from its smallest vertex
+def _grow(adj: tuple, flat, verts) -> tuple:
+    # the clusters of the flat edges over verts, a union of clusters: the
+    # Clusters of those with a flat edge, each from a breadth-first search
+    # from its smallest vertex, and the vertices of the others.  flat[e] is
+    # true where edge e is flat
+    ptr, edge, tails, heads = adj
     seen = set()
-    out = []
+    out, ones = [], []
     for root in verts:
         if root in seen:
             continue
         seen.add(root)
         order, up, tree, sign = [root], [-1], [], []
         for i, v in enumerate(order):
-            for w, e, into in adj[v]:
-                if flat[e] and w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    up.append(i)
-                    tree.append(e)
-                    sign.append(into)
-        out.append(Cluster(order, up, tree, sign))
-    return out
+            for e in edge[ptr[v]:ptr[v + 1]]:
+                if flat[e]:
+                    w, into = heads[e], 1.0
+                    if w == v:
+                        w, into = tails[e], -1.0
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+                        up.append(i)
+                        tree.append(e)
+                        sign.append(into)
+        if tree:
+            out.append(Cluster(order, up, tree, sign))
+        else:
+            ones.append(root)
+    return out, ones
 
 
-def _span(adj: list, flat: bytes, loose: bytes, root: int) -> Cluster:
+def _span(adj: tuple, flat: bytes, loose: bytes, root: int) -> Cluster:
     # a spanning tree of root's cluster of the flat edges that takes a flat
     # edge outside loose only where no loose edge reaches a vertex: a
     # breadth-first search over the loose edges which, each time it runs
     # dry, goes on from the first vertex it met across another flat edge
+    ptr, edge, tails, heads = adj
     seen = {root}
     order, up, tree, sign = [root], [-1], [], []
     stiff = deque()
@@ -457,12 +472,17 @@ def _span(adj: list, flat: bytes, loose: bytes, root: int) -> Cluster:
     i = 0
     while True:
         while i < len(order):
-            for w, e, into in adj[order[i]]:
-                if flat[e] and w not in seen:
-                    if loose[e]:
-                        attach(i, w, e, into)
-                    else:
-                        stiff.append((i, w, e, into))
+            v = order[i]
+            for e in edge[ptr[v]:ptr[v + 1]]:
+                if flat[e]:
+                    w, into = heads[e], 1.0
+                    if w == v:
+                        w, into = tails[e], -1.0
+                    if w not in seen:
+                        if loose[e]:
+                            attach(i, w, e, into)
+                        else:
+                            stiff.append((i, w, e, into))
             i += 1
         while stiff and stiff[0][1] in seen:
             stiff.popleft()
@@ -478,12 +498,16 @@ class FlatClusters:
     order of the clusters' smallest vertices), ``root[v]`` is the smallest
     vertex of v's cluster, ``sizes`` counts the
     vertices per cluster and :meth:`cluster` gives cluster k's
-    :class:`Cluster`, with its breadth-first spanning tree.  A build from
-    scratch takes O(n + m) time and memory.  :meth:`successor` gives the
-    clusters of another set of flat edges from these: it searches again
-    only the clusters with an end of a changed edge, and shares the others.
-    Each cluster's search starts from its smallest vertex and takes the
-    edges in the same order either way, so both give the same trees.
+    :class:`Cluster`, with its breadth-first spanning tree.  Only clusters
+    with a flat edge keep a Cluster; a vertex with none is its own cluster,
+    found in bulk, and ``cluster`` hands out a throwaway one for it.  The
+    adjacency is a pair of index arrays, shared with every successor.  A
+    build from scratch takes O(n + m) time and memory, and Python work only
+    at the vertices with a flat edge.  :meth:`successor` gives the clusters
+    of another set of flat edges from these: it searches again only the
+    clusters with an end of a changed edge, and shares the others.  Each
+    cluster's search starts from its smallest vertex and takes the edges in
+    the same order either way, so both give the same trees.
     """
 
     __slots__ = ("graph", "labels", "count", "sizes", "roots", "root", "_adj",
@@ -492,55 +516,61 @@ class FlatClusters:
     def __init__(self, g: OrientedGraph, flat: np.ndarray):
         n = g.vertex_count
         self._adj = _adjacency(g)
-        born = _grow(self._adj, flat.tobytes(), range(n))
-        self._setup(g, np.empty(n, dtype=np.intp), [None] * n, born)
+        touched = np.zeros(n, dtype=bool)
+        touched[g.tails[flat]] = touched[g.heads[flat]] = True
+        born, _ = _grow(self._adj, memoryview(flat), np.flatnonzero(touched).tolist())
+        self._setup(g, np.arange(n), {}, born, [])
 
-    def _setup(self, g, root, of, born):
+    def _setup(self, g, root, of, born, ones):
         # of[r] is the Cluster whose smallest vertex is r
         for c in born:
             of[c.order[0]] = c
         root[[v for c in born for v in c.order]] = [
             c.order[0] for c in born for _ in c.order]
-        is_root = root == np.arange(g.vertex_count)
-        first = is_root.cumsum() - 1
+        if ones:
+            root[ones] = ones
         self.graph, self.root, self._of = g, root, of
-        self.labels = first[root]
-        self.count = int(first[-1]) + 1
-        self.roots = is_root.nonzero()[0]
+        self.roots = (root == np.arange(g.vertex_count)).nonzero()[0]
+        self.count = self.roots.size
+        rank = np.empty(g.vertex_count, dtype=np.intp)
+        rank[self.roots] = np.arange(self.count)
+        self.labels = rank[root]
         self.sizes = np.bincount(self.labels, minlength=self.count)
 
     def successor(self, flat: np.ndarray, changed: np.ndarray) -> tuple:
-        """``(clusters, dead, born)``: the clusters of the flat edges
+        """``(clusters, dead, born, ones)``: the clusters of the flat edges
         ``flat``, which differ from this one's only on the edges
         ``changed``; this one's clusters with an end of a changed edge,
-        which are gone; and the clusters searched in their place.  A
-        cluster with no end of a changed edge is still a cluster, with the
-        same spanning tree."""
-        g = self.graph
-        ends = [v for e in changed.tolist() for v in g.edges[e]]
-        dead = [self._of[r] for r in set(self.root[ends].tolist())]
-        of = self._of.copy()
-        for c in dead:
-            of[c.order[0]] = None
-        born = _grow(self._adj, flat.tobytes(),
-                     sorted(v for c in dead for v in c.order))
+        which are gone, as pairs of the smallest vertex and the Cluster,
+        None for a vertex with no flat edge; and the Clusters and the
+        vertices with no flat edge searched in their place.  A cluster
+        with no end of a changed edge is still a cluster, with the same
+        spanning tree."""
+        g, root, of = self.graph, memoryview(self.root), self._of.copy()
+        dead = [(r, of.pop(r, None))
+                for r in {root[v] for e in changed.tolist() for v in g.edges[e]}]
+        verts = [v for r, c in dead for v in ([r] if c is None else c.order)]
+        born, ones = _grow(self._adj, memoryview(flat), sorted(verts))
         out = FlatClusters.__new__(FlatClusters)
         out._adj = self._adj
-        out._setup(g, self.root.copy(), of, born)
-        return out, dead, born
+        out._setup(g, self.root.copy(), of, born, ones)
+        return out, dead, born, ones
 
     def cluster(self, k: int) -> Cluster:
         """Cluster k."""
-        return self._of[self.roots[k]]
+        r = int(self.roots[k])
+        c = self._of.get(r)
+        return Cluster([r], [-1], [], []) if c is None else c
 
     def edges(self, k: int) -> list:
         """The edges with both ends in cluster k, in increasing order."""
         c = self.cluster(k)
         if c.edges is None:
+            ptr, edge, tails, heads = self._adj
             inside = set(c.order)
             # each edge once, from its tail
-            c.edges = sorted(e for v in c.order for w, e, into in self._adj[v]
-                             if into > 0.0 and w in inside)
+            c.edges = sorted(e for v in c.order for e in edge[ptr[v]:ptr[v + 1]]
+                             if tails[e] == v and heads[e] in inside)
         return c.edges
 
     def mean(self, x: np.ndarray) -> np.ndarray:
@@ -555,7 +585,7 @@ class FlatClusters:
         """
         h = np.zeros(self.graph.edge_count)
         r = r.tolist()
-        for c in filter(None, self._of):
+        for c in self._of.values():
             h[c.tree] = c.peel([r[v] for v in c.order])
         return h
 
@@ -743,6 +773,14 @@ class PatternKernel:
     cluster's spanning-tree flows are computed once, when it forms: the
     integer calibration flow and, with a datum, the flow of the pull, from
     which the witness at any t follows.
+
+    A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``, with
+    a datum ``intercept`` and ``pull``, a byte per cluster's smallest
+    vertex for its forest test), per-edge arrays (the labels, the forest
+    flows) and its :class:`FlatClusters`, whose only Python objects are the
+    Clusters with a flat edge.  A vertex with no flat edge never fails a
+    test and never splits; its values are set in bulk, with the float
+    operations the loop over a Cluster applies to one vertex.
     """
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
@@ -753,14 +791,15 @@ class PatternKernel:
                  f: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
         self.graph, self.f, self.maxflows = g, f, 0
-        self._values, self._exact = None if f is None else f.tolist(), None
+        self._values, self._exact = None if f is None else memoryview(f), None
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
         self.intercept, self.pull, self._pull_flow = 0.0, 0.0, None
         if f is not None:
             self.intercept, self.pull, self._pull_flow = np.empty(n), np.empty(n), np.zeros(m)
         self._forest, self._failed = np.zeros(m), bytearray(n)
         clusters = FlatClusters(g, pattern.flat)
-        self._build(pattern, clusters, [], list(filter(None, clusters._of)))
+        self._build(pattern, clusters, [], list(clusters._of.values()),
+                    np.flatnonzero(clusters.sizes[clusters.labels] == 1))
 
     def successor(self, labels) -> "PatternKernel":
         """The kernel of the edge labels ``labels``, built from this one.
@@ -772,53 +811,90 @@ class PatternKernel:
         """
         given = SignPattern(labels)
         changed = (given.labels != self._given).nonzero()[0]
-        clusters, dead, born = self.clusters.successor(given.flat, changed)
+        clusters, dead, born, ones = self.clusters.successor(given.flat, changed)
         out = PatternKernel.__new__(PatternKernel)
         out.graph, out.f, out._values = self.graph, self.f, self._values
-        out._exact = self._exact
-        out.maxflows = self.maxflows
+        out._exact, out.maxflows = self._exact, self.maxflows
         out.pinned, out.slope, out.beta = self.pinned.copy(), self.slope.copy(), self.beta.copy()
         out.intercept, out.pull, out._pull_flow = 0.0, 0.0, None
         if self.f is not None:
             out.intercept, out.pull = self.intercept.copy(), self.pull.copy()
             out._pull_flow = self._pull_flow.copy()
         out._forest, out._failed = self._forest.copy(), bytearray(self._failed)
-        out._build(given, clusters, dead, born)
+        out._build(given, clusters, [c for _, c in dead if c], born, ones)
+        if self._exact is not None and not given.labels[changed].any():
+            out._fuse(self.pinned, dead)
         return out
 
-    def _build(self, given, clusters, dead, born):
+    def _fuse(self, pinned: np.ndarray, dead: list):
+        # every changed edge turned flat, so each born cluster is a union of
+        # dead ones, (smallest vertex, Cluster or None) with the pinned flux
+        # before, and its sums are theirs added up: the pinned flux of an
+        # edge inside it cancels.  A born cluster gets sums where each of
+        # its parts has them
+        root, exact = memoryview(self.clusters.root), self._exact[1]
+        sums = {}
+        for r, c in dead:
+            part = (int(pinned[r]), exact[r]) if c is None else c.sums
+            key = root[r]
+            total = sums.get(key, (0, 0))
+            sums[key] = None if part is None or total is None else (
+                total[0] + part[0], total[1] + part[1])
+        for key, total in sums.items():
+            self.clusters._of[key].sums = total
+
+    def _build(self, given, clusters, dead, born, ones):
         # the kernel of the labels given, whose clusters replace the dead
-        # ones by the born ones.  The values at the vertices and tree edges
-        # of the born clusters are set here; the others stand, since no
-        # other cluster's edges or pinned flux changed.  _failed holds a
-        # byte per smallest vertex
+        # Clusters by the born ones and the vertices ones, which have no
+        # flat edge.  The values at the vertices and tree edges of the born
+        # clusters are set here; the others stand, since no other cluster's
+        # edges or pinned flux changed.  _failed holds a byte per smallest
+        # vertex
         self._given, self.clusters = given.labels, clusters
         failed = self._failed
         for c in dead:
             failed[c.order[0]] = False
-        gone = [e for c in dead for e in c.tree]
-        if gone:
+        gone = np.array([e for c in dead for e in c.tree], dtype=np.intp)
+        if gone.size:
             self._forest[gone] = 0.0
             if self._pull_flow is not None:
                 self._pull_flow[gone] = 0.0
-        adj, lab, f = clusters._adj, memoryview(given.labels), self._values
+        if len(ones):
+            # the loop below at a vertex with no flat edge, in bulk: every
+            # edge at it is pinned, b its pinned flux, s = -(b / 1), and its
+            # mean of f (0.0 + f) / 1
+            g, lab = self.graph, given.labels
+            b = (np.bincount(g.tails, lab, g.vertex_count)
+                 - np.bincount(g.heads, lab, g.vertex_count))[ones]
+            s = -b
+            self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
+            if self.f is not None:
+                mean = (0.0 + self.f[ones]) / 1
+                self.intercept[ones], self.pull[ones] = mean, self.f[ones] - mean
+        ptr, edge, tails, heads = clusters._adj
+        lab, f = memoryview(given.labels), self._values
         verts, pinned, slope, beta, intercept, pull = [], [], [], [], [], []
         inside, tree, flows, pulled = [], [], [], []
         for c in born:
             order = c.order
             size = len(order)
-            members = set(order) if c.tree else ()
+            members = set(order)
             b = []
             for v in order:
                 x = 0.0
-                for w, e, into in adj[v]:
-                    if lab[e]:
+                for e in edge[ptr[v]:ptr[v + 1]]:
+                    label = lab[e]
+                    if label:
                         # a pinned edge inside the cluster is set flat,
                         # since u is equal across it; the search left it
                         # out of the tree
-                        if w not in members:
-                            x += lab[e] * into
-                        elif into > 0.0:
+                        w = tails[e]
+                        if w != v:
+                            if w not in members:
+                                x -= label
+                        elif heads[e] not in members:
+                            x += label
+                        else:
                             inside.append(e)
                 b.append(x)
             total = sum(b)
@@ -836,13 +912,14 @@ class PatternKernel:
                 drift = [f[v] - mean for v in order]
                 intercept += [mean] * size
                 pull += drift
-            if c.tree:
-                flow = c.peel([total - size * x for x in b])
-                failed[order[0]] = max(map(abs, flow)) > size
-                tree += c.tree
-                flows += flow
-                if f is not None:
-                    pulled += c.peel(drift)
+            flow = c.peel([total - size * x for x in b])
+            failed[order[0]] = max(map(abs, flow)) > size
+            tree += c.tree
+            flows += flow
+            if f is not None:
+                pulled += c.peel(drift)
+        # each index list made an array once, not once per assignment
+        verts, tree = np.array(verts, dtype=np.intp), np.array(tree, dtype=np.intp)
         self.pinned[verts], self.slope[verts], self.beta[verts] = pinned, slope, beta
         self._forest[tree] = flows
         if f is not None:
@@ -978,7 +1055,9 @@ class PatternKernel:
     def meet(self, e: int) -> Optional[Fraction]:
         """The exact t at which the lines of the clusters at the ends of edge
         e meet (the kernel needs a datum), from each cluster's exact sums
-        of f and of the pinned flux b; None if the lines are parallel."""
+        of f and of the pinned flux b; None if the lines are parallel.
+        A cluster's sums are kept on its :class:`Cluster`, and a successor
+        that only fuses adds up those of the parts, so a fusion costs O(1)."""
         if self._exact is None:
             # f as integers over one power-of-two unit, made once per chain
             ratios = [x.as_integer_ratio() for x in self._values]
@@ -988,9 +1067,13 @@ class PatternKernel:
         cl = self.clusters
         sums = []
         for v in self.graph.edges[e]:
-            verts = cl.cluster(cl.labels[v]).verts
-            sums.append((len(verts), int(self.pinned[verts].sum()),
-                         sum([exact[u] for u in verts])))
+            c = cl._of.get(int(cl.root[v]))
+            if c is None:
+                sums.append((1, int(self.pinned[v]), exact[v]))
+                continue
+            if c.sums is None:
+                c.sums = (int(self.pinned[c.order].sum()), sum([exact[u] for u in c.order]))
+            sums.append((len(c.order),) + c.sums)
         (na, ba, fa), (nb, bb, fb) = sums
         # c = f_sum / (unit size) and s = -b_sum / size on each side; the
         # lines meet at t = (s_head - s_tail) / (c_tail - c_head)

@@ -124,10 +124,10 @@ def test_cli_verify_tolerance_flags(problem_file, capsys, monkeypatch):
                         capture(cli.verify_universal_minimality))
     monkeypatch.setattr(cli, "demonstrate_isotropic_failure",
                         capture(cli.demonstrate_isotropic_failure))
-    for mode in ("phimin", "isotropic"):
-        assert main(["verify", "--mode", mode, problem_file, "--trials", "2",
+    for mode, trials in (("phimin", []), ("isotropic", ["--trials", "2"])):
+        assert main(["verify", "--mode", mode, problem_file, *trials,
                      "--solve-tol", "1e-7"]) == 0
-        assert main(["verify", "--mode", mode, problem_file, "--trials", "2"]) == 0
+        assert main(["verify", "--mode", mode, problem_file, *trials]) == 0
     capsys.readouterr()
     assert [t.solve_tol for t in seen] == [1e-7, DEFAULT_CHECK_TOL.solve_tol] * 2
 
@@ -185,6 +185,31 @@ def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "%s has no effect on %s" % (flag, mode) in captured.err
+    # nor does the counterexample harness read the problem file, --alpha,
+    # --trials or --seed, or phimin --trials or --seed; the first such flag
+    # is named, and a tolerance flag before any other
+    verify = ["verify", "--mode"]
+    cases = [(verify + ["counterexample", problem_file, "--alpha", "3", "--trials", "2",
+                        "--seed", "1"], "problem", "counterexample"),
+             (verify + ["counterexample", "--alpha", "3"], "--alpha", "counterexample"),
+             (verify + ["counterexample", "--trials", "2"], "--trials", "counterexample"),
+             (verify + ["counterexample", "--seed", "1"], "--seed", "counterexample"),
+             (verify + ["counterexample", "--seed", "1", "--solve-tol", "1e-6"],
+              "--solve-tol", "counterexample"),
+             (verify + ["phimin", problem_file, "--trials", "2"], "--trials", "phimin"),
+             (verify + ["phimin", problem_file, "--seed", "1"], "--seed", "phimin"),
+             (verify + ["phimin", problem_file, "--seed", "1", "--flat-tol", "1e-6"],
+              "--flat-tol", "phimin")]
+    for argv, flag, mode in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "%s has no effect on verify --mode %s" % (flag, mode) in captured.err
+    # isotropic mode runs at least one datum
+    for trials in ("0", "-4"):
+        assert main(verify + ["isotropic", problem_file, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials must be at least 1" in captured.err
     # the flags each mode reads are still taken
     assert main(["flow", problem_file, "--t-end", "1", "--flat-tol", "1e-6"]) == 0
     assert main(["verify", "--mode", "counterexample", "--flat-tol", "1e-8"]) == 0

@@ -322,7 +322,7 @@ def test_flow_and_path_rerun_a_cluster_test_only_on_a_rebuilt_cluster(monkeypatc
 
     def recorded(adj, flat, verts):
         out = grow(adj, flat, verts)
-        built.extend((len(seen), tuple(c.verts)) for c in out)
+        built.extend((len(seen), tuple(c.verts)) for c in out[0])
         return out
 
     monkeypatch.setattr(graphtv.graph, "_grow", recorded)
@@ -544,7 +544,7 @@ def test_successors_relabel_a_small_share_of_the_vertices(monkeypatch):
 
     def counted(self, flat, changed):
         out = successor(self, flat, changed)
-        relabelled.append(sum(len(c.order) for c in out[2]))
+        relabelled.append(sum(len(c.order) for c in out[2]) + len(out[3]))
         return out
 
     monkeypatch.setattr(FlatClusters, "successor", counted)

@@ -169,6 +169,34 @@ def test_sign_pattern_label_range():
             SignPattern(bad)
 
 
+def _reference_trees(g, flat):
+    # each cluster's breadth-first tree from its smallest vertex, taking a
+    # vertex's edges out of it, then those into it, each in increasing
+    # order, as (order, up, tree, sign); a Python loop over a list of
+    # (neighbour, edge, direction) per vertex
+    adj = [[] for _ in range(g.vertex_count)]
+    for e, (a, b) in enumerate(g.edges):
+        adj[a].append((b, e, 1.0))
+    for e, (a, b) in enumerate(g.edges):
+        adj[b].append((a, e, -1.0))
+    seen, trees = set(), []
+    for root in range(g.vertex_count):
+        if root in seen:
+            continue
+        seen.add(root)
+        order, up, tree, sign = [root], [-1], [], []
+        for i, v in enumerate(order):
+            for w, e, into in adj[v]:
+                if flat[e] and w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    up.append(i)
+                    tree.append(e)
+                    sign.append(into)
+        trees.append((order, up, tree, sign))
+    return trees
+
+
 def test_flat_clusters_match_union_find():
     from graphtv.graph import FlatClusters
     rng = np.random.default_rng(SEED + 5)
@@ -190,6 +218,11 @@ def test_flat_clusters_match_union_find():
         expected = np.array([u[roots == r].mean() for r in roots])
         clusters = FlatClusters(g, flat)
         assert clusters.count == np.unique(roots).size
+        # the spanning trees of the reference search, a vertex with no
+        # flat edge a tree of its own
+        for k, ref in enumerate(_reference_trees(g, flat)):
+            c = clusters.cluster(k)
+            assert (c.order, c.up, c.tree, c.sign) == ref
         same = roots[:, None] == roots[None, :]
         assert np.array_equal(same, clusters.labels[:, None] == clusters.labels[None, :])
         assert np.abs(clusters.mean(u) - expected).max() < 1e-12
@@ -447,9 +480,12 @@ def _check_values(kernel, labels):
 
 
 def _successor_chains(seed):
-    # random fusions, splits along random cuts and relabelled edges on
-    # grids, random graphs and paths, with and without a datum; each
-    # successor must equal the kernel built from scratch, byte for byte
+    # random fusions, splits along random cuts, single vertices split off,
+    # vertices with no flat edge fused into a neighbour's cluster and
+    # relabelled edges on grids, random graphs and paths, with and without
+    # a datum, from tied data and from untied data, where every vertex is
+    # its own cluster; each successor must equal the kernel built from
+    # scratch, byte for byte
     from fractions import Fraction
     from graphtv.graph import PatternKernel
     from graphtv.instances import cartesian_graph, path_graph
@@ -459,44 +495,95 @@ def _successor_chains(seed):
     for g in graphs:
         n, m = g.vertex_count, g.edge_count
         f = random_vertex_field(rng, n)
+        # a negative zero, which a cluster's mean of f turns positive
+        f[rng.integers(n)] = -0.0
         ties = sign_pattern(g, rng.integers(0, 3, n).astype(float))
-        for datum in (None, f):
-            kernel = PatternKernel(g, ties, datum)
+        for start, datum in ((ties, None), (ties, f), (sign_pattern(g, f), None),
+                             (sign_pattern(g, f), f)):
+            kernel = PatternKernel(g, start, datum)
             for _ in range(30):
                 labels = kernel.pattern.labels.copy()
-                move = rng.integers(3)
+                cl = kernel.clusters.labels
+                move = rng.integers(5)
                 if move == 0:
                     labels[rng.choice(m, rng.integers(1, 4))] = 0
                 elif move == 1:
-                    cl = kernel.clusters.labels
                     k = cl[rng.integers(n)]
                     side = rng.random(n) < 0.5
                     cut = (cl[g.tails] == k) & (side[g.tails] != side[g.heads])
                     labels[cut] = np.where(side[g.heads[cut]], -1, 1)
-                else:
+                elif move == 2:
                     pick = rng.choice(m, rng.integers(1, 4))
                     labels[pick] = rng.integers(-1, 2, pick.size)
+                else:
+                    # move 3 pins every edge at a vertex; move 4 sets flat
+                    # one edge at a vertex with no flat edge
+                    alone = np.flatnonzero(kernel.clusters.sizes[cl] == 1)
+                    v = rng.integers(n) if move == 3 or not alone.size else rng.choice(alone)
+                    at = np.flatnonzero((g.tails == v) | (g.heads == v))
+                    if move == 3:
+                        labels[at] = rng.choice([-1, 1], at.size)
+                    else:
+                        labels[rng.choice(at)] = 0
                 kernel = kernel.successor(labels)
                 fresh = PatternKernel(g, SignPattern(labels), datum)
                 _check_values(kernel, labels)
                 t = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
                 assert _kernel_bytes(kernel, t) == _kernel_bytes(fresh, t)
+                if datum is not None:
+                    # the sums a fusion carries, against those summed anew
+                    e = int(rng.integers(m))
+                    assert kernel.meet(e) == fresh.meet(e)
 
 
 def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
     import graphtv.graph
     _successor_chains(SEED + 9)
-    # a successor that leaves one part of a split cluster with its old
-    # label must fail the comparison
-    grow = graphtv.graph._grow
+    # a successor whose search drops a born vertex with no flat edge, or
+    # leaves one part of a split cluster with its old label, must fail the
+    # comparison
+    grow, successor = graphtv.graph._grow, graphtv.graph.FlatClusters.successor
 
-    def skip_a_part(adj, flat, verts):
-        out = grow(adj, flat, verts)
-        return out if isinstance(verts, range) or len(out) < 2 else out[:-1]
+    def drop_a_vertex(born, ones):
+        return born, ones[:-1]
 
-    monkeypatch.setattr(graphtv.graph, "_grow", skip_a_part)
-    with pytest.raises(AssertionError):
-        _successor_chains(SEED + 9)
+    def skip_a_part(born, ones):
+        return (born if len(born) < 2 else born[:-1]), ones
+
+    for drop in (drop_a_vertex, skip_a_part):
+        def mutated(self, flat, changed, drop=drop):
+            monkeypatch.setattr(graphtv.graph, "_grow", lambda *args: drop(*grow(*args)))
+            try:
+                return successor(self, flat, changed)
+            finally:
+                monkeypatch.setattr(graphtv.graph, "_grow", grow)
+
+        monkeypatch.setattr(graphtv.graph.FlatClusters, "successor", mutated)
+        with pytest.raises(AssertionError):
+            _successor_chains(SEED + 9)
+
+
+def test_kernel_keeps_under_400_bytes_per_vertex():
+    # a kernel keeps a fixed set of per-vertex and per-edge arrays, and a
+    # Cluster only for each cluster with a flat edge; with a Cluster of
+    # five lists per vertex and a tuple per edge end it kept 620-880 bytes
+    # per vertex here.  The inputs are built outside the traced window
+    import tracemalloc
+    from graphtv import rof_solve
+    from graphtv.graph import PatternKernel
+    from graphtv.instances import cartesian_graph, path_graph
+    for g, alpha in ((path_graph(20000), 0.1), (cartesian_graph(64, 64), 0.1),
+                     (cartesian_graph(64, 64), 2.0)):
+        f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+        pattern = sign_pattern(g, rof_solve(g, f, alpha).u)
+        tracemalloc.start()
+        try:
+            kernel = PatternKernel(g, pattern, f)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kernel.clusters.count < g.vertex_count
+        assert kept < 400 * g.vertex_count, (g, alpha, kept / g.vertex_count)
 
 
 def test_span_prefers_loose_edges():
@@ -518,14 +605,14 @@ def test_span_prefers_loose_edges():
     flat = rng.uniform(size=g.edge_count) < 0.8
     loose = flat & (rng.uniform(size=g.edge_count) < 0.7)
     for root in (0, 17, 35):
-        whole = _grow(adj, flat.tobytes(), [root])[0]
+        whole = _grow(adj, flat.tobytes(), [root])[0][0]
         same = _span(adj, flat.tobytes(), flat.tobytes(), root)
         assert (same.order, same.up, same.tree) == (whole.order, whole.up, whole.tree)
         c = _span(adj, flat.tobytes(), loose.tobytes(), root)
         assert sorted(c.order) == sorted(whole.order)
         assert flat[c.tree].all()
-        pieces = _grow(adj, loose.tobytes(), sorted(whole.order))
-        assert int((~loose[c.tree]).sum()) == len(pieces) - 1
+        pieces, alone = _grow(adj, loose.tobytes(), sorted(whole.order))
+        assert int((~loose[c.tree]).sum()) == len(pieces) + len(alone) - 1
         # each vertex comes after its parent, so a peel carries any r
         assert all(c.up[i] < i for i in range(1, len(c.order)))
         r = rng.normal(size=len(c.order))
