@@ -861,11 +861,12 @@ class PatternKernel:
                 self._pull_flow[gone] = 0.0
         if len(ones):
             # the loop below at a vertex with no flat edge, in bulk: every
-            # edge at it is pinned, b its pinned flux, s = -(b / 1), and its
-            # mean of f (0.0 + f) / 1
+            # edge at it is pinned, b its pinned flux (floats, which
+            # bincount gives only where there is an edge), s = -(b / 1),
+            # and its mean of f (0.0 + f) / 1
             g, lab = self.graph, given.labels
             b = (np.bincount(g.tails, lab, g.vertex_count)
-                 - np.bincount(g.heads, lab, g.vertex_count))[ones]
+                 - np.bincount(g.heads, lab, g.vertex_count))[ones].astype(float)
             s = -b
             self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
             if self.f is not None:

@@ -563,6 +563,22 @@ def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
             _successor_chains(SEED + 9)
 
 
+def test_lone_vertices_keep_the_signed_zeros_of_the_cluster_loop():
+    # a vertex with no flat edge is set in bulk with the float operations
+    # of the loop over a cluster: its slope is -(b / 1), -0.0 where its
+    # pinned flux b is 0, and its mean of f is (0.0 + f) / 1, 0.0 for a
+    # datum of -0.0, also on a graph with no edge
+    from graphtv.graph import PatternKernel
+    for g, labels, slope in ((OrientedGraph(1, []), [], [-0.0]),
+                             (OrientedGraph(3, [(0, 1), (2, 1)]), [1, 1], [-1.0, 2.0, -1.0]),
+                             (OrientedGraph(3, [(0, 1), (1, 2)]), [1, 1], [-1.0, -0.0, 1.0])):
+        kernel = PatternKernel(g, SignPattern(labels), np.full(g.vertex_count, -0.0))
+        assert kernel.slope.tobytes() == np.array(slope).tobytes()
+        assert kernel.beta.tobytes() == np.zeros(g.vertex_count).tobytes()
+        assert kernel.intercept.tobytes() == np.zeros(g.vertex_count).tobytes()
+        assert kernel.pull.tobytes() == np.full(g.vertex_count, -0.0).tobytes()
+
+
 def test_kernel_keeps_under_400_bytes_per_vertex():
     # a kernel keeps a fixed set of per-vertex and per-edge arrays, and a
     # Cluster only for each cluster with a flat edge; with a Cluster of
