@@ -362,9 +362,13 @@ def _start(g, spec, warm_start) -> np.ndarray:
     return ensure_edge_field(g, warm_start, "warm_start")
 
 
+# the cadence and stall limit of _accelerated_descent's checks (see there)
+CHECK_EVERY = 8
+PATIENCE = 125
+
+
 def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
-                         stop_tol, max_iter, check_every=8, patience=125,
-                         adaptive=False):
+                         stop_tol, max_iter, adaptive=False):
     """FISTA-style iteration with restart on objective increase.
 
     The objective is a function of ``z = div h`` alone: ``value(z)`` is its
@@ -375,18 +379,18 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     applies the divergence once and its adjoint once.
 
     ``lips`` is the certified curvature bound and ``1 / lips`` the safe
-    step.  Every ``check_every`` iterations the gradient ``grad`` in ``h``
+    step.  Every ``CHECK_EVERY`` iterations the gradient ``grad`` in ``h``
     is computed at the feasible iterate ``x``, and
     ``measure(x, grad, objective)`` is the stopping statistic: the
     gradient-mapping norm (see :func:`_mapping_norm`) or a duality gap.
     The measure is also taken once at the projected start ``x0``: a start
     that already meets ``stop_tol`` is returned with 0 iterations.  A start
     that misses it leaves no trace in the loop below, which neither keeps
-    it as the best iterate nor counts it against patience.
+    it as the best iterate nor counts it against ``PATIENCE``.
     The best-measure iterate is kept.  The loop stops once the best measure
-    meets ``stop_tol``, or after ``patience`` consecutive checks none of
+    meets ``stop_tol``, or after ``PATIENCE`` consecutive checks none of
     which is 10 percent below the best measure seen so far.  Each check is
-    compared with the running best, not with the value ``patience`` checks
+    compared with the running best, not with the value ``PATIENCE`` checks
     earlier, so steady progress slower than 10 percent per check counts as
     a stall however long it lasts.  (The attainable floor in floating point
     can sit above ``stop_tol`` for badly scaled data, and that outcome is
@@ -452,7 +456,7 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
         y = xn + c * (xn - x)
         zy = zn + c * (zn - z)
         x, z, fx, t = xn, zn, fn, tn
-        if it % check_every == 0 or it == max_iter:
+        if it % CHECK_EVERY == 0 or it == max_iter:
             meas = check(x, z, fx)
             if meas <= 0.9 * best_meas:
                 checks_since_gain = 0
@@ -463,7 +467,7 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
             if best_meas <= stop_tol:
                 converged = True
                 break
-            if checks_since_gain >= patience:
+            if checks_since_gain >= PATIENCE:
                 break
     if not math.isfinite(best_meas):
         best_x, best_meas, best_f = x, check(x, z, fx), fx

@@ -20,7 +20,6 @@ of ``u(tail) - u(head)`` on non-flat edges and free in [-1, 1] on flat ones.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -131,8 +130,6 @@ class OrientedGraph:
         self.edge_count = len(pairs)
         self.tails = tails.copy()
         self.heads = heads.copy()
-        self.edges = tuple(zip(self.tails.tolist(), self.heads.tolist()))
-        self._edge_ids = {e: k for k, e in enumerate(self.edges)}
 
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -144,31 +141,20 @@ class OrientedGraph:
                        + np.bincount(self.heads, minlength=n))
         self.max_degree = int(self.degree.max()) if self.edge_count else 0
 
-        self._check_connected()
+        # connected when vertex 0's cluster, every edge flat, is all of it
+        found, _ = _grow(_adjacency(self), b"\x01" * self.edge_count, [0])
+        if n > 1 and not (found and len(found[0].order) == n):
+            raise ValidationError("graph must be connected")
 
         self.cartesian = None
         self.grid_coords = None
         if cartesian is not None:
             self._init_cartesian(cartesian, grid_coords)
 
-    def _check_connected(self):
-        if self.vertex_count == 1:
-            return
-        adj = [[] for _ in range(self.vertex_count)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = np.zeros(self.vertex_count, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not seen.all():
-            raise ValidationError("graph must be connected")
+    @property
+    def edges(self) -> tuple:
+        """The (tail, head) pairs in edge order, built on each call."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
 
     def _init_cartesian(self, cartesian, grid_coords):
         mm = _integer(cartesian[0], "cartesian shape")
@@ -183,32 +169,30 @@ class OrientedGraph:
                        for i, j in grid_coords)
         if len(coords) != self.vertex_count:
             raise ValidationError("grid_coords must list every vertex")
-        index = {}
-        for v, (i, j) in enumerate(coords):
+        taken = bytearray(mm * nn)
+        for i, j in coords:
             if not (1 <= i <= mm and 1 <= j <= nn):
                 raise ValidationError("grid coordinate (%d, %d) out of range" % (i, j))
-            if (i, j) in index:
+            if taken[(i - 1) * nn + j - 1]:
                 raise ValidationError("duplicate grid coordinate (%d, %d)" % (i, j))
-            index[(i, j)] = v
-        expected = set()
-        for i in range(1, mm + 1):
-            for j in range(1, nn + 1):
-                if i < mm:
-                    expected.add((index[(i + 1, j)], index[(i, j)]))
-                if j < nn:
-                    expected.add((index[(i, j + 1)], index[(i, j)]))
-        if expected != set(self.edges):
+            taken[(i - 1) * nn + j - 1] = 1
+        # the edges are distinct, so they are the grid's when there are as
+        # many and each runs (i+1, j) -> (i, j) or (i, j+1) -> (i, j)
+        pos = np.array(coords, dtype=np.intp)
+        step = pos[self.tails] - pos[self.heads]
+        if (self.edge_count != 2 * mm * nn - mm - nn
+                or not (step.min(axis=1) == 0).all()
+                or not (step.max(axis=1) == 1).all()):
             raise ValidationError("edge set does not match the Cartesian grid")
         self.cartesian = (mm, nn)
         self.grid_coords = coords
-        self._grid_index = index
 
     def edge_index(self, tail: int, head: int) -> int:
-        """Index of the edge with the given (tail, head) pair."""
-        k = self._edge_ids.get((tail, head))
-        if k is None:
+        """Index of the edge with the given (tail, head) pair, in O(m)."""
+        k = np.flatnonzero((self.tails == tail) & (self.heads == head))
+        if k.size == 0:
             raise ValidationError("no edge (%d, %d)" % (tail, head))
-        return k
+        return int(k[0])
 
     def _div(self, h: np.ndarray) -> np.ndarray:
         """Divergence of a trusted float edge array (no validation)."""
@@ -229,20 +213,16 @@ class OrientedGraph:
         if self.cartesian is None:
             raise ValidationError("coupled groups require a Cartesian grid graph")
         mm, nn = self.cartesian
-        idx = self._grid_index
-        pair_of = self._edge_ids
-        groups = []
-        for i in range(1, mm + 1):
-            for j in range(1, nn + 1):
-                members = []
-                if i < mm:
-                    members.append(pair_of[(idx[(i + 1, j)], idx[(i, j)])])
-                if j < nn:
-                    members.append(pair_of[(idx[(i, j + 1)], idx[(i, j)])])
-                # the far corner (M, N) has no incoming grid edges
-                if members:
-                    groups.append(tuple(members))
-        return tuple(groups)
+        # into[i, j] holds the edges into grid position (i, j) from (i + 1, j)
+        # and from (i, j + 1), -1 where there is none
+        pos = np.array(self.grid_coords, dtype=np.intp) - 1
+        head, tail = pos[self.heads], pos[self.tails]
+        into = np.full((mm, nn, 2), -1, dtype=np.intp)
+        right = (tail[:, 1] > head[:, 1]).astype(np.intp)
+        into[head[:, 0], head[:, 1], right] = np.arange(self.edge_count)
+        # the far corner (M, N) has no incoming grid edges
+        return tuple(tuple(k for k in pair if k >= 0)
+                     for pair in into.reshape(-1, 2).tolist() if pair != [-1, -1])
 
     def coupled_ball(self, radius: float) -> GroupBallSpec:
         """GroupBallSpec for the coupled constraint set at the given radius."""
@@ -387,7 +367,9 @@ class Cluster:
     ``order`` lists the vertices as the search from the smallest one
     reaches them; for i >= 1, ``up[i]`` is the position in ``order`` of
     vertex ``order[i]``'s parent, ``tree[i - 1]`` the edge between them and
-    ``sign[i - 1]`` +1.0 where that edge points into ``order[i]``.
+    ``sign[i - 1]`` +1.0 where that edge points into ``order[i]``.  It is
+    the cluster's only tree: it carries the calibration flow, the flow of
+    the pull and a repaired witness's divergence error (see :meth:`peel`).
     ``verts`` lists the vertices in increasing order.  ``edges`` (see
     :meth:`FlatClusters.edges`), and :class:`PatternKernel`'s ``data`` and
     ``sums``, are caches filled on first use, and so is ``tests``, a dict
@@ -452,45 +434,6 @@ def _grow(adj: tuple, flat, verts) -> tuple:
     return out, ones
 
 
-def _span(adj: tuple, flat: bytes, loose: bytes, root: int) -> Cluster:
-    # a spanning tree of root's cluster of the flat edges that takes a flat
-    # edge outside loose only where no loose edge reaches a vertex: a
-    # breadth-first search over the loose edges which, each time it runs
-    # dry, goes on from the first vertex it met across another flat edge
-    ptr, edge, tails, heads = adj
-    seen = {root}
-    order, up, tree, sign = [root], [-1], [], []
-    stiff = deque()
-
-    def attach(i, w, e, into):
-        seen.add(w)
-        order.append(w)
-        up.append(i)
-        tree.append(e)
-        sign.append(into)
-
-    i = 0
-    while True:
-        while i < len(order):
-            v = order[i]
-            for e in edge[ptr[v]:ptr[v + 1]]:
-                if flat[e]:
-                    w, into = heads[e], 1.0
-                    if w == v:
-                        w, into = tails[e], -1.0
-                    if w not in seen:
-                        if loose[e]:
-                            attach(i, w, e, into)
-                        else:
-                            stiff.append((i, w, e, into))
-            i += 1
-        while stiff and stiff[0][1] in seen:
-            stiff.popleft()
-        if not stiff:
-            return Cluster(order, up, tree, sign)
-        attach(*stiff.popleft())
-
-
 class FlatClusters:
     """Connected components of the graph restricted to a set of flat edges.
 
@@ -546,14 +489,15 @@ class FlatClusters:
         vertices with no flat edge searched in their place.  A cluster
         with no end of a changed edge is still a cluster, with the same
         spanning tree."""
-        g, root, of = self.graph, memoryview(self.root), self._of.copy()
+        root, of = memoryview(self.root), self._of.copy()
+        _, _, tails, heads = self._adj
         dead = [(r, of.pop(r, None))
-                for r in {root[v] for e in changed.tolist() for v in g.edges[e]}]
+                for r in {root[v] for e in changed.tolist() for v in (tails[e], heads[e])}]
         verts = [v for r, c in dead for v in ([r] if c is None else c.order)]
         born, ones = _grow(self._adj, memoryview(flat), sorted(verts))
         out = FlatClusters.__new__(FlatClusters)
         out._adj = self._adj
-        out._setup(g, self.root.copy(), of, born, ones)
+        out._setup(self.graph, self.root.copy(), of, born, ones)
         return out, dead, born, ones
 
     def cluster(self, k: int) -> Cluster:
@@ -1066,8 +1010,9 @@ class PatternKernel:
             self._exact = unit, [num * (unit // den) for num, den in ratios]
         unit, exact = self._exact
         cl = self.clusters
+        _, _, tails, heads = cl._adj
         sums = []
-        for v in self.graph.edges[e]:
+        for v in (tails[e], heads[e]):
             c = cl._of.get(int(cl.root[v]))
             if c is None:
                 sums.append((1, int(self.pinned[v]), exact[v]))
@@ -1123,12 +1068,13 @@ class PatternKernel:
         Each cluster takes its forest flow, ``t`` times that of the pull
         plus the calibration flow over |C|, if it fits in [-1, 1] (an
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
-        else ``start`` repaired (see :meth:`_repair`), if given and it fits;
-        else the flow of its max-flow test at the exact t, kept on the
-        cluster if the split search, :meth:`settle` or an earlier event ran
-        it, else run now, in one max-flow with the other such clusters.  A
-        cluster with no flow in [-1, 1] gets one that misses the divergence;
-        the caller's certificate finds it.
+        else ``start`` plus the flow on the cluster's spanning tree that
+        carries start's divergence error (see :meth:`_repair`), if given
+        and it fits; else the flow of its max-flow test at the exact t, kept
+        on the cluster if the split search, :meth:`settle` or an earlier
+        event ran it, else run now, in one max-flow with the other such
+        clusters.  A cluster with no flow in [-1, 1] gets one that misses
+        the divergence; the caller's certificate finds it.
         """
         h, misfit = self._forest_at(t)
         if misfit and start is not None:
@@ -1149,24 +1095,15 @@ class PatternKernel:
     def _repair(self, h: np.ndarray, start: np.ndarray, r: np.ndarray,
                 ks: list) -> list:
         # sets h on each cluster k of ks to start, a flow in [-1, 1], plus
-        # the flow on a spanning tree of the cluster that carries start's
-        # divergence error r - div(start), where it fits in [-1, 1]; the
-        # tree is the cluster's own where all its edges have the slack
-        # |start| < 1 - 1e-5, else one that takes an edge without it only
-        # where no edge with it reaches a vertex (see _span).  Returns the
-        # clusters it could not set
-        cl, flat = self.clusters, self.pattern.flat
-        flow = np.where(flat, start, 0.0)
+        # the flow on the cluster's spanning tree that carries start's
+        # divergence error r - div(start), where it fits in [-1, 1].
+        # Returns the clusters it could not set
+        cl = self.clusters
+        flow = np.where(self.pattern.flat, start, 0.0)
         err = (r - self.graph._div(flow)).tolist()
-        slack = flat & (np.abs(flow) < 1.0 - 1e-5)
-        loose = None
         left = []
         for k in ks:
             c = cl.cluster(k)
-            if not slack[c.tree].all():
-                if loose is None:
-                    loose, flat_bytes = slack.tobytes(), flat.tobytes()
-                c = _span(cl._adj, flat_bytes, loose, c.order[0])
             # the clusters are disjoint, so each adds to its own edges
             flow[c.tree] += c.peel([err[v] for v in c.order])
             part = cl.edges(k)

@@ -75,7 +75,7 @@ def dumps_deterministic(obj) -> str:
 def problem_to_dict(g: OrientedGraph, f) -> dict:
     f = ensure_vertex_field(g, f, "values")
     doc = {
-        "edges": [[int(t), int(h)] for t, h in g.edges],
+        "edges": [[t, h] for t, h in zip(g.tails.tolist(), g.heads.tolist())],
         "values": [float(x) for x in f],
     }
     if g.names is not None:

@@ -183,9 +183,6 @@ class PhiCatalog:
     def __len__(self) -> int:
         return len(self.members)
 
-    def excluding(self, *names: str) -> "PhiCatalog":
-        return PhiCatalog(tuple(p for p in self.members if p.name not in names))
-
     @staticmethod
     def standard(lo: float, hi: float) -> "PhiCatalog":
         """The default catalog, sized to the data interval [lo, hi].

@@ -273,9 +273,6 @@ def _identity(g, f):
 # stops to identify the sign pattern; the certificate, not this tolerance,
 # decides whether the pattern is right
 IDENTIFY_TOL = 5e-7
-# The share of the data range below which an edge difference of the
-# identifying iterate counts as flat
-IDENTIFY_FLAT = Tolerances(flat_tol=1e-7)
 
 
 def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
@@ -304,7 +301,7 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     scale = float(f.max() - f.min()) or 1.0
     h, report = project_onto_div_box(g, f, BoxSpec.uniform(g.edge_count, alpha),
                                      Tolerances(solve_tol=IDENTIFY_TOL * scale))
-    k = PatternKernel(g, sign_pattern(g, f - g._div(h), IDENTIFY_FLAT, scale=scale), f)
+    k = PatternKernel(g, sign_pattern(g, f - g._div(h), scale=scale), f)
     witness, cause = _certify(k, alpha, start=h / alpha)
     if witness is None:
         k = PatternKernel(g, SignPattern(np.zeros(g.edge_count)), f).settle(1 / Fraction(alpha))

@@ -437,6 +437,57 @@ def test_coupled_groups_cover_grid_edges():
     assert covered == list(range(g.edge_count))
 
 
+def test_coupled_groups_and_edges_keep_their_order():
+    # the group order decides the isotropic solve's summation bits; the
+    # instance's vertex order is a permutation of the grid's
+    g, _ = nonequivalence_instance()
+    assert g.edges == ((1, 0), (2, 1), (3, 1), (1, 4), (5, 0), (0, 6), (3, 5), (4, 6),
+                       (8, 3), (8, 2), (2, 7), (7, 4))
+    assert g.coupled_groups() == ((7, 5), (0, 4), (6,), (11, 3), (1, 2), (8,), (10,), (9,))
+    g = cartesian_graph(3, 4)
+    assert g.edges == ((4, 0), (1, 0), (5, 1), (2, 1), (6, 2), (3, 2), (7, 3), (8, 4),
+                       (5, 4), (9, 5), (6, 5), (10, 6), (7, 6), (11, 7), (9, 8), (10, 9),
+                       (11, 10))
+    assert g.coupled_groups() == ((0, 1), (2, 3), (4, 5), (6,), (7, 8), (9, 10), (11, 12),
+                                  (13,), (14,), (15,), (16,))
+
+
+def test_cartesian_and_connectivity_rejections():
+    grid = cartesian_graph(3, 3)
+    edges, coords = list(grid.edges), list(grid.grid_coords)
+
+    def build(edges=edges, shape=(3, 3), coords=coords):
+        return OrientedGraph(9, edges, cartesian=shape, grid_coords=coords)
+
+    assert build().coupled_groups() == grid.coupled_groups()
+    reversed_one = [(b, a) if k == 4 else (a, b) for k, (a, b) in enumerate(edges)]
+    for bad, cause in (
+            (lambda: build(coords=None), "cartesian graphs require grid_coords"),
+            (lambda: build(coords=coords[:-1]), "grid_coords must list every vertex"),
+            (lambda: build(coords=coords + [(1, 1)]), "grid_coords must list every vertex"),
+            (lambda: build(coords=coords[:4] + [(4, 1)] + coords[5:]),
+             r"grid coordinate \(4, 1\) out of range"),
+            (lambda: build(coords=coords[:4] + [(2, 0)] + coords[5:]),
+             r"grid coordinate \(2, 0\) out of range"),
+            (lambda: build(coords=coords[:4] + [(1, 2)] + coords[5:]),
+             r"duplicate grid coordinate \(1, 2\)"),
+            (lambda: build(edges=reversed_one), "edge set does not match the Cartesian grid"),
+            (lambda: build(edges=edges[:-1]), "edge set does not match the Cartesian grid"),
+            (lambda: build(edges=edges + [(4, 0)]), "edge set does not match the Cartesian grid"),
+            (lambda: build(edges=edges[:-1] + [(8, 4)]),
+             "edge set does not match the Cartesian grid"),
+            (lambda: build(edges=edges[:-1] + [(2, 0)]),
+             "edge set does not match the Cartesian grid"),
+            (lambda: build(coords=coords[1:2] + coords[:1] + coords[2:]),
+             "edge set does not match the Cartesian grid"),
+            (lambda: build(shape=(2, 3)), r"cartesian shape \(2, 3\) inconsistent with 9"),
+            (lambda: build(shape=(9, 0)), r"cartesian shape \(9, 0\) inconsistent with 9"),
+            (lambda: OrientedGraph(2, []), "graph must be connected"),
+            (lambda: OrientedGraph(5, [(0, 1), (1, 2), (3, 4)]), "graph must be connected")):
+        with pytest.raises(ValidationError, match=cause):
+            bad()
+
+
 def test_tolerances_validation():
     with pytest.raises(ValidationError):
         Tolerances(flat_tol=0.0)
@@ -602,38 +653,18 @@ def test_kernel_keeps_under_400_bytes_per_vertex():
         assert kept < 400 * g.vertex_count, (g, alpha, kept / g.vertex_count)
 
 
-def test_span_prefers_loose_edges():
-    from graphtv.graph import _adjacency, _grow, _span
-    from graphtv.instances import cartesian_graph
-    # a path 0-1-2-3 whose middle edge lacks slack: the tree takes it, and
-    # only it, to reach vertices 2 and 3
-    g = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
-    adj = _adjacency(g)
-    flat = np.ones(3, dtype=bool).tobytes()
-    c = _span(adj, flat, np.array([True, False, True]).tobytes(), 0)
-    assert c.order == [0, 1, 2, 3] and c.tree == [0, 1, 2] and c.up == [-1, 0, 1, 2]
-    # where the loose edges span the cluster, the tree is the breadth-first
-    # one over them; a flat edge outside loose is taken once per loose
-    # component beyond the first, and never an edge that is not flat
-    g = cartesian_graph(6, 6)
-    adj = _adjacency(g)
-    rng = np.random.default_rng(SEED + 9)
-    flat = rng.uniform(size=g.edge_count) < 0.8
-    loose = flat & (rng.uniform(size=g.edge_count) < 0.7)
-    for root in (0, 17, 35):
-        whole = _grow(adj, flat.tobytes(), [root])[0][0]
-        same = _span(adj, flat.tobytes(), flat.tobytes(), root)
-        assert (same.order, same.up, same.tree) == (whole.order, whole.up, whole.tree)
-        c = _span(adj, flat.tobytes(), loose.tobytes(), root)
-        assert sorted(c.order) == sorted(whole.order)
-        assert flat[c.tree].all()
-        pieces, alone = _grow(adj, loose.tobytes(), sorted(whole.order))
-        assert int((~loose[c.tree]).sum()) == len(pieces) + len(alone) - 1
-        # each vertex comes after its parent, so a peel carries any r
-        assert all(c.up[i] < i for i in range(1, len(c.order)))
-        r = rng.normal(size=len(c.order))
-        r -= r.mean()
-        h = np.zeros(g.edge_count)
-        h[c.tree] = c.peel(list(r))
-        d = divergence(g, h)
-        assert np.abs(d[c.order] - r).max() < 1e-12
+def test_graph_keeps_under_64_bytes_per_vertex():
+    # a graph keeps its tail and head index arrays and the degrees; with a
+    # tuple per edge and a dict entry per edge it kept about 232 bytes per
+    # vertex here.  The edge list is built outside the traced window
+    import tracemalloc
+    n = 10 ** 5
+    edges = [(i + 1, i) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        g = OrientedGraph(n, edges)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == n - 1
+    assert kept < 64 * n, kept / n

@@ -533,8 +533,8 @@ def test_stalling_box_solves_are_certified():
         g = cartesian_graph(side, side)
         f = _draw(g, k)
         sol = rof_solve(g, f, alpha)
-        # the iterate's flow, repaired on spanning trees of its slack
-        # edges, certifies these without a max-flow
+        # the iterate's flow, repaired on each cluster's spanning tree,
+        # certifies these without a max-flow
         assert sol.report.method == "kkt-forest"
         assert sol.report.optimality <= 1e-12 * np.ptp(f)
         assert _gap_error(g, f, sol) <= 1e-12
@@ -552,7 +552,7 @@ def test_faulty_witness_is_never_certified(monkeypatch, fault):
     # rof_solve then raises, naming the cause and the instance
     g = cartesian_graph(6, 6)
     f = _draw(g, 7)
-    idx = g._grid_index
+    idx = {ij: v for v, ij in enumerate(g.grid_coords)}
     a, b, c, d = idx[(3, 3)], idx[(4, 3)], idx[(4, 4)], idx[(3, 4)]
     bump = np.zeros(g.edge_count)
     if fault == "circulation":
@@ -569,13 +569,22 @@ def test_faulty_witness_is_never_certified(monkeypatch, fault):
             rof_solve(g, f, alpha)
 
 
-def test_slack_trees_spare_the_max_flow():
+def test_slack_trees_spare_the_max_flow(monkeypatch):
     # in these draws a cluster's own spanning tree holds an edge the
-    # iterate saturates; the divergence error goes round it on a tree of
-    # edges with slack, and no max-flow runs
+    # iterate saturates; whether the divergence error carried on that tree
+    # fits or the cluster goes to the max-flow, the answer is certified and
+    # is the max-flow route's, bit for bit
+    solved = []
     for side, k, alpha in ((16, 1, 0.1), (16, 1, 0.5), (24, 5, 0.5)):
         g = cartesian_graph(side, side)
-        assert rof_solve(g, _draw(g, k), alpha).report.method == "kkt-forest"
+        f = _draw(g, k)
+        sol = rof_solve(g, f, alpha)
+        assert sol.report.optimality <= 1e-12 * np.ptp(f)
+        assert _gap_error(g, f, sol) <= 1e-12
+        solved.append((g, f, sol))
+    monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+    for g, f, sol in solved:
+        assert rof_solve(g, f, sol.alpha).u.tobytes() == sol.u.tobytes()
 
 
 def test_max_flow_certificate(monkeypatch):
@@ -596,13 +605,12 @@ def test_max_flow_certificate(monkeypatch):
 
 def test_repair_crosses_a_saturated_edge(monkeypatch):
     # in this draw a vertex of a large cluster has only flat edges that
-    # the iterate nearly saturates; the repair tree takes one of them
-    # there, the correction it carries fits in the box, and no max-flow
-    # runs.  The closed form is the max-flow route's, bit for bit
+    # the iterate nearly saturates, and the cluster's spanning tree takes
+    # one of them there.  The answer is certified, and the closed form is
+    # the max-flow route's, bit for bit
     g = cartesian_graph(24, 24)
     f = _draw(g, 3)
     forest = rof_solve(g, f, 0.5)
-    assert forest.report.method == "kkt-forest"
     assert _gap_error(g, f, forest) <= 1e-12
     monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
     routed = rof_solve(g, f, 0.5)
