@@ -141,7 +141,7 @@ class OrientedGraph:
                        + np.bincount(self.heads, minlength=n))
         self.max_degree = int(self.degree.max()) if self.edge_count else 0
 
-        # connected when vertex 0's cluster, every edge flat, is all of it
+        # connected iff, with every edge flat, vertex 0's cluster holds all n
         found, _ = _grow(_adjacency(self), b"\x01" * self.edge_count, [0])
         if n > 1 and not (found and len(found[0].order) == n):
             raise ValidationError("graph must be connected")
