@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 a verification ran and failed, 2 bad usage,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from io import StringIO
@@ -94,6 +95,9 @@ def _cmd_flow(args) -> int:
     _reject_unread(args, "flow", "--solve-tol")
     tol = _tolerances(args)
     g, f = _load(args)
+    if args.t_end is not None and not (args.t_end >= 0 and math.isfinite(args.t_end)):
+        # value_at's own check, made before the flow runs
+        raise ValidationError("parameter must be finite and nonnegative")
     traj = flow_solve(g, f, tol)
     if args.trajectory:
         buf = StringIO()

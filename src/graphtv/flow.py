@@ -22,16 +22,15 @@ built again, and every other cluster keeps the tests it has run.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
 the accumulated antiderivative F(t) = -integral of H over [0, t], so
-u(t) = f + div F(t) holds along the whole trajectory.  The trajectory keeps
-per segment only what its event changed, with a dense checkpoint every
-``SPACING`` segments (see :class:`FlowTrajectory`).
+u(t) = f + div F(t) holds along the whole trajectory.  A cluster's state
+is a line from its birth to its death, and the trajectory stores each line
+once (see :class:`FlowTrajectory`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -40,42 +39,31 @@ from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
                     cluster_mean, ensure_vertex_field, event_cap, failure_site,
                     next_fusion, sign_pattern)
-from .rof import PiecewiseAffinePath, _Log, _stack, rof_solve
-
-
-def _line(state: tuple, b: float) -> tuple:
-    # a flow segment's left value and slope: its state and direction
-    return state[0], state[2]
-
-
-def _step(state: tuple, tau: float) -> tuple:
-    # flow_solve's update from one segment to the next: the state snapped
-    # over the clusters at the segment's end, and the antiderivative
-    u, big_f, d, h, root = state
-    return cluster_mean(root, u + tau * d), big_f - tau * h
+from .rof import PiecewiseAffinePath, _Lines, _differ, rof_solve
 
 
 class FlowTrajectory:
     """Complete gradient-flow trajectory of one datum.
 
-    ``path`` holds the breakpoints, per-segment states and directions.  Per
-    segment it stores flow_solve's step tau, and of the direction d, the
-    witness H (max-norm at most 1) and each vertex's cluster at the
-    segment's end only the entries that changed, with a dense checkpoint of
-    these and of the state u and the antiderivative F every ``SPACING``
-    segments (see :class:`PiecewiseAffinePath`).  A replay steps from the
-    checkpoint by flow_solve's own operations, ``u <- cluster_mean(u + tau
-    d)`` and ``F <- F - tau H``, so every value keeps flow_solve's bits.
-    ``directions``, ``flows`` (one row per segment) and ``antiderivative``
-    (F at every breakpoint, first row zero) build dense arrays on demand.
-    Beyond the final breakpoint the state is the mean field and F stays at
-    its final value, ``final``.
+    ``path`` holds the breakpoints, the states and the directions d.  Each
+    vertex's state follows a line from its cluster's birth, by a fusion,
+    a split or the start, to its death: ``path`` stores it once, as the
+    state at the birth and d.  The antiderivative F(t) = -integral of the
+    witness H over [0, t] (max-norm of H at most 1, d = -div H) is stored
+    the same way, as a path over the edges with slopes -H: each edge's
+    line is its F at the last change of its H, with that H.  A cluster's
+    witness and a pinned edge's label are fixed for the cluster's life, so
+    a line changes only where an event changed a cluster (see
+    :class:`PiecewiseAffinePath`).  ``directions``, ``flows`` (one row per
+    segment) and ``antiderivative`` (F at every breakpoint, first row zero)
+    build dense arrays on demand.  Beyond the final breakpoint the state is
+    the mean field and F stays at its final value.
     """
 
-    __slots__ = ("path", "_final")
+    __slots__ = ("path", "_integral")
 
-    def __init__(self, path: PiecewiseAffinePath, final: np.ndarray):
-        self.path, self._final = path, final
+    def __init__(self, path: PiecewiseAffinePath, integral: PiecewiseAffinePath):
+        self.path, self._integral = path, integral
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -91,13 +79,11 @@ class FlowTrajectory:
 
     @property
     def flows(self) -> np.ndarray:
-        return _stack((state[3] for state in self.path._log.states()),
-                      self.path.segment_count, self._final.size)
+        return -self._integral.slopes
 
     @property
     def antiderivative(self) -> np.ndarray:
-        rows = chain((state[1] for state in self.path._log.states()), [self._final])
-        return _stack(rows, self.path.segment_count + 1, self._final.size)
+        return np.vstack([self._integral.left_values, self._integral.terminal_value])
 
     def value_at(self, t: float) -> np.ndarray:
         return self.path.value_at(t)
@@ -106,11 +92,7 @@ class FlowTrajectory:
         return self.path.slope_at(t)
 
     def antiderivative_at(self, t: float) -> np.ndarray:
-        k = self.path._segment(t)
-        if k < 0:
-            return self._final.copy()
-        _, big_f, _, h, _ = next(self.path._log.states(k))
-        return big_f - (t - self.path.breakpoints[k]) * h
+        return self._integral.value_at(t)
 
 
 def settle(kernel: PatternKernel, t: float = 0.0) -> tuple:
@@ -162,28 +144,32 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
     not calibrable and gives the direction (the negated minimum-norm
     subdifferential element) and its witness; the segment ends at the
     first zero crossing of a non-flat edge difference; the crossing edges
-    turn flat, and the state is snapped exactly flat over the clusters of
-    the next pattern.  Terminates at the mean field, or raises
-    :class:`PathError` after ``16 m + 64`` segments.
+    turn flat, and the state is snapped exactly flat over the clusters
+    they join.  Every other cluster follows its line, its state at its
+    birth plus the time since times d, and keeps its witness.  Terminates
+    at the mean field, or raises :class:`PathError` after ``16 m + 64``
+    segments.
 
-    Each segment is logged as its step and the entries of d, H and the
-    clusters that changed, with a dense checkpoint every ``SPACING``
-    segments: memory grows with the changes, not with segments x (n + m).
+    Each segment stores the lines it sets: of the vertices of the clusters
+    born at its start, and of the edges whose witness changed.  Memory
+    grows with the changes, not with segments x (n + m).
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
     fbar = float(f.mean())
     mean_field = np.full(g.vertex_count, fbar)
     scale = float(f.max() - f.min())
-    log = _Log(_line, _step, chained=2)
-    f_acc = np.zeros(g.edge_count)
+    values, integral = _Lines(g.vertex_count), _Lines(g.edge_count)
     if scale == 0.0:
-        return FlowTrajectory(PiecewiseAffinePath._compact([0.0], f.copy(), log), f_acc)
+        return FlowTrajectory(PiecewiseAffinePath._compact([0.0], f.copy(), values),
+                              PiecewiseAffinePath._compact([0.0], np.zeros(g.edge_count),
+                                                           integral))
 
     kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale))
     u = f.copy()
     t = 0.0
     bps = [0.0]
+    born = np.ones(g.vertex_count, dtype=bool)
     prev_norm = math.inf
 
     for _ in range(event_cap(g)):
@@ -198,27 +184,45 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)
         prev_norm = dnorm
+        # a vertex takes a new line where the last event made its cluster or
+        # a split changed its direction, an edge where its witness changed;
+        # every other entry follows its line
+        values.append(t, born | _differ(d, values.slope), u, d)
+        minus_h = -h
+        integral.append(t, _differ(minus_h, integral.slope), integral.at(t), minus_h)
 
         tau, crossing = next_fusion(g, kernel.pattern, u, d)
         if not 0.0 < tau < math.inf:
             raise PathError("no edge closes " + failure_site(g, "t", t),
                             interval=(t, t))
-        labels = kernel.pattern.labels.copy()
+        line = values.at(t + tau)
+        before = kernel.pattern.labels
+        labels = before.copy()
         late = crossing
         while late.any():
             # the next pattern's clusters join the closing edges' ends; snap
-            # the state exactly flat over them.  A pinned edge that rounding
-            # in the snap leaves at or past its meeting point closes too
+            # the state exactly flat over the clusters the event made (at the
+            # first event over every cluster, since the ties of f are flat
+            # only to flat_tol).  A pinned edge that rounding in the snap
+            # leaves at or past its meeting point closes too
             labels[late] = 0
             kernel = kernel.successor(labels)
-            u_next = kernel.clusters.mean(u + tau * d)
+            root = kernel.clusters.root
+            if t > 0.0:
+                changed = (kernel.pattern.labels != before).nonzero()[0]
+                made = np.zeros(g.vertex_count, dtype=bool)
+                made[root[g.tails[changed]]] = made[root[g.heads[changed]]] = True
+                born = made[root]
+            # the mean corrected once by the mean of its residuals: a large
+            # cluster's sum in vertex order loses bits, which the late
+            # meetings of nearly parallel lines would magnify
+            mean = cluster_mean(root, line)
+            u_next = np.where(born, mean + cluster_mean(root, line - mean), line)
             labels = kernel.pattern.labels.copy()
             late = (labels != 0) & (labels * (u_next[g.tails] - u_next[g.heads]) <= 0.0)
 
         t += tau
         bps.append(t)
-        log.append((u, f_acc, d, h, kernel.clusters.root), tau)
-        f_acc = f_acc - tau * h
         u = u_next
     else:
         raise PathError("event cap %d exceeded %s" % (event_cap(g),
@@ -229,7 +233,9 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         raise PathError("flow ended off the mean field " + failure_site(g, "t", t),
                         interval=(bps[-2] if len(bps) > 1 else 0.0, t))
 
-    return FlowTrajectory(PiecewiseAffinePath._compact(bps, mean_field, log), f_acc)
+    final = integral.at(t)
+    return FlowTrajectory(PiecewiseAffinePath._compact(bps, mean_field, values),
+                          PiecewiseAffinePath._compact(bps, final, integral))
 
 
 def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.ndarray:

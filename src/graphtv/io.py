@@ -163,8 +163,8 @@ def write_trajectory(fh: TextIO, path: PiecewiseAffinePath,
 
     Emits the breakpoint parameters, then one row per sample (defaulting
     to the breakpoints themselves; the last breakpoint row is the terminal
-    state by continuity).  Ascending samples are read in one replay pass
-    over the segments.
+    state by continuity).  Ascending samples are read in one forward pass
+    over the stored lines; a sample behind the last starts a new pass.
     """
     fh.write("breakpoints " + " ".join(format_float(float(b))
                                        for b in path.breakpoints) + "\n")

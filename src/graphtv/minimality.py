@@ -370,15 +370,16 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
                                       catalog: Optional[PhiCatalog] = None,
                                       tol: Optional[Tolerances] = None, *,
                                       rng: Optional[np.random.Generator] = None,
-                                      coupled: bool = False,
-                                      anchor_scale: Optional[float] = None) -> list:
+                                      coupled: bool = False) -> list:
     """Anchored invariance test of the constraint set's divergence image.
 
-    Draws random anchors a, takes the Euclidean projection x* of a onto the
-    divergence image, and checks that x* also minimizes
-    sum_v phi(x(v) - a(v)) over the image for every catalog phi (objective
-    gap within ``tol.solve_tol * (1 + |minimum|)``).  x* is ``a - u`` for
-    the regularized solution u of the datum a at alpha: on the box image
+    Draws random anchors a, normal with deviation ``alpha * max_degree``,
+    takes the Euclidean projection x* of a onto the divergence image, and
+    checks that x* also minimizes sum_v phi(x(v) - a(v)) over the image for
+    every catalog phi (by default spanning ``2 alpha max_degree`` either
+    side of zero; objective gap within ``tol.solve_tol * (1 +
+    |minimum|)``).  x* is ``a - u`` for the regularized solution u of the
+    datum a at alpha: on the box image
     the certified :func:`rof_solve`, on the coupled image
     :func:`isotropic_rof_solve`.  Each phi solve starts at the point under
     test, the solution's negated dual flow; the certificate decides, as in
@@ -394,7 +395,7 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError("alpha must be finite and positive")
     rng = rng if rng is not None else np.random.default_rng(0)
-    scale = anchor_scale if anchor_scale is not None else 2.0 * alpha * g.max_degree
+    scale = 2.0 * alpha * g.max_degree
     if coupled:
         spec = g.coupled_ball(alpha)
     else:

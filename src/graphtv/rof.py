@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -47,109 +48,63 @@ class RofSolution:
     report: SolveReport
 
 
-# Segments from one dense checkpoint of a compact trajectory to the next: a
-# replay from the nearest checkpoint takes fewer steps than this
-SPACING = 64
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # where the floats of a and b differ in their bits
+    return a.view(np.int64) != b.view(np.int64)
 
 
-def _stack(rows, count: int, width: int) -> np.ndarray:
-    # the rows as one count x width array
-    out = np.empty((count, width))
-    for k, row in enumerate(rows):
-        out[k] = row
-    return out
+class _Lines:
+    """The lines of a trajectory's entries, each stored once, when it is set.
 
-
-class _Log:
-    """The states of a trajectory's segments, stored compactly.
-
-    A state is a tuple of arrays of 8-byte items.  Its first ``chained``
-    arrays follow from the state before by ``step(state, tau)``, with tau
-    the builder's step from that segment; of the others, a segment stores
-    only the entries whose bits changed.  The segments form blocks of
-    ``SPACING``: a block keeps its first state whole, a checkpoint, and the
-    changes of its other segments packed, per changing array, as one index
-    and one value array with each segment's offsets.  ``line(state, b)``
-    gives a segment's left value and slope from its state and breakpoint b.
+    Entry i follows ``anchor[i] + (x - since[i]) * slope[i]`` from the
+    segment that sets its line up to the next one that sets it again.  A
+    segment stores only the lines it sets, as their indices, anchor values
+    and slopes, and one anchor parameter ``since`` for all of them.  While
+    a builder appends, ``anchor``, ``slope`` and ``since`` hold the current
+    lines, zero before a segment sets them; :meth:`replay` builds them
+    again, segment by segment from the first.
     """
 
-    __slots__ = ("line", "step", "chained", "count", "taus", "marks", "blocks",
-                 "_open", "_bits")
+    __slots__ = ("size", "anchor", "slope", "since", "ats", "parts", "index",
+                 "anchors", "slopes", "ends")
 
-    def __init__(self, line, step=None, chained: int = 0):
-        self.line, self.step, self.chained = line, step, chained
-        self.count, self.taus, self.marks, self.blocks = 0, [], [], []
-        self._open, self._bits = [], None
+    def __init__(self, size: int):
+        self.size = size
+        self.anchor, self.slope, self.since = np.zeros(size), np.zeros(size), np.zeros(size)
+        self.ats, self.parts = [], []
 
-    def append(self, state: tuple, tau: float = 0.0) -> None:
-        """Add the next segment's state, and its step to the segment after."""
-        # the changing arrays' bits in a row, compared with the last ones
-        bits = np.concatenate([a.view(np.int64) for a in state[self.chained:]])
-        if self.count % SPACING == 0:
-            self._pack()
-            self.marks.append(tuple(a.copy() for a in state))
-        else:
-            idx = (bits != self._bits).nonzero()[0]
-            self._open.append((idx, bits[idx]))
-        self._bits = bits
-        self.taus.append(tau)
-        self.count += 1
+    def append(self, at: float, moved: np.ndarray, anchor: np.ndarray,
+               slope: np.ndarray) -> None:
+        """The next segment: the entries of the mask ``moved`` take the
+        lines of ``anchor`` and ``slope`` from the parameter ``at``."""
+        idx = moved.nonzero()[0]
+        a, s = anchor[idx], slope[idx]
+        self.anchor[idx], self.slope[idx], self.since[idx] = a, s, at
+        self.ats.append(at)
+        self.parts.append((idx, a, s))
+
+    def at(self, x: float) -> np.ndarray:
+        """The current lines at x."""
+        return self.anchor + (x - self.since) * self.slope
 
     def close(self) -> None:
-        """Pack the last block; the log takes no more segments."""
-        self._pack()
-        self.taus = np.array(self.taus, dtype=float)
-        self._bits = None
+        """Pack the segments into one array each; the store takes no more."""
+        parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))] + self.parts
+        self.ends = np.cumsum([idx.size for idx, _, _ in parts])
+        self.index, self.anchors, self.slopes = (np.concatenate(a) for a in zip(*parts))
+        self.ats = np.array(self.ats, dtype=float)
+        self.anchor = self.slope = self.since = self.parts = None
 
-    def _pack(self):
-        # the open block's changes as (indices, values, offsets) per array
-        if not self.marks:
-            return
-        arrays = self.marks[-1][self.chained:]
-        bounds = np.cumsum([0] + [a.size for a in arrays])
-        idx = np.concatenate([np.empty(0, np.intp)] + [i for i, _ in self._open])
-        bits = np.concatenate([np.empty(0, np.int64)] + [v for _, v in self._open])
-        segment = np.repeat(np.arange(len(self._open)), [i.size for i, _ in self._open])
-        which = np.searchsorted(bounds, idx, side="right") - 1
-        ends = np.arange(len(self._open) + 1)
-        packed = []
-        for j, a in enumerate(arrays):
-            mine = which == j
-            packed.append((idx[mine] - bounds[j], bits[mine].view(a.dtype),
-                           np.searchsorted(segment[mine], ends)))
-        self.blocks.append(packed)
-        self._open = []
-
-    def states(self, k: int = 0):
-        """The states of the segments k, k + 1, ..., in order, replayed from
-        the checkpoint at or before k.  A state's arrays are shared with
-        the checkpoint and the next states: read them, do not write."""
-        state = None
-        for i in range(k - k % SPACING, self.count):
-            block, r = divmod(i, SPACING)
-            if r == 0:
-                state = list(self.marks[block])
-            else:
-                if self.chained:
-                    state[:self.chained] = self.step(state, self.taus[i - 1])
-                for j, (idx, values, offsets) in enumerate(self.blocks[block], self.chained):
-                    lo, hi = offsets[r - 1], offsets[r]
-                    if hi > lo:
-                        state[j] = state[j].copy()
-                        state[j][idx[lo:hi]] = values[lo:hi]
-            if i >= k:
-                yield tuple(state)
-
-
-def _given(state: tuple, b: float) -> tuple:
-    # a dense path's row: its left value and slope as given
-    return state
-
-
-def _anchored(state: tuple, b: float) -> tuple:
-    # rof_path's row: the line c + alpha * s of the segment's pattern at b
-    c, s = state
-    return c + b * s, s
+    def replay(self):
+        """The lines ``(anchor, slope, since)`` of each segment in order.  The
+        arrays are the replay's own and change at the next segment: read
+        them, do not write."""
+        anchor, slope, since = np.zeros(self.size), np.zeros(self.size), np.zeros(self.size)
+        ends = self.ends.tolist()
+        for at, lo, hi in zip(self.ats.tolist(), ends, ends[1:]):
+            idx = self.index[lo:hi]
+            anchor[idx], slope[idx], since[idx] = self.anchors[lo:hi], self.slopes[lo:hi], at
+            yield anchor, slope, since
 
 
 class PiecewiseAffinePath:
@@ -159,38 +114,40 @@ class PiecewiseAffinePath:
     slope on each segment [b_k, b_{k+1}], and a terminal value attained for
     all parameters at or beyond b_K.
 
-    The segments are stored compactly: per segment, only the entries that
-    its event changed, with a dense checkpoint every ``SPACING`` segments.
-    :meth:`value_at` and :meth:`slope_at` replay fewer than ``SPACING``
-    segments from the nearest checkpoint, by the float operations of the
-    builder, so they return the builder's bits; each replayed segment costs
-    O(n) (O(n + m) for a flow).  ``left_values`` and ``slopes`` build K x n
-    arrays on demand.  The dense constructor stores the rows it is given
-    in the same form.
+    Each entry follows a line that only some breakpoints change, and the
+    path stores each line once, at the segment that sets it.  Segment k's
+    left value is the lines at b_k, ``anchor + (b_k - since) * slope``, and
+    its value at x is ``left + (x - b_k) * slope``.  :meth:`value_at`,
+    :meth:`slope_at` and the rows read the lines in one forward pass from
+    the first segment, so they cost the changes up to the segment read,
+    and O(n) for each row built.  ``left_values`` and ``slopes`` build
+    K x n arrays on demand.  The dense constructor stores every row whole,
+    each line anchored at its segment's left end.
     """
 
-    __slots__ = ("breakpoints", "terminal_value", "_log")
+    __slots__ = ("breakpoints", "terminal_value", "_lines")
 
     def __init__(self, breakpoints, left_values, slopes, terminal_value):
         lv = np.asarray(left_values, dtype=float)
         sl = np.asarray(slopes, dtype=float)
-        log = _Log(_given)
-        self._init(breakpoints, terminal_value, log)
-        if lv.shape != (self.segment_count, self.terminal_value.size) or sl.shape != lv.shape:
+        lines = _Lines(np.asarray(terminal_value).size)
+        self._init(breakpoints, terminal_value, lines)
+        if lv.shape != (self.segment_count, lines.size) or sl.shape != lv.shape:
             raise ValidationError("left_values and slopes must be (segments, vertices)")
-        for row in zip(np.ascontiguousarray(lv), np.ascontiguousarray(sl)):
-            log.append(row)
-        log.close()
+        every = np.ones(lines.size, dtype=bool)
+        for b, left, slope in zip(self.breakpoints, lv, sl):
+            lines.append(b, every, left, slope)
+        lines.close()
 
     @classmethod
-    def _compact(cls, breakpoints, terminal_value, log: _Log) -> "PiecewiseAffinePath":
-        # the path of a builder's log, one state per segment
+    def _compact(cls, breakpoints, terminal_value, lines: _Lines) -> "PiecewiseAffinePath":
+        # the path of a builder's lines, one append per segment
         path = cls.__new__(cls)
-        path._init(breakpoints, terminal_value, log)
-        log.close()
+        path._init(breakpoints, terminal_value, lines)
+        lines.close()
         return path
 
-    def _init(self, breakpoints, terminal_value, log):
+    def _init(self, breakpoints, terminal_value, lines):
         b = np.asarray(breakpoints, dtype=float)
         tv = np.asarray(terminal_value, dtype=float)
         if b.ndim != 1 or b.size < 1 or b[0] != 0.0:
@@ -199,7 +156,7 @@ class PiecewiseAffinePath:
             raise ValidationError("breakpoints must be strictly increasing")
         for arr in (b, tv):
             arr.setflags(write=False)
-        self.breakpoints, self.terminal_value, self._log = b, tv, log
+        self.breakpoints, self.terminal_value, self._lines = b, tv, lines
 
     @property
     def segment_count(self) -> int:
@@ -208,20 +165,23 @@ class PiecewiseAffinePath:
     @property
     def left_values(self) -> np.ndarray:
         """The value at each segment's left end, a K x n array built on demand."""
-        return _stack((left for left, _ in self._rows()), self.segment_count,
-                      self.terminal_value.size)
+        return self._dense(0)
 
     @property
     def slopes(self) -> np.ndarray:
         """Each segment's slope, a K x n array built on demand."""
-        return _stack((slope for _, slope in self._rows()), self.segment_count,
-                      self.terminal_value.size)
+        return self._dense(1)
 
-    def _rows(self, k: int = 0):
-        # (left value, slope) of the segments k, k + 1, ..., in one replay
-        b, line = self.breakpoints, self._log.line
-        for i, state in enumerate(self._log.states(k), k):
-            yield line(state, b[i])
+    def _dense(self, j: int) -> np.ndarray:
+        out = np.empty((self.segment_count, self.terminal_value.size))
+        for k, row in enumerate(self._rows()):
+            out[k] = row[j]
+        return out
+
+    def _rows(self):
+        # (left value, slope) of each segment in order, in one forward pass
+        for b, (anchor, slope, since) in zip(self.breakpoints, self._lines.replay()):
+            yield anchor + (b - since) * slope, slope
 
     def _segment(self, x: float) -> int:
         # index of the segment holding x, or -1 beyond the last breakpoint
@@ -232,19 +192,20 @@ class PiecewiseAffinePath:
         return int(np.searchsorted(self.breakpoints, x, side="right")) - 1
 
     def _values(self, xs):
-        # value_at at each x of xs, replaying forward while xs ascend
-        rows = None
+        # value_at at each x of xs, in one forward pass while xs ascend
+        b = self.breakpoints
+        lines = None
         for x in xs:
             k = self._segment(x)
             if k < 0:
                 yield self.terminal_value.copy()
                 continue
-            if rows is None or at > k:
-                rows, at = self._rows(k), k - 1
+            if lines is None or at > k:
+                lines, at = self._lines.replay(), -1
             while at < k:
-                left, slope = next(rows)
+                anchor, slope, since = next(lines)
                 at += 1
-            yield left + (x - self.breakpoints[k]) * slope
+            yield anchor + (b[k] - since) * slope + (x - b[k]) * slope
 
     def value_at(self, x: float) -> np.ndarray:
         return next(self._values([x]))
@@ -252,7 +213,9 @@ class PiecewiseAffinePath:
     def slope_at(self, x: float) -> np.ndarray:
         """Right slope at x (zero beyond the last breakpoint)."""
         k = self._segment(x)
-        return np.zeros_like(self.terminal_value) if k < 0 else next(self._rows(k))[1].copy()
+        if k < 0:
+            return np.zeros_like(self.terminal_value)
+        return next(islice(self._lines.replay(), k, None))[1].copy()
 
 
 def _checked(g, f, alpha):
@@ -380,15 +343,14 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     is certified at the event's exact parameter: a split's from its min
     cut, a fusion's where the lines of the first fusing edge's clusters
     meet (:meth:`PatternKernel.meet`).  The terminal value is the mean
-    field.  The path reads no tolerance.  Each segment is logged as the
-    entries of the intercept and slope that its events changed, with a
-    dense checkpoint every ``SPACING`` segments (see
+    field.  The path reads no tolerance.  Each vertex's line ``c + alpha *
+    s`` is stored once, at the segment whose events changed it (see
     :class:`PiecewiseAffinePath`).
     """
     f = ensure_vertex_field(g, f, "f")
-    log = _Log(_anchored)
+    lines = _Lines(g.vertex_count)
     if float(f.max() - f.min()) == 0.0:
-        return PiecewiseAffinePath._compact([0.0], f.copy(), log)
+        return PiecewiseAffinePath._compact([0.0], f.copy(), lines)
 
     def certify(alpha, t, where):
         cause = _certify(k, alpha, t)[1]
@@ -423,7 +385,8 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
             certify(alpha, t, where)
             certify(nxt, t_nxt, where)
             bps.append(alpha)
-            log.append((c, s))
+            # every line is anchored at alpha = 0; the events changed some
+            lines.append(0.0, _differ(c, lines.anchor) | _differ(s, lines.slope), c, s)
             t = t_nxt
         # events within a relative 1e-12 of the step meet in exact arithmetic
         limit = alpha + (nxt - alpha) * (1.0 + 1e-12)
@@ -438,4 +401,4 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     else:
         _fail(g, "event cap %d exceeded" % event_cap(g), alpha, where)
     bps.append(alpha)
-    return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), log)
+    return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), lines)

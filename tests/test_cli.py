@@ -145,6 +145,21 @@ def test_cli_exit_codes(tmp_path, problem_file, capsys):
     capsys.readouterr()
 
 
+def test_cli_flow_rejects_a_bad_time_before_the_flow(problem_file, capsys, monkeypatch):
+    # a negative, nan or infinite --t-end is a usage error (exit 2, with
+    # value_at's message) found before the flow runs, not after
+    import graphtv.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("flow_solve ran")
+
+    monkeypatch.setattr(graphtv.cli, "flow_solve", unreachable)
+    for t in ("-1", "nan", "inf", "-inf"):
+        assert main(["flow", problem_file, "--t-end=" + t]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: parameter must be finite and nonnegative\n")
+
+
 def test_deterministic_json_key_order():
     doc = {"b": 1.5, "a": [True, None, 3]}
     assert dumps_deterministic(doc) == '{"b": 1.5, "a": [true, null, 3]}'

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -556,11 +558,11 @@ def test_successors_relabel_a_small_share_of_the_vertices(monkeypatch):
 
 
 def test_trajectories_hold_no_dense_rows():
-    # a trajectory stores each event's changes and a checkpoint every
-    # SPACING segments, so a path graph's flow and path, about n segments
-    # each, peak near the kernel's own O(n + m); dense rows of states,
-    # slopes, flows and antiderivative, held twice while they were
-    # gathered, needed about 2 K (2n + 2m) 8 bytes, thousands of times more
+    # a trajectory stores each line once, at the segment that sets it, so a
+    # path graph's flow and path, about n segments each, peak near the
+    # kernel's own O(n + m); dense rows of states, slopes, flows and
+    # antiderivative, held twice while they were gathered, needed about
+    # 2 K (2n + 2m) 8 bytes, thousands of times more
     import tracemalloc
     from graphtv import rof_path
     g = path_graph(1500)
@@ -578,23 +580,73 @@ def test_trajectories_hold_no_dense_rows():
         assert peak < budget, (solve.__name__, peak, budget)
 
 
+@functools.lru_cache(maxsize=None)
+def _traced(name: str, n: int) -> tuple:
+    # flow_solve's or rof_path's trajectory of the seed-0 field on
+    # path_graph(n), with the bytes it keeps and its peak, by tracemalloc
+    import tracemalloc
+    import graphtv
+    g = path_graph(n)
+    f = random_vertex_field(np.random.default_rng(0), n)
+    tracemalloc.start()
+    try:
+        result = getattr(graphtv, name)(g, f)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_trajectories_keep_memory_linear_on_paths():
+    # a line is stored once, by the segment that sets it, so the memory a
+    # trajectory keeps grows with n and its changes; a dense state every
+    # few dozen segments, about n of them on a path, would grow as n^2.
+    # The peaks stay under the bound of test_trajectories_hold_no_dense_rows
+    for name in ("flow_solve", "rof_path"):
+        kept = []
+        for n in (1000, 3000):
+            _, k, peak = _traced(name, n)
+            assert peak < 256 * (2 * n - 1) * 8, (name, n, peak)
+            kept.append(k)
+        assert kept[1] <= 4 * kept[0], (name, kept)
+
+
+def test_flow_breakpoints_match_the_path_on_paths():
+    # on a path graph the flow at t is the regularized solution at alpha =
+    # t, so both have the same breakpoints in exact arithmetic; the flow's
+    # float times keep them within these relative errors, those of a flow
+    # that snapped every cluster at every event
+    from graphtv import rof_path
+    g = path_graph(2000)
+    f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+    cases = [(_traced("flow_solve", 1000)[0], _traced("rof_path", 1000)[0], 3.9e-13),
+             (flow_solve(g, f), rof_path(g, f), 5.8e-13)]
+    for flow, path, bound in cases:
+        flow, path = flow.breakpoints, path.breakpoints
+        assert flow.size == path.size
+        err = float((np.abs(flow[1:] - path[1:]) / path[1:]).max())
+        assert err <= bound, (path.size, err)
+
+
 def test_replay_gives_the_builders_bits(monkeypatch):
-    # value_at, slope_at and antiderivative_at replay a segment from the
-    # nearest checkpoint; at every breakpoint and midpoint, on segments
-    # either side of each checkpoint, they give the bits of the states the
-    # builder computed, recorded here as it logs them, and so does u(t) =
-    # f + div F(t).  The dense properties are those rows
+    # value_at, slope_at, direction_at and antiderivative_at read the lines
+    # in one forward pass from the first segment; at every breakpoint and
+    # midpoint they give the bits of the states the builder computed,
+    # recorded here as it stores their lines, and so does u(t) = f + div
+    # F(t); past the end they give the terminal state, a zero slope and the
+    # final F.  The dense properties are those rows
     from io import StringIO
     from graphtv import cartesian_graph, rof_path, write_trajectory
-    from graphtv.rof import SPACING, _Log
-    logged = []
-    append = _Log.append
+    from graphtv.rof import _Lines
+    stored = {}
+    append = _Lines.append
 
-    def recording(self, state, tau=0.0):
-        logged.append(tuple(np.array(a) for a in state))
-        append(self, state, tau)
+    def recording(self, at, moved, anchor, slope):
+        # a trajectory's stores, in the order they first store a segment
+        stored.setdefault(id(self), []).append((np.array(anchor), np.array(slope)))
+        append(self, at, moved, anchor, slope)
 
-    monkeypatch.setattr(_Log, "append", recording)
+    monkeypatch.setattr(_Lines, "append", recording)
     rng = np.random.default_rng(SEED + 17)
     graphs = [cartesian_graph(6, 6), cartesian_graph(9, 7), path_graph(200)]
     graphs += [random_connected_graph(rng, 30) for _ in range(3)]
@@ -602,39 +654,50 @@ def test_replay_gives_the_builders_bits(monkeypatch):
     for g in graphs:
         f = random_vertex_field(rng, g.vertex_count)
         for build in (flow_solve, rof_path):
-            logged.clear()
+            stored.clear()
             result = build(g, f)
             path = getattr(result, "path", result)
             b = path.breakpoints
             longest = max(longest, path.segment_count)
-            assert len(logged) == path.segment_count
+            rows = [list(zip(*segments)) for segments in stored.values()]
+            assert all(len(r[0]) == path.segment_count for r in rows)
             if build is flow_solve:
-                left, slope = [s[0] for s in logged], [s[2] for s in logged]
-                anti, flows = [s[1] for s in logged], [s[3] for s in logged]
+                # the states and directions, then F and -H
+                (left, slope), (anti, minus_h) = rows
+                flows = [-x for x in minus_h]
                 assert result.flows.tobytes() == np.array(flows).tobytes()
                 assert result.antiderivative[:-1].tobytes() == np.array(anti).tobytes()
             else:
-                left = [c + alpha * s for (c, s), alpha in zip(logged, b)]
-                slope = [s for _, s in logged]
+                (intercept, slope), = rows
+                left = [c + alpha * s for c, s, alpha in zip(intercept, slope, b)]
             assert path.left_values.tobytes() == np.array(left).tobytes()
             assert path.slopes.tobytes() == np.array(slope).tobytes()
             xs = sorted(list(b) + [0.5 * (x + y) for x, y in zip(b, b[1:])])
-            for x in xs:
-                k = min(int(np.searchsorted(b, x, side="right")) - 1, len(left))
-                if k == len(left):
-                    continue
+            for x in xs[:-1]:
+                k = int(np.searchsorted(b, x, side="right")) - 1
                 assert path.value_at(x).tobytes() == (left[k] + (x - b[k]) * slope[k]).tobytes()
                 assert path.slope_at(x).tobytes() == slope[k].tobytes()
                 if build is flow_solve:
+                    assert result.direction_at(x).tobytes() == slope[k].tobytes()
                     big_f = anti[k] - (x - b[k]) * flows[k]
                     assert result.antiderivative_at(x).tobytes() == big_f.tobytes()
                     assert (f + divergence(g, result.antiderivative_at(x))).tobytes() == (
                         f + divergence(g, big_f)).tobytes()
-            # one replay pass for ascending samples, a restart for each
+            for x in (b[-1], 2.0 * b[-1] + 1.0):
+                assert path.value_at(x).tobytes() == path.terminal_value.tobytes()
+                assert not path.slope_at(x).any()
+                if build is flow_solve:
+                    assert not result.direction_at(x).any()
+                    final = result.antiderivative_at(x)
+                    assert final.tobytes() == result.antiderivative[-1].tobytes()
+                    scale = float(f.max() - f.min())
+                    assert np.abs(f + divergence(g, final) - path.terminal_value).max() < (
+                        1e-9 * scale)
+            # one forward pass for ascending samples, a restart for each
             # sample behind the last: the same rows either way
             up, down = StringIO(), StringIO()
             write_trajectory(up, path, xs)
             write_trajectory(down, path, xs[::-1])
             rows = up.getvalue().splitlines()
             assert rows[0] + "\n" + "\n".join(rows[:0:-1]) + "\n" == down.getvalue()
-    assert longest > 2 * SPACING
+    assert longest > 128
