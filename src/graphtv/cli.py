@@ -171,6 +171,8 @@ def _cmd_verify(args) -> int:
         trials = 12 if args.trials is None else args.trials
         if trials < 1:
             raise ValidationError("--trials must be at least 1")
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError("--seed must be nonnegative")
         g, f = _load(args)
         if g.cartesian is None:
             raise ParseError("isotropic mode needs a problem with grid structure")
@@ -205,10 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 1e-7; rof and verify --mode "
                              "phimin|isotropic take none)")
     common.add_argument("--solve-tol", type=float, default=None,
-                        help="optimality tolerance for inner solves (default "
-                             "1e-9; 1e-6 in verify --mode phimin|isotropic; "
-                             "rof, flow, compare and verify --mode "
-                             "counterexample take none)")
+                        help="optimality tolerance for inner solves, and the "
+                             "relative gap a verify check passes within "
+                             "(default 1e-9; 1e-6 in verify --mode "
+                             "phimin|isotropic; rof, flow, compare and verify "
+                             "--mode counterexample take none)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of random data, at least 1 (default 12; "
                             "isotropic mode)")
     p_ver.add_argument("--seed", type=int, default=None,
-                       help="seed for the data batch (default 7; isotropic "
-                            "mode)")
+                       help="nonnegative seed for the data batch (default 7; "
+                            "isotropic mode)")
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -11,15 +11,15 @@ graph.  Supported objectives:
 
 Both objectives depend on ``H`` only through ``z = div H``, and every
 solve runs one accelerated projected-gradient iteration with a monotone
-restart that carries ``z`` next to each iterate.  A ``phi`` without a
-curvature bound is handled by Moreau-envelope smoothing with a
-continuation schedule; a ``phi`` without a proximal map gets one by
-bisection on its subgradient.  Such a solve is certified by the
-linearization duality gap of the smoothed objective over the constraint
-set (:meth:`BoxSpec.gap`, :meth:`GroupBallSpec.gap`) plus the pointwise
-smoothing error ``(delta / 2) * sum_v phi'(u_v)^2``, which together bound
-its excess over the true minimum.  The divergence is applied through the
-graph's index arrays, in O(n + m) time and memory.
+restart that carries ``z`` next to each iterate.  A separable solve is
+certified by the linearization duality gap of its objective over the
+constraint set (:meth:`BoxSpec.gap`, :meth:`GroupBallSpec.gap`), which
+bounds its excess over the minimum.  A ``phi`` without a curvature bound
+is handled by Moreau-envelope smoothing with a continuation schedule; a
+``phi`` without a proximal map gets one by bisection on its subgradient.
+There the gap is the smoothed objective's, plus the pointwise smoothing
+error ``(delta / 2) * sum_v phi'(u_v)^2``.  The divergence is applied
+through the graph's index arrays, in O(n + m) time and memory.
 
 All functions are pure: no global state, no internal threads.  Their
 reductions avoid BLAS, so results do not depend on its thread count.
@@ -57,10 +57,10 @@ class SolveReport:
     objective : final objective value.
     optimality : final optimality measure.  For projections this is the
         gradient-mapping norm.  For separable solves it is a certified bound
-        on ``objective - minimum``: with ``apgd-smoothing`` the smoothed
-        objective's linearization duality gap plus the pointwise smoothing
-        error (see :func:`_smoothing_descent`), with ``apgd-smooth`` the
-        gradient-mapping norm times the constraint set's diameter.  For
+        on ``objective - minimum``: the linearization duality gap of the
+        objective (``apgd-smooth``, see :func:`_smooth_descent`), or of the
+        smoothed objective plus the pointwise smoothing error
+        (``apgd-smoothing``, see :func:`_smoothing_descent`).  For
         ``rof_solve`` and membership it is the residual of the optimality
         conditions, ``max |f + div(dual_flow) - u|`` or ``max |div H - c|``.
     converged : whether the stopping criterion was met within the cap.
@@ -130,9 +130,6 @@ class BoxSpec:
         lo = self.lower * grad
         up = self.upper * grad
         return float((grad * h - np.minimum(lo, up)).sum())
-
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
 
     def magnitude(self) -> float:
         if self.size == 0:
@@ -222,9 +219,6 @@ class GroupBallSpec:
             norms = np.hypot(h[self._pairs[:, 0]], h[self._pairs[:, 1]])
             ok = bool(np.all(norms <= r))
         return ok
-
-    def diameter(self) -> float:
-        return 2.0 * self.radius * math.sqrt(len(self.groups))
 
     def magnitude(self) -> float:
         return self.radius
@@ -382,7 +376,7 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     step.  Every ``CHECK_EVERY`` iterations the gradient ``grad`` in ``h``
     is computed at the feasible iterate ``x``, and
     ``measure(x, grad, objective)`` is the stopping statistic: the
-    gradient-mapping norm (see :func:`_mapping_norm`) or a duality gap.
+    gradient-mapping norm (see :func:`project_onto_div_box`) or a duality gap.
     The measure is also taken once at the projected start ``x0``: a start
     that already meets ``stop_tol`` is returned with 0 iterations.  A start
     that misses it leaves no trace in the loop below, which neither keeps
@@ -475,20 +469,6 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     return best_x, it, best_meas, best_f, converged
 
 
-def _mapping_norm(project, lips):
-    """``norm(x, grad)``: the gradient-mapping norm at the step ``1 / lips``."""
-    step = 1.0 / lips
-
-    def norm(x, grad):
-        # .sum() adds pairwise in a fixed order; a BLAS dot product (and so
-        # np.linalg.norm) splits long vectors over threads, and the result
-        # would follow the thread count
-        d = x - project(x - step * grad)
-        return math.sqrt(float((d * d).sum())) * lips
-
-    return norm
-
-
 def _default_tol():
     from .graph import DEFAULT_TOL
     return DEFAULT_TOL
@@ -516,18 +496,26 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
     target = ensure_vertex_field(g, target, "target")
     x0 = _start(g, spec, warm_start)
 
+    lips = 2.0 * max(g.max_degree, 1)
+    step = 1.0 / lips
+
+    # .sum() adds pairwise in a fixed order; a BLAS dot product (r @ r, and
+    # so np.linalg.norm) splits long vectors over threads, and the result
+    # would follow the thread count
     def value(z):
         r = z - target
-        return 0.5 * float((r * r).sum())  # not r @ r: see _mapping_norm
+        return 0.5 * float((r * r).sum())
+
+    def mapping_norm(x, grad, _):
+        # the gradient-mapping norm at the step 1 / lips
+        d = x - spec.project(x - step * grad)
+        return math.sqrt(float((d * d).sum())) * lips
 
     # stop slightly inside the contract so downstream 10*solve_tol
     # invariants (warm-start independence) hold with margin
-    lips = 2.0 * max(g.max_degree, 1)
-    gm = _mapping_norm(spec.project, lips)
     x, it, meas, obj, conv = _accelerated_descent(
         g, x0, value=value, slope=lambda z: z - target,
-        lips=lips, project=spec.project,
-        measure=lambda x, grad, _: gm(x, grad),
+        lips=lips, project=spec.project, measure=mapping_norm,
         stop_tol=0.25 * tol.solve_tol, max_iter=max_iter)
     return x, SolveReport(it, obj, meas, conv, method="apgd-projection")
 
@@ -547,24 +535,26 @@ def min_norm_divergence(g: "OrientedGraph", spec,
 
 
 def _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter):
+    """Accelerated descent on the true objective, for phi with a curvature bound.
+
+    Stops once the objective's linearization duality gap (``spec.gap``,
+    the ``optimality`` reported) is at most ``tol_obj * (1 + |objective|)``;
+    the measure is the gap relative to that.  The gap certifies the
+    objective, not u: an accurate u needs a tolerance near rounding.
+    """
     lo, hi = _reachable_interval(g, base, spec)
     curv = max(float(phi.curvature(lo, hi)), 1e-300)
-    diam = max(spec.diameter(), 1e-300)
 
-    def stop_tol_of(obj):
+    def eps(obj):
         return tol_obj * (1.0 + abs(obj))
 
-    # the stopping threshold depends on the running objective, so the
-    # measure is the gap bound relative to it
-    lips = 2.0 * max(g.max_degree, 1) * curv
-    gm = _mapping_norm(spec.project, lips)
     x, it, meas, obj, conv = _accelerated_descent(
         g, x0, value=lambda z: float(phi.evaluate(base - z).sum()),
         slope=lambda z: -phi.subgradient(base - z),
-        lips=lips, project=spec.project,
-        measure=lambda x, grad, obj: gm(x, grad) * diam / stop_tol_of(obj),
+        lips=2.0 * max(g.max_degree, 1) * curv, project=spec.project,
+        measure=lambda x, grad, obj: spec.gap(x, grad) / eps(obj),
         stop_tol=1.0, max_iter=max_iter, adaptive=True)
-    return x, SolveReport(it, obj, meas * stop_tol_of(obj), conv, method="apgd-smooth")
+    return x, SolveReport(it, obj, meas * eps(obj), conv, method="apgd-smooth")
 
 
 def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter):

@@ -163,14 +163,12 @@ def write_trajectory(fh: TextIO, path: PiecewiseAffinePath,
 
     Emits the breakpoint parameters, then one row per sample (defaulting
     to the breakpoints themselves; the last breakpoint row is the terminal
-    state by continuity).  Ascending samples are read in one forward pass
-    over the stored lines; a sample behind the last starts a new pass.
+    state by continuity).
     """
     fh.write("breakpoints " + " ".join(format_float(float(b))
                                        for b in path.breakpoints) + "\n")
     if samples is None:
         samples = path.breakpoints
-    samples = [float(s) for s in samples]
-    for s, row in zip(samples, path._values(samples)):
+    for s in map(float, samples):
         fh.write("row " + format_float(s) + " "
-                 + " ".join(format_float(float(x)) for x in row) + "\n")
+                 + " ".join(format_float(float(x)) for x in path.value_at(s)) + "\n")

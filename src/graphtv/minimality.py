@@ -20,7 +20,7 @@ import numpy as np
 from .engine import (BoxSpec, ConvexScalar, SolveReport,
                      min_separable_convex_over_polytope)
 from .errors import ConvergenceError, ValidationError
-from .graph import DEFAULT_TOL, OrientedGraph, Tolerances, ensure_vertex_field
+from .graph import OrientedGraph, Tolerances, ensure_vertex_field
 from .rof import isotropic_rof_solve, rof_solve
 
 # objective tolerance used when the caller does not pass Tolerances
@@ -219,7 +219,12 @@ def random_piecewise_linear(rng: np.random.Generator, lo: float, hi: float,
 
 @dataclass(frozen=True)
 class PhiReport:
-    """Gap between the regularized solution and one phi-specific oracle."""
+    """The certified gap of the regularized solution for one phi.
+
+    ``gap`` bounds ``objective_at_solution`` minus the minimum (see
+    :func:`_gap`), ``independent_minimum`` is the objective less the gap,
+    and ``report`` is that of the :func:`rof_solve` the bound rests on.
+    """
 
     phi: str
     objective_at_solution: float
@@ -235,20 +240,47 @@ def _tight(tol: Tolerances) -> Tolerances:
     return Tolerances(flat_tol=tol.flat_tol, solve_tol=min(tol.solve_tol, 1e-9))
 
 
+def _gap(g: OrientedGraph, f: np.ndarray, sol, phi: ConvexScalar,
+         tol: Optional[Tolerances], balls=None, where: str = "") -> tuple:
+    """``(gap, minimum)``: a bound on ``sum phi(sol.u)`` minus its minimum
+    over the slab of f, and a lower bound on that minimum.
+
+    On the coupled ``balls`` the minimum is that of an oracle started at
+    the solution's negated dual flow.  On the box (``balls`` None) no
+    oracle runs: with ``y = phi.subgradient(u)``, convexity and weak
+    duality bound the gap by
+
+        spec.gap(-dual_flow, div^T(-y)) + sum|y| * max|f + div(dual_flow) - u|,
+
+    the linearization gap at the solution's flow, O(m), plus the rounding
+    between u and ``f + div(dual_flow)``; at :func:`rof_solve`'s answer
+    both are rounding.  y is taken at u, bit-equal on each cluster, so a
+    cluster at a kink of phi takes one subgradient; at ``f +
+    div(dual_flow)`` its ulps fall on both sides of the kink.
+    """
+    if balls is not None:
+        _, rep = min_separable_convex_over_polytope(g, f, balls, phi, tol,
+                                                    warm_start=-sol.dual_flow)
+        if not rep.converged:
+            raise ConvergenceError("phi oracle did not converge for %s" % where, rep)
+        return phi.total(sol.u) - rep.objective, rep.objective
+    y = phi.subgradient(sol.u)
+    box = BoxSpec.uniform(g.edge_count, sol.alpha)
+    rounding = float(np.abs(f + g._div(sol.dual_flow) - sol.u).max())
+    gap = box.gap(-sol.dual_flow, g._div_adjoint(-y)) + float(np.abs(y).sum()) * rounding
+    return gap, phi.total(sol.u) - gap
+
+
 def verify_universal_minimality(g: OrientedGraph, f, alpha: float,
                                 catalog: Optional[PhiCatalog] = None,
                                 tol: Optional[Tolerances] = None) -> list:
-    """Compare the regularized solution against per-phi oracles.
+    """Certify that the regularized solution minimizes every catalog phi.
 
-    For each catalog member, minimizes sum phi over the feasible slab
-    f - alpha * (divergence image of the unit box) and reports the
-    objective gap of the regularized solution.  Each oracle starts at the
-    point under test, the solution's negated dual flow; the certificate
-    decides: the oracle stops only once its certified bound on
-    ``objective - minimum`` is met, and its objective never exceeds the
-    start's, so the gap is nonnegative up to rounding.  ``ok`` means the
-    gap is within ``tol.solve_tol * (1 + |minimum|)`` (default 1e-6) and
-    the oracle converged.
+    For each catalog member, bounds sum phi at :func:`rof_solve`'s answer
+    minus its minimum over the feasible slab f - alpha * (divergence image
+    of the unit box) in closed form (:func:`_gap`); no oracle runs.  ``ok``
+    means the bound is within ``tol.solve_tol * (1 + |minimum|)`` (default
+    1e-6).
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
     f = ensure_vertex_field(g, f, "f")
@@ -258,17 +290,12 @@ def verify_universal_minimality(g: OrientedGraph, f, alpha: float,
     if catalog is None:
         catalog = PhiCatalog.standard(float(f.min()), float(f.max()))
     sol = rof_solve(g, f, alpha)
-    box = BoxSpec.uniform(g.edge_count, alpha)
     out = []
     for phi in catalog:
-        _, rep = min_separable_convex_over_polytope(g, f, box, phi, tol,
-                                                    warm_start=-sol.dual_flow)
-        oracle = rep.objective
-        mine = phi.total(sol.u)
-        gap = mine - oracle
-        rel = gap / (1.0 + abs(oracle))
-        ok = rep.converged and abs(rel) <= tol.solve_tol
-        out.append(PhiReport(phi.describe(), mine, oracle, gap, rel, ok, rep))
+        gap, minimum = _gap(g, f, sol, phi, tol)
+        rel = gap / (1.0 + abs(minimum))
+        out.append(PhiReport(phi.describe(), phi.total(sol.u), minimum, gap, rel,
+                             rel <= tol.solve_tol, sol.report))
     return out
 
 
@@ -309,60 +336,49 @@ def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
 
     For each datum, solves the coupled (isotropic) regularization and
     compares, for every catalog phi except x^2, against a minimization of
-    sum phi over the same coupled feasible set.  Each oracle starts at the
-    point under test, the solution's negated dual flow; the certificate
-    decides, as in :func:`verify_universal_minimality`.  A margin
-    above ``10 * tol.solve_tol * (1 + |minimum|)`` is a witness that the
-    coupled constraint set is not invariantly phi-minimal.  With
-    ``coupled=False`` the same protocol runs on the box constraint as a
-    control and must find no witness.
+    sum phi over the same coupled feasible set, by an oracle started at the
+    point under test (:func:`_gap`).  A margin above ``10 * tol.solve_tol
+    * (1 + |minimum|)`` is a witness that the coupled constraint set is not
+    invariantly phi-minimal.  With ``coupled=False`` the same protocol runs
+    on the box constraint as a control and must find no witness; there the
+    margin is the closed-form bound at :func:`rof_solve`'s answer, and no
+    oracle runs.
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
     alpha = float(alpha)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError("alpha must be finite and positive")
+    balls = g.coupled_ball(alpha) if coupled else None
     margins = []
     witness = None
-    checked = 0
     for idx, f in enumerate(data_batch):
         f = ensure_vertex_field(g, f, "datum %d" % idx)
         cat = catalog if catalog is not None else PhiCatalog.standard(
             float(f.min()), float(f.max()))
-        if coupled:
-            spec = g.coupled_ball(alpha)
-            sol = isotropic_rof_solve(g, f, alpha, _tight(tol))
-        else:
-            spec = BoxSpec.uniform(g.edge_count, alpha)
-            sol = rof_solve(g, f, alpha)
+        sol = (isotropic_rof_solve(g, f, alpha, _tight(tol)) if coupled
+               else rof_solve(g, f, alpha))
         for phi in cat:
             if phi.name == "power2":
                 continue
-            _, rep = min_separable_convex_over_polytope(g, f, spec, phi, tol,
-                                                        warm_start=-sol.dual_flow)
-            if not rep.converged:
-                raise ConvergenceError(
-                    "phi oracle did not converge for datum %d" % idx, rep)
-            margin = phi.total(sol.u) - rep.objective
-            rel = margin / (1.0 + abs(rep.objective))
+            margin, minimum = _gap(g, f, sol, phi, tol, balls, "datum %d" % idx)
+            rel = margin / (1.0 + abs(minimum))
             margins.append(WitnessRecord(idx, phi.describe(), margin, rel))
-            checked += 1
             if rel > 10.0 * tol.solve_tol and witness is None:
                 witness = margins[-1]
                 if early_stop:
-                    return IsotropicFailureReport(coupled, alpha, witness,
-                                                  tuple(margins), checked)
-    return IsotropicFailureReport(coupled, alpha, witness, tuple(margins), checked)
+                    return IsotropicFailureReport(coupled, alpha, witness, tuple(margins),
+                                                  len(margins))
+    return IsotropicFailureReport(coupled, alpha, witness, tuple(margins), len(margins))
 
 
 @dataclass(frozen=True)
 class AnchorTrial:
-    """One anchored invariance trial."""
+    """One anchored invariance trial: its worst phi and relative gap."""
 
     index: int
     passed: bool
     worst_phi: str
     worst_relative_gap: float
-    minimizer_spread: float
 
 
 def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
@@ -379,16 +395,12 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     every catalog phi (by default spanning ``2 alpha max_degree`` either
     side of zero; objective gap within ``tol.solve_tol * (1 +
     |minimum|)``).  x* is ``a - u`` for the regularized solution u of the
-    datum a at alpha: on the box image
-    the certified :func:`rof_solve`, on the coupled image
-    :func:`isotropic_rof_solve`.  Each phi solve starts at the point under
-    test, the solution's negated dual flow; the certificate decides, as in
-    :func:`verify_universal_minimality`.  On the box image every trial
-    passes; on the coupled image failures are expected.
-
-    ``minimizer_spread`` additionally records how far the per-phi
-    minimizers wander from x* in the max norm (informative for strictly
-    convex phi, where the minimizer is unique).
+    datum a at alpha, so each check is that of
+    :func:`demonstrate_isotropic_failure` for the reflection of phi with
+    the anchor as the datum: in closed form at :func:`rof_solve`'s answer
+    on the box image, by an oracle at :func:`isotropic_rof_solve`'s on the
+    coupled image.  On the box image every trial passes; on the coupled
+    image failures are expected.
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
     alpha = float(alpha)
@@ -396,37 +408,19 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
         raise ValidationError("alpha must be finite and positive")
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = 2.0 * alpha * g.max_degree
-    if coupled:
-        spec = g.coupled_ball(alpha)
-    else:
-        spec = BoxSpec.uniform(g.edge_count, alpha)
+    balls = g.coupled_ball(alpha) if coupled else None
     if catalog is None:
         catalog = PhiCatalog.standard(-scale, scale)
     out = []
     for trial in range(int(trial_count)):
         a = rng.normal(0.0, scale / 2.0, size=g.vertex_count)
-        if coupled:
-            sol = isotropic_rof_solve(g, a, alpha, _tight(tol))
-        else:
-            sol = rof_solve(g, a, alpha)
-        h = -sol.dual_flow
-        x_star = g._div(h)
-        worst_phi = ""
-        worst_rel = 0.0
-        spread = 0.0
+        sol = (isotropic_rof_solve(g, a, alpha, _tight(tol)) if coupled
+               else rof_solve(g, a, alpha))
+        worst_phi, worst_rel = "", 0.0
         for phi in catalog:
-            # sum phi(x - a) over x = div H equals sum phi~(a - div H)
-            # with phi~ the reflection of phi
-            x_phi, rep_phi = min_separable_convex_over_polytope(
-                g, a, spec, phi.reflect(), tol, warm_start=h)
-            if not rep_phi.converged:
-                raise ConvergenceError("anchored phi solve did not converge", rep_phi)
-            gap = float(np.sum(phi.evaluate(x_star - a))) - rep_phi.objective
-            rel = gap / (1.0 + abs(rep_phi.objective))
+            gap, minimum = _gap(g, a, sol, phi.reflect(), tol, balls, "anchor %d" % trial)
+            rel = gap / (1.0 + abs(minimum))
             if rel > worst_rel:
-                worst_rel = rel
-                worst_phi = phi.describe()
-            spread = max(spread, float(np.abs((a - x_phi) - x_star).max()))
-        out.append(AnchorTrial(trial, worst_rel <= tol.solve_tol, worst_phi,
-                               worst_rel, spread))
+                worst_rel, worst_phi = rel, phi.describe()
+        out.append(AnchorTrial(trial, worst_rel <= tol.solve_tol, worst_phi, worst_rel))
     return out

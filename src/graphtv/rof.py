@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -61,12 +60,12 @@ class _Lines:
     segment stores only the lines it sets, as their indices, anchor values
     and slopes, and one anchor parameter ``since`` for all of them.  While
     a builder appends, ``anchor``, ``slope`` and ``since`` hold the current
-    lines, zero before a segment sets them; :meth:`replay` builds them
-    again, segment by segment from the first.
+    lines, zero before a segment sets them.  :meth:`close` sorts the lines
+    by entry and segment for :meth:`lines_at`'s search.
     """
 
-    __slots__ = ("size", "anchor", "slope", "since", "ats", "parts", "index",
-                 "anchors", "slopes", "ends")
+    __slots__ = ("size", "anchor", "slope", "since", "ats", "parts", "keys",
+                 "anchors", "slopes", "first")
 
     def __init__(self, size: int):
         self.size = size
@@ -88,22 +87,47 @@ class _Lines:
         return self.anchor + (x - self.since) * self.slope
 
     def close(self) -> None:
-        """Pack the segments into one array each; the store takes no more."""
-        parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))] + self.parts
-        self.ends = np.cumsum([idx.size for idx, _, _ in parts])
-        self.index, self.anchors, self.slopes = (np.concatenate(a) for a in zip(*parts))
-        self.ats = np.array(self.ats, dtype=float)
+        """Pack the lines into one array each, sorted by the key ``entry *
+        K + segment`` for K segments; the store takes no more."""
+        empty = (np.empty(0, np.intp), np.empty(0), np.empty(0))
+        counts = [idx.size for idx, _, _ in self.parts]
+        index, anchors, slopes = (np.concatenate(a) for a in zip(empty, *self.parts))
         self.anchor = self.slope = self.since = self.parts = None
+        order = np.argsort(index, kind="stable")
+        index *= len(self.ats)
+        index += np.repeat(np.arange(len(self.ats)), counts)
+        # one gather at a time, each freeing the unsorted array it replaces
+        self.keys = index[order]
+        del index
+        self.anchors = anchors[order]
+        del anchors
+        self.slopes = slopes[order]
+        self.first = np.searchsorted(self.keys, np.arange(self.size) * len(self.ats))
+        self.ats = np.array(self.ats, dtype=float)
+
+    def lines_at(self, k: int) -> tuple:
+        """The lines ``(anchor, slope, since)`` of segment k: each entry's
+        last line set at or before segment k, zero where none is."""
+        key = np.arange(self.size) * self.ats.size
+        pos = np.searchsorted(self.keys, key + k, side="right") - 1
+        found = pos >= self.first
+        pos = pos[found]
+        anchor, slope, since = np.zeros(self.size), np.zeros(self.size), np.zeros(self.size)
+        anchor[found], slope[found] = self.anchors[pos], self.slopes[pos]
+        since[found] = self.ats[self.keys[pos] - key[found]]
+        return anchor, slope, since
 
     def replay(self):
         """The lines ``(anchor, slope, since)`` of each segment in order.  The
         arrays are the replay's own and change at the next segment: read
         them, do not write."""
         anchor, slope, since = np.zeros(self.size), np.zeros(self.size), np.zeros(self.size)
-        ends = self.ends.tolist()
+        entry, segment = np.divmod(self.keys, max(self.ats.size, 1))
+        order = np.argsort(segment, kind="stable")
+        ends = np.searchsorted(segment[order], np.arange(self.ats.size + 1)).tolist()
         for at, lo, hi in zip(self.ats.tolist(), ends, ends[1:]):
-            idx = self.index[lo:hi]
-            anchor[idx], slope[idx], since[idx] = self.anchors[lo:hi], self.slopes[lo:hi], at
+            idx, lines = entry[order[lo:hi]], order[lo:hi]
+            anchor[idx], slope[idx], since[idx] = self.anchors[lines], self.slopes[lines], at
             yield anchor, slope, since
 
 
@@ -117,11 +141,12 @@ class PiecewiseAffinePath:
     Each entry follows a line that only some breakpoints change, and the
     path stores each line once, at the segment that sets it.  Segment k's
     left value is the lines at b_k, ``anchor + (b_k - since) * slope``, and
-    its value at x is ``left + (x - b_k) * slope``.  :meth:`value_at`,
-    :meth:`slope_at` and the rows read the lines in one forward pass from
-    the first segment, so they cost the changes up to the segment read,
-    and O(n) for each row built.  ``left_values`` and ``slopes`` build
-    K x n arrays on demand.  The dense constructor stores every row whole,
+    its value at x is ``left + (x - b_k) * slope``.  :meth:`value_at` and
+    :meth:`slope_at` find each entry's line by one binary search over the
+    stored lines, O(n log L) for L lines; the rows are read in one forward
+    pass from the first segment, which costs the changes and O(n) for each
+    row built.  ``left_values`` and ``slopes`` build K x n arrays on
+    demand.  The dense constructor stores every row whole,
     each line anchored at its segment's left end.
     """
 
@@ -191,31 +216,20 @@ class PiecewiseAffinePath:
             return -1
         return int(np.searchsorted(self.breakpoints, x, side="right")) - 1
 
-    def _values(self, xs):
-        # value_at at each x of xs, in one forward pass while xs ascend
-        b = self.breakpoints
-        lines = None
-        for x in xs:
-            k = self._segment(x)
-            if k < 0:
-                yield self.terminal_value.copy()
-                continue
-            if lines is None or at > k:
-                lines, at = self._lines.replay(), -1
-            while at < k:
-                anchor, slope, since = next(lines)
-                at += 1
-            yield anchor + (b[k] - since) * slope + (x - b[k]) * slope
-
     def value_at(self, x: float) -> np.ndarray:
-        return next(self._values([x]))
+        k = self._segment(x)
+        if k < 0:
+            return self.terminal_value.copy()
+        anchor, slope, since = self._lines.lines_at(k)
+        b = self.breakpoints[k]
+        return anchor + (b - since) * slope + (x - b) * slope
 
     def slope_at(self, x: float) -> np.ndarray:
         """Right slope at x (zero beyond the last breakpoint)."""
         k = self._segment(x)
         if k < 0:
             return np.zeros_like(self.terminal_value)
-        return next(islice(self._lines.replay(), k, None))[1].copy()
+        return self._lines.lines_at(k)[1]
 
 
 def _checked(g, f, alpha):

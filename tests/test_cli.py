@@ -160,6 +160,23 @@ def test_cli_flow_rejects_a_bad_time_before_the_flow(problem_file, capsys, monke
             "usage error: parameter must be finite and nonnegative\n")
 
 
+def test_cli_isotropic_rejects_a_negative_seed(problem_file, capsys, monkeypatch):
+    # a negative --seed is a usage error (exit 2) naming the flag, found
+    # before any solve runs; numpy would raise on it after the problem is read
+    import graphtv.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the isotropic check ran")
+
+    monkeypatch.setattr(graphtv.cli, "demonstrate_isotropic_failure", unreachable)
+    for seed in ("-3", "-1"):
+        assert main(["verify", "--mode", "isotropic", problem_file, "--trials", "4",
+                     "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --seed must be nonnegative\n"
+
+
 def test_deterministic_json_key_order():
     doc = {"b": 1.5, "a": [True, None, 3]}
     assert dumps_deterministic(doc) == '{"b": 1.5, "a": [true, null, 3]}'

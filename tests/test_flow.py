@@ -629,8 +629,8 @@ def test_flow_breakpoints_match_the_path_on_paths():
 
 
 def test_replay_gives_the_builders_bits(monkeypatch):
-    # value_at, slope_at, direction_at and antiderivative_at read the lines
-    # in one forward pass from the first segment; at every breakpoint and
+    # value_at, slope_at, direction_at and antiderivative_at find each
+    # entry's stored line by one search; at every breakpoint and
     # midpoint they give the bits of the states the builder computed,
     # recorded here as it stores their lines, and so does u(t) = f + div
     # F(t); past the end they give the terminal state, a zero slope and the
@@ -693,11 +693,26 @@ def test_replay_gives_the_builders_bits(monkeypatch):
                     scale = float(f.max() - f.min())
                     assert np.abs(f + divergence(g, final) - path.terminal_value).max() < (
                         1e-9 * scale)
-            # one forward pass for ascending samples, a restart for each
-            # sample behind the last: the same rows either way
+            # ascending and descending samples give the same rows
             up, down = StringIO(), StringIO()
             write_trajectory(up, path, xs)
             write_trajectory(down, path, xs[::-1])
             rows = up.getvalue().splitlines()
             assert rows[0] + "\n" + "\n".join(rows[:0:-1]) + "\n" == down.getvalue()
     assert longest > 128
+
+
+def test_an_entry_with_no_stored_line_reads_zero():
+    # on path_graph(4) with f = [1, 0, 0, 1] the flat middle edge keeps
+    # F = 0 and H = 0, the zero line every entry starts from, so no segment
+    # stores a line for it; a read finds no line for that edge and gives 0,
+    # not the line of the edge stored before it
+    g = path_graph(4)
+    traj = flow_solve(g, np.array([1.0, 0.0, 0.0, 1.0]))
+    b = traj.breakpoints
+    for k in range(b.size - 1):
+        t = 0.5 * (b[k] + b[k + 1])
+        big_f = traj.antiderivative_at(t)
+        assert big_f[1] == 0.0
+        expected = traj.antiderivative[k] - (t - b[k]) * traj.flows[k]
+        assert big_f.tobytes() == expected.tobytes()

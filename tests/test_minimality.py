@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from graphtv import (BoxSpec, demonstrate_isotropic_failure, divergence,
-                     empirical_invariant_phi_min_check, isotropic_rof_solve,
-                     min_separable_convex_over_polytope, power_phi, rof_solve,
-                     verify_universal_minimality)
+from graphtv import (BoxSpec, RofSolution, demonstrate_isotropic_failure,
+                     divergence, empirical_invariant_phi_min_check,
+                     isotropic_rof_solve, min_separable_convex_over_polytope,
+                     power_phi, rof_solve, verify_universal_minimality)
 from graphtv import minimality
 from graphtv.minimality import PhiCatalog, piecewise_linear_phi
 from graphtv.instances import (cartesian_graph, nonequivalence_instance,
@@ -153,19 +153,17 @@ def test_oracle_from_a_wrong_start_agrees_with_cold():
 
 
 def test_gaps_and_margins_are_nonnegative(monkeypatch):
-    # every oracle starts at the point under test and cannot end above it,
-    # so each reported gap or margin is >= 0 up to the rounding between u
-    # and f + div(dual_flow).  The anchor check reports only its worst gap,
-    # so its gaps are read off the oracle calls: phi~(a - div h) at the
-    # start h, the projection's flow, is phi(x* - a)
+    # each reported gap or margin bounds phi(u) minus a minimum over a set
+    # that holds u, so it is >= 0 up to the rounding between u and f +
+    # div(dual_flow): on the box the closed-form bound, on the coupled
+    # balls an oracle started at the point under test.  The anchor check
+    # reports only its worst gap, so its gaps are read off its checks
     anchor_gaps = []
 
-    def recording(g, base, spec, phi, tol=None, *, warm_start=None):
-        x, rep = min_separable_convex_over_polytope(
-            g, base, spec, phi, tol, warm_start=warm_start)
-        at_start = phi.total(base - divergence(g, warm_start))
-        anchor_gaps.append((at_start - rep.objective, rep.objective))
-        return x, rep
+    def recording(*args):
+        gap, minimum = gap_of(*args)
+        anchor_gaps.append((gap, minimum))
+        return gap, minimum
 
     for g, f, alpha in _soundness_cases():
         for r in verify_universal_minimality(g, f, alpha):
@@ -180,7 +178,8 @@ def test_gaps_and_margins_are_nonnegative(monkeypatch):
         assert rep.checked == len(batch) * 6
         for m in rep.margins:
             assert m.relative_margin >= -1e-12, (m.phi, m.margin)
-    monkeypatch.setattr(minimality, "min_separable_convex_over_polytope", recording)
+    gap_of = minimality._gap
+    monkeypatch.setattr(minimality, "_gap", recording)
     g = cartesian_graph(4, 4)
     empirical_invariant_phi_min_check(g, 0.5, trial_count=2,
                                       rng=np.random.default_rng(SEED + 7))
@@ -192,9 +191,11 @@ def test_gaps_and_margins_are_nonnegative(monkeypatch):
 
 
 def test_oracle_iterations_stay_small_on_a_grid(monkeypatch):
-    # started at the point under test, the 7 oracles of a 16x16 grid at
-    # alpha 0.5 spend a few hundred iterations at most (about 2000 from
-    # zero), and one anchored trial's 7 at most 200 (about 1100 from zero)
+    # the box checks call no oracle; an oracle started at the point under
+    # test, as the coupled checks start theirs, stays cheap: the 7 oracles
+    # of a 16x16 grid at alpha 0.5 spend a few hundred iterations at most
+    # (about 2000 from zero), and one anchored trial's 7 at most 200 (about
+    # 1100 from zero)
     spent = []
 
     def counting(*args, **kwargs):
@@ -207,9 +208,101 @@ def test_oracle_iterations_stay_small_on_a_grid(monkeypatch):
     f = random_vertex_field(np.random.default_rng(SEED + 8), g.vertex_count)
     reports = verify_universal_minimality(g, f, 0.5)
     assert all(r.ok for r in reports)
+    rng = np.random.default_rng(SEED + 9)
+    trials = empirical_invariant_phi_min_check(g, 0.5, trial_count=1, rng=rng)
+    assert trials[0].passed
+    assert spent == []
+    box = BoxSpec.uniform(g.edge_count, 0.5)
+    start = -rof_solve(g, f, 0.5).dual_flow
+    for phi in PhiCatalog.standard(float(f.min()), float(f.max())):
+        counting(g, f, box, phi, warm_start=start)
     assert len(spent) == 7 and sum(spent) <= 400
     spent.clear()
-    trials = empirical_invariant_phi_min_check(g, 0.5, trial_count=1,
-                                               rng=np.random.default_rng(SEED + 9))
-    assert trials[0].passed
+    # the first anchor of the trial above, and its catalog
+    scale = 2.0 * 0.5 * g.max_degree
+    a = np.random.default_rng(SEED + 9).normal(0.0, scale / 2.0, size=g.vertex_count)
+    start = -rof_solve(g, a, 0.5).dual_flow
+    for phi in PhiCatalog.standard(-scale, scale):
+        counting(g, a, box, phi.reflect(), warm_start=start)
     assert len(spent) == 7 and sum(spent) <= 200
+
+
+def _no_box_oracle(monkeypatch):
+    # the oracle raises on a box: a check that calls it fails
+    oracle = minimality.min_separable_convex_over_polytope
+
+    def coupled_only(g, base, spec, *args, **kwargs):
+        if isinstance(spec, BoxSpec):
+            raise AssertionError("a box check called the phi oracle")
+        return oracle(g, base, spec, *args, **kwargs)
+
+    monkeypatch.setattr(minimality, "min_separable_convex_over_polytope", coupled_only)
+
+
+def _box_checks(g, f, alpha, catalog=None):
+    # the relative bounds of the three box checks, all passing
+    reports = verify_universal_minimality(g, f, alpha, catalog)
+    assert all(r.ok for r in reports)
+    control = demonstrate_isotropic_failure(g, [f], alpha, catalog, coupled=False,
+                                            early_stop=False)
+    assert not control.witness_found
+    trials = empirical_invariant_phi_min_check(g, alpha, trial_count=2, catalog=catalog,
+                                               rng=np.random.default_rng(SEED + 10))
+    assert all(t.passed for t in trials)
+    return ([r.relative_gap for r in reports]
+            + [m.relative_margin for m in control.margins]
+            + [t.worst_relative_gap for t in trials])
+
+
+def test_box_checks_call_no_oracle(monkeypatch):
+    # rof_solve's certified answer decides every box check in closed form
+    _no_box_oracle(monkeypatch)
+    g = cartesian_graph(16, 16)
+    cases = _soundness_cases() + [
+        (g, random_vertex_field(np.random.default_rng(SEED + 11), g.vertex_count), 0.5)]
+    for g, f, alpha in cases:
+        for rel in _box_checks(g, f, alpha):
+            assert rel <= 1e-10, rel
+
+
+def test_box_bound_at_a_kink_of_phi(monkeypatch):
+    # the largest cluster of a 12x12 grid shifted onto exactly 0, the kink
+    # of |x| and a knot of a piecewise-linear phi: the subgradient is taken
+    # at u, whose values on the cluster are bit-equal, so every vertex of
+    # the cluster takes the same one and the bound stays at rounding
+    _no_box_oracle(monkeypatch)
+    g = cartesian_graph(12, 12)
+    catalog = PhiCatalog((power_phi(1.0), piecewise_linear_phi([0.0], [-1.0, 2.0])))
+    for seed in (1, 2):
+        f = random_vertex_field(np.random.default_rng(seed), g.vertex_count)
+        sol = rof_solve(g, f, 0.5)
+        values, counts = np.unique(sol.u, return_counts=True)
+        cluster = sol.u == values[np.argmax(counts)]
+        for _ in range(3):
+            f = f - sol.u[cluster][0]
+            sol = rof_solve(g, f, 0.5)
+        assert cluster.sum() > 50 and not sol.u[cluster].any()
+        for r in verify_universal_minimality(g, f, 0.5, catalog):
+            assert r.ok and r.relative_gap <= 1e-10, (r.phi, r.relative_gap)
+
+
+def test_box_bound_is_not_vacuous():
+    # at a feasible point off the solution the x^2 bound is at least the
+    # true excess over the solution, the minimum, and above solve_tol; at a
+    # u bumped off f + div(dual_flow) the bound of every phi covers the
+    # excess, which the linearization gap alone does not
+    for g, f, alpha in _soundness_cases():
+        sol = rof_solve(g, f, alpha)
+        p = rof_solve(g, f, 2.0 * alpha).dual_flow / 2.0
+        u = f + divergence(g, p)
+        phi = power_phi(2.0)
+        bound, _ = minimality._gap(g, f, RofSolution(alpha, u, p, sol.report), phi, None)
+        excess = phi.total(u) - phi.total(sol.u)
+        assert bound >= excess > 0.0
+        assert bound > minimality.DEFAULT_CHECK_TOL.solve_tol
+        bumped = sol.u.copy()
+        bumped[0] += 1e-3
+        off = RofSolution(alpha, bumped, sol.dual_flow, sol.report)
+        for phi in PhiCatalog.standard(float(f.min()), float(f.max())):
+            bound, _ = minimality._gap(g, f, off, phi, None)
+            assert bound >= phi.total(bumped) - phi.total(sol.u), phi.name
