@@ -194,8 +194,8 @@ def test_oracle_iterations_stay_small_on_a_grid(monkeypatch):
     # the box checks call no oracle; an oracle started at the point under
     # test, as the coupled checks start theirs, stays cheap: the 7 oracles
     # of a 16x16 grid at alpha 0.5 spend a few hundred iterations at most
-    # (about 2000 from zero), and one anchored trial's 7 at most 200 (about
-    # 1100 from zero)
+    # (about 1600 from zero), and one anchored trial's 7 at most 200 (about
+    # 1000 from zero)
     spent = []
 
     def counting(*args, **kwargs):
