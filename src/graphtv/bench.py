@@ -24,7 +24,7 @@ from .instances import (SWITCHING_EDGE, flow_dual_switching_reference,
                         flow_reference, nonequivalence_instance,
                         nonequivalence_variant_datum, regularization_dual_reference,
                         regularization_reference, variant_reference)
-from .rof import PiecewiseAffinePath, RofSolution, rof_path, rof_solve
+from .rof import rof_path, rof_solve
 
 
 def jump_set(g: OrientedGraph, u, tol: Optional[Tolerances] = None, *,
@@ -64,12 +64,11 @@ class EquivalenceReport:
 
 def equivalence_report(g: OrientedGraph, f, alpha: float,
                        tol: Optional[Tolerances] = None, *,
-                       trajectory: Optional[FlowTrajectory] = None,
-                       regularized: Optional[RofSolution] = None) -> EquivalenceReport:
+                       trajectory: Optional[FlowTrajectory] = None) -> EquivalenceReport:
     """Compare regularization and flow at one parameter value.
 
-    Passing a precomputed ``trajectory`` (and optionally the regularized
-    solution) avoids re-integrating the flow for every alpha on a grid.
+    Passing a precomputed ``trajectory`` avoids re-integrating the flow for
+    every alpha on a grid.  The regularized solution is :func:`rof_solve`'s.
     ``tol.flat_tol`` marks the ties of f for the flow and of the flow state
     for the membership test; ``tol.solve_tol`` is not read.
     """
@@ -80,9 +79,7 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
         raise ValidationError("alpha must be finite and positive")
     if trajectory is None:
         trajectory = flow_solve(g, f, tol)
-    if regularized is None:
-        regularized = rof_solve(g, f, alpha)
-    u_reg = regularized.u
+    u_reg = rof_solve(g, f, alpha).u
     u_flow = trajectory.value_at(alpha)
     diff = u_reg - u_flow
     linf = float(np.abs(diff).max())

@@ -9,7 +9,8 @@ Subcommands:
   verify   run the built-in verification suites
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 bad usage,
-3 unreadable or invalid problem file, 4 solver did not converge.
+3 unreadable or invalid problem file or unwritable --output, 4 solver did
+not converge.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ def _reject_unread(args, mode: str, *flags: str) -> None:
 
 def _emit(args, text: str) -> None:
     if args.output is not None:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s" % (args.output, exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -187,7 +191,7 @@ def _cmd_verify(args) -> int:
             lines.append("PASS witness datum=%d phi=%s margin=%s" % (
                 w.datum_index, w.phi, format_float(w.margin)))
         else:
-            lines.append("FAIL no witness among %d data" % report.checked)
+            lines.append("FAIL no witness among %d data" % len(batch))
         ok = report.witness_found
     lines.append("verification %s" % ("PASSED" if ok else "FAILED"))
     _emit(args, "\n".join(lines) + "\n")

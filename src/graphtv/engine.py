@@ -38,11 +38,13 @@ from .errors import ValidationError
 if TYPE_CHECKING:
     from .graph import OrientedGraph, Tolerances
 
+# The one iteration cap of every solve
 DEFAULT_MAX_ITER = 1_000_000
 
-# Objective tolerance used by the separable minimizer when no Tolerances
-# object is supplied.  Projections default to the tighter Tolerances()
-# value (1e-9) taken from graph.DEFAULT_TOL.
+# Objective tolerance of the separable minimizer, and of the minimality
+# checks built on it, when no Tolerances object is supplied.  Projections
+# default to the tighter Tolerances() value (1e-9) taken from
+# graph.DEFAULT_TOL.
 DEFAULT_OBJECTIVE_TOL = 1e-6
 
 
@@ -115,9 +117,9 @@ class BoxSpec:
     def project(self, h: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(h, self.lower), self.upper)
 
-    def contains(self, h, slack: float = 0.0) -> bool:
+    def contains(self, h) -> bool:
         h = np.asarray(h, dtype=float)
-        return bool(np.all(h >= self.lower - slack) and np.all(h <= self.upper + slack))
+        return bool(np.all(h >= self.lower) and np.all(h <= self.upper))
 
     def gap(self, h: np.ndarray, grad: np.ndarray) -> float:
         """``<grad, h> - min over the box of <grad, .>``, summed per edge.
@@ -208,17 +210,6 @@ class GroupBallSpec:
         return float((dot[single] + r * np.abs(grad[single])).sum()
                      + (dot[first] + dot[second]
                         + r * np.hypot(grad[first], grad[second])).sum())
-
-    def contains(self, h, slack: float = 0.0) -> bool:
-        h = np.asarray(h, dtype=float)
-        r = self.radius + slack
-        ok = True
-        if self._singles.size:
-            ok = bool(np.all(np.abs(h[self._singles]) <= r))
-        if ok and self._pairs.size:
-            norms = np.hypot(h[self._pairs[:, 0]], h[self._pairs[:, 1]])
-            ok = bool(np.all(norms <= r))
-        return ok
 
     def magnitude(self) -> float:
         return self.radius
@@ -362,7 +353,7 @@ PATIENCE = 125
 
 
 def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
-                         stop_tol, max_iter, adaptive=False):
+                         stop_tol, max_iter=DEFAULT_MAX_ITER, adaptive=False):
     """FISTA-style iteration with restart on objective increase.
 
     The objective is a function of ``z = div h`` alone: ``value(z)`` is its
@@ -429,7 +420,7 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     y, zy = x, z
     t = 1.0
     it = 0
-    best_x, best_meas = x, math.inf
+    best_x, best_meas, best_f = x, math.inf, fx
     checks_since_gain = 0
     converged = False
 
@@ -463,9 +454,6 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
                 break
             if checks_since_gain >= PATIENCE:
                 break
-    if not math.isfinite(best_meas):
-        best_x, best_meas, best_f = x, check(x, z, fx), fx
-        converged = best_meas <= stop_tol
     return best_x, it, best_meas, best_f, converged
 
 
@@ -475,26 +463,26 @@ def _default_tol():
 
 
 def project_onto_div_box(g: "OrientedGraph", target, spec,
-                         tol: "Tolerances | None" = None, *,
-                         warm_start=None,
-                         max_iter: int = DEFAULT_MAX_ITER):
+                         tol: "Tolerances | None" = None):
     """Euclidean projection of ``target`` onto {div H : H in spec}.
 
     Minimizes ``0.5 * ||target - div H||_2^2`` over the box (or group-ball)
-    constraint ``spec`` by accelerated projected gradient with step
-    ``1 / (2 * max_degree)``; ``||div||^2 <= 2 * max_degree``.  Stops when the
-    gradient-mapping norm falls below ``tol.solve_tol``.
+    constraint ``spec`` by accelerated projected gradient from zero, with
+    step ``1 / (2 * max_degree)``; ``||div||^2 <= 2 * max_degree``.  Stops
+    when the gradient-mapping norm falls to a quarter of ``tol.solve_tol``,
+    the ``optimality`` reported.
 
     Returns
     -------
     (H, report) : the optimal flow and a :class:`SolveReport`.  ``div H`` is
     the projected point; it is unique even when ``H`` itself is not.
-    Nonconvergence within ``max_iter`` is reported via the report flag, not
+    Nonconvergence within ``DEFAULT_MAX_ITER`` iterations, or a stall (see
+    :func:`_accelerated_descent`), is reported via the report flag, not
     raised.
     """
     tol = tol if tol is not None else _default_tol()
     target = ensure_vertex_field(g, target, "target")
-    x0 = _start(g, spec, warm_start)
+    x0 = _start(g, spec, None)
 
     lips = 2.0 * max(g.max_degree, 1)
     step = 1.0 / lips
@@ -511,30 +499,24 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
         d = x - spec.project(x - step * grad)
         return math.sqrt(float((d * d).sum())) * lips
 
-    # stop slightly inside the contract so downstream 10*solve_tol
-    # invariants (warm-start independence) hold with margin
     x, it, meas, obj, conv = _accelerated_descent(
         g, x0, value=value, slope=lambda z: z - target,
         lips=lips, project=spec.project, measure=mapping_norm,
-        stop_tol=0.25 * tol.solve_tol, max_iter=max_iter)
+        stop_tol=0.25 * tol.solve_tol)
     return x, SolveReport(it, obj, meas, conv, method="apgd-projection")
 
 
 def min_norm_divergence(g: "OrientedGraph", spec,
-                        tol: "Tolerances | None" = None, *,
-                        warm_start=None,
-                        max_iter: int = DEFAULT_MAX_ITER):
+                        tol: "Tolerances | None" = None):
     """Minimum-Euclidean-norm element of {div H : H in spec}.
 
     Projection of the origin; see :func:`project_onto_div_box`.  Returns
     ``(H, report)`` where ``div H`` is the (unique) minimum-norm divergence.
     """
-    return project_onto_div_box(
-        g, np.zeros(g.vertex_count), spec, tol,
-        warm_start=warm_start, max_iter=max_iter)
+    return project_onto_div_box(g, np.zeros(g.vertex_count), spec, tol)
 
 
-def _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter):
+def _smooth_descent(g, base, spec, phi, tol_obj, x0):
     """Accelerated descent on the true objective, for phi with a curvature bound.
 
     Stops once the objective's linearization duality gap (``spec.gap``,
@@ -553,11 +535,11 @@ def _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter):
         slope=lambda z: -phi.subgradient(base - z),
         lips=2.0 * max(g.max_degree, 1) * curv, project=spec.project,
         measure=lambda x, grad, obj: spec.gap(x, grad) / eps(obj),
-        stop_tol=1.0, max_iter=max_iter, adaptive=True)
+        stop_tol=1.0, adaptive=True)
     return x, SolveReport(it, obj, meas * eps(obj), conv, method="apgd-smooth")
 
 
-def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter):
+def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0):
     """Moreau-smoothing continuation for nonsmooth phi with a prox.
 
     Stage ``delta`` minimizes the smoothed objective ``sum_v e(u_v)``, with
@@ -611,7 +593,7 @@ def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter):
             return float(phi.evaluate(p).sum() + ((u - p) ** 2).sum() / (2.0 * _d))
 
         stage_tol = 0.5 * eps if final else max(0.25 * delta * sq, 0.25 * eps)
-        budget = max_iter - total_it
+        budget = DEFAULT_MAX_ITER - total_it
         if budget <= 0:
             break
         x, it, meas, _, stage_conv = _accelerated_descent(
@@ -643,8 +625,7 @@ def _reachable_interval(g, base, spec):
 def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
                                        phi: ConvexScalar,
                                        tol: "Tolerances | None" = None, *,
-                                       warm_start=None,
-                                       max_iter: int = DEFAULT_MAX_ITER):
+                                       warm_start=None):
     """Minimize ``sum_v phi(u(v))`` over ``u in {base - div H : H in spec}``.
 
     Method is chosen from the metadata on ``phi``: a curvature bound selects
@@ -670,8 +651,8 @@ def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
     x0 = spec.project(_start(g, spec, warm_start))
 
     if phi.curvature is not None:
-        h, report = _smooth_descent(g, base, spec, phi, tol_obj, x0, max_iter)
+        h, report = _smooth_descent(g, base, spec, phi, tol_obj, x0)
     else:
         prox = phi.prox if phi.prox is not None else bisection_prox(phi.subgradient)
-        h, report = _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0, max_iter)
+        h, report = _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0)
     return base - g._div(h), report

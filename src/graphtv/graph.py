@@ -1070,18 +1070,54 @@ class PatternKernel:
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
         else ``start`` plus the flow on the cluster's spanning tree that
         carries start's divergence error (see :meth:`_repair`), if given
-        and it fits; else the flow of its max-flow test at the exact t, kept
-        on the cluster if the split search, :meth:`settle` or an earlier
-        event ran it, else run now, in one max-flow with the other such
-        clusters.  A cluster with no flow in [-1, 1] gets one that misses
-        the divergence; the caller's certificate finds it.
+        and it fits; else the flow of its max-flow test at the exact t, if
+        the split search, :meth:`settle` or an earlier event ran it; else,
+        where t lies strictly between two of its passing tests, their
+        convex combination (see :meth:`_between`); else the flow of a test
+        run now, in one max-flow with the other such clusters.  A cluster
+        with no flow in [-1, 1] gets one that misses the divergence; the
+        caller's certificate finds it.
         """
         h, misfit = self._forest_at(t)
         if misfit and start is not None:
             misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
-        for k, entry in zip(misfit, self._route([(k, t) for k in misfit])):
+        todo = []
+        for k in misfit:
+            flow = self._between(k, t)
+            if flow is None:
+                todo.append(k)
+            else:
+                h[self.clusters.edges(k)] = flow
+        for k, entry in zip(todo, self._route([(k, t) for k in todo])):
             h[self.clusters.edges(k)] = entry[3]
         return h
+
+    def _between(self, k: int, t: Fraction) -> Optional[np.ndarray]:
+        # cluster k's flow at t from two passing tests at lo < t < hi in
+        # Cluster.tests, its forest flow at t = 0 one of them where it fits
+        # (a misfit cluster at t = 0 has no such flow).  The divergence is
+        # affine in t and the box convex, so their convex combination is a
+        # flow at t; the weights x and fl(1 - x) keep it in [-1, 1] under
+        # rounding.  None where t has a test of its own, which _route hands
+        # back, or no passing test lies on one side of t
+        tests = self.clusters.cluster(k).tests or {}
+        if (t.numerator, t.denominator) in tests:
+            return None
+        below = above = None
+        forest, edge_size, failed = self.calibration()
+        if not failed[k]:
+            part = self.clusters.edges(k)
+            below = Fraction(0), forest[part] / edge_size[part]
+        for s, ok, _, flow in tests.values():
+            if ok and s < t:
+                below = s, flow
+            elif ok:
+                above = s, flow
+        if below is None or above is None:
+            return None
+        (lo, h_lo), (hi, h_hi) = below, above
+        x = float((hi - t) / (hi - lo))
+        return x * h_lo + (1.0 - x) * h_hi
 
     def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
         """None if the flow h lies in [-1, 1] and has divergence r up to

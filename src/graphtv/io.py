@@ -19,7 +19,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Optional, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -157,18 +157,14 @@ def read_problem(path: str) -> tuple:
     return problem_from_dict(doc)
 
 
-def write_trajectory(fh: TextIO, path: PiecewiseAffinePath,
-                     samples: Optional[np.ndarray] = None) -> None:
+def write_trajectory(fh: TextIO, path: PiecewiseAffinePath) -> None:
     """Serialize a piecewise affine path as text.
 
-    Emits the breakpoint parameters, then one row per sample (defaulting
-    to the breakpoints themselves; the last breakpoint row is the terminal
-    state by continuity).
+    Emits the breakpoint parameters, then one row per breakpoint (the last
+    row is the terminal state by continuity).
     """
     fh.write("breakpoints " + " ".join(format_float(float(b))
                                        for b in path.breakpoints) + "\n")
-    if samples is None:
-        samples = path.breakpoints
-    for s in map(float, samples):
+    for s in map(float, path.breakpoints):
         fh.write("row " + format_float(s) + " "
                  + " ".join(format_float(float(x)) for x in path.value_at(s)) + "\n")

@@ -17,14 +17,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .engine import (BoxSpec, ConvexScalar, SolveReport,
+from .engine import (DEFAULT_OBJECTIVE_TOL, BoxSpec, ConvexScalar, SolveReport,
                      min_separable_convex_over_polytope)
 from .errors import ConvergenceError, ValidationError
 from .graph import OrientedGraph, Tolerances, ensure_vertex_field
 from .rof import isotropic_rof_solve, rof_solve
 
 # objective tolerance used when the caller does not pass Tolerances
-DEFAULT_CHECK_TOL = Tolerances(solve_tol=1e-6)
+DEFAULT_CHECK_TOL = Tolerances(solve_tol=DEFAULT_OBJECTIVE_TOL)
 
 
 def power_phi(p: float) -> ConvexScalar:
@@ -235,11 +235,6 @@ class PhiReport:
     report: SolveReport
 
 
-def _tight(tol: Tolerances) -> Tolerances:
-    # projections inside these checks always run at least this tight
-    return Tolerances(flat_tol=tol.flat_tol, solve_tol=min(tol.solve_tol, 1e-9))
-
-
 def _gap(g: OrientedGraph, f: np.ndarray, sol, phi: ConvexScalar,
          tol: Optional[Tolerances], balls=None, where: str = "") -> tuple:
     """``(gap, minimum)``: a bound on ``sum phi(sol.u)`` minus its minimum
@@ -330,19 +325,19 @@ class IsotropicFailureReport:
 def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
                                   catalog: Optional[PhiCatalog] = None,
                                   tol: Optional[Tolerances] = None, *,
-                                  coupled: bool = True,
-                                  early_stop: bool = True) -> IsotropicFailureReport:
+                                  coupled: bool = True) -> IsotropicFailureReport:
     """Search a data batch for a phi-minimality failure of the coupled solver.
 
-    For each datum, solves the coupled (isotropic) regularization and
-    compares, for every catalog phi except x^2, against a minimization of
-    sum phi over the same coupled feasible set, by an oracle started at the
-    point under test (:func:`_gap`).  A margin above ``10 * tol.solve_tol
-    * (1 + |minimum|)`` is a witness that the coupled constraint set is not
-    invariantly phi-minimal.  With ``coupled=False`` the same protocol runs
-    on the box constraint as a control and must find no witness; there the
-    margin is the closed-form bound at :func:`rof_solve`'s answer, and no
-    oracle runs.
+    For each datum, solves the coupled (isotropic) regularization at
+    :func:`isotropic_rof_solve`'s own tolerance and compares, for every
+    catalog phi except x^2, against a minimization of sum phi over the same
+    coupled feasible set, by an oracle started at the point under test
+    (:func:`_gap`).  A margin above ``10 * tol.solve_tol * (1 +
+    |minimum|)`` is a witness that the coupled constraint set is not
+    invariantly phi-minimal; the search stops at the first.  With
+    ``coupled=False`` the same protocol runs on the box constraint as a
+    control and must find no witness; there the margin is the closed-form
+    bound at :func:`rof_solve`'s answer, and no oracle runs.
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
     alpha = float(alpha)
@@ -350,25 +345,21 @@ def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
         raise ValidationError("alpha must be finite and positive")
     balls = g.coupled_ball(alpha) if coupled else None
     margins = []
-    witness = None
     for idx, f in enumerate(data_batch):
         f = ensure_vertex_field(g, f, "datum %d" % idx)
         cat = catalog if catalog is not None else PhiCatalog.standard(
             float(f.min()), float(f.max()))
-        sol = (isotropic_rof_solve(g, f, alpha, _tight(tol)) if coupled
-               else rof_solve(g, f, alpha))
+        sol = isotropic_rof_solve(g, f, alpha) if coupled else rof_solve(g, f, alpha)
         for phi in cat:
             if phi.name == "power2":
                 continue
             margin, minimum = _gap(g, f, sol, phi, tol, balls, "datum %d" % idx)
             rel = margin / (1.0 + abs(minimum))
             margins.append(WitnessRecord(idx, phi.describe(), margin, rel))
-            if rel > 10.0 * tol.solve_tol and witness is None:
-                witness = margins[-1]
-                if early_stop:
-                    return IsotropicFailureReport(coupled, alpha, witness, tuple(margins),
-                                                  len(margins))
-    return IsotropicFailureReport(coupled, alpha, witness, tuple(margins), len(margins))
+            if rel > 10.0 * tol.solve_tol:
+                return IsotropicFailureReport(coupled, alpha, margins[-1], tuple(margins),
+                                              len(margins))
+    return IsotropicFailureReport(coupled, alpha, None, tuple(margins), len(margins))
 
 
 @dataclass(frozen=True)
@@ -414,8 +405,7 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     out = []
     for trial in range(int(trial_count)):
         a = rng.normal(0.0, scale / 2.0, size=g.vertex_count)
-        sol = (isotropic_rof_solve(g, a, alpha, _tight(tol)) if coupled
-               else rof_solve(g, a, alpha))
+        sol = isotropic_rof_solve(g, a, alpha) if coupled else rof_solve(g, a, alpha)
         worst_phi, worst_rel = "", 0.0
         for phi in catalog:
             gap, minimum = _gap(g, a, sol, phi.reflect(), tol, balls, "anchor %d" % trial)

@@ -146,33 +146,14 @@ class PiecewiseAffinePath:
     stored lines, O(n log L) for L lines; the rows are read in one forward
     pass from the first segment, which costs the changes and O(n) for each
     row built.  ``left_values`` and ``slopes`` build K x n arrays on
-    demand.  The dense constructor stores every row whole,
-    each line anchored at its segment's left end.
+    demand.  A path is built only from a builder's lines, by :meth:`_compact`.
     """
 
     __slots__ = ("breakpoints", "terminal_value", "_lines")
 
-    def __init__(self, breakpoints, left_values, slopes, terminal_value):
-        lv = np.asarray(left_values, dtype=float)
-        sl = np.asarray(slopes, dtype=float)
-        lines = _Lines(np.asarray(terminal_value).size)
-        self._init(breakpoints, terminal_value, lines)
-        if lv.shape != (self.segment_count, lines.size) or sl.shape != lv.shape:
-            raise ValidationError("left_values and slopes must be (segments, vertices)")
-        every = np.ones(lines.size, dtype=bool)
-        for b, left, slope in zip(self.breakpoints, lv, sl):
-            lines.append(b, every, left, slope)
-        lines.close()
-
     @classmethod
     def _compact(cls, breakpoints, terminal_value, lines: _Lines) -> "PiecewiseAffinePath":
         # the path of a builder's lines, one append per segment
-        path = cls.__new__(cls)
-        path._init(breakpoints, terminal_value, lines)
-        lines.close()
-        return path
-
-    def _init(self, breakpoints, terminal_value, lines):
         b = np.asarray(breakpoints, dtype=float)
         tv = np.asarray(terminal_value, dtype=float)
         if b.ndim != 1 or b.size < 1 or b[0] != 0.0:
@@ -181,7 +162,10 @@ class PiecewiseAffinePath:
             raise ValidationError("breakpoints must be strictly increasing")
         for arr in (b, tv):
             arr.setflags(write=False)
-        self.breakpoints, self.terminal_value, self._lines = b, tv, lines
+        path = cls.__new__(cls)
+        path.breakpoints, path.terminal_value, path._lines = b, tv, lines
+        lines.close()
+        return path
 
     @property
     def segment_count(self) -> int:

@@ -177,6 +177,32 @@ def test_cli_isotropic_rejects_a_negative_seed(problem_file, capsys, monkeypatch
         assert captured.err == "usage error: --seed must be nonnegative\n"
 
 
+def test_cli_unwritable_output_is_exit_3(tmp_path, problem_file, capsys):
+    # an --output in a missing directory, or naming a directory, cannot be
+    # written: the error names the path and exits 3, as an unreadable
+    # problem file does, not 1, which says a verification failed
+    for target in (str(tmp_path / "missing" / "x"), str(tmp_path)):
+        assert main(["rof", problem_file, "--alpha", "1", "--output", target]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write %s: " % target)
+
+
+def test_cli_isotropic_without_a_witness_fails(problem_file, capsys, monkeypatch):
+    # a search that finds no witness prints FAIL with the number of data
+    # and exits 1
+    import graphtv.cli
+    from graphtv.minimality import IsotropicFailureReport
+
+    def no_witness(g, batch, alpha, tol=None):
+        return IsotropicFailureReport(True, alpha, None, (), 6 * len(batch))
+
+    monkeypatch.setattr(graphtv.cli, "demonstrate_isotropic_failure", no_witness)
+    assert main(["verify", "--mode", "isotropic", problem_file, "--trials", "4"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL no witness among 4 data\nverification FAILED\n")
+
+
 def test_deterministic_json_key_order():
     doc = {"b": 1.5, "a": [True, None, 3]}
     assert dumps_deterministic(doc) == '{"b": 1.5, "a": [true, null, 3]}'

@@ -9,12 +9,12 @@ from graphtv.engine import convexity_violation
 from graphtv.graph import Tolerances
 from graphtv.instances import (nonequivalence_instance, random_connected_graph,
                                random_vertex_field, two_vertex_graph)
-from graphtv.minimality import PhiCatalog, power_phi, random_piecewise_linear
+from graphtv.minimality import (PhiCatalog, arclength_phi, power_phi,
+                                random_piecewise_linear)
 
 from dense_operator import dense_divergence
 
 SEED = 20240818
-SOLVE_TOL = 1e-9
 # frozen by hand from the 3x3 instance: div of the optimal dual at alpha = 1
 DIV_AT_ONE = np.array([-1.0, -2.5, -0.5, 1.0, -1.0, 2.0, 2.0, 2.0, -2.0])
 # minimal section of the subdifferential at the datum
@@ -73,34 +73,69 @@ def test_min_norm_divergence_matches_frozen_section():
     assert np.abs(divergence(g, h) - MIN_SECTION).max() < 1e-7
 
 
-def test_warm_start_changes_nothing():
-    g, f = nonequivalence_instance()
-    spec = BoxSpec.uniform(g.edge_count, 0.7)
-    h_cold, _ = project_onto_div_box(g, f, spec)
-    rng = np.random.default_rng(SEED + 1)
-    h_warm, _ = project_onto_div_box(g, f, spec,
-                                     warm_start=spec.random_point(rng))
-    # divergence is the unique projected point; flows may differ
-    gap = np.abs(divergence(g, h_cold) - divergence(g, h_warm)).max()
-    assert gap < 10 * SOLVE_TOL * (1.0 + np.abs(f).max())
-
-
-def test_start_meeting_the_stop_costs_no_iteration():
-    # a projection restarted at its own converged flow passes the stopping
-    # test at the start and returns that flow untouched; a cold start does
-    # not, and keeps iterating as before
+def test_start_meeting_the_stop_costs_no_iteration(monkeypatch):
+    # a separable solve restarted at its own converged flow, read off its
+    # descent, passes the stopping test at the start and returns that
+    # flow's field untouched; a cold start does not, and keeps iterating
+    # as before
+    import graphtv.engine as engine
     from graphtv.instances import cartesian_graph
+    flows = []
+    descent = engine._accelerated_descent
+
+    def recording(*args, **kwargs):
+        out = descent(*args, **kwargs)
+        flows.append(out[0])
+        return out
+
+    monkeypatch.setattr(engine, "_accelerated_descent", recording)
     g16 = cartesian_graph(16, 16)
     cases = [(*nonequivalence_instance(), 0.7),
              (g16, random_vertex_field(np.random.default_rng(SEED + 11), 256), 0.5)]
     for g, f, alpha in cases:
         spec = BoxSpec.uniform(g.edge_count, alpha)
-        h, cold = project_onto_div_box(g, f, spec)
-        assert cold.converged and cold.iterations > 0
-        h_again, warm = project_onto_div_box(g, f, spec, warm_start=h)
-        assert warm.converged and warm.iterations == 0
-        assert h_again.tobytes() == h.tobytes()
-        assert warm.optimality == cold.optimality
+        for phi in (power_phi(2.0), arclength_phi()):
+            u, cold = min_separable_convex_over_polytope(g, f, spec, phi)
+            assert cold.converged and cold.iterations > 0
+            u_again, warm = min_separable_convex_over_polytope(g, f, spec, phi,
+                                                               warm_start=flows[-1])
+            assert warm.converged and warm.iterations == 0
+            assert u_again.tobytes() == u.tobytes()
+            assert warm.optimality == cold.optimality
+
+
+def test_removed_options_raise_type_error():
+    # options no caller passed are gone: the projections' warm start and
+    # iteration cap, the separable solve's cap, BoxSpec.contains's slack,
+    # the failure search's early stop, the equivalence report's
+    # precomputed solution, write_trajectory's samples and the dense path
+    # constructor; GroupBallSpec has no contains
+    from io import StringIO
+    from graphtv import (PiecewiseAffinePath, demonstrate_isotropic_failure,
+                         equivalence_report, rof_path, rof_solve, write_trajectory)
+    from graphtv.instances import cartesian_graph
+    g, f = nonequivalence_instance()
+    box = BoxSpec.uniform(g.edge_count, 1.0)
+    zero = np.zeros(g.edge_count)
+    path = rof_path(g, f)
+    for call in (lambda: project_onto_div_box(g, f, box, warm_start=zero),
+                 lambda: project_onto_div_box(g, f, box, max_iter=20),
+                 lambda: min_norm_divergence(g, box, warm_start=zero),
+                 lambda: min_norm_divergence(g, box, max_iter=20),
+                 lambda: min_separable_convex_over_polytope(g, f, box, power_phi(2.0),
+                                                            max_iter=20),
+                 lambda: box.contains(zero, 1e-9),
+                 lambda: box.contains(zero, slack=1e-9),
+                 lambda: demonstrate_isotropic_failure(cartesian_graph(3, 3), [f], 1.0,
+                                                       early_stop=False),
+                 lambda: equivalence_report(g, f, 1.0, regularized=rof_solve(g, f, 1.0)),
+                 lambda: write_trajectory(StringIO(), path, path.breakpoints),
+                 lambda: write_trajectory(StringIO(), path, samples=path.breakpoints),
+                 lambda: PiecewiseAffinePath(path.breakpoints, path.left_values,
+                                             path.slopes, path.terminal_value)):
+        with pytest.raises(TypeError):
+            call()
+    assert not hasattr(GroupBallSpec, "contains")
 
 
 def test_separable_quadratic_equals_projection():

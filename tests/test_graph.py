@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -668,3 +670,20 @@ def test_graph_keeps_under_64_bytes_per_vertex():
         tracemalloc.stop()
     assert g.edge_count == n - 1
     assert kept < 64 * n, kept / n
+
+
+def test_next_fusion_with_no_closing_edge():
+    # lines that move every pinned edge's ends apart, or a pattern with no
+    # pinned edge, close no edge: x is inf and the mask all False
+    from graphtv.graph import next_fusion
+    g = path_graph(4)
+    u = np.array([0.0, 1.0, 3.0, 6.0])
+    pattern = sign_pattern(g, u)
+    assert pattern.nonflat.all()
+    for pat, d in ((pattern, 2.0 * u), (SignPattern(np.zeros(g.edge_count)), -u)):
+        x, closing = next_fusion(g, pat, u, d)
+        assert x == math.inf
+        assert closing.dtype == bool and closing.shape == (g.edge_count,)
+        assert not closing.any()
+    x, closing = next_fusion(g, pattern, u, -u)
+    assert x == 1.0 and closing.all()

@@ -156,8 +156,10 @@ def test_gaps_and_margins_are_nonnegative(monkeypatch):
     # each reported gap or margin bounds phi(u) minus a minimum over a set
     # that holds u, so it is >= 0 up to the rounding between u and f +
     # div(dual_flow): on the box the closed-form bound, on the coupled
-    # balls an oracle started at the point under test.  The anchor check
-    # reports only its worst gap, so its gaps are read off its checks
+    # balls an oracle started at the point under test.  The coupled search
+    # stops at its first witness, so its margins are read off _gap for
+    # each datum and phi; the anchor check reports only its worst gap, so
+    # its gaps are read off its checks
     anchor_gaps = []
 
     def recording(*args):
@@ -172,12 +174,20 @@ def test_gaps_and_margins_are_nonnegative(monkeypatch):
     rng = np.random.default_rng(SEED + 6)
     span = float(f.max() - f.min())
     batch = [f] + [f + rng.normal(0, 0.25 * span, f.size) for _ in range(2)]
-    for coupled in (True, False):
-        rep = demonstrate_isotropic_failure(g, batch, 1.0, coupled=coupled,
-                                            early_stop=False)
-        assert rep.checked == len(batch) * 6
-        for m in rep.margins:
-            assert m.relative_margin >= -1e-12, (m.phi, m.margin)
+    rep = demonstrate_isotropic_failure(g, batch, 1.0, coupled=False)
+    assert rep.checked == len(batch) * 6
+    margins = [m.relative_margin for m in rep.margins]
+    balls = g.coupled_ball(1.0)
+    for idx, datum in enumerate(batch):
+        sol = isotropic_rof_solve(g, datum, 1.0)
+        for phi in PhiCatalog.standard(float(datum.min()), float(datum.max())):
+            if phi.name != "power2":
+                margin, minimum = minimality._gap(g, datum, sol, phi,
+                                                  minimality.DEFAULT_CHECK_TOL, balls,
+                                                  "datum %d" % idx)
+                margins.append(margin / (1.0 + abs(minimum)))
+    assert len(margins) == 2 * len(batch) * 6
+    assert min(margins) >= -1e-12, min(margins)
     gap_of = minimality._gap
     monkeypatch.setattr(minimality, "_gap", recording)
     g = cartesian_graph(4, 4)
@@ -243,8 +253,7 @@ def _box_checks(g, f, alpha, catalog=None):
     # the relative bounds of the three box checks, all passing
     reports = verify_universal_minimality(g, f, alpha, catalog)
     assert all(r.ok for r in reports)
-    control = demonstrate_isotropic_failure(g, [f], alpha, catalog, coupled=False,
-                                            early_stop=False)
+    control = demonstrate_isotropic_failure(g, [f], alpha, catalog, coupled=False)
     assert not control.witness_found
     trials = empirical_invariant_phi_min_check(g, alpha, trial_count=2, catalog=catalog,
                                                rng=np.random.default_rng(SEED + 10))
@@ -306,3 +315,21 @@ def test_box_bound_is_not_vacuous():
         for phi in PhiCatalog.standard(float(f.min()), float(f.max())):
             bound, _ = minimality._gap(g, f, off, phi, None)
             assert bound >= phi.total(bumped) - phi.total(sol.u), phi.name
+
+
+def test_an_unconverged_coupled_oracle_raises(monkeypatch):
+    # a coupled phi oracle that stops short of its bound leaves no margin
+    # to report: the check raises ConvergenceError naming the datum, with
+    # the oracle's report
+    from graphtv import ConvergenceError, SolveReport
+    stalled = SolveReport(7, 1.0, 1.0, False, method="apgd-smooth")
+
+    def stalling(g, base, spec, phi, tol=None, *, warm_start=None):
+        return base, stalled
+
+    monkeypatch.setattr(minimality, "min_separable_convex_over_polytope", stalling)
+    g = cartesian_graph(3, 3)
+    f = nonequivalence_instance()[1]
+    with pytest.raises(ConvergenceError, match="phi oracle did not converge for datum 0") as exc:
+        demonstrate_isotropic_failure(g, [f], 1.0)
+    assert exc.value.report is stalled

@@ -238,7 +238,10 @@ def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
     # the fusing edge's clusters meet, from their exact sums of f and of
     # the pinned flux, as at a split.  Every cluster has a flow there, so
     # no certificate's cluster test fails; at 1 / Fraction of the rounded
-    # breakpoint a fused cluster can miss by a hair
+    # breakpoint a fused cluster can miss by a hair.  A witness between two
+    # passing tests runs no test (see
+    # test_witness_between_passing_tests_runs_no_max_flow), so that is off
+    # here: each misfit cluster's certificate runs its test
     import graphtv.rof
     certify, route = graphtv.rof._certify, PatternKernel._route
     params, verdicts, inside = [], [], []
@@ -259,6 +262,7 @@ def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
 
     monkeypatch.setattr(graphtv.rof, "_certify", certified)
     monkeypatch.setattr(PatternKernel, "_route", routed)
+    monkeypatch.setattr(PatternKernel, "_between", lambda self, k, t: None)
     rng = np.random.default_rng(SEED + 19)
     graphs = [cartesian_graph(8, 8), cartesian_graph(6, 9)]
     graphs += [random_connected_graph(rng, 20) for _ in range(4)]
@@ -299,6 +303,34 @@ def test_cluster_tests_change_no_path(monkeypatch):
         for name in ("breakpoints", "left_values", "slopes", "terminal_value"):
             assert getattr(bare, name).tobytes() == getattr(path, name).tobytes()
     assert 0 < stored < sum(calls) - stored
+
+
+def test_witness_between_passing_tests_runs_no_max_flow(monkeypatch):
+    # a certificate at a t strictly between two passing tests of a misfit
+    # cluster, its fitting forest flow at t = 0 among them, takes their
+    # convex combination and runs no max-flow.  The seed-0 12x12 grid path
+    # runs at most 79 witness max-flows (55 here; 179 with a max-flow for
+    # every such witness), with the same breakpoints, values and slopes
+    g = cartesian_graph(12, 12)
+    f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+    witness = PatternKernel.witness
+    counts = []
+
+    def counted(self, *args):
+        before = self.maxflows
+        h = witness(self, *args)
+        counts[-1] += self.maxflows - before
+        return h
+
+    monkeypatch.setattr(PatternKernel, "witness", counted)
+    paths = []
+    for between in (PatternKernel._between, lambda self, k, t: None):
+        monkeypatch.setattr(PatternKernel, "_between", between)
+        counts.append(0)
+        paths.append(rof_path(g, f))
+    assert counts[0] <= 79 < counts[1]
+    for name in ("breakpoints", "left_values", "slopes", "terminal_value"):
+        assert getattr(paths[0], name).tobytes() == getattr(paths[1], name).tobytes()
 
 
 def test_path_certificate_rejects_a_wrong_flow(monkeypatch):
@@ -403,12 +435,31 @@ def test_isotropic_requires_grid():
 
 
 def test_piecewise_affine_path_validation():
+    from graphtv.rof import _Lines
     with pytest.raises(ValidationError):
-        PiecewiseAffinePath(np.array([0.5, 1.0]), np.zeros((1, 2)),
-                            np.zeros((1, 2)), np.zeros(2))
+        PiecewiseAffinePath._compact(np.array([0.5, 1.0]), np.zeros(2), _Lines(2))
     with pytest.raises(ValidationError):
-        PiecewiseAffinePath(np.array([0.0, 1.0, 1.0]), np.zeros((2, 2)),
-                            np.zeros((2, 2)), np.zeros(2))
+        PiecewiseAffinePath._compact(np.array([0.0, 1.0, 1.0]), np.zeros(2), _Lines(2))
+
+
+def test_unconverged_isotropic_solve_raises(monkeypatch):
+    # a coupled projection that stops short of its tolerance is no answer:
+    # ConvergenceError names alpha, n and m and carries the report
+    import graphtv.rof
+    from graphtv import SolveReport
+    stalled = SolveReport(1000, 1.0, 1.0, False, method="apgd-projection")
+
+    def stalling(g, target, spec, tol=None):
+        return np.zeros(g.edge_count), stalled
+
+    monkeypatch.setattr(graphtv.rof, "project_onto_div_box", stalling)
+    g = cartesian_graph(3, 3)
+    f = nonequivalence_instance()[1]
+    with pytest.raises(ConvergenceError) as exc:
+        isotropic_rof_solve(g, f, 0.5)
+    assert str(exc.value) == ("coupled projection did not converge "
+                              "at alpha = 0.5 (9 vertices, 12 edges)")
+    assert exc.value.report is stalled
 
 
 def test_invalid_alpha_rejected():
