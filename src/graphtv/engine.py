@@ -11,7 +11,12 @@ graph.  Supported objectives:
 
 Both objectives depend on ``H`` only through ``z = div H``, and every
 solve runs one accelerated projected-gradient iteration with a monotone
-restart that carries ``z`` next to each iterate.  A separable solve is
+restart that carries ``z`` next to each iterate.  The iteration steps in
+place, in buffers allocated once per solve, over the constraint set's own
+edge order: the graph's for a box; for group balls the pairs' first edges,
+then their second edges, then the singles, so that the projection works on
+slices.  On Cartesian grids its iterates are bit for bit those of the
+graph's order (see :func:`_accelerated_descent`).  A separable solve is
 certified by the linearization duality gap of its objective over the
 constraint set (:meth:`BoxSpec.gap`, :meth:`GroupBallSpec.gap`), which
 bounds its excess over the minimum.  A ``phi`` without a curvature bound
@@ -27,6 +32,7 @@ reductions avoid BLAS, so results do not depend on its thread count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
@@ -115,7 +121,17 @@ class BoxSpec:
         return BoxSpec(-r, r)
 
     def project(self, h: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(h, self.lower), self.upper)
+        return self._project(np.array(h, dtype=float))
+
+    # the solvers' edge order (see GroupBallSpec) is the graph's own
+    def _pack(self, h: np.ndarray) -> np.ndarray:
+        return h
+
+    _unpack = _pack
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        np.maximum(x, self.lower, out=x)
+        return np.minimum(x, self.upper, out=x)
 
     def contains(self, h) -> bool:
         h = np.asarray(h, dtype=float)
@@ -132,6 +148,8 @@ class BoxSpec:
         lo = self.lower * grad
         up = self.upper * grad
         return float((grad * h - np.minimum(lo, up)).sum())
+
+    _gap = gap
 
     def magnitude(self) -> float:
         if self.size == 0:
@@ -150,52 +168,95 @@ class GroupBallSpec:
     each group's subvector is constrained to the l2 ball of the given radius.
     Only group sizes 1 and 2 are supported, which covers the Cartesian-grid
     coupled constraint set.
+
+    The solvers keep a flow in the spec's own edge order, ``order``: the
+    pairs' first edges, then the pairs' second edges, then the singles,
+    each part in group order.  A projection then scales and clips slices
+    in place (``_project``).  :meth:`project` and :meth:`gap` take flows in
+    the graph's edge order, and ``_pack`` and ``_unpack`` map between the
+    two orders.  The divergence sums each vertex's edges in this order: the
+    same bits as the graph's order where a vertex has at most two edges in
+    and two out, as on the grids of :meth:`OrientedGraph.coupled_ball`;
+    elsewhere the last bits may differ.
     """
 
-    __slots__ = ("groups", "radius", "size", "_singles", "_pairs")
+    __slots__ = ("radius", "size", "order", "_inverse", "_pairs", "_two")
 
     def __init__(self, groups, radius: float, size: int):
         if radius < 0:
             raise ValidationError("radius must be nonnegative")
-        singles = []
-        pairs = []
-        seen = np.zeros(size, dtype=bool)
-        norm_groups = []
-        for grp in groups:
-            idx = tuple(int(k) for k in grp)
-            norm_groups.append(idx)
-            for k in idx:
-                if k < 0 or k >= size or seen[k]:
-                    raise ValidationError("groups must partition the edge index range")
-                seen[k] = True
-            if len(idx) == 1:
-                singles.append(idx[0])
-            elif len(idx) == 2:
-                pairs.append(idx)
-            else:
-                raise ValidationError("only group sizes 1 and 2 are supported")
-        if not seen.all():
+        groups = tuple(groups)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+        flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
+                           count=int(sizes.sum()))
+        # the first bad group decides the error, as a scan in group order
+        # would: an index out of range or repeated (a stable sort puts a
+        # repeat right after its first occurrence) before a size other
+        # than 1 or 2
+        key = np.argsort(flat, kind="stable")
+        repeated = np.zeros(flat.size, dtype=bool)
+        repeated[key[1:]] = flat[key[1:]] == flat[key[:-1]]
+        outside = np.repeat(np.arange(sizes.size), sizes)[
+            (flat < 0) | (flat >= size) | repeated]
+        oversize = np.flatnonzero((sizes < 1) | (sizes > 2))
+        if outside.size and not (oversize.size and oversize[0] < outside[0]):
+            raise ValidationError("groups must partition the edge index range")
+        if oversize.size:
+            raise ValidationError("only group sizes 1 and 2 are supported")
+        if flat.size != size:
             raise ValidationError("groups must cover every edge index")
-        self.groups = tuple(norm_groups)
+        two = sizes == 2
+        start = np.cumsum(sizes) - sizes
+        first = flat[start[two]]
+        self.order = np.concatenate([first, flat[start[two] + 1], flat[start[~two]]])
+        self._inverse = np.empty_like(self.order)
+        self._inverse[self.order] = np.arange(self.order.size)
+        self._pairs = first.size
+        self._two = two
         self.radius = float(radius)
         self.size = int(size)
-        self._singles = np.asarray(singles, dtype=np.intp)
-        self._pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+
+    @property
+    def groups(self) -> tuple:
+        """The groups as tuples of edge indices, in the order given."""
+        p = self._pairs
+        pairs = zip(self.order[:p].tolist(), self.order[p:2 * p].tolist())
+        singles = zip(self.order[2 * p:].tolist())
+        return tuple(next(pairs) if two else next(singles) for two in self._two.tolist())
+
+    def _pack(self, h: np.ndarray) -> np.ndarray:
+        return h[self.order]
+
+    def _unpack(self, x: np.ndarray) -> np.ndarray:
+        return x[self._inverse]
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        p, r = self._pairs, self.radius
+        a, b, single = x[:p], x[p:2 * p], x[2 * p:]
+        if r == 0.0:
+            a *= 0.0
+            b *= 0.0
+            np.clip(single, -r, r, out=single)
+            return x
+        # exactly 1.0 inside the ball, r / norm outside
+        scale = np.hypot(a, b)
+        np.divide(r, np.maximum(scale, r, out=scale), out=scale)
+        a *= scale
+        b *= scale
+        # np.clip's bits without its wrapper: the bounds are not zero, so
+        # no tie between signed zeros is ever broken
+        np.minimum(np.maximum(single, -r, out=single), r, out=single)
+        return x
 
     def project(self, h: np.ndarray) -> np.ndarray:
-        out = np.array(h, dtype=float, copy=True)
-        r = self.radius
-        if self._singles.size:
-            out[self._singles] = np.clip(out[self._singles], -r, r)
-        if self._pairs.size:
-            first, second = self._pairs[:, 0], self._pairs[:, 1]
-            a = out[first]
-            b = out[second]
-            # exactly 1.0 inside the ball, r / norm outside
-            scale = r / np.maximum(np.hypot(a, b), r) if r > 0 else 0.0
-            out[first] = a * scale
-            out[second] = b * scale
-        return out
+        return self._unpack(self._project(self._pack(np.asarray(h, dtype=float))))
+
+    def _gap(self, h: np.ndarray, grad: np.ndarray) -> float:
+        p, r = self._pairs, self.radius
+        dot = grad * h
+        return float((dot[2 * p:] + r * np.abs(grad[2 * p:])).sum()
+                     + (dot[:p] + dot[p:2 * p]
+                        + r * np.hypot(grad[:p], grad[p:2 * p])).sum())
 
     def gap(self, h: np.ndarray, grad: np.ndarray) -> float:
         """``<grad, h> - min over the balls of <grad, .>``, summed per group.
@@ -203,13 +264,7 @@ class GroupBallSpec:
         Each term ``<grad_g, h_g> + r ||grad_g||`` is nonnegative for a
         feasible ``h``; see :meth:`BoxSpec.gap`.
         """
-        r = self.radius
-        dot = grad * h
-        single = self._singles
-        first, second = self._pairs[:, 0], self._pairs[:, 1]
-        return float((dot[single] + r * np.abs(grad[single])).sum()
-                     + (dot[first] + dot[second]
-                        + r * np.hypot(grad[first], grad[second])).sum())
+        return self._gap(self._pack(h), self._pack(grad))
 
     def magnitude(self) -> float:
         return self.radius
@@ -352,9 +407,9 @@ CHECK_EVERY = 8
 PATIENCE = 125
 
 
-def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
+def _accelerated_descent(g, x0, spec, *, value, slope, lips, measure,
                          stop_tol, max_iter=DEFAULT_MAX_ITER, adaptive=False):
-    """FISTA-style iteration with restart on objective increase.
+    """FISTA-style iteration over ``spec`` with restart on objective increase.
 
     The objective is a function of ``z = div h`` alone: ``value(z)`` is its
     value and ``slope(z)`` its gradient in vertex space, so the gradient in
@@ -363,11 +418,21 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     the same linear combination of two fresh ones.  An iteration therefore
     applies the divergence once and its adjoint once.
 
+    The loop keeps its flows in the spec's edge order (``spec._pack``; the
+    graph's own for a box, group-contiguous for balls), with the graph's
+    head and tail indices gathered into that order once, and steps and
+    projects them in place, in buffers allocated once per solve.  On a
+    vertex with at most two edges in and two out, as on a Cartesian grid,
+    the divergence's sums are those of the graph's order, and every
+    reduction over edges is taken in the graph's order, so the iterates do
+    not depend on the spec's order.
+
     ``lips`` is the certified curvature bound and ``1 / lips`` the safe
     step.  Every ``CHECK_EVERY`` iterations the gradient ``grad`` in ``h``
     is computed at the feasible iterate ``x``, and
-    ``measure(x, grad, objective)`` is the stopping statistic: the
-    gradient-mapping norm (see :func:`project_onto_div_box`) or a duality gap.
+    ``measure(x, grad, objective)``, with both in the spec's order, is the
+    stopping statistic: the gradient-mapping norm (see
+    :func:`project_onto_div_box`) or a duality gap.
     The measure is also taken once at the projected start ``x0``: a start
     that already meets ``stop_tol`` is returned with 0 iterations.  A start
     that misses it leaves no trace in the loop below, which neither keeps
@@ -386,41 +451,52 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
     halved until the quadratic descent bound holds.  The stopping measure
     stays at the safe step so its optimality certificate stands.
 
-    Returns (x, iterations, final_measure, final_objective, converged).
+    Returns (x, iterations, final_measure, final_objective, converged), x
+    in the graph's edge order.
     """
+    n = g.vertex_count
+    heads, tails = spec._pack(g.heads), spec._pack(g.tails)
     step = 1.0 / lips
     cur = step * 1024.0 if adaptive else step
+    x = spec._project(spec._pack(np.array(x0, dtype=float)))
+    xn, grad, d = (np.empty_like(x) for _ in range(3))
+
+    def div(h):
+        return np.bincount(heads, h, n) - np.bincount(tails, h, n)
+
+    def gradient(z):
+        # the adjoint of div at slope(z), into grad
+        s = slope(z)
+        return np.subtract(s[heads], s[tails], out=grad)
 
     def advance(base, zbase, fbase):
-        # one projected gradient step from base; in adaptive mode, halve the
-        # trial step until f(xn) <= f(base) + <g, d> + |d|^2 / (2 step)
+        # one projected gradient step from base into xn; in adaptive mode,
+        # halve the trial step until f(xn) <= f(base) + <g, d> + |d|^2 / (2 step)
         nonlocal cur
-        grad = g._div_adjoint(slope(zbase))
+        gradient(zbase)
         while True:
-            xn = project(base - cur * grad)
-            zn = g._div(xn)
+            np.multiply(grad, cur, out=xn)
+            spec._project(np.subtract(base, xn, out=xn))
+            zn = div(xn)
             fn = value(zn)
             if not adaptive or cur <= step * 1.0000001:
-                return xn, zn, fn
-            d = xn - base
-            bound = fbase + float((grad * d).sum()) + float((d * d).sum()) / (2.0 * cur)
+                return zn, fn
+            np.subtract(xn, base, out=d)
+            bound = (fbase + float(spec._unpack(grad * d).sum())
+                     + float(spec._unpack(d * d).sum()) / (2.0 * cur))
             if fn <= bound + 1e-12 * (1.0 + abs(fbase)):
-                return xn, zn, fn
+                return zn, fn
             cur = max(step, 0.5 * cur)
 
-    def check(x, z, fx):
-        return measure(x, g._div_adjoint(slope(z)), fx)
-
-    x = project(np.asarray(x0, dtype=float))
-    z = g._div(x)
+    z = div(x)
     fx = value(z)
-    meas = check(x, z, fx)
+    meas = measure(x, gradient(z), fx)
     if meas <= stop_tol:
-        return x, 0, meas, fx, True
-    y, zy = x, z
+        return spec._unpack(x), 0, meas, fx, True
+    y, zy = x.copy(), z.copy()
     t = 1.0
     it = 0
-    best_x, best_meas, best_f = x, math.inf, fx
+    best, best_meas, best_f = x.copy(), math.inf, fx
     checks_since_gain = 0
     converged = False
 
@@ -429,32 +505,39 @@ def _accelerated_descent(g, x0, *, value, slope, lips, project, measure,
         if adaptive and it % 32 == 0:
             cur = min(cur * 2.0, step * 1e9)
         fy = value(zy) if adaptive else fx
-        xn, zn, fn = advance(y, zy, fy)
+        zn, fn = advance(y, zy, fy)
         if fn > fx:
             # momentum overshoot: restart from the last good iterate; the
             # plain step is accepted even if roundoff nudges fn above fx,
             # otherwise the iteration would freeze at the float floor
             t = 1.0
-            xn, zn, fn = advance(x, z, fx)
+            zn, fn = advance(x, z, fx)
         tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         c = (t - 1.0) / tn
-        y = xn + c * (xn - x)
-        zy = zn + c * (zn - z)
-        x, z, fx, t = xn, zn, fn, tn
+        # y = xn + c (xn - x) and zy = zn + c (zn - z), in place
+        np.subtract(xn, x, out=y)
+        y *= c
+        y += xn
+        np.subtract(zn, z, out=zy)
+        zy *= c
+        zy += zn
+        x, xn = xn, x
+        z, fx, t = zn, fn, tn
         if it % CHECK_EVERY == 0 or it == max_iter:
-            meas = check(x, z, fx)
+            meas = measure(x, gradient(z), fx)
             if meas <= 0.9 * best_meas:
                 checks_since_gain = 0
             else:
                 checks_since_gain += 1
             if meas < best_meas:
-                best_x, best_meas, best_f = x, meas, fx
+                np.copyto(best, x)
+                best_meas, best_f = meas, fx
             if best_meas <= stop_tol:
                 converged = True
                 break
             if checks_since_gain >= PATIENCE:
                 break
-    return best_x, it, best_meas, best_f, converged
+    return spec._unpack(best), it, best_meas, best_f, converged
 
 
 def _default_tol():
@@ -495,14 +578,14 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
         return 0.5 * float((r * r).sum())
 
     def mapping_norm(x, grad, _):
-        # the gradient-mapping norm at the step 1 / lips
-        d = x - spec.project(x - step * grad)
-        return math.sqrt(float((d * d).sum())) * lips
+        # the gradient-mapping norm at the step 1 / lips, summed in the
+        # graph's edge order
+        d = x - spec._project(x - step * grad)
+        return math.sqrt(float(spec._unpack(d * d).sum())) * lips
 
     x, it, meas, obj, conv = _accelerated_descent(
-        g, x0, value=value, slope=lambda z: z - target,
-        lips=lips, project=spec.project, measure=mapping_norm,
-        stop_tol=0.25 * tol.solve_tol)
+        g, x0, spec, value=value, slope=lambda z: z - target,
+        lips=lips, measure=mapping_norm, stop_tol=0.25 * tol.solve_tol)
     return x, SolveReport(it, obj, meas, conv, method="apgd-projection")
 
 
@@ -531,10 +614,10 @@ def _smooth_descent(g, base, spec, phi, tol_obj, x0):
         return tol_obj * (1.0 + abs(obj))
 
     x, it, meas, obj, conv = _accelerated_descent(
-        g, x0, value=lambda z: float(phi.evaluate(base - z).sum()),
+        g, x0, spec, value=lambda z: float(phi.evaluate(base - z).sum()),
         slope=lambda z: -phi.subgradient(base - z),
-        lips=2.0 * max(g.max_degree, 1) * curv, project=spec.project,
-        measure=lambda x, grad, obj: spec.gap(x, grad) / eps(obj),
+        lips=2.0 * max(g.max_degree, 1) * curv,
+        measure=lambda x, grad, obj: spec._gap(x, grad) / eps(obj),
         stop_tol=1.0, adaptive=True)
     return x, SolveReport(it, obj, meas * eps(obj), conv, method="apgd-smooth")
 
@@ -597,8 +680,8 @@ def _smoothing_descent(g, base, spec, phi, prox, tol_obj, x0):
         if budget <= 0:
             break
         x, it, meas, _, stage_conv = _accelerated_descent(
-            g, x, value=value, slope=slope, lips=lips0 / delta,
-            project=spec.project, measure=lambda x, grad, _: spec.gap(x, grad),
+            g, x, spec, value=value, slope=slope, lips=lips0 / delta,
+            measure=lambda x, grad, _: spec._gap(x, grad),
             stop_tol=stage_tol, max_iter=budget, adaptive=True)
         total_it += it
         obj, sq = at(x)

@@ -19,6 +19,7 @@ of ``u(tail) - u(head)`` on non-flat edges and free in [-1, 1] on flat ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,45 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
+def _endpoints(n: int, edges) -> tuple:
+    # the checked tail and head index arrays of an edge sequence; its
+    # temporaries are freed before the connectivity check runs
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        pairs = np.empty((0, 2), dtype=np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("edges must be a sequence of (tail, head) pairs")
+    # an integer array can still hold bools: numpy turns a list that
+    # mixes them with integers into one
+    bools = not isinstance(edges, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for pair in edges for x in pair)
+    if pairs.dtype.kind not in "iu" or bools:
+        raise ValidationError("edge endpoints must be integers")
+    pairs = pairs.astype(np.intp, copy=False)
+    tails, heads = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    out_of_range = (lo < 0) | (hi >= n)
+    loop = tails == heads
+    # an edge repeats when its unordered pair occurred at a lower index;
+    # a stable sort puts it right after such an edge
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(pairs), dtype=bool)
+    repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = out_of_range | loop | repeated
+    if bad.any():
+        # report the first bad edge, checking range, loop, repeat in order
+        k = int(np.argmax(bad))
+        a, b = int(tails[k]), int(heads[k])
+        if out_of_range[k]:
+            raise ValidationError("edge (%d, %d) out of vertex range" % (a, b))
+        if loop[k]:
+            raise ValidationError("self-loop at vertex %d" % a)
+        raise ValidationError(
+            "duplicate or antiparallel edge between %d and %d" % (a, b))
+    return tails.copy(), heads.copy()
+
+
 class OrientedGraph:
     """A finite connected oriented graph stored as tail and head index arrays.
 
@@ -93,43 +133,9 @@ class OrientedGraph:
         n = _integer(vertex_count, "vertex_count")
         if n < 1:
             raise ValidationError("vertex_count must be at least 1")
-        pairs = np.asarray(edges)
-        if pairs.size == 0:
-            pairs = np.empty((0, 2), dtype=np.intp)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValidationError("edges must be a sequence of (tail, head) pairs")
-        # an integer array can still hold bools: numpy turns a list that
-        # mixes them with integers into one
-        bools = not isinstance(edges, np.ndarray) and any(
-            isinstance(x, (bool, np.bool_)) for pair in edges for x in pair)
-        if pairs.dtype.kind not in "iu" or bools:
-            raise ValidationError("edge endpoints must be integers")
-        pairs = pairs.astype(np.intp, copy=False)
-        tails, heads = pairs[:, 0], pairs[:, 1]
-        lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-        out_of_range = (lo < 0) | (hi >= n)
-        loop = tails == heads
-        # an edge repeats when its unordered pair occurred at a lower index;
-        # a stable sort puts it right after such an edge
-        key = lo * n + hi
-        order = np.argsort(key, kind="stable")
-        repeated = np.zeros(len(pairs), dtype=bool)
-        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
-        bad = out_of_range | loop | repeated
-        if bad.any():
-            # report the first bad edge, checking range, loop, repeat in order
-            k = int(np.argmax(bad))
-            a, b = int(tails[k]), int(heads[k])
-            if out_of_range[k]:
-                raise ValidationError("edge (%d, %d) out of vertex range" % (a, b))
-            if loop[k]:
-                raise ValidationError("self-loop at vertex %d" % a)
-            raise ValidationError(
-                "duplicate or antiparallel edge between %d and %d" % (a, b))
+        self.tails, self.heads = _endpoints(n, edges)
         self.vertex_count = n
-        self.edge_count = len(pairs)
-        self.tails = tails.copy()
-        self.heads = heads.copy()
+        self.edge_count = self.tails.size
 
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -141,9 +147,7 @@ class OrientedGraph:
                        + np.bincount(self.heads, minlength=n))
         self.max_degree = int(self.degree.max()) if self.edge_count else 0
 
-        # connected iff, with every edge flat, vertex 0's cluster holds all n
-        found, _ = _grow(_adjacency(self), b"\x01" * self.edge_count, [0])
-        if n > 1 and not (found and len(found[0].order) == n):
+        if n > 1 and _reached(_adjacency(self)) < n:
             raise ValidationError("graph must be connected")
 
         self.cartesian = None
@@ -214,15 +218,22 @@ class OrientedGraph:
             raise ValidationError("coupled groups require a Cartesian grid graph")
         mm, nn = self.cartesian
         # into[i, j] holds the edges into grid position (i, j) from (i + 1, j)
-        # and from (i, j + 1), -1 where there is none
-        pos = np.array(self.grid_coords, dtype=np.intp) - 1
+        # and from (i, j + 1)
+        pos = np.fromiter(itertools.chain.from_iterable(self.grid_coords), np.intp,
+                          2 * self.vertex_count).reshape(-1, 2) - 1
         head, tail = pos[self.heads], pos[self.tails]
-        into = np.full((mm, nn, 2), -1, dtype=np.intp)
+        into = np.empty((mm, nn, 2), dtype=np.intp)
         right = (tail[:, 1] > head[:, 1]).astype(np.intp)
         into[head[:, 0], head[:, 1], right] = np.arange(self.edge_count)
-        # the far corner (M, N) has no incoming grid edges
-        return tuple(tuple(k for k in pair if k >= 0)
-                     for pair in into.reshape(-1, 2).tolist() if pair != [-1, -1])
+        # in grid order, row i < M has pairs at j < N and a single at j = N,
+        # and row M singles at j < N; the far corner (M, N) has no edge in
+        pairs = into[:-1, :-1].reshape(-1, 2).tolist()
+        groups = []
+        for i, k in enumerate(into[:-1, -1, 0].tolist()):
+            groups += map(tuple, pairs[i * (nn - 1):(i + 1) * (nn - 1)])
+            groups.append((k,))
+        groups += zip(into[-1, :-1, 1].tolist())
+        return tuple(groups)
 
     def coupled_ball(self, radius: float) -> GroupBallSpec:
         """GroupBallSpec for the coupled constraint set at the given radius."""
@@ -359,6 +370,27 @@ def _adjacency(g: OrientedGraph) -> tuple:
     np.cumsum(np.bincount(ends, minlength=g.vertex_count), out=ptr[1:])
     edge = np.argsort(ends, kind="stable") % max(g.edge_count, 1)
     return tuple(map(memoryview, (ptr, edge, g.tails, g.heads)))
+
+
+def _reached(adj: tuple) -> int:
+    # the number of vertices that a breadth-first sweep of the adjacency
+    # from vertex 0 reaches: a byte per vertex marks those seen, and one
+    # queue, an index array, holds them in the order they are reached
+    ptr, edge, tails, heads = adj
+    seen = bytearray(len(ptr) - 1)
+    seen[0] = 1
+    queue = memoryview(np.zeros(len(seen), dtype=np.intp))
+    done, end = 0, 1
+    while done < end:
+        v = queue[done]
+        done += 1
+        for e in edge[ptr[v]:ptr[v + 1]]:
+            w = heads[e] if tails[e] == v else tails[e]
+            if not seen[w]:
+                seen[w] = 1
+                queue[end] = w
+                end += 1
+    return end
 
 
 class Cluster:

@@ -12,6 +12,7 @@ from graphtv.instances import (nonequivalence_instance, random_connected_graph,
 from graphtv.minimality import (PhiCatalog, arclength_phi, power_phi,
                                 random_piecewise_linear)
 
+import reference_descent
 from dense_operator import dense_divergence
 
 SEED = 20240818
@@ -300,6 +301,119 @@ def test_group_ball_projection_keeps_interior_bits():
     assert origin.tolist() == [0.0, 0.0]
 
 
+def test_group_ball_spec_validation():
+    # the first bad group decides, an index out of range or repeated
+    # before a size other than 1 or 2; then the groups must cover the edges
+    for groups, size, message in (
+            (((0, 5), (2,)), 3, "partition the edge index range"),
+            (((0, -1), (2,)), 3, "partition the edge index range"),
+            (((0, 1), (1,)), 3, "partition the edge index range"),
+            (((0, 1, 1),), 3, "partition the edge index range"),
+            (((0,), (1, 2, 3), (1,)), 4, "group sizes 1 and 2"),
+            (((0, 1, 2), (2,)), 3, "group sizes 1 and 2"),
+            (((),), 1, "group sizes 1 and 2"),
+            (((0,),), 2, "cover every edge index")):
+        with pytest.raises(ValidationError, match=message):
+            GroupBallSpec(groups, 0.5, size)
+    with pytest.raises(ValidationError, match="radius must be nonnegative"):
+        GroupBallSpec(((0,),), -1.0, 1)
+    spec = GroupBallSpec(((3, 1), [np.int64(0)], np.array([4, 2])), 0.5, 5)
+    assert spec.groups == ((3, 1), (0,), (4, 2))
+    assert all(type(k) is int for grp in spec.groups for k in grp)
+    # pairs' first edges, pairs' second edges, then the singles
+    assert spec.order.tolist() == [3, 4, 1, 2, 0]
+
+
+def _reference_cases():
+    # (name, graph, datum, spec): a vertex of each graph has at most two
+    # edges in and two out, or the spec is a box
+    from graphtv.instances import cartesian_graph, path_graph
+    rng = np.random.default_rng(SEED + 12)
+
+    def field(g):
+        return random_vertex_field(rng, g.vertex_count)
+
+    g, f = nonequivalence_instance()
+    cases = [("paper box", g, f, BoxSpec.uniform(g.edge_count, 1.0))]
+    for m, n in ((6, 6), (9, 7), (1, 12)):
+        g = cartesian_graph(m, n)
+        cases.append(("coupled %dx%d" % (m, n), g, field(g), g.coupled_ball(0.5)))
+    g = cartesian_graph(4, 4)
+    pairs = rng.permutation(g.edge_count).reshape(-1, 2)
+    cases.append(("pairs only", g, field(g), GroupBallSpec(pairs, 0.4, g.edge_count)))
+    g = cartesian_graph(6, 6)
+    cases.append(("radius 0", g, field(g), g.coupled_ball(0.0)))
+    g = path_graph(15)
+    groups = [(k, k + 1) for k in range(0, 12, 2)] + [(12,), (13,)]
+    cases.append(("path balls", g, field(g), GroupBallSpec(groups, 0.3, 14)))
+    cases.append(("path box", g, field(g), BoxSpec.uniform(14, 0.3)))
+    g = random_connected_graph(rng)
+    cases.append(("random box", g, field(g), BoxSpec.uniform(g.edge_count, 0.2)))
+    return cases
+
+
+def _with_reference(monkeypatch, solve):
+    # solve() with the descent as it is, then with the reference loop, and
+    # the number of momentum restarts the latter took
+    import functools
+    import graphtv.engine as engine
+    ours = solve()
+    restarts = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_accelerated_descent",
+                      functools.partial(reference_descent.descent, restarts=restarts))
+        theirs = solve()
+    return ours, theirs, len(restarts)
+
+
+def _same_report(a, b):
+    return (a.iterations, a.objective.hex(), a.optimality.hex(), a.converged,
+            a.method) == (b.iterations, b.objective.hex(), b.optimality.hex(),
+                          b.converged, b.method)
+
+
+def test_projection_gives_the_reference_bytes(monkeypatch):
+    # the in-place loop over the spec's order steps through the same
+    # iterates as the reference loop over the graph's: the same flow,
+    # iterations, objective and optimality, converged or stalled.  The
+    # projection, the gap and the reported gradient-mapping norm, at the
+    # flow returned, have the reference's bytes too
+    rng = np.random.default_rng(SEED + 13)
+    stalled = restarted = 0
+    for name, g, f, spec in _reference_cases():
+        h = 2.0 * rng.normal(size=g.edge_count)
+        h[::5] = -0.0
+        p = spec.project(h)
+        assert p.tobytes() == reference_descent.project(spec, h).tobytes(), name
+        assert spec.gap(p, h).hex() == reference_descent.gap(spec, p, h).hex(), name
+        (x, rep), (x_ref, rep_ref), restarts = _with_reference(
+            monkeypatch, lambda: project_onto_div_box(g, f, spec))
+        assert x.tobytes() == x_ref.tobytes(), name
+        assert _same_report(rep, rep_ref), name
+        assert rep.optimality.hex() == reference_descent.mapping_norm(g, f, spec, x).hex(), name
+        stalled += not rep.converged
+        restarted += restarts > 0
+    # the coupled 6x6 and 9x7 solves stop by patience at alpha 0.5
+    assert stalled == 2 and restarted >= 8
+
+
+def test_separable_solve_gives_the_reference_bytes(monkeypatch):
+    # x^2 runs apgd-smooth, |x|^1.5 apgd-smoothing; both take adaptive
+    # steps, whose descent bound sums in the graph's order, and restarts
+    restarted = set()
+    for name, g, f, spec in _reference_cases():
+        for phi, method in ((power_phi(2.0), "apgd-smooth"),
+                            (power_phi(1.5), "apgd-smoothing")):
+            (u, rep), (u_ref, rep_ref), restarts = _with_reference(
+                monkeypatch, lambda: min_separable_convex_over_polytope(g, f, spec, phi))
+            assert rep.method == method and rep.converged, name
+            assert u.tobytes() == u_ref.tobytes(), name
+            assert _same_report(rep, rep_ref), name
+            if restarts and rep.iterations:
+                restarted.add((type(spec), method))
+    assert len(restarted) == 4
+
+
 def test_smoothing_certificate_bounds_exact_minimum():
     # by universal minimality the certified rof_solve u minimizes every
     # sum of phi over the box slab, so phi.total(u) is the exact minimum:
@@ -364,16 +478,27 @@ def test_power15_smoothing_iteration_counts():
         assert rep.iterations <= cap
 
 
-def test_separable_solve_ignores_blas_threads():
-    # a separable solve on 10224 edges (long enough for a BLAS dot product
-    # to split over threads) under one and under two BLAS threads in fresh
-    # processes: the same output, bit for bit
+def _under_one_and_two_blas_threads(code):
+    # the stdout of code run in a fresh process under one and under two
+    # BLAS threads
     import os
     import subprocess
     import sys
 
     import graphtv
     src = os.path.dirname(os.path.dirname(graphtv.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    return outs
+
+
+def test_separable_solve_ignores_blas_threads():
+    # a separable solve on 10224 edges (long enough for a BLAS dot product
+    # to split over threads) under one and under two BLAS threads in fresh
+    # processes: the same output, bit for bit
     code = ("import hashlib, numpy as np, graphtv as gt\n"
             "from graphtv.instances import cartesian_graph, random_vertex_field\n"
             "from graphtv.minimality import power_phi\n"
@@ -384,9 +509,21 @@ def test_separable_solve_ignores_blas_threads():
             "print(rep.iterations, rep.objective.hex(), rep.optimality.hex(),\n"
             "      hashlib.sha1(u.tobytes()).hexdigest())\n"
             % (SEED + 8))
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                   capture_output=True, text=True).stdout)
+    outs = _under_one_and_two_blas_threads(code)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_coupled_projection_ignores_blas_threads():
+    # the same for a converging isotropic solve on that grid: 1400
+    # iterations over group-contiguous balls
+    code = ("import hashlib, numpy as np, graphtv as gt\n"
+            "from graphtv.instances import cartesian_graph, random_vertex_field\n"
+            "g = cartesian_graph(72, 72)\n"
+            "f = random_vertex_field(np.random.default_rng(%d), g.vertex_count)\n"
+            "sol = gt.isotropic_rof_solve(g, f, 0.2)\n"
+            "rep = sol.report\n"
+            "print(rep.converged, rep.iterations, rep.objective.hex(), rep.optimality.hex(),\n"
+            "      hashlib.sha1(sol.u.tobytes() + sol.dual_flow.tobytes()).hexdigest())\n"
+            % (SEED + 8))
+    outs = _under_one_and_two_blas_threads(code)
+    assert outs[0].startswith("True 1400 ") and outs[0] == outs[1]

@@ -672,6 +672,26 @@ def test_graph_keeps_under_64_bytes_per_vertex():
     assert kept < 64 * n, kept / n
 
 
+def test_graph_construction_peaks_under_10_mb():
+    # the constructor of a 10^5-vertex path, edge list built outside the
+    # traced window, peaks at 7.6 MB here: its checks' temporaries die
+    # before the connectivity sweep, which marks a byte per vertex and
+    # keeps one queue.  A cluster search with every edge flat, with its
+    # lists and seen set, took it to 25.4 MB
+    import tracemalloc
+    n = 10 ** 5
+    edges = [(i + 1, i) for i in range(n - 1)]
+    tracemalloc.start()
+    try:
+        OrientedGraph(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak / 2 ** 20
+    with pytest.raises(ValidationError, match="graph must be connected"):
+        OrientedGraph(n, edges[:n // 2] + edges[n // 2 + 1:])
+
+
 def test_next_fusion_with_no_closing_edge():
     # lines that move every pinned edge's ends apart, or a pattern with no
     # pinned edge, close no edge: x is inf and the mask all False
