@@ -8,11 +8,10 @@ from .engine import (BoxSpec, ConvexScalar, GroupBallSpec, SolveReport,
                      min_separable_convex_over_polytope, project_onto_div_box)
 from .errors import (ConvergenceError, GraphTVError, ParseError, PathError,
                      ValidationError)
-from .flow import (FlowTrajectory, flow_backward_euler, flow_solve,
-                   minimal_section)
+from .flow import FlowTrajectory, flow_backward_euler, flow_solve
 from .graph import (DEFAULT_TOL, MembershipResult, OrientedGraph, SignPattern,
-                    Tolerances, divergence, edge_differences, pattern_box,
-                    sign_pattern, subdifferential_membership, total_variation)
+                    Tolerances, divergence, edge_differences, sign_pattern,
+                    subdifferential_membership, total_variation)
 from .instances import (SWITCHING_EDGE, cartesian_graph, flow_reference,
                         nonequivalence_instance, nonequivalence_variant_datum,
                         path_graph, random_connected_graph, random_vertex_field,
@@ -42,9 +41,9 @@ __all__ = [
     "divergence", "edge_differences", "empirical_invariant_phi_min_check",
     "equivalence_report", "flow_backward_euler", "flow_reference", "flow_solve",
     "isotropic_rof_solve", "jump_set", "min_norm_divergence",
-    "min_separable_convex_over_polytope", "minimal_section",
-    "nonequivalence_instance", "nonequivalence_variant_datum", "path_graph",
-    "pattern_box", "piecewise_linear_phi", "power_phi", "project_onto_div_box",
+    "min_separable_convex_over_polytope", "nonequivalence_instance",
+    "nonequivalence_variant_datum", "path_graph", "piecewise_linear_phi",
+    "power_phi", "project_onto_div_box",
     "random_connected_graph", "random_vertex_field",
     "read_problem", "regularization_reference", "rof_path", "rof_solve",
     "shifted_exp_phi", "sign_pattern", "softabs_phi",

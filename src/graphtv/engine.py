@@ -156,10 +156,6 @@ class BoxSpec:
             return 0.0
         return float(np.max(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        t = rng.uniform(size=self.size)
-        return self.lower + t * (self.upper - self.lower)
-
 
 class GroupBallSpec:
     """Product of Euclidean balls over a partition of the edge set.
@@ -269,9 +265,6 @@ class GroupBallSpec:
     def magnitude(self) -> float:
         return self.radius
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return self.project(rng.uniform(-self.radius, self.radius, size=self.size))
-
 
 @dataclass(frozen=True)
 class ConvexScalar:
@@ -350,26 +343,6 @@ def bisection_prox(subgradient: Callable[[np.ndarray], np.ndarray],
         return 0.5 * (lo + hi)
 
     return prox
-
-
-def convexity_violation(phi: ConvexScalar, lo: float, hi: float,
-                        rng: np.random.Generator, trials: int = 200) -> float:
-    """Largest observed violation of convexity and subgradient inequalities.
-
-    Draws random pairs in [lo, hi], checks the midpoint inequality
-    phi((x+y)/2) <= (phi(x)+phi(y))/2 and the supporting-line inequality
-    phi(y) >= phi(x) + g(x)(y-x).  Returns the max positive violation
-    (0 for a genuinely convex phi up to roundoff).
-    """
-    x = rng.uniform(lo, hi, size=trials)
-    y = rng.uniform(lo, hi, size=trials)
-    fx = phi.evaluate(x)
-    fy = phi.evaluate(y)
-    mid_gap = phi.evaluate(0.5 * (x + y)) - 0.5 * (fx + fy)
-    line_gap = fx + phi.subgradient(x) * (y - x) - fy
-    worst = max(float(np.max(mid_gap)), float(np.max(line_gap)))
-    scale = 1.0 + float(np.max(np.abs(fx))) + float(np.max(np.abs(fy)))
-    return max(0.0, worst) / scale
 
 
 def ensure_vertex_field(g: "OrientedGraph", u, name: str = "field") -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (BoxSpec, GroupBallSpec, SolveReport, ensure_edge_field,
+from .engine import (GroupBallSpec, SolveReport, ensure_edge_field,
                      ensure_vertex_field)
 from .errors import ValidationError
 
@@ -239,13 +239,6 @@ class OrientedGraph:
         """GroupBallSpec for the coupled constraint set at the given radius."""
         return GroupBallSpec(self.coupled_groups(), radius, self.edge_count)
 
-    def reversed_edge(self, k: int) -> "OrientedGraph":
-        """A copy of the graph with edge k's orientation flipped."""
-        edges = list(self.edges)
-        a, b = edges[k]
-        edges[k] = (b, a)
-        return OrientedGraph(self.vertex_count, edges, names=self.names)
-
     def __repr__(self):
         tag = "" if self.cartesian is None else ", cartesian=%dx%d" % self.cartesian
         return "OrientedGraph(%d vertices, %d edges%s)" % (
@@ -348,19 +341,6 @@ def sign_pattern(g: OrientedGraph, u, tol: Tolerances | None = None, *,
     return SignPattern(labels)
 
 
-def pattern_box(pattern: SignPattern) -> BoxSpec:
-    """Flow constraint set attached to a sign pattern.
-
-    Non-flat edges pin the flow to minus the label; flat edges are free in
-    [-1, 1].  The divergence image of this box is the total-variation
-    subdifferential at any field with the given pattern.
-    """
-    lab = pattern.labels.astype(float)
-    lower = np.where(lab != 0.0, -lab, -1.0)
-    upper = np.where(lab != 0.0, -lab, 1.0)
-    return BoxSpec(lower, upper)
-
-
 def _adjacency(g: OrientedGraph) -> tuple:
     # every vertex's edges, those out of the vertex first, each part in
     # increasing edge order: vertex v's are edge[ptr[v]:ptr[v + 1]].  As
@@ -404,7 +384,9 @@ class Cluster:
     the pull and a repaired witness's divergence error (see :meth:`peel`).
     ``verts`` lists the vertices in increasing order.  ``edges`` (see
     :meth:`FlatClusters.edges`), and :class:`PatternKernel`'s ``data`` and
-    ``sums``, are caches filled on first use, and so is ``tests``, a dict
+    ``sums`` (with a datum; a kernel without one sets ``sums``, its exact
+    line, when the cluster forms), are caches filled on first use, and so
+    is ``tests``, a dict
     of the kernel's max-flow tests of the cluster by t, as a ``(numerator,
     denominator)`` pair, each as ``(t, verdict, step, flow)`` (see
     :meth:`PatternKernel._route`).  They hold as long as the cluster lives,
@@ -548,29 +530,6 @@ class FlatClusters:
             c.edges = sorted(e for v in c.order for e in edge[ptr[v]:ptr[v + 1]]
                              if tails[e] == v and heads[e] in inside)
         return c.edges
-
-    def mean(self, x: np.ndarray) -> np.ndarray:
-        """Per-vertex mean of x over the vertex's cluster."""
-        return cluster_mean(self.root, x)
-
-    def forest_flow(self, r: np.ndarray) -> np.ndarray:
-        """The flow on the spanning forest whose divergence is r.
-
-        r must sum to zero over every cluster; the flow is unique on the
-        forest and zero on every other edge (see :meth:`Cluster.peel`).
-        """
-        h = np.zeros(self.graph.edge_count)
-        r = r.tolist()
-        for c in self._of.values():
-            h[c.tree] = c.peel([r[v] for v in c.order])
-        return h
-
-
-def cluster_mean(root: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-vertex mean of x over the vertices that share the vertex's
-    ``root`` (see :class:`FlatClusters`), summed in vertex order."""
-    n = root.size
-    return (np.bincount(root, x, n) / np.maximum(np.bincount(root, minlength=n), 1))[root]
 
 
 def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
@@ -717,6 +676,9 @@ def failure_site(g: OrientedGraph, name: str, x: float) -> str:
                                                    g.edge_count)
 
 
+_ZERO = Fraction(0)
+
+
 class PatternKernel:
     """Closed forms and exact cluster tests attached to one sign pattern.
 
@@ -729,11 +691,15 @@ class PatternKernel:
     ``t = 1 / alpha``, each cluster carries a flow in [-1, 1] on its flat
     edges with divergence ``t * w - beta``; such t form an interval.
 
-    Without a datum the pull is zero and only t = 0 matters: a cluster is
-    calibrable when the test passes there, and ``s`` is the gradient flow's
-    direction on every calibrable cluster.  The min cut of a cluster that
-    is not names the cut along which it splits, as in the decomposition
-    algorithm for the minimum-norm base (Fujishige 1980; Hochbaum 2001).
+    Without a datum the pull is zero and the tests do not depend on t: a
+    cluster is calibrable when its test passes, and ``s`` is the gradient
+    flow's direction on every calibrable cluster (the flow is the path
+    with zero pull).  The min cut of a cluster that is not names the cut
+    along which it splits, as in the decomposition algorithm for the
+    minimum-norm base (Fujishige 1980; Hochbaum 2001).  Such a kernel's
+    lines ``c + x * s`` start at the cluster means of the field ``u`` (zero
+    if none is given) and are carried through events (see :meth:`_carry`),
+    each cluster's exactly, as the sums ``(sum of b, unit * sum of c)``.
 
     At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
     a cluster's test has integer data and goes to :func:`route_demands`.
@@ -750,8 +716,8 @@ class PatternKernel:
     integer calibration flow and, with a datum, the flow of the pull, from
     which the witness at any t follows.
 
-    A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``, with
-    a datum ``intercept`` and ``pull``, a byte per cluster's smallest
+    A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``,
+    ``intercept``, with a datum ``pull``, a byte per cluster's smallest
     vertex for its forest test), per-edge arrays (the labels, the forest
     flows) and its :class:`FlatClusters`, whose only Python objects are the
     Clusters with a flat edge.  A vertex with no flat edge never fails a
@@ -764,26 +730,43 @@ class PatternKernel:
                  "_forest", "_pull_flow", "_failed", "_calibration", "_start")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
-                 f: Optional[np.ndarray] = None):
+                 f: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
         self.graph, self.f, self.maxflows = g, f, 0
         self._values, self._exact = None if f is None else memoryview(f), None
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
-        self.intercept, self.pull, self._pull_flow = 0.0, 0.0, None
+        self.intercept, self.pull, self._pull_flow = np.empty(n), 0.0, None
         if f is not None:
-            self.intercept, self.pull, self._pull_flow = np.empty(n), np.empty(n), np.zeros(m)
+            self.pull, self._pull_flow = np.empty(n), np.zeros(m)
         self._forest, self._failed = np.zeros(m), bytearray(n)
         clusters = FlatClusters(g, pattern.flat)
         self._build(pattern, clusters, [], list(clusters._of.values()),
                     np.flatnonzero(clusters.sizes[clusters.labels] == 1))
+        if f is None:
+            # the lines start at the cluster means of u, exactly: u as
+            # integers over one power-of-two unit
+            u = np.zeros(n) if u is None else np.asarray(u, dtype=float)
+            ratios = [x.as_integer_ratio() for x in u.tolist()]
+            unit = max((den for _, den in ratios), default=1)
+            exact = [num * (unit // den) for num, den in ratios]
+            self._exact = unit, exact
+            self.intercept[:] = u
+            pinned = memoryview(self.pinned)
+            for c in clusters._of.values():
+                total = sum([exact[v] for v in c.order])
+                c.sums = int(sum([pinned[v] for v in c.order])), total
+                self.intercept[c.order] = total / (unit * len(c.order))
 
-    def successor(self, labels) -> "PatternKernel":
-        """The kernel of the edge labels ``labels``, built from this one.
+    def successor(self, labels, t: Fraction = _ZERO) -> "PatternKernel":
+        """The kernel of the edge labels ``labels``, built from this one by
+        the events at the exact parameter x = 1 / t (x = 0 at t = 0).
 
-        It equals ``PatternKernel(g, SignPattern(labels), f)``, but for
-        ``maxflows``, which it carries on.  Only the clusters with an end
-        of an edge whose label changed are searched again; the others keep
-        their spanning trees, tree flows, values and tests.
+        With a datum it equals ``PatternKernel(g, SignPattern(labels), f)``,
+        but for ``maxflows``, which it carries on; without one, it carries
+        the lines through the events at x (see :meth:`_carry`).  Only
+        the clusters with an end of an edge whose label changed are
+        searched again; the others keep their spanning trees, tree flows,
+        values and tests.
         """
         given = SignPattern(labels)
         changed = (given.labels != self._given).nonzero()[0]
@@ -792,32 +775,76 @@ class PatternKernel:
         out.graph, out.f, out._values = self.graph, self.f, self._values
         out._exact, out.maxflows = self._exact, self.maxflows
         out.pinned, out.slope, out.beta = self.pinned.copy(), self.slope.copy(), self.beta.copy()
-        out.intercept, out.pull, out._pull_flow = 0.0, 0.0, None
+        out.intercept, out.pull, out._pull_flow = self.intercept.copy(), 0.0, None
         if self.f is not None:
-            out.intercept, out.pull = self.intercept.copy(), self.pull.copy()
-            out._pull_flow = self._pull_flow.copy()
+            out.pull, out._pull_flow = self.pull.copy(), self._pull_flow.copy()
         out._forest, out._failed = self._forest.copy(), bytearray(self._failed)
         out._build(given, clusters, [c for _, c in dead if c], born, ones)
-        if self._exact is not None and not given.labels[changed].any():
-            out._fuse(self.pinned, dead)
+        if self._exact is not None:
+            out._carry(self, dead, born, ones, t, not given.labels[changed].any())
         return out
 
-    def _fuse(self, pinned: np.ndarray, dead: list):
-        # every changed edge turned flat, so each born cluster is a union of
-        # dead ones, (smallest vertex, Cluster or None) with the pinned flux
-        # before, and its sums are theirs added up: the pinned flux of an
-        # edge inside it cancels.  A born cluster gets sums where each of
-        # its parts has them
-        root, exact = memoryview(self.clusters.root), self._exact[1]
-        sums = {}
-        for r, c in dead:
-            part = (int(pinned[r]), exact[r]) if c is None else c.sums
-            key = root[r]
-            total = sums.get(key, (0, 0))
-            sums[key] = None if part is None or total is None else (
-                total[0] + part[0], total[1] + part[1])
-        for key, total in sums.items():
-            self.clusters._of[key].sums = total
+    def _carry(self, before, dead: list, born: list, ones, t: Fraction, fused: bool):
+        # the sums of the born clusters from those of the dead ones,
+        # (smallest vertex, Cluster or None) of the kernel before.  Where
+        # the events only fused, each born cluster is a union of whole dead
+        # ones and its sums are theirs added up: the pinned flux of an edge
+        # inside it cancels.  Else, without a datum, the lines keep their
+        # sum through the events at x = 1 / t (x = 0 at t = 0): on each born
+        # cluster or vertex, n c = (the sum of the lines before, at x) + x *
+        # b.  A kernel without a datum gives each born cluster and vertex
+        # the line of its sums, rounded once; one with a datum leaves the
+        # sums of a cluster that did not only fuse to :meth:`meet`
+        unit, exact = self._exact
+        free, pinned = self.f is None, memoryview(before.pinned)
+        if fused:
+            root, sums = memoryview(self.clusters.root), {}
+            for r, c in dead:
+                part = (int(pinned[r]), exact[r]) if c is None else c.sums
+                key = root[r]
+                if key not in sums:
+                    sums[key] = part
+                elif part is None or sums[key] is None:
+                    sums[key] = None
+                else:
+                    sums[key] = sums[key][0] + part[0], sums[key][1] + part[1]
+            lines = [(c.order, c, sums[c.order[0]]) for c in born]
+        elif free:
+            # in integers: x unit = big_u / big_t, and each dead part's sum
+            # of lines at x, (sum of c) - x unit b, as a numerator over a
+            # denominator, with its vertex count
+            big_u, big_t = (unit * t.denominator, t.numerator) if t else (0, 1)
+            at_x = {}
+            for r, c in dead:
+                n, (b, total) = (1, (int(pinned[r]), exact[r])) if c is None else (
+                    len(c.order), c.sums)
+                at_x[r] = (n, total.numerator * big_t - big_u * b * total.denominator,
+                           total.denominator * big_t)
+            root, now = memoryview(before.clusters.root), memoryview(self.pinned)
+            lines = []
+            for verts, c in itertools.chain(((c.order, c) for c in born),
+                                            (([v], v) for v in ones)):
+                count = {}
+                for v in verts:
+                    r = root[v]
+                    count[r] = count.get(r, 0) + 1
+                b = int(sum([now[v] for v in verts]))
+                num, den = big_u * b, big_t
+                for r, k in count.items():
+                    n, p, q = at_x[r]
+                    num, den = num * n * q + k * p * den, den * n * q
+                lines.append((verts, c, (b, Fraction(num, den))))
+        else:
+            return
+        for verts, c, part in lines:
+            if isinstance(c, Cluster):
+                c.sums = part
+            else:
+                exact[c] = part[1]
+            if free:
+                # int / int, rounded once
+                total = part[1]
+                self.intercept[verts] = total.numerator / (total.denominator * unit * len(verts))
 
     def _build(self, given, clusters, dead, born, ones):
         # the kernel of the labels given, whose clusters replace the dead
@@ -981,8 +1008,9 @@ class PatternKernel:
             c.tests[t.numerator, t.denominator] = found[i]
         return found
 
-    def splits(self, alpha: float) -> list:
-        """``(alpha', t', pins)`` for each cluster that splits at some alpha' >= alpha.
+    def splits(self, t_now: Fraction) -> list:
+        """``(t', pins)`` for each cluster that splits at some t' <= t_now,
+        the current t = 1 / alpha (t_now = 0, at alpha = 0, bounds nothing).
 
         A cluster passing the forest test at t = 0 is calibrable and never
         splits.  For the others, a Newton (Dinkelbach) search from t = 0
@@ -990,12 +1018,10 @@ class PatternKernel:
         side S of the min cut becomes tight, ``(cap(S) + beta(S)) / w(S)``.
         The last S splits off at the exact ``t' = 1 / alpha'``; ``pins``
         sets the flow into S to +1 on the edges crossing it.  A split due
-        by alpha is reported at alpha, with t' None.  Where w(S) >= 0, as
-        always under zero pull, S splits off at once.
+        by t_now is reported with t' None.  Where w(S) >= 0, as always
+        under zero pull, S splits off at once.
         """
-        t_now = 1 / Fraction(alpha) if alpha > 0 else None
-        tests = [(k, Fraction(0), None)
-                 for k in np.flatnonzero(self.calibration()[2]).tolist()]
+        tests = [(k, _ZERO, None) for k in np.flatnonzero(self.calibration()[2]).tolist()]
         out = []
         while tests:
             found = self._route([(k, t) for k, t, _ in tests])
@@ -1004,11 +1030,11 @@ class PatternKernel:
             for (k, t, pins), (_, ok, step, _) in zip(tests, found):
                 if ok:
                     if pins is not None:
-                        out.append((float(1 / t), t, pins))
+                        out.append((t, pins))
                     continue
                 t_new, pins = step
-                if t_new is None or t_now is not None and t_new >= t_now:
-                    out.append((alpha, None, pins))
+                if t_new is None or t_now and t_new >= t_now:
+                    out.append((None, pins))
                 else:
                     failed.append((k, t_new, pins))
             tests = failed
@@ -1030,11 +1056,12 @@ class PatternKernel:
         return Fraction((len(pins) * n + beta_cut) * unit, w_cut), pins
 
     def meet(self, e: int) -> Optional[Fraction]:
-        """The exact t at which the lines of the clusters at the ends of edge
-        e meet (the kernel needs a datum), from each cluster's exact sums
-        of f and of the pinned flux b; None if the lines are parallel.
-        A cluster's sums are kept on its :class:`Cluster`, and a successor
-        that only fuses adds up those of the parts, so a fusion costs O(1)."""
+        """The exact t = 1 / x at which the lines ``c + x * s`` of the
+        clusters at the ends of edge e meet, from each cluster's exact sums
+        of c (of f, with a datum) and of the pinned flux b; None if their
+        intercepts are equal.  A cluster's sums are kept on its
+        :class:`Cluster`, and a successor adds up those of the whole parts
+        of a cluster it forms (see :meth:`_carry`), so a fusion costs O(1)."""
         if self._exact is None:
             # f as integers over one power-of-two unit, made once per chain
             ratios = [x.as_integer_ratio() for x in self._values]
@@ -1054,9 +1081,11 @@ class PatternKernel:
             sums.append((len(c.order),) + c.sums)
         (na, ba, fa), (nb, bb, fb) = sums
         # c = f_sum / (unit size) and s = -b_sum / size on each side; the
-        # lines meet at t = (s_head - s_tail) / (c_tail - c_head)
-        gap = fa * nb - fb * na
-        return Fraction((ba * nb - bb * na) * unit, gap) if gap else None
+        # lines meet at t = (s_head - s_tail) / (c_tail - c_head).  The sums
+        # of f are fractions p / q, so one gcd reduces t
+        (pa, qa), (pb, qb) = (fa.numerator, fa.denominator), (fb.numerator, fb.denominator)
+        gap = pa * qb * nb - pb * qa * na
+        return Fraction((ba * nb - bb * na) * unit * qa * qb, gap) if gap else None
 
     def _forest_at(self, t: Fraction) -> tuple:
         # the forest flow at t (see witness), an overshoot of at most 1e-12

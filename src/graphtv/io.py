@@ -141,8 +141,11 @@ def problem_from_dict(doc) -> tuple:
                           cartesian=cartesian, grid_coords=grid_coords)
     except ValueError as exc:
         raise ParseError("invalid problem: %s" % exc) from exc
-    f = np.array(values, dtype=float)
-    _require(bool(np.isfinite(f).all()), "'values' must be finite")
+    try:
+        f = np.array(values, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        f = None
+    _require(f is not None and bool(np.isfinite(f).all()), "'values' must be finite")
     return g, f
 
 

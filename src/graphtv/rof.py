@@ -9,7 +9,7 @@ and a coupled-constraint (isotropic) variant on Cartesian grid graphs.
 The path is traced exactly with no iterative solve: under a sign pattern
 it is a line, which ends where two clusters meet (a fusion) or where a
 parametric max-flow finds that a cluster breaks up (a split; Hoefling
-2010).  Both ends of every segment are certified.  A solve at one alpha
+2010).  Every segment is certified.  A solve at one alpha
 uses the projection only to identify the sign pattern, and returns the
 pattern's line at alpha once the same certificate holds there; where it
 does not, the decomposition algorithm gives the pattern exactly (Hochbaum
@@ -298,105 +298,168 @@ def isotropic_rof_solve(g: OrientedGraph, f, alpha: float,
     return RofSolution(alpha, f - g._div(h), -h, report)
 
 
-def _fail(g: OrientedGraph, cause: str, alpha: float, where: str):
-    raise PathError("%s: %s %s" % (where, cause, failure_site(g, "alpha", alpha)),
-                    interval=(alpha, alpha))
+def _fail(g: OrientedGraph, cause: str, name: str, x: float, where: str):
+    raise PathError("%s: %s %s" % (where, cause, failure_site(g, name, x)),
+                    interval=(x, x))
 
 
-def _certify(kernel: PatternKernel, alpha: float, t: Optional[Fraction] = None,
+def _sign_fault(kernel: PatternKernel, alpha: float) -> bool:
+    # whether a pinned edge changes sign on the kernel's line at alpha,
+    # beyond 1e-11 of the line's size there
+    g = kernel.graph
+    c, s = kernel.intercept, kernel.slope
+    u = c + alpha * s
+    worst = float((kernel.pattern.labels * (u[g.tails] - u[g.heads])).min(initial=0.0))
+    return worst < 0.0 and worst < -1e-11 * float(np.abs(c).max() + alpha * np.abs(s).max())
+
+
+_ZERO = Fraction(0)
+
+
+def _witnessed(kernel: PatternKernel, t: Fraction,
+               start: Optional[np.ndarray] = None) -> tuple:
+    # (witness, None) if the kernel's witness at t passes PatternKernel.fault
+    # against t * w - beta, else (None, cause).  A kernel without a datum
+    # has zero pull, and its witness at t = 0 serves every t
+    if kernel.f is None:
+        h = kernel.witness(_ZERO, start)
+        cause = kernel.fault(h, -kernel.beta)
+    else:
+        h = kernel.witness(t, start)
+        cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
+    return (None, cause) if cause else (h, None)
+
+
+def _certify(kernel: PatternKernel, alpha: float,
              start: Optional[np.ndarray] = None) -> tuple:
     """``(witness, None)`` if the kernel's line solves the problem at alpha,
     else ``(None, cause)``.
 
-    Pinned edges keep their signs, and the kernel's witness at ``t``, the
-    exact ``1 / alpha`` of a split or a fusion or else
-    ``1 / Fraction(alpha)``, passes :meth:`PatternKernel.fault` against
-    ``t * w - beta``.  ``start`` is passed on to
-    :meth:`PatternKernel.witness`.  At alpha = 0, w vanishes on the ties of
-    f; t = 0 is used.
+    Pinned edges keep their signs, and the kernel's witness at ``t = 1 /
+    Fraction(alpha)`` passes :meth:`PatternKernel.fault` against ``t * w -
+    beta``.  ``start`` is passed on to :meth:`PatternKernel.witness`.  At
+    alpha = 0, w vanishes on the ties of f; t = 0 is used.
     """
-    g = kernel.graph
-    c, s = kernel.intercept, kernel.slope
-    u = c + alpha * s
-    scale = float(np.abs(c).max() + alpha * np.abs(s).max())
-    lab = kernel.pattern.labels
-    if float((lab * (u[g.tails] - u[g.heads])).min(initial=0.0)) < -1e-11 * scale:
+    if _sign_fault(kernel, alpha):
         return None, "a pinned edge changes sign"
-    if t is None:
-        t = 1 / Fraction(alpha) if alpha > 0 else Fraction(0)
-    h = kernel.witness(t, start)
-    cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
-    return (None, cause) if cause else (h, None)
+    return _witnessed(kernel, 1 / Fraction(alpha) if alpha > 0 else Fraction(0), start)
+
+
+def _trace(k: PatternKernel):
+    """The one event loop of the path and the flow, from the kernel ``k``.
+
+    Yields ``(x, kernel, witness)`` for each segment, from its start x,
+    then ``(end, kernel, None)`` with the final, all-flat kernel.  On a
+    segment the trajectory is the kernel's line ``c + x * s``, up to the
+    first fusion (the lines across a non-flat edge meet) or split
+    (:meth:`PatternKernel.splits`); events within a relative 1e-12 of the
+    first meet in exact arithmetic and are applied together.  Each
+    breakpoint is its exact rational, rounded once: a split's from its min
+    cut, a fusion's from :meth:`PatternKernel.meet`; each successor is
+    built there, so a kernel without a datum carries its lines exactly.
+
+    Every segment is certified, or :class:`PathError` is raised: its
+    witness passes :meth:`PatternKernel.fault`, and the pinned edges keep
+    their signs at its end (the fusion search closes any edge the lines
+    carry past its meeting at the start).  With a datum (the path: x is
+    alpha) the witness is checked at ``t = 1 / x`` at both ends.  Without
+    one (the flow: x is the time) the pull is zero: every failing cluster
+    splits at once, and the witness, which does not depend on x, is
+    computed and checked once per segment.  No iterative solve runs.
+    """
+    g = k.graph
+    pulled = k.f is not None
+    name = "alpha" if pulled else "t"
+    x, t = 0.0, Fraction(0)  # t = 1 / x exactly, and 0 at x = 0
+    count = 0
+
+    def certify(ends, where):
+        # the witness at each end (x, t) of a segment, or once without a
+        # datum, and the signs of the pinned edges at the last end; the
+        # witness at the first end
+        found = []
+        for end, t_end in ends if pulled else ends[:1]:
+            h, cause = _witnessed(k, t_end)
+            if cause is not None:
+                _fail(g, cause, name, end, where)
+            found.append(h)
+        if _sign_fault(k, ends[-1][0]):
+            _fail(g, "a pinned edge changes sign", name, ends[-1][0], where)
+        return found[0]
+
+    for _ in range(event_cap(g)):
+        c, s = k.intercept, k.slope
+        where = "segment %d" % count
+        if k.pattern.all_flat:
+            certify([(x, t)], "terminal " + where)
+            yield x, k, None
+            return
+        splits = k.splits(t)
+        labels = k.pattern.labels.copy()
+        due = [pins for t_split, pins in splits if t_split is None]
+        if due:
+            # the splits due now, before any fusion
+            for pins in due:
+                labels[list(pins)] = list(pins.values())
+            k = k.successor(labels, t)
+            continue
+        step, fused = next_fusion(g, k.pattern, c + x * s, s)
+        fused = fused.nonzero()[0]
+        fuse_at, first = x + step, fused[0] if fused.size else None
+        if fused.size > 1:
+            # the first of the fusing edges, where the lines across them meet
+            tails, heads = g.tails[fused], g.heads[fused]
+            meet = (c[tails] - c[heads]) / (s[heads] - s[tails])
+            fuse_at, first = float(meet.min()), fused[np.argmin(meet)]
+        # the first event, a split's with its exact t
+        splits = [(t_split.denominator / t_split.numerator, t_split, pins)
+                  for t_split, pins in splits]
+        nxt, t_nxt = min([(a, t_a) for a, t_a, _ in splits] + [(fuse_at, None)],
+                         key=lambda event: event[0])
+        if nxt == math.inf:
+            _fail(g, "no event ahead", name, x, where)
+        # events within a relative 1e-12 of the step meet in exact arithmetic
+        limit = x + (nxt - x) * (1.0 + 1e-12)
+        if nxt > x:
+            if t_nxt is None:
+                # a fusion, at the exact t where the first fusing edge closes
+                t_nxt = k.meet(int(first))
+            end = t_nxt.denominator / t_nxt.numerator  # 1 / t, rounded once
+            if end > x:
+                yield x, k, certify([(x, t), (end, t_nxt)], where)
+                count += 1
+                x, t = end, t_nxt
+        if fuse_at <= limit:
+            labels[fused] = 0
+        for a, _, pins in splits:
+            if a <= limit:
+                labels[list(pins)] = list(pins.values())
+        k = k.successor(labels, t)
+    _fail(g, "event cap %d exceeded" % event_cap(g), name, x, "segment %d" % count)
 
 
 def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     """Trace the full regularization path of ``f`` as a function of alpha.
 
     Under a sign pattern the path is the line ``cluster_mean(f) + alpha *
-    s`` of :class:`PatternKernel`, up to the first fusion (the lines across
-    a non-flat edge meet, as in the flow) or split (:meth:`PatternKernel.splits`).
-    The path starts from the clusters of exactly equal values in f.  No
-    iterative solve runs.  Both ends of every segment are certified, which
-    covers the segment, or :class:`PathError` is raised; an end at an event
-    is certified at the event's exact parameter: a split's from its min
-    cut, a fusion's where the lines of the first fusing edge's clusters
-    meet (:meth:`PatternKernel.meet`).  The terminal value is the mean
-    field.  The path reads no tolerance.  Each vertex's line ``c + alpha *
-    s`` is stored once, at the segment whose events changed it (see
-    :class:`PiecewiseAffinePath`).
+    s`` of :class:`PatternKernel`, up to the next fusion or split, as
+    :func:`_trace` finds them.  The path starts from the clusters of
+    exactly equal values in f.  No iterative solve runs.  Every segment is
+    certified, its witness at both ends, or :class:`PathError` is raised;
+    every breakpoint is its exact rational, rounded once.  The terminal
+    value is the mean field.  The path reads no tolerance.  Each vertex's
+    line ``c + alpha * s`` is stored once, at the segment whose events
+    changed it (see :class:`PiecewiseAffinePath`).
     """
     f = ensure_vertex_field(g, f, "f")
     lines = _Lines(g.vertex_count)
     if float(f.max() - f.min()) == 0.0:
         return PiecewiseAffinePath._compact([0.0], f.copy(), lines)
-
-    def certify(alpha, t, where):
-        cause = _certify(k, alpha, t)[1]
-        if cause is not None:
-            _fail(g, cause, alpha, where)
-
-    k = PatternKernel(g, sign_pattern(g, f, scale=0.0), f)
-    alpha, t = 0.0, Fraction(0)
     bps = []
-    for _ in range(event_cap(g)):
-        c, s = k.intercept, k.slope
-        where = "segment %d" % len(bps)
-        if k.pattern.all_flat:
-            certify(alpha, t, "terminal " + where)
-            break
-        _, fused = next_fusion(g, k.pattern, c + alpha * s, s)
-        # where the lines across the fusing edges meet, from the lines alone
-        fused = fused.nonzero()[0]
-        tails, heads = g.tails[fused], g.heads[fused]
-        meet = (c[tails] - c[heads]) / (s[heads] - s[tails])
-        fuse_at = float(meet.min(initial=math.inf))
-        splits = k.splits(alpha)
-        # the first event, a split's with its exact t
-        nxt, t_nxt = min([(a, t_a) for a, t_a, _ in splits] + [(fuse_at, None)],
-                         key=lambda event: event[0])
-        if nxt == math.inf:
-            _fail(g, "no event ahead", alpha, where)
-        if nxt > alpha:
-            if t_nxt is None:
-                # a fusion, at the exact t where the first fusing edge closes
-                t_nxt = k.meet(int(fused[np.argmin(meet)]))
-            certify(alpha, t, where)
-            certify(nxt, t_nxt, where)
-            bps.append(alpha)
+    for alpha, k, h in _trace(PatternKernel(g, sign_pattern(g, f, scale=0.0), f)):
+        bps.append(alpha)
+        if h is not None:
             # every line is anchored at alpha = 0; the events changed some
+            c, s = k.intercept, k.slope
             lines.append(0.0, _differ(c, lines.anchor) | _differ(s, lines.slope), c, s)
-            t = t_nxt
-        # events within a relative 1e-12 of the step meet in exact arithmetic
-        limit = alpha + (nxt - alpha) * (1.0 + 1e-12)
-        labels = k.pattern.labels.copy()
-        if fuse_at <= limit:
-            labels[fused] = 0
-        for a, _, pins in splits:
-            if a <= limit:
-                labels[list(pins)] = list(pins.values())
-        k = k.successor(labels)
-        alpha = nxt
-    else:
-        _fail(g, "event cap %d exceeded" % event_cap(g), alpha, where)
-    bps.append(alpha)
     return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), lines)

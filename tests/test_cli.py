@@ -51,6 +51,17 @@ def test_parse_errors():
                            "grid_coords": [[1, 1], [1, 2]]})
 
 
+def test_an_integer_too_large_for_a_float_is_a_parse_error(tmp_path, capsys):
+    # JSON integers have no bound; one past the float range is not finite,
+    # as inf and nan are: ParseError, and exit 3 from the CLI
+    with pytest.raises(ParseError, match="finite"):
+        problem_from_dict({"edges": [[0, 1]], "values": [1, 10 ** 400]})
+    path = tmp_path / "big.json"
+    path.write_text('{"edges": [[0, 1]], "values": [1, 1%s]}' % ("0" * 400))
+    assert main(["rof", str(path), "--alpha", "1"]) == 3
+    assert "'values' must be finite" in capsys.readouterr().err
+
+
 def test_cli_rof_and_flow(tmp_path, problem_file, capsys):
     assert main(["rof", problem_file, "--alpha", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

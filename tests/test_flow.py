@@ -3,22 +3,30 @@ import functools
 import numpy as np
 import pytest
 
-from graphtv import (ValidationError, divergence, flow_backward_euler,
-                     flow_solve, minimal_section, subdifferential_membership)
+from graphtv import (PathError, ValidationError, divergence, flow_backward_euler,
+                     flow_solve, subdifferential_membership)
 from graphtv.instances import (SWITCHING_EDGE, flow_dual_switching_reference,
                                flow_reference, nonequivalence_instance,
                                nonequivalence_variant_datum, path_graph,
                                random_connected_graph, random_vertex_field,
                                two_vertex_graph, variant_reference)
 
+from sampling import box_point, pattern_box
+
 SEED = 20240820
 VALUE_TOL = 1e-6
 MIN_SECTION = np.array([-1.0, -4.0, 1.0, 1.0, -1.0, 2.0, 2.0, 2.0, -2.0])
 
 
+def _section(g, u):
+    # the minimum-norm element of the subdifferential at u: the negated
+    # first direction of the flow from u
+    return -flow_solve(g, u).direction_at(0.0)
+
+
 def test_minimal_section_frozen():
     g, f = nonequivalence_instance()
-    assert np.abs(minimal_section(g, f) - MIN_SECTION).max() < 1e-7
+    assert np.abs(_section(g, f) - MIN_SECTION).max() < 1e-7
 
 
 def test_minimal_section_is_member():
@@ -26,21 +34,21 @@ def test_minimal_section_is_member():
     for _ in range(8):
         g = random_connected_graph(rng)
         u = random_vertex_field(rng, g.vertex_count)
-        d = minimal_section(g, u)
+        d = _section(g, u)
         assert subdifferential_membership(g, u, d).member
 
 
 def test_minimal_section_has_smallest_norm():
     # any other member of dJ(u) must be at least as long
-    from graphtv import divergence, pattern_box, sign_pattern
+    from graphtv import sign_pattern
     rng = np.random.default_rng(SEED + 1)
     for _ in range(8):
         g = random_connected_graph(rng)
         u = random_vertex_field(rng, g.vertex_count)
-        d = minimal_section(g, u)
+        d = _section(g, u)
         box = pattern_box(sign_pattern(g, u))
         for _ in range(20):
-            other = divergence(g, box.random_point(rng))
+            other = divergence(g, box_point(box, rng))
             assert np.linalg.norm(other) >= np.linalg.norm(d) - 1e-7
 
 
@@ -56,15 +64,32 @@ def test_flow_closed_form():
 
 def test_flow_extinction_time_exact():
     g, f = nonequivalence_instance()
-    assert abs(flow_solve(g, f).t_max - 1255 / 18) < 1e-12
+    assert flow_solve(g, f).t_max == 1255 / 18
+
+
+def test_breakpoints_are_exact_rationals_rounded_once():
+    # on the 3x3 instance every breakpoint of the flow and of the path is
+    # its exact rational, rounded once
+    from fractions import Fraction as Q
+    from graphtv import rof_path
+    g, f = nonequivalence_instance()
+    flow = [0, Q(2, 5), Q(96, 5), Q(406, 15), Q(100, 3), Q(249, 5), Q(1255, 18)]
+    path = [0, Q(2, 5), 2, 20, Q(82, 3), Q(100, 3), 49, Q(1255, 18)]
+    assert flow_solve(g, f).breakpoints.tolist() == [float(x) for x in flow]
+    assert rof_path(g, f).breakpoints.tolist() == [float(x) for x in path]
+
+
+def _first_segment(g, u):
+    # the flow's first direction at u and its witness H, d = -div H
+    traj = flow_solve(g, u)
+    return traj.direction_at(0.0), traj.flows[0]
 
 
 def test_calibrated_section_matches_min_norm():
     # where no cluster splits, the cluster mean of the pinned flux is the
     # minimum-norm element the iterative solve finds
-    from graphtv import pattern_box, sign_pattern
+    from graphtv import sign_pattern
     from graphtv.engine import min_norm_divergence
-    from graphtv.flow import settle
     from graphtv.graph import PatternKernel
     rng = np.random.default_rng(SEED + 8)
     with_clusters = 0
@@ -72,9 +97,12 @@ def test_calibrated_section_matches_min_norm():
         g = random_connected_graph(rng)
         # data in {0, 1, 2} leave ties, so clusters of flat edges form
         u = np.round(random_vertex_field(rng, g.vertex_count))
+        if u.max() == u.min():
+            continue
         pat = sign_pattern(g, u)
-        kernel, d, h = settle(PatternKernel(g, pat))
-        if kernel.pattern != pat:
+        kernel = PatternKernel(g, pat)
+        d, h = _first_segment(g, u)
+        if not np.array_equal(d, kernel.slope):
             continue
         with_clusters += bool((kernel.clusters.sizes > 2).any())
         assert np.array_equal(d, kernel.slope)
@@ -89,10 +117,10 @@ def test_calibrated_section_matches_min_norm():
 def test_exact_section_matches_min_norm_on_grids():
     # along flows on random grids, segments whose forest flow leaves the
     # box: the max-flow either certifies the cluster mean (a certificate
-    # miss) or splits the cluster; both must match the iterative solve
-    from graphtv import cartesian_graph, pattern_box, sign_pattern
+    # miss) or splits the cluster; the first direction of the flow from
+    # each such state must match the iterative solve
+    from graphtv import cartesian_graph, sign_pattern
     from graphtv.engine import min_norm_divergence
-    from graphtv.flow import settle
     from graphtv.graph import PatternKernel
     rng = np.random.default_rng(SEED + 10)
     kinds = {"miss": 0, "split": 0}
@@ -104,11 +132,11 @@ def test_exact_section_matches_min_norm_on_grids():
         for u in states[::3]:
             pat = sign_pattern(g, u, scale=scale)
             kernel = PatternKernel(g, pat)
-            forest = kernel.clusters.forest_flow(-kernel.slope - kernel.pinned)
-            if np.abs(forest).max() <= 1.0 + 1e-12:
+            if not kernel.calibration()[2].any():  # every forest flow fits
                 continue
-            refined, d, h = settle(kernel)
-            kinds["miss" if refined.pattern == pat else "split"] += 1
+            assert sign_pattern(g, u) == pat
+            d, h = _first_segment(g, u)
+            kinds["miss" if np.array_equal(d, kernel.slope) else "split"] += 1
             assert np.abs(h).max() <= 1.0
             assert pattern_box(pat).contains(h)
             assert np.abs(divergence(g, h) + d).max() <= 1e-12 * (1 + np.abs(d).max())
@@ -137,9 +165,10 @@ def test_flow_solve_runs_no_iterative_solve(monkeypatch):
 
 def test_minimal_section_certificate_rejects_a_wrong_flow(monkeypatch):
     # a max-flow that reports every cluster feasible with saturated edges
-    # gives a witness whose divergence is wrong; the kernel must raise
+    # gives a witness whose divergence is wrong; the flow from a state
+    # whose forest flow leaves the box must raise at its first segment
     import graphtv.graph
-    from graphtv import ConvergenceError, cartesian_graph, sign_pattern
+    from graphtv import cartesian_graph, sign_pattern
     from graphtv.graph import PatternKernel
 
     def saturate(node_count, arcs, source, sink):
@@ -150,13 +179,11 @@ def test_minimal_section_certificate_rejects_a_wrong_flow(monkeypatch):
     f = random_vertex_field(rng, g.vertex_count)
     scale = float(f.max() - f.min())
     for u in flow_solve(g, f).path.left_values:
-        kernel = PatternKernel(g, sign_pattern(g, u, scale=scale))
-        forest = kernel.clusters.forest_flow(-kernel.slope - kernel.pinned)
-        if np.abs(forest).max() > 1.0 + 1e-12:
-            break
+        if PatternKernel(g, sign_pattern(g, u, scale=scale)).calibration()[2].any():
+            break  # a forest flow leaves the box
     monkeypatch.setattr(graphtv.graph, "max_flow", saturate)
-    with pytest.raises(ConvergenceError, match="certificate"):
-        minimal_section(g, u, scale=scale)
+    with pytest.raises(PathError, match="segment 0: a cluster has no witness"):
+        flow_solve(g, u)
 
 
 def test_flow_derives_the_pattern_once(monkeypatch):
@@ -192,7 +219,7 @@ def test_path_and_flow_share_the_first_slope():
         if f.max() == f.min():
             continue
         slope = rof_path(g, f).slopes[0]
-        assert slope.tobytes() == (-minimal_section(g, f, scale=0.0)).tobytes()
+        assert slope.tobytes() == flow_solve(g, f).direction_at(0.0).tobytes()
         unsplit = PatternKernel(g, sign_pattern(g, f, scale=0.0)).slope
         splits += not np.array_equal(slope, unsplit)
     assert splits >= 1
@@ -203,8 +230,8 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
     # a circulation around the 4-cycle of a tied 2x2 block keeps the
     # witness's divergence and pushes it out of [-1, 1]; a nudge of one edge
     # misses the divergence by 1e-7, far above rounding.  The flow's and
-    # the path's certificates must both raise
-    from graphtv import ConvergenceError, PathError, cartesian_graph, rof_path
+    # the path's certificates must both raise, at the first segment
+    from graphtv import cartesian_graph, rof_path
     from graphtv.graph import PatternKernel
     g = cartesian_graph(3, 3)
     f = np.array([0.0, 0.0, 5.0, 0.0, 0.0, 7.0, 3.0, 9.0, 1.0])
@@ -218,16 +245,16 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
     witness = PatternKernel.witness
     monkeypatch.setattr(PatternKernel, "witness",
                         lambda self, *t: witness(self, *t) + bad)
-    with pytest.raises(ConvergenceError, match="certificate"):
-        minimal_section(g, f)
-    with pytest.raises(PathError, match="witness"):
-        rof_path(g, f)
+    for solve in (flow_solve, rof_path):
+        with pytest.raises(PathError, match="segment 0: a cluster has no witness"):
+            solve(g, f)
 
 
 def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
-    # pins set against the min cut leave parts whose witnesses still fit;
-    # only the bounds on the cut edges show the fault
-    from graphtv import ConvergenceError, cartesian_graph
+    # pins set against the min cut leave parts whose witnesses still fit,
+    # but whose lines close across the cut at once: the flow splits and
+    # fuses the cluster again at t = 0 and certifies no segment
+    from graphtv import cartesian_graph
     from graphtv.graph import PatternKernel
     cut = PatternKernel._cut
 
@@ -239,15 +266,15 @@ def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
     rng = np.random.default_rng(SEED + 15)
     g = cartesian_graph(6, 6)
     f = rng.integers(0, 4, g.vertex_count).astype(float)
-    with pytest.raises(ConvergenceError, match="certificate"):
-        minimal_section(g, f, scale=0.0)
+    with pytest.raises(PathError, match="segment 0: event cap .* at t = 0.0 "):
+        flow_solve(g, f)
 
 
 def test_flow_closes_edges_that_rounding_carries_past_their_meeting():
-    # at an offset of 1000 the snap's rounding leaves a pinned edge a few
-    # ulps past the point where its ends meet; it must close with the event,
-    # or no edge closes in the next segment.  The flow commutes with adding
-    # a constant
+    # at an offset of 1000 a flow that snapped its state to cluster means
+    # left a pinned edge a few ulps past the point where its ends meet, and
+    # had to close it with the event.  Exact lines meet where they meet;
+    # the flow commutes with adding a constant
     from graphtv import cartesian_graph
     g = cartesian_graph(10, 10)
     f = random_vertex_field(np.random.default_rng(203), g.vertex_count)
@@ -346,7 +373,7 @@ def test_flow_and_path_rerun_a_cluster_test_only_on_a_rebuilt_cluster(monkeypatc
 def test_certificates_check_cached_tests(monkeypatch):
     # a stored flow read back doubled misses its divergence; the flow's
     # and the path's certificates must both raise
-    from graphtv import ConvergenceError, PathError, cartesian_graph, rof_path
+    from graphtv import cartesian_graph, rof_path
 
     class Doubled(dict):
         def get(self, key, default=None):
@@ -358,10 +385,9 @@ def test_certificates_check_cached_tests(monkeypatch):
     _storing(monkeypatch, Doubled)
     g = cartesian_graph(10, 10)
     f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
-    with pytest.raises(ConvergenceError, match="certificate"):
-        flow_solve(g, f)
-    with pytest.raises(PathError, match="witness"):
-        rof_path(g, f)
+    for solve in (flow_solve, rof_path):
+        with pytest.raises(PathError, match="witness"):
+            solve(g, f)
 
 
 def test_memo_lives_for_one_call(monkeypatch):
@@ -379,10 +405,9 @@ def test_memo_lives_for_one_call(monkeypatch):
     monkeypatch.setattr(graphtv.graph, "max_flow", counted)
     g = cartesian_graph(8, 8)
     f = random_vertex_field(np.random.default_rng(SEED + 18), g.vertex_count)
-    scale = float(f.max() - f.min())
     u = flow_solve(g, f).path.left_values[-4]  # large clusters need max-flows
-    for solve in (lambda: minimal_section(g, u, scale=scale),
-                  lambda: flow_solve(g, f), lambda: rof_path(g, f)):
+    for solve in (lambda: flow_solve(g, u), lambda: flow_solve(g, f),
+                  lambda: rof_path(g, f)):
         calls.clear()
         solve()
         once = len(calls)
@@ -613,19 +638,16 @@ def test_trajectories_keep_memory_linear_on_paths():
 
 def test_flow_breakpoints_match_the_path_on_paths():
     # on a path graph the flow at t is the regularized solution at alpha =
-    # t, so both have the same breakpoints in exact arithmetic; the flow's
-    # float times keep them within these relative errors, those of a flow
-    # that snapped every cluster at every event
+    # t, so both have the same breakpoints in exact arithmetic, and both
+    # give each as its exact rational rounded once: the same bits
     from graphtv import rof_path
     g = path_graph(2000)
     f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
-    cases = [(_traced("flow_solve", 1000)[0], _traced("rof_path", 1000)[0], 3.9e-13),
-             (flow_solve(g, f), rof_path(g, f), 5.8e-13)]
-    for flow, path, bound in cases:
-        flow, path = flow.breakpoints, path.breakpoints
-        assert flow.size == path.size
-        err = float((np.abs(flow[1:] - path[1:]) / path[1:]).max())
-        assert err <= bound, (path.size, err)
+    cases = [(_traced("flow_solve", 1000)[0], _traced("rof_path", 1000)[0]),
+             (flow_solve(g, f), rof_path(g, f))]
+    for flow, path in cases:
+        assert flow.breakpoints.size == path.breakpoints.size >= 1000
+        assert flow.breakpoints.tobytes() == path.breakpoints.tobytes()
 
 
 def test_replay_gives_the_builders_bits(monkeypatch):
@@ -660,15 +682,16 @@ def test_replay_gives_the_builders_bits(monkeypatch):
             longest = max(longest, path.segment_count)
             rows = [list(zip(*segments)) for segments in stored.values()]
             assert all(len(r[0]) == path.segment_count for r in rows)
+            # the lines anchored at 0 (the flow's first at f) and their
+            # slopes, then the flow's F and -H
+            (intercept, slope), *integral = rows
+            left = [c + alpha * s for c, s, alpha in zip(intercept, slope, b)]
             if build is flow_solve:
-                # the states and directions, then F and -H
-                (left, slope), (anti, minus_h) = rows
+                assert path.value_at(0.0).tobytes() == f.tobytes()
+                (anti, minus_h), = integral
                 flows = [-x for x in minus_h]
                 assert result.flows.tobytes() == np.array(flows).tobytes()
                 assert result.antiderivative[:-1].tobytes() == np.array(anti).tobytes()
-            else:
-                (intercept, slope), = rows
-                left = [c + alpha * s for c, s, alpha in zip(intercept, slope, b)]
             assert path.left_values.tobytes() == np.array(left).tobytes()
             assert path.slopes.tobytes() == np.array(slope).tobytes()
             xs = sorted(list(b) + [0.5 * (x + y) for x, y in zip(b, b[1:])])

@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from graphtv import (OrientedGraph, SignPattern, Tolerances, ValidationError,
-                     divergence, edge_differences, pattern_box, sign_pattern,
+                     divergence, edge_differences, sign_pattern,
                      subdifferential_membership, total_variation)
 from graphtv.instances import (cartesian_graph, nonequivalence_instance, path_graph,
                                random_connected_graph, random_vertex_field,
                                two_vertex_graph)
 
 from dense_operator import dense_divergence
+from sampling import box_point, pattern_box
 
 TOL = 1e-12
 SEED = 20240817
+
+
+def _cluster_mean(root, x):
+    # per-vertex mean of x over the vertices with the vertex's root,
+    # summed in vertex order
+    n = root.size
+    return (np.bincount(root, x, n) / np.maximum(np.bincount(root, minlength=n), 1))[root]
 
 
 def brute_divergence(g, h):
@@ -136,9 +144,9 @@ def test_total_variation_orientation_invariant():
     rng = np.random.default_rng(SEED + 3)
     g = random_connected_graph(rng)
     u = rng.normal(size=g.vertex_count)
-    g2 = g
-    for k in range(0, g.edge_count, 2):
-        g2 = g2.reversed_edge(k)
+    # every other edge flipped
+    g2 = OrientedGraph(g.vertex_count, [(b, a) if k % 2 == 0 else (a, b)
+                                        for k, (a, b) in enumerate(g.edges)])
     assert abs(total_variation(g, u) - total_variation(g2, u)) < TOL
 
 
@@ -227,10 +235,15 @@ def test_flat_clusters_match_union_find():
             assert (c.order, c.up, c.tree, c.sign) == ref
         same = roots[:, None] == roots[None, :]
         assert np.array_equal(same, clusters.labels[:, None] == clusters.labels[None, :])
-        assert np.abs(clusters.mean(u) - expected).max() < 1e-12
-        # the forest flow realizes any divergence that sums to zero per cluster
+        assert np.abs(_cluster_mean(clusters.root, u) - expected).max() < 1e-12
+        # the flow on the spanning forest, each tree's peeled, realizes any
+        # divergence that sums to zero per cluster
         r = u - expected
-        assert np.abs(divergence(g, clusters.forest_flow(r)) - r).max() < 1e-12
+        forest, rs = np.zeros(g.edge_count), r.tolist()
+        for k in range(clusters.count):
+            c = clusters.cluster(k)
+            forest[c.tree] = c.peel([rs[v] for v in c.order])
+        assert np.abs(divergence(g, forest) - r).max() < 1e-12
 
 
 def test_max_flow_known_min_cut():
@@ -294,6 +307,8 @@ def test_route_demands_batches_disjoint_parts():
 
 
 def test_pattern_box_pins_nonflat_edges():
+    # the box the tests draw members from, and the flow membership
+    # certifies a member with, which lies in it
     g, f = nonequivalence_instance()
     pat = sign_pattern(g, f)
     box = pattern_box(pat)
@@ -302,6 +317,8 @@ def test_pattern_box_pins_nonflat_edges():
     assert np.all(box.lower[pinned] == -pat.labels[pinned])
     assert np.all(box.lower[~pinned] == -1.0)
     assert np.all(box.upper[~pinned] == 1.0)
+    res = subdifferential_membership(g, f, divergence(g, box_point(box, np.random.default_rng(SEED))))
+    assert res.member and box.contains(res.witness)
 
 
 def test_membership_two_vertex():
@@ -324,7 +341,7 @@ def test_membership_definition_random():
     u = random_vertex_field(rng, g.vertex_count)
     pat = sign_pattern(g, u)
     box = pattern_box(pat)
-    h_flow = box.random_point(rng)
+    h_flow = box_point(box, rng)
     cand = divergence(g, h_flow)
     res = subdifferential_membership(g, u, cand)
     assert res.member
@@ -381,7 +398,7 @@ def _membership_draw(rng, k):
     u = (rng.integers(0, 3, n).astype(float) if (k // 3) % 2
          else random_vertex_field(rng, n))
     box = pattern_box(sign_pattern(g, u))
-    h = box.random_point(rng)
+    h = box_point(box, rng)
     corner = rng.uniform(size=h.size) < 0.3
     h[corner] = np.where(rng.uniform(size=int(corner.sum())) < 0.5,
                          box.lower[corner], box.upper[corner])
@@ -523,11 +540,12 @@ def _check_values(kernel, labels):
     inside = (labels != 0) & (cl.labels[g.tails] == cl.labels[g.heads])
     pattern = np.where(inside, 0, labels).astype(np.int8)
     pinned = divergence(g, -pattern.astype(float))
-    slope = -cl.mean(pinned)
+    slope = -_cluster_mean(cl.root, pinned)
     expected = [pattern, pinned, slope, pinned + slope]
     actual = [kernel.pattern.labels, kernel.pinned, kernel.slope, kernel.beta]
     if kernel.f is not None:
-        expected += [cl.mean(kernel.f), kernel.f - cl.mean(kernel.f)]
+        mean = _cluster_mean(cl.root, kernel.f)
+        expected += [mean, kernel.f - mean]
         actual += [kernel.intercept, kernel.pull]
     assert [x.tobytes() for x in actual] == [x.tobytes() for x in expected]
 
@@ -614,6 +632,68 @@ def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
         monkeypatch.setattr(graphtv.graph.FlatClusters, "successor", mutated)
         with pytest.raises(AssertionError):
             _successor_chains(SEED + 9)
+
+
+def _exact_lines(kernel):
+    # each vertex's line (c, s) as fractions, from its cluster's exact sums
+    from fractions import Fraction
+    unit, exact = kernel._exact
+    cl = kernel.clusters
+    lines = []
+    for v in range(kernel.graph.vertex_count):
+        c = cl._of.get(int(cl.root[v]))
+        (b, total), size = ((int(kernel.pinned[v]), exact[v]), 1) if c is None else (
+            c.sums, len(c.order))
+        lines.append((Fraction(total) / (unit * size), Fraction(-b, size)))
+    return lines
+
+
+def test_kernel_without_a_datum_carries_its_lines():
+    # a kernel without a datum starts its lines at the cluster means of u
+    # and keeps their sum through each successor's events at the exact
+    # parameter at = 1 / t: on every new cluster, the sum of the new lines at `at`
+    # is that of the lines before, exactly, and each float intercept is its
+    # exact line rounded once.  Random fusions, cuts and relabelled edges,
+    # as in the chains above, on tied and untied starts
+    from fractions import Fraction
+    from graphtv.graph import PatternKernel
+    from graphtv.instances import cartesian_graph
+    rng = np.random.default_rng(SEED + 10)
+    for g in (cartesian_graph(6, 6), path_graph(40), random_connected_graph(rng)):
+        n, m = g.vertex_count, g.edge_count
+        u = random_vertex_field(rng, n)
+        for start in (sign_pattern(g, rng.integers(0, 3, n).astype(float)),
+                      sign_pattern(g, u)):
+            kernel = PatternKernel(g, start, u=u)
+            lines = _exact_lines(kernel)
+            for k in range(kernel.clusters.count):
+                verts = kernel.clusters.cluster(k).verts
+                assert lines[verts[0]][0] == sum(map(Fraction, u[verts])) / len(verts)
+            at = Fraction(0)
+            for _ in range(30):
+                labels = kernel.pattern.labels.copy()
+                cl = kernel.clusters.labels
+                move = rng.integers(3)
+                if move == 0:
+                    labels[rng.choice(m, rng.integers(1, 4))] = 0
+                elif move == 1:
+                    k = cl[rng.integers(n)]
+                    side = rng.random(n) < 0.5
+                    cut = (cl[g.tails] == k) & (side[g.tails] != side[g.heads])
+                    labels[cut] = np.where(side[g.heads[cut]], -1, 1)
+                else:
+                    pick = rng.choice(m, rng.integers(1, 4))
+                    labels[pick] = rng.integers(-1, 2, pick.size)
+                at += Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+                before = lines
+                kernel = kernel.successor(labels, 1 / at)
+                lines = _exact_lines(kernel)
+                root = kernel.clusters.root
+                for r in np.unique(root).tolist():
+                    verts = np.flatnonzero(root == r).tolist()
+                    assert (sum(c + at * s for c, s in (lines[v] for v in verts))
+                            == sum(c + at * s for c, s in (before[v] for v in verts)))
+                assert kernel.intercept.tolist() == [float(c) for c, _ in lines]
 
 
 def test_lone_vertices_keep_the_signed_zeros_of_the_cluster_loop():

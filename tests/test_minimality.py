@@ -10,6 +10,8 @@ from graphtv.minimality import PhiCatalog, piecewise_linear_phi
 from graphtv.instances import (cartesian_graph, nonequivalence_instance,
                                random_connected_graph, random_vertex_field)
 
+from sampling import ball_point, box_point
+
 SEED = 20240821
 REL_TOL = 1e-5
 
@@ -132,14 +134,14 @@ def test_oracle_from_a_wrong_start_agrees_with_cold():
         box = BoxSpec.uniform(g.edge_count, alpha)
         starts = [-rof_solve(g, f, alpha / 2.0).dual_flow,
                   -rof_solve(g, f, 3.0 * alpha).dual_flow,
-                  box.random_point(rng)]
+                  box_point(box, rng)]
         runs.append((g, f, box, starts))
     g = cartesian_graph(6, 6)
     f = random_vertex_field(rng, g.vertex_count)
     balls = g.coupled_ball(0.5)
     runs.append((g, f, balls, [-isotropic_rof_solve(g, f, 0.5).dual_flow,
                                -isotropic_rof_solve(g, f, 2.0).dual_flow,
-                               balls.random_point(rng)]))
+                               ball_point(balls, rng)]))
     for g, f, spec, starts in runs:
         for phi in PhiCatalog.standard(float(f.min()), float(f.max())):
             _, cold = min_separable_convex_over_polytope(g, f, spec, phi)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,14 +244,14 @@ def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
     # test_witness_between_passing_tests_runs_no_max_flow), so that is off
     # here: each misfit cluster's certificate runs its test
     import graphtv.rof
-    certify, route = graphtv.rof._certify, PatternKernel._route
+    witnessed, route = graphtv.rof._witnessed, PatternKernel._route
     params, verdicts, inside = [], [], []
 
-    def certified(kernel, alpha, t=None, start=None):
-        params.append((alpha, t))
+    def certified(kernel, t, start=None):
+        params.append(t)
         inside.append(True)
         try:
-            return certify(kernel, alpha, t, start)
+            return witnessed(kernel, t, start)
         finally:
             inside.pop()
 
@@ -260,19 +261,22 @@ def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
             verdicts.extend(ok for _, ok, _, _ in found)
         return found
 
-    monkeypatch.setattr(graphtv.rof, "_certify", certified)
+    monkeypatch.setattr(graphtv.rof, "_witnessed", certified)
     monkeypatch.setattr(PatternKernel, "_route", routed)
     monkeypatch.setattr(PatternKernel, "_between", lambda self, k, t: None)
     rng = np.random.default_rng(SEED + 19)
     graphs = [cartesian_graph(8, 8), cartesian_graph(6, 9)]
     graphs += [random_connected_graph(rng, 20) for _ in range(4)]
     for g in graphs:
-        rof_path(g, random_vertex_field(rng, g.vertex_count))
+        params.clear()
+        breakpoints = set(rof_path(g, random_vertex_field(rng, g.vertex_count)).breakpoints)
+        # each certificate runs at an exact t whose 1 / t, rounded once, is
+        # a breakpoint; t = 0 only at alpha = 0
+        assert params and all(isinstance(t, Fraction) for t in params)
+        assert all(t.denominator / t.numerator in breakpoints if t else 0.0 in breakpoints
+                   for t in params)
     assert len(verdicts) > 400
     assert all(verdicts)
-    for alpha, t in params:
-        assert t is not None
-        assert abs(float(t) * alpha - 1.0) <= 1e-12 if alpha else t == 0
 
 
 def test_cluster_tests_change_no_path(monkeypatch):
