@@ -16,8 +16,8 @@ cluster mean of the pinned flux, with a spanning-forest witness or, where
 that flow leaves the box, the flow of an integer max-flow; a cluster that
 is not calibrable splits along the max-flow's min cut at once, and the
 parts are tested again at the same instant.  Each cluster's line is exact:
-its intercept is a rational that a fusion adds up and a split carries on
-by continuity at the event's exact time, so every breakpoint is its exact
+its intercept is a rational that a fusion adds up and a split sets by
+continuity at the event's exact time, so every breakpoint is its exact
 rational, rounded once, and no state is snapped.
 
 Each segment also records a witness flow H_k realizing d_k = -div H_k and
@@ -106,8 +106,8 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
     gives the direction (the negated minimum-norm subdifferential element)
     and its witness, certified once.  The first segment starts at f
     itself, every later one on the clusters' exact lines, so
-    ``value_at(0)`` is f and the ties of f, flat only to flat_tol, meet at
-    the first breakpoint.  Terminates at the mean field, or raises
+    ``value_at(0)`` is f, and a tie of f, flat only to flat_tol, takes its
+    cluster's line from the first breakpoint on.  Terminates at the mean field, or raises
     :class:`PathError` after ``16 m + 64`` events.
 
     Each segment stores the lines it sets: of the vertices whose line an

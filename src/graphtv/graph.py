@@ -766,7 +766,9 @@ class PatternKernel:
         the lines through the events at x (see :meth:`_carry`).  Only
         the clusters with an end of an edge whose label changed are
         searched again; the others keep their spanning trees, tree flows,
-        values and tests.
+        values and tests.  The per-vertex and per-edge arrays pass to the
+        successor, which updates them where the events changed them, so
+        this kernel is read no more once its successor is built.
         """
         given = SignPattern(labels)
         changed = (given.labels != self._given).nonzero()[0]
@@ -774,19 +776,22 @@ class PatternKernel:
         out = PatternKernel.__new__(PatternKernel)
         out.graph, out.f, out._values = self.graph, self.f, self._values
         out._exact, out.maxflows = self._exact, self.maxflows
-        out.pinned, out.slope, out.beta = self.pinned.copy(), self.slope.copy(), self.beta.copy()
-        out.intercept, out.pull, out._pull_flow = self.intercept.copy(), 0.0, None
-        if self.f is not None:
-            out.pull, out._pull_flow = self.pull.copy(), self._pull_flow.copy()
-        out._forest, out._failed = self._forest.copy(), bytearray(self._failed)
+        parts = None if self._exact is None else {
+            r: (1, int(self.pinned[r]), self._exact[1][r]) if c is None
+            else None if c.sums is None else (len(c.order),) + c.sums for r, c in dead}
+        out.pinned, out.slope, out.beta = self.pinned, self.slope, self.beta
+        out.intercept, out.pull, out._pull_flow = self.intercept, self.pull, self._pull_flow
+        out._forest, out._failed = self._forest, self._failed
         out._build(given, clusters, [c for _, c in dead if c], born, ones)
-        if self._exact is not None:
-            out._carry(self, dead, born, ones, t, not given.labels[changed].any())
+        if parts is not None:
+            out._carry(parts, self.clusters.root, born, ones, t,
+                       not given.labels[changed].any())
         return out
 
-    def _carry(self, before, dead: list, born: list, ones, t: Fraction, fused: bool):
-        # the sums of the born clusters from those of the dead ones,
-        # (smallest vertex, Cluster or None) of the kernel before.  Where
+    def _carry(self, parts: dict, root_before, born: list, ones, t: Fraction, fused: bool):
+        # the sums of the born clusters from those of the dead ones, parts
+        # by smallest vertex as (size, sums) or None, and root_before, the
+        # smallest vertex of each vertex's cluster before the events.  Where
         # the events only fused, each born cluster is a union of whole dead
         # ones and its sums are theirs added up: the pinned flux of an edge
         # inside it cancels.  Else, without a datum, the lines keep their
@@ -796,11 +801,11 @@ class PatternKernel:
         # the line of its sums, rounded once; one with a datum leaves the
         # sums of a cluster that did not only fuse to :meth:`meet`
         unit, exact = self._exact
-        free, pinned = self.f is None, memoryview(before.pinned)
+        free = self.f is None
         if fused:
             root, sums = memoryview(self.clusters.root), {}
-            for r, c in dead:
-                part = (int(pinned[r]), exact[r]) if c is None else c.sums
+            for r, part in parts.items():
+                part = part and part[1:]
                 key = root[r]
                 if key not in sums:
                     sums[key] = part
@@ -814,13 +819,9 @@ class PatternKernel:
             # of lines at x, (sum of c) - x unit b, as a numerator over a
             # denominator, with its vertex count
             big_u, big_t = (unit * t.denominator, t.numerator) if t else (0, 1)
-            at_x = {}
-            for r, c in dead:
-                n, (b, total) = (1, (int(pinned[r]), exact[r])) if c is None else (
-                    len(c.order), c.sums)
-                at_x[r] = (n, total.numerator * big_t - big_u * b * total.denominator,
-                           total.denominator * big_t)
-            root, now = memoryview(before.clusters.root), memoryview(self.pinned)
+            at_x = {r: (n, total.numerator * big_t - big_u * b * total.denominator,
+                        total.denominator * big_t) for r, (n, b, total) in parts.items()}
+            root, now = memoryview(root_before), memoryview(self.pinned)
             lines = []
             for verts, c in itertools.chain(((c.order, c) for c in born),
                                             (([v], v) for v in ones)):
