@@ -38,7 +38,7 @@ import numpy as np
 from .errors import PathError, ValidationError
 from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
                     ensure_vertex_field, failure_site, sign_pattern)
-from .rof import PiecewiseAffinePath, _Lines, _differ, _trace, rof_solve
+from .rof import PiecewiseAffinePath, _Lines, _trace, rof_solve
 
 
 class FlowTrajectory:
@@ -128,7 +128,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
     bps = []
     prev_norm = math.inf
     kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale), u=f)
-    for t, kernel, h in _trace(kernel):
+    for t, kernel, h, moved in _trace(kernel):
         bps.append(t)
         if h is None:
             break
@@ -140,11 +140,13 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         prev_norm = dnorm
         # every line is anchored at t = 0, the first at f; a vertex takes a
         # new line where an event changed its cluster's, an edge where its
-        # witness changed
+        # witness or label changed, at a vertex that an event moved
         c = kernel.intercept if len(bps) > 1 else f
-        values.append(0.0, _differ(c, values.anchor) | _differ(d, values.slope), c, d)
+        verts = np.arange(g.vertex_count) if len(bps) < 3 else moved
+        edges = np.arange(g.edge_count) if moved is None else kernel.clusters.edges_at(moved)
+        values.append(0.0, values.changed(verts, c, d), c, d)
         minus_h = -(h - kernel.pattern.labels)
-        integral.append(t, _differ(minus_h, integral.slope), integral.at(t), minus_h)
+        integral.append(t, integral.changed(edges, None, minus_h), integral.at(t), minus_h)
 
     if float(np.abs(kernel.intercept - fbar).max()) > 1e-6 * (1.0 + abs(fbar)):
         raise PathError("flow ended off the mean field " + failure_site(g, "t", t),

@@ -259,6 +259,15 @@ class SignPattern:
         arr.setflags(write=False)
         self.labels = arr
 
+    @classmethod
+    def _of(cls, labels: np.ndarray) -> "SignPattern":
+        # the pattern of int8 labels over {-1, 0, 1}, which it takes over
+        # unchecked
+        out = cls.__new__(cls)
+        labels.setflags(write=False)
+        out.labels = labels
+        return out
+
     def __len__(self):
         return self.labels.size
 
@@ -277,7 +286,7 @@ class SignPattern:
 
     @property
     def all_flat(self) -> bool:
-        return bool((self.labels == 0).all())
+        return not self.labels.any()
 
     def __repr__(self):
         return "SignPattern(%s)" % np.array2string(self.labels, separator="")
@@ -451,50 +460,64 @@ def _grow(adj: tuple, flat, verts) -> tuple:
 class FlatClusters:
     """Connected components of the graph restricted to a set of flat edges.
 
-    ``labels[v]`` numbers the cluster of vertex v (0 .. count-1, in the
-    order of the clusters' smallest vertices), ``root[v]`` is the smallest
-    vertex of v's cluster, ``sizes`` counts the
-    vertices per cluster and :meth:`cluster` gives cluster k's
-    :class:`Cluster`, with its breadth-first spanning tree.  Only clusters
-    with a flat edge keep a Cluster; a vertex with none is its own cluster,
-    found in bulk, and ``cluster`` hands out a throwaway one for it.  The
+    ``root[v]`` is the smallest vertex of v's cluster, and the Cluster of
+    a cluster with a flat edge, with its breadth-first spanning tree, is
+    kept by that vertex.  A vertex with no flat edge is its own cluster,
+    found in bulk.  ``labels[v]`` numbers the cluster of vertex v (0 ..
+    count-1, in the order of the clusters' smallest vertices), ``roots``
+    lists those vertices, ``sizes`` counts the vertices per cluster and
+    :meth:`cluster` gives cluster k's Cluster, or a throwaway one for a
+    vertex with no flat edge; this numbering is built on first use.  The
     adjacency is a pair of index arrays, shared with every successor.  A
     build from scratch takes O(n + m) time and memory, and Python work only
     at the vertices with a flat edge.  :meth:`successor` gives the clusters
     of another set of flat edges from these: it searches again only the
-    clusters with an end of a changed edge, and shares the others.  Each
-    cluster's search starts from its smallest vertex and takes the edges in
-    the same order either way, so both give the same trees.
+    clusters with an end of a changed edge, and updates ``root`` and the
+    Clusters kept in place.  Each cluster's search starts from its smallest
+    vertex and takes the edges in the same order either way, so both give
+    the same trees.
     """
 
-    __slots__ = ("graph", "labels", "count", "sizes", "roots", "root", "_adj",
-                 "_of")
+    __slots__ = ("graph", "root", "_adj", "_of", "_numbering")
 
     def __init__(self, g: OrientedGraph, flat: np.ndarray):
         n = g.vertex_count
-        self._adj = _adjacency(g)
+        self.graph, self._adj = g, _adjacency(g)
+        self.root, self._of = np.arange(n), {}
         touched = np.zeros(n, dtype=bool)
         touched[g.tails[flat]] = touched[g.heads[flat]] = True
-        born, _ = _grow(self._adj, memoryview(flat), np.flatnonzero(touched).tolist())
-        self._setup(g, np.arange(n), {}, born, [])
+        self._place(_grow(self._adj, memoryview(flat), np.flatnonzero(touched).tolist())[0], [])
 
-    def _setup(self, g, root, of, born, ones):
-        # of[r] is the Cluster whose smallest vertex is r
+    def _place(self, born, ones):
+        # the born Clusters and the vertices ones with no flat edge take
+        # their places in root and the Clusters kept
+        root, of = memoryview(self.root), self._of
         for c in born:
-            of[c.order[0]] = c
-        root[[v for c in born for v in c.order]] = [
-            c.order[0] for c in born for _ in c.order]
-        if ones:
-            root[ones] = ones
-        self.graph, self.root, self._of = g, root, of
-        self.roots = (root == np.arange(g.vertex_count)).nonzero()[0]
-        self.count = self.roots.size
-        rank = np.empty(g.vertex_count, dtype=np.intp)
-        rank[self.roots] = np.arange(self.count)
-        self.labels = rank[root]
-        self.sizes = np.bincount(self.labels, minlength=self.count)
+            r = c.order[0]
+            of[r] = c
+            for v in c.order:
+                root[v] = r
+        for v in ones:
+            root[v] = v
+        self._numbering = None
 
-    def successor(self, flat: np.ndarray, changed: np.ndarray) -> tuple:
+    def _number(self) -> tuple:
+        # (roots, labels, sizes), built on first use
+        if self._numbering is None:
+            n = self.graph.vertex_count
+            roots = (self.root == np.arange(n)).nonzero()[0]
+            rank = np.empty(n, dtype=np.intp)
+            rank[roots] = np.arange(roots.size)
+            labels = rank[self.root]
+            self._numbering = roots, labels, np.bincount(labels, minlength=roots.size)
+        return self._numbering
+
+    roots = property(lambda self: self._number()[0])
+    labels = property(lambda self: self._number()[1])
+    sizes = property(lambda self: self._number()[2])
+    count = property(lambda self: self._number()[0].size)
+
+    def successor(self, flat: np.ndarray, changed) -> tuple:
         """``(clusters, dead, born, ones)``: the clusters of the flat edges
         ``flat``, which differ from this one's only on the edges
         ``changed``; this one's clusters with an end of a changed edge,
@@ -502,17 +525,24 @@ class FlatClusters:
         None for a vertex with no flat edge; and the Clusters and the
         vertices with no flat edge searched in their place.  A cluster
         with no end of a changed edge is still a cluster, with the same
-        spanning tree."""
-        root, of = memoryview(self.root), self._of.copy()
+        spanning tree.  The successor takes over ``root`` and the Clusters
+        kept, so this one is read no more."""
+        root, of = memoryview(self.root), self._of
         _, _, tails, heads = self._adj
         dead = [(r, of.pop(r, None))
-                for r in {root[v] for e in changed.tolist() for v in (tails[e], heads[e])}]
+                for r in {root[v] for e in changed for v in (tails[e], heads[e])}]
         verts = [v for r, c in dead for v in ([r] if c is None else c.order)]
         born, ones = _grow(self._adj, memoryview(flat), sorted(verts))
         out = FlatClusters.__new__(FlatClusters)
-        out._adj = self._adj
-        out._setup(self.graph, self.root.copy(), of, born, ones)
+        out.graph, out._adj, out.root, out._of = self.graph, self._adj, self.root, of
+        out._place(born, ones)
         return out, dead, born, ones
+
+    def edges_at(self, verts: np.ndarray) -> np.ndarray:
+        """The edges with an end in the vertices verts, in increasing order."""
+        ptr, edge, _, _ = self._adj
+        return np.array(sorted({e for v in verts.tolist() for e in edge[ptr[v]:ptr[v + 1]]}),
+                        dtype=np.intp)
 
     def cluster(self, k: int) -> Cluster:
         """Cluster k."""
@@ -520,9 +550,8 @@ class FlatClusters:
         c = self._of.get(r)
         return Cluster([r], [-1], [], []) if c is None else c
 
-    def edges(self, k: int) -> list:
-        """The edges with both ends in cluster k, in increasing order."""
-        c = self.cluster(k)
+    def edges(self, c: Cluster) -> list:
+        """The edges with both ends in the Cluster c, in increasing order."""
         if c.edges is None:
             ptr, edge, tails, heads = self._adj
             inside = set(c.order)
@@ -650,19 +679,21 @@ def next_fusion(g: OrientedGraph, pattern: SignPattern, u: np.ndarray,
 
     An edge closes when ``d`` moves its ends together against its label
     (an edge just split moves apart, even where u is still equal across
-    it).  Returns x (``inf`` if no edge closes) and the mask of the edges
-    that close by x up to a relative 1e-12, which meet there exactly.
+    it).  Returns x (``inf`` if no edge closes), the mask of the edges
+    that close by x up to a relative 1e-12, which meet there exactly, and
+    the differences ``u(tail) - u(head)`` and ``d(tail) - d(head)`` over
+    every edge, from which the gaps along the step follow.
     """
     diffs = u[g.tails] - u[g.heads]
     ddiffs = d[g.tails] - d[g.heads]
     idx = np.flatnonzero(pattern.labels * ddiffs < 0.0)
     closing = np.zeros(g.edge_count, dtype=bool)
     if idx.size == 0:
-        return math.inf, closing
+        return math.inf, closing, diffs, ddiffs
     cross = -diffs[idx] / ddiffs[idx]
     x = float(cross.min())
     closing[idx[cross <= x + 1e-12 * abs(x)]] = True
-    return x, closing
+    return x, closing, diffs, ddiffs
 
 
 def event_cap(g: OrientedGraph) -> int:
@@ -713,35 +744,50 @@ class PatternKernel:
     with :meth:`successor`, which rebuilds only the clusters an event fused
     or split; a cluster that no event changed keeps its tests.  Each
     cluster's spanning-tree flows are computed once, when it forms: the
-    integer calibration flow and, with a datum, the flow of the pull, from
-    which the witness at any t follows.
+    integer calibration flow, that flow over |C| and, with a datum, the
+    flow of the pull, from which the witness at any t follows.  Without a
+    datum the witness does not depend on t, and the kernel keeps it (see
+    :meth:`witness`).  ``moved`` lists the vertices whose values the last
+    build set, None for a kernel built from scratch.
 
     A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``,
-    ``intercept``, with a datum ``pull``, a byte per cluster's smallest
-    vertex for its forest test), per-edge arrays (the labels, the forest
-    flows) and its :class:`FlatClusters`, whose only Python objects are the
-    Clusters with a flat edge.  A vertex with no flat edge never fails a
-    test and never splits; its values are set in bulk, with the float
-    operations the loop over a Cluster applies to one vertex.
+    ``intercept``, with a datum ``pull``), per-edge arrays (the labels, the
+    forest flows, without a datum the witness), the Clusters whose forest
+    flow leaves [-1, 1] by smallest vertex, and its :class:`FlatClusters`,
+    whose only Python objects are the Clusters with a flat edge.  A vertex
+    with no flat edge never fails a test and never splits.
     """
 
-    __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f",
-                 "intercept", "pull", "beta", "maxflows", "_given", "_values", "_exact",
-                 "_forest", "_pull_flow", "_failed", "_calibration", "_start")
+    __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f", "intercept",
+                 "pull", "beta", "maxflows", "moved", "_given", "_inside", "_values",
+                 "_exact", "_forest", "_scaled", "_pull_flow", "_failing", "_unfilled")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
-        self.graph, self.f, self.maxflows = g, f, 0
+        self.graph, self.f, self.maxflows, self.moved = g, f, 0, None
         self._values, self._exact = None if f is None else memoryview(f), None
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
         self.intercept, self.pull, self._pull_flow = np.empty(n), 0.0, None
         if f is not None:
             self.pull, self._pull_flow = np.empty(n), np.zeros(m)
-        self._forest, self._failed = np.zeros(m), bytearray(n)
+        self._forest, self._scaled = np.zeros(m), np.zeros(m)
+        self._failing, self._unfilled = {}, {}
         clusters = FlatClusters(g, pattern.flat)
-        self._build(pattern, clusters, [], list(clusters._of.values()),
-                    np.flatnonzero(clusters.sizes[clusters.labels] == 1))
+        ones = np.flatnonzero(clusters.sizes[clusters.labels] == 1)
+        # the build's loop at a vertex with no flat edge, in bulk: every
+        # edge at it is pinned, b its pinned flux (floats, which bincount
+        # gives only where there is an edge), s = -(b / 1), and its mean
+        # of f (0.0 + f) / 1
+        b = (np.bincount(g.tails, pattern.labels, n)
+             - np.bincount(g.heads, pattern.labels, n))[ones].astype(float)
+        s = -b
+        self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
+        if f is not None:
+            mean = (0.0 + f[ones]) / 1
+            self.intercept[ones], self.pull[ones] = mean, f[ones] - mean
+        self._build(pattern, clusters, [], list(clusters._of.values()), [])
+        self.moved = None
         if f is None:
             # the lines start at the cluster means of u, exactly: u as
             # integers over one power-of-two unit
@@ -757,21 +803,33 @@ class PatternKernel:
                 c.sums = int(sum([pinned[v] for v in c.order])), total
                 self.intercept[c.order] = total / (unit * len(c.order))
 
-    def successor(self, labels, t: Fraction = _ZERO) -> "PatternKernel":
+    def successor(self, labels, t: Fraction = _ZERO, changed=None) -> "PatternKernel":
         """The kernel of the edge labels ``labels``, built from this one by
         the events at the exact parameter x = 1 / t (x = 0 at t = 0).
+        ``changed``, if given, lists every edge where ``labels``, an int8
+        array over {-1, 0, 1} that the successor takes over, differs from
+        this kernel's ``pattern``; the labels are then not checked.
 
         With a datum it equals ``PatternKernel(g, SignPattern(labels), f)``,
         but for ``maxflows``, which it carries on; without one, it carries
         the lines through the events at x (see :meth:`_carry`).  Only
         the clusters with an end of an edge whose label changed are
         searched again; the others keep their spanning trees, tree flows,
-        values and tests.  The per-vertex and per-edge arrays pass to the
-        successor, which updates them where the events changed them, so
-        this kernel is read no more once its successor is built.
+        values and tests.  The per-vertex and per-edge arrays and the
+        clusters pass to the successor, which updates them where the
+        events changed them, so this kernel is read no more once its
+        successor is built.
         """
-        given = SignPattern(labels)
-        changed = (given.labels != self._given).nonzero()[0]
+        if changed is None:
+            given = SignPattern(labels)
+            changed = (given.labels != self._given).nonzero()[0].tolist()
+        else:
+            # the labels differ from those given to this kernel on the
+            # edges changed and those that its build set flat
+            given = SignPattern._of(labels)
+            old = memoryview(self._given)
+            new = memoryview(labels)
+            changed = [e for e in set(changed).union(self._inside) if new[e] != old[e]]
         clusters, dead, born, ones = self.clusters.successor(given.flat, changed)
         out = PatternKernel.__new__(PatternKernel)
         out.graph, out.f, out._values = self.graph, self.f, self._values
@@ -780,26 +838,27 @@ class PatternKernel:
             r: (1, int(self.pinned[r]), self._exact[1][r]) if c is None
             else None if c.sums is None else (len(c.order),) + c.sums for r, c in dead}
         out.pinned, out.slope, out.beta = self.pinned, self.slope, self.beta
-        out.intercept, out.pull, out._pull_flow = self.intercept, self.pull, self._pull_flow
-        out._forest, out._failed = self._forest, self._failed
+        out.intercept, out.pull = self.intercept, self.pull
+        out._forest, out._scaled, out._pull_flow = self._forest, self._scaled, self._pull_flow
+        out._failing, out._unfilled = self._failing, self._unfilled
         out._build(given, clusters, [c for _, c in dead if c], born, ones)
         if parts is not None:
-            out._carry(parts, self.clusters.root, born, ones, t,
-                       not given.labels[changed].any())
+            lab = memoryview(given.labels)
+            out._carry(parts, dead, born, ones, t, not any([lab[e] for e in changed]))
         return out
 
-    def _carry(self, parts: dict, root_before, born: list, ones, t: Fraction, fused: bool):
+    def _carry(self, parts: dict, dead: list, born: list, ones, t: Fraction, fused: bool):
         # the sums of the born clusters from those of the dead ones, parts
-        # by smallest vertex as (size, sums) or None, and root_before, the
-        # smallest vertex of each vertex's cluster before the events.  Where
-        # the events only fused, each born cluster is a union of whole dead
-        # ones and its sums are theirs added up: the pinned flux of an edge
-        # inside it cancels.  Else, without a datum, the lines keep their
-        # sum through the events at x = 1 / t (x = 0 at t = 0): on each born
-        # cluster or vertex, n c = (the sum of the lines before, at x) + x *
-        # b.  A kernel without a datum gives each born cluster and vertex
-        # the line of its sums, rounded once; one with a datum leaves the
-        # sums of a cluster that did not only fuse to :meth:`meet`
+        # by smallest vertex as (size, sums) or None, and dead as in
+        # FlatClusters.successor.  Where the events only fused, each born
+        # cluster is a union of whole dead ones and its sums are theirs
+        # added up: the pinned flux of an edge inside it cancels.  Else,
+        # without a datum, the lines keep their sum through the events at x
+        # = 1 / t (x = 0 at t = 0): on each born cluster or vertex, n c =
+        # (the sum of the lines before, at x) + x * b.  A kernel without a
+        # datum gives each born cluster and vertex the line of its sums,
+        # rounded once; one with a datum leaves the sums of a cluster that
+        # did not only fuse to :meth:`meet`
         unit, exact = self._exact
         free = self.f is None
         if fused:
@@ -821,7 +880,9 @@ class PatternKernel:
             big_u, big_t = (unit * t.denominator, t.numerator) if t else (0, 1)
             at_x = {r: (n, total.numerator * big_t - big_u * b * total.denominator,
                         total.denominator * big_t) for r, (n, b, total) in parts.items()}
-            root, now = memoryview(root_before), memoryview(self.pinned)
+            # the smallest vertex of each moved vertex's cluster before
+            root = {v: r for r, c in dead for v in ([r] if c is None else c.order)}
+            now = memoryview(self.pinned)
             lines = []
             for verts, c in itertools.chain(((c.order, c) for c in born),
                                             (([v], v) for v in ones)):
@@ -837,6 +898,7 @@ class PatternKernel:
                 lines.append((verts, c, (b, Fraction(num, den))))
         else:
             return
+        intercept = memoryview(self.intercept)
         for verts, c, part in lines:
             if isinstance(c, Cluster):
                 c.sums = part
@@ -845,43 +907,40 @@ class PatternKernel:
             if free:
                 # int / int, rounded once
                 total = part[1]
-                self.intercept[verts] = total.numerator / (total.denominator * unit * len(verts))
+                value = total.numerator / (total.denominator * unit * len(verts))
+                for v in verts:
+                    intercept[v] = value
 
     def _build(self, given, clusters, dead, born, ones):
         # the kernel of the labels given, whose clusters replace the dead
         # Clusters by the born ones and the vertices ones, which have no
-        # flat edge.  The values at the vertices and tree edges of the born
-        # clusters are set here; the others stand, since no other cluster's
-        # edges or pinned flux changed.  _failed holds a byte per smallest
-        # vertex
+        # flat edge.  The values at their vertices and at the edges of the
+        # dead and born clusters are set here, one entry at a time; the
+        # others stand, since no other cluster's edges or pinned flux
+        # changed.  Without a datum a born cluster whose forest flow leaves
+        # [-1, 1] waits in _unfilled for its witness (see witness)
         self._given, self.clusters = given.labels, clusters
-        failed = self._failed
+        failing, f = self._failing, self._values
+        forest, scaled = memoryview(self._forest), memoryview(self._scaled)
+        pinned, slope, beta = (memoryview(x) for x in (self.pinned, self.slope, self.beta))
+        if f is not None:
+            intercept, pull, pulled = (memoryview(x) for x in
+                                       (self.intercept, self.pull, self._pull_flow))
         for c in dead:
-            failed[c.order[0]] = False
-        gone = np.array([e for c in dead for e in c.tree], dtype=np.intp)
-        if gone.size:
-            self._forest[gone] = 0.0
-            if self._pull_flow is not None:
-                self._pull_flow[gone] = 0.0
-        if len(ones):
-            # the loop below at a vertex with no flat edge, in bulk: every
-            # edge at it is pinned, b its pinned flux (floats, which
-            # bincount gives only where there is an edge), s = -(b / 1),
-            # and its mean of f (0.0 + f) / 1
-            g, lab = self.graph, given.labels
-            b = (np.bincount(g.tails, lab, g.vertex_count)
-                 - np.bincount(g.heads, lab, g.vertex_count))[ones].astype(float)
-            s = -b
-            self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
-            if self.f is not None:
-                mean = (0.0 + self.f[ones]) / 1
-                self.intercept[ones], self.pull[ones] = mean, self.f[ones] - mean
+            r = c.order[0]
+            if failing.pop(r, None) and self._unfilled.pop(r, None) is None and f is None:
+                # its witness was the flow of its max-flow test
+                for e in clusters.edges(c):
+                    scaled[e] = 0.0
+            for e in c.tree:
+                forest[e] = scaled[e] = 0.0
+                if f is not None:
+                    pulled[e] = 0.0
         ptr, edge, tails, heads = clusters._adj
-        lab, f = memoryview(given.labels), self._values
-        verts, pinned, slope, beta, intercept, pull = [], [], [], [], [], []
-        inside, tree, flows, pulled = [], [], [], []
-        for c in born:
-            order = c.order
+        lab = memoryview(given.labels)
+        moved, inside = [], []
+        for order, c in itertools.chain(((c.order, c) for c in born),
+                                        (([v], None) for v in ones)):
             size = len(order)
             members = set(order)
             b = []
@@ -904,54 +963,49 @@ class PatternKernel:
                 b.append(x)
             total = sum(b)
             s = -(total / size)
-            verts += order
-            pinned += b
-            slope += [s] * size
-            beta += [x + s for x in b]
+            moved += order
+            for v, x in zip(order, b):
+                pinned[v], slope[v], beta[v] = x, s, x + s
             if f is not None:
                 # summed in vertex order, as np.bincount does
                 mean = 0.0
-                for v in c.verts:
+                for v in sorted(order):
                     mean += f[v]
                 mean /= size
                 drift = [f[v] - mean for v in order]
-                intercept += [mean] * size
-                pull += drift
+                for v, x in zip(order, drift):
+                    intercept[v], pull[v] = mean, x
+            if c is None:
+                continue
             flow = c.peel([total - size * x for x in b])
-            failed[order[0]] = max(map(abs, flow)) > size
-            tree += c.tree
-            flows += flow
+            if max(map(abs, flow)) > size:
+                failing[order[0]] = c
+                if f is None:
+                    self._unfilled[order[0]] = c
+            for e, x in zip(c.tree, flow):
+                forest[e], scaled[e] = x, x / size
             if f is not None:
-                pulled += c.peel(drift)
-        # each index list made an array once, not once per assignment
-        verts, tree = np.array(verts, dtype=np.intp), np.array(tree, dtype=np.intp)
-        self.pinned[verts], self.slope[verts], self.beta[verts] = pinned, slope, beta
-        self._forest[tree] = flows
-        if f is not None:
-            self.intercept[verts], self.pull[verts] = intercept, pull
-            self._pull_flow[tree] = pulled
-        self.pattern = given
+                for e, x in zip(c.tree, c.peel(drift)):
+                    pulled[e] = x
+        self.pattern, self._inside, self.moved = given, inside, moved
         if inside:
             labels = given.labels.copy()
             labels[inside] = 0
-            self.pattern = SignPattern(labels)
-        self._calibration = self._start = None
+            self.pattern = SignPattern._of(labels)
 
     def calibration(self) -> tuple:
         """The integer forest flow with divergence ``sum_P b - |P| b`` on each
-        cluster P, |P| at each edge, and the clusters where it exceeds |P|;
-        the others are calibrable."""
-        if self._calibration is None:
-            cl = self.clusters
-            edge_size = cl.sizes[cl.labels[self.graph.tails]].astype(float)
-            failed = np.frombuffer(self._failed, dtype=bool)[cl.roots]
-            self._calibration = self._forest, edge_size, failed
-        return self._calibration
+        cluster P, |P| at each edge, and, for each cluster numbered as in
+        :attr:`FlatClusters.labels`, whether it exceeds |P| there; the
+        others are calibrable.  Built on each call."""
+        cl = self.clusters
+        failed = np.zeros(cl.count, dtype=bool)
+        failed[cl.labels[list(self._failing)]] = True
+        return self._forest, cl.sizes[cl.labels[self.graph.tails]].astype(float), failed
 
-    def _cluster(self, k: int) -> tuple:
-        # cluster k's vertices, flat edges, size, unit, and the integers
-        # n*unit*w and n*beta
-        c = self.clusters.cluster(k)
+    def _cluster(self, c: Cluster) -> tuple:
+        # the Cluster c's vertices, flat edges, size, unit, and the
+        # integers n*unit*w and n*beta
         if c.data is None:
             verts = c.verts
             b = self.pinned[verts].astype(np.int64).tolist()
@@ -963,47 +1017,41 @@ class PatternKernel:
                 big_f = [num * (unit // den) for num, den in ratios]
                 total = sum(big_f)
                 w = [n * x - total for x in big_f]
-            c.data = (verts, self.clusters.edges(k), n, unit, w, [n * x - sb for x in b])
+            c.data = (verts, self.clusters.edges(c), n, unit, w, [n * x - sb for x in b])
         return c.data
 
     def _route(self, tests: list) -> list:
-        # the tests of the clusters k at t of the (k, t) pairs, as in
+        # the tests of the Clusters c at t of the (c, t) pairs, as in
         # Cluster.tests: step is the _cut of a failed test, flow its flow
         # over the capacity, on the cluster's flat edges in increasing
         # order.  A cluster's stored tests are reused; the others run in
-        # one max-flow, each cluster started from an integer flow scaled to
-        # its capacities.  The clusters are disjoint, and a start within
-        # the capacities shifts every cut's capacity by a constant, so each
-        # verdict and cut closest to the source is that of a cold max-flow
-        # on the cluster alone
-        clusters = [self.clusters.cluster(k) for k, _ in tests]
-        found = [(c.tests or {}).get((t.numerator, t.denominator))
-                 for c, (_, t) in zip(clusters, tests)]
+        # one max-flow, each cluster started from its calibration flow
+        # clipped to its capacities and scaled.  The clusters are disjoint,
+        # and a start within the capacities shifts every cut's capacity by
+        # a constant, so each verdict and cut closest to the source is that
+        # of a cold max-flow on the cluster alone
+        found = [(c.tests or {}).get((t.numerator, t.denominator)) for c, t in tests]
         todo = [i for i, entry in enumerate(found) if entry is None]
         if not todo:
             return found
         self.maxflows += 1
-        g = self.graph
-        if self._start is None:
-            forest, edge_size, _ = self.calibration()
-            start = np.clip(forest, -edge_size, edge_size)
-            self._start = start.astype(np.int64).tolist()
-        flow = [0] * g.edge_count
-        parts = []
+        forest = memoryview(self._forest)
+        flow, parts = {}, []
         for i in todo:
-            k, t = tests[i]
-            verts, edges, n, unit, w, beta = self._cluster(k)
+            c, t = tests[i]
+            verts, edges, n, unit, w, beta = self._cluster(c)
             qu = t.denominator * unit
-            for j in edges:
-                flow[j] = self._start[j] * qu
+            flow.update(dict.fromkeys(edges, 0))
+            for j in c.tree:
+                flow[j] = int(min(max(forest[j], -n), n)) * qu
             parts.append((verts, edges, qu * n,
                           [t.numerator * x - qu * y for x, y in zip(w, beta)]))
-        met, reached = route_demands(parts, g.tails.tolist(), g.heads.tolist(), flow)
+        _, _, tails, heads = self.clusters._adj
+        met, reached = route_demands(parts, tails, heads, flow)
         for i, (verts, edges, cap, _), ok in zip(todo, parts, met):
-            k, t = tests[i]
-            step = None if ok else self._cut(k, set(verts) - reached)
+            c, t = tests[i]
+            step = None if ok else self._cut(c, set(verts) - reached)
             found[i] = t, ok, step, np.array([flow[j] / cap for j in edges])
-            c = clusters[i]
             if c.tests is None:
                 c.tests = {}
             c.tests[t.numerator, t.denominator] = found[i]
@@ -1022,13 +1070,13 @@ class PatternKernel:
         by t_now is reported with t' None.  Where w(S) >= 0, as always
         under zero pull, S splits off at once.
         """
-        tests = [(k, _ZERO, None) for k in np.flatnonzero(self.calibration()[2]).tolist()]
+        tests = [(c, _ZERO, None) for _, c in sorted(self._failing.items())]
         out = []
         while tests:
-            found = self._route([(k, t) for k, t, _ in tests])
+            found = self._route([(c, t) for c, t, _ in tests])
             failed = []
             # t rises strictly at every failed test, up to the current t
-            for (k, t, pins), (_, ok, step, _) in zip(tests, found):
+            for (c, t, pins), (_, ok, step, _) in zip(tests, found):
                 if ok:
                     if pins is not None:
                         out.append((t, pins))
@@ -1037,18 +1085,18 @@ class PatternKernel:
                 if t_new is None or t_now and t_new >= t_now:
                     out.append((None, pins))
                 else:
-                    failed.append((k, t_new, pins))
+                    failed.append((c, t_new, pins))
             tests = failed
         return out
 
-    def _cut(self, k: int, cut: set) -> tuple:
+    def _cut(self, c: Cluster, cut: set) -> tuple:
         # the t where cut is tight (None if w(cut) >= 0), and the pins
-        verts, edges, n, unit, w, beta = self._cluster(k)
-        g = self.graph
+        verts, edges, n, unit, w, beta = self._cluster(c)
+        _, _, tails, heads = self.clusters._adj
         pins = {}
         for j in edges:
-            into = int(g.heads[j]) in cut
-            if into != (int(g.tails[j]) in cut):
+            into = heads[j] in cut
+            if into != (tails[j] in cut):
                 pins[j] = -1 if into else 1
         w_cut = sum(x for v, x in zip(verts, w) if v in cut)
         beta_cut = sum(y for v, y in zip(verts, beta) if v in cut)
@@ -1090,19 +1138,19 @@ class PatternKernel:
 
     def _forest_at(self, t: Fraction) -> tuple:
         # the forest flow at t (see witness), an overshoot of at most 1e-12
-        # clipped, and the clusters where it leaves [-1, 1]
-        forest, edge_size, failed = self.calibration()
-        h = forest / edge_size
+        # clipped, and the Clusters where it leaves [-1, 1], by smallest
+        # vertex (without a datum, a filled one holds its test's flow)
+        h = self._scaled.copy()
         if not t:
-            return h, np.flatnonzero(failed).tolist()
+            return h, [c for _, c in sorted(self._failing.items())]
         h += float(t) * self._pull_flow
         size = np.abs(h)
         over = size > 1.0
         rounded = over & (size <= 1.0 + 1e-12)
         h[rounded] = np.sign(h[rounded])
         cl = self.clusters
-        return h, np.flatnonzero(np.bincount(cl.labels[self.graph.tails[over & ~rounded]],
-                                             minlength=cl.count)).tolist()
+        roots = np.unique(cl.root[self.graph.tails[over & ~rounded]]).tolist()
+        return h, [cl._of[r] for r in roots]
 
     def settle(self, t: Fraction = Fraction(0)) -> "PatternKernel":
         """The kernel, from this one by splits, whose every cluster has a flow
@@ -1113,14 +1161,12 @@ class PatternKernel:
         exact, with no tolerance (Chambolle & Darbon 2009)."""
         kernel = self
         while True:
-            found = kernel._route([(k, t) for k in kernel._forest_at(t)[1]])
+            found = kernel._route([(c, t) for c in kernel._forest_at(t)[1]])
             pins = [step[1] for _, ok, step, _ in found if not ok]
             if not pins:
                 return kernel
             labels = kernel.pattern.labels.copy()
-            for p in pins:
-                labels[list(p)] = list(p.values())
-            kernel = kernel.successor(labels)
+            kernel = kernel.successor(labels, _ZERO, apply_pins(labels, pins))
 
     def witness(self, t: Fraction = Fraction(0),
                 start: Optional[np.ndarray] = None) -> np.ndarray:
@@ -1139,46 +1185,69 @@ class PatternKernel:
         run now, in one max-flow with the other such clusters.  A cluster
         with no flow in [-1, 1] gets one that misses the divergence; the
         caller's certificate finds it.
+
+        Without a datum and ``start`` the witness is the kernel's own
+        array of forest flows over |C|, which successors pass on and update
+        where a cluster died or formed: read it before building the
+        successor.  A cluster whose forest flow leaves [-1, 1] takes its
+        test's flow there at the first call after it forms.
         """
+        if self.f is not None or start is not None:
+            return self._assemble(t, start)
+        if self._unfilled:
+            todo = [c for _, c in sorted(self._unfilled.items())]
+            self._unfilled.clear()
+            for c, entry in zip(todo, self._route([(c, _ZERO) for c in todo])):
+                self._scaled[self.clusters.edges(c)] = entry[3]
+        return self._scaled
+
+    def _assemble(self, t: Fraction, start: Optional[np.ndarray] = None) -> np.ndarray:
+        # the witness at t, assembled from the forest flows and the tests
         h, misfit = self._forest_at(t)
         if misfit and start is not None:
             misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
         todo = []
-        for k in misfit:
-            flow = self._between(k, t)
+        for c in misfit:
+            flow = self._between(c, t)
             if flow is None:
-                todo.append(k)
+                todo.append(c)
             else:
-                h[self.clusters.edges(k)] = flow
-        for k, entry in zip(todo, self._route([(k, t) for k in todo])):
-            h[self.clusters.edges(k)] = entry[3]
+                h[self.clusters.edges(c)] = flow
+        for c, entry in zip(todo, self._route([(c, t) for c in todo])):
+            h[self.clusters.edges(c)] = entry[3]
         return h
 
-    def _between(self, k: int, t: Fraction) -> Optional[np.ndarray]:
-        # cluster k's flow at t from two passing tests at lo < t < hi in
-        # Cluster.tests, its forest flow at t = 0 one of them where it fits
-        # (a misfit cluster at t = 0 has no such flow).  The divergence is
-        # affine in t and the box convex, so their convex combination is a
-        # flow at t; the weights x and fl(1 - x) keep it in [-1, 1] under
-        # rounding.  None where t has a test of its own, which _route hands
-        # back, or no passing test lies on one side of t
-        tests = self.clusters.cluster(k).tests or {}
-        if (t.numerator, t.denominator) in tests:
+    def _between(self, c: Cluster, t: Fraction) -> Optional[np.ndarray]:
+        # the Cluster c's flow at t from the last stored of its passing
+        # tests at lo < t and the last at hi > t, its forest flow at t = 0
+        # taking the place of the first where it fits (a misfit cluster at
+        # t = 0 has no such flow).  The divergence is affine in t and the
+        # box convex, so their convex combination is a flow at t; the
+        # weights x and fl(1 - x) keep it in [-1, 1] under rounding.  None
+        # where t has a test of its own, which _route hands back, or no
+        # passing test lies on one side of t.  Cluster.tests keeps the
+        # tests in the order they ran, keyed by the integers of their t:
+        # the search runs back from the last and compares no Fraction
+        tests = c.tests or {}
+        p, q = t.numerator, t.denominator
+        if (p, q) in tests:
             return None
         below = above = None
-        forest, edge_size, failed = self.calibration()
-        if not failed[k]:
-            part = self.clusters.edges(k)
-            below = Fraction(0), forest[part] / edge_size[part]
-        for s, ok, _, flow in tests.values():
-            if ok and s < t:
-                below = s, flow
-            elif ok:
-                above = s, flow
+        for key, (_, ok, _, flow) in reversed(tests.items()):
+            if ok:
+                if key[0] * q < p * key[1]:
+                    below = below or (key, flow)
+                else:
+                    above = above or (key, flow)
+                if below and above:
+                    break
+        if below is None and c.order[0] not in self._failing:
+            below = (0, 1), self._scaled[self.clusters.edges(c)]
         if below is None or above is None:
             return None
-        (lo, h_lo), (hi, h_hi) = below, above
-        x = float((hi - t) / (hi - lo))
+        ((lo_p, lo_q), h_lo), ((hi_p, hi_q), h_hi) = below, above
+        # x = (hi - t) / (hi - lo), int / int rounded once
+        x = (hi_p * q - p * hi_q) * lo_q / ((hi_p * lo_q - lo_p * hi_q) * q)
         return x * h_lo + (1.0 - x) * h_hi
 
     def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
@@ -1191,25 +1260,33 @@ class PatternKernel:
         return None
 
     def _repair(self, h: np.ndarray, start: np.ndarray, r: np.ndarray,
-                ks: list) -> list:
-        # sets h on each cluster k of ks to start, a flow in [-1, 1], plus
+                cs: list) -> list:
+        # sets h on each Cluster of cs to start, a flow in [-1, 1], plus
         # the flow on the cluster's spanning tree that carries start's
         # divergence error r - div(start), where it fits in [-1, 1].
-        # Returns the clusters it could not set
-        cl = self.clusters
+        # Returns the Clusters it could not set
         flow = np.where(self.pattern.flat, start, 0.0)
         err = (r - self.graph._div(flow)).tolist()
         left = []
-        for k in ks:
-            c = cl.cluster(k)
+        for c in cs:
             # the clusters are disjoint, so each adds to its own edges
             flow[c.tree] += c.peel([err[v] for v in c.order])
-            part = cl.edges(k)
+            part = self.clusters.edges(c)
             if float(np.abs(flow[part]).max()) > 1.0:
-                left.append(k)
+                left.append(c)
             else:
                 h[part] = flow[part]
         return left
+
+
+def apply_pins(labels: np.ndarray, pins: list) -> list:
+    """Set the labels of each split's pins, dicts of edge to label, in
+    place; the edges, in the order set."""
+    lab = memoryview(labels)
+    for p in pins:
+        for e, x in p.items():
+            lab[e] = x
+    return [e for p in pins for e in p]
 
 
 def subdifferential_membership(g: OrientedGraph, u, candidate,

@@ -28,8 +28,8 @@ import numpy as np
 from .engine import BoxSpec, SolveReport, project_onto_div_box
 from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
-                    Tolerances, ensure_vertex_field, event_cap, failure_site,
-                    next_fusion, sign_pattern)
+                    Tolerances, apply_pins, ensure_vertex_field, event_cap,
+                    failure_site, next_fusion, sign_pattern)
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,25 @@ class _Lines:
         self.anchor, self.slope, self.since = np.zeros(size), np.zeros(size), np.zeros(size)
         self.ats, self.parts = [], []
 
+    def changed(self, idx: np.ndarray, anchor: Optional[np.ndarray],
+                slope: np.ndarray) -> np.ndarray:
+        """The entries of the increasing indices idx whose slope, or with
+        ``anchor`` given their anchor, differs in its bits from the current
+        line's; the other entries must not differ."""
+        moved = _differ(slope[idx], self.slope[idx])
+        if anchor is not None:
+            moved |= _differ(anchor[idx], self.anchor[idx])
+        return idx[moved]
+
     def append(self, at: float, moved: np.ndarray, anchor: np.ndarray,
                slope: np.ndarray) -> None:
-        """The next segment: the entries of the mask ``moved`` take the
-        lines of ``anchor`` and ``slope`` from the parameter ``at``."""
-        idx = moved.nonzero()[0]
-        a, s = anchor[idx], slope[idx]
-        self.anchor[idx], self.slope[idx], self.since[idx] = a, s, at
+        """The next segment: the entries of the increasing indices
+        ``moved`` take the lines of ``anchor`` and ``slope`` from the
+        parameter ``at``."""
+        a, s = anchor[moved], slope[moved]
+        self.anchor[moved], self.slope[moved], self.since[moved] = a, s, at
         self.ats.append(at)
-        self.parts.append((idx, a, s))
+        self.parts.append((moved, a, s))
 
     def at(self, x: float) -> np.ndarray:
         """The current lines at x."""
@@ -303,13 +313,12 @@ def _fail(g: OrientedGraph, cause: str, name: str, x: float, where: str):
                     interval=(x, x))
 
 
-def _sign_fault(kernel: PatternKernel, alpha: float) -> bool:
+def _sign_fault(kernel: PatternKernel, alpha: float, gaps: np.ndarray) -> bool:
     # whether a pinned edge changes sign on the kernel's line at alpha,
-    # beyond 1e-11 of the line's size there
-    g = kernel.graph
+    # whose differences across the edges are gaps, beyond 1e-11 of the
+    # line's size there
     c, s = kernel.intercept, kernel.slope
-    u = c + alpha * s
-    worst = float((kernel.pattern.labels * (u[g.tails] - u[g.heads])).min(initial=0.0))
+    worst = float((kernel.pattern.labels * gaps).min(initial=0.0))
     return worst < 0.0 and worst < -1e-11 * float(np.abs(c).max() + alpha * np.abs(s).max())
 
 
@@ -340,70 +349,105 @@ def _certify(kernel: PatternKernel, alpha: float,
     beta``.  ``start`` is passed on to :meth:`PatternKernel.witness`.  At
     alpha = 0, w vanishes on the ties of f; t = 0 is used.
     """
-    if _sign_fault(kernel, alpha):
+    g, u = kernel.graph, kernel.intercept + alpha * kernel.slope
+    if _sign_fault(kernel, alpha, u[g.tails] - u[g.heads]):
         return None, "a pinned edge changes sign"
     return _witnessed(kernel, 1 / Fraction(alpha) if alpha > 0 else Fraction(0), start)
+
+
+def _closes(k: PatternKernel, pins: dict) -> bool:
+    # whether the parts of a split that built the kernel k close across its
+    # cut at once: a pinned edge of pins with label * (s_tail - s_head) < 0,
+    # exact from each part's sum of the pinned flux b and size, s = -b / size
+    cl = k.clusters
+    _, _, tails, heads = cl._adj
+    root, pinned = memoryview(cl.root), memoryview(k.pinned)
+    parts = {}
+
+    def part(v):
+        # (sum of b, size) of vertex v's cluster
+        r = root[v]
+        if r not in parts:
+            verts = cl._of[r].order if r in cl._of else [r]
+            parts[r] = int(sum([pinned[u] for u in verts])), len(verts)
+        return parts[r]
+
+    for e, label in pins.items():
+        (bt, nt), (bh, nh) = part(tails[e]), part(heads[e])
+        if label * (bh * nt - bt * nh) < 0:
+            return True
+    return False
 
 
 def _trace(k: PatternKernel):
     """The one event loop of the path and the flow, from the kernel ``k``.
 
-    Yields ``(x, kernel, witness)`` for each segment, from its start x,
-    then ``(end, kernel, None)`` with the final, all-flat kernel.  On a
-    segment the trajectory is the kernel's line ``c + x * s``, up to the
-    first fusion (the lines across a non-flat edge meet) or split
-    (:meth:`PatternKernel.splits`); events within a relative 1e-12 of the
-    first meet in exact arithmetic and are applied together.  Each
-    breakpoint is its exact rational, rounded once: a split's from its min
-    cut, a fusion's from :meth:`PatternKernel.meet`; each successor is
-    built there, so a kernel without a datum carries its lines exactly.
+    Yields ``(x, kernel, witness, moved)`` for each segment, from its start
+    x, then ``(end, kernel, None, None)`` with the final, all-flat kernel.
+    ``moved`` lists in increasing order the vertices whose cluster an event
+    changed since the last segment, None at the first: the lines of the
+    others are as they were.  On a segment the trajectory is the kernel's
+    line ``c + x * s``, up to the first fusion (the lines across a non-flat
+    edge meet) or split (:meth:`PatternKernel.splits`); events within a
+    relative 1e-12 of the first meet in exact arithmetic and are applied
+    together.  Each breakpoint is its exact rational, rounded once: a
+    split's from its min cut, a fusion's from :meth:`PatternKernel.meet`;
+    each successor is built there from the edges the events relabelled, so
+    a kernel without a datum carries its lines exactly.
 
     Every segment is certified, or :class:`PathError` is raised: its
     witness passes :meth:`PatternKernel.fault`, and the pinned edges keep
-    their signs at its end (the fusion search closes any edge the lines
-    carry past its meeting at the start).  With a datum (the path: x is
-    alpha) the witness is checked at ``t = 1 / x`` at both ends.  Without
-    one (the flow: x is the time) the pull is zero: every failing cluster
-    splits at once, and the witness, which does not depend on x, is
-    computed and checked once per segment.  No iterative solve runs.
+    their signs at its end, by the differences and rates across the edges
+    that the fusion search computed (it closes any edge the lines carry
+    past its meeting at the start).  With a datum (the path: x is alpha)
+    the witness is checked at ``t = 1 / x`` at both ends.  Without one (the
+    flow: x is the time) the pull is zero: every failing cluster splits at
+    once, the parts' lines meet there and must not close across the cut,
+    and the witness, which does not depend on x, is the kernel's own,
+    checked once per segment.  No iterative solve runs.
     """
     g = k.graph
     pulled = k.f is not None
     name = "alpha" if pulled else "t"
     x, t = 0.0, Fraction(0)  # t = 1 / x exactly, and 0 at x = 0
     count = 0
+    moved = None
 
     def certify(ends, where):
         # the witness at each end (x, t) of a segment, or once without a
-        # datum, and the signs of the pinned edges at the last end; the
-        # witness at the first end
+        # datum; the witness at the first end
         found = []
         for end, t_end in ends if pulled else ends[:1]:
             h, cause = _witnessed(k, t_end)
             if cause is not None:
                 _fail(g, cause, name, end, where)
             found.append(h)
-        if _sign_fault(k, ends[-1][0]):
-            _fail(g, "a pinned edge changes sign", name, ends[-1][0], where)
         return found[0]
 
+    def successor(labels, changed):
+        # the successor of the edges relabelled, and the vertices it moved
+        nonlocal k
+        k = k.successor(labels, t, changed)
+        if moved is not None:
+            moved.update(k.moved)
+
     for _ in range(event_cap(g)):
-        c, s = k.intercept, k.slope
         where = "segment %d" % count
         if k.pattern.all_flat:
             certify([(x, t)], "terminal " + where)
-            yield x, k, None
+            yield x, k, None, None
             return
         splits = k.splits(t)
         labels = k.pattern.labels.copy()
         due = [pins for t_split, pins in splits if t_split is None]
         if due:
             # the splits due now, before any fusion
-            for pins in due:
-                labels[list(pins)] = list(pins.values())
-            k = k.successor(labels, t)
+            successor(labels, apply_pins(labels, due))
+            if not pulled and any(_closes(k, pins) for pins in due):
+                _fail(g, "a split's parts close across its cut", name, x, where)
             continue
-        step, fused = next_fusion(g, k.pattern, c + x * s, s)
+        c, s = k.intercept, k.slope
+        step, fused, gaps, rates = next_fusion(g, k.pattern, c + x * s, s)
         fused = fused.nonzero()[0]
         fuse_at, first = x + step, fused[0] if fused.size else None
         if fused.size > 1:
@@ -426,15 +470,19 @@ def _trace(k: PatternKernel):
                 t_nxt = k.meet(int(first))
             end = t_nxt.denominator / t_nxt.numerator  # 1 / t, rounded once
             if end > x:
-                yield x, k, certify([(x, t), (end, t_nxt)], where)
+                h = certify([(x, t), (end, t_nxt)], where)
+                if _sign_fault(k, end, gaps + (end - x) * rates):
+                    _fail(g, "a pinned edge changes sign", name, end, where)
+                yield x, k, h, None if moved is None else np.array(sorted(moved), dtype=np.intp)
+                moved = set()
                 count += 1
                 x, t = end, t_nxt
+        changed = []
         if fuse_at <= limit:
             labels[fused] = 0
-        for a, _, pins in splits:
-            if a <= limit:
-                labels[list(pins)] = list(pins.values())
-        k = k.successor(labels, t)
+            changed = fused.tolist()
+        successor(labels, changed + apply_pins(labels, [pins for a, _, pins in splits
+                                                        if a <= limit]))
     _fail(g, "event cap %d exceeded" % event_cap(g), name, x, "segment %d" % count)
 
 
@@ -456,10 +504,11 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     if float(f.max() - f.min()) == 0.0:
         return PiecewiseAffinePath._compact([0.0], f.copy(), lines)
     bps = []
-    for alpha, k, h in _trace(PatternKernel(g, sign_pattern(g, f, scale=0.0), f)):
+    for alpha, k, h, moved in _trace(PatternKernel(g, sign_pattern(g, f, scale=0.0), f)):
         bps.append(alpha)
         if h is not None:
             # every line is anchored at alpha = 0; the events changed some
             c, s = k.intercept, k.slope
-            lines.append(0.0, _differ(c, lines.anchor) | _differ(s, lines.slope), c, s)
+            idx = np.arange(g.vertex_count) if moved is None else moved
+            lines.append(0.0, lines.changed(idx, c, s), c, s)
     return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), lines)

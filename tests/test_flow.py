@@ -252,8 +252,10 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
 
 def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
     # pins set against the min cut leave parts whose witnesses still fit,
-    # but whose lines close across the cut at once: the flow splits and
-    # fuses the cluster again at t = 0 and certifies no segment
+    # but whose lines close across the cut at once: the split is checked
+    # exactly from the parts' pinned sums, and the flow raises there, at
+    # t = 0, before it certifies a segment (it split and fused the cluster
+    # again until the event cap before)
     from graphtv import cartesian_graph
     from graphtv.graph import PatternKernel
     cut = PatternKernel._cut
@@ -266,7 +268,8 @@ def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
     rng = np.random.default_rng(SEED + 15)
     g = cartesian_graph(6, 6)
     f = rng.integers(0, 4, g.vertex_count).astype(float)
-    with pytest.raises(PathError, match="segment 0: event cap .* at t = 0.0 "):
+    with pytest.raises(PathError, match="segment 0: a split's parts close across its cut "
+                                        "at t = 0.0 "):
         flow_solve(g, f)
 
 
@@ -720,6 +723,44 @@ def test_replay_gives_the_builders_bits(monkeypatch):
             down = [path.value_at(x).tobytes() for x in xs[::-1]]
             assert up == down[::-1]
     assert longest > 128
+
+
+def test_lines_store_what_a_full_comparison_stores(monkeypatch):
+    # a trajectory bit-compares only the entries that an event could move
+    # when it stores lines: the vertices of the clusters the events
+    # rebuilt, and the edges at them.  Each store must take the lines that
+    # a bit comparison of every entry finds: a vertex whose intercept or
+    # slope changed, an edge whose slope -H changed (its anchor, F at the
+    # segment's start, is new at every segment)
+    from graphtv import cartesian_graph, rof_path
+    from graphtv.rof import _Lines, _differ
+    append = _Lines.append
+    stores, sizes = [], []
+
+    def compared(self, at, moved, anchor, slope):
+        if self not in stores:
+            stores.append(self)
+        full = _differ(slope, self.slope)
+        if self is stores[0]:
+            full |= _differ(anchor, self.anchor)
+        assert moved.tobytes() == np.flatnonzero(full).tobytes()
+        sizes.append(moved.size)
+        append(self, at, moved, anchor, slope)
+
+    monkeypatch.setattr(_Lines, "append", compared)
+    rng = np.random.default_rng(SEED + 24)
+    graphs = [cartesian_graph(8, 8), path_graph(300)]
+    graphs += [random_connected_graph(rng, 30) for _ in range(2)]
+    segments = 0
+    for g in graphs:
+        for f in (random_vertex_field(rng, g.vertex_count),
+                  rng.integers(0, 4, g.vertex_count).astype(float)):
+            for solve in (flow_solve, rof_path):
+                stores.clear()
+                result = solve(g, f)
+                segments += getattr(result, "path", result).segment_count
+                assert len(stores) == (2 if solve is flow_solve else 1)
+    assert segments > 1000 and sum(sizes) > segments
 
 
 def test_an_entry_with_no_stored_line_reads_zero():

@@ -555,8 +555,12 @@ def _successor_chains(seed):
     # vertices with no flat edge fused into a neighbour's cluster and
     # relabelled edges on grids, random graphs and paths, with and without
     # a datum, from tied data and from untied data, where every vertex is
-    # its own cluster; each successor must equal the kernel built from
-    # scratch, byte for byte
+    # its own cluster.  Each successor is built as the event loop builds
+    # it, from a copy of the pattern's labels and the list of the edges
+    # relabelled, or from the labels alone; it must equal the kernel built
+    # from scratch, byte for byte.  A kernel without a datum keeps its
+    # witness, which must equal one assembled anew from the forest flows
+    # and max-flows run afresh, bit for bit
     from fractions import Fraction
     from graphtv.graph import PatternKernel
     from graphtv.instances import cartesian_graph, path_graph
@@ -572,20 +576,22 @@ def _successor_chains(seed):
         for start, datum in ((ties, None), (ties, f), (sign_pattern(g, f), None),
                              (sign_pattern(g, f), f)):
             kernel = PatternKernel(g, start, datum)
-            for _ in range(30):
+            for step in range(30):
                 labels = kernel.pattern.labels.copy()
                 cl = kernel.clusters.labels
                 move = rng.integers(5)
                 if move == 0:
-                    labels[rng.choice(m, rng.integers(1, 4))] = 0
+                    changed = rng.choice(m, rng.integers(1, 4))
+                    labels[changed] = 0
                 elif move == 1:
                     k = cl[rng.integers(n)]
                     side = rng.random(n) < 0.5
                     cut = (cl[g.tails] == k) & (side[g.tails] != side[g.heads])
                     labels[cut] = np.where(side[g.heads[cut]], -1, 1)
+                    changed = np.flatnonzero(cut)
                 elif move == 2:
-                    pick = rng.choice(m, rng.integers(1, 4))
-                    labels[pick] = rng.integers(-1, 2, pick.size)
+                    changed = rng.choice(m, rng.integers(1, 4))
+                    labels[changed] = rng.integers(-1, 2, changed.size)
                 else:
                     # move 3 pins every edge at a vertex; move 4 sets flat
                     # one edge at a vertex with no flat edge
@@ -593,12 +599,22 @@ def _successor_chains(seed):
                     v = rng.integers(n) if move == 3 or not alone.size else rng.choice(alone)
                     at = np.flatnonzero((g.tails == v) | (g.heads == v))
                     if move == 3:
+                        changed = at
                         labels[at] = rng.choice([-1, 1], at.size)
                     else:
-                        labels[rng.choice(at)] = 0
-                kernel = kernel.successor(labels)
+                        changed = [rng.choice(at)]
+                        labels[changed] = 0
                 fresh = PatternKernel(g, SignPattern(labels), datum)
+                if step % 3:
+                    kernel = kernel.successor(labels, Fraction(0), list(map(int, changed)))
+                else:
+                    kernel = kernel.successor(labels)
                 _check_values(kernel, labels)
+                if datum is None:
+                    carried = kernel.witness().copy()
+                    for k in range(kernel.clusters.count):
+                        kernel.clusters.cluster(k).tests = None
+                    assert carried.tobytes() == kernel._assemble(Fraction(0)).tobytes()
                 t = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
                 assert _kernel_bytes(kernel, t) == _kernel_bytes(fresh, t)
                 if datum is not None:
@@ -774,16 +790,19 @@ def test_graph_construction_peaks_under_10_mb():
 
 def test_next_fusion_with_no_closing_edge():
     # lines that move every pinned edge's ends apart, or a pattern with no
-    # pinned edge, close no edge: x is inf and the mask all False
+    # pinned edge, close no edge: x is inf and the mask all False.  The
+    # differences and rates across the edges come back either way
     from graphtv.graph import next_fusion
     g = path_graph(4)
     u = np.array([0.0, 1.0, 3.0, 6.0])
     pattern = sign_pattern(g, u)
     assert pattern.nonflat.all()
     for pat, d in ((pattern, 2.0 * u), (SignPattern(np.zeros(g.edge_count)), -u)):
-        x, closing = next_fusion(g, pat, u, d)
+        x, closing, gaps, rates = next_fusion(g, pat, u, d)
         assert x == math.inf
         assert closing.dtype == bool and closing.shape == (g.edge_count,)
         assert not closing.any()
-    x, closing = next_fusion(g, pattern, u, -u)
+        assert gaps.tobytes() == edge_differences(g, u).tobytes()
+        assert rates.tobytes() == edge_differences(g, d).tobytes()
+    x, closing, _, _ = next_fusion(g, pattern, u, -u)
     assert x == 1.0 and closing.all()

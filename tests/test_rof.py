@@ -360,13 +360,13 @@ def test_path_certificate_rejects_a_missed_fusion(monkeypatch):
     from graphtv.graph import next_fusion
 
     def last_closing(g, pattern, u, d):
-        x, closing = next_fusion(g, pattern, u, d)
+        x, closing, gaps, rates = next_fusion(g, pattern, u, d)
         idx = np.flatnonzero(pattern.labels * (d[g.tails] - d[g.heads]) < 0)
         if idx.size:
             cross = (u[g.heads] - u[g.tails])[idx] / (d[g.tails] - d[g.heads])[idx]
             closing[:] = False
             closing[idx[np.argmax(cross)]] = True
-        return x, closing
+        return x, closing, gaps, rates
 
     rng = np.random.default_rng(SEED + 16)
     f = random_vertex_field(rng, 20)
