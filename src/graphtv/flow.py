@@ -142,10 +142,10 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         # new line where an event changed its cluster's, an edge where its
         # witness or label changed, at a vertex that an event moved
         c = kernel.intercept if len(bps) > 1 else f
-        verts = np.arange(g.vertex_count) if len(bps) < 3 else moved
-        edges = np.arange(g.edge_count) if moved is None else kernel.clusters.edges_at(moved)
+        verts = moved if len(bps) > 2 else np.arange(g.vertex_count)
         values.append(0.0, values.changed(verts, c, d), c, d)
         minus_h = -(h - kernel.pattern.labels)
+        edges = kernel.clusters.edges_at(moved)
         integral.append(t, integral.changed(edges, None, minus_h), integral.at(t), minus_h)
 
     if float(np.abs(kernel.intercept - fbar).max()) > 1e-6 * (1.0 + abs(fbar)):

@@ -1149,8 +1149,8 @@ class PatternKernel:
         rounded = over & (size <= 1.0 + 1e-12)
         h[rounded] = np.sign(h[rounded])
         cl = self.clusters
-        roots = np.unique(cl.root[self.graph.tails[over & ~rounded]]).tolist()
-        return h, [cl._of[r] for r in roots]
+        roots = set(cl.root[self.graph.tails[over & ~rounded]].tolist())
+        return h, [cl._of[r] for r in sorted(roots)]
 
     def settle(self, t: Fraction = Fraction(0)) -> "PatternKernel":
         """The kernel, from this one by splits, whose every cluster has a flow

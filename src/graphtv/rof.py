@@ -385,8 +385,8 @@ def _trace(k: PatternKernel):
     Yields ``(x, kernel, witness, moved)`` for each segment, from its start
     x, then ``(end, kernel, None, None)`` with the final, all-flat kernel.
     ``moved`` lists in increasing order the vertices whose cluster an event
-    changed since the last segment, None at the first: the lines of the
-    others are as they were.  On a segment the trajectory is the kernel's
+    changed since the last segment, every vertex at the first: the lines
+    of the others are as they were.  On a segment the trajectory is the kernel's
     line ``c + x * s``, up to the first fusion (the lines across a non-flat
     edge meet) or split (:meth:`PatternKernel.splits`); events within a
     relative 1e-12 of the first meet in exact arithmetic and are applied
@@ -411,7 +411,7 @@ def _trace(k: PatternKernel):
     name = "alpha" if pulled else "t"
     x, t = 0.0, Fraction(0)  # t = 1 / x exactly, and 0 at x = 0
     count = 0
-    moved = None
+    moved = set(range(g.vertex_count))
 
     def certify(ends, where):
         # the witness at each end (x, t) of a segment, or once without a
@@ -428,8 +428,7 @@ def _trace(k: PatternKernel):
         # the successor of the edges relabelled, and the vertices it moved
         nonlocal k
         k = k.successor(labels, t, changed)
-        if moved is not None:
-            moved.update(k.moved)
+        moved.update(k.moved)
 
     for _ in range(event_cap(g)):
         where = "segment %d" % count
@@ -473,7 +472,7 @@ def _trace(k: PatternKernel):
                 h = certify([(x, t), (end, t_nxt)], where)
                 if _sign_fault(k, end, gaps + (end - x) * rates):
                     _fail(g, "a pinned edge changes sign", name, end, where)
-                yield x, k, h, None if moved is None else np.array(sorted(moved), dtype=np.intp)
+                yield x, k, h, np.array(sorted(moved), dtype=np.intp)
                 moved = set()
                 count += 1
                 x, t = end, t_nxt
@@ -509,6 +508,5 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
         if h is not None:
             # every line is anchored at alpha = 0; the events changed some
             c, s = k.intercept, k.slope
-            idx = np.arange(g.vertex_count) if moved is None else moved
-            lines.append(0.0, lines.changed(idx, c, s), c, s)
+            lines.append(0.0, lines.changed(moved, c, s), c, s)
     return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), lines)
