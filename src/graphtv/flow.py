@@ -133,7 +133,7 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
         if h is None:
             break
         d = kernel.slope
-        dnorm = float(np.linalg.norm(d))
+        dnorm = math.sqrt(d @ d)  # the bits of np.linalg.norm(d), without its checks
         if dnorm > prev_norm * (1.0 + 1e-9):
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)

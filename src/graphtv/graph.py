@@ -686,7 +686,7 @@ def next_fusion(g: OrientedGraph, pattern: SignPattern, u: np.ndarray,
     """
     diffs = u[g.tails] - u[g.heads]
     ddiffs = d[g.tails] - d[g.heads]
-    idx = np.flatnonzero(pattern.labels * ddiffs < 0.0)
+    idx = (pattern.labels * ddiffs < 0.0).nonzero()[0]
     closing = np.zeros(g.edge_count, dtype=bool)
     if idx.size == 0:
         return math.inf, closing, diffs, ddiffs
@@ -765,7 +765,7 @@ class PatternKernel:
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
-        self.graph, self.f, self.maxflows, self.moved = g, f, 0, None
+        self.graph, self.f, self.maxflows = g, f, 0
         self._values, self._exact = None if f is None else memoryview(f), None
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
         self.intercept, self.pull, self._pull_flow = np.empty(n), 0.0, None
@@ -803,12 +803,12 @@ class PatternKernel:
                 c.sums = int(sum([pinned[v] for v in c.order])), total
                 self.intercept[c.order] = total / (unit * len(c.order))
 
-    def successor(self, labels, t: Fraction = _ZERO, changed=None) -> "PatternKernel":
+    def successor(self, labels: np.ndarray, t: Fraction, changed) -> "PatternKernel":
         """The kernel of the edge labels ``labels``, built from this one by
         the events at the exact parameter x = 1 / t (x = 0 at t = 0).
-        ``changed``, if given, lists every edge where ``labels``, an int8
-        array over {-1, 0, 1} that the successor takes over, differs from
-        this kernel's ``pattern``; the labels are then not checked.
+        ``labels``, an int8 array over {-1, 0, 1} that the successor takes
+        over unchecked, differs from this kernel's ``pattern`` at most on
+        the edges ``changed``.
 
         With a datum it equals ``PatternKernel(g, SignPattern(labels), f)``,
         but for ``maxflows``, which it carries on; without one, it carries
@@ -820,16 +820,11 @@ class PatternKernel:
         events changed them, so this kernel is read no more once its
         successor is built.
         """
-        if changed is None:
-            given = SignPattern(labels)
-            changed = (given.labels != self._given).nonzero()[0].tolist()
-        else:
-            # the labels differ from those given to this kernel on the
-            # edges changed and those that its build set flat
-            given = SignPattern._of(labels)
-            old = memoryview(self._given)
-            new = memoryview(labels)
-            changed = [e for e in set(changed).union(self._inside) if new[e] != old[e]]
+        # the labels differ from those given to this kernel on the edges
+        # changed and on those that its build set flat
+        given = SignPattern._of(labels)
+        old, new = memoryview(self._given), memoryview(labels)
+        changed = [e for e in set(changed).union(self._inside) if new[e] != old[e]]
         clusters, dead, born, ones = self.clusters.successor(given.flat, changed)
         out = PatternKernel.__new__(PatternKernel)
         out.graph, out.f, out._values = self.graph, self.f, self._values
@@ -843,8 +838,7 @@ class PatternKernel:
         out._failing, out._unfilled = self._failing, self._unfilled
         out._build(given, clusters, [c for _, c in dead if c], born, ones)
         if parts is not None:
-            lab = memoryview(given.labels)
-            out._carry(parts, dead, born, ones, t, not any([lab[e] for e in changed]))
+            out._carry(parts, dead, born, ones, t, not any([new[e] for e in changed]))
         return out
 
     def _carry(self, parts: dict, dead: list, born: list, ones, t: Fraction, fused: bool):
@@ -992,16 +986,6 @@ class PatternKernel:
             labels = given.labels.copy()
             labels[inside] = 0
             self.pattern = SignPattern._of(labels)
-
-    def calibration(self) -> tuple:
-        """The integer forest flow with divergence ``sum_P b - |P| b`` on each
-        cluster P, |P| at each edge, and, for each cluster numbered as in
-        :attr:`FlatClusters.labels`, whether it exceeds |P| there; the
-        others are calibrable.  Built on each call."""
-        cl = self.clusters
-        failed = np.zeros(cl.count, dtype=bool)
-        failed[cl.labels[list(self._failing)]] = True
-        return self._forest, cl.sizes[cl.labels[self.graph.tails]].astype(float), failed
 
     def _cluster(self, c: Cluster) -> tuple:
         # the Cluster c's vertices, flat edges, size, unit, and the

@@ -523,10 +523,10 @@ def _kernel_bytes(kernel, t):
     # dropped first: a stored flow comes from a max-flow with another start
     for k in range(kernel.clusters.count):
         kernel.clusters.cluster(k).tests = None
-    forest, _, failed = kernel.calibration()
+    failed = np.array(sorted(kernel._failing))
     parts = [kernel.clusters.labels, kernel.clusters.sizes, kernel.pattern.labels,
              kernel.pinned, kernel.slope, kernel.beta, np.asarray(kernel.intercept),
-             np.asarray(kernel.pull), failed, forest, kernel.witness()]
+             np.asarray(kernel.pull), failed, kernel._forest, kernel.witness()]
     if kernel.f is not None:
         parts.append(kernel.witness(t))
     return [x.tobytes() for x in parts]
@@ -557,8 +557,8 @@ def _successor_chains(seed):
     # a datum, from tied data and from untied data, where every vertex is
     # its own cluster.  Each successor is built as the event loop builds
     # it, from a copy of the pattern's labels and the list of the edges
-    # relabelled, or from the labels alone; it must equal the kernel built
-    # from scratch, byte for byte.  A kernel without a datum keeps its
+    # relabelled; it must equal the kernel built from scratch, byte for
+    # byte.  A kernel without a datum keeps its
     # witness, which must equal one assembled anew from the forest flows
     # and max-flows run afresh, bit for bit
     from fractions import Fraction
@@ -576,7 +576,7 @@ def _successor_chains(seed):
         for start, datum in ((ties, None), (ties, f), (sign_pattern(g, f), None),
                              (sign_pattern(g, f), f)):
             kernel = PatternKernel(g, start, datum)
-            for step in range(30):
+            for _ in range(30):
                 labels = kernel.pattern.labels.copy()
                 cl = kernel.clusters.labels
                 move = rng.integers(5)
@@ -605,10 +605,7 @@ def _successor_chains(seed):
                         changed = [rng.choice(at)]
                         labels[changed] = 0
                 fresh = PatternKernel(g, SignPattern(labels), datum)
-                if step % 3:
-                    kernel = kernel.successor(labels, Fraction(0), list(map(int, changed)))
-                else:
-                    kernel = kernel.successor(labels)
+                kernel = kernel.successor(labels, Fraction(0), list(map(int, changed)))
                 _check_values(kernel, labels)
                 if datum is None:
                     carried = kernel.witness().copy()
@@ -691,18 +688,20 @@ def test_kernel_without_a_datum_carries_its_lines():
                 cl = kernel.clusters.labels
                 move = rng.integers(3)
                 if move == 0:
-                    labels[rng.choice(m, rng.integers(1, 4))] = 0
+                    changed = rng.choice(m, rng.integers(1, 4))
+                    labels[changed] = 0
                 elif move == 1:
                     k = cl[rng.integers(n)]
                     side = rng.random(n) < 0.5
                     cut = (cl[g.tails] == k) & (side[g.tails] != side[g.heads])
                     labels[cut] = np.where(side[g.heads[cut]], -1, 1)
+                    changed = np.flatnonzero(cut)
                 else:
-                    pick = rng.choice(m, rng.integers(1, 4))
-                    labels[pick] = rng.integers(-1, 2, pick.size)
+                    changed = rng.choice(m, rng.integers(1, 4))
+                    labels[changed] = rng.integers(-1, 2, changed.size)
                 at += Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
                 before = lines
-                kernel = kernel.successor(labels, 1 / at)
+                kernel = kernel.successor(labels, 1 / at, changed.tolist())
                 lines = _exact_lines(kernel)
                 root = kernel.clusters.root
                 for r in np.unique(root).tolist():

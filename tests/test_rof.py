@@ -806,9 +806,8 @@ def test_witness_clips_rounding_only(monkeypatch):
         k = PatternKernel(g, sign_pattern(g, path.value_at(alpha), scale=0.0), f)
         h = k.witness(t)
         j = int(np.argmax(np.where(k.pattern.flat, np.abs(h), -1.0)))
-        forest, edge_size, _ = k.calibration()
         side = math.copysign(1.0, h[j])
-        k._pull_flow[j] = (side * (1.0 + over) - forest[j] / edge_size[j]) / float(t)
+        k._pull_flow[j] = (side * (1.0 + over) - k._scaled[j]) / float(t)
         del calls[:]
         h = k.witness(t)
         assert bool(calls) == routed
