@@ -402,9 +402,10 @@ def _trace(k: PatternKernel):
     past its meeting at the start).  With a datum (the path: x is alpha)
     the witness is checked at ``t = 1 / x`` at both ends.  Without one (the
     flow: x is the time) the pull is zero: every failing cluster splits at
-    once, the parts' lines meet there and must not close across the cut,
-    and the witness, which does not depend on x, is the kernel's own,
-    checked once per segment.  No iterative solve runs.
+    once, and the witness, which does not depend on x, is the kernel's
+    own, checked once per segment.  Where the parts of a split due now
+    meet, without a datum or at x = 0, where every cluster is a tie of f,
+    their lines must not close across the cut.  No iterative solve runs.
     """
     g = k.graph
     pulled = k.f is not None
@@ -442,7 +443,7 @@ def _trace(k: PatternKernel):
         if due:
             # the splits due now, before any fusion
             successor(labels, apply_pins(labels, due))
-            if not pulled and any(_closes(k, pins) for pins in due):
+            if (not pulled or not t) and any(_closes(k, pins) for pins in due):
                 _fail(g, "a split's parts close across its cut", name, x, where)
             continue
         c, s = k.intercept, k.slope

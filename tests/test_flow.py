@@ -255,7 +255,9 @@ def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
     # but whose lines close across the cut at once: the split is checked
     # exactly from the parts' pinned sums, and the flow raises there, at
     # t = 0, before it certifies a segment (it split and fused the cluster
-    # again until the event cap before)
+    # again until the event cap before).  So does the path at alpha = 0,
+    # where the clusters are ties of f
+    from graphtv import rof_path
     from graphtv import cartesian_graph
     from graphtv.graph import PatternKernel
     cut = PatternKernel._cut
@@ -271,6 +273,9 @@ def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
     with pytest.raises(PathError, match="segment 0: a split's parts close across its cut "
                                         "at t = 0.0 "):
         flow_solve(g, f)
+    with pytest.raises(PathError, match="segment 0: a split's parts close across its cut "
+                                        "at alpha = 0.0 "):
+        rof_path(g, f)
 
 
 def test_flow_closes_edges_that_rounding_carries_past_their_meeting():
