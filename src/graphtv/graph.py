@@ -1130,6 +1130,8 @@ class PatternKernel:
         h += float(t) * self._pull_flow
         size = np.abs(h)
         over = size > 1.0
+        if not over.any():
+            return h, []
         rounded = over & (size <= 1.0 + 1e-12)
         h[rounded] = np.sign(h[rounded])
         cl = self.clusters
