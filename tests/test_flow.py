@@ -257,8 +257,7 @@ def test_minimal_section_certificate_rejects_a_flipped_cut(monkeypatch):
     # t = 0, before it certifies a segment (it split and fused the cluster
     # again until the event cap before).  So does the path at alpha = 0,
     # where the clusters are ties of f
-    from graphtv import rof_path
-    from graphtv import cartesian_graph
+    from graphtv import cartesian_graph, rof_path
     from graphtv.graph import PatternKernel
     cut = PatternKernel._cut
 

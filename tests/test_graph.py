@@ -558,9 +558,9 @@ def _successor_chains(seed):
     # its own cluster.  Each successor is built as the event loop builds
     # it, from a copy of the pattern's labels and the list of the edges
     # relabelled; it must equal the kernel built from scratch, byte for
-    # byte.  A kernel without a datum keeps its
-    # witness, which must equal one assembled anew from the forest flows
-    # and max-flows run afresh, bit for bit
+    # byte.  A kernel without a datum keeps its witness, which must equal
+    # one assembled anew from the forest flows and max-flows run afresh,
+    # bit for bit
     from fractions import Fraction
     from graphtv.graph import PatternKernel
     from graphtv.instances import cartesian_graph, path_graph
