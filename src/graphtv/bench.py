@@ -68,9 +68,10 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     """Compare regularization and flow at one parameter value.
 
     Passing a precomputed ``trajectory`` avoids re-integrating the flow for
-    every alpha on a grid.  The regularized solution is :func:`rof_solve`'s.
-    ``tol.flat_tol`` marks the ties of f for the flow and of the flow state
-    for the membership test; ``tol.solve_tol`` is not read.
+    every alpha on a grid.  The regularized solution is :func:`rof_solve`'s,
+    and the flow, :func:`flow_solve`'s, starts from the exact ties of f.
+    ``tol.flat_tol`` marks the ties of the flow state for the membership
+    test; ``tol.solve_tol`` is not read.
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
@@ -78,7 +79,7 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValidationError("alpha must be finite and positive")
     if trajectory is None:
-        trajectory = flow_solve(g, f, tol)
+        trajectory = flow_solve(g, f)
     u_reg = rof_solve(g, f, alpha).u
     u_flow = trajectory.value_at(alpha)
     diff = u_reg - u_flow
@@ -210,7 +211,8 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
     paths, the jump-set reversal on the switching edge, the modified datum
     whose path and flow agree while opening a jump absent from the datum,
     and the norm ordering between datum, flow state, regularized state,
-    and mean.  ``tol`` sets only the flat threshold of flows and jump sets.
+    and mean.  ``tol`` sets only the flat threshold of the jump sets of
+    computed states; the flows start from the exact ties of their data.
     """
     tol = tol if tol is not None else DEFAULT_TOL
     g, f = nonequivalence_instance()
@@ -232,7 +234,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
         add("regularized dual agrees at %.1f" % a,
             float(np.abs(sol.dual_flow - regularization_dual_reference(a)).max()))
 
-    traj = flow_solve(g, f, tol)
+    traj = flow_solve(g, f)
     for t in samples:
         add("flow values agree at %.1f" % t,
             float(np.abs(traj.value_at(t) - flow_reference(t)).max()))
@@ -259,7 +261,7 @@ def counterexample_harness(tol: Optional[Tolerances] = None) -> HarnessReport:
 
     fv = nonequivalence_variant_datum()
     vexp = {a: variant_reference(a) for a in (0.2, 1.0, 2.0, 3.0)}
-    vtraj = flow_solve(g, fv, tol)
+    vtraj = flow_solve(g, fv)
     worst_reg = max(float(np.abs(rof_solve(g, fv, a).u - vexp[a]).max())
                     for a in vexp)
     worst_flow = max(float(np.abs(vtraj.value_at(a) - vexp[a]).max()) for a in vexp)

@@ -96,13 +96,12 @@ def _cmd_rof(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    _reject_unread(args, "flow", "--solve-tol")
-    tol = _tolerances(args)
+    _reject_unread(args, "flow", "--flat-tol", "--solve-tol")
     g, f = _load(args)
     if args.t_end is not None and not (args.t_end >= 0 and math.isfinite(args.t_end)):
         # value_at's own check, made before the flow runs
         raise ValidationError("parameter must be finite and nonnegative")
-    traj = flow_solve(g, f, tol)
+    traj = flow_solve(g, f)
     if args.trajectory:
         buf = StringIO()
         write_trajectory(buf, traj.path)
@@ -128,7 +127,7 @@ def _cmd_compare(args) -> int:
         raise ParseError("--grid must be a comma separated list of numbers")
     if not alphas or any(a <= 0 for a in alphas):
         raise ParseError("--grid needs positive parameter values")
-    traj = flow_solve(g, f, tol)
+    traj = flow_solve(g, f)
     rows = []
     for a in sorted(alphas):
         rep = equivalence_report(g, f, a, tol, trajectory=traj)
@@ -207,15 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     # tolerance flags default to None: each mode fills in its own defaults,
     # and a mode that never reads one rejects it (exit 2)
     common.add_argument("--flat-tol", type=float, default=None,
-                        help="relative threshold for treating an edge as flat "
-                             "(default 1e-7; rof and verify --mode "
-                             "phimin|isotropic take none)")
+                        help="relative threshold for treating an edge of a "
+                             "computed state as flat (default 1e-7; compare "
+                             "and verify --mode counterexample only)")
     common.add_argument("--solve-tol", type=float, default=None,
                         help="optimality tolerance for inner solves, and the "
                              "relative gap a verify check passes within "
-                             "(default 1e-9; 1e-6 in verify --mode "
-                             "phimin|isotropic; rof, flow, compare and verify "
-                             "--mode counterexample take none)")
+                             "(default 1e-6; verify --mode phimin|isotropic "
+                             "only)")
     common.add_argument("--output", default=None,
                         help="write the result here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

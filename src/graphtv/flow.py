@@ -9,7 +9,7 @@ flow reaches the mean field in finite time and stays there.
 
 The flow is the regularization path with zero pull, and runs on the
 path's event loop (:func:`graphtv.rof._trace`) with a :class:`PatternKernel`
-without a datum.  The sign pattern of f is thresholded once; the flow then
+without a datum.  Both start from the exact ties of f; the flow then
 carries its labels: a fusion turns the closing edges flat and a split pins
 the edges of a min cut.  On each calibrable cluster d is the negated
 cluster mean of the pinned flux, with a spanning-forest witness or, where
@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional
 
 import numpy as np
 
 from .errors import PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, Tolerances,
-                    ensure_vertex_field, failure_site, sign_pattern)
+from .graph import (OrientedGraph, PatternKernel, ensure_vertex_field, failure_site,
+                    sign_pattern)
 from .rof import PiecewiseAffinePath, _Lines, _trace, rof_solve
 
 
@@ -47,18 +46,17 @@ class FlowTrajectory:
     ``path`` holds the breakpoints, the states and the directions d.  Each
     vertex's state follows a line from its cluster's birth, by a fusion,
     a split or the start, to its death: ``path`` stores it once, as its
-    intercept ``c`` at t = 0, the cluster's exact line rounded once, and d
-    (the first segment's line is ``f + t d``).  Every breakpoint is an
-    exact rational, rounded once.  The antiderivative F(t) = -integral of the
-    witness H over [0, t] (max-norm of H at most 1, d = -div H) is stored
-    the same way, as a path over the edges with slopes -H: each edge's
-    line is its F at the last change of its H, with that H.  A cluster's
-    witness and a pinned edge's label are fixed for the cluster's life, so
-    a line changes only where an event changed a cluster (see
-    :class:`PiecewiseAffinePath`).  ``directions``, ``flows`` (one row per
-    segment) and ``antiderivative`` (F at every breakpoint, first row zero)
-    build dense arrays on demand.  Beyond the final breakpoint the state is
-    the mean field and F stays at its final value.
+    intercept ``c`` at t = 0, the cluster's exact line rounded once, and d.
+    Every breakpoint is an exact rational, rounded once.  The antiderivative
+    F(t) = -integral of the witness H over [0, t] (max-norm of H at most 1,
+    d = -div H) is stored the same way, as a path over the edges with
+    slopes -H: each edge's line is its F at the last change of its H, with
+    that H.  A cluster's witness and a pinned edge's label are fixed for
+    the cluster's life, so a line changes only where an event changed a
+    cluster (see :class:`PiecewiseAffinePath`).  ``directions``, ``flows``
+    (one row per segment) and ``antiderivative`` (F at every breakpoint,
+    first row zero) build dense arrays on demand.  Beyond the final
+    breakpoint the state is the mean field and F stays at its final value.
     """
 
     __slots__ = ("path", "_integral")
@@ -96,38 +94,33 @@ class FlowTrajectory:
         return self._integral.value_at(t)
 
 
-def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTrajectory:
+def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
     """Integrate the gradient flow of the total variation from datum f.
 
-    Exact event-driven integration.  The sign pattern of f is derived once,
-    with ``tol.flat_tol`` relative to the range of f marking the ties, and
-    then carried by the event loop of :func:`graphtv.rof.rof_path` with zero
-    pull: the lines start at the cluster means of f, and each segment
-    gives the direction (the negated minimum-norm subdifferential element)
-    and its witness, certified once.  The first segment starts at f
-    itself, every later one on the clusters' exact lines, so
-    ``value_at(0)`` is f, and a tie of f, flat only to flat_tol, takes its
-    cluster's line from the first breakpoint on.  Terminates at the mean field, or raises
-    :class:`PathError` after ``16 m + 64`` events.
+    Exact event-driven integration.  The flow starts from the sign pattern
+    of the exact ties of f, as :func:`graphtv.rof.rof_path` does, and runs
+    on its event loop with zero pull: the lines start at the cluster means
+    of f, which are f's own values, and each segment gives the direction
+    (the negated minimum-norm subdifferential element) and its witness,
+    certified once.  The flow reads no tolerance.  Terminates at the mean
+    field, or raises :class:`PathError` after ``16 m + 64`` events.
 
     Each segment stores the lines it sets: of the vertices whose line an
     event changed, and of the edges whose witness changed.  Memory grows
     with the changes, not with segments x (n + m).
     """
-    tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
     fbar = float(f.mean())
     mean_field = np.full(g.vertex_count, fbar)
-    scale = float(f.max() - f.min())
     values, integral = _Lines(g.vertex_count), _Lines(g.edge_count)
-    if scale == 0.0:
+    if float(f.max() - f.min()) == 0.0:
         return FlowTrajectory(PiecewiseAffinePath._compact([0.0], f.copy(), values),
                               PiecewiseAffinePath._compact([0.0], np.zeros(g.edge_count),
                                                            integral))
 
     bps = []
     prev_norm = math.inf
-    kernel = PatternKernel(g, sign_pattern(g, f, tol, scale=scale), u=f)
+    kernel = PatternKernel(g, sign_pattern(g, f, scale=0.0), u=f)
     for t, kernel, h, moved in _trace(kernel):
         bps.append(t)
         if h is None:
@@ -138,12 +131,11 @@ def flow_solve(g: OrientedGraph, f, tol: Optional[Tolerances] = None) -> FlowTra
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)
         prev_norm = dnorm
-        # every line is anchored at t = 0, the first at f; a vertex takes a
-        # new line where an event changed its cluster's, an edge where its
-        # witness or label changed, at a vertex that an event moved
-        c = kernel.intercept if len(bps) > 1 else f
-        verts = moved if len(bps) > 2 else np.arange(g.vertex_count)
-        values.append(0.0, values.changed(verts, c, d), c, d)
+        # every line is anchored at t = 0; a vertex takes a new line where
+        # an event changed its cluster's, an edge where its witness or
+        # label changed, at a vertex that an event moved
+        c = kernel.intercept
+        values.append(0.0, values.changed(moved, c, d), c, d)
         minus_h = -(h - kernel.pattern.labels)
         edges = kernel.clusters.edges_at(moved)
         integral.append(t, integral.changed(edges, None, minus_h), integral.at(t), minus_h)

@@ -42,8 +42,10 @@ class Tolerances:
     solve_tol : inner solver tolerance (gradient-mapping norm for
         projections, relative objective gap for generic convex solves).
 
-    ``flow_solve``, ``equivalence_report`` and :func:`subdifferential_membership`
-    read only ``flat_tol``; ``rof_solve`` and ``rof_path`` take no tolerance.
+    ``equivalence_report`` (for the flow state), :func:`subdifferential_membership`
+    and the jump sets of ``counterexample_harness`` read only ``flat_tol``;
+    ``flow_solve``, ``rof_solve`` and ``rof_path`` take no tolerance and
+    read the ties of their datum exactly.
     """
 
     flat_tol: float = 1e-7
@@ -301,7 +303,8 @@ class MembershipResult:
     feasible witness; only its divergence is determined).  ``residual`` is
     ``||div H - candidate||_2``, an upper bound on the distance to the
     subdifferential, and ``threshold`` the cutoff that
-    ``max |div H - candidate|`` (``report.optimality``) was compared against.
+    ``max |div H - candidate|`` (``report.optimality``) was compared against,
+    :func:`witness_cutoff` of the candidate.
     """
 
     member: bool
@@ -391,11 +394,10 @@ class Cluster:
     ``sign[i - 1]`` +1.0 where that edge points into ``order[i]``.  It is
     the cluster's only tree: it carries the calibration flow, the flow of
     the pull and a repaired witness's divergence error (see :meth:`peel`).
-    ``verts`` lists the vertices in increasing order.  ``edges`` (see
-    :meth:`FlatClusters.edges`), and :class:`PatternKernel`'s ``data`` and
-    ``sums`` (with a datum; a kernel without one sets ``sums``, its exact
-    line, when the cluster forms), are caches filled on first use, and so
-    is ``tests``, a dict
+    ``verts`` lists the vertices in increasing order.  :class:`PatternKernel`
+    sets ``sums``, the cluster's exact line, when the cluster forms.
+    ``edges`` (see :meth:`FlatClusters.edges`) and the kernel's ``data``
+    are caches filled on first use, and so is ``tests``, a dict
     of the kernel's max-flow tests of the cluster by t, as a ``(numerator,
     denominator)`` pair, each as ``(t, verdict, step, flow)`` (see
     :meth:`PatternKernel._route`).  They hold as long as the cluster lives,
@@ -463,14 +465,9 @@ class FlatClusters:
     ``root[v]`` is the smallest vertex of v's cluster, and the Cluster of
     a cluster with a flat edge, with its breadth-first spanning tree, is
     kept by that vertex.  A vertex with no flat edge is its own cluster,
-    found in bulk.  ``labels[v]`` numbers the cluster of vertex v (0 ..
-    count-1, in the order of the clusters' smallest vertices), ``roots``
-    lists those vertices, ``sizes`` counts the vertices per cluster and
-    :meth:`cluster` gives cluster k's Cluster, or a throwaway one for a
-    vertex with no flat edge; this numbering is built on first use.  The
-    adjacency is a pair of index arrays, shared with every successor.  A
-    build from scratch takes O(n + m) time and memory, and Python work only
-    at the vertices with a flat edge.  :meth:`successor` gives the clusters
+    found in bulk.  The adjacency is a pair of index arrays, shared with
+    every successor.  A build from scratch takes O(n + m) time and memory,
+    and Python work only at the vertices with a flat edge.  :meth:`successor` gives the clusters
     of another set of flat edges from these: it searches again only the
     clusters with an end of a changed edge, and updates ``root`` and the
     Clusters kept in place.  Each cluster's search starts from its smallest
@@ -478,7 +475,7 @@ class FlatClusters:
     the same trees.
     """
 
-    __slots__ = ("graph", "root", "_adj", "_of", "_numbering")
+    __slots__ = ("graph", "root", "_adj", "_of")
 
     def __init__(self, g: OrientedGraph, flat: np.ndarray):
         n = g.vertex_count
@@ -499,23 +496,6 @@ class FlatClusters:
                 root[v] = r
         for v in ones:
             root[v] = v
-        self._numbering = None
-
-    def _number(self) -> tuple:
-        # (roots, labels, sizes), built on first use
-        if self._numbering is None:
-            n = self.graph.vertex_count
-            roots = (self.root == np.arange(n)).nonzero()[0]
-            rank = np.empty(n, dtype=np.intp)
-            rank[roots] = np.arange(roots.size)
-            labels = rank[self.root]
-            self._numbering = roots, labels, np.bincount(labels, minlength=roots.size)
-        return self._numbering
-
-    roots = property(lambda self: self._number()[0])
-    labels = property(lambda self: self._number()[1])
-    sizes = property(lambda self: self._number()[2])
-    count = property(lambda self: self._number()[0].size)
 
     def successor(self, flat: np.ndarray, changed) -> tuple:
         """``(clusters, dead, born, ones)``: the clusters of the flat edges
@@ -543,12 +523,6 @@ class FlatClusters:
         ptr, edge, _, _ = self._adj
         return np.array(sorted({e for v in verts.tolist() for e in edge[ptr[v]:ptr[v + 1]]}),
                         dtype=np.intp)
-
-    def cluster(self, k: int) -> Cluster:
-        """Cluster k."""
-        r = int(self.roots[k])
-        c = self._of.get(r)
-        return Cluster([r], [-1], [], []) if c is None else c
 
     def edges(self, c: Cluster) -> list:
         """The edges with both ends in the Cluster c, in increasing order."""
@@ -680,9 +654,10 @@ def next_fusion(g: OrientedGraph, pattern: SignPattern, u: np.ndarray,
     An edge closes when ``d`` moves its ends together against its label
     (an edge just split moves apart, even where u is still equal across
     it).  Returns x (``inf`` if no edge closes), the mask of the edges
-    that close by x up to a relative 1e-12, which meet there exactly, and
-    the differences ``u(tail) - u(head)`` and ``d(tail) - d(head)`` over
-    every edge, from which the gaps along the step follow.
+    that close by x up to a relative 1e-12, the candidates for the first
+    fusion in exact arithmetic, and the differences ``u(tail) - u(head)``
+    and ``d(tail) - d(head)`` over every edge, from which the gaps along
+    the step follow.
     """
     diffs = u[g.tails] - u[g.heads]
     ddiffs = d[g.tails] - d[g.heads]
@@ -710,6 +685,12 @@ def failure_site(g: OrientedGraph, name: str, x: float) -> str:
 _ZERO = Fraction(0)
 
 
+def witness_cutoff(r: np.ndarray) -> float:
+    """The largest error ``max |div h - r|`` that a witness flow h for the
+    divergence r may leave: 1e-10 of ``1 + max |r|``."""
+    return 1e-10 * (1.0 + float(np.abs(r).max()))
+
+
 class PatternKernel:
     """Closed forms and exact cluster tests attached to one sign pattern.
 
@@ -727,10 +708,17 @@ class PatternKernel:
     flow's direction on every calibrable cluster (the flow is the path
     with zero pull).  The min cut of a cluster that is not names the cut
     along which it splits, as in the decomposition algorithm for the
-    minimum-norm base (Fujishige 1980; Hochbaum 2001).  Such a kernel's
-    lines ``c + x * s`` start at the cluster means of the field ``u`` (zero
-    if none is given) and are carried through events (see :meth:`_carry`),
-    each cluster's exactly, as the sums ``(sum of b, unit * sum of c)``.
+    minimum-norm base (Fujishige 1980; Hochbaum 2001).
+
+    Every line is exact.  The kernel holds one integer view of its data,
+    ``_exact``: over one power-of-two ``unit``, the datum f, or without
+    one the field ``u`` (zero if none is given).  Each cluster gets its
+    exact sums ``(sum of b, unit * sum of c)`` when it forms, kept on its
+    :class:`Cluster` (a vertex with no flat edge: its pinned flux and its
+    entry of ``_exact``), and its intercept ``c`` is their mean, rounded
+    once, and so is each vertex's pull ``f - c``.  With a datum c is the
+    cluster mean of f; without one the lines start at the cluster means of
+    u and are carried through events (see :meth:`_carry`).
 
     At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
     a cluster's test has integer data and goes to :func:`route_demands`.
@@ -759,49 +747,44 @@ class PatternKernel:
     """
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f", "intercept",
-                 "pull", "beta", "maxflows", "moved", "_given", "_inside", "_values",
-                 "_exact", "_forest", "_scaled", "_pull_flow", "_failing", "_unfilled")
+                 "pull", "beta", "maxflows", "moved", "_given", "_inside", "_exact",
+                 "_forest", "_scaled", "_pull_flow", "_failing", "_unfilled")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None):
         n, m = g.vertex_count, g.edge_count
         self.graph, self.f, self.maxflows = g, f, 0
-        self._values, self._exact = None if f is None else memoryview(f), None
+        # the data as integers over one power-of-two unit: each value is
+        # frac 2^exp, frac 2^53 an integer
+        data = f if f is not None else np.zeros(n) if u is None else np.asarray(u, dtype=float)
+        frac, exp = np.frexp(data)
+        exp = np.where(frac != 0.0, exp - 53, 0)
+        low = min(int(exp.min()), 0)
+        self._exact = 1 << -low, [p << k for p, k in zip((frac * 2.0 ** 53).astype(np.int64).tolist(),
+                                                          (exp - low).tolist())]
         self.pinned, self.slope, self.beta = np.empty(n), np.empty(n), np.empty(n)
         self.intercept, self.pull, self._pull_flow = np.empty(n), 0.0, None
         if f is not None:
-            self.pull, self._pull_flow = np.empty(n), np.zeros(m)
+            self.pull, self._pull_flow = np.zeros(n), np.zeros(m)
         self._forest, self._scaled = np.zeros(m), np.zeros(m)
         self._failing, self._unfilled = {}, {}
-        clusters = FlatClusters(g, pattern.flat)
-        ones = np.flatnonzero(clusters.sizes[clusters.labels] == 1)
+        flat = pattern.flat
+        alone = np.ones(n, dtype=bool)
+        alone[g.tails[flat]] = alone[g.heads[flat]] = False
+        ones = np.flatnonzero(alone)
         # the build's loop at a vertex with no flat edge, in bulk: every
         # edge at it is pinned, b its pinned flux (floats, which bincount
-        # gives only where there is an edge), s = -(b / 1), and its mean
-        # of f (0.0 + f) / 1
+        # gives only where there is an edge), s = -(b / 1), its exact mean
+        # rounded once, 0.0 + data, and with a datum its pull 0.0
         b = (np.bincount(g.tails, pattern.labels, n)
              - np.bincount(g.heads, pattern.labels, n))[ones].astype(float)
         s = -b
         self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
-        if f is not None:
-            mean = (0.0 + f[ones]) / 1
-            self.intercept[ones], self.pull[ones] = mean, f[ones] - mean
-        self._build(pattern, clusters, [], list(clusters._of.values()), [])
+        self.intercept[ones] = 0.0 + data[ones]
+        clusters = FlatClusters(g, flat)
+        born = list(clusters._of.values())
+        self._carry(born, [], self._build(pattern, clusters, [], born, []))
         self.moved = None
-        if f is None:
-            # the lines start at the cluster means of u, exactly: u as
-            # integers over one power-of-two unit
-            u = np.zeros(n) if u is None else np.asarray(u, dtype=float)
-            ratios = [x.as_integer_ratio() for x in u.tolist()]
-            unit = max((den for _, den in ratios), default=1)
-            exact = [num * (unit // den) for num, den in ratios]
-            self._exact = unit, exact
-            self.intercept[:] = u
-            pinned = memoryview(self.pinned)
-            for c in clusters._of.values():
-                total = sum([exact[v] for v in c.order])
-                c.sums = int(sum([pinned[v] for v in c.order])), total
-                self.intercept[c.order] = total / (unit * len(c.order))
 
     def successor(self, labels: np.ndarray, t: Fraction, changed) -> "PatternKernel":
         """The kernel of the edge labels ``labels``, built from this one by
@@ -826,48 +809,53 @@ class PatternKernel:
         old, new = memoryview(self._given), memoryview(labels)
         changed = [e for e in set(changed).union(self._inside) if new[e] != old[e]]
         clusters, dead, born, ones = self.clusters.successor(given.flat, changed)
+        parts = {r: self._sums(r, c) for r, c in dead}
         out = PatternKernel.__new__(PatternKernel)
-        out.graph, out.f, out._values = self.graph, self.f, self._values
+        out.graph, out.f = self.graph, self.f
         out._exact, out.maxflows = self._exact, self.maxflows
-        parts = None if self._exact is None else {
-            r: (1, int(self.pinned[r]), self._exact[1][r]) if c is None
-            else None if c.sums is None else (len(c.order),) + c.sums for r, c in dead}
         out.pinned, out.slope, out.beta = self.pinned, self.slope, self.beta
         out.intercept, out.pull = self.intercept, self.pull
         out._forest, out._scaled, out._pull_flow = self._forest, self._scaled, self._pull_flow
         out._failing, out._unfilled = self._failing, self._unfilled
-        out._build(given, clusters, [c for _, c in dead if c], born, ones)
-        if parts is not None:
-            out._carry(parts, dead, born, ones, t, not any([new[e] for e in changed]))
+        totals = out._build(given, clusters, [c for _, c in dead if c], born, ones)
+        out._carry(born, ones, totals, parts, dead, t, not any([new[e] for e in changed]))
         return out
 
-    def _carry(self, parts: dict, dead: list, born: list, ones, t: Fraction, fused: bool):
-        # the sums of the born clusters from those of the dead ones, parts
-        # by smallest vertex as (size, sums) or None, and dead as in
-        # FlatClusters.successor.  Where the events only fused, each born
-        # cluster is a union of whole dead ones and its sums are theirs
-        # added up: the pinned flux of an edge inside it cancels.  Else,
-        # without a datum, the lines keep their sum through the events at x
+    def _sums(self, r: int, c: Optional[Cluster]) -> tuple:
+        # (size, sum of b, sum of c) of the cluster whose smallest vertex is
+        # r and whose Cluster is c, None for a vertex with no flat edge
+        if c is None:
+            return 1, int(self.pinned[r]), self._exact[1][r]
+        return (len(c.order),) + c.sums
+
+    def _carry(self, born: list, ones, totals: list, parts: Optional[dict] = None,
+               dead=(), t: Fraction = _ZERO, fused: bool = False):
+        # the lines of the born Clusters and of the vertices ones, which have
+        # no flat edge, whose sums of the pinned flux b _build gave in
+        # totals: the exact sums of each, kept on its Cluster or as the
+        # vertex's entry of _exact, and from them its intercept, the exact
+        # mean rounded once, and with a datum its pull f - c, exact and
+        # rounded once, and the pull's flow on its tree.  A successor passes
+        # the sums of the dead clusters, parts, by smallest vertex (see
+        # _sums), and dead as in FlatClusters.successor.  Where the events
+        # only fused, each born cluster is a union of whole dead ones and
+        # its sum of c is theirs added up.  Else a build from scratch, and
+        # one with a datum, which is fixed, sum _exact over the vertices.
+        # Without a datum the lines keep their sum through the events at x
         # = 1 / t (x = 0 at t = 0): on each born cluster or vertex, n c =
-        # (the sum of the lines before, at x) + x * b.  A kernel without a
-        # datum gives each born cluster and vertex the line of its sums,
-        # rounded once; one with a datum leaves the sums of a cluster that
-        # did not only fuse to :meth:`meet`
+        # (the sum of the lines before, at x) + x * b
         unit, exact = self._exact
-        free = self.f is None
+        datum = self.f is not None
+        units = zip(itertools.chain(((c.order, c) for c in born), (([v], v) for v in ones)),
+                    totals)
         if fused:
             root, sums = memoryview(self.clusters.root), {}
-            for r, part in parts.items():
-                part = part and part[1:]
-                key = root[r]
-                if key not in sums:
-                    sums[key] = part
-                elif part is None or sums[key] is None:
-                    sums[key] = None
-                else:
-                    sums[key] = sums[key][0] + part[0], sums[key][1] + part[1]
-            lines = [(c.order, c, sums[c.order[0]]) for c in born]
-        elif free:
+            for r, (_, _, total) in parts.items():
+                sums[root[r]] = sums.get(root[r], 0) + total
+            lines = [(verts, c, (b, sums[verts[0]])) for (verts, c), b in units]
+        elif parts is None or datum:
+            lines = [(verts, c, (b, sum([exact[v] for v in verts]))) for (verts, c), b in units]
+        else:
             # in integers: x unit = big_u / big_t, and each dead part's sum
             # of lines at x, (sum of c) - x unit b, as a numerator over a
             # denominator, with its vertex count
@@ -876,63 +864,70 @@ class PatternKernel:
                         total.denominator * big_t) for r, (n, b, total) in parts.items()}
             # the smallest vertex of each moved vertex's cluster before
             root = {v: r for r, c in dead for v in ([r] if c is None else c.order)}
-            now = memoryview(self.pinned)
             lines = []
-            for verts, c in itertools.chain(((c.order, c) for c in born),
-                                            (([v], v) for v in ones)):
+            for (verts, c), b in units:
                 count = {}
                 for v in verts:
                     r = root[v]
                     count[r] = count.get(r, 0) + 1
-                b = int(sum([now[v] for v in verts]))
                 num, den = big_u * b, big_t
                 for r, k in count.items():
                     n, p, q = at_x[r]
                     num, den = num * n * q + k * p * den, den * n * q
                 lines.append((verts, c, (b, Fraction(num, den))))
-        else:
-            return
         intercept = memoryview(self.intercept)
+        if datum:
+            pull, pulled = memoryview(self.pull), memoryview(self._pull_flow)
         for verts, c, part in lines:
-            if isinstance(c, Cluster):
+            total, size = part[1], len(verts)
+            den = total.denominator * unit * size
+            value = total.numerator / den  # int / int, rounded once
+            for v in verts:
+                intercept[v] = value
+            cluster = isinstance(c, Cluster)
+            if cluster:
                 c.sums = part
             else:
-                exact[c] = part[1]
-            if free:
-                # int / int, rounded once
-                total = part[1]
-                value = total.numerator / (total.denominator * unit * len(verts))
-                for v in verts:
-                    intercept[v] = value
+                exact[c] = total
+            if datum:
+                # n unit (f - c) / (n unit), rounded once (the sums of f are
+                # ints): a float f - c would be off by c's rounding, which t
+                # = 1 / alpha scales
+                drift = [(size * exact[v] - total) / den for v in verts]
+                for v, x in zip(verts, drift):
+                    pull[v] = x
+                if cluster:
+                    for e, x in zip(c.tree, c.peel(drift)):
+                        pulled[e] = x
 
-    def _build(self, given, clusters, dead, born, ones):
+    def _build(self, given, clusters, dead, born, ones) -> list:
         # the kernel of the labels given, whose clusters replace the dead
         # Clusters by the born ones and the vertices ones, which have no
         # flat edge.  The values at their vertices and at the edges of the
-        # dead and born clusters are set here, one entry at a time; the
-        # others stand, since no other cluster's edges or pinned flux
-        # changed.  Without a datum a born cluster whose forest flow leaves
-        # [-1, 1] waits in _unfilled for its witness (see witness)
+        # dead and born clusters are set here, one entry at a time, but for
+        # the lines, which _carry sets; the others stand, since no other
+        # cluster's edges or pinned flux changed.  Without a datum a born
+        # cluster whose forest flow leaves [-1, 1] waits in _unfilled for
+        # its witness (see witness).  Returns the sum of the pinned flux of
+        # each born Cluster, then of each vertex of ones, as an int
         self._given, self.clusters = given.labels, clusters
-        failing, f = self._failing, self._values
+        failing, free = self._failing, self.f is None
         forest, scaled = memoryview(self._forest), memoryview(self._scaled)
         pinned, slope, beta = (memoryview(x) for x in (self.pinned, self.slope, self.beta))
-        if f is not None:
-            intercept, pull, pulled = (memoryview(x) for x in
-                                       (self.intercept, self.pull, self._pull_flow))
+        pulled = None if free else memoryview(self._pull_flow)
         for c in dead:
             r = c.order[0]
-            if failing.pop(r, None) and self._unfilled.pop(r, None) is None and f is None:
+            if failing.pop(r, None) and self._unfilled.pop(r, None) is None and free:
                 # its witness was the flow of its max-flow test
                 for e in clusters.edges(c):
                     scaled[e] = 0.0
             for e in c.tree:
                 forest[e] = scaled[e] = 0.0
-                if f is not None:
+                if pulled is not None:
                     pulled[e] = 0.0
         ptr, edge, tails, heads = clusters._adj
         lab = memoryview(given.labels)
-        moved, inside = [], []
+        moved, inside, totals = [], [], []
         for order, c in itertools.chain(((c.order, c) for c in born),
                                         (([v], None) for v in ones)):
             size = len(order)
@@ -958,49 +953,36 @@ class PatternKernel:
             total = sum(b)
             s = -(total / size)
             moved += order
+            totals.append(int(total))
             for v, x in zip(order, b):
                 pinned[v], slope[v], beta[v] = x, s, x + s
-            if f is not None:
-                # summed in vertex order, as np.bincount does
-                mean = 0.0
-                for v in sorted(order):
-                    mean += f[v]
-                mean /= size
-                drift = [f[v] - mean for v in order]
-                for v, x in zip(order, drift):
-                    intercept[v], pull[v] = mean, x
             if c is None:
                 continue
             flow = c.peel([total - size * x for x in b])
             if max(map(abs, flow)) > size:
                 failing[order[0]] = c
-                if f is None:
+                if free:
                     self._unfilled[order[0]] = c
             for e, x in zip(c.tree, flow):
                 forest[e], scaled[e] = x, x / size
-            if f is not None:
-                for e, x in zip(c.tree, c.peel(drift)):
-                    pulled[e] = x
         self.pattern, self._inside, self.moved = given, inside, moved
         if inside:
             labels = given.labels.copy()
             labels[inside] = 0
             self.pattern = SignPattern._of(labels)
+        return totals
 
     def _cluster(self, c: Cluster) -> tuple:
         # the Cluster c's vertices, flat edges, size, unit, and the
-        # integers n*unit*w and n*beta
+        # integers n*unit*w and n*beta; without a datum w is zero
         if c.data is None:
             verts = c.verts
             b = self.pinned[verts].astype(np.int64).tolist()
-            n, sb = len(verts), sum(b)
+            n, (sb, total) = len(verts), c.sums
             unit, w = 1, [0] * n
             if self.f is not None:
-                ratios = [x.as_integer_ratio() for x in self.f[verts].tolist()]
-                unit = max(den for _, den in ratios)
-                big_f = [num * (unit // den) for num, den in ratios]
-                total = sum(big_f)
-                w = [n * x - total for x in big_f]
+                unit, exact = self._exact
+                w = [n * exact[v] - total for v in verts]
             c.data = (verts, self.clusters.edges(c), n, unit, w, [n * x - sb for x in b])
         return c.data
 
@@ -1091,28 +1073,15 @@ class PatternKernel:
     def meet(self, e: int) -> Optional[Fraction]:
         """The exact t = 1 / x at which the lines ``c + x * s`` of the
         clusters at the ends of edge e meet, from each cluster's exact sums
-        of c (of f, with a datum) and of the pinned flux b; None if their
-        intercepts are equal.  A cluster's sums are kept on its
-        :class:`Cluster`, and a successor adds up those of the whole parts
-        of a cluster it forms (see :meth:`_carry`), so a fusion costs O(1)."""
-        if self._exact is None:
-            # f as integers over one power-of-two unit, made once per chain
-            ratios = [x.as_integer_ratio() for x in self._values]
-            unit = max(den for _, den in ratios)
-            self._exact = unit, [num * (unit // den) for num, den in ratios]
-        unit, exact = self._exact
+        of c and of the pinned flux b; None if their intercepts are equal.
+        Every cluster gets its sums when it forms, and a successor adds up
+        those of the whole parts of a cluster it forms (see :meth:`_carry`),
+        so a fusion costs O(1)."""
+        unit = self._exact[0]
         cl = self.clusters
         _, _, tails, heads = cl._adj
-        sums = []
-        for v in (tails[e], heads[e]):
-            c = cl._of.get(int(cl.root[v]))
-            if c is None:
-                sums.append((1, int(self.pinned[v]), exact[v]))
-                continue
-            if c.sums is None:
-                c.sums = (int(self.pinned[c.order].sum()), sum([exact[u] for u in c.order]))
-            sums.append((len(c.order),) + c.sums)
-        (na, ba, fa), (nb, bb, fb) = sums
+        (na, ba, fa), (nb, bb, fb) = [self._sums(r, cl._of.get(r))
+                                      for r in (int(cl.root[tails[e]]), int(cl.root[heads[e]]))]
         # c = f_sum / (unit size) and s = -b_sum / size on each side; the
         # lines meet at t = (s_head - s_tail) / (c_tail - c_head).  The sums
         # of f are fractions p / q, so one gcd reduces t
@@ -1157,7 +1126,7 @@ class PatternKernel:
     def witness(self, t: Fraction = Fraction(0),
                 start: Optional[np.ndarray] = None) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
-        the pinned edges; t > 0 needs a datum.
+        the pinned edges.  Without a datum w is zero and t is not read.
 
         Each cluster takes its forest flow, ``t`` times that of the pull
         plus the calibration flow over |C|, if it fits in [-1, 1] (an
@@ -1178,8 +1147,10 @@ class PatternKernel:
         successor.  A cluster whose forest flow leaves [-1, 1] takes its
         test's flow there at the first call after it forms.
         """
-        if self.f is not None or start is not None:
+        if self.f is not None:
             return self._assemble(t, start)
+        if start is not None:
+            return self._assemble(_ZERO, start)
         if self._unfilled:
             todo = [c for _, c in sorted(self._unfilled.items())]
             self._unfilled.clear()
@@ -1238,10 +1209,9 @@ class PatternKernel:
 
     def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
         """None if the flow h lies in [-1, 1] and has divergence r up to
-        1e-10 of ``1 + max |r|``, else the cause: the one witness check."""
+        :func:`witness_cutoff`, else the cause: the one witness check."""
         residual = float(np.abs(self.graph._div(h) - r).max())
-        if (float(np.abs(h).max(initial=0.0)) > 1.0
-                or residual > 1e-10 * (1.0 + float(np.abs(r).max()))):
+        if float(np.abs(h).max(initial=0.0)) > 1.0 or residual > witness_cutoff(r):
             return "a cluster has no witness flow (residual %.3g)" % residual
         return None
 
@@ -1297,4 +1267,4 @@ def subdifferential_membership(g: OrientedGraph, u, candidate,
     report = SolveReport(0, 0.5 * residual * residual, float(np.abs(mismatch).max()),
                          True, method="kkt-maxflow" if kernel.maxflows else "kkt-forest")
     return MembershipResult(member, h if member else None, residual,
-                            1e-10 * (1.0 + float(np.abs(candidate).max())), report)
+                            witness_cutoff(candidate), report)

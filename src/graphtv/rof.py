@@ -329,13 +329,9 @@ def _witnessed(kernel: PatternKernel, t: Fraction,
                start: Optional[np.ndarray] = None) -> tuple:
     # (witness, None) if the kernel's witness at t passes PatternKernel.fault
     # against t * w - beta, else (None, cause).  A kernel without a datum
-    # has zero pull, and its witness at t = 0 serves every t
-    if kernel.f is None:
-        h = kernel.witness(_ZERO, start)
-        cause = kernel.fault(h, -kernel.beta)
-    else:
-        h = kernel.witness(t, start)
-        cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
+    # has the pull 0.0, and its witness does not read t
+    h = kernel.witness(t, start)
+    cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
     return (None, cause) if cause else (h, None)
 
 
@@ -358,22 +354,13 @@ def _certify(kernel: PatternKernel, alpha: float,
 def _closes(k: PatternKernel, pins: dict) -> bool:
     # whether the parts of a split that built the kernel k close across its
     # cut at once: a pinned edge of pins with label * (s_tail - s_head) < 0,
-    # exact from each part's sum of the pinned flux b and size, s = -b / size
+    # exact from each part's size and sum of the pinned flux b, s = -b / size
     cl = k.clusters
     _, _, tails, heads = cl._adj
-    root, pinned = memoryview(cl.root), memoryview(k.pinned)
-    parts = {}
-
-    def part(v):
-        # (sum of b, size) of vertex v's cluster
-        r = root[v]
-        if r not in parts:
-            verts = cl._of[r].order if r in cl._of else [r]
-            parts[r] = int(sum([pinned[u] for u in verts])), len(verts)
-        return parts[r]
-
+    root = memoryview(cl.root)
     for e, label in pins.items():
-        (bt, nt), (bh, nh) = part(tails[e]), part(heads[e])
+        (nt, bt, _), (nh, bh, _) = [k._sums(r, cl._of.get(r))
+                                    for r in (root[tails[e]], root[heads[e]])]
         if label * (bh * nt - bt * nh) < 0:
             return True
     return False
@@ -388,12 +375,14 @@ def _trace(k: PatternKernel):
     changed since the last segment, every vertex at the first: the lines
     of the others are as they were.  On a segment the trajectory is the kernel's
     line ``c + x * s``, up to the first fusion (the lines across a non-flat
-    edge meet) or split (:meth:`PatternKernel.splits`); events within a
-    relative 1e-12 of the first meet in exact arithmetic and are applied
-    together.  Each breakpoint is its exact rational, rounded once: a
-    split's from its min cut, a fusion's from :meth:`PatternKernel.meet`;
-    each successor is built there from the edges the events relabelled, so
-    a kernel without a datum carries its lines exactly.
+    edge meet) or split (:meth:`PatternKernel.splits`).  Events are ordered
+    by their exact x, a split's from its min cut, a fusion's from
+    :meth:`PatternKernel.meet`, and only those at the first x are applied
+    together: a float search only picks the edges that may close first.
+    Each breakpoint is its exact rational, rounded once, and events whose
+    x round to the same float share a breakpoint; each successor is built
+    at the exact x from the edges the events relabelled, so a kernel
+    without a datum carries its lines exactly.
 
     Every segment is certified, or :class:`PathError` is raised: its
     witness passes :meth:`PatternKernel.fault`, and the pinned edges keep
@@ -410,15 +399,16 @@ def _trace(k: PatternKernel):
     g = k.graph
     pulled = k.f is not None
     name = "alpha" if pulled else "t"
-    x, t = 0.0, Fraction(0)  # t = 1 / x exactly, and 0 at x = 0
+    x, t = 0.0, _ZERO  # t = 1 / x exactly, and 0 at x = 0
     count = 0
     moved = set(range(g.vertex_count))
 
     def certify(ends, where):
         # the witness at each end (x, t) of a segment, or once without a
-        # datum; the witness at the first end
+        # datum, whose witness reads no t (given as 0, so that float(t)
+        # cannot overflow); the witness at the first end
         found = []
-        for end, t_end in ends if pulled else ends[:1]:
+        for end, t_end in ends if pulled else [(ends[0][0], _ZERO)]:
             h, cause = _witnessed(k, t_end)
             if cause is not None:
                 _fail(g, cause, name, end, where)
@@ -447,27 +437,27 @@ def _trace(k: PatternKernel):
                 _fail(g, "a split's parts close across its cut", name, x, where)
             continue
         c, s = k.intercept, k.slope
-        step, fused, gaps, rates = next_fusion(g, k.pattern, c + x * s, s)
-        fused = fused.nonzero()[0]
-        fuse_at, first = x + step, fused[0] if fused.size else None
-        if fused.size > 1:
-            # the first of the fusing edges, where the lines across them meet
-            tails, heads = g.tails[fused], g.heads[fused]
-            meet = (c[tails] - c[heads]) / (s[heads] - s[tails])
-            fuse_at, first = float(meet.min()), fused[np.argmin(meet)]
-        # the first event, a split's with its exact t
-        splits = [(t_split.denominator / t_split.numerator, t_split, pins)
-                  for t_split, pins in splits]
-        nxt, t_nxt = min([(a, t_a) for a, t_a, _ in splits] + [(fuse_at, None)],
-                         key=lambda event: event[0])
-        if nxt == math.inf:
+        _, fused, gaps, rates = next_fusion(g, k.pattern, c + x * s, s)
+        # each event at its exact t = 1 / x: a split's from its min cut, a
+        # fusion's where the lines across an edge that the float search
+        # closes first meet (None where they meet at x = 0), the same for
+        # every edge between the same two clusters.  An event that rounding
+        # put at or before the current x is due now; else the first events,
+        # those of the largest t, end the segment together, and the others
+        # wait
+        events = [(t_split, pins, None) for t_split, pins in splits]
+        _, _, tails, heads = k.clusters._adj
+        root, meets = memoryview(k.clusters.root), {}
+        for e in fused.nonzero()[0].tolist():
+            pair = root[tails[e]], root[heads[e]]
+            if pair not in meets:
+                meets[pair] = k.meet(e)
+            events.append((meets[pair], None, e))
+        if not events:
             _fail(g, "no event ahead", name, x, where)
-        # events within a relative 1e-12 of the step meet in exact arithmetic
-        limit = x + (nxt - x) * (1.0 + 1e-12)
-        if nxt > x:
-            if t_nxt is None:
-                # a fusion, at the exact t where the first fusing edge closes
-                t_nxt = k.meet(int(first))
+        now = [event for event in events if event[0] is None or t and event[0] >= t]
+        if not now:
+            t_nxt = max([event[0] for event in events])
             end = t_nxt.denominator / t_nxt.numerator  # 1 / t, rounded once
             if end > x:
                 h = certify([(x, t), (end, t_nxt)], where)
@@ -476,13 +466,11 @@ def _trace(k: PatternKernel):
                 yield x, k, h, np.array(sorted(moved), dtype=np.intp)
                 moved = set()
                 count += 1
-                x, t = end, t_nxt
-        changed = []
-        if fuse_at <= limit:
-            labels[fused] = 0
-            changed = fused.tolist()
-        successor(labels, changed + apply_pins(labels, [pins for a, _, pins in splits
-                                                        if a <= limit]))
+            x, t = end, t_nxt
+            now = [event for event in events if event[0] == t_nxt]
+        changed = [e for _, _, e in now if e is not None]
+        labels[changed] = 0
+        successor(labels, changed + apply_pins(labels, [pins for _, pins, e in now if e is None]))
     _fail(g, "event cap %d exceeded" % event_cap(g), name, x, "segment %d" % count)
 
 

@@ -232,14 +232,16 @@ def test_import_loads_no_scipy():
 
 
 def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
-    # rof reads no tolerance, neither the flow, the comparison nor the
-    # counterexample harness reads a solve tolerance, and neither minimality
-    # verifier reads a flat tolerance: each such flag is a usage error
-    # naming the flag and the mode
+    # neither rof nor the flow reads a tolerance, neither the comparison
+    # nor the counterexample harness reads a solve tolerance, and neither
+    # minimality verifier reads a flat tolerance: each such flag is a usage
+    # error naming the flag and the mode
     cases = [(["rof", problem_file, "--path"], "--flat-tol", "rof --path"),
              (["rof", problem_file, "--path"], "--solve-tol", "rof --path"),
              (["rof", problem_file, "--alpha", "1"], "--flat-tol", "rof --alpha"),
              (["rof", problem_file, "--alpha", "1"], "--solve-tol", "rof --alpha"),
+             (["flow", problem_file, "--t-end", "1"], "--flat-tol", "flow"),
+             (["flow", problem_file, "--trajectory"], "--flat-tol", "flow"),
              (["flow", problem_file, "--t-end", "1"], "--solve-tol", "flow"),
              (["flow", problem_file, "--trajectory"], "--solve-tol", "flow"),
              (["verify", "--mode", "counterexample", problem_file], "--solve-tol",
@@ -280,7 +282,6 @@ def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "--trials must be at least 1" in captured.err
     # the flags each mode reads are still taken
-    assert main(["flow", problem_file, "--t-end", "1", "--flat-tol", "1e-6"]) == 0
     assert main(["verify", "--mode", "counterexample", "--flat-tol", "1e-8"]) == 0
     assert main(["compare", problem_file, "--grid", "1", "--flat-tol", "1e-6"]) == 0
     capsys.readouterr()

@@ -11,7 +11,7 @@ from graphtv.instances import (cartesian_graph, nonequivalence_instance, path_gr
                                two_vertex_graph)
 
 from dense_operator import dense_divergence
-from sampling import box_point, pattern_box
+from sampling import box_point, cluster_of, numbering, pattern_box
 
 TOL = 1e-12
 SEED = 20240817
@@ -22,6 +22,19 @@ def _cluster_mean(root, x):
     # summed in vertex order
     n = root.size
     return (np.bincount(root, x, n) / np.maximum(np.bincount(root, minlength=n), 1))[root]
+
+
+def _exact_means(root, x):
+    # per-vertex exact mean of x over the vertices with the vertex's root,
+    # and x less that mean, each rounded once
+    from fractions import Fraction
+    sums, sizes = {}, {}
+    for r, v in zip(root.tolist(), x.tolist()):
+        sums[r] = sums.get(r, 0) + Fraction(v)
+        sizes[r] = sizes.get(r, 0) + 1
+    means = [sums[r] / sizes[r] for r in root.tolist()]
+    return (np.array([float(c) for c in means]),
+            np.array([float(Fraction(v) - c) for v, c in zip(x.tolist(), means)]))
 
 
 def brute_divergence(g, h):
@@ -227,21 +240,22 @@ def test_flat_clusters_match_union_find():
         roots = np.array([find(v) for v in range(g.vertex_count)])
         expected = np.array([u[roots == r].mean() for r in roots])
         clusters = FlatClusters(g, flat)
-        assert clusters.count == np.unique(roots).size
+        smallest, labels, _ = numbering(clusters)
+        assert smallest.size == np.unique(roots).size
         # the spanning trees of the reference search, a vertex with no
         # flat edge a tree of its own
         for k, ref in enumerate(_reference_trees(g, flat)):
-            c = clusters.cluster(k)
+            c = cluster_of(clusters, smallest[k])
             assert (c.order, c.up, c.tree, c.sign) == ref
         same = roots[:, None] == roots[None, :]
-        assert np.array_equal(same, clusters.labels[:, None] == clusters.labels[None, :])
+        assert np.array_equal(same, labels[:, None] == labels[None, :])
         assert np.abs(_cluster_mean(clusters.root, u) - expected).max() < 1e-12
         # the flow on the spanning forest, each tree's peeled, realizes any
         # divergence that sums to zero per cluster
         r = u - expected
         forest, rs = np.zeros(g.edge_count), r.tolist()
-        for k in range(clusters.count):
-            c = clusters.cluster(k)
+        for v0 in smallest:
+            c = cluster_of(clusters, v0)
             forest[c.tree] = c.peel([rs[v] for v in c.order])
         assert np.abs(divergence(g, forest) - r).max() < 1e-12
 
@@ -446,6 +460,30 @@ def test_membership_max_flow_member():
     assert np.abs(divergence(g, res.witness) - cand).max() <= res.threshold
 
 
+def test_membership_flips_at_the_reported_threshold():
+    # the threshold a membership verdict reports is the cutoff of the one
+    # witness check: a candidate off the subdifferential by just under it
+    # is a member, by just over it is not.  The error sits at a vertex with
+    # no flat edge, where the witness leaves the whole error
+    rng = np.random.default_rng(SEED + 12)
+    g = cartesian_graph(4, 4)
+    u = rng.integers(0, 3, g.vertex_count).astype(float)
+    pat = sign_pattern(g, u)
+    alone = np.flatnonzero(np.bincount(np.concatenate([g.tails[pat.flat], g.heads[pat.flat]]),
+                                       minlength=g.vertex_count) == 0)
+    assert alone.size
+    cand = divergence(g, box_point(pattern_box(pat), rng))
+    base = subdifferential_membership(g, u, cand)
+    assert base.member
+    for v in alone:
+        for factor, member in ((0.99, True), (1.01, False)):
+            bent = cand.copy()
+            bent[v] += factor * base.threshold
+            res = subdifferential_membership(g, u, bent)
+            assert res.member is member
+            assert (res.report.optimality <= res.threshold) is member
+
+
 def test_coupled_groups_cover_grid_edges():
     g, _ = nonequivalence_instance()
     groups = g.coupled_groups()
@@ -521,10 +559,10 @@ def test_tolerances_validation():
 def _kernel_bytes(kernel, t):
     # what a successor must reproduce, as bytes.  The clusters' tests are
     # dropped first: a stored flow comes from a max-flow with another start
-    for k in range(kernel.clusters.count):
-        kernel.clusters.cluster(k).tests = None
+    for c in kernel.clusters._of.values():
+        c.tests = None
     failed = np.array(sorted(kernel._failing))
-    parts = [kernel.clusters.labels, kernel.clusters.sizes, kernel.pattern.labels,
+    parts = [*numbering(kernel.clusters)[1:], kernel.pattern.labels,
              kernel.pinned, kernel.slope, kernel.beta, np.asarray(kernel.intercept),
              np.asarray(kernel.pull), failed, kernel._forest, kernel.witness()]
     if kernel.f is not None:
@@ -535,17 +573,18 @@ def _kernel_bytes(kernel, t):
 def _check_values(kernel, labels):
     # the kernel's values against numpy's arithmetic, in which a kernel was
     # built before successors: a pinned edge inside a cluster turns flat,
-    # and cluster sums run in vertex order, as np.bincount sums
+    # and the sums of the pinned flux run in vertex order, as np.bincount
+    # sums.  The intercept is the exact cluster mean of f, rounded once, and
+    # so is the pull f - c
     g, cl = kernel.graph, kernel.clusters
-    inside = (labels != 0) & (cl.labels[g.tails] == cl.labels[g.heads])
+    inside = (labels != 0) & (cl.root[g.tails] == cl.root[g.heads])
     pattern = np.where(inside, 0, labels).astype(np.int8)
     pinned = divergence(g, -pattern.astype(float))
     slope = -_cluster_mean(cl.root, pinned)
     expected = [pattern, pinned, slope, pinned + slope]
     actual = [kernel.pattern.labels, kernel.pinned, kernel.slope, kernel.beta]
     if kernel.f is not None:
-        mean = _cluster_mean(cl.root, kernel.f)
-        expected += [mean, kernel.f - mean]
+        expected += list(_exact_means(cl.root, kernel.f))
         actual += [kernel.intercept, kernel.pull]
     assert [x.tobytes() for x in actual] == [x.tobytes() for x in expected]
 
@@ -578,7 +617,7 @@ def _successor_chains(seed):
             kernel = PatternKernel(g, start, datum)
             for _ in range(30):
                 labels = kernel.pattern.labels.copy()
-                cl = kernel.clusters.labels
+                _, cl, sizes = numbering(kernel.clusters)
                 move = rng.integers(5)
                 if move == 0:
                     changed = rng.choice(m, rng.integers(1, 4))
@@ -595,7 +634,7 @@ def _successor_chains(seed):
                 else:
                     # move 3 pins every edge at a vertex; move 4 sets flat
                     # one edge at a vertex with no flat edge
-                    alone = np.flatnonzero(kernel.clusters.sizes[cl] == 1)
+                    alone = np.flatnonzero(sizes[cl] == 1)
                     v = rng.integers(n) if move == 3 or not alone.size else rng.choice(alone)
                     at = np.flatnonzero((g.tails == v) | (g.heads == v))
                     if move == 3:
@@ -609,8 +648,8 @@ def _successor_chains(seed):
                 _check_values(kernel, labels)
                 if datum is None:
                     carried = kernel.witness().copy()
-                    for k in range(kernel.clusters.count):
-                        kernel.clusters.cluster(k).tests = None
+                    for c in kernel.clusters._of.values():
+                        c.tests = None
                     assert carried.tobytes() == kernel._assemble(Fraction(0)).tobytes()
                 t = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
                 assert _kernel_bytes(kernel, t) == _kernel_bytes(fresh, t)
@@ -679,13 +718,13 @@ def test_kernel_without_a_datum_carries_its_lines():
                       sign_pattern(g, u)):
             kernel = PatternKernel(g, start, u=u)
             lines = _exact_lines(kernel)
-            for k in range(kernel.clusters.count):
-                verts = kernel.clusters.cluster(k).verts
+            for r in numbering(kernel.clusters)[0]:
+                verts = cluster_of(kernel.clusters, r).verts
                 assert lines[verts[0]][0] == sum(map(Fraction, u[verts])) / len(verts)
             at = Fraction(0)
             for _ in range(30):
                 labels = kernel.pattern.labels.copy()
-                cl = kernel.clusters.labels
+                cl = numbering(kernel.clusters)[1]
                 move = rng.integers(3)
                 if move == 0:
                     changed = rng.choice(m, rng.integers(1, 4))
@@ -711,11 +750,58 @@ def test_kernel_without_a_datum_carries_its_lines():
                 assert kernel.intercept.tolist() == [float(c) for c, _ in lines]
 
 
+def test_every_intercept_is_its_exact_cluster_mean_rounded_once():
+    # one line model: every intercept of a kernel, built from scratch or as
+    # a successor, with or without a datum, is the exact mean of its
+    # cluster's data, rounded once, and so is a datum's pull f - c.  With a datum the data are f, through
+    # fusions, cuts and relabelled edges; without one, the field u, whose
+    # sums fusions add up.  Values of many magnitudes, ties and a -0.0; a
+    # float mean summed in vertex order is off in its last bit on some
+    from fractions import Fraction
+    from graphtv.graph import PatternKernel
+    rng = np.random.default_rng(SEED + 11)
+    off = 0
+    for g in (cartesian_graph(6, 6), cartesian_graph(4, 7), path_graph(40),
+              random_connected_graph(rng), random_connected_graph(rng)):
+        n, m = g.vertex_count, g.edge_count
+        data = random_vertex_field(rng, n) * 10.0 ** rng.uniform(-3, 3, n)
+        data[rng.integers(n)] = -0.0
+        start = sign_pattern(g, rng.integers(0, 3, n).astype(float))
+        for datum in (True, False):
+            kernel = PatternKernel(g, start, data) if datum else PatternKernel(g, start, u=data)
+            for step in range(25):
+                root = kernel.clusters.root
+                exact, pull = _exact_means(root, data)
+                assert kernel.intercept.tobytes() == exact.tobytes(), (datum, step)
+                if datum:
+                    assert kernel.pull.tobytes() == pull.tobytes(), step
+                off += int((_cluster_mean(root, data) != exact).sum())
+                labels = kernel.pattern.labels.copy()
+                cl = numbering(kernel.clusters)[1]
+                move = rng.integers(3) if datum else 0
+                if move == 0:
+                    changed = rng.choice(m, rng.integers(1, 4))
+                    labels[changed] = 0
+                elif move == 1:
+                    k = cl[rng.integers(n)]
+                    side = rng.random(n) < 0.5
+                    cut = (cl[g.tails] == k) & (side[g.tails] != side[g.heads])
+                    labels[cut] = np.where(side[g.heads[cut]], -1, 1)
+                    changed = np.flatnonzero(cut)
+                else:
+                    changed = rng.choice(m, rng.integers(1, 4))
+                    labels[changed] = rng.integers(-1, 2, changed.size)
+                kernel = kernel.successor(labels, Fraction(int(rng.integers(1, 40)), 7),
+                                          list(map(int, changed)))
+    assert off > 0
+
+
 def test_lone_vertices_keep_the_signed_zeros_of_the_cluster_loop():
     # a vertex with no flat edge is set in bulk with the float operations
     # of the loop over a cluster: its slope is -(b / 1), -0.0 where its
-    # pinned flux b is 0, and its mean of f is (0.0 + f) / 1, 0.0 for a
-    # datum of -0.0, also on a graph with no edge
+    # pinned flux b is 0, its exact mean of f rounded once is 0.0 + f, 0.0
+    # for a datum of -0.0, and its exact pull f - c is 0.0, also on a
+    # graph with no edge
     from graphtv.graph import PatternKernel
     for g, labels, slope in ((OrientedGraph(1, []), [], [-0.0]),
                              (OrientedGraph(3, [(0, 1), (2, 1)]), [1, 1], [-1.0, 2.0, -1.0]),
@@ -724,7 +810,7 @@ def test_lone_vertices_keep_the_signed_zeros_of_the_cluster_loop():
         assert kernel.slope.tobytes() == np.array(slope).tobytes()
         assert kernel.beta.tobytes() == np.zeros(g.vertex_count).tobytes()
         assert kernel.intercept.tobytes() == np.zeros(g.vertex_count).tobytes()
-        assert kernel.pull.tobytes() == np.full(g.vertex_count, -0.0).tobytes()
+        assert kernel.pull.tobytes() == np.zeros(g.vertex_count).tobytes()
 
 
 def test_kernel_keeps_under_400_bytes_per_vertex():
@@ -746,7 +832,7 @@ def test_kernel_keeps_under_400_bytes_per_vertex():
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert kernel.clusters.count < g.vertex_count
+        assert numbering(kernel.clusters)[0].size < g.vertex_count
         assert kept < 400 * g.vertex_count, (g, alpha, kept / g.vertex_count)
 
 

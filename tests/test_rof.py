@@ -525,9 +525,10 @@ def test_rof_solve_takes_no_tolerance():
     # every answer is certified, so neither rof_solve nor the implicit
     # Euler flow built on it has a tolerance to take; rof_solve runs one
     # projection from zero, so it has no warm start or iteration cap
-    # either, and the taut string is exact.  The isotropic solve takes a
+    # either, and the taut string is exact.  The flow reads the ties of its
+    # datum exactly, as the path does.  The isotropic solve takes a
     # tolerance, but no warm start or iteration cap
-    from graphtv import Tolerances, flow_backward_euler, taut_string_1d
+    from graphtv import Tolerances, flow_backward_euler, flow_solve, taut_string_1d
     g, f = nonequivalence_instance()
     grid = cartesian_graph(3, 3)
     for call in (lambda: rof_solve(g, f, 1.0, Tolerances()),
@@ -538,6 +539,8 @@ def test_rof_solve_takes_no_tolerance():
                  lambda: isotropic_rof_solve(grid, f, 1.0, max_iter=20),
                  lambda: flow_backward_euler(g, f, 1.0, 0.5, Tolerances()),
                  lambda: flow_backward_euler(g, f, 1.0, 0.5, tol=Tolerances()),
+                 lambda: flow_solve(g, f, Tolerances()),
+                 lambda: flow_solve(g, f, tol=Tolerances()),
                  lambda: taut_string_1d(np.array([0.0, 1.0]), 1.0, Tolerances()),
                  lambda: taut_string_1d(np.array([0.0, 1.0]), 1.0, tol=Tolerances())):
         with pytest.raises(TypeError):
