@@ -381,7 +381,8 @@ PATIENCE = 125
 
 
 def _accelerated_descent(g, x0, spec, *, value, slope, lips, measure,
-                         stop_tol, max_iter=DEFAULT_MAX_ITER, adaptive=False):
+                         stop_tol, max_iter=DEFAULT_MAX_ITER, adaptive=False,
+                         probe=None):
     """FISTA-style iteration over ``spec`` with restart on objective increase.
 
     The objective is a function of ``z = div h`` alone: ``value(z)`` is its
@@ -418,6 +419,12 @@ def _accelerated_descent(g, x0, spec, *, value, slope, lips, measure,
     a stall however long it lasts.  (The attainable floor in floating point
     can sit above ``stop_tol`` for badly scaled data, and that outcome is
     reported rather than looped on.)
+
+    ``probe``, if given, is called as ``probe(x, it, meas)`` at each check
+    that does not meet ``stop_tol``, with the iterate x in the graph's
+    order, read-only and valid only during the call; a true result stops
+    the loop, which returns that x as converged.  The probe reads the
+    iterates and changes none of them.
 
     With ``adaptive=True`` the iteration takes backtracking steps: trial
     steps start three orders of magnitude above the safe step and are
@@ -508,6 +515,8 @@ def _accelerated_descent(g, x0, spec, *, value, slope, lips, measure,
             if best_meas <= stop_tol:
                 converged = True
                 break
+            if probe is not None and probe(spec._unpack(x), it, meas):
+                return spec._unpack(x), it, meas, fx, True
             if checks_since_gain >= PATIENCE:
                 break
     return spec._unpack(best), it, best_meas, best_f, converged
@@ -516,6 +525,29 @@ def _accelerated_descent(g, x0, spec, *, value, slope, lips, measure,
 def _default_tol():
     from .graph import DEFAULT_TOL
     return DEFAULT_TOL
+
+
+def _projection(g: "OrientedGraph", target: np.ndarray, spec) -> dict:
+    """The objective ``0.5 * ||target - div H||_2^2`` of a projection onto
+    {div H : H in spec}, its curvature bound and its stopping measure, the
+    gradient-mapping norm, as keywords of :func:`_accelerated_descent`."""
+    lips = 2.0 * max(g.max_degree, 1)
+    step = 1.0 / lips
+
+    # .sum() adds pairwise in a fixed order; a BLAS dot product (r @ r, and
+    # so np.linalg.norm) splits long vectors over threads, and the result
+    # would follow the thread count
+    def value(z):
+        r = z - target
+        return 0.5 * float((r * r).sum())
+
+    def mapping_norm(x, grad, _):
+        # the gradient-mapping norm at the step 1 / lips, summed in the
+        # graph's edge order
+        d = x - spec._project(x - step * grad)
+        return math.sqrt(float(spec._unpack(d * d).sum())) * lips
+
+    return dict(value=value, slope=lambda z: z - target, lips=lips, measure=mapping_norm)
 
 
 def project_onto_div_box(g: "OrientedGraph", target, spec,
@@ -538,27 +570,9 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
     """
     tol = tol if tol is not None else _default_tol()
     target = ensure_vertex_field(g, target, "target")
-    x0 = _start(g, spec, None)
-
-    lips = 2.0 * max(g.max_degree, 1)
-    step = 1.0 / lips
-
-    # .sum() adds pairwise in a fixed order; a BLAS dot product (r @ r, and
-    # so np.linalg.norm) splits long vectors over threads, and the result
-    # would follow the thread count
-    def value(z):
-        r = z - target
-        return 0.5 * float((r * r).sum())
-
-    def mapping_norm(x, grad, _):
-        # the gradient-mapping norm at the step 1 / lips, summed in the
-        # graph's edge order
-        d = x - spec._project(x - step * grad)
-        return math.sqrt(float(spec._unpack(d * d).sum())) * lips
-
     x, it, meas, obj, conv = _accelerated_descent(
-        g, x0, spec, value=value, slope=lambda z: z - target,
-        lips=lips, measure=mapping_norm, stop_tol=0.25 * tol.solve_tol)
+        g, _start(g, spec, None), spec, stop_tol=0.25 * tol.solve_tol,
+        **_projection(g, target, spec))
     return x, SolveReport(it, obj, meas, conv, method="apgd-projection")
 
 

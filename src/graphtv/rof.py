@@ -10,10 +10,10 @@ The path is traced exactly with no iterative solve: under a sign pattern
 it is a line, which ends where two clusters meet (a fusion) or where a
 parametric max-flow finds that a cluster breaks up (a split; Hoefling
 2010).  Every segment is certified.  A solve at one alpha
-uses the projection only to identify the sign pattern, and returns the
-pattern's line at alpha once the same certificate holds there; where it
-does not, the decomposition algorithm gives the pattern exactly (Hochbaum
-2001; Chambolle & Darbon 2009).
+uses the projection only to identify the sign pattern, as its active set,
+tried while it runs, and returns the pattern's line at alpha once the same
+certificate holds there; where it does not, the decomposition algorithm
+gives the pattern exactly (Hochbaum 2001; Chambolle & Darbon 2009).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import BoxSpec, SolveReport, project_onto_div_box
+from .engine import (BoxSpec, SolveReport, _accelerated_descent, _projection,
+                     project_onto_div_box)
 from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
                     Tolerances, apply_pins, ensure_vertex_field, event_cap,
@@ -241,21 +242,61 @@ def _identity(g, f):
 
 
 # The accuracy, relative to the data range, at which rof_solve's projection
-# stops to identify the sign pattern; the certificate, not this tolerance,
-# decides whether the pattern is right
+# stops at the latest; the certificate, not this tolerance, decides whether
+# the sign pattern read off the projection is right
 IDENTIFY_TOL = 5e-7
+
+# The gradient-mapping norm, relative to the data range, below which
+# rof_solve tries the projection's active set while it runs
+_TRY_FLOOR = 1e-2
+
+
+class _NotYet(Exception):
+    """A cluster of a try's kernel needs a max-flow."""
+
+
+class _Trial(PatternKernel):
+    """A kernel whose certificate runs no max-flow: where a cluster would
+    need one, :meth:`_route` raises :class:`_NotYet`."""
+
+    __slots__ = ()
+
+    def _route(self, tests: list) -> list:
+        if tests:
+            raise _NotYet
+        return []
+
+
+def _active(h: np.ndarray, alpha: float) -> np.ndarray:
+    # the labels of the dual flow h's active set, -sign(h) on the edges
+    # where |h| = alpha exactly, as int8
+    return (h == -alpha).view(np.int8) - (h == alpha).view(np.int8)
 
 
 def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     """Solve the graph total-variation regularization problem at one alpha.
 
-    Identify, then certify.  The dual projection runs once, to the loose
-    tolerance ``IDENTIFY_TOL`` of the data range, only to identify the sign
-    pattern of ``u``; the answer is that pattern's closed form
-    ``cluster_mean(f) + alpha * s`` (:class:`PatternKernel`), returned when
-    its optimality conditions hold: pinned edges keep their signs, and a
-    flow in [-alpha, alpha] on the flat edges closes the divergence
-    (:meth:`PatternKernel.witness`, started from the iterate's flow).
+    Identify, then certify.  The dual projection onto the divergence image
+    of the box [-alpha, alpha]^m gives the sign pattern of ``u`` as its
+    active set, ``-sign(h)`` where the flow h sits exactly at a bound.  The
+    answer is that pattern's closed form ``cluster_mean(f) + alpha * s``
+    (:class:`PatternKernel`), returned when its optimality conditions hold:
+    pinned edges keep their signs, and a flow in [-alpha, alpha] on the
+    flat edges closes the divergence (:meth:`PatternKernel.witness`,
+    started from the iterate's flow).
+
+    Projected gradient finds the active face after finitely many
+    iterations (Burke & More 1988), so the active set is tried at the
+    projection's checks, with no max-flow: once the gradient-mapping norm
+    is below 1e-2 of the data range, where the set held at the check
+    before and is not the last one to fail its certificate, and after at
+    least twice the iterations of the last try.  A cluster that would need
+    a max-flow means not yet.  The solve stops at the first certified try,
+    else at ``IDENTIFY_TOL`` of the range, where the last iterate's active
+    set is certified with a max-flow where a cluster needs one (a start
+    that meets the stop has none, and one projected gradient step from it
+    is read instead).  The tries follow counts alone, so
+    ``report.iterations`` does not depend on timing.
 
     Where that certificate fails, the answer is exact instead: from the
     all-flat pattern, :meth:`PatternKernel.settle` at ``t = 1 / alpha``
@@ -270,21 +311,69 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     if alpha == 0.0:
         return _identity(g, f)
     scale = float(f.max() - f.min()) or 1.0
-    h, report = project_onto_div_box(g, f, BoxSpec.uniform(g.edge_count, alpha),
-                                     Tolerances(solve_tol=IDENTIFY_TOL * scale))
-    k = PatternKernel(g, sign_pattern(g, f - g._div(h), scale=scale), f)
-    witness, cause = _certify(k, alpha, start=h / alpha)
-    if witness is None:
-        k = PatternKernel(g, SignPattern(np.zeros(g.edge_count)), f).settle(1 / Fraction(alpha))
-        witness, cause = _certify(k, alpha)
+    spec = BoxSpec.uniform(g.edge_count, alpha)
+    seen = failed = trial = found = None
+    tried_at = 0
+
+    def attempt(h, it, meas):
+        # try the active set of the iterate h on the schedule above; true
+        # once one is certified, in found.  A set tried again, after a try
+        # that stopped short of a max-flow, keeps that try's kernel, which
+        # the try left as it was
+        nonlocal seen, failed, trial, tried_at, found
+        if meas > _TRY_FLOOR * scale:
+            seen = None
+            return False
+        labels = _active(h, alpha)
+        ready = (seen is not None and np.array_equal(labels, seen) and it >= 2 * tried_at
+                 and (failed is None or not np.array_equal(labels, failed)))
+        seen = labels
+        if not ready:
+            return False
+        tried_at = it
+        if trial is None or not np.array_equal(labels, trial._given):
+            trial = _Trial(g, SignPattern._of(labels), f)
+        try:
+            witness, _ = _certify(trial, alpha, start=h / alpha)
+        except _NotYet:
+            return False
         if witness is None:
-            raise ConvergenceError("no certified sign pattern: %s %s"
-                                   % (cause, failure_site(g, "alpha", alpha)), report)
+            failed = labels
+            return False
+        found = trial, witness
+        return True
+
+    terms = _projection(g, f, spec)
+    h, it, meas, obj, conv = _accelerated_descent(
+        g, np.zeros(g.edge_count), spec, stop_tol=0.25 * IDENTIFY_TOL * scale,
+        probe=attempt, **terms)
+    if found is not None:
+        k, witness = found
+    else:
+        if not it:
+            # the start, zero, met the stop and has no active edge: one
+            # projected gradient step from it
+            h = spec.project((f[g.heads] - f[g.tails]) / terms["lips"])
+        labels = _active(h, alpha)
+        k = PatternKernel(g, SignPattern._of(labels), f)
+        witness, cause = _certify(k, alpha, start=h / alpha)
+        if witness is None:
+            # settle from the all-flat kernel: the identified one where no
+            # edge is active, since its clusters keep the tests its
+            # certificate ran
+            if labels.any():
+                k = PatternKernel(g, SignPattern(np.zeros(g.edge_count)), f)
+            k = k.settle(1 / Fraction(alpha))
+            witness, cause = _certify(k, alpha)
+            if witness is None:
+                raise ConvergenceError("no certified sign pattern: %s %s"
+                                       % (cause, failure_site(g, "alpha", alpha)),
+                                       SolveReport(it, obj, meas, conv, method="apgd-projection"))
     u = k.intercept + alpha * k.slope
     dual = -alpha * (witness - k.pattern.labels)
     optimality = float(np.abs(f + g._div(dual) - u).max())
     return RofSolution(alpha, u, dual, SolveReport(
-        report.iterations, 0.5 * float(np.sum(u * u)), optimality, True,
+        it, 0.5 * float(np.sum(u * u)), optimality, True,
         method="kkt-maxflow" if k.maxflows else "kkt-forest"))
 
 
@@ -328,10 +417,15 @@ _ZERO = Fraction(0)
 def _witnessed(kernel: PatternKernel, t: Fraction,
                start: Optional[np.ndarray] = None) -> tuple:
     # (witness, None) if the kernel's witness at t passes PatternKernel.fault
-    # against t * w - beta, else (None, cause).  A kernel without a datum
-    # has the pull 0.0, and its witness does not read t
+    # against t * w - beta, else (None, cause), also where t = 1 / alpha
+    # overflows a float.  A kernel without a datum has the pull 0.0, and its
+    # witness does not read t
+    try:
+        x = float(t)
+    except OverflowError:
+        return None, "t = 1 / alpha overflows a float"
     h = kernel.witness(t, start)
-    cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
+    cause = kernel.fault(h, x * kernel.pull - kernel.beta)
     return (None, cause) if cause else (h, None)
 
 

@@ -390,6 +390,32 @@ def test_path_matches_pointwise_solves():
         assert np.abs(path.value_at(float(alpha)) - direct).max() < 1e-4
 
 
+def test_trajectories_scale_down_to_subnormal_breakpoints():
+    # data scaled by 2^-k give both trajectories' breakpoints times 2^-k,
+    # bit for bit, at every k that keeps them normal floats.  Below, where
+    # a breakpoint alpha is under 2^-1024, t = 1 / alpha overflows a float:
+    # the path raises PathError naming that cause, and the flow, which
+    # reads no t, runs on
+    from graphtv import flow_solve
+    tiny = np.finfo(float).tiny
+    for g in (path_graph(6), path_graph(50), cartesian_graph(4, 4)):
+        f = random_vertex_field(np.random.default_rng(1), g.vertex_count)
+        for trajectory in (rof_path, lambda g, f: flow_solve(g, f).path):
+            ref = trajectory(g, f).breakpoints
+            for k in [*range(0, 1000, 100), *range(1000, 1075)]:
+                scaled = ref * 2.0 ** -k
+                if scaled[1:].min() < tiny:
+                    break
+                assert trajectory(g, f * 2.0 ** -k).breakpoints.tobytes() == scaled.tobytes()
+            assert k > 1000
+    for n, scale in ((6, 1e-310), (50, 2.0 ** -1018)):
+        g = path_graph(n)
+        f = random_vertex_field(np.random.default_rng(1), n) * scale
+        with pytest.raises(PathError, match=r"t = 1 / alpha overflows a float"):
+            rof_path(g, f)
+        flow_solve(g, f)
+
+
 def test_path_two_vertex():
     g = two_vertex_graph()
     f = np.array([0.0, 10.0])
@@ -695,9 +721,8 @@ def _spy_settle(monkeypatch):
     return settled
 
 
-def test_exact_route_gives_the_identified_bytes(monkeypatch):
-    # the decomposition from the all-flat pattern finds the pattern the
-    # projection identifies, and the same closed form, bit for bit
+def _identified_cases():
+    # (g, f, alpha): four grids, a path, then six random graphs
     rng = np.random.default_rng(SEED + 23)
     cases = []
     for g, k, alpha in ((cartesian_graph(8, 8), 0, 0.5), (cartesian_graph(12, 12), 1, 2.0),
@@ -707,13 +732,15 @@ def test_exact_route_gives_the_identified_bytes(monkeypatch):
     for _ in range(6):
         g = random_connected_graph(rng)
         cases.append((g, random_vertex_field(rng, g.vertex_count), float(rng.uniform(0.05, 3))))
+    return cases
+
+
+def test_exact_route_gives_the_identified_bytes(monkeypatch):
+    # the decomposition from the all-flat pattern finds the pattern the
+    # projection identifies, and the same closed form, bit for bit
+    cases = _identified_cases()
     identified = [rof_solve(g, f, alpha) for g, f, alpha in cases]
-    # fail the identified pattern's certificate, so that rof_solve takes
-    # the exact route
-    import graphtv.rof
-    certify = graphtv.rof._certify
-    monkeypatch.setattr(graphtv.rof, "_certify", lambda k, alpha, t=None, start=None:
-                        (None, "forced") if start is not None else certify(k, alpha, t))
+    _refuse_identified(monkeypatch)
     settled = _spy_settle(monkeypatch)
     for (g, f, alpha), ref in zip(cases, identified):
         sol = rof_solve(g, f, alpha)
@@ -723,11 +750,21 @@ def test_exact_route_gives_the_identified_bytes(monkeypatch):
     assert len(settled) == len(cases)
 
 
+def _refuse_identified(monkeypatch):
+    # fail the certificate of every pattern read off the projection, so
+    # that rof_solve takes the exact route
+    import graphtv.rof
+    certify = graphtv.rof._certify
+    monkeypatch.setattr(graphtv.rof, "_certify", lambda k, alpha, t=None, start=None:
+                        (None, "forced") if start is not None else certify(k, alpha, t))
+
+
 def test_mean_field_answer_is_certified(monkeypatch):
-    # the projection identifies a wrong pattern here and the certificate
-    # fails; the exact route returns the mean field, certified
+    # the active set identifies the mean field here; with its certificate
+    # forced to fail, the exact route returns the mean field, certified
     g = path_graph(1000)
     f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
+    _refuse_identified(monkeypatch)
     settled = _spy_settle(monkeypatch)
     sol = rof_solve(g, f, 20.0)
     assert len(settled) == 1 and settled[0].pattern.all_flat
@@ -735,6 +772,58 @@ def test_mean_field_answer_is_certified(monkeypatch):
     assert np.abs(sol.u - f.mean()).max() <= 1e-12 * np.ptp(f)
     assert sol.report.optimality <= 1e-12 * np.ptp(f)
     assert _gap_error(g, f, sol) <= 1e-12
+
+
+def test_early_stops_change_nothing_but_cost(monkeypatch):
+    # the active set tried while the projection runs gives the bytes of a
+    # solve that tries nothing and runs to IDENTIFY_TOL, the grids in fewer
+    # iterations; a try that fails has run no max-flow
+    import graphtv.graph
+    import graphtv.rof
+    cases = _identified_cases()
+    route, certify = graphtv.graph.route_demands, graphtv.rof._certify
+    certifying, routed, failed = [], [], []
+
+    def counted(*args):
+        routed.append(certifying[-1] if certifying else None)
+        return route(*args)
+
+    def tracked(k, alpha, start=None):
+        # a try, of a _Trial kernel, fails by its cause or by _NotYet
+        certifying.append(k)
+        out = None, "not yet"
+        try:
+            out = certify(k, alpha, start=start)
+            return out
+        finally:
+            certifying.pop()
+            if isinstance(k, graphtv.rof._Trial) and out[0] is None:
+                failed.append(out[1])
+
+    descent = graphtv.rof._accelerated_descent
+
+    def untried(*args, probe=None, **kwargs):
+        # the projection with no tries
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(graphtv.graph, "route_demands", counted)
+    monkeypatch.setattr(graphtv.rof, "_certify", tracked)
+    # then with the repair of the iterate's flow switched off, so that the
+    # tries whose forest flows leave the box need a max-flow
+    for repaired in (True, False):
+        if not repaired:
+            monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+        early = [rof_solve(g, f, alpha) for g, f, alpha in cases]
+        with monkeypatch.context() as m:
+            m.setattr(graphtv.rof, "_accelerated_descent", untried)
+            full = [rof_solve(g, f, alpha) for g, f, alpha in cases]
+        for (g, f, alpha), sol, ref in zip(cases, early, full):
+            assert sol.u.tobytes() == ref.u.tobytes()
+            assert sol.report.optimality <= 1e-12 * np.ptp(f)
+            if repaired and g.grid_coords is not None:
+                assert sol.report.iterations < ref.report.iterations
+    assert not [k for k in routed if isinstance(k, graphtv.rof._Trial)]
+    assert "not yet" in failed
 
 
 def test_jump_set_stable_under_tighter_solve_tol(monkeypatch):
