@@ -102,7 +102,8 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
     on its event loop with zero pull: the lines start at the cluster means
     of f, which are f's own values, and each segment gives the direction
     (the negated minimum-norm subdifferential element) and its witness,
-    certified once.  The flow reads no tolerance.  Terminates at the mean
+    whose part on each cluster is certified once, when the cluster forms.
+    The flow reads no tolerance.  Terminates at the mean
     field, or raises :class:`PathError` after ``16 m + 64`` events.
 
     Each segment stores the lines it sets: of the vertices whose line an
@@ -121,9 +122,9 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
     bps = []
     prev_norm = math.inf
     kernel = PatternKernel(g, sign_pattern(g, f, scale=0.0), u=f)
-    for t, kernel, h, moved in _trace(kernel):
+    for t, kernel, moved in _trace(kernel):
         bps.append(t)
-        if h is None:
+        if moved is None:
             break
         d = kernel.slope
         dnorm = math.sqrt(d @ d)  # the bits of np.linalg.norm(d), without its checks
@@ -136,7 +137,7 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
         # label changed, at a vertex that an event moved
         c = kernel.intercept
         values.append(0.0, values.changed(moved, c, d), c, d)
-        minus_h = -(h - kernel.pattern.labels)
+        minus_h = -(kernel.witness() - kernel.pattern.labels)
         edges = kernel.clusters.edges_at(moved)
         integral.append(t, integral.changed(edges, None, minus_h), integral.at(t), minus_h)
 

@@ -31,6 +31,8 @@ from .engine import (GroupBallSpec, SolveReport, ensure_edge_field,
                      ensure_vertex_field)
 from .errors import ValidationError
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -400,17 +402,21 @@ class Cluster:
     are caches filled on first use, and so is ``tests``, a dict
     of the kernel's max-flow tests of the cluster by t, as a ``(numerator,
     denominator)`` pair, each as ``(t, verdict, step, flow)`` (see
-    :meth:`PatternKernel._route`).  They hold as long as the cluster lives,
-    since neither its edges nor the pinned flux at its vertices can change
-    without changing it, and a kernel's datum is fixed.  A vertex with no
-    flat edge has no Cluster.
+    :meth:`PatternKernel._route`).  ``span``, the t that the cluster's
+    certificate covers, runs from the passing test that ends its split
+    search, 0 if none ran (:meth:`PatternKernel.splits`), up to the t at
+    which :meth:`PatternKernel.prove` checked it, None before.  They hold
+    as long as the cluster lives, since neither its edges nor the pinned
+    flux at its vertices can change without changing it, and a kernel's
+    datum is fixed.  A vertex with no flat edge has no Cluster.
     """
 
-    __slots__ = ("order", "up", "tree", "sign", "edges", "data", "sums", "tests")
+    __slots__ = ("order", "up", "tree", "sign", "edges", "data", "sums", "tests", "span")
 
     def __init__(self, order, up, tree, sign):
         self.order, self.up, self.tree, self.sign = order, up, tree, sign
         self.edges = self.data = self.sums = self.tests = None
+        self.span = _ZERO, None
 
     @property
     def verts(self) -> list:
@@ -682,9 +688,6 @@ def failure_site(g: OrientedGraph, name: str, x: float) -> str:
                                                    g.edge_count)
 
 
-_ZERO = Fraction(0)
-
-
 def witness_cutoff(r: np.ndarray) -> float:
     """The largest error ``max |div h - r|`` that a witness flow h for the
     divergence r may leave: 1e-10 of ``1 + max |r|``."""
@@ -733,10 +736,10 @@ class PatternKernel:
     or split; a cluster that no event changed keeps its tests.  Each
     cluster's spanning-tree flows are computed once, when it forms: the
     integer calibration flow, that flow over |C| and, with a datum, the
-    flow of the pull, from which the witness at any t follows.  Without a
-    datum the witness does not depend on t, and the kernel keeps it (see
-    :meth:`witness`).  ``moved`` lists the vertices whose values the last
-    build set, None for a kernel built from scratch.
+    flow of the pull, from which its forest flow at any t follows; each
+    cluster's certificate is checked once, for its life (:meth:`prove`).
+    ``moved`` lists the vertices whose values the last build set, None for
+    a kernel built from scratch.
 
     A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``,
     ``intercept``, with a datum ``pull``), per-edge arrays (the labels, the
@@ -748,7 +751,7 @@ class PatternKernel:
 
     __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f", "intercept",
                  "pull", "beta", "maxflows", "moved", "_given", "_inside", "_exact",
-                 "_forest", "_scaled", "_pull_flow", "_failing", "_unfilled")
+                 "_forest", "_scaled", "_pull_flow", "_failing", "_fresh")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None):
@@ -767,7 +770,7 @@ class PatternKernel:
         if f is not None:
             self.pull, self._pull_flow = np.zeros(n), np.zeros(m)
         self._forest, self._scaled = np.zeros(m), np.zeros(m)
-        self._failing, self._unfilled = {}, {}
+        self._failing, self._fresh = {}, {}
         flat = pattern.flat
         alone = np.ones(n, dtype=bool)
         alone[g.tails[flat]] = alone[g.heads[flat]] = False
@@ -816,7 +819,7 @@ class PatternKernel:
         out.pinned, out.slope, out.beta = self.pinned, self.slope, self.beta
         out.intercept, out.pull = self.intercept, self.pull
         out._forest, out._scaled, out._pull_flow = self._forest, self._scaled, self._pull_flow
-        out._failing, out._unfilled = self._failing, self._unfilled
+        out._failing, out._fresh = self._failing, self._fresh
         totals = out._build(given, clusters, [c for _, c in dead if c], born, ones)
         out._carry(born, ones, totals, parts, dead, t, not any([new[e] for e in changed]))
         return out
@@ -906,19 +909,20 @@ class PatternKernel:
         # flat edge.  The values at their vertices and at the edges of the
         # dead and born clusters are set here, one entry at a time, but for
         # the lines, which _carry sets; the others stand, since no other
-        # cluster's edges or pinned flux changed.  Without a datum a born
-        # cluster whose forest flow leaves [-1, 1] waits in _unfilled for
-        # its witness (see witness).  Returns the sum of the pinned flux of
-        # each born Cluster, then of each vertex of ones, as an int
+        # cluster's edges or pinned flux changed.  A born Cluster waits in
+        # _fresh for its certificate (see prove).  Returns the sum of the
+        # pinned flux of each born Cluster, then of each vertex of ones, as
+        # an int
         self._given, self.clusters = given.labels, clusters
-        failing, free = self._failing, self.f is None
+        failing, fresh, free = self._failing, self._fresh, self.f is None
         forest, scaled = memoryview(self._forest), memoryview(self._scaled)
         pinned, slope, beta = (memoryview(x) for x in (self.pinned, self.slope, self.beta))
         pulled = None if free else memoryview(self._pull_flow)
         for c in dead:
             r = c.order[0]
-            if failing.pop(r, None) and self._unfilled.pop(r, None) is None and free:
-                # its witness was the flow of its max-flow test
+            fresh.pop(r, None)
+            if failing.pop(r, None) and free:
+                # its witness may be the flow of its max-flow test
                 for e in clusters.edges(c):
                     scaled[e] = 0.0
             for e in c.tree:
@@ -958,11 +962,10 @@ class PatternKernel:
                 pinned[v], slope[v], beta[v] = x, s, x + s
             if c is None:
                 continue
+            fresh[order[0]] = c
             flow = c.peel([total - size * x for x in b])
             if max(map(abs, flow)) > size:
                 failing[order[0]] = c
-                if free:
-                    self._unfilled[order[0]] = c
             for e, x in zip(c.tree, flow):
                 forest[e], scaled[e] = x, x / size
         self.pattern, self._inside, self.moved = given, inside, moved
@@ -1034,7 +1037,8 @@ class PatternKernel:
         The last S splits off at the exact ``t' = 1 / alpha'``; ``pins``
         sets the flow into S to +1 on the edges crossing it.  A split due
         by t_now is reported with t' None.  Where w(S) >= 0, as always
-        under zero pull, S splits off at once.
+        under zero pull, S splits off at once.  The passing test that ends
+        a cluster's search, at 0 or t', sets the low end of its ``span``.
         """
         tests = [(c, _ZERO, None) for _, c in sorted(self._failing.items())]
         out = []
@@ -1044,6 +1048,7 @@ class PatternKernel:
             # t rises strictly at every failed test, up to the current t
             for (c, t, pins), (_, ok, step, _) in zip(tests, found):
                 if ok:
+                    c.span = t, c.span[1]
                     if pins is not None:
                         out.append((t, pins))
                     continue
@@ -1090,13 +1095,10 @@ class PatternKernel:
         return Fraction((ba * nb - bb * na) * unit * qa * qb, gap) if gap else None
 
     def _forest_at(self, t: Fraction) -> tuple:
-        # the forest flow at t (see witness), an overshoot of at most 1e-12
-        # clipped, and the Clusters where it leaves [-1, 1], by smallest
-        # vertex (without a datum, a filled one holds its test's flow)
-        h = self._scaled.copy()
-        if not t:
-            return h, [c for _, c in sorted(self._failing.items())]
-        h += float(t) * self._pull_flow
+        # the forest flow at t of a kernel with a datum (see witness), an
+        # overshoot of at most 1e-12 clipped, and the Clusters where it
+        # leaves [-1, 1], by smallest vertex
+        h = self._scaled + float(t) * self._pull_flow
         size = np.abs(h)
         over = size > 1.0
         if not over.any():
@@ -1107,9 +1109,9 @@ class PatternKernel:
         roots = set(cl.root[self.graph.tails[over & ~rounded]].tolist())
         return h, [cl._of[r] for r in sorted(roots)]
 
-    def settle(self, t: Fraction = Fraction(0)) -> "PatternKernel":
+    def settle(self, t: Fraction) -> "PatternKernel":
         """The kernel, from this one by splits, whose every cluster has a flow
-        at t (t > 0 needs a datum): each cluster whose forest flow leaves
+        at t (with a datum): each cluster whose forest flow leaves
         [-1, 1] runs its max-flow test at t, each that fails splits along
         its min cut, pinned as in :meth:`splits`, and the successor is
         tested again.  The decomposition algorithm: at most n - 1 splits,
@@ -1123,6 +1125,76 @@ class PatternKernel:
             labels = kernel.pattern.labels.copy()
             kernel = kernel.successor(labels, _ZERO, apply_pins(labels, pins))
 
+    def prove(self, t: Fraction, t_end: Fraction) -> Optional[str]:
+        """None if the segment from t down to ``t_end`` is certified, else
+        the cause; with a datum, float(t) raises OverflowError beyond floats.
+
+        Each Cluster formed since the last call is checked once, for its
+        life: its demand ``t * w - beta`` is affine in t, so two flows that
+        pass the witness check on its edges and vertices cover the t between
+        them, here its flows (:meth:`_flows`) at t and at the low end of its
+        ``span``, which it then takes as ``(low, t)``.  Without a datum the
+        flow does not read t and becomes the cluster's part of the witness.
+        Each living span covers the segment: t only falls, and the low ends
+        above 0 are compared with ``t_end``.
+        """
+        fresh = list(self._fresh.values())
+        self._fresh.clear()
+        datum = self.f is not None
+        # the high ends, then the low ends: each max-flow tests a cluster once
+        ends = [[(c, t if datum else _ZERO) for c in fresh]]
+        if datum:
+            ends.append([(c, c.span[0]) for c in fresh if c.span[0] != t])
+        cause = None
+        for pairs in ends:
+            for (c, x), (edges, h) in zip(pairs, self._flows(pairs)):
+                if not datum and c.order[0] in self._failing:
+                    self._scaled[edges] = h  # the flow of its test at t = 0
+                cause = cause or self._misses(c, edges, h, x)
+        for c in fresh:
+            c.span = c.span[0], t
+        if cause is None and datum and any(c.span[0] > t_end for c in self._failing.values()):
+            cause = "a cluster's certificate ends inside the segment"
+        return cause
+
+    def _flows(self, pairs: list) -> list:
+        # (edges, flow) at t of the Cluster c of each (c, t) pair, a list
+        # over the edges: its forest flow on its tree where it fits (see
+        # witness), else its test's, stored or run in one max-flow, on its edges
+        scaled = memoryview(self._scaled)
+        pulled = None if self.f is None else memoryview(self._pull_flow)
+        out, todo = [], []
+        for c, t in pairs:
+            x = float(t)
+            h = [scaled[e] + x * pulled[e] if x else scaled[e] for e in c.tree]
+            top = max(map(abs, h))
+            if top > 1.0 + 1e-12:
+                todo.append(len(out))
+            elif top > 1.0:
+                h = [math.copysign(1.0, y) if abs(y) > 1.0 else y for y in h]
+            out.append((c.tree, h))
+        if todo:
+            for i, entry in zip(todo, self._route([pairs[i] for i in todo])):
+                out[i] = self.clusters.edges(pairs[i][0]), entry[3].tolist()
+        return out
+
+    def _misses(self, c: Cluster, edges: list, h: list, t: Fraction) -> Optional[str]:
+        # the witness check of the flow h on the edges of the Cluster c
+        # against the demand t * w - beta at its vertices
+        _, _, tails, heads = self.clusters._adj
+        x, beta = float(t), memoryview(self.beta)
+        pull = memoryview(self.pull) if x else None
+        r = [x * pull[v] - beta[v] if x else -beta[v] for v in c.order]
+        div = dict.fromkeys(c.order, 0.0)
+        for e, y in zip(edges, h):
+            div[heads[e]] += y
+            div[tails[e]] -= y
+        residual = max([abs(div[v] - y) for v, y in zip(c.order, r)])
+        # the cutoff is witness_cutoff(r), without numpy on a short list
+        if max(map(abs, h)) > 1.0 or residual > 1e-10 * (1.0 + max(map(abs, r))):
+            return "a cluster has no witness flow (residual %.3g)" % residual
+        return None
+
     def witness(self, t: Fraction = Fraction(0),
                 start: Optional[np.ndarray] = None) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
@@ -1133,79 +1205,23 @@ class PatternKernel:
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
         else ``start`` plus the flow on the cluster's spanning tree that
         carries start's divergence error (see :meth:`_repair`), if given
-        and it fits; else the flow of its max-flow test at the exact t, if
-        the split search, :meth:`settle` or an earlier event ran it; else,
-        where t lies strictly between two of its passing tests, their
-        convex combination (see :meth:`_between`); else the flow of a test
-        run now, in one max-flow with the other such clusters.  A cluster
-        with no flow in [-1, 1] gets one that misses the divergence; the
-        caller's certificate finds it.
+        and it fits; else the flow of its max-flow test at the exact t,
+        stored or run now, in one max-flow with the other such clusters.  A
+        cluster with no flow in [-1, 1] gets one that misses the
+        divergence; the caller's certificate finds it.
 
-        Without a datum and ``start`` the witness is the kernel's own
-        array of forest flows over |C|, which successors pass on and update
-        where a cluster died or formed: read it before building the
-        successor.  A cluster whose forest flow leaves [-1, 1] takes its
-        test's flow there at the first call after it forms.
+        Without a datum and ``start`` it is the kernel's own array of the
+        flows that :meth:`prove` checked, which successors pass on and
+        update: read it before building the successor.
         """
-        if self.f is not None:
-            return self._assemble(t, start)
-        if start is not None:
-            return self._assemble(_ZERO, start)
-        if self._unfilled:
-            todo = [c for _, c in sorted(self._unfilled.items())]
-            self._unfilled.clear()
-            for c, entry in zip(todo, self._route([(c, _ZERO) for c in todo])):
-                self._scaled[self.clusters.edges(c)] = entry[3]
-        return self._scaled
-
-    def _assemble(self, t: Fraction, start: Optional[np.ndarray] = None) -> np.ndarray:
-        # the witness at t, assembled from the forest flows and the tests
+        if self.f is None and start is None:
+            return self._scaled
         h, misfit = self._forest_at(t)
         if misfit and start is not None:
             misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
-        todo = []
-        for c in misfit:
-            flow = self._between(c, t)
-            if flow is None:
-                todo.append(c)
-            else:
-                h[self.clusters.edges(c)] = flow
-        for c, entry in zip(todo, self._route([(c, t) for c in todo])):
+        for c, entry in zip(misfit, self._route([(c, t) for c in misfit])):
             h[self.clusters.edges(c)] = entry[3]
         return h
-
-    def _between(self, c: Cluster, t: Fraction) -> Optional[np.ndarray]:
-        # the Cluster c's flow at t from the last stored of its passing
-        # tests at lo < t and the last at hi > t, its forest flow at t = 0
-        # taking the place of the first where it fits (a misfit cluster at
-        # t = 0 has no such flow).  The divergence is affine in t and the
-        # box convex, so their convex combination is a flow at t; the
-        # weights x and fl(1 - x) keep it in [-1, 1] under rounding.  None
-        # where t has a test of its own, which _route hands back, or no
-        # passing test lies on one side of t.  Cluster.tests keeps the
-        # tests in the order they ran, keyed by the integers of their t:
-        # the search runs back from the last and compares no Fraction
-        tests = c.tests or {}
-        p, q = t.numerator, t.denominator
-        if (p, q) in tests:
-            return None
-        below = above = None
-        for key, (_, ok, _, flow) in reversed(tests.items()):
-            if ok:
-                if key[0] * q < p * key[1]:
-                    below = below or (key, flow)
-                else:
-                    above = above or (key, flow)
-                if below and above:
-                    break
-        if below is None and c.order[0] not in self._failing:
-            below = (0, 1), self._scaled[self.clusters.edges(c)]
-        if below is None or above is None:
-            return None
-        ((lo_p, lo_q), h_lo), ((hi_p, hi_q), h_hi) = below, above
-        # x = (hi - t) / (hi - lo), int / int rounded once
-        x = (hi_p * q - p * hi_q) * lo_q / ((hi_p * lo_q - lo_p * hi_q) * q)
-        return x * h_lo + (1.0 - x) * h_hi
 
     def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
         """None if the flow h lies in [-1, 1] and has divergence r up to

@@ -151,11 +151,11 @@ def problem_from_dict(doc) -> tuple:
 
 def read_problem(path: str) -> tuple:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
     return problem_from_dict(doc)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .engine import (BoxSpec, SolveReport, _accelerated_descent, _projection,
                      project_onto_div_box)
 from .errors import ConvergenceError, PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
+from .graph import (_ZERO, DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
                     Tolerances, apply_pins, ensure_vertex_field, event_cap,
                     failure_site, next_fusion, sign_pattern)
 
@@ -301,15 +301,19 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     Where that certificate fails, the answer is exact instead: from the
     all-flat pattern, :meth:`PatternKernel.settle` at ``t = 1 / alpha``
     splits clusters along their min cuts until every one has a flow, and
-    the same certificate checks the result.  If it fails,
-    :class:`ConvergenceError` names the cause, n, m and alpha; every
-    answer is certified, so the solve takes no tolerance.  The method is
-    ``kkt-maxflow`` if a cluster needed a max-flow, else ``kkt-forest``,
-    and ``report.optimality`` is ``max |f + div(dual_flow) - u|``.
+    the same certificate checks the result.  If it fails, or t = 1 /
+    alpha overflows a float, :class:`ConvergenceError` names the cause, n,
+    m and alpha; every answer is certified, so the solve takes no
+    tolerance.  The method is ``kkt-maxflow`` if a cluster needed a
+    max-flow, else ``kkt-forest``, and ``report.optimality`` is ``max |f +
+    div(dual_flow) - u|``.
     """
     f, alpha = _checked(g, f, alpha)
     if alpha == 0.0:
         return _identity(g, f)
+    if math.isinf(1.0 / alpha):
+        raise ConvergenceError("t = 1 / alpha overflows a float %s"
+                               % failure_site(g, "alpha", alpha))
     scale = float(f.max() - f.min()) or 1.0
     spec = BoxSpec.uniform(g.edge_count, alpha)
     seen = failed = trial = found = None
@@ -411,38 +415,19 @@ def _sign_fault(kernel: PatternKernel, alpha: float, gaps: np.ndarray) -> bool:
     return worst < 0.0 and worst < -1e-11 * float(np.abs(c).max() + alpha * np.abs(s).max())
 
 
-_ZERO = Fraction(0)
-
-
-def _witnessed(kernel: PatternKernel, t: Fraction,
-               start: Optional[np.ndarray] = None) -> tuple:
-    # (witness, None) if the kernel's witness at t passes PatternKernel.fault
-    # against t * w - beta, else (None, cause), also where t = 1 / alpha
-    # overflows a float.  A kernel without a datum has the pull 0.0, and its
-    # witness does not read t
-    try:
-        x = float(t)
-    except OverflowError:
-        return None, "t = 1 / alpha overflows a float"
-    h = kernel.witness(t, start)
-    cause = kernel.fault(h, x * kernel.pull - kernel.beta)
-    return (None, cause) if cause else (h, None)
-
-
 def _certify(kernel: PatternKernel, alpha: float,
              start: Optional[np.ndarray] = None) -> tuple:
-    """``(witness, None)`` if the kernel's line solves the problem at alpha,
-    else ``(None, cause)``.
-
-    Pinned edges keep their signs, and the kernel's witness at ``t = 1 /
-    Fraction(alpha)`` passes :meth:`PatternKernel.fault` against ``t * w -
-    beta``.  ``start`` is passed on to :meth:`PatternKernel.witness`.  At
-    alpha = 0, w vanishes on the ties of f; t = 0 is used.
-    """
+    """``(witness, None)`` if the kernel's line solves the problem at alpha
+    > 0, else ``(None, cause)``: pinned edges keep their signs, and the
+    kernel's witness at ``t = 1 / Fraction(alpha)`` (given ``start``, see
+    :meth:`PatternKernel.witness`) passes :meth:`PatternKernel.fault`."""
     g, u = kernel.graph, kernel.intercept + alpha * kernel.slope
     if _sign_fault(kernel, alpha, u[g.tails] - u[g.heads]):
         return None, "a pinned edge changes sign"
-    return _witnessed(kernel, 1 / Fraction(alpha) if alpha > 0 else Fraction(0), start)
+    t = 1 / Fraction(alpha)
+    h = kernel.witness(t, start)
+    cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
+    return (None, cause) if cause else (h, None)
 
 
 def _closes(k: PatternKernel, pins: dict) -> bool:
@@ -463,11 +448,11 @@ def _closes(k: PatternKernel, pins: dict) -> bool:
 def _trace(k: PatternKernel):
     """The one event loop of the path and the flow, from the kernel ``k``.
 
-    Yields ``(x, kernel, witness, moved)`` for each segment, from its start
-    x, then ``(end, kernel, None, None)`` with the final, all-flat kernel.
-    ``moved`` lists in increasing order the vertices whose cluster an event
-    changed since the last segment, every vertex at the first: the lines
-    of the others are as they were.  On a segment the trajectory is the kernel's
+    Yields ``(x, kernel, moved)`` for each segment, from its start x, then
+    ``(end, kernel, None)`` with the final, all-flat kernel.  ``moved``
+    lists in increasing order the vertices whose cluster an event changed
+    since the last segment, every vertex at the first: the lines of the
+    others are as they were.  On a segment the trajectory is the kernel's
     line ``c + x * s``, up to the first fusion (the lines across a non-flat
     edge meet) or split (:meth:`PatternKernel.splits`).  Events are ordered
     by their exact x, a split's from its min cut, a fusion's from
@@ -478,17 +463,17 @@ def _trace(k: PatternKernel):
     at the exact x from the edges the events relabelled, so a kernel
     without a datum carries its lines exactly.
 
-    Every segment is certified, or :class:`PathError` is raised: its
-    witness passes :meth:`PatternKernel.fault`, and the pinned edges keep
+    Every segment is certified, or :class:`PathError` is raised: each
+    living cluster's certificate, checked once for its life where it forms
+    (:meth:`PatternKernel.prove`), covers it, and the pinned edges keep
     their signs at its end, by the differences and rates across the edges
     that the fusion search computed (it closes any edge the lines carry
-    past its meeting at the start).  With a datum (the path: x is alpha)
-    the witness is checked at ``t = 1 / x`` at both ends.  Without one (the
-    flow: x is the time) the pull is zero: every failing cluster splits at
-    once, and the witness, which does not depend on x, is the kernel's
-    own, checked once per segment.  Where the parts of a split due now
-    meet, without a datum or at x = 0, where every cluster is a tie of f,
-    their lines must not close across the cut.  No iterative solve runs.
+    past its meeting at the start).  With a datum (the path) x is alpha
+    and t = 1 / x.  Without one (the flow: x is the time) the pull is
+    zero: every failing cluster splits at once, and no witness reads x.
+    Where the parts of a split due now meet, without a datum or at x = 0,
+    where every cluster is a tie of f, their lines must not close across
+    the cut.  No iterative solve runs.
     """
     g = k.graph
     pulled = k.f is not None
@@ -497,17 +482,14 @@ def _trace(k: PatternKernel):
     count = 0
     moved = set(range(g.vertex_count))
 
-    def certify(ends, where):
-        # the witness at each end (x, t) of a segment, or once without a
-        # datum, whose witness reads no t (given as 0, so that float(t)
-        # cannot overflow); the witness at the first end
-        found = []
-        for end, t_end in ends if pulled else [(ends[0][0], _ZERO)]:
-            h, cause = _witnessed(k, t_end)
-            if cause is not None:
-                _fail(g, cause, name, end, where)
-            found.append(h)
-        return found[0]
+    def certify(t_end, where):
+        # the certificate of the segment from (x, t) down to t_end
+        try:
+            cause = k.prove(t, t_end)
+        except OverflowError:
+            cause = "t = 1 / alpha overflows a float"
+        if cause is not None:
+            _fail(g, cause, name, x, where)
 
     def successor(labels, changed):
         # the successor of the edges relabelled, and the vertices it moved
@@ -518,8 +500,8 @@ def _trace(k: PatternKernel):
     for _ in range(event_cap(g)):
         where = "segment %d" % count
         if k.pattern.all_flat:
-            certify([(x, t)], "terminal " + where)
-            yield x, k, None, None
+            certify(_ZERO, "terminal " + where)
+            yield x, k, None
             return
         splits = k.splits(t)
         labels = k.pattern.labels.copy()
@@ -554,10 +536,10 @@ def _trace(k: PatternKernel):
             t_nxt = max([event[0] for event in events])
             end = t_nxt.denominator / t_nxt.numerator  # 1 / t, rounded once
             if end > x:
-                h = certify([(x, t), (end, t_nxt)], where)
+                certify(t_nxt, where)
                 if _sign_fault(k, end, gaps + (end - x) * rates):
                     _fail(g, "a pinned edge changes sign", name, end, where)
-                yield x, k, h, np.array(sorted(moved), dtype=np.intp)
+                yield x, k, np.array(sorted(moved), dtype=np.intp)
                 moved = set()
                 count += 1
             x, t = end, t_nxt
@@ -575,8 +557,8 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     s`` of :class:`PatternKernel`, up to the next fusion or split, as
     :func:`_trace` finds them.  The path starts from the clusters of
     exactly equal values in f.  No iterative solve runs.  Every segment is
-    certified, its witness at both ends, or :class:`PathError` is raised;
-    every breakpoint is its exact rational, rounded once.  The terminal
+    certified, each cluster once for its life, or :class:`PathError` is
+    raised; every breakpoint is its exact rational, rounded once.  The terminal
     value is the mean field.  The path reads no tolerance.  Each vertex's
     line ``c + alpha * s`` is stored once, at the segment whose events
     changed it (see :class:`PiecewiseAffinePath`).
@@ -586,9 +568,9 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     if float(f.max() - f.min()) == 0.0:
         return PiecewiseAffinePath._compact([0.0], f.copy(), lines)
     bps = []
-    for alpha, k, h, moved in _trace(PatternKernel(g, sign_pattern(g, f, scale=0.0), f)):
+    for alpha, k, moved in _trace(PatternKernel(g, sign_pattern(g, f, scale=0.0), f)):
         bps.append(alpha)
-        if h is not None:
+        if moved is not None:
             # every line is anchored at alpha = 0; the events changed some
             c, s = k.intercept, k.slope
             lines.append(0.0, lines.changed(moved, c, s), c, s)

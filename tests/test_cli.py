@@ -149,11 +149,26 @@ def test_cli_exit_codes(tmp_path, problem_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     assert main(["rof", str(bad), "--alpha", "1"]) == 3
+    # bytes that are not UTF-8, and an array nested deeper than the JSON
+    # decoder recurses, are unreadable problems too, not tracebacks (exit 1)
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["rof", str(bad), "--alpha", "1"]) == 3
+    bad.write_text("[" * 200000 + "]" * 200000)
+    assert main(["rof", str(bad), "--alpha", "1"]) == 3
     assert main(["rof", problem_file, "--alpha", "-2"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["rof", problem_file])  # neither --alpha nor --path
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_rof_at_an_alpha_whose_t_overflows_is_exit_4(problem_file, capsys):
+    # at alpha below 2^-1024, t = 1 / alpha overflows a float: the solve
+    # fails with that cause (exit 4), as a path does, not with a traceback
+    assert main(["rof", problem_file, "--alpha", "1e-310"]) == 4
+    assert capsys.readouterr().err == (
+        "solver failed: t = 1 / alpha overflows a float at alpha = 1e-310 "
+        "(9 vertices, 12 edges)\n")
 
 
 def test_cli_flow_rejects_a_bad_time_before_the_flow(problem_file, capsys, monkeypatch):

@@ -230,8 +230,10 @@ def test_path_and_flow_share_the_first_slope():
 def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
     # a circulation around the 4-cycle of a tied 2x2 block keeps the
     # witness's divergence and pushes it out of [-1, 1]; a nudge of one edge
-    # misses the divergence by 1e-7, far above rounding.  The flow's and
-    # the path's certificates must both raise, at the first segment
+    # misses the divergence by 1e-7, far above rounding.  Added to the flow
+    # of each cluster that a certificate checks, where the cluster forms,
+    # the flow's and the path's certificates must both raise, at the first
+    # segment
     from graphtv import cartesian_graph, rof_path
     from graphtv.graph import PatternKernel
     g = cartesian_graph(3, 3)
@@ -243,9 +245,16 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
         assert np.abs(divergence(g, bad)).max() == 0.0
     else:
         bad[0] = 1e-7
-    witness = PatternKernel.witness
-    monkeypatch.setattr(PatternKernel, "witness",
-                        lambda self, *t: witness(self, *t) + bad)
+    flows = PatternKernel._flows
+
+    def bad_flows(self, pairs):
+        out = []
+        for (c, _), (edges, h) in zip(pairs, flows(self, pairs)):
+            on, every = dict(zip(edges, h)), self.clusters.edges(c)
+            out.append((every, [on.get(e, 0.0) + bad[e] for e in every]))
+        return out
+
+    monkeypatch.setattr(PatternKernel, "_flows", bad_flows)
     for solve in (flow_solve, rof_path):
         with pytest.raises(PathError, match="segment 0: a cluster has no witness"):
             solve(g, f)
@@ -396,6 +405,44 @@ def test_certificates_check_cached_tests(monkeypatch):
     for solve in (flow_solve, rof_path):
         with pytest.raises(PathError, match="witness"):
             solve(g, f)
+
+
+def test_certificates_check_each_cluster_once(monkeypatch):
+    # a cluster's demand is affine in t while it lives, so its witness is
+    # checked once, where it forms, and not over the whole graph at each
+    # segment: the flow checks one flow per cluster that lives on a
+    # segment, the path one at each end of the cluster's span.  Every
+    # cluster alive on a segment has its span
+    from graphtv import cartesian_graph, sign_pattern
+    from graphtv.graph import PatternKernel
+    from graphtv.rof import _trace
+    checks = []
+    misses = PatternKernel._misses
+
+    def counted(self, c, edges, h, t):
+        checks.append((c, t))
+        return misses(self, c, edges, h, t)
+
+    monkeypatch.setattr(PatternKernel, "_misses", counted)
+    rng = np.random.default_rng(SEED + 20)
+    for g in (cartesian_graph(8, 8), random_connected_graph(rng, 40), path_graph(300)):
+        f = random_vertex_field(rng, g.vertex_count)
+        pattern = sign_pattern(g, f, scale=0.0)
+        for kernel in (PatternKernel(g, pattern, u=f), PatternKernel(g, pattern, f)):
+            checks.clear()
+            living = {}
+            for _, k, _ in _trace(kernel):
+                for c in k.clusters._of.values():
+                    assert c.span[1] is not None
+                    living[id(c)] = c
+            assert {id(c) for c, _ in checks} == set(living)
+            if kernel.f is None:
+                assert len(checks) == len(living)
+            else:
+                ends = {}
+                for c, t in checks:
+                    ends.setdefault(id(c), []).append(t)
+                assert all(sorted(set(c.span)) == sorted(ends[i]) for i, c in living.items())
 
 
 def test_memo_lives_for_one_call(monkeypatch):

@@ -235,23 +235,20 @@ def test_path_runs_no_iterative_solve(monkeypatch):
 
 
 def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
-    # both certificates at a fusion run at the exact t where the lines of
-    # the fusing edge's clusters meet, from their exact sums of f and of
-    # the pinned flux, as at a split.  Every cluster has a flow there, so
-    # no certificate's cluster test fails; at 1 / Fraction of the rounded
-    # breakpoint a fused cluster can miss by a hair.  A witness between two
-    # passing tests runs no test (see
-    # test_witness_between_passing_tests_runs_no_max_flow), so that is off
-    # here: each misfit cluster's certificate runs its test
-    import graphtv.rof
-    witnessed, route = graphtv.rof._witnessed, PatternKernel._route
+    # a cluster's certificate runs where it forms, at the exact t where the
+    # lines of the fusing edge's clusters meet, from their exact sums of f
+    # and of the pinned flux, as at a split.  Every cluster has a flow
+    # there, so no certificate's cluster test fails; at 1 / Fraction of the
+    # rounded breakpoint a fused cluster can miss by a hair.  The tests at
+    # the low ends of the clusters' spans are the split search's own
+    prove, route = PatternKernel.prove, PatternKernel._route
     params, verdicts, inside = [], [], []
 
-    def certified(kernel, t, start=None):
+    def certified(self, t, t_end):
         params.append(t)
         inside.append(True)
         try:
-            return witnessed(kernel, t, start)
+            return prove(self, t, t_end)
         finally:
             inside.pop()
 
@@ -261,11 +258,11 @@ def test_fusion_certificates_run_at_the_exact_meeting(monkeypatch):
             verdicts.extend(ok for _, ok, _, _ in found)
         return found
 
-    monkeypatch.setattr(graphtv.rof, "_witnessed", certified)
+    monkeypatch.setattr(PatternKernel, "prove", certified)
     monkeypatch.setattr(PatternKernel, "_route", routed)
-    monkeypatch.setattr(PatternKernel, "_between", lambda self, k, t: None)
     rng = np.random.default_rng(SEED + 19)
-    graphs = [cartesian_graph(8, 8), cartesian_graph(6, 9)]
+    graphs = [cartesian_graph(8, 8), cartesian_graph(6, 9), cartesian_graph(10, 10),
+              cartesian_graph(12, 12), cartesian_graph(9, 14)]
     graphs += [random_connected_graph(rng, 20) for _ in range(4)]
     for g in graphs:
         params.clear()
@@ -310,26 +307,31 @@ def test_cluster_tests_change_no_path(monkeypatch):
 
 
 def test_witness_between_passing_tests_runs_no_max_flow(monkeypatch):
-    # a certificate at a t strictly between two passing tests of a misfit
-    # cluster, its fitting forest flow at t = 0 among them, takes their
-    # convex combination and runs no max-flow.  The seed-0 12x12 grid path
-    # runs at most 79 witness max-flows (55 here; 179 with a max-flow for
-    # every such witness), with the same breakpoints, values and slopes
+    # a cluster's flows at the two ends of its span prove every t between
+    # them, so its certificate runs once, where it forms, and at most one
+    # max-flow for its life: the low end's test is the split search's.  The
+    # seed-0 12x12 grid path runs at most 79 certificate max-flows (55 here;
+    # 125 with every living cluster certified again at every segment, as a
+    # witness over the whole graph at each segment was), with the same
+    # breakpoints, values and slopes
     g = cartesian_graph(12, 12)
     f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
-    witness = PatternKernel.witness
+    prove = PatternKernel.prove
     counts = []
 
     def counted(self, *args):
         before = self.maxflows
-        h = witness(self, *args)
+        cause = prove(self, *args)
         counts[-1] += self.maxflows - before
-        return h
+        return cause
 
-    monkeypatch.setattr(PatternKernel, "witness", counted)
+    def again(self, *args):
+        self._fresh.update(self.clusters._of)
+        return counted(self, *args)
+
     paths = []
-    for between in (PatternKernel._between, lambda self, k, t: None):
-        monkeypatch.setattr(PatternKernel, "_between", between)
+    for certify in (counted, again):
+        monkeypatch.setattr(PatternKernel, "prove", certify)
         counts.append(0)
         paths.append(rof_path(g, f))
     assert counts[0] <= 79 < counts[1]
@@ -350,6 +352,19 @@ def test_path_certificate_rejects_a_wrong_flow(monkeypatch):
     f = random_vertex_field(rng, g.vertex_count)
     monkeypatch.setattr(graphtv.graph, "max_flow", saturate)
     with pytest.raises(PathError, match="witness"):
+        rof_path(g, f)
+
+
+def test_path_certificate_rejects_a_span_that_ends_inside_a_segment(monkeypatch):
+    # a split search that drops the splits it schedules runs segments past
+    # the t where a cluster's certificate ends; each segment must lie in
+    # the span of every cluster alive on it
+    splits = PatternKernel.splits
+    monkeypatch.setattr(PatternKernel, "splits", lambda self, t_now: [
+        (t, pins) for t, pins in splits(self, t_now) if t is None])
+    g = cartesian_graph(8, 8)
+    f = random_vertex_field(np.random.default_rng(SEED + 20), g.vertex_count)
+    with pytest.raises(PathError, match="a cluster's certificate ends inside the segment"):
         rof_path(g, f)
 
 
@@ -414,6 +429,18 @@ def test_trajectories_scale_down_to_subnormal_breakpoints():
         with pytest.raises(PathError, match=r"t = 1 / alpha overflows a float"):
             rof_path(g, f)
         flow_solve(g, f)
+
+
+def test_rof_solve_names_an_alpha_whose_t_overflows():
+    # the answer at alpha is certified at t = 1 / alpha, which overflows a
+    # float below alpha = 2^-1024: ConvergenceError names that cause, n, m
+    # and alpha (an OverflowError escaped from the decomposition before)
+    g, f = nonequivalence_instance()
+    for alpha in (1e-310, 2.0 ** -1024):
+        with pytest.raises(ConvergenceError, match=r"^t = 1 / alpha overflows a float at "
+                                                   r"alpha = .* \(9 vertices, 12 edges\)$"):
+            rof_solve(g, f, alpha)
+    assert np.abs(rof_solve(g, f, 2.0 ** -1023).u - f).max() <= 2.0 ** -1021
 
 
 def test_path_two_vertex():
