@@ -84,7 +84,8 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     u_flow = trajectory.value_at(alpha)
     diff = u_reg - u_flow
     linf = float(np.abs(diff).max())
-    l2 = float(np.linalg.norm(diff))
+    # .sum(), not a BLAS dot product, whose bits follow the thread count
+    l2 = math.sqrt(float((diff * diff).sum()))
 
     averaged = (f - u_flow) / alpha
     ms = subdifferential_membership(g, u_flow, averaged, tol)
@@ -96,7 +97,7 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     for k, (_, d) in enumerate(trajectory.path._rows()):
         if b[k] >= alpha:
             break
-        gaps.append(abs(float(-(d @ u_flow)) - jval))
+        gaps.append(abs(-float((d * u_flow).sum()) - jval))
     suff = all(gap <= stol for gap in gaps)
     first = bool(b.size > 1 and alpha <= b[1])
     return EquivalenceReport(alpha, linf, l2, ms.member, ms.residual,

@@ -127,7 +127,7 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
         if moved is None:
             break
         d = kernel.slope
-        dnorm = math.sqrt(d @ d)  # the bits of np.linalg.norm(d), without its checks
+        dnorm = math.sqrt(float((d * d).sum()))  # .sum(): no BLAS, whose bits follow threads
         if dnorm > prev_norm * (1.0 + 1e-9):
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)

@@ -688,10 +688,10 @@ def failure_site(g: OrientedGraph, name: str, x: float) -> str:
                                                    g.edge_count)
 
 
-def witness_cutoff(r: np.ndarray) -> float:
+def witness_cutoff(r) -> float:
     """The largest error ``max |div h - r|`` that a witness flow h for the
-    divergence r may leave: 1e-10 of ``1 + max |r|``."""
-    return 1e-10 * (1.0 + float(np.abs(r).max()))
+    divergence r, an array or a list, may leave: 1e-10 of ``1 + max |r|``."""
+    return 1e-10 * (1.0 + float(max(map(abs, r))))
 
 
 class PatternKernel:
@@ -738,6 +738,9 @@ class PatternKernel:
     integer calibration flow, that flow over |C| and, with a datum, the
     flow of the pull, from which its forest flow at any t follows; each
     cluster's certificate is checked once, for its life (:meth:`prove`).
+    Every certificate and witness takes each cluster's flow from
+    :meth:`_flows` (routed by :meth:`_cover` where none fits) and checks it
+    on the cluster's own edges and vertices (:meth:`_misses`).
     ``moved`` lists the vertices whose values the last build set, None for
     a kernel built from scratch.
 
@@ -1094,31 +1097,21 @@ class PatternKernel:
         gap = pa * qb * nb - pb * qa * na
         return Fraction((ba * nb - bb * na) * unit * qa * qb, gap) if gap else None
 
-    def _forest_at(self, t: Fraction) -> tuple:
-        # the forest flow at t of a kernel with a datum (see witness), an
-        # overshoot of at most 1e-12 clipped, and the Clusters where it
-        # leaves [-1, 1], by smallest vertex
-        h = self._scaled + float(t) * self._pull_flow
-        size = np.abs(h)
-        over = size > 1.0
-        if not over.any():
-            return h, []
-        rounded = over & (size <= 1.0 + 1e-12)
-        h[rounded] = np.sign(h[rounded])
-        cl = self.clusters
-        roots = set(cl.root[self.graph.tails[over & ~rounded]].tolist())
-        return h, [cl._of[r] for r in sorted(roots)]
+    def _living(self, t: Fraction) -> list:
+        # a (c, t) pair for every living Cluster, by smallest vertex
+        return [(c, t) for _, c in sorted(self.clusters._of.items())]
 
     def settle(self, t: Fraction) -> "PatternKernel":
         """The kernel, from this one by splits, whose every cluster has a flow
         at t (with a datum): each cluster whose forest flow leaves
-        [-1, 1] runs its max-flow test at t, each that fails splits along
-        its min cut, pinned as in :meth:`splits`, and the successor is
-        tested again.  The decomposition algorithm: at most n - 1 splits,
-        exact, with no tolerance (Chambolle & Darbon 2009)."""
+        [-1, 1] (see :meth:`_flows`) runs its max-flow test at t, each that
+        fails splits along its min cut, pinned as in :meth:`splits`, and the
+        successor is tested again.  The decomposition algorithm: at most n -
+        1 splits, exact, with no tolerance (Chambolle & Darbon 2009)."""
         kernel = self
         while True:
-            found = kernel._route([(c, t) for c in kernel._forest_at(t)[1]])
+            pairs = kernel._living(t)
+            found = kernel._route([pairs[i] for i in kernel._flows(pairs)[1]])
             pins = [step[1] for _, ok, step, _ in found if not ok]
             if not pins:
                 return kernel
@@ -1132,7 +1125,7 @@ class PatternKernel:
         Each Cluster formed since the last call is checked once, for its
         life: its demand ``t * w - beta`` is affine in t, so two flows that
         pass the witness check on its edges and vertices cover the t between
-        them, here its flows (:meth:`_flows`) at t and at the low end of its
+        them, here its flows (:meth:`_cover`) at t and at the low end of its
         ``span``, which it then takes as ``(low, t)``.  Without a datum the
         flow does not read t and becomes the cluster's part of the witness.
         Each living span covers the segment: t only falls, and the low ends
@@ -1147,7 +1140,7 @@ class PatternKernel:
             ends.append([(c, c.span[0]) for c in fresh if c.span[0] != t])
         cause = None
         for pairs in ends:
-            for (c, x), (edges, h) in zip(pairs, self._flows(pairs)):
+            for (c, x), (edges, h) in zip(pairs, self._cover(pairs)):
                 if not datum and c.order[0] in self._failing:
                     self._scaled[edges] = h  # the flow of its test at t = 0
                 cause = cause or self._misses(c, edges, h, x)
@@ -1157,98 +1150,99 @@ class PatternKernel:
             cause = "a cluster's certificate ends inside the segment"
         return cause
 
-    def _flows(self, pairs: list) -> list:
-        # (edges, flow) at t of the Cluster c of each (c, t) pair, a list
-        # over the edges: its forest flow on its tree where it fits (see
-        # witness), else its test's, stored or run in one max-flow, on its edges
+    def _flows(self, pairs: list, start: Optional[np.ndarray] = None) -> tuple:
+        # (flows, left): the (edges, flow) at t of the Cluster c of each
+        # (c, t) pair, lists over the edges, where one fits in [-1, 1]: its
+        # forest flow on its tree (an overshoot of at most 1e-12, which
+        # rounding alone gives, clipped), else start repaired on its tree
+        # (see _repair), if given; None where neither fits, and left lists
+        # the positions of those pairs, which no max-flow has routed
         scaled = memoryview(self._scaled)
         pulled = None if self.f is None else memoryview(self._pull_flow)
-        out, todo = [], []
+        out, left, last = [], [], None
         for c, t in pairs:
-            x = float(t)
+            if t is not last:
+                last, x = t, float(t)
             h = [scaled[e] + x * pulled[e] if x else scaled[e] for e in c.tree]
             top = max(map(abs, h))
             if top > 1.0 + 1e-12:
-                todo.append(len(out))
-            elif top > 1.0:
-                h = [math.copysign(1.0, y) if abs(y) > 1.0 else y for y in h]
-            out.append((c.tree, h))
-        if todo:
-            for i, entry in zip(todo, self._route([pairs[i] for i in todo])):
-                out[i] = self.clusters.edges(pairs[i][0]), entry[3].tolist()
+                entry = None if start is None else self._repair(c, start, x)
+                if entry is None:
+                    left.append(len(out))
+            else:
+                if top > 1.0:
+                    h = [math.copysign(1.0, y) if abs(y) > 1.0 else y for y in h]
+                entry = c.tree, h
+            out.append(entry)
+        return out, left
+
+    def _repair(self, c: Cluster, start: np.ndarray, x: float) -> Optional[tuple]:
+        # (edges, flow): start, a flow in [-1, 1], on the edges of the
+        # Cluster c plus the flow on its spanning tree that carries start's
+        # divergence error against the demand at t = x, None where that
+        # leaves [-1, 1].  Each vertex sums its inflow and its outflow in
+        # edge order, as OrientedGraph._div does
+        g, edges = self.graph, self.clusters.edges(c)
+        at, verts = np.array(edges, dtype=np.intp), np.array(c.verts)
+        heads, tails = np.searchsorted(verts, (g.heads[at], g.tails[at]))
+        flow, k = start[at], verts.size
+        err = x * self.pull[verts] - self.beta[verts] - (np.bincount(heads, flow, k)
+                                                         - np.bincount(tails, flow, k))
+        flow[np.searchsorted(at, c.tree)] += c.peel(err[np.searchsorted(verts, c.order)].tolist())
+        return None if float(np.abs(flow).max()) > 1.0 else (edges, flow.tolist())
+
+    def _cover(self, pairs: list, start: Optional[np.ndarray] = None,
+               early: bool = False) -> Optional[list]:
+        # the (edges, flow) at t of the Cluster c of each (c, t) pair: its
+        # flow from _flows where one fits, else its test's, stored or run
+        # now in one max-flow, on its edges.  None if early and a cluster
+        # needs a max-flow
+        out, left = self._flows(pairs, start)
+        if early and left:
+            return None
+        for i, entry in zip(left, self._route([pairs[i] for i in left])):
+            out[i] = self.clusters.edges(pairs[i][0]), entry[3].tolist()
         return out
 
     def _misses(self, c: Cluster, edges: list, h: list, t: Fraction) -> Optional[str]:
         # the witness check of the flow h on the edges of the Cluster c
-        # against the demand t * w - beta at its vertices
+        # against the demand t * w - beta at its vertices; a vertex with no
+        # flat edge has flow 0 and demand exactly 0 (beta = b - b)
         _, _, tails, heads = self.clusters._adj
-        x, beta = float(t), memoryview(self.beta)
+        x, order, beta = float(t), c.order, memoryview(self.beta)
         pull = memoryview(self.pull) if x else None
-        r = [x * pull[v] - beta[v] if x else -beta[v] for v in c.order]
-        div = dict.fromkeys(c.order, 0.0)
+        r = [x * pull[v] - beta[v] if x else -beta[v] for v in order]
+        div = dict.fromkeys(order, 0.0)
         for e, y in zip(edges, h):
             div[heads[e]] += y
             div[tails[e]] -= y
-        residual = max([abs(div[v] - y) for v, y in zip(c.order, r)])
-        # the cutoff is witness_cutoff(r), without numpy on a short list
-        if max(map(abs, h)) > 1.0 or residual > 1e-10 * (1.0 + max(map(abs, r))):
+        residual = max([abs(div[v] - y) for v, y in zip(order, r)])
+        if max(map(abs, h)) > 1.0 or residual > witness_cutoff(r):
             return "a cluster has no witness flow (residual %.3g)" % residual
         return None
 
-    def witness(self, t: Fraction = Fraction(0),
-                start: Optional[np.ndarray] = None) -> np.ndarray:
+    def witness(self, t: Fraction = Fraction(0)) -> np.ndarray:
         """A flow on the flat edges with divergence ``t * w - beta``, zero on
         the pinned edges.  Without a datum w is zero and t is not read.
 
         Each cluster takes its forest flow, ``t`` times that of the pull
         plus the calibration flow over |C|, if it fits in [-1, 1] (an
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
-        else ``start`` plus the flow on the cluster's spanning tree that
-        carries start's divergence error (see :meth:`_repair`), if given
-        and it fits; else the flow of its max-flow test at the exact t,
-        stored or run now, in one max-flow with the other such clusters.  A
-        cluster with no flow in [-1, 1] gets one that misses the
-        divergence; the caller's certificate finds it.
+        else the flow of its max-flow test at the exact t, stored or run
+        now, in one max-flow with the other such clusters (see
+        :meth:`_cover`).  A cluster with no flow in [-1, 1] gets one in
+        [-1, 1] that misses the divergence; the caller's check finds it.
 
-        Without a datum and ``start`` it is the kernel's own array of the
-        flows that :meth:`prove` checked, which successors pass on and
-        update: read it before building the successor.
+        Without a datum it is the kernel's own array of the flows that
+        :meth:`prove` checked, which successors pass on and update: read it
+        before building the successor.
         """
-        if self.f is None and start is None:
+        if self.f is None:
             return self._scaled
-        h, misfit = self._forest_at(t)
-        if misfit and start is not None:
-            misfit = self._repair(h, start, float(t) * self.pull - self.beta, misfit)
-        for c, entry in zip(misfit, self._route([(c, t) for c in misfit])):
-            h[self.clusters.edges(c)] = entry[3]
+        h = np.zeros(self.graph.edge_count)
+        for edges, x in self._cover(self._living(t)):
+            h[edges] = x
         return h
-
-    def fault(self, h: np.ndarray, r: np.ndarray) -> Optional[str]:
-        """None if the flow h lies in [-1, 1] and has divergence r up to
-        :func:`witness_cutoff`, else the cause: the one witness check."""
-        residual = float(np.abs(self.graph._div(h) - r).max())
-        if float(np.abs(h).max(initial=0.0)) > 1.0 or residual > witness_cutoff(r):
-            return "a cluster has no witness flow (residual %.3g)" % residual
-        return None
-
-    def _repair(self, h: np.ndarray, start: np.ndarray, r: np.ndarray,
-                cs: list) -> list:
-        # sets h on each Cluster of cs to start, a flow in [-1, 1], plus
-        # the flow on the cluster's spanning tree that carries start's
-        # divergence error r - div(start), where it fits in [-1, 1].
-        # Returns the Clusters it could not set
-        flow = np.where(self.pattern.flat, start, 0.0)
-        err = (r - self.graph._div(flow)).tolist()
-        left = []
-        for c in cs:
-            # the clusters are disjoint, so each adds to its own edges
-            flow[c.tree] += c.peel([err[v] for v in c.order])
-            part = self.clusters.edges(c)
-            if float(np.abs(flow[part]).max()) > 1.0:
-                left.append(c)
-            else:
-                h[part] = flow[part]
-        return left
 
 
 def apply_pins(labels: np.ndarray, pins: list) -> list:
@@ -1266,21 +1260,24 @@ def subdifferential_membership(g: OrientedGraph, u, candidate,
     """Decide whether ``candidate`` lies in the total-variation subdifferential at ``u``.
 
     Exact, with no iterative solve: the kernel of u's sign pattern (at
-    ``tol.flat_tol``) with datum ``candidate`` gives at t = 1 a flow H,
-    pinned on the non-flat edges and in [-1, 1] on the flat ones, whose
-    divergence is the candidate less each cluster's mean mismatch where
-    the cluster admits one.  The candidate is a member iff H passes
-    :meth:`PatternKernel.fault`.  The report has 0 iterations and method
-    ``kkt-forest``, or ``kkt-maxflow`` when a cluster needed a max-flow.
+    ``tol.flat_tol``) with datum ``candidate`` gives at t = 1 a flow H
+    (:meth:`PatternKernel.witness`), pinned on the non-flat edges and in
+    [-1, 1] on the flat ones, whose divergence is the candidate less each
+    cluster's mean mismatch where the cluster admits one.  The candidate is
+    a member iff ``max |div H - candidate|`` is at most
+    :func:`witness_cutoff` of the candidate.  The report has 0 iterations
+    and method ``kkt-forest``, or ``kkt-maxflow`` when a cluster needed a
+    max-flow.
     """
     u = ensure_vertex_field(g, u, "u")
     candidate = ensure_vertex_field(g, candidate, "candidate")
     kernel = PatternKernel(g, sign_pattern(g, u, tol), candidate)
     h = kernel.witness(Fraction(1)) - kernel.pattern.labels
     mismatch = g._div(h) - candidate
-    residual = float(np.linalg.norm(mismatch))
-    member = kernel.fault(h, candidate) is None
-    report = SolveReport(0, 0.5 * residual * residual, float(np.abs(mismatch).max()),
-                         True, method="kkt-maxflow" if kernel.maxflows else "kkt-forest")
-    return MembershipResult(member, h if member else None, residual,
-                            witness_cutoff(candidate), report)
+    # .sum(), not a BLAS dot product, whose bits follow the thread count
+    residual = math.sqrt(float((mismatch * mismatch).sum()))
+    error, cutoff = float(np.abs(mismatch).max()), witness_cutoff(candidate)
+    member = error <= cutoff
+    report = SolveReport(0, 0.5 * residual * residual, error, True,
+                         method="kkt-maxflow" if kernel.maxflows else "kkt-forest")
+    return MembershipResult(member, h if member else None, residual, cutoff, report)

@@ -251,22 +251,6 @@ IDENTIFY_TOL = 5e-7
 _TRY_FLOOR = 1e-2
 
 
-class _NotYet(Exception):
-    """A cluster of a try's kernel needs a max-flow."""
-
-
-class _Trial(PatternKernel):
-    """A kernel whose certificate runs no max-flow: where a cluster would
-    need one, :meth:`_route` raises :class:`_NotYet`."""
-
-    __slots__ = ()
-
-    def _route(self, tests: list) -> list:
-        if tests:
-            raise _NotYet
-        return []
-
-
 def _active(h: np.ndarray, alpha: float) -> np.ndarray:
     # the labels of the dual flow h's active set, -sign(h) on the edges
     # where |h| = alpha exactly, as int8
@@ -281,9 +265,12 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
     active set, ``-sign(h)`` where the flow h sits exactly at a bound.  The
     answer is that pattern's closed form ``cluster_mean(f) + alpha * s``
     (:class:`PatternKernel`), returned when its optimality conditions hold:
-    pinned edges keep their signs, and a flow in [-alpha, alpha] on the
-    flat edges closes the divergence (:meth:`PatternKernel.witness`,
-    started from the iterate's flow).
+    pinned edges keep their signs, and on each cluster a flow in [-alpha,
+    alpha] on its flat edges closes the divergence (:func:`_certify`): its
+    forest flow where that fits, else the iterate's flow repaired on its
+    spanning tree where that fits, else its max-flow test's.  Each passes
+    the witness check on the cluster's own edges and vertices, and the
+    dual flow is built from them.
 
     Projected gradient finds the active face after finitely many
     iterations (Burke & More 1988), so the active set is tried at the
@@ -336,13 +323,11 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
             return False
         tried_at = it
         if trial is None or not np.array_equal(labels, trial._given):
-            trial = _Trial(g, SignPattern._of(labels), f)
-        try:
-            witness, _ = _certify(trial, alpha, start=h / alpha)
-        except _NotYet:
-            return False
+            trial = PatternKernel(g, SignPattern._of(labels), f)
+        witness, cause = _certify(trial, alpha, start=h / alpha, early=True)
         if witness is None:
-            failed = labels
+            if cause is not None:
+                failed = labels
             return False
         found = trial, witness
         return True
@@ -415,19 +400,33 @@ def _sign_fault(kernel: PatternKernel, alpha: float, gaps: np.ndarray) -> bool:
     return worst < 0.0 and worst < -1e-11 * float(np.abs(c).max() + alpha * np.abs(s).max())
 
 
-def _certify(kernel: PatternKernel, alpha: float,
-             start: Optional[np.ndarray] = None) -> tuple:
+def _certify(kernel: PatternKernel, alpha: float, start: Optional[np.ndarray] = None,
+             early: bool = False) -> tuple:
     """``(witness, None)`` if the kernel's line solves the problem at alpha
-    > 0, else ``(None, cause)``: pinned edges keep their signs, and the
-    kernel's witness at ``t = 1 / Fraction(alpha)`` (given ``start``, see
-    :meth:`PatternKernel.witness`) passes :meth:`PatternKernel.fault`."""
+    > 0, else ``(None, cause)``: pinned edges keep their signs, and the flow
+    of every living cluster at ``t = 1 / Fraction(alpha)``, from ``start``
+    repaired where given (see :meth:`PatternKernel._flows`), passes the
+    witness check on the cluster.  The witness is those flows, zero on the
+    pinned edges.  An early try (``early``) gives ``(None, None)`` where a
+    cluster would need a max-flow, and runs none."""
     g, u = kernel.graph, kernel.intercept + alpha * kernel.slope
     if _sign_fault(kernel, alpha, u[g.tails] - u[g.heads]):
         return None, "a pinned edge changes sign"
     t = 1 / Fraction(alpha)
-    h = kernel.witness(t, start)
-    cause = kernel.fault(h, float(t) * kernel.pull - kernel.beta)
-    return (None, cause) if cause else (h, None)
+    pairs = kernel._living(t)
+    flows = kernel._cover(pairs, start, early)
+    if flows is None:
+        return None, None
+    at, values = [], []
+    for (c, _), (edges, y) in zip(pairs, flows):
+        cause = kernel._misses(c, edges, y, t)
+        if cause:
+            return None, cause
+        at += edges
+        values += y
+    h = np.zeros(g.edge_count)
+    h[at] = values
+    return h, None
 
 
 def _closes(k: PatternKernel, pins: dict) -> bool:

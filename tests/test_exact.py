@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from exact_reference import breakpoints, trajectory, value_at
-from graphtv import flow_solve, rof_path
+from graphtv import flow_solve, rof_path, rof_solve
 from graphtv.instances import (cartesian_graph, nonequivalence_instance,
                                random_connected_graph, random_vertex_field)
-from test_rof import _split_count
+from test_rof import _refuse_identified, _split_count, _spy_settle
 
 SEED = 20240819
 
@@ -59,3 +59,29 @@ def test_trajectories_match_the_exact_reference():
                 assert np.abs(path.value_at(x) - ref).max() <= 1e-15 * (1.0 + np.abs(f).max())
             split += not flow and _split_count(g, path) > 0
     assert graphs >= 500 and split >= 20
+
+
+def test_rof_solve_matches_the_exact_reference(monkeypatch):
+    # rof_solve at the midpoints of the first, middle and last segment of
+    # the reference's path, on every fourth draw, is its exact value to
+    # rounding: on the identify route, and with the identified certificate
+    # refused, on the exact route through PatternKernel.settle.  The
+    # reference shares no code with either certificate
+    cases = []
+    for k, (g, f) in enumerate(_draws(520)):
+        if k % 4 or f.max() == f.min():
+            continue
+        exact = trajectory(g, f)
+        b = breakpoints(exact)
+        mids = [0.5 * (lo + hi) for lo, hi in zip(b, b[1:])]
+        for alpha in sorted({mids[0], mids[len(mids) // 2], mids[-1]}):
+            ref = np.array([float(v) for v in value_at(exact, Fraction(alpha))])
+            cases.append((g, f, alpha, ref))
+    for refused in (False, True):
+        if refused:
+            _refuse_identified(monkeypatch)
+            settled = _spy_settle(monkeypatch)
+        for g, f, alpha, ref in cases:
+            u = rof_solve(g, f, alpha).u
+            assert np.abs(u - ref).max() <= 1e-15 * (1.0 + np.abs(f).max())
+    assert len(cases) >= 300 and len(settled) == len(cases)

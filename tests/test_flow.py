@@ -245,16 +245,16 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
         assert np.abs(divergence(g, bad)).max() == 0.0
     else:
         bad[0] = 1e-7
-    flows = PatternKernel._flows
+    cover = PatternKernel._cover
 
-    def bad_flows(self, pairs):
+    def bad_flows(self, pairs, *args):
         out = []
-        for (c, _), (edges, h) in zip(pairs, flows(self, pairs)):
+        for (c, _), (edges, h) in zip(pairs, cover(self, pairs, *args)):
             on, every = dict(zip(edges, h)), self.clusters.edges(c)
             out.append((every, [on.get(e, 0.0) + bad[e] for e in every]))
         return out
 
-    monkeypatch.setattr(PatternKernel, "_flows", bad_flows)
+    monkeypatch.setattr(PatternKernel, "_cover", bad_flows)
     for solve in (flow_solve, rof_path):
         with pytest.raises(PathError, match="segment 0: a cluster has no witness"):
             solve(g, f)

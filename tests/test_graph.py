@@ -461,6 +461,34 @@ def test_membership_max_flow_member():
     assert np.abs(divergence(g, res.witness) - cand).max() <= res.threshold
 
 
+def test_membership_residual_ignores_blas_threads():
+    # a random candidate at a random u on a 128x128 grid, under one and
+    # under two BLAS threads in fresh processes: u has no flat edge, so no
+    # max-flow runs, and the residual, a sum over 16384 vertices, must have
+    # the same bits.  A BLAS dot product (np.linalg.norm) splits it over
+    # threads, and on this draw its last bit followed their number
+    import os
+    import subprocess
+    import sys
+
+    import graphtv
+    src = os.path.dirname(os.path.dirname(graphtv.__file__))
+    code = ("import numpy as np, graphtv as gt\n"
+            "from graphtv.instances import cartesian_graph, random_vertex_field\n"
+            "rng = np.random.default_rng(%d)\n"
+            "g = cartesian_graph(128, 128)\n"
+            "u = random_vertex_field(rng, g.vertex_count)\n"
+            "res = gt.subdifferential_membership(g, u, rng.normal(size=g.vertex_count))\n"
+            "print(res.member, res.report.method, res.residual.hex())\n" % (SEED + 14))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0].startswith("False kkt-forest ")
+    assert outs[0] == outs[1]
+
+
 def test_membership_flips_at_the_reported_threshold():
     # the threshold a membership verdict reports is the cutoff of the one
     # witness check: a candidate off the subdifferential by just under it

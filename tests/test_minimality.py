@@ -324,6 +324,30 @@ def test_box_bound_is_not_vacuous():
             assert bound >= phi.total(bumped) - phi.total(sol.u), phi.name
 
 
+def test_phi_bound_reads_the_dual_flow(monkeypatch):
+    # the closed-form bound reads rof_solve's dual flow: with its sign
+    # flipped on one edge where u jumps, the answer is not certified, and
+    # some catalog phi must fail
+    from graphtv import edge_differences
+    solve = minimality.rof_solve
+
+    def flipped(g, f, alpha):
+        sol = solve(g, f, alpha)
+        dual = sol.dual_flow.copy()
+        dual[np.flatnonzero(edge_differences(g, sol.u))[0]] *= -1.0
+        return RofSolution(sol.alpha, sol.u, dual, sol.report)
+
+    g, f = nonequivalence_instance()
+    grid = cartesian_graph(6, 6)
+    cases = [(g, f, alpha) for alpha in (0.2, 1.0, 3.0)]
+    cases.append((grid, random_vertex_field(np.random.default_rng(SEED + 12), 36), 0.5))
+    for g, f, alpha in cases:
+        assert all(r.ok for r in verify_universal_minimality(g, f, alpha))
+    monkeypatch.setattr(minimality, "rof_solve", flipped)
+    for g, f, alpha in cases:
+        assert not all(r.ok for r in verify_universal_minimality(g, f, alpha))
+
+
 def test_an_unconverged_coupled_oracle_raises(monkeypatch):
     # a coupled phi oracle that stops short of its bound leaves no margin
     # to report: the check raises ConvergenceError naming the datum, with

@@ -542,11 +542,11 @@ def test_method_says_whether_a_max_flow_ran(monkeypatch):
 
     certify = graphtv.rof._certify
 
-    def refuse_identified(kernel, alpha, t=None, start=None):
+    def refuse_identified(kernel, alpha, start=None, early=False):
         # the identified pattern fails, so the exact route runs
         if start is not None:
             return None, "refused"
-        return certify(kernel, alpha, t)
+        return certify(kernel, alpha)
 
     monkeypatch.setattr(graphtv.graph, "max_flow", counted)
     rng = np.random.default_rng(SEED + 19)
@@ -555,7 +555,7 @@ def test_method_says_whether_a_max_flow_ran(monkeypatch):
     seen = set()
     for route in ("identify", "unrepaired", "exact"):
         if route == "unrepaired":
-            monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+            monkeypatch.setattr(PatternKernel, "_repair", lambda self, *args: None)
         if route == "exact":
             monkeypatch.setattr(graphtv.rof, "_certify", refuse_identified)
         for g in graphs:
@@ -660,20 +660,35 @@ def test_stalling_box_solves_are_certified():
 def test_faulty_witness_is_never_certified(monkeypatch, fault):
     # a witness pushed out of the box by a circulation around a grid square,
     # or off its divergence by 1e-7 on one edge, must fail the certificate;
-    # rof_solve then raises, naming the cause and the instance
+    # rof_solve then raises, naming the cause and the instance.  Both are
+    # added to each cluster's flow, from which the certificate and the dual
+    # are built; the witness on a pinned edge is zero by construction, so
+    # the nudge goes on the cluster's first edge
     g = cartesian_graph(6, 6)
     f = _draw(g, 7)
     idx = {ij: v for v, ij in enumerate(g.grid_coords)}
     a, b, c, d = idx[(3, 3)], idx[(4, 3)], idx[(4, 4)], idx[(3, 4)]
-    bump = np.zeros(g.edge_count)
+    bump, nudge = np.zeros(g.edge_count), 0.0
     if fault == "circulation":
         for tail, head, x in ((c, b, 2.0), (b, a, 2.0), (c, d, -2.0), (d, a, -2.0)):
             bump[g.edge_index(tail, head)] = x
     else:
-        bump[g.edge_index(b, a)] = 1e-7
-    witness = PatternKernel.witness
-    monkeypatch.setattr(PatternKernel, "witness",
-                        lambda self, *args: witness(self, *args) + bump)
+        nudge = 1e-7
+    cover = PatternKernel._cover
+
+    def bumped(self, pairs, *args):
+        flows = cover(self, pairs, *args)
+        if flows is None:
+            return None
+        out = []
+        for (c, _), (edges, h) in zip(pairs, flows):
+            on, every = dict(zip(edges, h)), self.clusters.edges(c)
+            x = [on.get(e, 0.0) + bump[e] for e in every]
+            x[0] += nudge
+            out.append((every, x))
+        return out
+
+    monkeypatch.setattr(PatternKernel, "_cover", bumped)
     for alpha in (0.1, 0.5):
         with pytest.raises(ConvergenceError,
                            match=r"no witness flow .* \(36 vertices, 60 edges\)"):
@@ -693,7 +708,7 @@ def test_slack_trees_spare_the_max_flow(monkeypatch):
         assert sol.report.optimality <= 1e-12 * np.ptp(f)
         assert _gap_error(g, f, sol) <= 1e-12
         solved.append((g, f, sol))
-    monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+    monkeypatch.setattr(PatternKernel, "_repair", lambda self, *args: None)
     for g, f, sol in solved:
         assert rof_solve(g, f, sol.alpha).u.tobytes() == sol.u.tobytes()
 
@@ -706,7 +721,7 @@ def test_max_flow_certificate(monkeypatch):
     f = _draw(g, 3)
     forest = rof_solve(g, f, 2.0)
     assert forest.report.method == "kkt-forest"
-    monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+    monkeypatch.setattr(PatternKernel, "_repair", lambda self, *args: None)
     routed = rof_solve(g, f, 2.0)
     assert routed.report.method == "kkt-maxflow"
     assert routed.u.tobytes() == forest.u.tobytes()
@@ -723,7 +738,7 @@ def test_repair_crosses_a_saturated_edge(monkeypatch):
     f = _draw(g, 3)
     forest = rof_solve(g, f, 0.5)
     assert _gap_error(g, f, forest) <= 1e-12
-    monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+    monkeypatch.setattr(PatternKernel, "_repair", lambda self, *args: None)
     routed = rof_solve(g, f, 0.5)
     assert routed.report.method == "kkt-maxflow"
     assert routed.u.tobytes() == forest.u.tobytes()
@@ -732,7 +747,7 @@ def test_repair_crosses_a_saturated_edge(monkeypatch):
 def test_unconverged_fallback_names_the_instance(monkeypatch):
     # with every witness check failing, neither the identified pattern nor
     # the exact one is certified, and the error names the instance
-    monkeypatch.setattr(PatternKernel, "fault", lambda self, h, r: "no witness")
+    monkeypatch.setattr(PatternKernel, "_misses", lambda self, *args: "no witness")
     g = cartesian_graph(8, 8)
     with pytest.raises(ConvergenceError,
                        match=r"alpha = 2\.0 \(64 vertices, 112 edges\)"):
@@ -782,8 +797,8 @@ def _refuse_identified(monkeypatch):
     # that rof_solve takes the exact route
     import graphtv.rof
     certify = graphtv.rof._certify
-    monkeypatch.setattr(graphtv.rof, "_certify", lambda k, alpha, t=None, start=None:
-                        (None, "forced") if start is not None else certify(k, alpha, t))
+    monkeypatch.setattr(graphtv.rof, "_certify", lambda k, alpha, start=None, early=False:
+                        (None, "forced") if start is not None else certify(k, alpha))
 
 
 def test_mean_field_answer_is_certified(monkeypatch):
@@ -815,17 +830,17 @@ def test_early_stops_change_nothing_but_cost(monkeypatch):
         routed.append(certifying[-1] if certifying else None)
         return route(*args)
 
-    def tracked(k, alpha, start=None):
-        # a try, of a _Trial kernel, fails by its cause or by _NotYet
-        certifying.append(k)
-        out = None, "not yet"
+    def tracked(k, alpha, start=None, early=False):
+        # a try (early) fails by its cause, or with none where a cluster
+        # would need a max-flow
+        certifying.append(early)
         try:
-            out = certify(k, alpha, start=start)
-            return out
+            out = certify(k, alpha, start=start, early=early)
         finally:
             certifying.pop()
-            if isinstance(k, graphtv.rof._Trial) and out[0] is None:
-                failed.append(out[1])
+        if early and out[0] is None:
+            failed.append(out[1] or "not yet")
+        return out
 
     descent = graphtv.rof._accelerated_descent
 
@@ -839,7 +854,7 @@ def test_early_stops_change_nothing_but_cost(monkeypatch):
     # tries whose forest flows leave the box need a max-flow
     for repaired in (True, False):
         if not repaired:
-            monkeypatch.setattr(PatternKernel, "_repair", lambda self, h, start, r, ks: ks)
+            monkeypatch.setattr(PatternKernel, "_repair", lambda self, *args: None)
         early = [rof_solve(g, f, alpha) for g, f, alpha in cases]
         with monkeypatch.context() as m:
             m.setattr(graphtv.rof, "_accelerated_descent", untried)
@@ -849,7 +864,7 @@ def test_early_stops_change_nothing_but_cost(monkeypatch):
             assert sol.report.optimality <= 1e-12 * np.ptp(f)
             if repaired and g.grid_coords is not None:
                 assert sol.report.iterations < ref.report.iterations
-    assert not [k for k in routed if isinstance(k, graphtv.rof._Trial)]
+    assert not any(routed)
     assert "not yet" in failed
 
 
