@@ -103,16 +103,15 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
     of f, which are f's own values, and each segment gives the direction
     (the negated minimum-norm subdifferential element) and its witness,
     whose part on each cluster is certified once, when the cluster forms.
-    The flow reads no tolerance.  Terminates at the mean
-    field, or raises :class:`PathError` after ``16 m + 64`` events.
+    The flow reads no tolerance.  Terminates at the mean field, the final
+    kernel's intercept, the exact mean of f rounded once, or raises
+    :class:`PathError` after ``16 m + 64`` events.
 
-    Each segment stores the lines it sets: of the vertices whose line an
-    event changed, and of the edges whose witness changed.  Memory grows
+    Each segment stores the lines it sets: of the vertices whose cluster
+    an event changed, and of the edges whose witness changed.  Memory grows
     with the changes, not with segments x (n + m).
     """
     f = ensure_vertex_field(g, f, "f")
-    fbar = float(f.mean())
-    mean_field = np.full(g.vertex_count, fbar)
     values, integral = _Lines(g.vertex_count), _Lines(g.edge_count)
     if float(f.max() - f.min()) == 0.0:
         return FlowTrajectory(PiecewiseAffinePath._compact([0.0], f.copy(), values),
@@ -122,7 +121,7 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
     bps = []
     prev_norm = math.inf
     kernel = PatternKernel(g, sign_pattern(g, f, scale=0.0), u=f)
-    for t, kernel, moved in _trace(kernel):
+    for t, _, moved in _trace(kernel):
         bps.append(t)
         if moved is None:
             break
@@ -133,19 +132,19 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
                           RuntimeWarning)
         prev_norm = dnorm
         # every line is anchored at t = 0; a vertex takes a new line where
-        # an event changed its cluster's, an edge where its witness or
-        # label changed, at a vertex that an event moved
-        c = kernel.intercept
-        values.append(0.0, values.changed(moved, c, d), c, d)
+        # an event changed its cluster, an edge where its witness or label
+        # changed, at a vertex that an event moved
+        values.append(0.0, moved, kernel.intercept, d)
         minus_h = -(kernel.witness() - kernel.pattern.labels)
-        edges = kernel.clusters.edges_at(moved)
-        integral.append(t, integral.changed(edges, None, minus_h), integral.at(t), minus_h)
+        edges = kernel.edges_at(moved)
+        integral.append(t, integral.changed(edges, minus_h), integral.at(t), minus_h)
 
+    fbar = float(f.mean())
     if float(np.abs(kernel.intercept - fbar).max()) > 1e-6 * (1.0 + abs(fbar)):
         raise PathError("flow ended off the mean field " + failure_site(g, "t", t),
                         interval=(bps[-2] if len(bps) > 1 else 0.0, t))
 
-    return FlowTrajectory(PiecewiseAffinePath._compact(bps, mean_field, values),
+    return FlowTrajectory(PiecewiseAffinePath._compact(bps, kernel.intercept.copy(), values),
                           PiecewiseAffinePath._compact(bps, integral.at(t), integral))
 
 

@@ -398,7 +398,7 @@ class Cluster:
     the pull and a repaired witness's divergence error (see :meth:`peel`).
     ``verts`` lists the vertices in increasing order.  :class:`PatternKernel`
     sets ``sums``, the cluster's exact line, when the cluster forms.
-    ``edges`` (see :meth:`FlatClusters.edges`) and the kernel's ``data``
+    ``edges`` (see :meth:`PatternKernel.edges`) and the kernel's ``data``
     are caches filled on first use, and so is ``tests``, a dict
     of the kernel's max-flow tests of the cluster by t, as a ``(numerator,
     denominator)`` pair, each as ``(t, verdict, step, flow)`` (see
@@ -433,11 +433,11 @@ class Cluster:
         return [s * x for s, x in zip(self.sign, r[1:])]
 
 
-def _grow(adj: tuple, flat, verts) -> tuple:
+def _grow(adj: tuple, labels, verts) -> tuple:
     # the clusters of the flat edges over verts, a union of clusters: the
     # Clusters of those with a flat edge, each from a breadth-first search
-    # from its smallest vertex, and the vertices of the others.  flat[e] is
-    # true where edge e is flat
+    # from its smallest vertex, and the vertices of the others.  labels[e]
+    # is 0 where edge e is flat
     ptr, edge, tails, heads = adj
     seen = set()
     out, ones = [], []
@@ -448,7 +448,7 @@ def _grow(adj: tuple, flat, verts) -> tuple:
         order, up, tree, sign = [root], [-1], [], []
         for i, v in enumerate(order):
             for e in edge[ptr[v]:ptr[v + 1]]:
-                if flat[e]:
+                if not labels[e]:
                     w, into = heads[e], 1.0
                     if w == v:
                         w, into = tails[e], -1.0
@@ -463,82 +463,6 @@ def _grow(adj: tuple, flat, verts) -> tuple:
         else:
             ones.append(root)
     return out, ones
-
-
-class FlatClusters:
-    """Connected components of the graph restricted to a set of flat edges.
-
-    ``root[v]`` is the smallest vertex of v's cluster, and the Cluster of
-    a cluster with a flat edge, with its breadth-first spanning tree, is
-    kept by that vertex.  A vertex with no flat edge is its own cluster,
-    found in bulk.  The adjacency is a pair of index arrays, shared with
-    every successor.  A build from scratch takes O(n + m) time and memory,
-    and Python work only at the vertices with a flat edge.  :meth:`successor` gives the clusters
-    of another set of flat edges from these: it searches again only the
-    clusters with an end of a changed edge, and updates ``root`` and the
-    Clusters kept in place.  Each cluster's search starts from its smallest
-    vertex and takes the edges in the same order either way, so both give
-    the same trees.
-    """
-
-    __slots__ = ("graph", "root", "_adj", "_of")
-
-    def __init__(self, g: OrientedGraph, flat: np.ndarray):
-        n = g.vertex_count
-        self.graph, self._adj = g, _adjacency(g)
-        self.root, self._of = np.arange(n), {}
-        touched = np.zeros(n, dtype=bool)
-        touched[g.tails[flat]] = touched[g.heads[flat]] = True
-        self._place(_grow(self._adj, memoryview(flat), np.flatnonzero(touched).tolist())[0], [])
-
-    def _place(self, born, ones):
-        # the born Clusters and the vertices ones with no flat edge take
-        # their places in root and the Clusters kept
-        root, of = memoryview(self.root), self._of
-        for c in born:
-            r = c.order[0]
-            of[r] = c
-            for v in c.order:
-                root[v] = r
-        for v in ones:
-            root[v] = v
-
-    def successor(self, flat: np.ndarray, changed) -> tuple:
-        """``(clusters, dead, born, ones)``: the clusters of the flat edges
-        ``flat``, which differ from this one's only on the edges
-        ``changed``; this one's clusters with an end of a changed edge,
-        which are gone, as pairs of the smallest vertex and the Cluster,
-        None for a vertex with no flat edge; and the Clusters and the
-        vertices with no flat edge searched in their place.  A cluster
-        with no end of a changed edge is still a cluster, with the same
-        spanning tree.  The successor takes over ``root`` and the Clusters
-        kept, so this one is read no more."""
-        root, of = memoryview(self.root), self._of
-        _, _, tails, heads = self._adj
-        dead = [(r, of.pop(r, None))
-                for r in {root[v] for e in changed for v in (tails[e], heads[e])}]
-        verts = [v for r, c in dead for v in ([r] if c is None else c.order)]
-        born, ones = _grow(self._adj, memoryview(flat), sorted(verts))
-        out = FlatClusters.__new__(FlatClusters)
-        out.graph, out._adj, out.root, out._of = self.graph, self._adj, self.root, of
-        out._place(born, ones)
-        return out, dead, born, ones
-
-    def edges_at(self, verts: np.ndarray) -> np.ndarray:
-        """The edges with an end in the vertices verts, in increasing order."""
-        ptr, edge, _, _ = self._adj
-        return np.array(sorted({e for v in verts.tolist() for e in edge[ptr[v]:ptr[v + 1]]}),
-                        dtype=np.intp)
-
-    def edges(self, c: Cluster) -> list:
-        """The edges with both ends in the Cluster c, in increasing order."""
-        if c.edges is None:
-            ptr, edge, tails, heads = self._adj
-            inside = set(c.order)
-            # each edge once, from its tail
-            c.edges = sorted(e for v in c.order for e in edge[ptr[v]:ptr[v + 1]]
-                             if tails[e] == v and heads[e] in inside)
-        return c.edges
 
 
 def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
@@ -729,11 +653,12 @@ class PatternKernel:
     pinned flux b and t, since every edge inside a cluster is flat.  Each
     test is kept on its :class:`Cluster`, in ``tests``: its verdict, the
     step its min cut gives, and its flow.  ``maxflows`` counts the
-    max-flows that this kernel and the kernels it succeeds have run.
+    max-flows that the kernel has run.
 
-    A flow or path builds its first kernel from scratch and each later one
-    with :meth:`successor`, which rebuilds only the clusters an event fused
-    or split; a cluster that no event changed keeps its tests.  Each
+    A kernel is one state that the events of a flow or path update in
+    place: :meth:`advance` takes the labels they change, and rebuilds only
+    the clusters that an event fused or split; a cluster that no event
+    changed keeps its tests.  Each
     cluster's spanning-tree flows are computed once, when it forms: the
     integer calibration flow, that flow over |C| and, with a datum, the
     flow of the pull, from which its forest flow at any t follows; each
@@ -744,17 +669,28 @@ class PatternKernel:
     ``moved`` lists the vertices whose values the last build set, None for
     a kernel built from scratch.
 
+    The clusters are the connected components of the flat edges.
+    ``root[v]`` is the smallest vertex of v's cluster, and ``_of`` keeps,
+    by that vertex, the Cluster of each cluster with a flat edge, with its
+    breadth-first spanning tree; a vertex with no flat edge is its own
+    cluster, found in bulk.  The adjacency ``_adj`` is a pair of index
+    arrays.  Each cluster's search starts from its smallest vertex and
+    takes the edges in the same order, so a build from scratch and
+    :meth:`advance` give the same trees.
+
     A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``,
-    ``intercept``, with a datum ``pull``), per-edge arrays (the labels, the
-    forest flows, without a datum the witness), the Clusters whose forest
-    flow leaves [-1, 1] by smallest vertex, and its :class:`FlatClusters`,
-    whose only Python objects are the Clusters with a flat edge.  A vertex
-    with no flat edge never fails a test and never splits.
+    ``intercept``, with a datum ``pull``, ``root``), per-edge arrays (its
+    one label array, which ``pattern`` reads, the forest flows, without a
+    datum the witness), the Clusters whose forest flow leaves [-1, 1] by
+    smallest vertex and the Clusters with a flat edge, its only Python
+    objects.  A build from scratch takes O(n + m) time and memory, and
+    Python work only at the vertices with a flat edge.  A vertex with no
+    flat edge never fails a test and never splits.
     """
 
-    __slots__ = ("graph", "pattern", "clusters", "pinned", "slope", "f", "intercept",
-                 "pull", "beta", "maxflows", "moved", "_given", "_inside", "_exact",
-                 "_forest", "_scaled", "_pull_flow", "_failing", "_fresh")
+    __slots__ = ("graph", "pattern", "root", "pinned", "slope", "f", "intercept",
+                 "pull", "beta", "maxflows", "moved", "_labels", "_adj", "_of", "_inside",
+                 "_exact", "_forest", "_scaled", "_pull_flow", "_failing", "_fresh")
 
     def __init__(self, g: OrientedGraph, pattern: SignPattern,
                  f: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None):
@@ -774,6 +710,10 @@ class PatternKernel:
             self.pull, self._pull_flow = np.zeros(n), np.zeros(m)
         self._forest, self._scaled = np.zeros(m), np.zeros(m)
         self._failing, self._fresh = {}, {}
+        # the pattern is read through a view that rejects writes
+        self._labels = pattern.labels.copy()
+        self.pattern = SignPattern._of(self._labels.view())
+        self._adj, self.root, self._of = _adjacency(g), np.arange(n), {}
         flat = pattern.flat
         alone = np.ones(n, dtype=bool)
         alone[g.tails[flat]] = alone[g.heads[flat]] = False
@@ -787,45 +727,79 @@ class PatternKernel:
         s = -b
         self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
         self.intercept[ones] = 0.0 + data[ones]
-        clusters = FlatClusters(g, flat)
-        born = list(clusters._of.values())
-        self._carry(born, [], self._build(pattern, clusters, [], born, []))
+        born = _grow(self._adj, memoryview(self._labels), np.flatnonzero(~alone).tolist())[0]
+        self._place(born, [])
+        self._carry(born, [], self._build([], born, []))
         self.moved = None
 
-    def successor(self, labels: np.ndarray, t: Fraction, changed) -> "PatternKernel":
-        """The kernel of the edge labels ``labels``, built from this one by
-        the events at the exact parameter x = 1 / t (x = 0 at t = 0).
-        ``labels``, an int8 array over {-1, 0, 1} that the successor takes
-        over unchecked, differs from this kernel's ``pattern`` at most on
-        the edges ``changed``.
+    def advance(self, t: Fraction, relabel: dict) -> None:
+        """Apply the events at the exact parameter x = 1 / t (x = 0 at t =
+        0), which set the label of each edge of ``relabel``, a dict of edge
+        to label in {-1, 0, 1}, in place.
 
-        With a datum it equals ``PatternKernel(g, SignPattern(labels), f)``,
-        but for ``maxflows``, which it carries on; without one, it carries
-        the lines through the events at x (see :meth:`_carry`).  Only
-        the clusters with an end of an edge whose label changed are
-        searched again; the others keep their spanning trees, tree flows,
-        values and tests.  The per-vertex and per-edge arrays and the
-        clusters pass to the successor, which updates them where the
-        events changed them, so this kernel is read no more once its
-        successor is built.
+        With a datum the kernel then equals ``PatternKernel(g,
+        SignPattern(labels), f)``, for its pattern's labels with relabel's
+        written in, but for ``maxflows``, which it carries on; without one,
+        it carries the lines through the events at x (see :meth:`_carry`).
+        Only the clusters with an end of an edge whose label changed are
+        searched again, where an edge that the last build set flat changed
+        unless relabel gives it back its label; the others keep their
+        spanning trees, tree flows, values and tests.
         """
-        # the labels differ from those given to this kernel on the edges
-        # changed and on those that its build set flat
-        given = SignPattern._of(labels)
-        old, new = memoryview(self._given), memoryview(labels)
-        changed = [e for e in set(changed).union(self._inside) if new[e] != old[e]]
-        clusters, dead, born, ones = self.clusters.successor(given.flat, changed)
+        lab, inside = memoryview(self._labels), self._inside
+        changed = [e for e in set(relabel).union(inside)
+                   if relabel.get(e, lab[e]) != inside.get(e, lab[e])]
+        for e, x in relabel.items():
+            lab[e] = x
+        root, of = memoryview(self.root), self._of
+        _, _, tails, heads = self._adj
+        # the clusters with an end of a changed edge, which are gone, as
+        # pairs of the smallest vertex and the Cluster, None for a vertex
+        # with no flat edge, and the Clusters and the vertices with no flat
+        # edge searched in their place
+        dead = [(r, of.pop(r, None))
+                for r in {root[v] for e in changed for v in (tails[e], heads[e])}]
         parts = {r: self._sums(r, c) for r, c in dead}
-        out = PatternKernel.__new__(PatternKernel)
-        out.graph, out.f = self.graph, self.f
-        out._exact, out.maxflows = self._exact, self.maxflows
-        out.pinned, out.slope, out.beta = self.pinned, self.slope, self.beta
-        out.intercept, out.pull = self.intercept, self.pull
-        out._forest, out._scaled, out._pull_flow = self._forest, self._scaled, self._pull_flow
-        out._failing, out._fresh = self._failing, self._fresh
-        totals = out._build(given, clusters, [c for _, c in dead if c], born, ones)
-        out._carry(born, ones, totals, parts, dead, t, not any([new[e] for e in changed]))
-        return out
+        verts = [v for r, c in dead for v in ([r] if c is None else c.order)]
+        born, ones = _grow(self._adj, lab, sorted(verts))
+        self._place(born, ones)
+        totals = self._build([c for _, c in dead if c], born, ones)
+        self._carry(born, ones, totals, parts, dead, t, not any([lab[e] for e in changed]))
+
+    def _place(self, born, ones):
+        # the born Clusters and the vertices ones with no flat edge take
+        # their places in root and the Clusters kept
+        root, of = memoryview(self.root), self._of
+        for c in born:
+            r = c.order[0]
+            of[r] = c
+            for v in c.order:
+                root[v] = r
+        for v in ones:
+            root[v] = v
+
+    def edges_at(self, verts: np.ndarray) -> np.ndarray:
+        """The edges with an end in the vertices verts, in increasing order."""
+        ptr, edge, _, _ = self._adj
+        return np.array(sorted({e for v in verts.tolist() for e in edge[ptr[v]:ptr[v + 1]]}),
+                        dtype=np.intp)
+
+    def edges(self, c: Cluster) -> list:
+        """The edges with both ends in the Cluster c, in increasing order."""
+        if c.edges is None:
+            ptr, edge, tails, heads = self._adj
+            inside = set(c.order)
+            # each edge once, from its tail
+            c.edges = sorted(e for v in c.order for e in edge[ptr[v]:ptr[v + 1]]
+                             if tails[e] == v and heads[e] in inside)
+        return c.edges
+
+    def sums_at(self, v: int) -> tuple:
+        """``(size, sum of b, sum of c)`` of vertex v's cluster, exact: the
+        sum of the pinned flux b, an int, and that of the intercepts c
+        times ``unit``, an int with a datum and a Fraction without."""
+        r = int(self.root[v])
+        return self._sums(r, self._of.get(r))
 
     def _sums(self, r: int, c: Optional[Cluster]) -> tuple:
         # (size, sum of b, sum of c) of the cluster whose smallest vertex is
@@ -841,11 +815,11 @@ class PatternKernel:
         # totals: the exact sums of each, kept on its Cluster or as the
         # vertex's entry of _exact, and from them its intercept, the exact
         # mean rounded once, and with a datum its pull f - c, exact and
-        # rounded once, and the pull's flow on its tree.  A successor passes
-        # the sums of the dead clusters, parts, by smallest vertex (see
-        # _sums), and dead as in FlatClusters.successor.  Where the events
-        # only fused, each born cluster is a union of whole dead ones and
-        # its sum of c is theirs added up.  Else a build from scratch, and
+        # rounded once, and the pull's flow on its tree.  advance passes the
+        # sums of the dead clusters, parts, by smallest vertex (see _sums),
+        # and its pairs dead.  Where the events only fused, each born
+        # cluster is a union of whole dead ones and its sum of c is theirs
+        # added up.  Else a build from scratch, and
         # one with a datum, which is fixed, sum _exact over the vertices.
         # Without a datum the lines keep their sum through the events at x
         # = 1 / t (x = 0 at t = 0): on each born cluster or vertex, n c =
@@ -855,7 +829,7 @@ class PatternKernel:
         units = zip(itertools.chain(((c.order, c) for c in born), (([v], v) for v in ones)),
                     totals)
         if fused:
-            root, sums = memoryview(self.clusters.root), {}
+            root, sums = memoryview(self.root), {}
             for r, (_, _, total) in parts.items():
                 sums[root[r]] = sums.get(root[r], 0) + total
             lines = [(verts, c, (b, sums[verts[0]])) for (verts, c), b in units]
@@ -906,17 +880,17 @@ class PatternKernel:
                     for e, x in zip(c.tree, c.peel(drift)):
                         pulled[e] = x
 
-    def _build(self, given, clusters, dead, born, ones) -> list:
-        # the kernel of the labels given, whose clusters replace the dead
+    def _build(self, dead, born, ones) -> list:
+        # the kernel of its labels, whose clusters replace the dead
         # Clusters by the born ones and the vertices ones, which have no
         # flat edge.  The values at their vertices and at the edges of the
         # dead and born clusters are set here, one entry at a time, but for
         # the lines, which _carry sets; the others stand, since no other
         # cluster's edges or pinned flux changed.  A born Cluster waits in
-        # _fresh for its certificate (see prove).  Returns the sum of the
-        # pinned flux of each born Cluster, then of each vertex of ones, as
-        # an int
-        self._given, self.clusters = given.labels, clusters
+        # _fresh for its certificate (see prove).  A pinned edge inside a
+        # born cluster is set flat, its label kept in _inside.  Returns the
+        # sum of the pinned flux of each born Cluster, then of each vertex
+        # of ones, as an int
         failing, fresh, free = self._failing, self._fresh, self.f is None
         forest, scaled = memoryview(self._forest), memoryview(self._scaled)
         pinned, slope, beta = (memoryview(x) for x in (self.pinned, self.slope, self.beta))
@@ -926,14 +900,14 @@ class PatternKernel:
             fresh.pop(r, None)
             if failing.pop(r, None) and free:
                 # its witness may be the flow of its max-flow test
-                for e in clusters.edges(c):
+                for e in self.edges(c):
                     scaled[e] = 0.0
             for e in c.tree:
                 forest[e] = scaled[e] = 0.0
                 if pulled is not None:
                     pulled[e] = 0.0
-        ptr, edge, tails, heads = clusters._adj
-        lab = memoryview(given.labels)
+        ptr, edge, tails, heads = self._adj
+        lab = memoryview(self._labels)
         moved, inside, totals = [], [], []
         for order, c in itertools.chain(((c.order, c) for c in born),
                                         (([v], None) for v in ones)):
@@ -971,11 +945,9 @@ class PatternKernel:
                 failing[order[0]] = c
             for e, x in zip(c.tree, flow):
                 forest[e], scaled[e] = x, x / size
-        self.pattern, self._inside, self.moved = given, inside, moved
-        if inside:
-            labels = given.labels.copy()
-            labels[inside] = 0
-            self.pattern = SignPattern._of(labels)
+        self.moved, self._inside = moved, {e: lab[e] for e in inside}
+        for e in inside:
+            lab[e] = 0
         return totals
 
     def _cluster(self, c: Cluster) -> tuple:
@@ -989,7 +961,7 @@ class PatternKernel:
             if self.f is not None:
                 unit, exact = self._exact
                 w = [n * exact[v] - total for v in verts]
-            c.data = (verts, self.clusters.edges(c), n, unit, w, [n * x - sb for x in b])
+            c.data = (verts, self.edges(c), n, unit, w, [n * x - sb for x in b])
         return c.data
 
     def _route(self, tests: list) -> list:
@@ -1018,7 +990,7 @@ class PatternKernel:
                 flow[j] = int(min(max(forest[j], -n), n)) * qu
             parts.append((verts, edges, qu * n,
                           [t.numerator * x - qu * y for x, y in zip(w, beta)]))
-        _, _, tails, heads = self.clusters._adj
+        _, _, tails, heads = self._adj
         met, reached = route_demands(parts, tails, heads, flow)
         for i, (verts, edges, cap, _), ok in zip(todo, parts, met):
             c, t = tests[i]
@@ -1066,7 +1038,7 @@ class PatternKernel:
     def _cut(self, c: Cluster, cut: set) -> tuple:
         # the t where cut is tight (None if w(cut) >= 0), and the pins
         verts, edges, n, unit, w, beta = self._cluster(c)
-        _, _, tails, heads = self.clusters._adj
+        _, _, tails, heads = self._adj
         pins = {}
         for j in edges:
             into = heads[j] in cut
@@ -1082,14 +1054,12 @@ class PatternKernel:
         """The exact t = 1 / x at which the lines ``c + x * s`` of the
         clusters at the ends of edge e meet, from each cluster's exact sums
         of c and of the pinned flux b; None if their intercepts are equal.
-        Every cluster gets its sums when it forms, and a successor adds up
-        those of the whole parts of a cluster it forms (see :meth:`_carry`),
-        so a fusion costs O(1)."""
+        Every cluster gets its sums when it forms, and :meth:`advance` adds
+        up those of the whole parts of a cluster it forms (see
+        :meth:`_carry`), so a fusion costs O(1)."""
         unit = self._exact[0]
-        cl = self.clusters
-        _, _, tails, heads = cl._adj
-        (na, ba, fa), (nb, bb, fb) = [self._sums(r, cl._of.get(r))
-                                      for r in (int(cl.root[tails[e]]), int(cl.root[heads[e]]))]
+        _, _, tails, heads = self._adj
+        (na, ba, fa), (nb, bb, fb) = self.sums_at(tails[e]), self.sums_at(heads[e])
         # c = f_sum / (unit size) and s = -b_sum / size on each side; the
         # lines meet at t = (s_head - s_tail) / (c_tail - c_head).  The sums
         # of f are fractions p / q, so one gcd reduces t
@@ -1099,24 +1069,24 @@ class PatternKernel:
 
     def _living(self, t: Fraction) -> list:
         # a (c, t) pair for every living Cluster, by smallest vertex
-        return [(c, t) for _, c in sorted(self.clusters._of.items())]
+        return [(c, t) for _, c in sorted(self._of.items())]
 
-    def settle(self, t: Fraction) -> "PatternKernel":
-        """The kernel, from this one by splits, whose every cluster has a flow
-        at t (with a datum): each cluster whose forest flow leaves
-        [-1, 1] (see :meth:`_flows`) runs its max-flow test at t, each that
-        fails splits along its min cut, pinned as in :meth:`splits`, and the
-        successor is tested again.  The decomposition algorithm: at most n -
-        1 splits, exact, with no tolerance (Chambolle & Darbon 2009)."""
-        kernel = self
+    def settle(self, t: Fraction) -> None:
+        """Split clusters, in place, until every cluster has a flow at t
+        (with a datum): each cluster whose forest flow leaves [-1, 1] (see
+        :meth:`_flows`) runs its max-flow test at t, each that fails splits
+        along its min cut, pinned as in :meth:`splits`, and the parts are
+        tested again.  The decomposition algorithm: at most n - 1 splits,
+        exact, with no tolerance (Chambolle & Darbon 2009)."""
         while True:
-            pairs = kernel._living(t)
-            found = kernel._route([pairs[i] for i in kernel._flows(pairs)[1]])
-            pins = [step[1] for _, ok, step, _ in found if not ok]
-            if not pins:
-                return kernel
-            labels = kernel.pattern.labels.copy()
-            kernel = kernel.successor(labels, _ZERO, apply_pins(labels, pins))
+            pairs = self._living(t)
+            relabel = {}
+            for _, ok, step, _ in self._route([pairs[i] for i in self._flows(pairs)[1]]):
+                if not ok:
+                    relabel.update(step[1])
+            if not relabel:
+                return
+            self.advance(_ZERO, relabel)
 
     def prove(self, t: Fraction, t_end: Fraction) -> Optional[str]:
         """None if the segment from t down to ``t_end`` is certified, else
@@ -1182,7 +1152,7 @@ class PatternKernel:
         # divergence error against the demand at t = x, None where that
         # leaves [-1, 1].  Each vertex sums its inflow and its outflow in
         # edge order, as OrientedGraph._div does
-        g, edges = self.graph, self.clusters.edges(c)
+        g, edges = self.graph, self.edges(c)
         at, verts = np.array(edges, dtype=np.intp), np.array(c.verts)
         heads, tails = np.searchsorted(verts, (g.heads[at], g.tails[at]))
         flow, k = start[at], verts.size
@@ -1201,14 +1171,14 @@ class PatternKernel:
         if early and left:
             return None
         for i, entry in zip(left, self._route([pairs[i] for i in left])):
-            out[i] = self.clusters.edges(pairs[i][0]), entry[3].tolist()
+            out[i] = self.edges(pairs[i][0]), entry[3].tolist()
         return out
 
     def _misses(self, c: Cluster, edges: list, h: list, t: Fraction) -> Optional[str]:
         # the witness check of the flow h on the edges of the Cluster c
         # against the demand t * w - beta at its vertices; a vertex with no
         # flat edge has flow 0 and demand exactly 0 (beta = b - b)
-        _, _, tails, heads = self.clusters._adj
+        _, _, tails, heads = self._adj
         x, order, beta = float(t), c.order, memoryview(self.beta)
         pull = memoryview(self.pull) if x else None
         r = [x * pull[v] - beta[v] if x else -beta[v] for v in order]
@@ -1234,8 +1204,8 @@ class PatternKernel:
         [-1, 1] that misses the divergence; the caller's check finds it.
 
         Without a datum it is the kernel's own array of the flows that
-        :meth:`prove` checked, which successors pass on and update: read it
-        before building the successor.
+        :meth:`prove` checked, which :meth:`advance` updates: read it before
+        the next advance.
         """
         if self.f is None:
             return self._scaled
@@ -1243,16 +1213,6 @@ class PatternKernel:
         for edges, x in self._cover(self._living(t)):
             h[edges] = x
         return h
-
-
-def apply_pins(labels: np.ndarray, pins: list) -> list:
-    """Set the labels of each split's pins, dicts of edge to label, in
-    place; the edges, in the order set."""
-    lab = memoryview(labels)
-    for p in pins:
-        for e, x in p.items():
-            lab[e] = x
-    return [e for p in pins for e in p]
 
 
 def subdifferential_membership(g: OrientedGraph, u, candidate,

@@ -29,7 +29,7 @@ from .engine import (BoxSpec, SolveReport, _accelerated_descent, _projection,
                      project_onto_div_box)
 from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (_ZERO, DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
-                    Tolerances, apply_pins, ensure_vertex_field, event_cap,
+                    Tolerances, ensure_vertex_field, event_cap,
                     failure_site, next_fusion, sign_pattern)
 
 
@@ -73,15 +73,11 @@ class _Lines:
         self.anchor, self.slope, self.since = np.zeros(size), np.zeros(size), np.zeros(size)
         self.ats, self.parts = [], []
 
-    def changed(self, idx: np.ndarray, anchor: Optional[np.ndarray],
-                slope: np.ndarray) -> np.ndarray:
-        """The entries of the increasing indices idx whose slope, or with
-        ``anchor`` given their anchor, differs in its bits from the current
-        line's; the other entries must not differ."""
-        moved = _differ(slope[idx], self.slope[idx])
-        if anchor is not None:
-            moved |= _differ(anchor[idx], self.anchor[idx])
-        return idx[moved]
+    def changed(self, idx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        """The entries of the increasing indices idx whose slope differs in
+        its bits from the current line's; the other entries must not
+        differ."""
+        return idx[_differ(slope[idx], self.slope[idx])]
 
     def append(self, at: float, moved: np.ndarray, anchor: np.ndarray,
                slope: np.ndarray) -> None:
@@ -303,15 +299,15 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
                                % failure_site(g, "alpha", alpha))
     scale = float(f.max() - f.min()) or 1.0
     spec = BoxSpec.uniform(g.edge_count, alpha)
-    seen = failed = trial = found = None
+    seen = failed = tried = trial = found = None
     tried_at = 0
 
     def attempt(h, it, meas):
         # try the active set of the iterate h on the schedule above; true
-        # once one is certified, in found.  A set tried again, after a try
-        # that stopped short of a max-flow, keeps that try's kernel, which
-        # the try left as it was
-        nonlocal seen, failed, trial, tried_at, found
+        # once one is certified, in found.  A set tried again, the labels
+        # tried, after a try that stopped short of a max-flow, keeps that
+        # try's kernel, which the try left as it was
+        nonlocal seen, failed, tried, trial, tried_at, found
         if meas > _TRY_FLOOR * scale:
             seen = None
             return False
@@ -322,8 +318,8 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
         if not ready:
             return False
         tried_at = it
-        if trial is None or not np.array_equal(labels, trial._given):
-            trial = PatternKernel(g, SignPattern._of(labels), f)
+        if tried is None or not np.array_equal(labels, tried):
+            tried, trial = labels, PatternKernel(g, SignPattern._of(labels), f)
         witness, cause = _certify(trial, alpha, start=h / alpha, early=True)
         if witness is None:
             if cause is not None:
@@ -352,7 +348,7 @@ def rof_solve(g: OrientedGraph, f, alpha: float) -> RofSolution:
             # certificate ran
             if labels.any():
                 k = PatternKernel(g, SignPattern(np.zeros(g.edge_count)), f)
-            k = k.settle(1 / Fraction(alpha))
+            k.settle(1 / Fraction(alpha))
             witness, cause = _certify(k, alpha)
             if witness is None:
                 raise ConvergenceError("no certified sign pattern: %s %s"
@@ -430,15 +426,12 @@ def _certify(kernel: PatternKernel, alpha: float, start: Optional[np.ndarray] = 
 
 
 def _closes(k: PatternKernel, pins: dict) -> bool:
-    # whether the parts of a split that built the kernel k close across its
-    # cut at once: a pinned edge of pins with label * (s_tail - s_head) < 0,
+    # whether the parts of a split that the kernel k just made close across
+    # its cut at once: a pinned edge of pins with label * (s_tail - s_head) < 0,
     # exact from each part's size and sum of the pinned flux b, s = -b / size
-    cl = k.clusters
-    _, _, tails, heads = cl._adj
-    root = memoryview(cl.root)
+    tails, heads = k.graph.tails, k.graph.heads
     for e, label in pins.items():
-        (nt, bt, _), (nh, bh, _) = [k._sums(r, cl._of.get(r))
-                                    for r in (root[tails[e]], root[heads[e]])]
+        (nt, bt, _), (nh, bh, _) = k.sums_at(tails[e]), k.sums_at(heads[e])
         if label * (bh * nt - bt * nh) < 0:
             return True
     return False
@@ -447,20 +440,21 @@ def _closes(k: PatternKernel, pins: dict) -> bool:
 def _trace(k: PatternKernel):
     """The one event loop of the path and the flow, from the kernel ``k``.
 
-    Yields ``(x, kernel, moved)`` for each segment, from its start x, then
-    ``(end, kernel, None)`` with the final, all-flat kernel.  ``moved``
-    lists in increasing order the vertices whose cluster an event changed
-    since the last segment, every vertex at the first: the lines of the
-    others are as they were.  On a segment the trajectory is the kernel's
-    line ``c + x * s``, up to the first fusion (the lines across a non-flat
-    edge meet) or split (:meth:`PatternKernel.splits`).  Events are ordered
+    Yields ``(x, k, moved)`` for each segment, from its start x, then
+    ``(end, k, None)`` with k all flat.  The events update k in place
+    (:meth:`PatternKernel.advance`), so read it before the next segment.
+    ``moved`` lists in increasing order the vertices whose cluster an
+    event changed since the last segment, every vertex at the first: the
+    lines of the others are as they were.  On a segment the trajectory is
+    the kernel's line ``c + x * s``, up to the first fusion (the lines
+    across a non-flat edge meet) or split (:meth:`PatternKernel.splits`).  Events are ordered
     by their exact x, a split's from its min cut, a fusion's from
     :meth:`PatternKernel.meet`, and only those at the first x are applied
     together: a float search only picks the edges that may close first.
     Each breakpoint is its exact rational, rounded once, and events whose
-    x round to the same float share a breakpoint; each successor is built
-    at the exact x from the edges the events relabelled, so a kernel
-    without a datum carries its lines exactly.
+    x round to the same float share a breakpoint; the kernel advances at
+    the exact x by the labels the events set, so a kernel without a datum
+    carries its lines exactly.
 
     Every segment is certified, or :class:`PathError` is raised: each
     living cluster's certificate, checked once for its life where it forms
@@ -480,6 +474,7 @@ def _trace(k: PatternKernel):
     x, t = 0.0, _ZERO  # t = 1 / x exactly, and 0 at x = 0
     count = 0
     moved = set(range(g.vertex_count))
+    tails, heads, root = memoryview(g.tails), memoryview(g.heads), memoryview(k.root)
 
     def certify(t_end, where):
         # the certificate of the segment from (x, t) down to t_end
@@ -490,10 +485,9 @@ def _trace(k: PatternKernel):
         if cause is not None:
             _fail(g, cause, name, x, where)
 
-    def successor(labels, changed):
-        # the successor of the edges relabelled, and the vertices it moved
-        nonlocal k
-        k = k.successor(labels, t, changed)
+    def advance(relabel):
+        # the events' labels, {edge: label}, and the vertices they moved
+        k.advance(t, relabel)
         moved.update(k.moved)
 
     for _ in range(event_cap(g)):
@@ -503,11 +497,10 @@ def _trace(k: PatternKernel):
             yield x, k, None
             return
         splits = k.splits(t)
-        labels = k.pattern.labels.copy()
         due = [pins for t_split, pins in splits if t_split is None]
         if due:
             # the splits due now, before any fusion
-            successor(labels, apply_pins(labels, due))
+            advance({e: label for pins in due for e, label in pins.items()})
             if (not pulled or not t) and any(_closes(k, pins) for pins in due):
                 _fail(g, "a split's parts close across its cut", name, x, where)
             continue
@@ -521,8 +514,7 @@ def _trace(k: PatternKernel):
         # those of the largest t, end the segment together, and the others
         # wait
         events = [(t_split, pins, None) for t_split, pins in splits]
-        _, _, tails, heads = k.clusters._adj
-        root, meets = memoryview(k.clusters.root), {}
+        meets = {}
         for e in fused.nonzero()[0].tolist():
             pair = root[tails[e]], root[heads[e]]
             if pair not in meets:
@@ -543,9 +535,10 @@ def _trace(k: PatternKernel):
                 count += 1
             x, t = end, t_nxt
             now = [event for event in events if event[0] == t_nxt]
-        changed = [e for _, _, e in now if e is not None]
-        labels[changed] = 0
-        successor(labels, changed + apply_pins(labels, [pins for _, pins, e in now if e is None]))
+        relabel = {e: 0 for _, _, e in now if e is not None}
+        for _, pins, e in now:
+            relabel.update(pins or ())
+        advance(relabel)
     _fail(g, "event cap %d exceeded" % event_cap(g), name, x, "segment %d" % count)
 
 
@@ -557,10 +550,11 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     :func:`_trace` finds them.  The path starts from the clusters of
     exactly equal values in f.  No iterative solve runs.  Every segment is
     certified, each cluster once for its life, or :class:`PathError` is
-    raised; every breakpoint is its exact rational, rounded once.  The terminal
-    value is the mean field.  The path reads no tolerance.  Each vertex's
-    line ``c + alpha * s`` is stored once, at the segment whose events
-    changed it (see :class:`PiecewiseAffinePath`).
+    raised; every breakpoint is its exact rational, rounded once.  The
+    terminal value is the final kernel's, the exact mean of f rounded once.
+    The path reads no tolerance.  Each vertex's line ``c + alpha * s`` is
+    stored at the segments whose events changed its cluster (see
+    :class:`PiecewiseAffinePath`).
     """
     f = ensure_vertex_field(g, f, "f")
     lines = _Lines(g.vertex_count)
@@ -571,6 +565,5 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
         bps.append(alpha)
         if moved is not None:
             # every line is anchored at alpha = 0; the events changed some
-            c, s = k.intercept, k.slope
-            lines.append(0.0, lines.changed(moved, c, s), c, s)
-    return PiecewiseAffinePath._compact(bps, np.full(g.vertex_count, float(f.mean())), lines)
+            lines.append(0.0, moved, k.intercept, k.slope)
+    return PiecewiseAffinePath._compact(bps, k.intercept.copy(), lines)

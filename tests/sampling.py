@@ -39,21 +39,22 @@ def convexity_violation(phi, lo, hi, rng, trials=200):
     return max(0.0, worst) / scale
 
 
-def numbering(clusters):
-    """``(roots, labels, sizes)`` of a FlatClusters: the smallest vertex of
-    each cluster in increasing order, the number of each vertex's cluster
-    in that order (0 .. count - 1), and the vertices per cluster."""
-    n = clusters.root.size
-    roots = np.flatnonzero(clusters.root == np.arange(n))
+def numbering(kernel):
+    """``(roots, labels, sizes)`` of a PatternKernel's clusters: the
+    smallest vertex of each cluster in increasing order, the number of each
+    vertex's cluster in that order (0 .. count - 1), and the vertices per
+    cluster."""
+    n = kernel.root.size
+    roots = np.flatnonzero(kernel.root == np.arange(n))
     rank = np.empty(n, dtype=np.intp)
     rank[roots] = np.arange(roots.size)
-    labels = rank[clusters.root]
+    labels = rank[kernel.root]
     return roots, labels, np.bincount(labels, minlength=roots.size)
 
 
-def cluster_of(clusters, r):
-    """The Cluster of the cluster whose smallest vertex is r, or a
+def cluster_of(kernel, r):
+    """The Cluster of the kernel's cluster whose smallest vertex is r, or a
     throwaway one for a vertex with no flat edge."""
     from graphtv.graph import Cluster
-    c = clusters._of.get(int(r))
+    c = kernel._of.get(int(r))
     return Cluster([int(r)], [-1], [], []) if c is None else c

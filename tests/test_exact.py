@@ -43,7 +43,9 @@ def test_trajectories_match_the_exact_reference():
     # every breakpoint of the path and of the flow is the reference's
     # exact rational rounded once, bit for bit, and the values at every
     # breakpoint and midpoint are its exact values to rounding (1.6e-16 of
-    # 1 + max |f| at most here).  43 of the paths split a cluster
+    # 1 + max |f| at most here); beyond the last breakpoint the value is
+    # the reference's exact mean rounded once, bit for bit.  43 of the
+    # paths split a cluster
     graphs = split = 0
     for g, f in _draws(520):
         if f.max() == f.min():
@@ -57,6 +59,8 @@ def test_trajectories_match_the_exact_reference():
             for x in b + [0.5 * (lo + hi) for lo, hi in zip(b, b[1:])]:
                 ref = np.array([float(v) for v in value_at(exact, Fraction(x))])
                 assert np.abs(path.value_at(x) - ref).max() <= 1e-15 * (1.0 + np.abs(f).max())
+            mean = [float(v) for v in value_at(exact, Fraction(2.0 * b[-1]))]
+            assert path.value_at(2.0 * b[-1]).tobytes() == np.array(mean).tobytes()
             split += not flow and _split_count(g, path) > 0
     assert graphs >= 500 and split >= 20
 
@@ -85,3 +89,18 @@ def test_rof_solve_matches_the_exact_reference(monkeypatch):
             u = rof_solve(g, f, alpha).u
             assert np.abs(u - ref).max() <= 1e-15 * (1.0 + np.abs(f).max())
     assert len(cases) >= 300 and len(settled) == len(cases)
+
+
+def test_terminal_values_are_the_regularized_answer_beyond_the_path():
+    # the path's and the flow's terminal value is the exact mean of f
+    # rounded once, as is rof_solve's answer beyond the last breakpoint; a
+    # numpy mean, summed pairwise, is one ulp off it on these draws
+    g = cartesian_graph(4, 4)
+    for seed in (2, 8, 36):
+        f = random_vertex_field(np.random.default_rng(seed), g.vertex_count)
+        path = rof_path(g, f)
+        u = rof_solve(g, f, 2.0 * path.breakpoints[-1]).u
+        assert np.full(g.vertex_count, f.mean()).tobytes() != u.tobytes()
+        assert path.terminal_value.tobytes() == u.tobytes()
+        assert path.value_at(2.0 * path.breakpoints[-1]).tobytes() == u.tobytes()
+        assert flow_solve(g, f).path.terminal_value.tobytes() == u.tobytes()

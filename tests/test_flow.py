@@ -104,7 +104,7 @@ def test_calibrated_section_matches_min_norm():
         d, h = _first_segment(g, u)
         if not np.array_equal(d, kernel.slope):
             continue
-        with_clusters += bool((numbering(kernel.clusters)[2] > 2).any())
+        with_clusters += bool((numbering(kernel)[2] > 2).any())
         assert np.array_equal(d, kernel.slope)
         assert pattern_box(pat).contains(h)
         assert np.abs(-divergence(g, h) - kernel.slope).max() < 1e-12
@@ -250,7 +250,7 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
     def bad_flows(self, pairs, *args):
         out = []
         for (c, _), (edges, h) in zip(pairs, cover(self, pairs, *args)):
-            on, every = dict(zip(edges, h)), self.clusters.edges(c)
+            on, every = dict(zip(edges, h)), self.edges(c)
             out.append((every, [on.get(e, 0.0) + bad[e] for e in every]))
         return out
 
@@ -432,7 +432,7 @@ def test_certificates_check_each_cluster_once(monkeypatch):
             checks.clear()
             living = {}
             for _, k, _ in _trace(kernel):
-                for c in k.clusters._of.values():
+                for c in k._of.values():
                     assert c.span[1] is not None
                     living[id(c)] = c
             assert {id(c) for c, _ in checks} == set(living)
@@ -620,16 +620,15 @@ def test_successors_relabel_a_small_share_of_the_vertices(monkeypatch):
     # each event searches again only the clusters it fuses or splits; a
     # kernel built from scratch would label all n vertices per segment
     from graphtv import rof_path
-    from graphtv.graph import FlatClusters
+    from graphtv.graph import PatternKernel
     relabelled = []
-    successor = FlatClusters.successor
+    advance = PatternKernel.advance
 
-    def counted(self, flat, changed):
-        out = successor(self, flat, changed)
-        relabelled.append(sum(len(c.order) for c in out[2]) + len(out[3]))
-        return out
+    def counted(self, t, relabel):
+        advance(self, t, relabel)
+        relabelled.append(len(self.moved))
 
-    monkeypatch.setattr(FlatClusters, "successor", counted)
+    monkeypatch.setattr(PatternKernel, "advance", counted)
     g = path_graph(1000)
     f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
     segments = flow_solve(g, f).path.segment_count + rof_path(g, f).segment_count
@@ -805,12 +804,13 @@ def test_replay_gives_the_builders_bits(monkeypatch):
 
 
 def test_lines_store_what_a_full_comparison_stores(monkeypatch):
-    # a trajectory bit-compares only the entries that an event could move
-    # when it stores lines: the vertices of the clusters the events
-    # rebuilt, and the edges at them.  Each store must take the lines that
-    # a bit comparison of every entry finds: a vertex whose intercept or
-    # slope changed, an edge whose slope -H changed (its anchor, F at the
-    # segment's start, is new at every segment)
+    # a trajectory stores the lines of the vertices of the clusters the
+    # events rebuilt, and bit-compares only the edges at them.  Each store
+    # must take the lines that a bit comparison of every entry finds: a
+    # vertex whose intercept or slope changed, among others whose line is
+    # stored again with its bits, and exactly each edge whose slope -H
+    # changed (its anchor, F at the segment's start, is new at every
+    # segment)
     from graphtv import cartesian_graph, rof_path
     from graphtv.rof import _Lines, _differ
     append = _Lines.append
@@ -822,7 +822,9 @@ def test_lines_store_what_a_full_comparison_stores(monkeypatch):
         full = _differ(slope, self.slope)
         if self is stores[0]:
             full |= _differ(anchor, self.anchor)
-        assert moved.tobytes() == np.flatnonzero(full).tobytes()
+            assert np.isin(np.flatnonzero(full), moved).all()
+        else:
+            assert moved.tobytes() == np.flatnonzero(full).tobytes()
         sizes.append(moved.size)
         append(self, at, moved, anchor, slope)
 

@@ -222,7 +222,8 @@ def _reference_trees(g, flat):
 
 
 def test_flat_clusters_match_union_find():
-    from graphtv.graph import FlatClusters
+    # the clusters of a kernel's flat edges; its pinned edges label +1
+    from graphtv.graph import PatternKernel
     rng = np.random.default_rng(SEED + 5)
     for _ in range(25):
         g = random_connected_graph(rng)
@@ -240,23 +241,23 @@ def test_flat_clusters_match_union_find():
             root[find(int(g.tails[k]))] = find(int(g.heads[k]))
         roots = np.array([find(v) for v in range(g.vertex_count)])
         expected = np.array([u[roots == r].mean() for r in roots])
-        clusters = FlatClusters(g, flat)
-        smallest, labels, _ = numbering(clusters)
+        kernel = PatternKernel(g, SignPattern(np.where(flat, 0, 1)))
+        smallest, labels, _ = numbering(kernel)
         assert smallest.size == np.unique(roots).size
         # the spanning trees of the reference search, a vertex with no
         # flat edge a tree of its own
         for k, ref in enumerate(_reference_trees(g, flat)):
-            c = cluster_of(clusters, smallest[k])
+            c = cluster_of(kernel, smallest[k])
             assert (c.order, c.up, c.tree, c.sign) == ref
         same = roots[:, None] == roots[None, :]
         assert np.array_equal(same, labels[:, None] == labels[None, :])
-        assert np.abs(_cluster_mean(clusters.root, u) - expected).max() < 1e-12
+        assert np.abs(_cluster_mean(kernel.root, u) - expected).max() < 1e-12
         # the flow on the spanning forest, each tree's peeled, realizes any
         # divergence that sums to zero per cluster
         r = u - expected
         forest, rs = np.zeros(g.edge_count), r.tolist()
         for v0 in smallest:
-            c = cluster_of(clusters, v0)
+            c = cluster_of(kernel, v0)
             forest[c.tree] = c.peel([rs[v] for v in c.order])
         assert np.abs(divergence(g, forest) - r).max() < 1e-12
 
@@ -586,14 +587,15 @@ def test_tolerances_validation():
 
 
 def _kernel_bytes(kernel, t):
-    # what a successor must reproduce, as bytes.  The clusters' tests are
-    # dropped first: a stored flow comes from a max-flow with another start
-    for c in kernel.clusters._of.values():
+    # what an advanced kernel must reproduce, as bytes.  The clusters' tests
+    # are dropped first: a stored flow comes from a max-flow with another
+    # start
+    for c in kernel._of.values():
         c.tests = None
     if kernel.f is None:
         kernel.prove(Fraction(0), Fraction(0))
     failed = np.array(sorted(kernel._failing))
-    parts = [*numbering(kernel.clusters)[1:], kernel.pattern.labels,
+    parts = [*numbering(kernel)[1:], kernel.pattern.labels,
              kernel.pinned, kernel.slope, kernel.beta, np.asarray(kernel.intercept),
              np.asarray(kernel.pull), failed, kernel._forest, kernel.witness()]
     if kernel.f is not None:
@@ -603,32 +605,31 @@ def _kernel_bytes(kernel, t):
 
 def _check_values(kernel, labels):
     # the kernel's values against numpy's arithmetic, in which a kernel was
-    # built before successors: a pinned edge inside a cluster turns flat,
-    # and the sums of the pinned flux run in vertex order, as np.bincount
-    # sums.  The intercept is the exact cluster mean of f, rounded once, and
-    # so is the pull f - c
-    g, cl = kernel.graph, kernel.clusters
-    inside = (labels != 0) & (cl.root[g.tails] == cl.root[g.heads])
+    # built before it advanced in place: a pinned edge inside a cluster
+    # turns flat, and the sums of the pinned flux run in vertex order, as
+    # np.bincount sums.  The intercept is the exact cluster mean of f,
+    # rounded once, and so is the pull f - c
+    g, root = kernel.graph, kernel.root
+    inside = (labels != 0) & (root[g.tails] == root[g.heads])
     pattern = np.where(inside, 0, labels).astype(np.int8)
     pinned = divergence(g, -pattern.astype(float))
-    slope = -_cluster_mean(cl.root, pinned)
+    slope = -_cluster_mean(root, pinned)
     expected = [pattern, pinned, slope, pinned + slope]
     actual = [kernel.pattern.labels, kernel.pinned, kernel.slope, kernel.beta]
     if kernel.f is not None:
-        expected += list(_exact_means(cl.root, kernel.f))
+        expected += list(_exact_means(root, kernel.f))
         actual += [kernel.intercept, kernel.pull]
     assert [x.tobytes() for x in actual] == [x.tobytes() for x in expected]
 
 
-def _successor_chains(seed):
+def _advance_chains(seed):
     # random fusions, splits along random cuts, single vertices split off,
     # vertices with no flat edge fused into a neighbour's cluster and
     # relabelled edges on grids, random graphs and paths, with and without
     # a datum, from tied data and from untied data, where every vertex is
-    # its own cluster.  Each successor is built as the event loop builds
-    # it, from a copy of the pattern's labels and the list of the edges
-    # relabelled; it must equal the kernel built from scratch, byte for
-    # byte.  A kernel without a datum keeps the witness that its
+    # its own cluster.  Each kernel advances as the event loop advances
+    # it, by a dict of the edges relabelled; it must then equal the kernel
+    # built from scratch from its labels, byte for byte.  A kernel without a datum keeps the witness that its
     # certificate checked on each cluster as it formed, which must equal
     # that of the kernel built from scratch, from its forest flows and
     # max-flows run afresh, bit for bit
@@ -649,7 +650,7 @@ def _successor_chains(seed):
             kernel = PatternKernel(g, start, datum)
             for _ in range(30):
                 labels = kernel.pattern.labels.copy()
-                _, cl, sizes = numbering(kernel.clusters)
+                _, cl, sizes = numbering(kernel)
                 move = rng.integers(5)
                 if move == 0:
                     changed = rng.choice(m, rng.integers(1, 4))
@@ -676,7 +677,7 @@ def _successor_chains(seed):
                         changed = [rng.choice(at)]
                         labels[changed] = 0
                 fresh = PatternKernel(g, SignPattern(labels), datum)
-                kernel = kernel.successor(labels, Fraction(0), list(map(int, changed)))
+                kernel.advance(Fraction(0), {int(e): labels[e] for e in changed})
                 _check_values(kernel, labels)
                 if datum is None:
                     kernel.prove(Fraction(0), Fraction(0))
@@ -692,11 +693,11 @@ def _successor_chains(seed):
 
 def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
     import graphtv.graph
-    _successor_chains(SEED + 9)
-    # a successor whose search drops a born vertex with no flat edge, or
+    _advance_chains(SEED + 9)
+    # an advance whose search drops a born vertex with no flat edge, or
     # leaves one part of a split cluster with its old label, must fail the
     # comparison
-    grow, successor = graphtv.graph._grow, graphtv.graph.FlatClusters.successor
+    grow, advance = graphtv.graph._grow, graphtv.graph.PatternKernel.advance
 
     def drop_a_vertex(born, ones):
         return born, ones[:-1]
@@ -705,26 +706,46 @@ def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
         return (born if len(born) < 2 else born[:-1]), ones
 
     for drop in (drop_a_vertex, skip_a_part):
-        def mutated(self, flat, changed, drop=drop):
+        def mutated(self, t, relabel, drop=drop):
             monkeypatch.setattr(graphtv.graph, "_grow", lambda *args: drop(*grow(*args)))
             try:
-                return successor(self, flat, changed)
+                return advance(self, t, relabel)
             finally:
                 monkeypatch.setattr(graphtv.graph, "_grow", grow)
 
-        monkeypatch.setattr(graphtv.graph.FlatClusters, "successor", mutated)
+        monkeypatch.setattr(graphtv.graph.PatternKernel, "advance", mutated)
         with pytest.raises(AssertionError):
-            _successor_chains(SEED + 9)
+            _advance_chains(SEED + 9)
+
+
+def test_patterns_stay_immutable():
+    # a kernel copies the pattern it is given and advances its own labels:
+    # the pattern given keeps its labels, and the kernel's pattern is a
+    # view of the kernel's labels that rejects writes, before and after an
+    # advance
+    from graphtv.graph import PatternKernel
+    g = cartesian_graph(4, 4)
+    f = random_vertex_field(np.random.default_rng(SEED + 12), g.vertex_count)
+    given = sign_pattern(g, np.round(2.0 * f))
+    before = given.labels.copy()
+    kernel = PatternKernel(g, given, f)
+    edge = int(np.flatnonzero(given.labels)[0])
+    for step in range(2):
+        with pytest.raises(ValueError):
+            kernel.pattern.labels[edge] = 0
+        if step == 0:
+            kernel.advance(Fraction(0), {edge: 0})
+    assert kernel.pattern.labels[edge] == 0
+    assert given.labels.tobytes() == before.tobytes()
 
 
 def _exact_lines(kernel):
     # each vertex's line (c, s) as fractions, from its cluster's exact sums
     from fractions import Fraction
     unit, exact = kernel._exact
-    cl = kernel.clusters
     lines = []
     for v in range(kernel.graph.vertex_count):
-        c = cl._of.get(int(cl.root[v]))
+        c = kernel._of.get(int(kernel.root[v]))
         (b, total), size = ((int(kernel.pinned[v]), exact[v]), 1) if c is None else (
             c.sums, len(c.order))
         lines.append((Fraction(total) / (unit * size), Fraction(-b, size)))
@@ -733,7 +754,7 @@ def _exact_lines(kernel):
 
 def test_kernel_without_a_datum_carries_its_lines():
     # a kernel without a datum starts its lines at the cluster means of u
-    # and keeps their sum through each successor's events at the exact
+    # and keeps their sum through each advance's events at the exact
     # parameter at = 1 / t: on every new cluster, the sum of the new lines at `at`
     # is that of the lines before, exactly, and each float intercept is its
     # exact line rounded once.  Random fusions, cuts and relabelled edges,
@@ -749,13 +770,13 @@ def test_kernel_without_a_datum_carries_its_lines():
                       sign_pattern(g, u)):
             kernel = PatternKernel(g, start, u=u)
             lines = _exact_lines(kernel)
-            for r in numbering(kernel.clusters)[0]:
-                verts = cluster_of(kernel.clusters, r).verts
+            for r in numbering(kernel)[0]:
+                verts = cluster_of(kernel, r).verts
                 assert lines[verts[0]][0] == sum(map(Fraction, u[verts])) / len(verts)
             at = Fraction(0)
             for _ in range(30):
                 labels = kernel.pattern.labels.copy()
-                cl = numbering(kernel.clusters)[1]
+                cl = numbering(kernel)[1]
                 move = rng.integers(3)
                 if move == 0:
                     changed = rng.choice(m, rng.integers(1, 4))
@@ -771,9 +792,9 @@ def test_kernel_without_a_datum_carries_its_lines():
                     labels[changed] = rng.integers(-1, 2, changed.size)
                 at += Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
                 before = lines
-                kernel = kernel.successor(labels, 1 / at, changed.tolist())
+                kernel.advance(1 / at, {e: labels[e] for e in changed.tolist()})
                 lines = _exact_lines(kernel)
-                root = kernel.clusters.root
+                root = kernel.root
                 for r in np.unique(root).tolist():
                     verts = np.flatnonzero(root == r).tolist()
                     assert (sum(c + at * s for c, s in (lines[v] for v in verts))
@@ -782,8 +803,8 @@ def test_kernel_without_a_datum_carries_its_lines():
 
 
 def test_every_intercept_is_its_exact_cluster_mean_rounded_once():
-    # one line model: every intercept of a kernel, built from scratch or as
-    # a successor, with or without a datum, is the exact mean of its
+    # one line model: every intercept of a kernel, built from scratch or
+    # advanced, with or without a datum, is the exact mean of its
     # cluster's data, rounded once, and so is a datum's pull f - c.  With a datum the data are f, through
     # fusions, cuts and relabelled edges; without one, the field u, whose
     # sums fusions add up.  Values of many magnitudes, ties and a -0.0; a
@@ -801,14 +822,14 @@ def test_every_intercept_is_its_exact_cluster_mean_rounded_once():
         for datum in (True, False):
             kernel = PatternKernel(g, start, data) if datum else PatternKernel(g, start, u=data)
             for step in range(25):
-                root = kernel.clusters.root
+                root = kernel.root
                 exact, pull = _exact_means(root, data)
                 assert kernel.intercept.tobytes() == exact.tobytes(), (datum, step)
                 if datum:
                     assert kernel.pull.tobytes() == pull.tobytes(), step
                 off += int((_cluster_mean(root, data) != exact).sum())
                 labels = kernel.pattern.labels.copy()
-                cl = numbering(kernel.clusters)[1]
+                cl = numbering(kernel)[1]
                 move = rng.integers(3) if datum else 0
                 if move == 0:
                     changed = rng.choice(m, rng.integers(1, 4))
@@ -822,8 +843,8 @@ def test_every_intercept_is_its_exact_cluster_mean_rounded_once():
                 else:
                     changed = rng.choice(m, rng.integers(1, 4))
                     labels[changed] = rng.integers(-1, 2, changed.size)
-                kernel = kernel.successor(labels, Fraction(int(rng.integers(1, 40)), 7),
-                                          list(map(int, changed)))
+                kernel.advance(Fraction(int(rng.integers(1, 40)), 7),
+                               {int(e): labels[e] for e in changed})
     assert off > 0
 
 
@@ -863,7 +884,7 @@ def test_kernel_keeps_under_400_bytes_per_vertex():
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert numbering(kernel.clusters)[0].size < g.vertex_count
+        assert numbering(kernel)[0].size < g.vertex_count
         assert kept < 400 * g.vertex_count, (g, alpha, kept / g.vertex_count)
 
 

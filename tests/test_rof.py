@@ -326,7 +326,7 @@ def test_witness_between_passing_tests_runs_no_max_flow(monkeypatch):
         return cause
 
     def again(self, *args):
-        self._fresh.update(self.clusters._of)
+        self._fresh.update(self._of)
         return counted(self, *args)
 
     paths = []
@@ -682,7 +682,7 @@ def test_faulty_witness_is_never_certified(monkeypatch, fault):
             return None
         out = []
         for (c, _), (edges, h) in zip(pairs, flows):
-            on, every = dict(zip(edges, h)), self.clusters.edges(c)
+            on, every = dict(zip(edges, h)), self.edges(c)
             x = [on.get(e, 0.0) + bump[e] for e in every]
             x[0] += nudge
             out.append((every, x))
@@ -755,11 +755,11 @@ def test_unconverged_fallback_names_the_instance(monkeypatch):
 
 
 def _spy_settle(monkeypatch):
-    # record every kernel PatternKernel.settle returns, in the list returned
+    # record every kernel PatternKernel.settle settles, in the list returned
     settle = PatternKernel.settle
     settled = []
     monkeypatch.setattr(PatternKernel, "settle",
-                        lambda self, t: settled.append(settle(self, t)) or settled[-1])
+                        lambda self, t: settled.append(self) or settle(self, t))
     return settled
 
 
