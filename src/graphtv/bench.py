@@ -92,39 +92,39 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
 
     jval = total_variation(g, u_flow)
     stol = 1e-12 * (1.0 + abs(jval))
-    gaps = []
     b = trajectory.breakpoints
-    for k, (_, d) in enumerate(trajectory.path._rows()):
-        if b[k] >= alpha:
-            break
-        gaps.append(abs(-float((d * u_flow).sum()) - jval))
+    gaps = [abs(-float((trajectory.direction_at(x) * u_flow).sum()) - jval)
+            for x in b[:-1] if x < alpha]
     suff = all(gap <= stol for gap in gaps)
     first = bool(b.size > 1 and alpha <= b[1])
     return EquivalenceReport(alpha, linf, l2, ms.member, ms.residual,
                              suff, tuple(gaps), first, u_reg, u_flow)
 
 
-def _taut_dnc(xs, lo, hi, s, i, j):
-    """Fill s[i..j] with the taut string between fixed s[i], s[j]."""
-    if j - i < 2:
-        return
-    t = (xs[i + 1:j] - xs[i]) / (xs[j] - xs[i])
-    chord = s[i] + t * (s[j] - s[i])
-    up = chord - hi[i + 1:j]
-    dn = lo[i + 1:j] - chord
-    ku = int(np.argmax(up))
-    kd = int(np.argmax(dn))
-    if up[ku] <= 0.0 and dn[kd] <= 0.0:
-        s[i + 1:j] = chord
-        return
-    if up[ku] >= dn[kd]:
-        k = i + 1 + ku
-        s[k] = hi[k]
-    else:
-        k = i + 1 + kd
-        s[k] = lo[k]
-    _taut_dnc(xs, lo, hi, s, i, k)
-    _taut_dnc(xs, lo, hi, s, k, j)
+def _taut_anchor(xs, lo, hi, s):
+    """Fill s between its fixed ends with the taut string, anchoring each
+    interval from its two ends alone, on a stack rather than recursion."""
+    stack = [(0, s.size - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        t = (xs[i + 1:j] - xs[i]) / (xs[j] - xs[i])
+        chord = s[i] + t * (s[j] - s[i])
+        up = chord - hi[i + 1:j]
+        dn = lo[i + 1:j] - chord
+        ku = int(np.argmax(up))
+        kd = int(np.argmax(dn))
+        if up[ku] <= 0.0 and dn[kd] <= 0.0:
+            s[i + 1:j] = chord
+            continue
+        if up[ku] >= dn[kd]:
+            k = i + 1 + ku
+            s[k] = hi[k]
+        else:
+            k = i + 1 + kd
+            s[k] = lo[k]
+        stack += [(k, j), (i, k)]
 
 
 def taut_string_1d(f, alpha: float) -> np.ndarray:
@@ -132,10 +132,10 @@ def taut_string_1d(f, alpha: float) -> np.ndarray:
 
     The tube is [F - alpha, F + alpha] around the running sums F (with
     F(0) = 0), clamped to F exactly at both ends.  The string minimizing
-    length through the tube is computed by recursive anchoring and certified
-    against the bend conditions (a convex bend must touch the upper tube
-    wall, a concave bend the lower wall); its increments solve the 1-D
-    version of the regularization problem on a path graph.
+    length through the tube is computed by anchoring (:func:`_taut_anchor`)
+    and certified against the bend conditions (a convex bend must touch the
+    upper tube wall, a concave bend the lower wall); its increments solve
+    the 1-D version of the regularization problem on a path graph.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.size < 1:
@@ -158,7 +158,7 @@ def taut_string_1d(f, alpha: float) -> np.ndarray:
     s = np.empty(n + 1)
     s[0] = cum[0]
     s[n] = cum[n]
-    _taut_dnc(xs, lo, hi, s, 0, n)
+    _taut_anchor(xs, lo, hi, s)
 
     scale = 1.0 + float(np.abs(cum).max()) + alpha
     slack = 1e-9 * scale

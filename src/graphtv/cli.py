@@ -120,13 +120,13 @@ def _cmd_flow(args) -> int:
 def _cmd_compare(args) -> int:
     _reject_unread(args, "compare", "--solve-tol")
     tol = _tolerances(args)
-    g, f = _load(args)
     try:
         alphas = [float(s) for s in args.grid.split(",") if s.strip()]
     except ValueError:
-        raise ParseError("--grid must be a comma separated list of numbers")
-    if not alphas or any(a <= 0 for a in alphas):
-        raise ParseError("--grid needs positive parameter values")
+        raise ValidationError("--grid must be a comma separated list of numbers")
+    if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
+        raise ValidationError("--grid needs finite positive parameter values")
+    g, f = _load(args)
     traj = flow_solve(g, f)
     rows = []
     for a in sorted(alphas):

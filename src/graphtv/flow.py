@@ -40,6 +40,11 @@ from .graph import (OrientedGraph, PatternKernel, ensure_vertex_field, failure_s
 from .rof import PiecewiseAffinePath, _Lines, _trace, rof_solve
 
 
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # where the floats of a and b differ in their bits
+    return a.view(np.int64) != b.view(np.int64)
+
+
 class FlowTrajectory:
     """Complete gradient-flow trajectory of one datum.
 
@@ -57,6 +62,7 @@ class FlowTrajectory:
     (one row per segment) and ``antiderivative`` (F at every breakpoint,
     first row zero) build dense arrays on demand.  Beyond the final
     breakpoint the state is the mean field and F stays at its final value.
+    A constant datum has the one breakpoint 0 and no segment.
     """
 
     __slots__ = ("path", "_integral")
@@ -104,21 +110,18 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
     (the negated minimum-norm subdifferential element) and its witness,
     whose part on each cluster is certified once, when the cluster forms.
     The flow reads no tolerance.  Terminates at the mean field, the final
-    kernel's intercept, the exact mean of f rounded once, or raises
-    :class:`PathError` after ``16 m + 64`` events.
+    kernel's intercept, the exact mean of f rounded once (at once for a
+    constant f), or raises :class:`PathError` after ``16 m + 64`` events.
 
-    Each segment stores the lines it sets: of the vertices whose cluster
-    an event changed, and of the edges whose witness changed.  Memory grows
-    with the changes, not with segments x (n + m).
+    Each segment appends the lines it sets to two logs: of the vertices
+    whose cluster an event changed, and of the edges at them whose -H
+    changed in its bits, anchored at their current F, which only the flow
+    keeps.  Memory grows with the changes, not with segments x (n + m).
     """
     f = ensure_vertex_field(g, f, "f")
-    values, integral = _Lines(g.vertex_count), _Lines(g.edge_count)
-    if float(f.max() - f.min()) == 0.0:
-        return FlowTrajectory(PiecewiseAffinePath._compact([0.0], f.copy(), values),
-                              PiecewiseAffinePath._compact([0.0], np.zeros(g.edge_count),
-                                                           integral))
-
-    bps = []
+    values, integral, bps = _Lines(g.vertex_count), _Lines(g.edge_count), []
+    # each edge's current line of F: its value at since, and its slope -H
+    anchor, minus_h, since = (np.zeros(g.edge_count) for _ in range(3))
     prev_norm = math.inf
     kernel = PatternKernel(g, sign_pattern(g, f, scale=0.0), u=f)
     for t, _, moved in _trace(kernel):
@@ -131,21 +134,27 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
             warnings.warn("descent speed failed to decrease across a segment",
                           RuntimeWarning)
         prev_norm = dnorm
-        # every line is anchored at t = 0; a vertex takes a new line where
-        # an event changed its cluster, an edge where its witness or label
-        # changed, at a vertex that an event moved
-        values.append(0.0, moved, kernel.intercept, d)
-        minus_h = -(kernel.witness() - kernel.pattern.labels)
+        # a vertex takes a new line, anchored at t = 0, where an event
+        # changed its cluster, and an edge at it a new line of F, anchored
+        # at t, where its -H changed in its bits
+        values.append(0.0, moved, kernel.intercept[moved], d[moved])
         edges = kernel.edges_at(moved)
-        integral.append(t, integral.changed(edges, minus_h), integral.at(t), minus_h)
+        slope = -(kernel.witness()[edges] - kernel.pattern.labels[edges])
+        keep = _differ(slope, minus_h[edges])
+        edges, slope = edges[keep], slope[keep]
+        a = anchor[edges] + (t - since[edges]) * minus_h[edges]
+        anchor[edges], minus_h[edges], since[edges] = a, slope, t
+        integral.append(t, edges, a, slope)
 
     fbar = float(f.mean())
     if float(np.abs(kernel.intercept - fbar).max()) > 1e-6 * (1.0 + abs(fbar)):
-        raise PathError("flow ended off the mean field " + failure_site(g, "t", t),
+        raise PathError("terminal segment %d: flow ended off the mean field %s"
+                        % (len(bps) - 1, failure_site(g, "t", t)),
                         interval=(bps[-2] if len(bps) > 1 else 0.0, t))
 
     return FlowTrajectory(PiecewiseAffinePath._compact(bps, kernel.intercept.copy(), values),
-                          PiecewiseAffinePath._compact(bps, integral.at(t), integral))
+                          PiecewiseAffinePath._compact(bps, anchor + (t - since) * minus_h,
+                                                       integral))
 
 
 def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.ndarray:

@@ -48,58 +48,37 @@ class RofSolution:
     report: SolveReport
 
 
-def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # where the floats of a and b differ in their bits
-    return a.view(np.int64) != b.view(np.int64)
-
-
 class _Lines:
-    """The lines of a trajectory's entries, each stored once, when it is set.
+    """An append-only log of the lines of a trajectory's entries.
 
-    Entry i follows ``anchor[i] + (x - since[i]) * slope[i]`` from the
-    segment that sets its line up to the next one that sets it again.  A
-    segment stores only the lines it sets, as their indices, anchor values
-    and slopes, and one anchor parameter ``since`` for all of them.  While
-    a builder appends, ``anchor``, ``slope`` and ``since`` hold the current
-    lines, zero before a segment sets them.  :meth:`close` sorts the lines
-    by entry and segment for :meth:`lines_at`'s search.
+    Each segment appends the lines it sets: entry i of its indices follows
+    ``anchors[i] + (x - at) * slopes[i]`` from the segment's start up to
+    the next segment that sets it again.  The log keeps no current lines;
+    a builder that reads them keeps its own.  :meth:`close` sorts the lines
+    by entry and segment, and :meth:`lines_at` reads them back.
     """
 
-    __slots__ = ("size", "anchor", "slope", "since", "ats", "parts", "keys",
-                 "anchors", "slopes", "first")
+    __slots__ = ("size", "ats", "parts", "keys", "anchors", "slopes", "first")
 
     def __init__(self, size: int):
         self.size = size
-        self.anchor, self.slope, self.since = np.zeros(size), np.zeros(size), np.zeros(size)
         self.ats, self.parts = [], []
 
-    def changed(self, idx: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        """The entries of the increasing indices idx whose slope differs in
-        its bits from the current line's; the other entries must not
-        differ."""
-        return idx[_differ(slope[idx], self.slope[idx])]
-
-    def append(self, at: float, moved: np.ndarray, anchor: np.ndarray,
-               slope: np.ndarray) -> None:
-        """The next segment: the entries of the increasing indices
-        ``moved`` take the lines of ``anchor`` and ``slope`` from the
-        parameter ``at``."""
-        a, s = anchor[moved], slope[moved]
-        self.anchor[moved], self.slope[moved], self.since[moved] = a, s, at
+    def append(self, at: float, idx: np.ndarray, anchors: np.ndarray,
+               slopes: np.ndarray) -> None:
+        """The next segment: the entries of the increasing indices ``idx``
+        take the lines of ``anchors`` and ``slopes``, one value per index,
+        from the parameter ``at``.  The log keeps the arrays it is given."""
         self.ats.append(at)
-        self.parts.append((moved, a, s))
-
-    def at(self, x: float) -> np.ndarray:
-        """The current lines at x."""
-        return self.anchor + (x - self.since) * self.slope
+        self.parts.append((idx, anchors, slopes))
 
     def close(self) -> None:
         """Pack the lines into one array each, sorted by the key ``entry *
-        K + segment`` for K segments; the store takes no more."""
+        K + segment`` for K segments; the log takes no more."""
         empty = (np.empty(0, np.intp), np.empty(0), np.empty(0))
         counts = [idx.size for idx, _, _ in self.parts]
         index, anchors, slopes = (np.concatenate(a) for a in zip(empty, *self.parts))
-        self.anchor = self.slope = self.since = self.parts = None
+        self.parts = None
         order = np.argsort(index, kind="stable")
         index *= len(self.ats)
         index += np.repeat(np.arange(len(self.ats)), counts)
@@ -124,19 +103,6 @@ class _Lines:
         since[found] = self.ats[self.keys[pos] - key[found]]
         return anchor, slope, since
 
-    def replay(self):
-        """The lines ``(anchor, slope, since)`` of each segment in order.  The
-        arrays are the replay's own and change at the next segment: read
-        them, do not write."""
-        anchor, slope, since = np.zeros(self.size), np.zeros(self.size), np.zeros(self.size)
-        entry, segment = np.divmod(self.keys, max(self.ats.size, 1))
-        order = np.argsort(segment, kind="stable")
-        ends = np.searchsorted(segment[order], np.arange(self.ats.size + 1)).tolist()
-        for at, lo, hi in zip(self.ats.tolist(), ends, ends[1:]):
-            idx, lines = entry[order[lo:hi]], order[lo:hi]
-            anchor[idx], slope[idx], since[idx] = self.anchors[lines], self.slopes[lines], at
-            yield anchor, slope, since
-
 
 class PiecewiseAffinePath:
     """A continuous piecewise-affine map from [0, inf) to vertex fields.
@@ -148,12 +114,11 @@ class PiecewiseAffinePath:
     Each entry follows a line that only some breakpoints change, and the
     path stores each line once, at the segment that sets it.  Segment k's
     left value is the lines at b_k, ``anchor + (b_k - since) * slope``, and
-    its value at x is ``left + (x - b_k) * slope``.  :meth:`value_at` and
-    :meth:`slope_at` find each entry's line by one binary search over the
-    stored lines, O(n log L) for L lines; the rows are read in one forward
-    pass from the first segment, which costs the changes and O(n) for each
-    row built.  ``left_values`` and ``slopes`` build K x n arrays on
-    demand.  A path is built only from a builder's lines, by :meth:`_compact`.
+    its value at x is ``left + (x - b_k) * slope``.  Every read finds each
+    entry's line by one binary search over the stored lines
+    (:meth:`_Lines.lines_at`), O(n log L) for L lines; ``left_values`` and
+    ``slopes`` read each segment so and build K x n arrays on demand.  A
+    path is built only from a builder's log of lines, by :meth:`_compact`.
     """
 
     __slots__ = ("breakpoints", "terminal_value", "_lines")
@@ -189,15 +154,12 @@ class PiecewiseAffinePath:
         return self._dense(1)
 
     def _dense(self, j: int) -> np.ndarray:
+        # each segment's left value (j = 0) or slope (j = 1), one row each
         out = np.empty((self.segment_count, self.terminal_value.size))
-        for k, row in enumerate(self._rows()):
-            out[k] = row[j]
+        for k, b in enumerate(self.breakpoints[:-1]):
+            anchor, slope, since = self._lines.lines_at(k)
+            out[k] = slope if j else anchor + (b - since) * slope
         return out
-
-    def _rows(self):
-        # (left value, slope) of each segment in order, in one forward pass
-        for b, (anchor, slope, since) in zip(self.breakpoints, self._lines.replay()):
-            yield anchor + (b - since) * slope, slope
 
     def _segment(self, x: float) -> int:
         # index of the segment holding x, or -1 beyond the last breakpoint
@@ -389,11 +351,11 @@ def _fail(g: OrientedGraph, cause: str, name: str, x: float, where: str):
 
 def _sign_fault(kernel: PatternKernel, alpha: float, gaps: np.ndarray) -> bool:
     # whether a pinned edge changes sign on the kernel's line at alpha,
-    # whose differences across the edges are gaps, beyond 1e-11 of the
-    # line's size there
-    c, s = kernel.intercept, kernel.slope
+    # whose differences across the edges are gaps, beyond 2^16 ulps of the
+    # line's size there: about 1e-11 of it, and above zero if subnormal
     worst = float((kernel.pattern.labels * gaps).min(initial=0.0))
-    return worst < 0.0 and worst < -1e-11 * float(np.abs(c).max() + alpha * np.abs(s).max())
+    size = float(np.abs(kernel.intercept).max() + alpha * np.abs(kernel.slope).max())
+    return worst < -2.0 ** 16 * float(np.spacing(size))
 
 
 def _certify(kernel: PatternKernel, alpha: float, start: Optional[np.ndarray] = None,
@@ -548,22 +510,20 @@ def rof_path(g: OrientedGraph, f) -> PiecewiseAffinePath:
     Under a sign pattern the path is the line ``cluster_mean(f) + alpha *
     s`` of :class:`PatternKernel`, up to the next fusion or split, as
     :func:`_trace` finds them.  The path starts from the clusters of
-    exactly equal values in f.  No iterative solve runs.  Every segment is
+    exactly equal values in f; a constant f is all flat, and its path is
+    the one breakpoint 0.  No iterative solve runs.  Every segment is
     certified, each cluster once for its life, or :class:`PathError` is
     raised; every breakpoint is its exact rational, rounded once.  The
     terminal value is the final kernel's, the exact mean of f rounded once.
     The path reads no tolerance.  Each vertex's line ``c + alpha * s`` is
-    stored at the segments whose events changed its cluster (see
-    :class:`PiecewiseAffinePath`).
+    appended to the path's log at the segments whose events changed its
+    cluster (see :class:`PiecewiseAffinePath`).
     """
     f = ensure_vertex_field(g, f, "f")
-    lines = _Lines(g.vertex_count)
-    if float(f.max() - f.min()) == 0.0:
-        return PiecewiseAffinePath._compact([0.0], f.copy(), lines)
-    bps = []
+    lines, bps = _Lines(g.vertex_count), []
     for alpha, k, moved in _trace(PatternKernel(g, sign_pattern(g, f, scale=0.0), f)):
         bps.append(alpha)
         if moved is not None:
             # every line is anchored at alpha = 0; the events changed some
-            lines.append(0.0, moved, k.intercept, k.slope)
+            lines.append(0.0, moved, k.intercept[moved], k.slope[moved])
     return PiecewiseAffinePath._compact(bps, k.intercept.copy(), lines)

@@ -91,6 +91,19 @@ def test_taut_string_matches_graph_solver():
         assert np.abs(u_ts - u_graph).max() < 5e-8 * (1 + np.abs(f).max())
 
 
+def test_taut_string_anchors_at_any_depth():
+    # the anchoring holds its intervals on a stack: alternating data anchor
+    # the string at nearly every point, which as recursion raised
+    # RecursionError from n = 1000, and so did a sawtooth at n = 5000
+    n = 5000
+    i = np.arange(n, dtype=float)
+    f = (-1.0) ** i * i
+    u = taut_string_1d(f, 1.0)
+    assert np.abs(u - rof_solve(path_graph(n), f, 1.0).u).max() <= 1e-12 * np.abs(f).max()
+    saw = i % 7
+    assert abs(taut_string_1d(saw, 0.01).mean() - saw.mean()) < 1e-9
+
+
 def test_taut_string_validation():
     with pytest.raises(Exception):
         taut_string_1d(np.array([]), 1.0)

@@ -300,3 +300,20 @@ def test_cli_rejects_tolerance_flags_a_mode_never_reads(problem_file, capsys):
     assert main(["verify", "--mode", "counterexample", "--flat-tol", "1e-8"]) == 0
     assert main(["compare", problem_file, "--grid", "1", "--flat-tol", "1e-6"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", ["-1", "abc", "", ",", "0", "1,-2", "nan", "inf", "0.5,inf"])
+def test_a_bad_grid_is_a_usage_error_before_any_solve(problem_file, grid, capsys, monkeypatch):
+    # an empty, unparsable, non-positive or non-finite --grid value is a
+    # usage error (exit 2), not an unreadable problem (exit 3), and is
+    # rejected before the flow runs: nan and inf ran the whole flow first
+    import graphtv.cli
+
+    def no_solve(*args):
+        raise AssertionError("flow_solve ran")
+
+    monkeypatch.setattr(graphtv.cli, "flow_solve", no_solve)
+    assert main(["compare", problem_file, "--grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: --grid")

@@ -740,13 +740,21 @@ def test_replay_gives_the_builders_bits(monkeypatch):
     # final F.  The dense properties are those rows
     from graphtv import cartesian_graph, rof_path
     from graphtv.rof import _Lines
-    stored = {}
+    stored, current = {}, {}
     append = _Lines.append
 
-    def recording(self, at, moved, anchor, slope):
-        # a trajectory's stores, in the order they first store a segment
-        stored.setdefault(id(self), []).append((np.array(anchor), np.array(slope)))
-        append(self, at, moved, anchor, slope)
+    def recording(self, at, idx, anchors, slopes):
+        # a trajectory's logs, in the order they first take a segment, each
+        # with every entry's current line (anchor, slope, since), which the
+        # log itself does not keep: per segment, the anchors and slopes,
+        # and the lines at the segment's start before it sets any
+        if id(self) not in current:
+            current[id(self)] = np.zeros(self.size), np.zeros(self.size), np.zeros(self.size)
+        anchor, slope, since = current[id(self)]
+        before = anchor + (at - since) * slope
+        anchor[idx], slope[idx], since[idx] = anchors, slopes, at
+        stored.setdefault(id(self), []).append((anchor.copy(), slope.copy(), before))
+        append(self, at, idx, anchors, slopes)
 
     monkeypatch.setattr(_Lines, "append", recording)
     rng = np.random.default_rng(SEED + 17)
@@ -757,6 +765,7 @@ def test_replay_gives_the_builders_bits(monkeypatch):
         f = random_vertex_field(rng, g.vertex_count)
         for build in (flow_solve, rof_path):
             stored.clear()
+            current.clear()
             result = build(g, f)
             path = getattr(result, "path", result)
             b = path.breakpoints
@@ -764,12 +773,12 @@ def test_replay_gives_the_builders_bits(monkeypatch):
             rows = [list(zip(*segments)) for segments in stored.values()]
             assert all(len(r[0]) == path.segment_count for r in rows)
             # the lines anchored at 0 (the flow's first at f) and their
-            # slopes, then the flow's F and -H
-            (intercept, slope), *integral = rows
+            # slopes, then the flow's F at each segment's start and -H
+            (intercept, slope, _), *integral = rows
             left = [c + alpha * s for c, s, alpha in zip(intercept, slope, b)]
             if build is flow_solve:
                 assert path.value_at(0.0).tobytes() == f.tobytes()
-                (anti, minus_h), = integral
+                (_, minus_h, anti), = integral
                 flows = [-x for x in minus_h]
                 assert result.flows.tobytes() == np.array(flows).tobytes()
                 assert result.antiderivative[:-1].tobytes() == np.array(anti).tobytes()
@@ -805,30 +814,48 @@ def test_replay_gives_the_builders_bits(monkeypatch):
 
 def test_lines_store_what_a_full_comparison_stores(monkeypatch):
     # a trajectory stores the lines of the vertices of the clusters the
-    # events rebuilt, and bit-compares only the edges at them.  Each store
+    # events rebuilt, and bit-compares only the edges at them.  Each log
     # must take the lines that a bit comparison of every entry finds: a
     # vertex whose intercept or slope changed, among others whose line is
     # stored again with its bits, and exactly each edge whose slope -H
     # changed (its anchor, F at the segment's start, is new at every
-    # segment)
+    # segment).  The full lines are read off the kernel that the event
+    # loop updates, and compared with every entry's current line
+    import graphtv.flow
+    import graphtv.rof
     from graphtv import cartesian_graph, rof_path
-    from graphtv.rof import _Lines, _differ
-    append = _Lines.append
-    stores, sizes = [], []
+    from graphtv.flow import _differ
+    from graphtv.rof import _Lines
+    append, trace = _Lines.append, graphtv.rof._trace
+    stores, current, kernels, sizes = [], [], [], []
 
-    def compared(self, at, moved, anchor, slope):
+    def traced(k):
+        kernels.append(k)
+        return trace(k)
+
+    def compared(self, at, moved, anchors, slopes):
         if self not in stores:
             stores.append(self)
-        full = _differ(slope, self.slope)
+            current.append((np.zeros(self.size), np.zeros(self.size)))
+        anchor, slope = current[stores.index(self)]
+        k = kernels[-1]
         if self is stores[0]:
-            full |= _differ(anchor, self.anchor)
+            full_anchor, full_slope = k.intercept, k.slope
+            full = _differ(full_slope, slope) | _differ(full_anchor, anchor)
             assert np.isin(np.flatnonzero(full), moved).all()
+            assert anchors.tobytes() == full_anchor[moved].tobytes()
         else:
+            full_slope = -(k.witness() - k.pattern.labels)
+            full = _differ(full_slope, slope)
             assert moved.tobytes() == np.flatnonzero(full).tobytes()
+        assert slopes.tobytes() == full_slope[moved].tobytes()
+        anchor[moved], slope[moved] = anchors, slopes
         sizes.append(moved.size)
-        append(self, at, moved, anchor, slope)
+        append(self, at, moved, anchors, slopes)
 
     monkeypatch.setattr(_Lines, "append", compared)
+    monkeypatch.setattr(graphtv.rof, "_trace", traced)
+    monkeypatch.setattr(graphtv.flow, "_trace", traced)
     rng = np.random.default_rng(SEED + 24)
     graphs = [cartesian_graph(8, 8), path_graph(300)]
     graphs += [random_connected_graph(rng, 30) for _ in range(2)]
@@ -838,10 +865,31 @@ def test_lines_store_what_a_full_comparison_stores(monkeypatch):
                   rng.integers(0, 4, g.vertex_count).astype(float)):
             for solve in (flow_solve, rof_path):
                 stores.clear()
+                current.clear()
                 result = solve(g, f)
                 segments += getattr(result, "path", result).segment_count
                 assert len(stores) == (2 if solve is flow_solve else 1)
     assert segments > 1000 and sum(sizes) > segments
+
+
+def test_a_flow_off_the_mean_field_names_its_segment(monkeypatch):
+    # the flow's last check: its final kernel's intercept is the mean
+    # field.  An intercept moved off it raises PathError, naming the
+    # terminal segment, its time and the instance's size
+    import graphtv.flow
+    trace = graphtv.flow._trace
+
+    def off(kernel):
+        for x, k, moved in trace(kernel):
+            if moved is None:
+                k.intercept[0] += 1.0
+            yield x, k, moved
+
+    monkeypatch.setattr(graphtv.flow, "_trace", off)
+    g, f = nonequivalence_instance()
+    with pytest.raises(PathError, match=r"^terminal segment 6: flow ended off the mean field "
+                                        r"at t = 69.7222.* \(9 vertices, 12 edges\)$"):
+        flow_solve(g, f)
 
 
 def test_an_entry_with_no_stored_line_reads_zero():

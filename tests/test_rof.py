@@ -431,6 +431,75 @@ def test_trajectories_scale_down_to_subnormal_breakpoints():
         flow_solve(g, f)
 
 
+def test_subnormal_data_keep_their_signs():
+    # the sign check's slack is 2^16 ulps of the line's size, so it stays
+    # above zero on subnormal data, where 1e-11 of the size underflowed to
+    # zero and both trajectories raised "a pinned edge changes sign" at
+    # segment 0.  The flow, which reads no t, follows the taut string to an
+    # ulp; the path stops where t = 1 / alpha overflows a float
+    from graphtv import flow_solve, taut_string_1d
+    for f in (np.array([5e-324, 0.0, 0.0, 0.0, 1e-320]), np.array([3e-320, 0.0, 1e-320])):
+        g = path_graph(f.size)
+        flow = flow_solve(g, f)
+        b = flow.breakpoints
+        assert b.size > 1
+        for t in [*b, *(0.5 * (b[1:] + b[:-1])), 2.0 * b[-1]]:
+            assert np.abs(flow.value_at(t) - taut_string_1d(f, t)).max() <= 5e-324
+        with pytest.raises(PathError, match=r"^segment 1: t = 1 / alpha overflows a float "
+                                            r"at alpha = .* \(%d vertices, %d edges\)$"
+                                            % (g.vertex_count, g.edge_count)):
+            rof_path(g, f)
+
+
+def test_event_loop_failures_name_their_segment(monkeypatch):
+    # the event loop's last two causes: more events than its cap, and a
+    # segment with no split and no closing edge ahead.  Each PathError
+    # names its segment, the parameter and the instance's size
+    import graphtv.rof
+    from graphtv import flow_solve
+    g, f = nonequivalence_instance()
+    site = r" \(9 vertices, 12 edges\)$"
+    with monkeypatch.context() as m:
+        m.setattr(graphtv.rof, "event_cap", lambda g: 1)
+        with pytest.raises(PathError, match=r"^segment 1: event cap 1 exceeded at alpha = 0.4"
+                                            + site):
+            rof_path(g, f)
+        with pytest.raises(PathError, match=r"^segment 1: event cap 1 exceeded at t = 0.4"
+                                            + site):
+            flow_solve(g, f)
+    fusion = graphtv.rof.next_fusion
+
+    def no_fusion(*args):
+        x, closing, gaps, rates = fusion(*args)
+        return x, np.zeros_like(closing), gaps, rates
+
+    monkeypatch.setattr(graphtv.rof, "next_fusion", no_fusion)
+    monkeypatch.setattr(PatternKernel, "splits", lambda self, t: [])
+    with pytest.raises(PathError, match=r"^segment 0: no event ahead at alpha = 0.0" + site):
+        rof_path(g, f)
+    with pytest.raises(PathError, match=r"^segment 0: no event ahead at t = 0.0" + site):
+        flow_solve(g, f)
+
+
+def test_a_constant_datum_ends_at_its_mean():
+    # a datum with one value is all flat from the start: the event loop
+    # yields its terminal segment at once, so both trajectories have the
+    # one breakpoint 0 and end at the exact mean, which is rof_solve's
+    # answer at every alpha, 0.0 for -0.0 data
+    from graphtv import flow_solve
+    for g, f in ((path_graph(4), np.full(4, 1.5)), (cartesian_graph(3, 3), np.full(9, -0.0)),
+                 (two_vertex_graph(), np.array([-0.0, 0.0]))):
+        u = rof_solve(g, f, 1.0).u
+        flow = flow_solve(g, f)
+        for path in (rof_path(g, f), flow.path):
+            assert path.breakpoints.tolist() == [0.0]
+            assert path.segment_count == 0 and path.slopes.shape == (0, g.vertex_count)
+            assert path.terminal_value.tobytes() == u.tobytes()
+            assert path.value_at(0.0).tobytes() == u.tobytes()
+        assert flow.antiderivative.tobytes() == np.zeros((1, g.edge_count)).tobytes()
+        assert flow.flows.shape == (0, g.edge_count)
+
+
 def test_rof_solve_names_an_alpha_whose_t_overflows():
     # the answer at alpha is certified at t = 1 / alpha, which overflows a
     # float below alpha = 2^-1024: ConvergenceError names that cause, n, m
