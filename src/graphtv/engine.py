@@ -179,8 +179,8 @@ class GroupBallSpec:
     __slots__ = ("radius", "size", "order", "_inverse", "_pairs", "_two")
 
     def __init__(self, groups, radius: float, size: int):
-        if radius < 0:
-            raise ValidationError("radius must be nonnegative")
+        if not (radius >= 0 and math.isfinite(radius)):
+            raise ValidationError("radius must be nonnegative and finite")
         groups = tuple(groups)
         sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
         flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,

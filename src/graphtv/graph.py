@@ -433,38 +433,6 @@ class Cluster:
         return [s * x for s, x in zip(self.sign, r[1:])]
 
 
-def _grow(adj: tuple, labels, verts) -> tuple:
-    # the clusters of the flat edges over verts, a union of clusters: the
-    # Clusters of those with a flat edge, each from a breadth-first search
-    # from its smallest vertex, and the vertices of the others.  labels[e]
-    # is 0 where edge e is flat
-    ptr, edge, tails, heads = adj
-    seen = set()
-    out, ones = [], []
-    for root in verts:
-        if root in seen:
-            continue
-        seen.add(root)
-        order, up, tree, sign = [root], [-1], [], []
-        for i, v in enumerate(order):
-            for e in edge[ptr[v]:ptr[v + 1]]:
-                if not labels[e]:
-                    w, into = heads[e], 1.0
-                    if w == v:
-                        w, into = tails[e], -1.0
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        up.append(i)
-                        tree.append(e)
-                        sign.append(into)
-        if tree:
-            out.append(Cluster(order, up, tree, sign))
-        else:
-            ones.append(root)
-    return out, ones
-
-
 def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
     """Maximum flow by Dinic's algorithm on integer capacities.
 
@@ -645,7 +613,7 @@ class PatternKernel:
     entry of ``_exact``), and its intercept ``c`` is their mean, rounded
     once, and so is each vertex's pull ``f - c``.  With a datum c is the
     cluster mean of f; without one the lines start at the cluster means of
-    u and are carried through events (see :meth:`_carry`).
+    u and are carried through events (see :meth:`advance`).
 
     At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
     a cluster's test has integer data and goes to :func:`route_demands`.
@@ -673,10 +641,12 @@ class PatternKernel:
     ``root[v]`` is the smallest vertex of v's cluster, and ``_of`` keeps,
     by that vertex, the Cluster of each cluster with a flat edge, with its
     breadth-first spanning tree; a vertex with no flat edge is its own
-    cluster, found in bulk.  The adjacency ``_adj`` is a pair of index
-    arrays.  Each cluster's search starts from its smallest vertex and
-    takes the edges in the same order, so a build from scratch and
-    :meth:`advance` give the same trees.
+    cluster, found in bulk by a build from scratch.  The adjacency ``_adj``
+    is a pair of index arrays.  Each cluster forms in one breadth-first
+    search from its smallest vertex, which takes the edges in the same
+    order and reads each vertex's edges once: it finds the tree, then the
+    pinned flux, the sums and the tree flows follow.  So a build from
+    scratch and :meth:`advance` give the same trees.
 
     A kernel holds per-vertex arrays (``pinned``, ``slope``, ``beta``,
     ``intercept``, with a datum ``pull``, ``root``), per-edge arrays (its
@@ -727,9 +697,7 @@ class PatternKernel:
         s = -b
         self.pinned[ones], self.slope[ones], self.beta[ones] = b, s, b + s
         self.intercept[ones] = 0.0 + data[ones]
-        born = _grow(self._adj, memoryview(self._labels), np.flatnonzero(~alone).tolist())[0]
-        self._place(born, [])
-        self._carry(born, [], self._build([], born, []))
+        self._build([], np.flatnonzero(~alone).tolist())
         self.moved = None
 
     def advance(self, t: Fraction, relabel: dict) -> None:
@@ -740,7 +708,8 @@ class PatternKernel:
         With a datum the kernel then equals ``PatternKernel(g,
         SignPattern(labels), f)``, for its pattern's labels with relabel's
         written in, but for ``maxflows``, which it carries on; without one,
-        it carries the lines through the events at x (see :meth:`_carry`).
+        it carries the lines through the events at x: each cluster it forms
+        starts on the sum of the lines of its dead parts at x.
         Only the clusters with an end of an edge whose label changed are
         searched again, where an edge that the last build set flat changed
         unless relabel gives it back its label; the others keep their
@@ -755,28 +724,12 @@ class PatternKernel:
         _, _, tails, heads = self._adj
         # the clusters with an end of a changed edge, which are gone, as
         # pairs of the smallest vertex and the Cluster, None for a vertex
-        # with no flat edge, and the Clusters and the vertices with no flat
-        # edge searched in their place
+        # with no flat edge; their vertices form the clusters in their place
         dead = [(r, of.pop(r, None))
                 for r in {root[v] for e in changed for v in (tails[e], heads[e])}]
-        parts = {r: self._sums(r, c) for r, c in dead}
-        verts = [v for r, c in dead for v in ([r] if c is None else c.order)]
-        born, ones = _grow(self._adj, lab, sorted(verts))
-        self._place(born, ones)
-        totals = self._build([c for _, c in dead if c], born, ones)
-        self._carry(born, ones, totals, parts, dead, t, not any([lab[e] for e in changed]))
-
-    def _place(self, born, ones):
-        # the born Clusters and the vertices ones with no flat edge take
-        # their places in root and the Clusters kept
-        root, of = memoryview(self.root), self._of
-        for c in born:
-            r = c.order[0]
-            of[r] = c
-            for v in c.order:
-                root[v] = r
-        for v in ones:
-            root[v] = v
+        verts = sorted(v for r, c in dead for v in ([r] if c is None else c.order))
+        parts = None if self.f is not None else {r: self._sums(r, c) for r, c in dead}
+        self._build([c for _, c in dead if c], verts, parts, t)
 
     def edges_at(self, verts: np.ndarray) -> np.ndarray:
         """The edges with an end in the vertices verts, in increasing order."""
@@ -808,93 +761,29 @@ class PatternKernel:
             return 1, int(self.pinned[r]), self._exact[1][r]
         return (len(c.order),) + c.sums
 
-    def _carry(self, born: list, ones, totals: list, parts: Optional[dict] = None,
-               dead=(), t: Fraction = _ZERO, fused: bool = False):
-        # the lines of the born Clusters and of the vertices ones, which have
-        # no flat edge, whose sums of the pinned flux b _build gave in
-        # totals: the exact sums of each, kept on its Cluster or as the
-        # vertex's entry of _exact, and from them its intercept, the exact
-        # mean rounded once, and with a datum its pull f - c, exact and
-        # rounded once, and the pull's flow on its tree.  advance passes the
-        # sums of the dead clusters, parts, by smallest vertex (see _sums),
-        # and its pairs dead.  Where the events only fused, each born
-        # cluster is a union of whole dead ones and its sum of c is theirs
-        # added up.  Else a build from scratch, and
-        # one with a datum, which is fixed, sum _exact over the vertices.
-        # Without a datum the lines keep their sum through the events at x
-        # = 1 / t (x = 0 at t = 0): on each born cluster or vertex, n c =
-        # (the sum of the lines before, at x) + x * b
-        unit, exact = self._exact
-        datum = self.f is not None
-        units = zip(itertools.chain(((c.order, c) for c in born), (([v], v) for v in ones)),
-                    totals)
-        if fused:
-            root, sums = memoryview(self.root), {}
-            for r, (_, _, total) in parts.items():
-                sums[root[r]] = sums.get(root[r], 0) + total
-            lines = [(verts, c, (b, sums[verts[0]])) for (verts, c), b in units]
-        elif parts is None or datum:
-            lines = [(verts, c, (b, sum([exact[v] for v in verts]))) for (verts, c), b in units]
-        else:
-            # in integers: x unit = big_u / big_t, and each dead part's sum
-            # of lines at x, (sum of c) - x unit b, as a numerator over a
-            # denominator, with its vertex count
-            big_u, big_t = (unit * t.denominator, t.numerator) if t else (0, 1)
-            at_x = {r: (n, total.numerator * big_t - big_u * b * total.denominator,
-                        total.denominator * big_t) for r, (n, b, total) in parts.items()}
-            # the smallest vertex of each moved vertex's cluster before
-            root = {v: r for r, c in dead for v in ([r] if c is None else c.order)}
-            lines = []
-            for (verts, c), b in units:
-                count = {}
-                for v in verts:
-                    r = root[v]
-                    count[r] = count.get(r, 0) + 1
-                num, den = big_u * b, big_t
-                for r, k in count.items():
-                    n, p, q = at_x[r]
-                    num, den = num * n * q + k * p * den, den * n * q
-                lines.append((verts, c, (b, Fraction(num, den))))
-        intercept = memoryview(self.intercept)
-        if datum:
-            pull, pulled = memoryview(self.pull), memoryview(self._pull_flow)
-        for verts, c, part in lines:
-            total, size = part[1], len(verts)
-            den = total.denominator * unit * size
-            value = total.numerator / den  # int / int, rounded once
-            for v in verts:
-                intercept[v] = value
-            cluster = isinstance(c, Cluster)
-            if cluster:
-                c.sums = part
-            else:
-                exact[c] = total
-            if datum:
-                # n unit (f - c) / (n unit), rounded once (the sums of f are
-                # ints): a float f - c would be off by c's rounding, which t
-                # = 1 / alpha scales
-                drift = [(size * exact[v] - total) / den for v in verts]
-                for v, x in zip(verts, drift):
-                    pull[v] = x
-                if cluster:
-                    for e, x in zip(c.tree, c.peel(drift)):
-                        pulled[e] = x
-
-    def _build(self, dead, born, ones) -> list:
+    def _build(self, dead: list, verts: list, parts: Optional[dict] = None,
+               t: Fraction = _ZERO) -> None:
         # the kernel of its labels, whose clusters replace the dead
-        # Clusters by the born ones and the vertices ones, which have no
-        # flat edge.  The values at their vertices and at the edges of the
-        # dead and born clusters are set here, one entry at a time, but for
-        # the lines, which _carry sets; the others stand, since no other
-        # cluster's edges or pinned flux changed.  A born Cluster waits in
-        # _fresh for its certificate (see prove).  A pinned edge inside a
-        # born cluster is set flat, its label kept in _inside.  Returns the
-        # sum of the pinned flux of each born Cluster, then of each vertex
-        # of ones, as an int
+        # Clusters by those of verts, a sorted union of clusters.  The
+        # values at their vertices and at the edges of the dead and born
+        # clusters are set here, one entry at a time; the others stand,
+        # since no other cluster's edges or pinned flux changed.  Each
+        # cluster forms in one breadth-first search from its smallest
+        # vertex, which reads each vertex's edges once and keeps the pinned
+        # ones; a born Cluster waits in _fresh for its certificate (see
+        # prove).  Its exact sums (see _sums) are those of the pinned flux
+        # b and of _exact over its vertices; without a datum, where advance
+        # passes parts, the sums of the dead clusters by smallest vertex,
+        # the lines keep their sum through the events at x = 1 / t (x = 0
+        # at t = 0): n c = (the sum of the lines before, at x) + x * b.
+        # Its intercept is their exact mean rounded once, and so is, with a
+        # datum, each vertex's pull f - c
         failing, fresh, free = self._failing, self._fresh, self.f is None
         forest, scaled = memoryview(self._forest), memoryview(self._scaled)
-        pinned, slope, beta = (memoryview(x) for x in (self.pinned, self.slope, self.beta))
-        pulled = None if free else memoryview(self._pull_flow)
+        pinned, slope, beta, intercept = (memoryview(x) for x in (
+            self.pinned, self.slope, self.beta, self.intercept))
+        if not free:
+            pull, pulled = memoryview(self.pull), memoryview(self._pull_flow)
         for c in dead:
             r = c.order[0]
             fresh.pop(r, None)
@@ -904,51 +793,101 @@ class PatternKernel:
                     scaled[e] = 0.0
             for e in c.tree:
                 forest[e] = scaled[e] = 0.0
-                if pulled is not None:
+                if not free:
                     pulled[e] = 0.0
+        unit, exact = self._exact
+        if parts is not None:
+            # in integers: x unit = big_u / big_t, and each dead part's sum
+            # of lines at x, (sum of c) - x unit b, as a numerator over a
+            # denominator, with its vertex count
+            big_u, big_t = (unit * t.denominator, t.numerator) if t else (0, 1)
+            at_x = {r: (n, total.numerator * big_t - big_u * b * total.denominator,
+                        total.denominator * big_t) for r, (n, b, total) in parts.items()}
         ptr, edge, tails, heads = self._adj
-        lab = memoryview(self._labels)
-        moved, inside, totals = [], [], []
-        for order, c in itertools.chain(((c.order, c) for c in born),
-                                        (([v], None) for v in ones)):
-            size = len(order)
-            members = set(order)
-            b = []
-            for v in order:
-                x = 0.0
+        lab, root, of = memoryview(self._labels), memoryview(self.root), self._of
+        seen, moved, inside = set(), [], []
+        for r in verts:
+            if r in seen:
+                continue
+            seen.add(r)
+            order, up, tree, sign, pins = [r], [-1], [], [], []
+            for i, v in enumerate(order):
+                kept = []
                 for e in edge[ptr[v]:ptr[v + 1]]:
-                    label = lab[e]
-                    if label:
-                        # a pinned edge inside the cluster is set flat,
-                        # since u is equal across it; the search left it
-                        # out of the tree
-                        w = tails[e]
-                        if w != v:
-                            if w not in members:
-                                x -= label
-                        elif heads[e] not in members:
-                            x += label
-                        else:
-                            inside.append(e)
+                    if lab[e]:
+                        kept.append(e)
+                        continue
+                    w, into = heads[e], 1.0
+                    if w == v:
+                        w, into = tails[e], -1.0
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+                        up.append(i)
+                        tree.append(e)
+                        sign.append(into)
+                pins.append(kept)
+            size, members, b = len(order), set(order), []
+            for v, kept in zip(order, pins):
+                x = 0.0
+                for e in kept:
+                    # a pinned edge inside the cluster is set flat, since u
+                    # is equal across it, and kept once, from its tail
+                    w = tails[e]
+                    if w != v:
+                        if w not in members:
+                            x -= lab[e]
+                    elif heads[e] not in members:
+                        x += lab[e]
+                    else:
+                        inside.append(e)
                 b.append(x)
             total = sum(b)
             s = -(total / size)
-            moved += order
-            totals.append(int(total))
             for v, x in zip(order, b):
                 pinned[v], slope[v], beta[v] = x, s, x + s
-            if c is None:
-                continue
-            fresh[order[0]] = c
-            flow = c.peel([total - size * x for x in b])
-            if max(map(abs, flow)) > size:
-                failing[order[0]] = c
-            for e, x in zip(c.tree, flow):
-                forest[e], scaled[e] = x, x / size
+            if parts is None:
+                line = sum([exact[v] for v in order])
+            else:
+                # root still holds each vertex's dead cluster
+                count = {}
+                for v in order:
+                    count[root[v]] = count.get(root[v], 0) + 1
+                num, den = big_u * int(total), big_t
+                for p, k in count.items():
+                    n, num_p, den_p = at_x[p]
+                    num, den = num * n * den_p + k * num_p * den, den * n * den_p
+                line = Fraction(num, den)
+            den = line.denominator * unit * size
+            value = line.numerator / den  # int / int, rounded once
+            for v in order:
+                root[v] = r
+                intercept[v] = value
+            moved += order
+            if not tree:
+                exact[r] = line
+            else:
+                c = Cluster(order, up, tree, sign)
+                of[r] = fresh[r] = c
+                c.sums = int(total), line
+                flow = c.peel([total - size * x for x in b])
+                if max(map(abs, flow)) > size:
+                    failing[r] = c
+                for e, x in zip(tree, flow):
+                    forest[e], scaled[e] = x, x / size
+            if not free:
+                # n unit (f - c) / (n unit), rounded once (the sums of f are
+                # ints): a float f - c would be off by c's rounding, which t
+                # = 1 / alpha scales
+                drift = [(size * exact[v] - line) / den for v in order]
+                for v, x in zip(order, drift):
+                    pull[v] = x
+                if tree:
+                    for e, x in zip(tree, c.peel(drift)):
+                        pulled[e] = x
         self.moved, self._inside = moved, {e: lab[e] for e in inside}
         for e in inside:
             lab[e] = 0
-        return totals
 
     def _cluster(self, c: Cluster) -> tuple:
         # the Cluster c's vertices, flat edges, size, unit, and the
@@ -1054,9 +993,7 @@ class PatternKernel:
         """The exact t = 1 / x at which the lines ``c + x * s`` of the
         clusters at the ends of edge e meet, from each cluster's exact sums
         of c and of the pinned flux b; None if their intercepts are equal.
-        Every cluster gets its sums when it forms, and :meth:`advance` adds
-        up those of the whole parts of a cluster it forms (see
-        :meth:`_carry`), so a fusion costs O(1)."""
+        Every cluster gets its sums when it forms, so a fusion costs O(1)."""
         unit = self._exact[0]
         _, _, tails, heads = self._adj
         (na, ba, fa), (nb, bb, fb) = self.sums_at(tails[e]), self.sums_at(heads[e])

@@ -104,7 +104,9 @@ def problem_from_dict(doc) -> tuple:
     _require("values" in doc, "problem document is missing 'values'")
     edges = doc["edges"]
     values = doc["values"]
-    _require(isinstance(edges, list) and len(edges) > 0, "'edges' must be a nonempty list")
+    # a graph of one vertex has no edge; OrientedGraph rejects two or more
+    # vertices with none, since they are not connected
+    _require(isinstance(edges, list), "'edges' must be a list")
     for e in edges:
         _require(isinstance(e, list) and len(e) == 2
                  and all(isinstance(x, int) and not isinstance(x, bool) for x in e),

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphtv import read_problem, write_problem
+from graphtv import OrientedGraph, read_problem, write_problem
 from graphtv.cli import main
 from graphtv.errors import ParseError
 from graphtv.instances import nonequivalence_instance
@@ -29,6 +29,24 @@ def test_problem_round_trip(tmp_path, problem_file):
     assert g.names == g0.names
     assert g.cartesian == g0.cartesian
     assert np.abs(f - f0).max() == 0.0
+
+
+def test_a_one_vertex_problem_round_trips(tmp_path, capsys):
+    # a graph of one vertex has no edge: read_problem takes back the file
+    # write_problem writes, and the CLI solves it.  Two values with no edge
+    # are a graph that is not connected (exit 3)
+    path = tmp_path / "one.json"
+    write_problem(str(path), OrientedGraph(1, []), [3.0])
+    assert json.loads(path.read_text()) == {"edges": [], "values": [3]}
+    g, f = read_problem(str(path))
+    assert (g.vertex_count, g.edge_count, f.tolist()) == (1, 0, [3.0])
+    assert main(["rof", str(path), "--alpha", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [3]
+    path.write_text('{"edges": [], "values": [1, 2]}')
+    with pytest.raises(ParseError, match="graph must be connected"):
+        read_problem(str(path))
+    assert main(["rof", str(path), "--alpha", "1"]) == 3
+    assert "graph must be connected" in capsys.readouterr().err
 
 
 def test_float_formatting_round_trips():

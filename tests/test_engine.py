@@ -302,6 +302,7 @@ def test_group_ball_projection_keeps_interior_bits():
 
 
 def test_group_ball_spec_validation():
+    from graphtv.instances import cartesian_graph
     # the first bad group decides, an index out of range or repeated
     # before a size other than 1 or 2; then the groups must cover the edges
     for groups, size, message in (
@@ -315,8 +316,14 @@ def test_group_ball_spec_validation():
             (((0,),), 2, "cover every edge index")):
         with pytest.raises(ValidationError, match=message):
             GroupBallSpec(groups, 0.5, size)
-    with pytest.raises(ValidationError, match="radius must be nonnegative"):
-        GroupBallSpec(((0,),), -1.0, 1)
+    # a radius must be finite: a projection onto balls of NaN radius ends
+    # all NaN at the iteration cap, and one of infinite radius divides inf
+    # by inf
+    for radius in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="radius must be nonnegative"):
+            GroupBallSpec(((0,),), radius, 1)
+        with pytest.raises(ValidationError, match="radius must be nonnegative"):
+            cartesian_graph(3, 3).coupled_ball(radius)
     spec = GroupBallSpec(((3, 1), [np.int64(0)], np.array([4, 2])), 0.5, 5)
     assert spec.groups == ((3, 1), (0,), (4, 2))
     assert all(type(k) is int for grp in spec.groups for k in grp)

@@ -364,14 +364,14 @@ def test_flow_and_path_rerun_a_cluster_test_only_on_a_rebuilt_cluster(monkeypatc
     from graphtv import cartesian_graph, rof_path
     seen = _count_tests(monkeypatch)
     built = []
-    grow = graphtv.graph._grow
+    cluster = graphtv.graph.Cluster
 
-    def recorded(adj, flat, verts):
-        out = grow(adj, flat, verts)
-        built.extend((len(seen), tuple(c.verts)) for c in out[0])
-        return out
+    def recorded(*args):
+        c = cluster(*args)
+        built.append((len(seen), tuple(c.verts)))
+        return c
 
-    monkeypatch.setattr(graphtv.graph, "_grow", recorded)
+    monkeypatch.setattr(graphtv.graph, "Cluster", recorded)
     g = cartesian_graph(10, 10)
     f = random_vertex_field(np.random.default_rng(SEED + 17), g.vertex_count)
     for solve in (flow_solve, rof_path):

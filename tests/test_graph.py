@@ -691,27 +691,54 @@ def _advance_chains(seed):
                     assert kernel.meet(e) == fresh.meet(e)
 
 
+def _clusters_over(kernel, verts):
+    # the clusters of the kernel's flat edges over verts, a union of
+    # clusters, as lists of their vertices by smallest vertex
+    g, home = kernel.graph, {v: v for v in verts}
+
+    def find(v):
+        while home[v] != v:
+            v = home[v]
+        return v
+
+    for e in np.flatnonzero(kernel.pattern.labels == 0).tolist():
+        a, b = int(g.tails[e]), int(g.heads[e])
+        if a in home and b in home:
+            ra, rb = find(a), find(b)
+            home[max(ra, rb)] = min(ra, rb)
+    clusters = {}
+    for v in sorted(verts):
+        clusters.setdefault(find(v), []).append(v)
+    return list(clusters.values())
+
+
 def test_successor_equals_a_kernel_built_from_scratch(monkeypatch):
     import graphtv.graph
     _advance_chains(SEED + 9)
-    # an advance whose search drops a born vertex with no flat edge, or
-    # leaves one part of a split cluster with its old label, must fail the
-    # comparison
-    grow, advance = graphtv.graph._grow, graphtv.graph.PatternKernel.advance
+    # an advance whose build drops a born vertex with no flat edge from its
+    # vertices, or leaves one part of a split cluster with its old values,
+    # must fail the comparison
+    build, advance = graphtv.graph.PatternKernel._build, graphtv.graph.PatternKernel.advance
 
-    def drop_a_vertex(born, ones):
-        return born, ones[:-1]
+    def drop_a_vertex(clusters):
+        ones = [c for c in clusters if len(c) == 1]
+        return ones[-1:]
 
-    def skip_a_part(born, ones):
-        return (born if len(born) < 2 else born[:-1]), ones
+    def skip_a_part(clusters):
+        parts = [c for c in clusters if len(c) > 1]
+        return parts[-1:] if len(parts) >= 2 else []
 
     for drop in (drop_a_vertex, skip_a_part):
-        def mutated(self, t, relabel, drop=drop):
-            monkeypatch.setattr(graphtv.graph, "_grow", lambda *args: drop(*grow(*args)))
+        def dropped(self, dead, verts, *args, drop=drop):
+            gone = {v for c in drop(_clusters_over(self, verts)) for v in c}
+            return build(self, dead, [v for v in verts if v not in gone], *args)
+
+        def mutated(self, t, relabel):
+            monkeypatch.setattr(graphtv.graph.PatternKernel, "_build", dropped)
             try:
                 return advance(self, t, relabel)
             finally:
-                monkeypatch.setattr(graphtv.graph, "_grow", grow)
+                monkeypatch.setattr(graphtv.graph.PatternKernel, "_build", build)
 
         monkeypatch.setattr(graphtv.graph.PatternKernel, "advance", mutated)
         with pytest.raises(AssertionError):
