@@ -3,15 +3,15 @@
 from .bench import (EquivalenceReport, HarnessCheck, HarnessReport,
                     counterexample_harness, equivalence_report, jump_set,
                     taut_string_1d)
-from .engine import (BoxSpec, ConvexScalar, GroupBallSpec, SolveReport,
-                     bisection_prox, min_norm_divergence,
+from .engine import (DEFAULT_TOL, BoxSpec, ConvexScalar, GroupBallSpec,
+                     SolveReport, Tolerances, bisection_prox, min_norm_divergence,
                      min_separable_convex_over_polytope, project_onto_div_box)
 from .errors import (ConvergenceError, GraphTVError, ParseError, PathError,
                      ValidationError)
 from .flow import FlowTrajectory, flow_backward_euler, flow_solve
-from .graph import (DEFAULT_TOL, MembershipResult, OrientedGraph, SignPattern,
-                    Tolerances, divergence, edge_differences, sign_pattern,
-                    subdifferential_membership, total_variation)
+from .graph import (MembershipResult, OrientedGraph, SignPattern, divergence,
+                    edge_differences, sign_pattern, subdifferential_membership,
+                    total_variation)
 from .instances import (SWITCHING_EDGE, cartesian_graph, flow_reference,
                         nonequivalence_instance, nonequivalence_variant_datum,
                         path_graph, random_connected_graph, random_vertex_field,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PathError, ValidationError
-from .graph import (DEFAULT_TOL, OrientedGraph, Tolerances, divergence,
+from .graph import (DEFAULT_TOL, OrientedGraph, Tolerances, divergence, ensure_number,
                     ensure_vertex_field, sign_pattern, subdifferential_membership,
                     total_variation)
 from .flow import FlowTrajectory, flow_solve
@@ -68,18 +68,19 @@ def equivalence_report(g: OrientedGraph, f, alpha: float,
     """Compare regularization and flow at one parameter value.
 
     Passing a precomputed ``trajectory`` avoids re-integrating the flow for
-    every alpha on a grid.  The regularized solution is :func:`rof_solve`'s,
+    every alpha on a grid; it must be the flow of f, whose state at t = 0
+    equals f (-0.0 reads 0.0).  The regularized solution is :func:`rof_solve`'s,
     and the flow, :func:`flow_solve`'s, starts from the exact ties of f.
     ``tol.flat_tol`` marks the ties of the flow state for the membership
     test; ``tol.solve_tol`` is not read.
     """
     tol = tol if tol is not None else DEFAULT_TOL
     f = ensure_vertex_field(g, f, "f")
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and positive")
+    alpha = ensure_number(alpha, "alpha", above=True)
     if trajectory is None:
         trajectory = flow_solve(g, f)
+    elif not np.array_equal(trajectory.value_at(0.0), f):
+        raise ValidationError("trajectory must be the flow of f")
     u_reg = rof_solve(g, f, alpha).u
     u_flow = trajectory.value_at(alpha)
     diff = u_reg - u_flow
@@ -142,9 +143,7 @@ def taut_string_1d(f, alpha: float) -> np.ndarray:
         raise ValidationError("f must be a nonempty 1-D array")
     if not np.isfinite(f).all():
         raise ValidationError("f must be finite")
-    alpha = float(alpha)
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and nonnegative")
+    alpha = ensure_number(alpha, "alpha")
     if alpha == 0.0 or f.size == 1:
         return f.copy()
 

@@ -16,7 +16,6 @@ not converge.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from io import StringIO
@@ -25,13 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .bench import counterexample_harness, equivalence_report
+from .engine import (DEFAULT_CHECK_TOL, DEFAULT_TOL, Tolerances, ensure_integer,
+                     ensure_number)
 from .errors import ConvergenceError, ParseError, PathError, ValidationError
 from .flow import flow_solve
-from .graph import DEFAULT_TOL, Tolerances
 from .instances import nonequivalence_instance
 from .io import dumps_deterministic, format_float, read_problem, write_trajectory
-from .minimality import (DEFAULT_CHECK_TOL, demonstrate_isotropic_failure,
-                         verify_universal_minimality)
+from .minimality import demonstrate_isotropic_failure, verify_universal_minimality
 from .rof import rof_path, rof_solve
 
 EXIT_VERIFY_FAILED = 1
@@ -98,9 +97,9 @@ def _cmd_rof(args) -> int:
 def _cmd_flow(args) -> int:
     _reject_unread(args, "flow", "--flat-tol", "--solve-tol")
     g, f = _load(args)
-    if args.t_end is not None and not (args.t_end >= 0 and math.isfinite(args.t_end)):
+    if args.t_end is not None:
         # value_at's own check, made before the flow runs
-        raise ValidationError("parameter must be finite and nonnegative")
+        ensure_number(args.t_end, "parameter")
     traj = flow_solve(g, f)
     if args.trajectory:
         buf = StringIO()
@@ -123,9 +122,10 @@ def _cmd_compare(args) -> int:
     try:
         alphas = [float(s) for s in args.grid.split(",") if s.strip()]
     except ValueError:
+        alphas = []
+    if not alphas:
         raise ValidationError("--grid must be a comma separated list of numbers")
-    if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
-        raise ValidationError("--grid needs finite positive parameter values")
+    alphas = [ensure_number(a, "--grid", above=True) for a in alphas]
     g, f = _load(args)
     traj = flow_solve(g, f)
     rows = []
@@ -171,15 +171,12 @@ def _cmd_verify(args) -> int:
         ok = all(r.ok for r in reports)
     else:
         _reject_unread(args, mode, "--flat-tol")
-        trials = 12 if args.trials is None else args.trials
-        if trials < 1:
-            raise ValidationError("--trials must be at least 1")
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError("--seed must be nonnegative")
+        trials = ensure_integer(12 if args.trials is None else args.trials, "--trials", 1)
+        seed = ensure_integer(7 if args.seed is None else args.seed, "--seed", 0)
         g, f = _load(args)
         if g.cartesian is None:
             raise ParseError("isotropic mode needs a problem with grid structure")
-        rng = np.random.default_rng(7 if args.seed is None else args.seed)
+        rng = np.random.default_rng(seed)
         span = float(f.max() - f.min()) or 1.0
         batch = [f] + [f + rng.normal(0.0, 0.25 * span, f.size)
                        for _ in range(trials - 1)]

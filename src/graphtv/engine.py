@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -42,16 +43,10 @@ import numpy as np
 from .errors import ValidationError
 
 if TYPE_CHECKING:
-    from .graph import OrientedGraph, Tolerances
+    from .graph import OrientedGraph
 
 # The one iteration cap of every solve
 DEFAULT_MAX_ITER = 1_000_000
-
-# Objective tolerance of the separable minimizer, and of the minimality
-# checks built on it, when no Tolerances object is supplied.  Projections
-# default to the tighter Tolerances() value (1e-9) taken from
-# graph.DEFAULT_TOL.
-DEFAULT_OBJECTIVE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,9 +110,7 @@ class BoxSpec:
     @staticmethod
     def uniform(count: int, radius: float) -> "BoxSpec":
         """The box [-radius, radius]^count."""
-        if radius < 0:
-            raise ValidationError("radius must be nonnegative")
-        r = np.full(count, float(radius))
+        r = np.full(ensure_integer(count, "count", 0), ensure_number(radius, "radius"))
         return BoxSpec(-r, r)
 
     def project(self, h: np.ndarray) -> np.ndarray:
@@ -179,8 +172,7 @@ class GroupBallSpec:
     __slots__ = ("radius", "size", "order", "_inverse", "_pairs", "_two")
 
     def __init__(self, groups, radius: float, size: int):
-        if not (radius >= 0 and math.isfinite(radius)):
-            raise ValidationError("radius must be nonnegative and finite")
+        radius, size = ensure_number(radius, "radius"), ensure_integer(size, "size", 0)
         groups = tuple(groups)
         sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
         flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
@@ -209,8 +201,7 @@ class GroupBallSpec:
         self._inverse[self.order] = np.arange(self.order.size)
         self._pairs = first.size
         self._two = two
-        self.radius = float(radius)
-        self.size = int(size)
+        self.radius, self.size = radius, size
 
     @property
     def groups(self) -> tuple:
@@ -320,6 +311,7 @@ def bisection_prox(subgradient: Callable[[np.ndarray], np.ndarray],
     the solution.  Accuracy is limited by float bisection; prefer a closed
     form when one exists.
     """
+    iterations = ensure_integer(iterations, "iterations", 0)
 
     def prox(x, delta):
         x = np.asarray(x, dtype=float)
@@ -343,6 +335,61 @@ def bisection_prox(subgradient: Callable[[np.ndarray], np.ndarray],
         return 0.5 * (lo + hi)
 
     return prox
+
+
+def ensure_number(x, name: str, low: float = 0.0, above: bool = False) -> float:
+    """``x`` as a float: a Python or numpy real, not a bool, that is finite
+    and at least ``low`` (above it where ``above``; ``low`` may be -inf)."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        raise ValidationError("%s must be a number" % name)
+    try:
+        v = float(x)
+    except OverflowError:  # an integer beyond the floats
+        v = math.inf
+    if not (math.isfinite(v) and (v > low if above else v >= low)):
+        rule = ("" if low == -math.inf else " and positive" if above and low == 0
+                else " and nonnegative" if low == 0
+                else " and %s %g" % ("above" if above else "at least", low))
+        raise ValidationError("%s must be finite%s" % (name, rule))
+    return v
+
+
+def ensure_integer(x, name: str, low: Optional[int] = None) -> int:
+    """``x`` as an int: a Python or numpy integer, not a bool, of at least ``low``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError("%s must be an integer" % name)
+    if low is not None and x < low:
+        raise ValidationError("%s must be at least %d" % (name, low))
+    return int(x)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Numerical thresholds shared across the package, finite and positive.
+
+    flat_tol : relative threshold below which an edge difference counts as
+        flat; scaled internally by the data range max(f) - min(f) of the
+        field under examination (or an explicitly supplied scale).
+    solve_tol : inner solver tolerance (gradient-mapping norm for
+        projections, relative objective gap for generic convex solves).
+
+    ``equivalence_report`` (for the flow state), :func:`subdifferential_membership`
+    and the jump sets of ``counterexample_harness`` read only ``flat_tol``;
+    ``flow_solve``, ``rof_solve`` and ``rof_path`` take no tolerance and
+    read the ties of their datum exactly.
+    """
+
+    flat_tol: float = 1e-7
+    solve_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("flat_tol", "solve_tol"):
+            ensure_number(getattr(self, name), name, above=True)
+
+
+# the solvers' defaults, and the minimality checks', which decide on objective gaps
+DEFAULT_TOL = Tolerances()
+DEFAULT_CHECK_TOL = Tolerances(solve_tol=1e-6)
 
 
 def ensure_vertex_field(g: "OrientedGraph", u, name: str = "field") -> np.ndarray:
@@ -522,11 +569,6 @@ def _accelerated_descent(g, x0, spec, *, value, slope, lips, measure,
     return spec._unpack(best), it, best_meas, best_f, converged
 
 
-def _default_tol():
-    from .graph import DEFAULT_TOL
-    return DEFAULT_TOL
-
-
 def _projection(g: "OrientedGraph", target: np.ndarray, spec) -> dict:
     """The objective ``0.5 * ||target - div H||_2^2`` of a projection onto
     {div H : H in spec}, its curvature bound and its stopping measure, the
@@ -551,7 +593,7 @@ def _projection(g: "OrientedGraph", target: np.ndarray, spec) -> dict:
 
 
 def project_onto_div_box(g: "OrientedGraph", target, spec,
-                         tol: "Tolerances | None" = None):
+                         tol: Tolerances | None = None):
     """Euclidean projection of ``target`` onto {div H : H in spec}.
 
     Minimizes ``0.5 * ||target - div H||_2^2`` over the box (or group-ball)
@@ -568,7 +610,7 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
     :func:`_accelerated_descent`), is reported via the report flag, not
     raised.
     """
-    tol = tol if tol is not None else _default_tol()
+    tol = tol if tol is not None else DEFAULT_TOL
     target = ensure_vertex_field(g, target, "target")
     x, it, meas, obj, conv = _accelerated_descent(
         g, _start(g, spec, None), spec, stop_tol=0.25 * tol.solve_tol,
@@ -577,7 +619,7 @@ def project_onto_div_box(g: "OrientedGraph", target, spec,
 
 
 def min_norm_divergence(g: "OrientedGraph", spec,
-                        tol: "Tolerances | None" = None):
+                        tol: Tolerances | None = None):
     """Minimum-Euclidean-norm element of {div H : H in spec}.
 
     Projection of the origin; see :func:`project_onto_div_box`.  Returns
@@ -694,7 +736,7 @@ def _reachable_interval(g, base, spec):
 
 def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
                                        phi: ConvexScalar,
-                                       tol: "Tolerances | None" = None, *,
+                                       tol: Tolerances | None = None, *,
                                        warm_start=None):
     """Minimize ``sum_v phi(u(v))`` over ``u in {base - div H : H in spec}``.
 
@@ -704,19 +746,16 @@ def min_separable_convex_over_polytope(g: "OrientedGraph", base, spec,
     :func:`bisection_prox` from the subgradient when ``phi`` has none.  The
     convergence contract is a certified objective gap (``report.optimality``,
     see :class:`SolveReport`) below ``tol.solve_tol * (1 + |objective|)``
-    (default objective tolerance 1e-6).  ``warm_start`` is a flow to start
-    from, projected onto ``spec``; the descent is monotone, so the objective
-    returned does not exceed the start's beyond rounding, and a start that
-    already meets the bound costs no iteration.
+    (by default ``DEFAULT_CHECK_TOL``'s, 1e-6).  ``warm_start`` is a flow to
+    start from, projected onto ``spec``; the descent is monotone, so the
+    objective returned does not exceed the start's beyond rounding, and a
+    start that already meets the bound costs no iteration.
 
     Returns
     -------
     (u, report) : the minimizing vertex field and a :class:`SolveReport`.
     """
-    if tol is not None:
-        tol_obj = tol.solve_tol
-    else:
-        tol_obj = DEFAULT_OBJECTIVE_TOL
+    tol_obj = (tol if tol is not None else DEFAULT_CHECK_TOL).solve_tol
     base = ensure_vertex_field(g, base, "base")
     x0 = spec.project(_start(g, spec, warm_start))
 

@@ -34,9 +34,9 @@ import warnings
 
 import numpy as np
 
-from .errors import PathError, ValidationError
-from .graph import (OrientedGraph, PatternKernel, ensure_vertex_field, failure_site,
-                    sign_pattern)
+from .errors import PathError
+from .graph import (OrientedGraph, PatternKernel, ensure_number, ensure_vertex_field,
+                    failure_site, sign_pattern)
 from .rof import PiecewiseAffinePath, _Lines, _trace, rof_solve
 
 
@@ -165,13 +165,11 @@ def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.nd
     First-order accurate in ``step``.
     """
     f = ensure_vertex_field(g, f, "f")
-    t_end = float(t_end)
-    step = float(step)
-    if not (t_end >= 0 and math.isfinite(t_end)):
-        raise ValidationError("t_end must be finite and nonnegative")
-    if not (step > 0 and math.isfinite(step)):
-        raise ValidationError("step must be finite and positive")
-    count = int(math.ceil(t_end / step - 1e-12)) if t_end > 0 else 0
+    t_end = ensure_number(t_end, "t_end")
+    step = ensure_number(step, "step", above=True)
+    # t_end / step overflows where the step is far below t_end
+    ratio = ensure_number(t_end / step, "t_end / step")
+    count = int(math.ceil(ratio - 1e-12)) if t_end > 0 else 0
     u = f.copy()
     t = 0.0
     for k in range(count):

@@ -27,48 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import (GroupBallSpec, SolveReport, ensure_edge_field,
+from .engine import (DEFAULT_TOL, GroupBallSpec, SolveReport, Tolerances,
+                     ensure_edge_field, ensure_integer, ensure_number,
                      ensure_vertex_field)
 from .errors import ValidationError
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared across the package.
-
-    flat_tol : relative threshold below which an edge difference counts as
-        flat; scaled internally by the data range max(f) - min(f) of the
-        field under examination (or an explicitly supplied scale).
-    solve_tol : inner solver tolerance (gradient-mapping norm for
-        projections, relative objective gap for generic convex solves).
-
-    ``equivalence_report`` (for the flow state), :func:`subdifferential_membership`
-    and the jump sets of ``counterexample_harness`` read only ``flat_tol``;
-    ``flow_solve``, ``rof_solve`` and ``rof_path`` take no tolerance and
-    read the ties of their datum exactly.
-    """
-
-    flat_tol: float = 1e-7
-    solve_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("flat_tol", "solve_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and v > 0 and np.isfinite(v)):
-                raise ValidationError("%s must be a positive finite number" % name)
-
-
-DEFAULT_TOL = Tolerances()
-
-
-def _integer(x, what: str) -> int:
-    # x as an int: a Python or numpy integer, not a bool or a float
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-        raise ValidationError("%s must be an integer" % what)
-    return int(x)
 
 
 def _endpoints(n: int, edges) -> tuple:
@@ -134,9 +98,7 @@ class OrientedGraph:
                  names: Optional[Sequence[str]] = None,
                  cartesian: Optional[tuple] = None,
                  grid_coords: Optional[Sequence[tuple]] = None):
-        n = _integer(vertex_count, "vertex_count")
-        if n < 1:
-            raise ValidationError("vertex_count must be at least 1")
+        n = ensure_integer(vertex_count, "vertex_count", 1)
         self.tails, self.heads = _endpoints(n, edges)
         self.vertex_count = n
         self.edge_count = self.tails.size
@@ -165,16 +127,16 @@ class OrientedGraph:
         return tuple(zip(self.tails.tolist(), self.heads.tolist()))
 
     def _init_cartesian(self, cartesian, grid_coords):
-        mm = _integer(cartesian[0], "cartesian shape")
-        nn = _integer(cartesian[1], "cartesian shape")
-        if mm < 1 or nn < 1 or mm * nn != self.vertex_count:
+        mm = ensure_integer(cartesian[0], "cartesian shape", 1)
+        nn = ensure_integer(cartesian[1], "cartesian shape", 1)
+        if mm * nn != self.vertex_count:
             raise ValidationError(
                 "cartesian shape (%d, %d) inconsistent with %d vertices"
                 % (mm, nn, self.vertex_count))
         if grid_coords is None:
             raise ValidationError("cartesian graphs require grid_coords")
-        coords = tuple((_integer(i, "grid coordinate"), _integer(j, "grid coordinate"))
-                       for i, j in grid_coords)
+        coords = tuple((ensure_integer(i, "grid coordinate"),
+                        ensure_integer(j, "grid coordinate")) for i, j in grid_coords)
         if len(coords) != self.vertex_count:
             raise ValidationError("grid_coords must list every vertex")
         taken = bytearray(mm * nn)
@@ -347,8 +309,7 @@ def sign_pattern(g: OrientedGraph, u, tol: Tolerances | None = None, *,
     tol = tol if tol is not None else DEFAULT_TOL
     u = ensure_vertex_field(g, u)
     d = u[g.tails] - u[g.heads]
-    if scale is None:
-        scale = float(u.max() - u.min()) if u.size else 0.0
+    scale = float(u.max() - u.min()) if scale is None else ensure_number(scale, "scale")
     thr = tol.flat_tol * scale
     labels = np.sign(d).astype(np.int8)
     labels[np.abs(d) <= thr] = 0

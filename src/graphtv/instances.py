@@ -7,10 +7,13 @@ segment; its closed-form solutions on [0, 4] are included for verification.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .engine import ensure_integer, ensure_number
 from .errors import ValidationError
-from .graph import OrientedGraph, _integer
+from .graph import OrientedGraph
 
 # vertex order of the nonequivalence instance
 NONEQUIV_VERTEX_NAMES = ("v12", "v22", "v32", "v23", "v21",
@@ -60,11 +63,20 @@ def nonequivalence_variant_datum() -> np.ndarray:
     return np.array([100.0, 20.0, 20.0, 100.0, 100.0, 200.0, 200.0, 200.0, 0.0])
 
 
+def _stated(x, name: str) -> float:
+    # x as a float in [0, 4], where the closed forms are stated, or one error
+    try:
+        x = ensure_number(x, name)
+        if x <= 4.0:
+            return x
+    except ValidationError:
+        pass
+    raise ValidationError("closed form is stated for %s in [0, 4]" % name)
+
+
 def regularization_reference(alpha: float) -> np.ndarray:
     """Closed-form regularized solution of the built-in instance, alpha in [0, 4]."""
-    a = float(alpha)
-    if not 0.0 <= a <= 4.0:
-        raise ValidationError("closed form is stated for alpha in [0, 4]")
+    a = _stated(alpha, "alpha")
     if a <= 0.4:
         v22, v32 = 18.0 + 4.0 * a, 20.0 - a
     elif a <= 2.0:
@@ -77,9 +89,7 @@ def regularization_reference(alpha: float) -> np.ndarray:
 
 def regularization_dual_reference(alpha: float) -> np.ndarray:
     """Closed-form dual flow F_alpha of the built-in instance, alpha in [0, 4]."""
-    a = float(alpha)
-    if not 0.0 <= a <= 4.0:
-        raise ValidationError("closed form is stated for alpha in [0, 4]")
+    a = _stated(alpha, "alpha")
     if a <= 0.4:
         special = a
     elif a <= 2.0:
@@ -92,9 +102,7 @@ def regularization_dual_reference(alpha: float) -> np.ndarray:
 
 def flow_reference(t: float) -> np.ndarray:
     """Closed-form gradient-flow state of the built-in instance, t in [0, 4]."""
-    s = float(t)
-    if not 0.0 <= s <= 4.0:
-        raise ValidationError("closed form is stated for t in [0, 4]")
+    s = _stated(t, "t")
     if s <= 0.4:
         v22, v32 = 18.0 + 4.0 * s, 20.0 - s
     else:
@@ -105,17 +113,13 @@ def flow_reference(t: float) -> np.ndarray:
 
 def flow_dual_switching_reference(t: float) -> float:
     """Closed-form antiderivative F(t) on the switching edge, t in [0, 4]."""
-    s = float(t)
-    if not 0.0 <= s <= 4.0:
-        raise ValidationError("closed form is stated for t in [0, 4]")
+    s = _stated(t, "t")
     return s if s <= 0.4 else 0.8 - s
 
 
 def variant_reference(alpha: float) -> np.ndarray:
     """Closed-form solution for the variant datum (path and flow agree), alpha in [0, 4]."""
-    a = float(alpha)
-    if not 0.0 <= a <= 4.0:
-        raise ValidationError("closed form is stated for alpha in [0, 4]")
+    a = _stated(alpha, "alpha")
     return np.array([100.0 + a, 20.0 + 2.0 * a, 20.0 + a, 100.0 - a, 100.0 + a,
                      200.0 - 2.0 * a, 200.0 - 2.0 * a, 200.0 - 2.0 * a, 2.0 * a])
 
@@ -126,8 +130,8 @@ def cartesian_graph(m: int, n: int) -> OrientedGraph:
     Edges run from higher to lower coordinate: (i+1, j) -> (i, j) and
     (i, j+1) -> (i, j).
     """
-    m, n = _integer(m, "grid side"), _integer(n, "grid side")
-    if m < 1 or n < 1 or m * n < 2:
+    m, n = ensure_integer(m, "grid side", 1), ensure_integer(n, "grid side", 1)
+    if m * n < 2:
         raise ValidationError("grid must have at least 2 vertices")
     coords = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     index = {c: k for k, c in enumerate(coords)}
@@ -145,9 +149,7 @@ def cartesian_graph(m: int, n: int) -> OrientedGraph:
 
 def path_graph(n: int) -> OrientedGraph:
     """Path on n vertices with edges oriented (i+1) -> i."""
-    n = _integer(n, "path length")
-    if n < 2:
-        raise ValidationError("path needs at least 2 vertices")
+    n = ensure_integer(n, "path length", 2)
     edges = [(k + 1, k) for k in range(n - 1)]
     return OrientedGraph(n, edges)
 
@@ -160,6 +162,8 @@ def two_vertex_graph() -> OrientedGraph:
 def random_connected_graph(rng: np.random.Generator, max_vertices: int = 12,
                            extra_edge_prob: float = 0.3) -> OrientedGraph:
     """Random connected oriented graph: a spanning tree plus extra edges."""
+    max_vertices = ensure_integer(max_vertices, "max_vertices", 2)
+    extra_edge_prob = ensure_number(extra_edge_prob, "extra_edge_prob")
     n = int(rng.integers(2, max_vertices + 1))
     edges = []
     used = set()
@@ -181,4 +185,5 @@ def random_connected_graph(rng: np.random.Generator, max_vertices: int = 12,
 
 def random_vertex_field(rng: np.random.Generator, n: int,
                         low: float = 0.0, high: float = 2.0) -> np.ndarray:
-    return rng.uniform(low, high, size=n)
+    low = ensure_number(low, "low", -math.inf)
+    return rng.uniform(low, ensure_number(high, "high", low), size=ensure_integer(n, "n", 0))

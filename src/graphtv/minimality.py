@@ -17,21 +17,16 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_OBJECTIVE_TOL, BoxSpec, ConvexScalar, SolveReport,
-                     min_separable_convex_over_polytope)
+from .engine import (DEFAULT_CHECK_TOL, BoxSpec, ConvexScalar, SolveReport, Tolerances,
+                     ensure_integer, ensure_number, min_separable_convex_over_polytope)
 from .errors import ConvergenceError, ValidationError
-from .graph import OrientedGraph, Tolerances, ensure_vertex_field
+from .graph import OrientedGraph, ensure_vertex_field
 from .rof import isotropic_rof_solve, rof_solve
-
-# objective tolerance used when the caller does not pass Tolerances
-DEFAULT_CHECK_TOL = Tolerances(solve_tol=DEFAULT_OBJECTIVE_TOL)
 
 
 def power_phi(p: float) -> ConvexScalar:
     """|x|^p for p >= 1.  Closed-form proxes for p in {1, 1.5, 2, 3}."""
-    p = float(p)
-    if p < 1:
-        raise ValidationError("power must be at least 1 for convexity")
+    p = ensure_number(p, "power", 1.0)
 
     def evaluate(x):
         return np.abs(x) ** p
@@ -81,9 +76,7 @@ def arclength_phi() -> ConvexScalar:
 
 def softabs_phi(delta: float) -> ConvexScalar:
     """Huber-smoothed absolute value: x^2/(2 delta) inside, |x| - delta/2 outside."""
-    delta = float(delta)
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    delta = ensure_number(delta, "delta", above=True)
 
     def evaluate(x):
         a = np.abs(x)
@@ -104,10 +97,8 @@ def softabs_phi(delta: float) -> ConvexScalar:
 
 def shifted_exp_phi(center: float, width: float) -> ConvexScalar:
     """exp((x - center) / width), strictly convex and smooth on any interval."""
-    center = float(center)
-    width = float(width)
-    if width <= 0:
-        raise ValidationError("width must be positive")
+    center = ensure_number(center, "center", -math.inf)
+    width = ensure_number(width, "width", above=True)
 
     def evaluate(x):
         return np.exp((np.asarray(x, dtype=float) - center) / width)
@@ -136,6 +127,8 @@ def piecewise_linear_phi(knots: Sequence[float], slopes: Sequence[float],
         raise ValidationError("need len(slopes) == len(knots) + 1")
     if t.size == 0:
         raise ValidationError("need at least one knot")
+    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+        raise ValidationError("knots and slopes must be finite")
     if np.any(np.diff(t) <= 0) or np.any(np.diff(s) <= 0):
         raise ValidationError("knots and slopes must be strictly increasing")
     # value at each knot, anchored at the first
@@ -190,9 +183,9 @@ class PhiCatalog:
         Members: |x|^p for p in {1, 1.5, 2, 3}, arclength, a Huber-smoothed
         absolute value, and a shifted exponential centered on the interval.
         """
-        lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
-            raise ValidationError("need a finite interval lo <= hi")
+        lo, hi = ensure_number(lo, "lo", -math.inf), ensure_number(hi, "hi", -math.inf)
+        if hi < lo:
+            raise ValidationError("need an interval lo <= hi")
         span = max(hi - lo, 1.0)
         return PhiCatalog((
             power_phi(1.0),
@@ -279,9 +272,7 @@ def verify_universal_minimality(g: OrientedGraph, f, alpha: float,
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
     f = ensure_vertex_field(g, f, "f")
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and positive")
+    alpha = ensure_number(alpha, "alpha", above=True)
     if catalog is None:
         catalog = PhiCatalog.standard(float(f.min()), float(f.max()))
     sol = rof_solve(g, f, alpha)
@@ -340,9 +331,7 @@ def demonstrate_isotropic_failure(g: OrientedGraph, data_batch, alpha: float,
     bound at :func:`rof_solve`'s answer, and no oracle runs.
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and positive")
+    alpha = ensure_number(alpha, "alpha", above=True)
     balls = g.coupled_ball(alpha) if coupled else None
     margins = []
     for idx, f in enumerate(data_batch):
@@ -394,16 +383,14 @@ def empirical_invariant_phi_min_check(g: OrientedGraph, alpha: float,
     image failures are expected.
     """
     tol = tol if tol is not None else DEFAULT_CHECK_TOL
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and positive")
+    alpha = ensure_number(alpha, "alpha", above=True)
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = 2.0 * alpha * g.max_degree
     balls = g.coupled_ball(alpha) if coupled else None
     if catalog is None:
         catalog = PhiCatalog.standard(-scale, scale)
     out = []
-    for trial in range(int(trial_count)):
+    for trial in range(ensure_integer(trial_count, "trial_count", 0)):
         a = rng.normal(0.0, scale / 2.0, size=g.vertex_count)
         sol = isotropic_rof_solve(g, a, alpha) if coupled else rof_solve(g, a, alpha)
         worst_phi, worst_rel = "", 0.0

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import (BoxSpec, SolveReport, _accelerated_descent, _projection,
-                     project_onto_div_box)
+                     ensure_number, project_onto_div_box)
 from .errors import ConvergenceError, PathError, ValidationError
 from .graph import (_ZERO, DEFAULT_TOL, OrientedGraph, PatternKernel, SignPattern,
                     Tolerances, ensure_vertex_field, event_cap,
@@ -161,16 +161,15 @@ class PiecewiseAffinePath:
             out[k] = slope if j else anchor + (b - since) * slope
         return out
 
-    def _segment(self, x: float) -> int:
-        # index of the segment holding x, or -1 beyond the last breakpoint
-        if x < 0 or not math.isfinite(x):
-            raise ValidationError("parameter must be finite and nonnegative")
+    def _segment(self, x: float) -> tuple:
+        # the checked x and its segment's index, -1 beyond the last breakpoint
+        x = ensure_number(x, "parameter")
         if x >= self.breakpoints[-1]:
-            return -1
-        return int(np.searchsorted(self.breakpoints, x, side="right")) - 1
+            return x, -1
+        return x, int(np.searchsorted(self.breakpoints, x, side="right")) - 1
 
     def value_at(self, x: float) -> np.ndarray:
-        k = self._segment(x)
+        x, k = self._segment(x)
         if k < 0:
             return self.terminal_value.copy()
         anchor, slope, since = self._lines.lines_at(k)
@@ -179,7 +178,7 @@ class PiecewiseAffinePath:
 
     def slope_at(self, x: float) -> np.ndarray:
         """Right slope at x (zero beyond the last breakpoint)."""
-        k = self._segment(x)
+        k = self._segment(x)[1]
         if k < 0:
             return np.zeros_like(self.terminal_value)
         return self._lines.lines_at(k)[1]
@@ -187,11 +186,7 @@ class PiecewiseAffinePath:
 
 def _checked(g, f, alpha):
     # the checked datum and alpha of a solve
-    f = ensure_vertex_field(g, f, "f")
-    alpha = float(alpha)
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be finite and nonnegative")
-    return f, alpha
+    return ensure_vertex_field(g, f, "f"), ensure_number(alpha, "alpha")
 
 
 def _identity(g, f):

@@ -218,7 +218,7 @@ def test_cli_isotropic_rejects_a_negative_seed(problem_file, capsys, monkeypatch
                      "--seed", seed]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: --seed must be nonnegative\n"
+        assert captured.err == "usage error: --seed must be at least 0\n"
 
 
 def test_cli_unwritable_output_is_exit_3(tmp_path, problem_file, capsys):

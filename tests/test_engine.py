@@ -320,9 +320,9 @@ def test_group_ball_spec_validation():
     # all NaN at the iteration cap, and one of infinite radius divides inf
     # by inf
     for radius in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValidationError, match="radius must be nonnegative"):
+        with pytest.raises(ValidationError, match="radius must be finite and nonnegative"):
             GroupBallSpec(((0,),), radius, 1)
-        with pytest.raises(ValidationError, match="radius must be nonnegative"):
+        with pytest.raises(ValidationError, match="radius must be finite and nonnegative"):
             cartesian_graph(3, 3).coupled_ball(radius)
     spec = GroupBallSpec(((3, 1), [np.int64(0)], np.array([4, 2])), 0.5, 5)
     assert spec.groups == ((3, 1), (0,), (4, 2))

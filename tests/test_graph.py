@@ -568,7 +568,7 @@ def test_cartesian_and_connectivity_rejections():
             (lambda: build(coords=coords[1:2] + coords[:1] + coords[2:]),
              "edge set does not match the Cartesian grid"),
             (lambda: build(shape=(2, 3)), r"cartesian shape \(2, 3\) inconsistent with 9"),
-            (lambda: build(shape=(9, 0)), r"cartesian shape \(9, 0\) inconsistent with 9"),
+            (lambda: build(shape=(9, 0)), "cartesian shape must be at least 1"),
             (lambda: OrientedGraph(2, []), "graph must be connected"),
             (lambda: OrientedGraph(5, [(0, 1), (1, 2), (3, 4)]), "graph must be connected")):
         with pytest.raises(ValidationError, match=cause):
