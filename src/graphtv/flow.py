@@ -34,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .errors import PathError
+from .errors import PathError, ValidationError
 from .graph import (OrientedGraph, PatternKernel, ensure_number, ensure_vertex_field,
                     failure_site, sign_pattern)
 from .rof import PiecewiseAffinePath, _Lines, _trace, rof_solve
@@ -157,12 +157,17 @@ def flow_solve(g: OrientedGraph, f) -> FlowTrajectory:
                                                        integral))
 
 
+# the most rof_solve steps that flow_backward_euler takes
+MAX_EULER_STEPS = 10 ** 6
+
+
 def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.ndarray:
     """Implicit-Euler approximation of the flow state at t_end.
 
     Iterates the certified resolvent :func:`rof_solve` with parameter
     ``step``; the last step is shortened to land exactly on t_end.
-    First-order accurate in ``step``.
+    First-order accurate in ``step``.  At most ``MAX_EULER_STEPS`` steps:
+    a ``t_end / step`` that asks for more raises :class:`ValidationError`.
     """
     f = ensure_vertex_field(g, f, "f")
     t_end = ensure_number(t_end, "t_end")
@@ -170,6 +175,9 @@ def flow_backward_euler(g: OrientedGraph, f, t_end: float, step: float) -> np.nd
     # t_end / step overflows where the step is far below t_end
     ratio = ensure_number(t_end / step, "t_end / step")
     count = int(math.ceil(ratio - 1e-12)) if t_end > 0 else 0
+    if count > MAX_EULER_STEPS:
+        raise ValidationError("t_end / step asks for %d steps, more than %d"
+                              % (count, MAX_EULER_STEPS))
     u = f.copy()
     t = 0.0
     for k in range(count):

@@ -359,11 +359,11 @@ class Cluster:
     the pull and a repaired witness's divergence error (see :meth:`peel`).
     ``verts`` lists the vertices in increasing order.  :class:`PatternKernel`
     sets ``sums``, the cluster's exact line, when the cluster forms.
-    ``edges`` (see :meth:`PatternKernel.edges`) and the kernel's ``data``
-    are caches filled on first use, and so is ``tests``, a dict
-    of the kernel's max-flow tests of the cluster by t, as a ``(numerator,
+    ``data``, the cluster's network (see :meth:`PatternKernel._cluster`), is
+    built once, on first use, and each test of the cluster is one max-flow
+    on it; ``tests`` is a dict of those tests by t, as a ``(numerator,
     denominator)`` pair, each as ``(t, verdict, step, flow)`` (see
-    :meth:`PatternKernel._route`).  ``span``, the t that the cluster's
+    :meth:`PatternKernel._test`).  ``span``, the t that the cluster's
     certificate covers, runs from the passing test that ends its split
     search, 0 if none ran (:meth:`PatternKernel.splits`), up to the t at
     which :meth:`PatternKernel.prove` checked it, None before.  They hold
@@ -372,11 +372,11 @@ class Cluster:
     datum is fixed.  A vertex with no flat edge has no Cluster.
     """
 
-    __slots__ = ("order", "up", "tree", "sign", "edges", "data", "sums", "tests", "span")
+    __slots__ = ("order", "up", "tree", "sign", "data", "sums", "tests", "span")
 
     def __init__(self, order, up, tree, sign):
         self.order, self.up, self.tree, self.sign = order, up, tree, sign
-        self.edges = self.data = self.sums = self.tests = None
+        self.data = self.sums = self.tests = None
         self.span = _ZERO, None
 
     @property
@@ -418,6 +418,9 @@ def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
         res.append(back)
     value = 0
     while True:
+        # the level search stops at the vertex that labels the sink: the
+        # blocking-flow search finds dead ends beyond the sink's level, and
+        # the last search, which misses the sink, labels the source side
         level = [-1] * node_count
         level[source] = 0
         queue = [source]
@@ -428,6 +431,8 @@ def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
                 if res[k] > 0 and level[w] < 0:
                     level[w] = lw
                     queue.append(w)
+            if level[sink] >= 0:
+                break
         if level[sink] < 0:
             break
         nxt = [0] * node_count
@@ -464,46 +469,6 @@ def max_flow(node_count: int, arcs, source: int, sink: int) -> tuple:
                 nxt[v] += 1
     flows = [arc[2] - res[2 * k] for k, arc in enumerate(arcs)]
     return value, flows, [lv >= 0 for lv in level]
-
-
-def route_demands(parts, tails, heads, flow) -> tuple:
-    """Route the integer demands of disjoint parts of a graph in one max-flow.
-
-    ``parts`` lists ``(vertices, edges, capacity, demand)``: edge j runs
-    ``tails[j]`` to ``heads[j]`` with ``capacity`` either way; ``demand``
-    is the divergence asked at each vertex.  ``flow``, a starting flow, is
-    updated in place.  Returns, per part, whether its demand is met, and
-    the vertices reached from the source: a failed part's vertices not
-    reached form its most violated set.
-    """
-    node = {v: k for k, v in enumerate(v for p in parts for v in p[0])}
-    inflow = [0] * len(node)
-    source, sink = len(node), len(node) + 1
-    arcs = []
-    spans = []
-    for vertices, edges, cap, demand in parts:
-        for j in edges:
-            inflow[node[heads[j]]] += flow[j]
-            inflow[node[tails[j]]] -= flow[j]
-        first = len(arcs)
-        arcs.extend((node[tails[j]], node[heads[j]], cap - flow[j], cap + flow[j])
-                    for j in edges)
-        sinks = []
-        for v, r in zip(vertices, demand):
-            r -= inflow[node[v]]
-            if r > 0:
-                sinks.append(len(arcs))
-                arcs.append((node[v], sink, r, 0))
-            elif r < 0:
-                arcs.append((source, node[v], -r, 0))
-        spans.append((edges, first, sinks))
-    _, flows, reach = max_flow(len(node) + 2, arcs, source, sink)
-    met = []
-    for edges, first, sinks in spans:
-        for k, j in enumerate(edges, first):
-            flow[j] += flows[k]
-        met.append(all(flows[k] == arcs[k][2] for k in sinks))
-    return met, {v for v, k in node.items() if reach[k]}
 
 
 def next_fusion(g: OrientedGraph, pattern: SignPattern, u: np.ndarray,
@@ -577,12 +542,13 @@ class PatternKernel:
     u and are carried through events (see :meth:`advance`).
 
     At ``t = p / q``, scaled by ``q |C| unit`` (``f * unit`` are integers),
-    a cluster's test has integer data and goes to :func:`route_demands`.
-    For a fixed datum the test depends only on the cluster's vertices, their
-    pinned flux b and t, since every edge inside a cluster is flat.  Each
-    test is kept on its :class:`Cluster`, in ``tests``: its verdict, the
-    step its min cut gives, and its flow.  ``maxflows`` counts the
-    max-flows that the kernel has run.
+    a cluster's test has integer data and is one max-flow on the cluster's
+    network, which :meth:`_cluster` builds once.  For a fixed datum the
+    test depends only on the cluster's vertices, their pinned flux b and t,
+    since every edge inside a cluster is flat.  Each test is kept on its
+    :class:`Cluster`, in ``tests``: its verdict, the step its min cut
+    gives, and its flow.  ``maxflows`` counts the max-flows that the kernel
+    has run.
 
     A kernel is one state that the events of a flow or path update in
     place: :meth:`advance` takes the labels they change, and rebuilds only
@@ -698,16 +664,6 @@ class PatternKernel:
         return np.array(sorted({e for v in verts.tolist() for e in edge[ptr[v]:ptr[v + 1]]}),
                         dtype=np.intp)
 
-    def edges(self, c: Cluster) -> list:
-        """The edges with both ends in the Cluster c, in increasing order."""
-        if c.edges is None:
-            ptr, edge, tails, heads = self._adj
-            inside = set(c.order)
-            # each edge once, from its tail
-            c.edges = sorted(e for v in c.order for e in edge[ptr[v]:ptr[v + 1]]
-                             if tails[e] == v and heads[e] in inside)
-        return c.edges
-
     def sums_at(self, v: int) -> tuple:
         """``(size, sum of b, sum of c)`` of vertex v's cluster, exact: the
         sum of the pinned flux b, an int, and that of the intercepts c
@@ -750,7 +706,7 @@ class PatternKernel:
             fresh.pop(r, None)
             if failing.pop(r, None) and free:
                 # its witness may be the flow of its max-flow test
-                for e in self.edges(c):
+                for e in self._cluster(c)[1]:
                     scaled[e] = 0.0
             for e in c.tree:
                 forest[e] = scaled[e] = 0.0
@@ -851,54 +807,71 @@ class PatternKernel:
             lab[e] = 0
 
     def _cluster(self, c: Cluster) -> tuple:
-        # the Cluster c's vertices, flat edges, size, unit, and the
-        # integers n*unit*w and n*beta; without a datum w is zero
+        # the Cluster c's network, built once: its vertices and its flat
+        # edges in increasing order, each edge's tail and head and each
+        # vertex of order as positions among the vertices, each tree edge's
+        # position among the edges, unit, and the integers n*unit*w and
+        # n*beta at the vertices; without a datum w is zero
         if c.data is None:
+            ptr, edge, tails, heads = self._adj
             verts = c.verts
+            at = {v: k for k, v in enumerate(verts)}
+            # each edge once, from its tail
+            edges = sorted(e for v in c.order for e in edge[ptr[v]:ptr[v + 1]]
+                           if tails[e] == v and heads[e] in at)
+            where = {e: j for j, e in enumerate(edges)}
             b = self.pinned[verts].astype(np.int64).tolist()
             n, (sb, total) = len(verts), c.sums
             unit, w = 1, [0] * n
             if self.f is not None:
                 unit, exact = self._exact
                 w = [n * exact[v] - total for v in verts]
-            c.data = (verts, self.edges(c), n, unit, w, [n * x - sb for x in b])
+            c.data = (verts, edges, [at[tails[e]] for e in edges],
+                      [at[heads[e]] for e in edges], [at[v] for v in c.order],
+                      [where[e] for e in c.tree], unit, w, [n * x - sb for x in b])
         return c.data
 
     def _route(self, tests: list) -> list:
         # the tests of the Clusters c at t of the (c, t) pairs, as in
-        # Cluster.tests: step is the _cut of a failed test, flow its flow
-        # over the capacity, on the cluster's flat edges in increasing
-        # order.  A cluster's stored tests are reused; the others run in
-        # one max-flow, each cluster started from its calibration flow
-        # clipped to its capacities and scaled.  The clusters are disjoint,
-        # and a start within the capacities shifts every cut's capacity by
-        # a constant, so each verdict and cut closest to the source is that
-        # of a cold max-flow on the cluster alone
-        found = [(c.tests or {}).get((t.numerator, t.denominator)) for c, t in tests]
-        todo = [i for i, entry in enumerate(found) if entry is None]
-        if not todo:
-            return found
+        # Cluster.tests: each cluster's stored test, else _test's
+        return [(c.tests or {}).get((t.numerator, t.denominator)) or self._test(c, t)
+                for c, t in tests]
+
+    def _test(self, c: Cluster, t: Fraction) -> tuple:
+        # the Cluster c's test at t, stored in c.tests: one max-flow on its
+        # network, nodes 0 to n - 1 its vertices, n the source and n + 1
+        # the sink, and arcs its edges, then each vertex's source or sink
+        # arc, in that order.  step is the _cut of a failed test, flow its
+        # flow over the capacity, on the edges.  It starts from the
+        # calibration flow clipped to the capacities and scaled; a start
+        # within the capacities shifts every cut's capacity by a constant,
+        # so the verdict and the cut closest to the source are those of a
+        # cold max-flow
+        verts, edges, tails, heads, _, tree, unit, w, beta = self._cluster(c)
+        n, qu, forest = len(verts), t.denominator * unit, memoryview(self._forest)
+        cap, flow, inflow = qu * n, [0] * len(edges), [0] * n
+        for j, e in zip(tree, c.tree):
+            flow[j] = int(min(max(forest[e], -n), n)) * qu
+        for a, b, y in zip(tails, heads, flow):
+            inflow[b] += y
+            inflow[a] -= y
+        arcs = [(a, b, cap - y, cap + y) for a, b, y in zip(tails, heads, flow)]
+        sinks = []
+        for k, (x, y, z) in enumerate(zip(w, beta, inflow)):
+            r = t.numerator * x - qu * y - z
+            if r > 0:
+                sinks.append(len(arcs))
+                arcs.append((k, n + 1, r, 0))
+            elif r < 0:
+                arcs.append((n, k, -r, 0))
         self.maxflows += 1
-        forest = memoryview(self._forest)
-        flow, parts = {}, []
-        for i in todo:
-            c, t = tests[i]
-            verts, edges, n, unit, w, beta = self._cluster(c)
-            qu = t.denominator * unit
-            flow.update(dict.fromkeys(edges, 0))
-            for j in c.tree:
-                flow[j] = int(min(max(forest[j], -n), n)) * qu
-            parts.append((verts, edges, qu * n,
-                          [t.numerator * x - qu * y for x, y in zip(w, beta)]))
-        _, _, tails, heads = self._adj
-        met, reached = route_demands(parts, tails, heads, flow)
-        for i, (verts, edges, cap, _), ok in zip(todo, parts, met):
-            c, t = tests[i]
-            step = None if ok else self._cut(c, set(verts) - reached)
-            found[i] = t, ok, step, np.array([flow[j] / cap for j in edges])
-            if c.tests is None:
-                c.tests = {}
-            c.tests[t.numerator, t.denominator] = found[i]
+        _, flows, reach = max_flow(n + 2, arcs, n, n + 1)
+        ok = all(flows[k] == arcs[k][2] for k in sinks)
+        found = (t, ok, None if ok else self._cut(c, reach),
+                 np.array([(y + z) / cap for y, z in zip(flow, flows)]))
+        if c.tests is None:
+            c.tests = {}
+        c.tests[t.numerator, t.denominator] = found
         return found
 
     def splits(self, t_now: Fraction) -> list:
@@ -935,20 +908,19 @@ class PatternKernel:
             tests = failed
         return out
 
-    def _cut(self, c: Cluster, cut: set) -> tuple:
-        # the t where cut is tight (None if w(cut) >= 0), and the pins
-        verts, edges, n, unit, w, beta = self._cluster(c)
-        _, _, tails, heads = self._adj
+    def _cut(self, c: Cluster, reach: list) -> tuple:
+        # the t where the vertices of c that the max-flow did not reach,
+        # by position, are tight (None if w of them >= 0), and the pins
+        _, edges, tails, heads, _, _, unit, w, beta = self._cluster(c)
         pins = {}
-        for j in edges:
-            into = heads[j] in cut
-            if into != (tails[j] in cut):
-                pins[j] = -1 if into else 1
-        w_cut = sum(x for v, x in zip(verts, w) if v in cut)
-        beta_cut = sum(y for v, y in zip(verts, beta) if v in cut)
+        for e, a, b in zip(edges, tails, heads):
+            if reach[a] != reach[b]:
+                pins[e] = 1 if reach[b] else -1
+        w_cut = sum(x for x, r in zip(w, reach) if not r)
+        beta_cut = sum(y for y, r in zip(beta, reach) if not r)
         if w_cut >= 0:
             return None, pins
-        return Fraction((len(pins) * n + beta_cut) * unit, w_cut), pins
+        return Fraction((len(pins) * len(w) + beta_cut) * unit, w_cut), pins
 
     def meet(self, e: int) -> Optional[Fraction]:
         """The exact t = 1 / x at which the lines ``c + x * s`` of the
@@ -1002,16 +974,15 @@ class PatternKernel:
         fresh = list(self._fresh.values())
         self._fresh.clear()
         datum = self.f is not None
-        # the high ends, then the low ends: each max-flow tests a cluster once
-        ends = [[(c, t if datum else _ZERO) for c in fresh]]
+        # the high ends, then the low ends
+        pairs = [(c, t if datum else _ZERO) for c in fresh]
         if datum:
-            ends.append([(c, c.span[0]) for c in fresh if c.span[0] != t])
+            pairs += [(c, c.span[0]) for c in fresh if c.span[0] != t]
         cause = None
-        for pairs in ends:
-            for (c, x), (edges, h) in zip(pairs, self._cover(pairs)):
-                if not datum and c.order[0] in self._failing:
-                    self._scaled[edges] = h  # the flow of its test at t = 0
-                cause = cause or self._misses(c, edges, h, x)
+        for (c, x), (edges, h) in zip(pairs, self._cover(pairs)):
+            if not datum and c.order[0] in self._failing:
+                self._scaled[edges] = h  # the flow of its test at t = 0
+            cause = cause or self._misses(c, edges, h, x)
         for c in fresh:
             c.span = c.span[0], t
         if cause is None and datum and any(c.span[0] > t_end for c in self._failing.values()):
@@ -1050,26 +1021,23 @@ class PatternKernel:
         # divergence error against the demand at t = x, None where that
         # leaves [-1, 1].  Each vertex sums its inflow and its outflow in
         # edge order, as OrientedGraph._div does
-        g, edges = self.graph, self.edges(c)
-        at, verts = np.array(edges, dtype=np.intp), np.array(c.verts)
-        heads, tails = np.searchsorted(verts, (g.heads[at], g.tails[at]))
-        flow, k = start[at], verts.size
+        verts, edges, tails, heads, order, tree, _, _, _ = self._cluster(c)
+        flow, k = start[edges], len(verts)
         err = x * self.pull[verts] - self.beta[verts] - (np.bincount(heads, flow, k)
                                                          - np.bincount(tails, flow, k))
-        flow[np.searchsorted(at, c.tree)] += c.peel(err[np.searchsorted(verts, c.order)].tolist())
+        flow[tree] += c.peel(err[order].tolist())
         return None if float(np.abs(flow).max()) > 1.0 else (edges, flow.tolist())
 
     def _cover(self, pairs: list, start: Optional[np.ndarray] = None,
                early: bool = False) -> Optional[list]:
         # the (edges, flow) at t of the Cluster c of each (c, t) pair: its
         # flow from _flows where one fits, else its test's, stored or run
-        # now in one max-flow, on its edges.  None if early and a cluster
-        # needs a max-flow
+        # now, on its edges.  None if early and a cluster needs a max-flow
         out, left = self._flows(pairs, start)
         if early and left:
             return None
         for i, entry in zip(left, self._route([pairs[i] for i in left])):
-            out[i] = self.edges(pairs[i][0]), entry[3].tolist()
+            out[i] = self._cluster(pairs[i][0])[1], entry[3].tolist()
         return out
 
     def _misses(self, c: Cluster, edges: list, h: list, t: Fraction) -> Optional[str]:
@@ -1097,8 +1065,7 @@ class PatternKernel:
         plus the calibration flow over |C|, if it fits in [-1, 1] (an
         overshoot of at most 1e-12, which rounding alone gives, is clipped);
         else the flow of its max-flow test at the exact t, stored or run
-        now, in one max-flow with the other such clusters (see
-        :meth:`_cover`).  A cluster with no flow in [-1, 1] gets one in
+        now (see :meth:`_cover`).  A cluster with no flow in [-1, 1] gets one in
         [-1, 1] that misses the divergence; the caller's check finds it.
 
         Without a datum it is the kernel's own array of the flows that

@@ -117,7 +117,8 @@ class PiecewiseAffinePath:
     its value at x is ``left + (x - b_k) * slope``.  Every read finds each
     entry's line by one binary search over the stored lines
     (:meth:`_Lines.lines_at`), O(n log L) for L lines; ``left_values`` and
-    ``slopes`` read each segment so and build K x n arrays on demand.  A
+    ``slopes`` build K x n arrays on demand in one forward pass over the
+    lines, whose row k holds the lines that segment k's read finds.  A
     path is built only from a builder's log of lines, by :meth:`_compact`.
     """
 
@@ -154,10 +155,20 @@ class PiecewiseAffinePath:
         return self._dense(1)
 
     def _dense(self, j: int) -> np.ndarray:
-        # each segment's left value (j = 0) or slope (j = 1), one row each
-        out = np.empty((self.segment_count, self.terminal_value.size))
-        for k, b in enumerate(self.breakpoints[:-1]):
-            anchor, slope, since = self._lines.lines_at(k)
+        # each segment's left value (j = 0) or slope (j = 1), one row each:
+        # the lines replayed forward, grouped by segment, each entry's
+        # current line updated by the lines its segment sets
+        lines = self._lines
+        anchor, slope, since = (np.zeros(self.terminal_value.size) for _ in range(3))
+        out = np.empty((self.segment_count, anchor.size))
+        count = lines.ats.size
+        entry, segment = np.divmod(lines.keys, count)
+        order = np.argsort(segment, kind="stable")
+        groups = np.split(order, np.searchsorted(segment[order], np.arange(1, count)))
+        for k, (b, pick) in enumerate(zip(self.breakpoints[:-1], groups)):
+            at = entry[pick]
+            anchor[at], slope[at] = lines.anchors[pick], lines.slopes[pick]
+            since[at] = lines.ats[k]
             out[k] = slope if j else anchor + (b - since) * slope
         return out
 

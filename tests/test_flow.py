@@ -250,7 +250,7 @@ def test_flow_and_path_certificates_reject_a_bad_witness(monkeypatch, fault):
     def bad_flows(self, pairs, *args):
         out = []
         for (c, _), (edges, h) in zip(pairs, cover(self, pairs, *args)):
-            on, every = dict(zip(edges, h)), self.edges(c)
+            on, every = dict(zip(edges, h)), self._cluster(c)[1]
             out.append((every, [on.get(e, 0.0) + bad[e] for e in every]))
         return out
 
@@ -303,15 +303,18 @@ def test_flow_closes_edges_that_rounding_carries_past_their_meeting():
 
 def _count_tests(monkeypatch):
     # the cluster tests that reach the max-flow, as (vertices, capacity, demand)
-    import graphtv.graph
+    from graphtv.graph import PatternKernel
     seen = []
-    route = graphtv.graph.route_demands
+    run = PatternKernel._test
 
-    def recorded(parts, tails, heads, flow):
-        seen.extend((tuple(p[0]), p[2], tuple(p[3])) for p in parts)
-        return route(parts, tails, heads, flow)
+    def recorded(self, c, t):
+        verts, *_, unit, w, beta = self._cluster(c)
+        qu = t.denominator * unit
+        seen.append((tuple(verts), qu * len(verts),
+                     tuple(t.numerator * x - qu * y for x, y in zip(w, beta))))
+        return run(self, c, t)
 
-    monkeypatch.setattr(graphtv.graph, "route_demands", recorded)
+    monkeypatch.setattr(PatternKernel, "_test", recorded)
     return seen
 
 
@@ -657,6 +660,23 @@ def test_trajectories_hold_no_dense_rows():
         path = getattr(result, "path", result)
         assert path.segment_count > 1000
         assert peak < budget, (solve.__name__, peak, budget)
+
+
+def test_dense_rows_are_the_segment_reads():
+    # left_values and slopes replay the stored lines forward in one pass;
+    # row k is the read of segment k's lines, lines_at(k), bit for bit: on
+    # a grid's flow, its states and its antiderivative, and on its path
+    from graphtv import cartesian_graph, rof_path
+    g = cartesian_graph(10, 10)
+    f = random_vertex_field(np.random.default_rng(SEED + 21), g.vertex_count)
+    flow = flow_solve(g, f)
+    for path in (flow.path, flow._integral, rof_path(g, f)):
+        assert path.segment_count >= 100
+        left, slopes = path.left_values, path.slopes
+        for k, b in enumerate(path.breakpoints[:-1]):
+            anchor, slope, since = path._lines.lines_at(k)
+            assert left[k].tobytes() == (anchor + (b - since) * slope).tobytes()
+            assert slopes[k].tobytes() == slope.tobytes()
 
 
 @functools.lru_cache(maxsize=None)

@@ -287,38 +287,42 @@ def test_max_flow_known_min_cut():
     assert value == 1 and cut == [True] + [False] * (n - 1)
 
 
-def test_route_demands_batches_disjoint_parts():
-    # batched cluster tests rest on this: in one max-flow over
-    # disjoint parts, each part gets the verdict and the reached set it
-    # gets alone, from any start within its capacities
-    from graphtv.graph import route_demands
-    from graphtv.instances import cartesian_graph
+def test_cluster_test_ignores_its_start(monkeypatch):
+    # a cluster's test starts from its calibration flow, clipped and
+    # scaled: on each cluster alone, from any start within its capacities,
+    # the test gets the verdict, the reached set and the cut it gets cold
+    import graphtv.graph
+    from graphtv.graph import PatternKernel
     g = cartesian_graph(8, 8)
     tails, heads = g.tails.tolist(), g.heads.tolist()
-    # eight 2x4 blocks of the row-major grid
+    # eight 2x4 blocks of the row-major grid, the clusters of flat edges
     block = [(v // 16) * 2 + (v % 8) // 4 for v in range(64)]
+    inside = np.array([block[a] == block[b] for a, b in zip(tails, heads)])
     rng = np.random.default_rng(SEED + 5)
+    cuts = []
+    run = graphtv.graph.max_flow
+
+    def recorded(node_count, *args):
+        out = run(node_count, *args)
+        cuts.append(out[2][:node_count - 2])
+        return out
+
+    monkeypatch.setattr(graphtv.graph, "max_flow", recorded)
     verdicts = []
     for _ in range(12):
-        parts = []
-        for b in range(8):
-            vertices = [v for v in range(64) if block[v] == b]
-            edges = [j for j in range(g.edge_count)
-                     if block[tails[j]] == b and block[heads[j]] == b]
-            demand = rng.integers(-3, 4, len(vertices))
-            demand[-1] -= demand.sum()
-            parts.append((vertices, edges, int(rng.integers(1, 4)), demand.tolist()))
-        start = [0] * g.edge_count
-        for _, edges, cap, _ in parts:
-            for j in edges:
-                start[j] = int(rng.integers(-cap, cap + 1))
-        met, reached = route_demands(parts, tails, heads, list(start))
-        for part, ok in zip(parts, met):
-            for flow in (list(start), [0] * g.edge_count):
-                alone, alone_reached = route_demands([part], tails, heads, flow)
-                assert alone == [ok]
-                assert alone_reached == reached & set(part[0])
-            verdicts.append(ok)
+        labels = np.where(inside, 0, rng.choice([-1, 1], g.edge_count))
+        kernel = PatternKernel(g, SignPattern(labels), random_vertex_field(rng, 64))
+        assert len(kernel._of) == 8
+        for c in kernel._of.values():
+            n, t = len(c.order), Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 4)))
+            found = []
+            for start in (rng.integers(-n, n + 1, len(c.tree)), 0):
+                kernel._forest[c.tree] = start
+                c.tests = None
+                found.append(kernel._test(c, t)[1:3])
+            assert found[0] == found[1]
+            assert cuts[-2] == cuts[-1]
+            verdicts.append(found[0][0])
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
 

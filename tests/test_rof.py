@@ -281,16 +281,15 @@ def test_cluster_tests_change_no_path(monkeypatch):
     # parameters, so the path with clusters that store none has the same
     # breakpoints, values and slopes, bit for bit.  Random and tied draws;
     # the ties split clusters at once
-    import graphtv.graph
     from test_flow import _Forgetful, _storing
     calls = []
-    route = graphtv.graph.route_demands
+    run = PatternKernel._test
 
-    def counted(parts, *args):
-        calls.append(len(parts))
-        return route(parts, *args)
+    def counted(self, *args):
+        calls.append(1)
+        return run(self, *args)
 
-    monkeypatch.setattr(graphtv.graph, "route_demands", counted)
+    monkeypatch.setattr(PatternKernel, "_test", counted)
     rng = np.random.default_rng(SEED + 16)
     cases = []
     for g in (cartesian_graph(10, 10), random_connected_graph(rng), path_graph(200)):
@@ -310,10 +309,10 @@ def test_witness_between_passing_tests_runs_no_max_flow(monkeypatch):
     # a cluster's flows at the two ends of its span prove every t between
     # them, so its certificate runs once, where it forms, and at most one
     # max-flow for its life: the low end's test is the split search's.  The
-    # seed-0 12x12 grid path runs at most 79 certificate max-flows (55 here;
-    # 125 with every living cluster certified again at every segment, as a
-    # witness over the whole graph at each segment was), with the same
-    # breakpoints, values and slopes
+    # seed-0 12x12 grid path runs at most 79 certificate max-flows, one per
+    # cluster test (57 here; 518 with every living cluster certified again
+    # at every segment, as a witness over the whole graph at each segment
+    # was), with the same breakpoints, values and slopes
     g = cartesian_graph(12, 12)
     f = random_vertex_field(np.random.default_rng(0), g.vertex_count)
     prove = PatternKernel.prove
@@ -751,7 +750,7 @@ def test_faulty_witness_is_never_certified(monkeypatch, fault):
             return None
         out = []
         for (c, _), (edges, h) in zip(pairs, flows):
-            on, every = dict(zip(edges, h)), self.edges(c)
+            on, every = dict(zip(edges, h)), self._cluster(c)[1]
             x = [on.get(e, 0.0) + bump[e] for e in every]
             x[0] += nudge
             out.append((every, x))
@@ -889,15 +888,14 @@ def test_early_stops_change_nothing_but_cost(monkeypatch):
     # the active set tried while the projection runs gives the bytes of a
     # solve that tries nothing and runs to IDENTIFY_TOL, the grids in fewer
     # iterations; a try that fails has run no max-flow
-    import graphtv.graph
     import graphtv.rof
     cases = _identified_cases()
-    route, certify = graphtv.graph.route_demands, graphtv.rof._certify
+    run, certify = PatternKernel._test, graphtv.rof._certify
     certifying, routed, failed = [], [], []
 
     def counted(*args):
         routed.append(certifying[-1] if certifying else None)
-        return route(*args)
+        return run(*args)
 
     def tracked(k, alpha, start=None, early=False):
         # a try (early) fails by its cause, or with none where a cluster
@@ -917,7 +915,7 @@ def test_early_stops_change_nothing_but_cost(monkeypatch):
         # the projection with no tries
         return descent(*args, **kwargs)
 
-    monkeypatch.setattr(graphtv.graph, "route_demands", counted)
+    monkeypatch.setattr(PatternKernel, "_test", counted)
     monkeypatch.setattr(graphtv.rof, "_certify", tracked)
     # then with the repair of the iterate's flow switched off, so that the
     # tries whose forest flows leave the box need a max-flow
@@ -986,16 +984,15 @@ def test_witness_clips_rounding_only(monkeypatch):
     # on a path the forest flow is the only flow, so a certificate needs no
     # max-flow once an overshoot of rounding is clipped; an overshoot of
     # 1e-9 is not rounding and still goes to the max-flow
-    import graphtv.graph
     from fractions import Fraction
     calls = []
-    route = graphtv.graph.route_demands
+    run = PatternKernel._test
 
-    def counted(parts, *args):
-        calls.append(len(parts))
-        return route(parts, *args)
+    def counted(self, *args):
+        calls.append(1)
+        return run(self, *args)
 
-    monkeypatch.setattr(graphtv.graph, "route_demands", counted)
+    monkeypatch.setattr(PatternKernel, "_test", counted)
     rng = np.random.default_rng(SEED + 18)
     g = path_graph(200)
     for _ in range(3):

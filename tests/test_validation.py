@@ -79,6 +79,9 @@ CHECKS = {
     "grid": (lambda: cartesian_graph(1, 1), "grid must have at least 2 vertices"),
     "grid side": (lambda: cartesian_graph(0, 3), "grid side must be at least 1"),
     "path": (lambda: path_graph(1), "path length must be at least 2"),
+    # it asked for 10^12 rof_solve calls and ran until it was killed
+    "backward euler steps": (lambda: flow_backward_euler(G, F, 1.0, 1e-12),
+                             "t_end / step asks for 1000000000000 steps, more than 1000000"),
 }
 
 
@@ -193,6 +196,22 @@ def test_backward_euler_names_a_step_count_beyond_the_floats():
     # math.ceil of the infinite count raised a bare OverflowError
     with pytest.raises(ValidationError, match=r"^t_end / step must be finite"):
         flow_backward_euler(G, F, 1e300, 1e-300)
+
+
+def test_backward_euler_takes_at_most_its_step_cap(monkeypatch):
+    # at the cap the steps run (counted here, not solved); one step past it
+    # is refused before any solve
+    import types
+    import graphtv.flow
+    calls = []
+    monkeypatch.setattr(graphtv.flow, "MAX_EULER_STEPS", 3)
+    monkeypatch.setattr(graphtv.flow, "rof_solve",
+                        lambda g, u, h: calls.append(h) or types.SimpleNamespace(u=u))
+    flow_backward_euler(G, F, 3.0, 1.0)
+    assert calls == [1.0] * 3
+    with pytest.raises(ValidationError, match="asks for 4 steps, more than 3"):
+        flow_backward_euler(G, F, 3.5, 1.0)
+    assert len(calls) == 3
 
 
 def test_isotropic_rof_at_alpha_zero_is_the_datum():
